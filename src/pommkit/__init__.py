@@ -46,8 +46,10 @@ from .likelihood import (
     enumeration_loglik,
     forward_increments,
     forward_loglik,
+    increments,
     kalman_increments,
     kalman_loglik,
+    loglik,
     quadrature_loglik,
     ssm_kalman_loglik,
 )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,26 +59,15 @@ class AuditReport:
         if self.status not in ("pass", "fail", "estimate"):
             raise ValueError(f"unknown status {self.status!r}")
 
+    def to_json(self) -> str:
+        """One JSON line (without the newline), keys sorted."""
+        return json.dumps(asdict(self), sort_keys=True)
+
 
 def write_audit_jsonl(reports: Sequence[AuditReport], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in reports:
-            fh.write(
-                json.dumps(
-                    {
-                        "assumption": r.assumption,
-                        "status": r.status,
-                        "statistic": r.statistic,
-                        "ci_lo": r.ci_lo,
-                        "ci_hi": r.ci_hi,
-                        "seed": r.seed,
-                        "sims": r.sims,
-                        "detail": r.detail,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(r.to_json() + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .audit import (
 )
 from .core import project_observations, simulate_complete
 from .divergence import delta_glm_closed, delta_sv_closed
-from .likelihood import bpf_loglik, kalman_loglik, quadrature_loglik
+from .likelihood import loglik
 from .models import GlmParams, SvParams, sv_spec
 from .posterior import grid_loglik_profiles, posterior_from_profiles, write_posterior_csv
 
@@ -81,14 +81,7 @@ def _cmd_loglik(args) -> int:
         n = args.n if args.n is not None else cfg.n_list[-1]
         spec, obs = _config_obs(cfg, n, seed)
     init = xp._parse_init(cfg.init_inference)
-    if args.method == "kalman":
-        ll = kalman_loglik(spec, obs, init)
-    elif args.method == "bpf":
-        ll = bpf_loglik(spec, obs, init, args.particles, seed)
-    elif args.method == "quadrature":
-        ll = quadrature_loglik(spec, obs, init, args.nodes)
-    else:
-        raise SystemExit(f"unsupported method {args.method}")
+    ll = loglik(spec, obs, init, args.method, particles=args.particles, seed=seed, nodes=args.nodes)
     out = f"loglik {_fmt(ll.value)} n {ll.n} method {ll.method}"
     if ll.se is not None:
         out += f" se {_fmt(ll.se)}"
@@ -103,7 +96,7 @@ def _cmd_posterior(args) -> int:
     n_sim = max(n_eval, 1)
     spec, obs = _config_obs(cfg, n_sim, seed)
     grid, specs = xp.experiment_grid(cfg)
-    profiles = grid_loglik_profiles(specs, obs, xp._parse_init(cfg.init_inference), threads=args.threads)
+    profiles = grid_loglik_profiles(specs, obs, xp._parse_init(cfg.init_inference))
     post = posterior_from_profiles(grid, profiles, n_eval)
     if args.out:
         write_posterior_csv(post, args.out)
@@ -162,24 +155,8 @@ def _cmd_audit(args) -> int:
     if args.out:
         write_audit_jsonl(reports, args.out)
     else:
-        import json
-
         for r in reports:
-            print(
-                json.dumps(
-                    {
-                        "assumption": r.assumption,
-                        "status": r.status,
-                        "statistic": r.statistic,
-                        "ci_lo": r.ci_lo,
-                        "ci_hi": r.ci_hi,
-                        "seed": r.seed,
-                        "sims": r.sims,
-                        "detail": r.detail,
-                    },
-                    sort_keys=True,
-                )
-            )
+            print(r.to_json())
     return 0
 
 
@@ -188,7 +165,7 @@ def _cmd_experiment(args) -> int:
     if args.seed is not None:
         cfg = xp.replace_seed(cfg, args.seed)
     out = args.out or cfg.directory
-    result = xp.run_experiment(cfg, out_dir=out, threads=args.threads)
+    result = xp.run_experiment(cfg, out_dir=out)
     for row in result.concentration:
         print(f"n {row.n} p {row.p} mass_outside {_fmt(row.mass_outside)}")
     print(f"wrote {len(result.manifest['outputs']) + 1} files to {result.out_dir}")
@@ -203,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required, help="experiment config (INI)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for grid sweeps")
 
     p = sub.add_parser("simulate", help="simulate a trajectory from the config model")
     common(p)

@@ -246,7 +246,7 @@ class ExperimentResult:
     out_dir: Optional[Path]
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Simulate, sweep the grid, and write the experiment tables.
 
     One trajectory is drawn to the largest requested n under the true
@@ -261,7 +261,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Exp
     obs = project_observations(traj)
     grid, specs = experiment_grid(cfg)
     init_inf = _parse_init(cfg.init_inference)
-    profiles = grid_loglik_profiles(specs, obs, init_inf, method=cfg.method, threads=threads)
+    profiles = grid_loglik_profiles(specs, obs, init_inf, method=cfg.method)
     posteriors = [posterior_from_profiles(grid, profiles, n) for n in cfg.n_list]
     theta_star = np.array([cfg.model[cfg.grid_param]])
     rows = concentration_profile(posteriors, theta_star, cfg.ps)

@@ -173,22 +173,40 @@ def spectral_radius(M: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def glm_stationary_cov(params: GlmParams, tol: float = 1e-12, max_terms: int = 200_000) -> np.ndarray:
-    """Stationary covariance ``Gamma = sum_k Phi^k R (Phi^T)^k``.
+# A^(2^64) underflows to zero for every spectral radius below 1 in double
+# precision, so the doubling loop below always stops by this cap.
+_MAX_SQUARINGS = 64
 
-    The series is summed until a term falls below ``tol`` in Frobenius
-    norm; the result then satisfies ``Gamma = Phi Gamma Phi^T + R`` to
-    within a few multiples of ``tol``.
+
+def stationary_cov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solution ``Gamma`` of the Lyapunov equation ``Gamma = A Gamma A^T + Q``.
+
+    Doubling iteration (Smith 1968; Anderson & Moore 1979): after k steps
+    ``Gamma`` holds the first 2^k terms of ``sum_j A^j Q (A^T)^j`` and
+    ``A`` has been squared k times, so the cost grows like
+    ``log(1 / (1 - rho))`` instead of ``1 / (1 - rho)``. The spectral
+    radius ``rho`` of ``A`` must be below 1, which the parameter records
+    check at construction.
     """
-    Phi, R = params.Phi, params.R
-    gamma = R.copy()
-    term = R.copy()
-    for _ in range(max_terms):
-        term = Phi @ term @ Phi.T
-        gamma += term
-        if np.linalg.norm(term) < tol:
-            return 0.5 * (gamma + gamma.T)
-    raise RuntimeError(f"stationary covariance series did not converge in {max_terms} terms")
+    gamma = np.array(Q, dtype=float)
+    Ak = np.array(A, dtype=float)
+    eps = np.finfo(float).eps
+    for _ in range(_MAX_SQUARINGS):
+        step = Ak @ gamma @ Ak.T
+        gamma = gamma + step
+        if np.linalg.norm(step) <= eps * np.linalg.norm(gamma):
+            break
+        Ak = Ak @ Ak
+    return 0.5 * (gamma + gamma.T)
+
+
+def glm_stationary_cov(params: GlmParams) -> np.ndarray:
+    """Stationary covariance ``Gamma = sum_k Phi^k R (Phi^T)^k`` of the linear family.
+
+    It is the solution of ``Gamma = Phi Gamma Phi^T + R``, computed by
+    :func:`stationary_cov`.
+    """
+    return stationary_cov(params.Phi, params.R)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +294,7 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
     chol_qz = np.linalg.cholesky(Qz)
     chol_qx = np.linalg.cholesky(Qx)
     logdet_qx = 2.0 * np.sum(np.log(np.diag(chol_qx)))
-    # stationary x-marginal covariance: same series as the embedded chain
-    gx = Qz.copy()
-    term = Qz.copy()
-    while np.linalg.norm(term) >= 1e-14:
-        term = A @ term @ A.T
-        gx += term
-    chol_gx = np.linalg.cholesky(0.5 * (gx + gx.T))
+    chol_gx = np.linalg.cholesky(stationary_cov(A, Qz))  # stationary x-marginal
 
     def qx_logpdf(x, x_next) -> float:
         dev = np.atleast_1d(x_next) - A @ np.atleast_1d(x)

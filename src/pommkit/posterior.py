@@ -9,11 +9,16 @@ around the reference parameter, approximate maximum likelihood over the
 grid, the merging of likelihoods under different initial laws, and the
 exponential decay rate of prior-averaged likelihood ratios over sets
 that exclude the reference parameter.
+
+Every likelihood in this module comes from :func:`pommkit.likelihood.loglik`
+or, for prefix profiles, :func:`pommkit.likelihood.increments`, so the
+evaluator behind each method name is chosen in one place. Grid sweeps
+evaluate the grid points one after another, in grid order.
 """
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -21,16 +26,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary
-from .likelihood import (
-    LogLik,
-    bpf_loglik,
-    enumeration_loglik,
-    forward_increments,
-    forward_loglik,
-    kalman_increments,
-    kalman_loglik,
-    quadrature_loglik,
-)
+from .likelihood import _logsumexp, forward_loglik, increments, loglik
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +89,6 @@ class PosteriorGrid:
     grid: ParamGrid
     n: int
     log_mass: np.ndarray  # (G,), logsumexp == 0
-    normalized: bool = True
 
     def masses(self) -> np.ndarray:
         return np.exp(self.log_mass)
@@ -106,13 +101,6 @@ class PosteriorGrid:
         return self.masses() @ self.grid.points
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    m = v.max()
-    if not np.isfinite(m):
-        return -np.inf
-    return float(m + np.log(np.exp(v - m).sum()))
-
-
 def _normalize_log_mass(log_unnorm: np.ndarray, n: int, grid: ParamGrid) -> PosteriorGrid:
     total = _logsumexp(log_unnorm)
     if total == -np.inf or not np.isfinite(total):
@@ -122,42 +110,22 @@ def _normalize_log_mass(log_unnorm: np.ndarray, n: int, grid: ParamGrid) -> Post
     return PosteriorGrid(grid=grid, n=n, log_mass=log_unnorm - total)
 
 
-def _fast_kalman_loglik(spec: ModelSpec, obs, init) -> LogLik:
-    """Kalman value via the scalar filter when the model allows it."""
-    if spec.ssm is not None and spec.ssm.p == 1 and spec.ssm.q == 1 and len(obs) > 0:
-        from .likelihood import ssm_kalman_loglik
-
-        return ssm_kalman_loglik(spec.ssm, obs, init)
-    return kalman_loglik(spec, obs, init)
-
-
-def _point_loglik(spec: ModelSpec, obs, init, method: str, **kw) -> LogLik:
-    if method == "kalman":
-        return _fast_kalman_loglik(spec, obs, init)
-    if method == "forward":
-        return forward_loglik(spec, obs, init)
-    if method == "bpf":
-        return bpf_loglik(spec, obs, init, kw.get("particles", 512), kw.get("seed", 0), kw.get("stream", 0))
-    if method == "quadrature":
-        return quadrature_loglik(spec, obs, init, kw.get("nodes", 2001))
-    raise ValueError(f"unknown likelihood method {method!r}")
-
-
 def grid_posterior(
     specs: Sequence[ModelSpec],
     grid: ParamGrid,
     obs: np.ndarray,
     init,
     method: str = "kalman",
-    threads: int = 1,
     **kw,
 ) -> PosteriorGrid:
     """Posterior masses ``prior x likelihood`` over the grid, normalized.
 
-    ``specs`` supplies the bound model for each grid point. With ``n = 0``
-    observations the posterior is the normalized prior. A posterior in
-    which every point has zero mass raises instead of silently returning
-    a uniform distribution.
+    ``specs`` supplies the bound model for each grid point and ``kw``
+    the keyword options of :func:`~pommkit.likelihood.loglik`; grid point
+    i draws particle-filter stream i. With ``n = 0`` observations the
+    posterior is the normalized prior. A posterior in which every point
+    has zero mass raises instead of silently returning a uniform
+    distribution.
     """
     if len(specs) != len(grid):
         raise ValueError("one model per grid point is required")
@@ -168,17 +136,10 @@ def grid_posterior(
     if n == 0:
         return _normalize_log_mass(log_prior, 0, grid)
 
-    def one(i_spec):
-        i, spec = i_spec
-        if grid.prior_weight[i] == 0.0:
-            return -np.inf
-        return _point_loglik(spec, obs, init, method, stream=i, **kw).value
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lls = list(pool.map(one, enumerate(specs)))
-    else:
-        lls = [one(t) for t in enumerate(specs)]
+    lls = [
+        -np.inf if w == 0.0 else loglik(spec, obs, init, method, stream=i, **kw).value
+        for i, (spec, w) in enumerate(zip(specs, grid.prior_weight))
+    ]
     return _normalize_log_mass(log_prior + np.asarray(lls), n, grid)
 
 
@@ -187,7 +148,6 @@ def grid_loglik_profiles(
     obs: np.ndarray,
     init,
     method: str = "kalman",
-    threads: int = 1,
 ) -> np.ndarray:
     """Cumulative log likelihood of every observation prefix, per grid point.
 
@@ -195,30 +155,7 @@ def grid_loglik_profiles(
     ``kalman`` or ``forward``. Returns an array of shape (G, n) whose
     [i, k] entry is ``log p(y_{1:k+1})`` under model i.
     """
-    if method == "kalman":
-        from .likelihood import ssm_kalman_increments
-
-        def inc(spec, obs, init):
-            # the derived scalar filter agrees with the joint-chain filter
-            # to float accuracy and is much faster on big grids
-            if spec.ssm is not None and spec.ssm.p == 1 and spec.ssm.q == 1:
-                return ssm_kalman_increments(spec.ssm, obs, init)
-            return kalman_increments(spec, obs, init)
-
-    elif method == "forward":
-        inc = forward_increments
-    else:
-        raise ValueError("prefix profiles need an exact method (kalman or forward)")
-
-    def one(spec):
-        return np.cumsum(inc(spec, obs, init))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, specs))
-    else:
-        rows = [one(s) for s in specs]
-    return np.vstack(rows)
+    return np.vstack([np.cumsum(increments(spec, obs, init, method)) for spec in specs])
 
 
 def posterior_from_profiles(grid: ParamGrid, profiles: np.ndarray, n: int) -> PosteriorGrid:
@@ -258,14 +195,15 @@ def concentration_profile(
     Grid cells belong to the outside set exactly when their center point
     is at distance at least ``1/p`` (closed-complement convention).
     """
+    for p in ps:
+        if not isinstance(p, numbers.Integral) or p < 1:
+            raise ValueError(f"p must be a positive integer, got {p!r}")
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     rows = []
     for post in posteriors:
         dist = np.linalg.norm(post.grid.points - theta_star[None, :], axis=1)
         masses = post.masses()
         for p in ps:
-            if p < 1:
-                raise ValueError("p must be a positive integer")
             outside = float(masses[dist >= 1.0 / p].sum())
             rows.append(ConcentrationRow(n=post.n, p=int(p), mass_outside=min(outside, 1.0)))
     return rows
@@ -298,7 +236,7 @@ def amle_grid(
     When the exact reference log likelihood is supplied, the achieved
     normalized defect ``(loglik(argmax) - star_loglik) / n`` is reported.
     """
-    lls = np.array([_point_loglik(s, obs, init, method, stream=i, **kw).value for i, s in enumerate(specs)])
+    lls = np.array([loglik(s, obs, init, method, stream=i, **kw).value for i, s in enumerate(specs)])
     if np.all(lls == -np.inf):
         raise ValueError("every grid point has zero likelihood")
     idx = int(np.argmax(lls))
@@ -323,16 +261,12 @@ def merging_curve(spec: ModelSpec, obs: np.ndarray, init_eta, den_spec: Optional
     below by minus the expected transition KLD between the two members.
     """
 
-    def increments_fn(s: ModelSpec):
-        if s.glm is not None:
-            return kalman_increments
-        if s.finite is not None:
-            return forward_increments
-        raise ValueError("merging needs an exactly evaluable model (linear or finite)")
+    def exact_method(s: ModelSpec) -> str:
+        return "forward" if s.finite is not None else "kalman"
 
     den_spec = den_spec if den_spec is not None else spec
-    num = np.cumsum(increments_fn(spec)(spec, obs, init_eta))
-    den = np.cumsum(increments_fn(den_spec)(den_spec, obs, Stationary()))
+    num = np.cumsum(increments(spec, obs, init_eta, exact_method(spec)))
+    den = np.cumsum(increments(den_spec, obs, Stationary(), exact_method(den_spec)))
     if np.any(den == -np.inf):
         raise ValueError("stationary reference likelihood vanished; merging ratio undefined")
     return (num - den) / np.arange(1, len(num) + 1)
@@ -387,10 +321,7 @@ def remoteness_rate(
         raise ValueError("requested sample sizes exceed the data")
     sub_specs = [s for s, m in zip(specs, mask) if m]
     profiles = grid_loglik_profiles(sub_specs, obs, init, method=method)
-    if method == "kalman":
-        star = np.cumsum(kalman_increments(star_spec, obs, Stationary()))
-    else:
-        star = np.cumsum(forward_increments(star_spec, obs, Stationary()))
+    star = np.cumsum(increments(star_spec, obs, Stationary(), method))
     with np.errstate(divide="ignore"):
         logw = np.log(grid.prior_weight[mask])
     values = np.array([_logsumexp(logw + profiles[:, n - 1]) - star[n - 1] for n in ns])
@@ -432,6 +363,8 @@ def mh_posterior(
     receives a fresh estimator stream and the current value is carried,
     which leaves the target invariant but is flagged in the result.
     """
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     d = theta.size
     sd = np.broadcast_to(np.asarray(proposal_sd, dtype=float), (d,)).copy()
@@ -449,15 +382,7 @@ def mh_posterior(
         spec = build(th)
         if spec is None:
             return -np.inf
-        if method == "kalman":
-            ll = _fast_kalman_loglik(spec, obs, init).value
-        elif method == "forward":
-            ll = forward_loglik(spec, obs, init).value
-        elif method == "bpf":
-            ll = bpf_loglik(spec, obs, init, particles, seed, stream=stream).value
-        else:
-            raise ValueError(f"unknown likelihood method {method!r}")
-        return lp + ll
+        return lp + loglik(spec, obs, init, method, particles=particles, seed=seed, stream=stream).value
 
     current = logpost(theta, 0)
     if current == -np.inf:

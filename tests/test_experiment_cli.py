@@ -69,12 +69,6 @@ class TestRunner:
         m_pm = [r.mass_outside for r in res_pm.concentration if r.p == 5][0]
         assert abs(m_st - m_pm) < 0.2  # same order already at n = 200
 
-    def test_threads_do_not_change_results(self):
-        cfg = replace(reference_config(), n_list=(100,))
-        a = run_experiment(cfg, threads=1)
-        b = run_experiment(cfg, threads=4)
-        np.testing.assert_array_equal(a.posteriors[0].log_mass, b.posteriors[0].log_mass)
-
     def test_improper_prior_supported(self):
         cfg = replace(reference_config(), n_list=(100,), prior="improper")
         res = run_experiment(cfg)
@@ -152,6 +146,14 @@ class TestCli:
         assert len(lines) == 2
         assumptions = {json.loads(l)["assumption"] for l in lines}
         assert assumptions == {"B5.conv", "B5.logmoment"}
+
+    def test_audit_stdout_equals_written_file(self, tmp_path, capsys):
+        args = ["audit", "--assumption", "all", "--family", "sv", "--sims", "500", "--seed", "2"]
+        out = tmp_path / "audit.jsonl"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_experiment_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

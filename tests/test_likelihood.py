@@ -15,15 +15,17 @@ from pommkit import (
     finite_hmm_spec,
     forward_loglik,
     glm_spec,
+    increments,
     kalman_increments,
     kalman_loglik,
+    loglik,
     project_observations,
     quadrature_loglik,
     scalar_ssm,
     simulate_complete,
 )
 from pommkit.core import UnsupportedInitError
-from pommkit.likelihood import forward_increments
+from pommkit.likelihood import forward_increments, ssm_kalman_increments
 
 
 def simulated_obs(spec, n, seed, init=None):
@@ -218,3 +220,60 @@ class TestForwardIncrements:
         inc = forward_increments(spec, ys, Stationary())
         for n in (1, 5, 12):
             assert abs(forward_loglik(spec, ys[:n], Stationary()).value - inc[:n].sum()) < 1e-12
+
+
+class TestDispatch:
+    def test_scalar_ssm_matches_joint_filter(self):
+        inits = (
+            Stationary(),
+            PointMass(4.0, 4.0),
+            GaussianOnZ([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]),
+        )
+        for a in (0.5, 0.99):
+            spec = scalar_ssm(a, 1.0, 1.0, 0.2)
+            ys = simulated_obs(spec, 300, seed=30)
+            for init in inits:
+                inc = increments(spec, ys, init, "kalman")
+                # the scalar state-space model takes the hidden-state filter
+                np.testing.assert_array_equal(inc, ssm_kalman_increments(spec.ssm, ys, init))
+                np.testing.assert_allclose(inc, kalman_increments(spec, ys, init), rtol=0, atol=1e-10)
+                ll = loglik(spec, ys, init, "kalman")
+                assert (ll.n, ll.method) == (300, "kalman")
+                assert abs(ll.value - kalman_loglik(spec, ys, init).value) < 1e-10
+
+    def test_general_linear_model_uses_joint_filter(self):
+        spec = glm_spec(GlmParams([[0.4, 0.2], [0.1, 0.3]], [[1.0, 0.4], [0.4, 1.0]], 1, 1))
+        ys = simulated_obs(spec, 50, seed=32)
+        np.testing.assert_array_equal(
+            increments(spec, ys, Stationary(), "kalman"), kalman_increments(spec, ys, Stationary())
+        )
+
+    def test_finite_matches_enumeration(self):
+        rng = np.random.default_rng(33)
+        for _ in range(3):
+            P = rng.dirichlet(np.ones(3), size=3)
+            G = rng.dirichlet(np.ones(2), size=3)
+            spec = finite_hmm_spec(FiniteHmmParams(P, G))
+            ys = rng.integers(0, 2, size=9)
+            for init in (Stationary(), PointMass(1, 0)):
+                ll = loglik(spec, ys, init, "forward")
+                assert ll.method == "forward"
+                assert abs(ll.value - enumeration_loglik(spec, ys, init)) < 1e-12
+
+    def test_approximate_methods_forward_their_options(self):
+        spec = scalar_ssm(0.5, 1.0, 1.0, 0.2)
+        ys = simulated_obs(spec, 6, seed=34)
+        bpf = loglik(spec, ys, Stationary(), "bpf", particles=64, seed=5, stream=2)
+        assert bpf == bpf_loglik(spec, ys, Stationary(), 64, 5, stream=2)
+        quad = loglik(spec, ys, Stationary(), "quadrature", nodes=401)
+        assert quad == quadrature_loglik(spec, ys, Stationary(), 401)
+
+    def test_unknown_and_inexact_methods_rejected(self):
+        spec = scalar_ssm(0.5)
+        ys = np.array([0.1, 0.2])
+        with pytest.raises(ValueError):
+            increments(spec, ys, Stationary(), "bpf")
+        with pytest.raises(ValueError):
+            loglik(spec, ys, Stationary(), "exact")
+        with pytest.raises(TypeError):
+            loglik(spec, ys, Stationary(), "bpf", particle=3)

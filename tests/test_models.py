@@ -17,6 +17,7 @@ from pommkit import (
     glm_stationary_cov,
     iid_gaussian_spec,
     kalman_loglik,
+    scalar_ssm,
     simulate_complete,
     ssm_embed,
     ssm_spec,
@@ -77,9 +78,31 @@ class TestStationaryCovariance:
         rng = np.random.default_rng(3)
         for _ in range(20):
             params = random_stable_glm(rng)
-            gamma = glm_stationary_cov(params, tol=1e-12)
+            gamma = glm_stationary_cov(params)
             resid = gamma - params.Phi @ gamma @ params.Phi.T - params.R
             assert np.linalg.norm(resid) < 1e-11
+
+    @staticmethod
+    def kronecker_solve(Phi, R):
+        # vec Gamma = (I - Phi (x) Phi)^{-1} vec R, independent of the doubling loop
+        d = Phi.shape[0]
+        return np.linalg.solve(np.eye(d * d) - np.kron(Phi, Phi), R.reshape(-1)).reshape(d, d)
+
+    def test_matches_kronecker_solve_random(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            params = random_stable_glm(rng, d=3, p=2, q=1)
+            expected = self.kronecker_solve(params.Phi, params.R)
+            gamma = glm_stationary_cov(params)
+            assert np.abs(gamma - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_matches_kronecker_solve_near_unit_root(self):
+        for a in (0.5, 0.99, 0.9999, 0.99999):
+            spec = scalar_ssm(a, 1.0, 1.0, 0.2)
+            expected = self.kronecker_solve(spec.glm.Phi, spec.glm.R)
+            gamma = glm_stationary_cov(spec.glm)
+            assert np.abs(gamma - expected).max() <= 1e-10 * np.abs(expected).max()
+            assert abs(gamma[0, 0] * (1.0 - a * a) - 1.0) < 1e-10
 
 
 class TestLinearFamily:

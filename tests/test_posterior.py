@@ -96,6 +96,12 @@ class TestGridPosterior:
         with pytest.raises(DegeneratePosteriorError):
             grid_posterior(specs, grid, np.array([0, 1]), Stationary(), "forward")
 
+    def test_misspelt_likelihood_option_rejected(self):
+        specs = [scalar_ssm(a) for a in (0.2, 0.5)]
+        grid = uniform_grid_1d(0.2, 0.5, 2)
+        with pytest.raises(TypeError):
+            grid_posterior(specs, grid, np.array([0.1, 0.3]), Stationary(), "bpf", particle=3)
+
     def test_profiles_agree_with_direct_evaluation(self):
         spec_star = scalar_ssm(0.5, 1.0, 1.0, 0.2)
         obs = project_observations(simulate_complete(spec_star, Stationary(), 60, seed=3))
@@ -128,6 +134,12 @@ class TestConcentration:
         post = PosteriorGrid(grid=grid, n=1, log_mass=np.log(np.full(20, 1.0 / 20)))
         rows = concentration_profile([post], np.array([0.0]), ps=[1])
         assert rows[0].mass_outside == 0.0
+
+    def test_non_integer_radius_rejected(self):
+        post = posterior_from_profiles(uniform_grid_1d(-1.0, 1.0, 5), np.zeros((5, 0)), 0)
+        for ps in ([2.5], [0], [2, 2.0]):
+            with pytest.raises(ValueError):
+                concentration_profile([post], np.array([0.0]), ps=ps)
 
     def test_closed_complement_convention(self):
         # cells at distance exactly 1/p count as outside
@@ -306,6 +318,14 @@ class TestMetropolis:
                 self.build, self.flat_prior(), np.array([0.1]), Stationary(),
                 theta0=np.array([5.0]), steps=10, proposal_sd=np.array([0.1]), seed=16,
             )
+
+    def test_steps_must_be_a_positive_integer(self):
+        for steps in (0, -3, 2.5):
+            with pytest.raises(ValueError):
+                mh_posterior(
+                    self.build, self.flat_prior(), np.array([0.1]), Stationary(),
+                    theta0=np.array([0.0]), steps=steps, proposal_sd=np.array([0.1]), seed=16,
+                )
 
     def test_determinism(self):
         obs = np.array([0.1, -0.2, 0.4])
