@@ -46,6 +46,7 @@ from .likelihood import (
     enumeration_loglik,
     forward_increments,
     forward_loglik,
+    grid_increments,
     increments,
     kalman_increments,
     kalman_loglik,

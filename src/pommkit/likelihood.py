@@ -6,8 +6,13 @@ linear families, the forward recursion for finite alphabets) also expose
 their per-observation increments ``log p(y_k | y_{1:k-1})``, whose sum is
 the log likelihood by the chain rule; posterior sweeps reuse the
 increments to get every prefix likelihood from a single pass.
-:func:`loglik` and :func:`increments` are the one place that maps a
-method name to its evaluator.
+
+:func:`loglik` and :func:`increments` (one spec) and
+:func:`grid_increments` (every spec of a parameter grid) are the one
+place that maps a method name to its evaluator. A single spec takes the
+plain-float scalar filter when it is a one-dimensional state-space
+model; a Kalman grid of such models takes the same filter once over
+arrays of grid parameters.
 """
 from __future__ import annotations
 
@@ -114,12 +119,14 @@ def kalman_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
     return LogLik(float(inc.sum()), len(inc), "kalman")
 
 
-def _ssm_scalar_increments(ssm, ys: np.ndarray, init) -> np.ndarray:
-    """Plain-float filter for p = q = 1; orders of magnitude faster."""
-    a = float(ssm.A[0, 0])
-    b = float(ssm.B[0, 0])
-    qz = float(ssm.Qzeta[0, 0])
-    qx = float(ssm.Qxi[0, 0])
+def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
+    """Filter for p = q = 1 on plain floats or on (G,) parameter arrays.
+
+    With float parameters this is the single-spec filter, orders of
+    magnitude faster than the matrix filters; with arrays it runs every
+    grid point in one pass and returns shape (n, G). Both shapes take the
+    same start values and the same operations in the same order.
+    """
     if isinstance(init, Stationary):
         m, pv = 0.0, qz / (1.0 - a * a)
     elif isinstance(init, PointMass):
@@ -131,8 +138,8 @@ def _ssm_scalar_increments(ssm, ys: np.ndarray, init) -> np.ndarray:
             f"the Kalman evaluator needs a Gaussian-type initial distribution, got {type(init).__name__}"
         )
     log2pi = float(_LOG2PI)
-    out = np.empty(len(ys))
     yflat = ys[:, 0]
+    out = np.empty((len(yflat),) + np.shape(a))
     log = np.log
     for k in range(len(yflat)):
         m = a * m
@@ -158,7 +165,7 @@ def ssm_kalman_increments(ssm, obs: np.ndarray, init) -> np.ndarray:
     p, q = ssm.p, ssm.q
     ys = _obs_column(obs, q)
     if p == 1 and q == 1:
-        return _ssm_scalar_increments(ssm, ys, init)
+        return _scalar_kalman_increments(float(A[0, 0]), float(B[0, 0]), float(Qz[0, 0]), float(Qx[0, 0]), ys, init)
     if isinstance(init, Stationary):
         m = np.zeros(p)
         P = stationary_cov(A, Qz)
@@ -469,10 +476,11 @@ def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
             mcol = logm.max(axis=0)
             la = mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
     la = la + _g_log_vector(spec, grid, yvals[0])
+    if len(yvals) > 1:
+        trans = np.exp(_qx_log_matrix(spec, grid, grid))  # the same at every step
     for y in yvals[1:]:
         m = la.max()
         alpha = np.exp(la + logw - m)
-        trans = np.exp(_qx_log_matrix(spec, grid, grid))
         v = alpha @ trans
         with np.errstate(divide="ignore"):
             la = m + np.log(v) + _g_log_vector(spec, grid, y)
@@ -534,6 +542,11 @@ def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
 # ---------------------------------------------------------------------------
 
 
+def _is_scalar_ssm(spec: ModelSpec) -> bool:
+    """Whether ``spec`` is a state-space model with p = q = 1."""
+    return spec.ssm is not None and spec.ssm.p == 1 and spec.ssm.q == 1
+
+
 def increments(spec: ModelSpec, obs: np.ndarray, init, method: str) -> np.ndarray:
     """Per-observation predictive log densities from an exact method.
 
@@ -544,12 +557,27 @@ def increments(spec: ModelSpec, obs: np.ndarray, init, method: str) -> np.ndarra
     linear model.
     """
     if method == "kalman":
-        if spec.ssm is not None and spec.ssm.p == 1 and spec.ssm.q == 1:
+        if _is_scalar_ssm(spec):
             return ssm_kalman_increments(spec.ssm, obs, init)
         return kalman_increments(spec, obs, init)
     if method == "forward":
         return forward_increments(spec, obs, init)
     raise ValueError(f"unknown likelihood method {method!r}; exact increments come from kalman or forward")
+
+
+def grid_increments(specs, obs: np.ndarray, init, method: str) -> np.ndarray:
+    """Increments of every spec of a parameter grid, shape (G, n).
+
+    Row i is ``increments(specs[i], obs, init, method)``. A Kalman grid of
+    one-dimensional state-space models runs the scalar filter once over
+    arrays of grid parameters; any other grid stacks the per-spec rows.
+    """
+    if method == "kalman" and all(_is_scalar_ssm(s) for s in specs):
+        params = np.array([[s.ssm.A[0, 0], s.ssm.B[0, 0], s.ssm.Qzeta[0, 0], s.ssm.Qxi[0, 0]] for s in specs])
+        a, b, qz, qx = params.T.copy()
+        # C order, so that a row sums in the same order as one spec's increments
+        return np.ascontiguousarray(_scalar_kalman_increments(a, b, qz, qx, _obs_column(obs, 1), init).T)
+    return np.vstack([increments(s, obs, init, method) for s in specs])
 
 
 def loglik(

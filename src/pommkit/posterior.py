@@ -10,10 +10,14 @@ grid, the merging of likelihoods under different initial laws, and the
 exponential decay rate of prior-averaged likelihood ratios over sets
 that exclude the reference parameter.
 
-Every likelihood in this module comes from :func:`pommkit.likelihood.loglik`
-or, for prefix profiles, :func:`pommkit.likelihood.increments`, so the
-evaluator behind each method name is chosen in one place. Grid sweeps
-evaluate the grid points one after another, in grid order.
+Every likelihood in this module comes from :func:`pommkit.likelihood.loglik`,
+:func:`pommkit.likelihood.increments` or, for grids,
+:func:`pommkit.likelihood.grid_increments`, so the evaluator behind each
+method name is chosen in one place. Grid sweeps with an exact method
+(profiles, posteriors, the grid argmax, remoteness) take one
+``grid_increments`` pass, which filters a Kalman grid of one-dimensional
+state-space models in a single vectorized pass; the particle filter and
+quadrature evaluate the grid points one after another, in grid order.
 """
 from __future__ import annotations
 
@@ -26,7 +30,10 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary
-from .likelihood import _logsumexp, forward_loglik, increments, loglik
+from .likelihood import _logsumexp, forward_loglik, grid_increments, increments, loglik
+
+# the loglik options a grid sweep passes on; it sets ``stream`` itself
+_GRID_OPTIONS = ("particles", "seed", "nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +117,28 @@ def _normalize_log_mass(log_unnorm: np.ndarray, n: int, grid: ParamGrid) -> Post
     return PosteriorGrid(grid=grid, n=n, log_mass=log_unnorm - total)
 
 
+def _finite_obs(obs) -> np.ndarray:
+    """The observations as an array, rejecting non-finite values."""
+    obs = np.asarray(obs)
+    bad = np.argwhere(~np.isfinite(obs))
+    if len(bad):
+        raise ValueError(f"observation {bad[0][0]} is not finite")
+    return obs
+
+
+def _check_grid_options(kw: dict) -> None:
+    unknown = sorted(set(kw) - set(_GRID_OPTIONS))
+    if unknown:
+        raise TypeError(f"unknown likelihood options {unknown}; a grid sweep takes {list(_GRID_OPTIONS)}")
+
+
+def _grid_logliks(specs: Sequence[ModelSpec], obs: np.ndarray, init, method: str, kw: dict) -> np.ndarray:
+    """Log likelihood of every grid point; point i draws particle-filter stream i."""
+    if method in ("kalman", "forward"):
+        return grid_increments(specs, obs, init, method).sum(axis=1)
+    return np.array([loglik(s, obs, init, method, stream=i, **kw).value for i, s in enumerate(specs)])
+
+
 def grid_posterior(
     specs: Sequence[ModelSpec],
     grid: ParamGrid,
@@ -121,26 +150,23 @@ def grid_posterior(
     """Posterior masses ``prior x likelihood`` over the grid, normalized.
 
     ``specs`` supplies the bound model for each grid point and ``kw``
-    the keyword options of :func:`~pommkit.likelihood.loglik`; grid point
-    i draws particle-filter stream i. With ``n = 0`` observations the
-    posterior is the normalized prior. A posterior in which every point
-    has zero mass raises instead of silently returning a uniform
-    distribution.
+    the options ``particles``, ``seed`` and ``nodes`` of
+    :func:`~pommkit.likelihood.loglik`; grid point i draws particle-filter
+    stream i. With ``n = 0`` observations the posterior is the normalized
+    prior. Non-finite observations raise ``ValueError``. A posterior in
+    which every point has zero mass raises instead of silently returning
+    a uniform distribution.
     """
     if len(specs) != len(grid):
         raise ValueError("one model per grid point is required")
+    _check_grid_options(kw)
+    obs = _finite_obs(obs)
     with np.errstate(divide="ignore"):
         log_prior = np.log(grid.prior_weight)
-    obs = np.asarray(obs)
     n = len(obs)
     if n == 0:
         return _normalize_log_mass(log_prior, 0, grid)
-
-    lls = [
-        -np.inf if w == 0.0 else loglik(spec, obs, init, method, stream=i, **kw).value
-        for i, (spec, w) in enumerate(zip(specs, grid.prior_weight))
-    ]
-    return _normalize_log_mass(log_prior + np.asarray(lls), n, grid)
+    return _normalize_log_mass(log_prior + _grid_logliks(specs, obs, init, method, kw), n, grid)
 
 
 def grid_loglik_profiles(
@@ -155,7 +181,7 @@ def grid_loglik_profiles(
     ``kalman`` or ``forward``. Returns an array of shape (G, n) whose
     [i, k] entry is ``log p(y_{1:k+1})`` under model i.
     """
-    return np.vstack([np.cumsum(increments(spec, obs, init, method)) for spec in specs])
+    return np.cumsum(grid_increments(specs, _finite_obs(obs), init, method), axis=1)
 
 
 def posterior_from_profiles(grid: ParamGrid, profiles: np.ndarray, n: int) -> PosteriorGrid:
@@ -236,13 +262,15 @@ def amle_grid(
     When the exact reference log likelihood is supplied, the achieved
     normalized defect ``(loglik(argmax) - star_loglik) / n`` is reported.
     """
-    lls = np.array([loglik(s, obs, init, method, stream=i, **kw).value for i, s in enumerate(specs)])
+    _check_grid_options(kw)
+    obs = _finite_obs(obs)
+    lls = _grid_logliks(specs, obs, init, method, kw)
     if np.all(lls == -np.inf):
         raise ValueError("every grid point has zero likelihood")
     idx = int(np.argmax(lls))
     eps = None
     if star_loglik is not None:
-        eps = float((lls[idx] - star_loglik) / max(len(np.asarray(obs)), 1))
+        eps = float((lls[idx] - star_loglik) / max(len(obs), 1))
     return AmleResult(point=grid.points[idx].copy(), index=idx, loglik=float(lls[idx]), epsilon_n=eps)
 
 

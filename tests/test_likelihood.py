@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from pommkit import (
+    CustomInit,
     FiniteHmmParams,
     GaussianOnZ,
     GlmParams,
     PointMass,
+    SsmParams,
     Stationary,
     bpf_loglik,
     conditional_entropy_sequence,
@@ -15,6 +17,7 @@ from pommkit import (
     finite_hmm_spec,
     forward_loglik,
     glm_spec,
+    grid_increments,
     increments,
     kalman_increments,
     kalman_loglik,
@@ -23,6 +26,7 @@ from pommkit import (
     quadrature_loglik,
     scalar_ssm,
     simulate_complete,
+    ssm_spec,
 )
 from pommkit.core import UnsupportedInitError
 from pommkit.likelihood import forward_increments, ssm_kalman_increments
@@ -277,3 +281,52 @@ class TestDispatch:
             loglik(spec, ys, Stationary(), "exact")
         with pytest.raises(TypeError):
             loglik(spec, ys, Stationary(), "bpf", particle=3)
+
+
+class TestGridIncrements:
+    INITS = (
+        Stationary(),
+        PointMass(4.0, 4.0),
+        GaussianOnZ([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]),
+    )
+
+    def random_scalar_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        a = np.concatenate([[-0.9999, 0.9999], rng.uniform(-0.99, 0.99, 8)])
+        b = rng.uniform(0.2, 2.0, a.size) * rng.choice([-1.0, 1.0], a.size)
+        qz = rng.uniform(0.1, 3.0, a.size)
+        qx = rng.uniform(0.05, 2.0, a.size)
+        return [scalar_ssm(*theta) for theta in zip(a, b, qz, qx)]
+
+    def test_batched_scalar_filter_matches_oracles(self):
+        for seed in (40, 41):
+            specs = self.random_scalar_grid(seed)
+            ys = simulated_obs(specs[3], 200, seed=seed)
+            for init in self.INITS:
+                inc = grid_increments(specs, ys, init, "kalman")
+                assert inc.shape == (len(specs), 200)
+                for row, spec in zip(inc, specs):
+                    np.testing.assert_allclose(row, ssm_kalman_increments(spec.ssm, ys, init), rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(row, kalman_increments(spec, ys, init), rtol=0, atol=1e-10)
+
+    def test_other_grids_stack_per_spec_rows(self):
+        scalar = scalar_ssm(0.5, 1.0, 1.0, 0.2)
+        ssm2 = ssm_spec(SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], np.eye(2), [[0.3]]))
+        linear = glm_spec(GlmParams([[0.4, 0.2], [0.1, 0.3]], [[1.0, 0.4], [0.4, 1.0]], 1, 1))
+        ys = simulated_obs(scalar, 40, seed=42)
+        specs = [scalar, ssm2, linear, scalar_ssm(-0.3)]
+        expected = np.vstack([increments(s, ys, Stationary(), "kalman") for s in specs])
+        np.testing.assert_array_equal(grid_increments(specs, ys, Stationary(), "kalman"), expected)
+
+        rng = np.random.default_rng(43)
+        finite = [finite_hmm_spec(FiniteHmmParams(rng.dirichlet(np.ones(2), 2), rng.dirichlet(np.ones(3), 2)))
+                  for _ in range(4)]
+        symbols = rng.integers(0, 3, size=25)
+        expected = np.vstack([increments(s, symbols, PointMass(1, 0), "forward") for s in finite])
+        np.testing.assert_array_equal(grid_increments(finite, symbols, PointMass(1, 0), "forward"), expected)
+
+    def test_batched_path_rejects_unsupported_init(self):
+        specs = [scalar_ssm(a) for a in (0.2, 0.5)]
+        init = CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1)))
+        with pytest.raises(UnsupportedInitError):
+            grid_increments(specs, np.array([0.1, 0.2]), init, "kalman")

@@ -18,6 +18,7 @@ from pommkit import (
     grid_posterior,
     image_density_check,
     image_ratio_markov_check,
+    loglik,
     merging_curve,
     mh_posterior,
     posterior_from_profiles,
@@ -101,6 +102,39 @@ class TestGridPosterior:
         grid = uniform_grid_1d(0.2, 0.5, 2)
         with pytest.raises(TypeError):
             grid_posterior(specs, grid, np.array([0.1, 0.3]), Stationary(), "bpf", particle=3)
+        # rejected before the no-data shortcut and before the batched exact path
+        with pytest.raises(TypeError):
+            grid_posterior(specs, grid, np.empty(0), Stationary(), "bpf", particle=3)
+        with pytest.raises(TypeError):
+            amle_grid(specs, grid, np.array([0.1, 0.3]), Stationary(), "kalman", particle=3)
+
+    def test_non_finite_observations_rejected(self):
+        specs = [scalar_ssm(a) for a in (0.2, 0.5)]
+        grid = uniform_grid_1d(0.2, 0.5, 2)
+        obs = np.array([0.1, 0.3, -0.2, np.nan, 0.4])
+        for method in ("kalman", "bpf", "quadrature"):
+            with pytest.raises(ValueError, match="observation 3 is not finite"):
+                grid_posterior(specs, grid, obs, Stationary(), method)
+        with pytest.raises(ValueError, match="observation 1 is not finite"):
+            grid_posterior(finite_family([0.6, 0.8]), grid, np.array([0.0, np.inf]), Stationary(), "forward")
+
+    def test_batched_sweep_matches_per_spec_loglik(self):
+        spec_star = scalar_ssm(0.5, 1.0, 1.0, 0.2)
+        obs = project_observations(simulate_complete(spec_star, Stationary(), 300, seed=8))
+        grid = uniform_grid_1d(-0.8, 0.8, 17)
+        grid = ParamGrid(grid.points, np.where(np.arange(17) == 4, 0.0, grid.prior_weight), grid.cell_volume)
+        specs = [scalar_ssm(float(a), 1.0, 1.0, 0.2) for a in grid.points[:, 0]]
+        for init in (Stationary(), PointMass(4.0, 4.0)):
+            lls = np.array([loglik(s, obs, init, "kalman").value for s in specs])
+            with np.errstate(divide="ignore"):
+                log_unnorm = np.log(grid.prior_weight) + lls
+            top = log_unnorm.max()
+            expected = log_unnorm - (top + np.log(np.exp(log_unnorm - top).sum()))
+            post = grid_posterior(specs, grid, obs, init, "kalman")
+            np.testing.assert_allclose(post.log_mass, expected, rtol=0, atol=1e-12)
+            res = amle_grid(specs, grid, obs, init, "kalman")
+            assert res.index == int(np.argmax(lls))
+            assert abs(res.loglik - lls.max()) <= 1e-12 * abs(lls.max())
 
     def test_profiles_agree_with_direct_evaluation(self):
         spec_star = scalar_ssm(0.5, 1.0, 1.0, 0.2)
@@ -112,6 +146,12 @@ class TestGridPosterior:
             direct = grid_posterior(specs, grid, obs[:n], Stationary(), "kalman")
             from_prof = posterior_from_profiles(grid, profiles, n)
             np.testing.assert_allclose(direct.log_mass, from_prof.log_mass, atol=1e-9)
+
+
+    def test_profiles_reject_non_finite_observations(self):
+        specs = [scalar_ssm(a) for a in (0.2, 0.5)]
+        with pytest.raises(ValueError, match="observation 1 is not finite"):
+            grid_loglik_profiles(specs, np.array([0.1, np.inf, 0.2]), Stationary())
 
 
 class TestConcentration:
@@ -181,6 +221,12 @@ class TestAmle:
         with pytest.raises(ValueError):
             amle_grid(specs, grid, np.array([1]), Stationary(), "forward")
 
+    def test_non_finite_observations_rejected(self):
+        grid = uniform_grid_1d(0.2, 0.5, 2)
+        specs = [scalar_ssm(a) for a in (0.2, 0.5)]
+        with pytest.raises(ValueError, match="observation 0 is not finite"):
+            amle_grid(specs, grid, np.array([np.nan, 0.1]), Stationary())
+
     def test_argmax_invariant_under_monotone_rescaling(self):
         # the argmax over the grid does not care about the likelihood scale
         grid = uniform_grid_1d(0.55, 0.95, 9)
@@ -244,6 +290,12 @@ class TestRemoteness:
         star, obs, grid, specs = self.setup_ssm(n=200)
         with pytest.raises(ValueError):
             remoteness_rate(specs, grid, np.zeros(len(grid), bool), obs, Stationary(), star, [100])
+
+    def test_non_finite_observations_rejected(self):
+        star, obs, grid, specs = self.setup_ssm(n=200)
+        obs[150] = np.nan
+        with pytest.raises(ValueError, match="observation 150 is not finite"):
+            remoteness_rate(specs, grid, np.ones(len(grid), bool), obs, Stationary(), star, [100, 200])
 
     def test_label_swap_duplicate_blocks_decay(self):
         # a permuted copy of the reference parameter produces the same
