@@ -12,6 +12,7 @@ handled in the log domain; ``-inf`` encodes zero density.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -239,8 +240,8 @@ def simulate_complete(spec: ModelSpec, init: InitialDist, n: int, seed: int, str
 
     Deterministic given ``(seed, stream)``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rng = rngmod.substream(seed, rngmod.SIMULATE, stream)
     z = _draw_initial(spec, init, rng)
     xs = [np.atleast_1d(np.asarray(z[0]))]

@@ -45,6 +45,15 @@ class LogLik:
     flags: tuple = field(default_factory=tuple)
 
 
+def _finite_obs(obs) -> np.ndarray:
+    """The observations as an array, rejecting non-finite values."""
+    obs = np.asarray(obs)
+    finite = np.isfinite(obs)
+    if not finite.all():
+        raise ValueError(f"observation {np.argwhere(~finite)[0][0]} is not finite")
+    return obs
+
+
 def _obs_column(obs: np.ndarray, obs_dim: int) -> np.ndarray:
     """Normalize observations to shape (n, obs_dim)."""
     obs = np.asarray(obs)
@@ -126,6 +135,13 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     magnitude faster than the matrix filters; with arrays it runs every
     grid point in one pass and returns shape (n, G). Both shapes take the
     same start values and the same operations in the same order.
+
+    The loop runs over the observations as Python floats, so the float
+    filter does plain float arithmetic, and stores each step's innovation
+    variance and innovation in two preallocated buffers. The log densities
+    ``-0.5 * (log 2pi + log s + innov^2 / s)`` are formed after the loop by
+    in-place ufuncs over the whole buffer, with the same operations in the
+    same order as one step would take them.
     """
     if isinstance(init, Stationary):
         m, pv = 0.0, qz / (1.0 - a * a)
@@ -137,20 +153,26 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
         raise UnsupportedInitError(
             f"the Kalman evaluator needs a Gaussian-type initial distribution, got {type(init).__name__}"
         )
-    log2pi = float(_LOG2PI)
-    yflat = ys[:, 0]
-    out = np.empty((len(yflat),) + np.shape(a))
-    log = np.log
-    for k in range(len(yflat)):
+    aa, bb = a * a, b * b
+    yflat = ys[:, 0].tolist()
+    s_buf = np.empty((len(yflat),) + np.shape(a))
+    innov_buf = np.empty_like(s_buf)
+    for k, y in enumerate(yflat):
         m = a * m
-        pv = a * a * pv + qz
-        s = b * b * pv + qx
-        innov = yflat[k] - b * m
-        out[k] = -0.5 * (log2pi + log(s) + innov * innov / s)
+        pv = aa * pv + qz
+        s = bb * pv + qx
+        innov = y - b * m
+        s_buf[k] = s
+        innov_buf[k] = innov
         gain = pv * b / s
         m = m + gain * innov
         pv = pv - gain * b * pv
-    return out
+    np.multiply(innov_buf, innov_buf, out=innov_buf)
+    np.divide(innov_buf, s_buf, out=innov_buf)
+    out = np.log(s_buf, out=s_buf)
+    np.add(out, float(_LOG2PI), out=out)
+    np.add(out, innov_buf, out=out)
+    return np.multiply(out, -0.5, out=out)
 
 
 def ssm_kalman_increments(ssm, obs: np.ndarray, init) -> np.ndarray:
@@ -340,7 +362,7 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
     hmm = spec.hmm
     if hmm.qx_sample_many is None or hmm.g_logpdf_many is None:
         raise ValueError("the particle filter needs batch transition/emission hooks")
-    ys = _obs_column(obs, spec.obs_dim)
+    ys = _obs_column(_finite_obs(obs), spec.obs_dim)
     rng = rngmod.substream(seed, rngmod.BPF, stream)
     x = _bpf_initial_particles(spec, init, particles, rng)
     total = 0.0
@@ -393,7 +415,7 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001,
     """
     if spec.state_dim != 1:
         raise ValueError("quadrature supports one-dimensional hidden states only")
-    ys = _obs_column(obs, spec.obs_dim)
+    ys = _obs_column(_finite_obs(obs), spec.obs_dim)
     n = len(ys)
     if n == 0:
         return LogLik(0.0, 0, "quadrature")
@@ -554,8 +576,9 @@ def increments(spec: ModelSpec, obs: np.ndarray, init, method: str) -> np.ndarra
     scalar hidden-state filter on one-dimensional state-space models,
     which agrees with the joint-chain filter to float accuracy at a small
     fraction of its cost, and the joint-chain filter on every other
-    linear model.
+    linear model. Non-finite observations raise ``ValueError``.
     """
+    obs = _finite_obs(obs)
     if method == "kalman":
         if _is_scalar_ssm(spec):
             return ssm_kalman_increments(spec.ssm, obs, init)
@@ -571,7 +594,9 @@ def grid_increments(specs, obs: np.ndarray, init, method: str) -> np.ndarray:
     Row i is ``increments(specs[i], obs, init, method)``. A Kalman grid of
     one-dimensional state-space models runs the scalar filter once over
     arrays of grid parameters; any other grid stacks the per-spec rows.
+    Non-finite observations raise ``ValueError``.
     """
+    obs = _finite_obs(obs)
     if method == "kalman" and all(_is_scalar_ssm(s) for s in specs):
         params = np.array([[s.ssm.A[0, 0], s.ssm.B[0, 0], s.ssm.Qzeta[0, 0], s.ssm.Qxi[0, 0]] for s in specs])
         a, b, qz, qx = params.T.copy()
@@ -594,7 +619,8 @@ def loglik(
     """Log likelihood by ``method``: kalman, forward, bpf or quadrature.
 
     ``particles``, ``seed`` and ``stream`` configure the particle filter
-    and ``nodes`` the quadrature; the exact methods ignore them.
+    and ``nodes`` the quadrature; the exact methods ignore them. Every
+    method rejects non-finite observations with ``ValueError``.
     """
     if method == "bpf":
         return bpf_loglik(spec, obs, init, particles, seed, stream)

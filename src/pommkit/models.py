@@ -15,6 +15,15 @@ Four families are provided:
 * ``finite_hmm_spec`` -- a finite state/alphabet HMM given by stochastic
   matrices; everything about it can be computed by exact enumeration, so
   it serves as the brute-force oracle for the continuous families.
+
+Building a spec of the linear families does only what the exact
+evaluators need: the parameter records run every check (stability,
+symmetry, positive definiteness), and ``ssm_embed`` assembles the joint
+transition and innovation matrices. The factors that only samplers and
+densities use -- the Cholesky factors of ``R``, ``Qzeta`` and ``Qxi``,
+the stationary covariances and their Cholesky factors -- are computed on
+first use and then kept with the spec, so a likelihood sweep or a
+Metropolis step that builds one spec per parameter never pays for them.
 """
 from __future__ import annotations
 
@@ -57,7 +66,7 @@ class GlmParams:
         rho = spectral_radius(Phi)
         if rho >= 1.0:
             raise ValueError(f"spectral radius of Phi must be < 1, got {rho:.6g}")
-        if not np.allclose(R, R.T, atol=1e-10):
+        if not _is_symmetric(R):
             raise ValueError("R must be symmetric")
         if np.linalg.eigvalsh(R).min() <= 0.0:
             raise ValueError("R must be positive definite")
@@ -92,7 +101,7 @@ class SsmParams:
         if spectral_radius(A) >= 1.0:
             raise ValueError("spectral radius of A must be < 1")
         for name, M in (("Qzeta", Qzeta), ("Qxi", Qxi)):
-            if not np.allclose(M, M.T, atol=1e-10) or np.linalg.eigvalsh(M).min() <= 0.0:
+            if not _is_symmetric(M) or np.linalg.eigvalsh(M).min() <= 0.0:
                 raise ValueError(f"{name} must be symmetric positive definite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -168,6 +177,36 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.atleast_2d(M)))))
 
 
+def _is_symmetric(M: np.ndarray) -> bool:
+    """Whether ``M`` is finite and ``np.allclose(M, M.T, atol=1e-10)``.
+
+    The elementwise test of ``np.allclose`` (``rtol=1e-5``) written out,
+    which costs a fraction of the library call on the small matrices of
+    a spec build. Non-finite matrices are rejected outright.
+    """
+    return bool(np.isfinite(M).all() and (np.abs(M - M.T) <= 1e-10 + 1e-5 * np.abs(M.T)).all())
+
+
+class _Once:
+    """``compute(*args)``, evaluated on the first call only and then kept.
+
+    The factors that only samplers and densities need are held this way.
+    A slotted object is the lightest holder per spec: a closure over a
+    one-item list costs about four times its memory, a ``functools.cache``
+    wrapper more still, and a grid sweep keeps every spec of the grid.
+    """
+
+    __slots__ = ("compute", "args", "value")
+
+    def __init__(self, compute, *args):
+        self.compute, self.args, self.value = compute, args, None
+
+    def __call__(self):
+        if self.value is None:
+            self.value = self.compute(*self.args)
+        return self.value
+
+
 # ---------------------------------------------------------------------------
 # Stationary covariance of the linear family
 # ---------------------------------------------------------------------------
@@ -214,25 +253,31 @@ def glm_stationary_cov(params: GlmParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mvn_logpdf_factory(cov: np.ndarray):
+def _chol_logdet(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky factor of ``cov`` and ``log det cov``."""
     chol = np.linalg.cholesky(cov)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    d = cov.shape[0]
+    return chol, 2.0 * np.sum(np.log(np.diag(chol)))
 
-    def logpdf(dev: np.ndarray) -> float:
-        u = np.linalg.solve(chol, dev)
-        return float(-0.5 * (d * _LOG2PI + logdet + u @ u))
 
-    return logpdf, chol, logdet
+def _stationary_chol(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the stationary covariance of ``x' = Ax + N(0, Q)``."""
+    return np.linalg.cholesky(stationary_cov(A, Q))
+
+
+def _gaussian_logpdf(chol: np.ndarray, logdet: float, dev: np.ndarray) -> float:
+    u = np.linalg.solve(chol, dev)
+    return float(-0.5 * (chol.shape[0] * _LOG2PI + logdet + u @ u))
 
 
 def glm_spec(params: GlmParams) -> ModelSpec:
-    """Model with transition law ``z' ~ N(Phi z, R)`` and stationary law ``N(0, Gamma)``."""
+    """Model with transition law ``z' ~ N(Phi z, R)`` and stationary law ``N(0, Gamma)``.
+
+    The factors of ``R`` and ``Gamma`` are computed on first use.
+    """
     Phi, R, p, q = params.Phi, params.R, params.p, params.q
     d = p + q
-    logpdf, chol_r, _ = _mvn_logpdf_factory(R)
-    gamma = glm_stationary_cov(params)
-    chol_g = np.linalg.cholesky(gamma)
+    r_factors = _Once(_chol_logdet, R)
+    chol_g = _Once(_stationary_chol, Phi, R)
 
     def _stack(z):
         return np.concatenate([np.atleast_1d(np.asarray(z[0], dtype=float)),
@@ -240,18 +285,18 @@ def glm_spec(params: GlmParams) -> ModelSpec:
 
     def trans_logpdf(z, z_next) -> float:
         dev = _stack(z_next) - Phi @ _stack(z)
-        return logpdf(dev)
+        return _gaussian_logpdf(*r_factors(), dev)
 
     def sample_step(z, rng):
-        znew = Phi @ _stack(z) + chol_r @ rng.standard_normal(d)
+        znew = Phi @ _stack(z) + r_factors()[0] @ rng.standard_normal(d)
         return (znew[:p], znew[p:])
 
     def sample_stationary(rng):
-        z0 = chol_g @ rng.standard_normal(d)
+        z0 = chol_g() @ rng.standard_normal(d)
         return (z0[:p], z0[p:])
 
     def sample_stationary_many(n, rng):
-        z0 = rng.standard_normal((n, d)) @ chol_g.T
+        z0 = rng.standard_normal((n, d)) @ chol_g().T
         return (z0[:, :p], z0[:, p:])
 
     return ModelSpec(
@@ -275,8 +320,15 @@ def ssm_embed(params: SsmParams) -> GlmParams:
     """
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p, q = params.p, params.q
-    Phi = np.block([[A, np.zeros((p, q))], [B @ A, np.zeros((q, q))]])
-    R = np.block([[Qz, Qz @ B.T], [B @ Qz, B @ Qz @ B.T + Qx]])
+    Phi = np.zeros((p + q, p + q))
+    Phi[:p, :p] = A
+    Phi[p:, :p] = B @ A
+    BQz = B @ Qz
+    R = np.empty((p + q, p + q))
+    R[:p, :p] = Qz
+    R[:p, p:] = Qz @ B.T
+    R[p:, :p] = BQz
+    R[p:, p:] = BQz @ B.T + Qx
     return GlmParams(Phi=Phi, R=R, p=p, q=q)
 
 
@@ -286,31 +338,28 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
     The returned spec carries the embedded linear parameters (for the
     exact Kalman evaluator) and the HMM factorization
     ``qx = N(Ax, Qzeta)``, ``g = N(Bx, Qxi)`` (for particle filtering).
+    The factors of ``Qzeta`` and ``Qxi`` and of the stationary x-marginal
+    are computed on first use.
     """
     glm = ssm_embed(params)
     spec = glm_spec(glm)
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p, q = params.p, params.q
-    chol_qz = np.linalg.cholesky(Qz)
-    chol_qx = np.linalg.cholesky(Qx)
-    logdet_qx = 2.0 * np.sum(np.log(np.diag(chol_qx)))
-    chol_gx = np.linalg.cholesky(stationary_cov(A, Qz))  # stationary x-marginal
+    qz_factors = _Once(_chol_logdet, Qz)
+    qx_factors = _Once(_chol_logdet, Qx)
+    chol_gx = _Once(_stationary_chol, A, Qz)  # stationary x-marginal
 
     def qx_logpdf(x, x_next) -> float:
-        dev = np.atleast_1d(x_next) - A @ np.atleast_1d(x)
-        u = np.linalg.solve(chol_qz, dev)
-        return float(-0.5 * (p * _LOG2PI + 2.0 * np.sum(np.log(np.diag(chol_qz))) + u @ u))
+        return _gaussian_logpdf(*qz_factors(), np.atleast_1d(x_next) - A @ np.atleast_1d(x))
 
     def qx_sample(x, rng):
-        return A @ np.atleast_1d(x) + chol_qz @ rng.standard_normal(p)
+        return A @ np.atleast_1d(x) + qz_factors()[0] @ rng.standard_normal(p)
 
     def g_logpdf(x, y) -> float:
-        dev = np.atleast_1d(y) - B @ np.atleast_1d(x)
-        u = np.linalg.solve(chol_qx, dev)
-        return float(-0.5 * (q * _LOG2PI + logdet_qx + u @ u))
+        return _gaussian_logpdf(*qx_factors(), np.atleast_1d(y) - B @ np.atleast_1d(x))
 
     def g_sample(x, rng):
-        return B @ np.atleast_1d(x) + chol_qx @ rng.standard_normal(q)
+        return B @ np.atleast_1d(x) + qx_factors()[0] @ rng.standard_normal(q)
 
     a11 = float(A[0, 0])
     b11 = float(B[0, 0])
@@ -321,7 +370,7 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
         xs = np.asarray(xs, dtype=float)
         if p == 1 and xs.ndim == 1:
             return a11 * xs + np.sqrt(qz11) * rng.standard_normal(xs.shape)
-        return xs.reshape(len(xs), p) @ A.T + rng.standard_normal((len(xs), p)) @ chol_qz.T
+        return xs.reshape(len(xs), p) @ A.T + rng.standard_normal((len(xs), p)) @ qz_factors()[0].T
 
     def g_logpdf_many(xs, y):
         xs = np.asarray(xs, dtype=float)
@@ -329,11 +378,12 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
             dev = float(np.atleast_1d(y)[0]) - b11 * xs
             return -0.5 * (_LOG2PI + np.log(qx11) + dev * dev / qx11)
         dev = np.atleast_1d(y)[None, :] - xs.reshape(len(xs), p) @ B.T
+        chol_qx, logdet_qx = qx_factors()
         u = np.linalg.solve(chol_qx, dev.T)
         return -0.5 * (q * _LOG2PI + logdet_qx + np.sum(u * u, axis=0))
 
     def stationary_x_sample_many(n, rng):
-        draws = rng.standard_normal((n, p)) @ chol_gx.T
+        draws = rng.standard_normal((n, p)) @ chol_gx().T
         return draws[:, 0] if p == 1 else draws
 
     hmm = HmmFactorization(

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary
-from .likelihood import _logsumexp, forward_loglik, grid_increments, increments, loglik
+from .likelihood import _finite_obs, _logsumexp, forward_loglik, grid_increments, increments, loglik
 
 # the loglik options a grid sweep passes on; it sets ``stream`` itself
 _GRID_OPTIONS = ("particles", "seed", "nodes")
@@ -58,6 +58,8 @@ class ParamGrid:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.ndim != 2:
             raise ValueError("points must be a (G, d) array")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("grid points must be finite")
         g = len(points)
         w = np.full(g, 1.0 / g) if prior_weight is None else np.asarray(prior_weight, dtype=float)
         v = np.ones(g) if cell_volume is None else np.asarray(cell_volume, dtype=float)
@@ -77,6 +79,8 @@ class ParamGrid:
 
 def uniform_grid_1d(lo: float, hi: float, count: int) -> ParamGrid:
     """Evenly spaced scalar grid with a uniform (proper) prior."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got {lo} and {hi}")
     if count < 2 or hi <= lo:
         raise ValueError("need at least two points and hi > lo")
     pts = np.linspace(lo, hi, count)
@@ -117,13 +121,9 @@ def _normalize_log_mass(log_unnorm: np.ndarray, n: int, grid: ParamGrid) -> Post
     return PosteriorGrid(grid=grid, n=n, log_mass=log_unnorm - total)
 
 
-def _finite_obs(obs) -> np.ndarray:
-    """The observations as an array, rejecting non-finite values."""
-    obs = np.asarray(obs)
-    bad = np.argwhere(~np.isfinite(obs))
-    if len(bad):
-        raise ValueError(f"observation {bad[0][0]} is not finite")
-    return obs
+def _check_one_spec_per_point(specs: Sequence[ModelSpec], grid: ParamGrid) -> None:
+    if len(specs) != len(grid):
+        raise ValueError("one model per grid point is required")
 
 
 def _check_grid_options(kw: dict) -> None:
@@ -157,8 +157,7 @@ def grid_posterior(
     which every point has zero mass raises instead of silently returning
     a uniform distribution.
     """
-    if len(specs) != len(grid):
-        raise ValueError("one model per grid point is required")
+    _check_one_spec_per_point(specs, grid)
     _check_grid_options(kw)
     obs = _finite_obs(obs)
     with np.errstate(divide="ignore"):
@@ -181,7 +180,7 @@ def grid_loglik_profiles(
     ``kalman`` or ``forward``. Returns an array of shape (G, n) whose
     [i, k] entry is ``log p(y_{1:k+1})`` under model i.
     """
-    return np.cumsum(grid_increments(specs, _finite_obs(obs), init, method), axis=1)
+    return np.cumsum(grid_increments(specs, obs, init, method), axis=1)
 
 
 def posterior_from_profiles(grid: ParamGrid, profiles: np.ndarray, n: int) -> PosteriorGrid:
@@ -262,8 +261,8 @@ def amle_grid(
     When the exact reference log likelihood is supplied, the achieved
     normalized defect ``(loglik(argmax) - star_loglik) / n`` is reported.
     """
+    _check_one_spec_per_point(specs, grid)
     _check_grid_options(kw)
-    obs = _finite_obs(obs)
     lls = _grid_logliks(specs, obs, init, method, kw)
     if np.all(lls == -np.inf):
         raise ValueError("every grid point has zero likelihood")
@@ -334,6 +333,7 @@ def remoteness_rate(
     exponentially remote set; a set containing the reference parameter
     cannot decay.
     """
+    _check_one_spec_per_point(specs, grid)
     if callable(select):
         mask = np.array([bool(select(pt)) for pt in grid.points])
     else:

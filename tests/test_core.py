@@ -69,6 +69,12 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_complete(make_iid_glm(), Stationary(), 0, seed=0)
 
+    def test_n_must_be_an_integer(self):
+        for n in (1.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                simulate_complete(make_iid_glm(), Stationary(), n, seed=0)
+        assert len(simulate_complete(make_iid_glm(), Stationary(), np.int64(3), seed=0)) == 4
+
 
 class TestProjection:
     def test_drops_initial_state(self):

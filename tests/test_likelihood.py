@@ -282,6 +282,18 @@ class TestDispatch:
         with pytest.raises(TypeError):
             loglik(spec, ys, Stationary(), "bpf", particle=3)
 
+    def test_non_finite_observations_rejected(self):
+        spec = scalar_ssm(0.5)
+        ys = np.array([0.1, 0.2, np.nan, 0.3])
+        with pytest.raises(ValueError, match="observation 2 is not finite"):
+            increments(spec, ys, Stationary(), "kalman")
+        for method in ("kalman", "bpf", "quadrature"):
+            with pytest.raises(ValueError, match="observation 2 is not finite"):
+                loglik(spec, ys, Stationary(), method)
+        finite = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]))
+        with pytest.raises(ValueError, match="observation 1 is not finite"):
+            loglik(finite, np.array([0.0, np.inf]), Stationary(), "forward")
+
 
 class TestGridIncrements:
     INITS = (
@@ -324,6 +336,15 @@ class TestGridIncrements:
         symbols = rng.integers(0, 3, size=25)
         expected = np.vstack([increments(s, symbols, PointMass(1, 0), "forward") for s in finite])
         np.testing.assert_array_equal(grid_increments(finite, symbols, PointMass(1, 0), "forward"), expected)
+
+    def test_rows_equal_single_spec_increments(self):
+        for seed in (44, 45, 46):
+            specs = self.random_scalar_grid(seed)
+            ys = simulated_obs(specs[2], 150, seed=seed)
+            for init in self.INITS:
+                inc = grid_increments(specs, ys, init, "kalman")
+                for row, spec in zip(inc, specs):
+                    assert np.array_equal(row, increments(spec, ys, init, "kalman"))
 
     def test_batched_path_rejects_unsupported_init(self):
         specs = [scalar_ssm(a) for a in (0.2, 0.5)]

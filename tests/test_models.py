@@ -24,7 +24,8 @@ from pommkit import (
     sv_spec,
 )
 from pommkit.likelihood import ssm_kalman_loglik
-from pommkit.models import spectral_radius
+from pommkit import models
+from pommkit.models import _is_symmetric, spectral_radius, stationary_cov
 from pommkit import rng as rngmod
 
 LOG2PI = np.log(2 * np.pi)
@@ -62,6 +63,89 @@ class TestValidation:
             FiniteHmmParams([[0.5, 0.4], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[1.2, -0.2], [0.0, 1.0]])
+
+
+class TestSymmetryCheck:
+    @staticmethod
+    def reference(M):
+        return bool(np.allclose(M, M.T, atol=1e-10))
+
+    def test_agrees_with_allclose(self):
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 3, 5):
+            for _ in range(50):
+                A = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-6, 6)
+                sym = 0.5 * (A + A.T)
+                # asymmetric, symmetric, and perturbations straddling the tolerance
+                cases = [A, sym]
+                for scale in (0.5e-10, 2e-10, 1e-6, 1e-5, 1e-4):
+                    E = np.zeros((d, d))
+                    if d > 1:
+                        E[0, d - 1] = scale * max(1.0, abs(sym[0, d - 1]))
+                    cases.append(sym + E)
+                for M in cases:
+                    assert _is_symmetric(M) == self.reference(M)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            assert not _is_symmetric(np.array([[1.0, bad], [bad, 1.0]]))
+            assert not _is_symmetric(np.array([[bad]]))
+        with pytest.raises(ValueError, match="Qzeta"):
+            SsmParams(A=[[0.5]], B=[[1.0]], Qzeta=[[np.inf]], Qxi=[[1.0]])
+        with pytest.raises(ValueError, match="R must be symmetric"):
+            GlmParams(np.zeros((2, 2)), np.array([[1.0, np.inf], [np.inf, 1.0]]), 1, 1)
+
+
+class TestLazyFactors:
+    def ssm2(self):
+        return ssm_spec(SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], [[1.0, 0.1], [0.1, 0.8]], [[0.3]]))
+
+    def test_build_computes_no_factor(self, monkeypatch):
+        calls = {"stationary_cov": 0, "cholesky": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            return wrapper
+
+        monkeypatch.setattr(models, "stationary_cov", counted("stationary_cov", models.stationary_cov))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        specs = [scalar_ssm(0.95), scalar_ssm(0.9999, 0.7, 1.3, 0.4), self.ssm2(),
+                 glm_spec(GlmParams([[0.4, 0.2], [0.1, 0.3]], [[1.0, 0.4], [0.4, 1.0]], 1, 1))]
+        assert calls == {"stationary_cov": 0, "cholesky": 0}
+        # the counters see the factors once a sampler needs them, and only once
+        for spec in specs:
+            spec.sample_stationary_many(3, rngmod.substream(0, 0))
+            spec.sample_stationary_many(3, rngmod.substream(0, 0))
+        assert calls == {"stationary_cov": 4, "cholesky": 4}
+
+    def test_samplers_match_direct_factors(self):
+        chol = np.linalg.cholesky
+        for spec in (scalar_ssm(0.95), scalar_ssm(0.9999, 0.7, 1.3, 0.4), self.ssm2()):
+            glm, ssm = spec.glm, spec.ssm
+            d, p, q = glm.p + glm.q, ssm.p, ssm.q
+            z = (np.linspace(-1.0, 1.0, p), np.array([0.3]))
+            for _ in range(2):  # the first call computes a factor, the second reuses it
+                got = spec.sample_stationary_many(20, rngmod.substream(1, 0))
+                want = rngmod.substream(1, 0).standard_normal((20, d)) @ chol(stationary_cov(glm.Phi, glm.R)).T
+                assert np.concatenate(got, axis=1).tobytes() == want.tobytes()
+                got = spec.sample_stationary(rngmod.substream(2, 0))
+                want = chol(stationary_cov(glm.Phi, glm.R)) @ rngmod.substream(2, 0).standard_normal(d)
+                assert np.concatenate(got).tobytes() == want.tobytes()
+                got = spec.hmm.stationary_x_sample_many(20, rngmod.substream(3, 0))
+                want = rngmod.substream(3, 0).standard_normal((20, p)) @ chol(stationary_cov(ssm.A, ssm.Qzeta)).T
+                assert np.asarray(got).tobytes() == (want[:, 0] if p == 1 else want).tobytes()
+                got = spec.sample_step(z, rngmod.substream(4, 0))
+                want = glm.Phi @ np.concatenate(z) + chol(glm.R) @ rngmod.substream(4, 0).standard_normal(d)
+                assert np.concatenate(got).tobytes() == want.tobytes()
+                got = spec.hmm.qx_sample(z[0], rngmod.substream(5, 0))
+                want = ssm.A @ z[0] + chol(ssm.Qzeta) @ rngmod.substream(5, 0).standard_normal(p)
+                assert got.tobytes() == want.tobytes()
+                got = spec.hmm.g_sample(z[0], rngmod.substream(6, 0))
+                want = ssm.B @ z[0] + chol(ssm.Qxi) @ rngmod.substream(6, 0).standard_normal(q)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestStationaryCovariance:

@@ -45,6 +45,15 @@ class TestGridPosterior:
     def grid3(self):
         return ParamGrid(np.array([[0.6], [0.75], [0.9]]), np.array([0.2, 0.5, 0.3]))
 
+    def test_non_finite_grid_points_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ParamGrid([[bad], [1.0]])
+            with pytest.raises(ValueError, match="finite"):
+                uniform_grid_1d(bad, 1.0, 3)
+            with pytest.raises(ValueError, match="finite"):
+                uniform_grid_1d(0.0, bad, 3)
+
     def test_no_data_returns_normalized_prior(self):
         grid = self.grid3()
         post = grid_posterior(finite_family(grid.points[:, 0]), grid, np.empty(0), Stationary(), "forward")
@@ -227,6 +236,13 @@ class TestAmle:
         with pytest.raises(ValueError, match="observation 0 is not finite"):
             amle_grid(specs, grid, np.array([np.nan, 0.1]), Stationary())
 
+    def test_one_spec_per_grid_point_required(self):
+        grid = uniform_grid_1d(0.2, 0.5, 2)
+        obs = np.array([0.1, 0.3])
+        for specs in ([scalar_ssm(a) for a in (0.2, 0.3, 0.5)], [scalar_ssm(0.2)]):
+            with pytest.raises(ValueError, match="one model per grid point"):
+                amle_grid(specs, grid, obs, Stationary())
+
     def test_argmax_invariant_under_monotone_rescaling(self):
         # the argmax over the grid does not care about the likelihood scale
         grid = uniform_grid_1d(0.55, 0.95, 9)
@@ -264,6 +280,10 @@ class TestMerging:
         assert curve[-1] >= -delta - 0.05
         assert curve[-1] < 0.0  # a wrong parameter does lose likelihood
 
+    def test_non_finite_observations_rejected(self):
+        with pytest.raises(ValueError, match="observation 1 is not finite"):
+            merging_curve(scalar_ssm(0.5), np.array([0.1, np.nan, 0.3]), PointMass(1.0, 1.0))
+
 
 class TestRemoteness:
     def setup_ssm(self, n=1200, seed=8):
@@ -296,6 +316,13 @@ class TestRemoteness:
         obs[150] = np.nan
         with pytest.raises(ValueError, match="observation 150 is not finite"):
             remoteness_rate(specs, grid, np.ones(len(grid), bool), obs, Stationary(), star, [100, 200])
+
+    def test_one_spec_per_grid_point_required(self):
+        star, obs, grid, specs = self.setup_ssm(n=200)
+        with pytest.raises(ValueError, match="one model per grid point"):
+            remoteness_rate(specs[:5], grid, np.ones(len(grid), bool), obs, Stationary(), star, [100, 200])
+        with pytest.raises(ValueError, match="one model per grid point"):
+            remoteness_rate(specs + specs[:1], grid, np.ones(len(grid), bool), obs, Stationary(), star, [100, 200])
 
     def test_label_swap_duplicate_blocks_decay(self):
         # a permuted copy of the reference parameter produces the same
