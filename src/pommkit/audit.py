@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import ModelSpec
-from .models import SvParams
+from .models import SvParams, sv_g_logpdf, sv_qx_logpdf
 
 _LOG2PI = np.log(2.0 * np.pi)
 
@@ -204,14 +204,7 @@ def psup_cm_complement_bound(box: SvThetaBox, m: float, y1, y2) -> np.ndarray:
 
 def sv_block_density(params: SvParams, x0: float, y1: float, y2: float, nodes: int = 241, span: float = 9.0) -> float:
     """Quadrature value of the integrated two-step density block."""
-    phi, sigma, beta = params.phi, params.sigma, params.beta
-
-    def qx_log(xf, xt):
-        return -0.5 * (_LOG2PI + np.log(sigma**2) + (xt - phi * xf) ** 2 / sigma**2)
-
-    def g_log(x, y):
-        return -0.5 * (_LOG2PI + np.log(beta**2) + x + y * y * np.exp(-x) / beta**2)
-
+    phi, sigma = params.phi, params.sigma
     m1 = phi * x0
     g1 = np.linspace(m1 - span * sigma, m1 + span * sigma, nodes)
     lo2 = phi * g1[0 if phi >= 0 else -1] - span * sigma
@@ -221,8 +214,8 @@ def sv_block_density(params: SvParams, x0: float, y1: float, y2: float, nodes: i
     w1[0] = w1[-1] = w1[0] / 2.0
     w2 = np.full(nodes, g2[1] - g2[0])
     w2[0] = w2[-1] = w2[0] / 2.0
-    inner = np.exp(qx_log(g1[:, None], g2[None, :]) + g_log(g2, y2)[None, :]) @ w2
-    outer = np.exp(qx_log(x0, g1) + g_log(g1, y1)) * inner
+    inner = np.exp(sv_qx_logpdf(params, g1[:, None], g2[None, :]) + sv_g_logpdf(params, g2, y2)[None, :]) @ w2
+    outer = np.exp(sv_qx_logpdf(params, x0, g1) + sv_g_logpdf(params, g1, y1)) * inner
     return float(outer @ w1)
 
 
@@ -395,8 +388,7 @@ def sv_marginal_y_logpdf(params: SvParams, ys: np.ndarray, gh_nodes: int = 201) 
     xs = np.sqrt(2.0 * params.x_var) * t
     lw = np.log(w / np.sqrt(np.pi))
     ys = np.asarray(ys, dtype=float)
-    comp = -0.5 * (_LOG2PI + np.log(params.beta**2) + xs[None, :] + ys[:, None] ** 2 * np.exp(-xs)[None, :] / params.beta**2)
-    comp = comp + lw[None, :]
+    comp = sv_g_logpdf(params, xs[None, :], ys[:, None]) + lw[None, :]
     m = comp.max(axis=1)
     return m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
 

@@ -176,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pommkit", description="Partially observed Markov model toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="experiment config (INI)")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config (INI)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output file or directory")
 

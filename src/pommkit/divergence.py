@@ -14,13 +14,14 @@ touches the generic model callables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng as rngmod
 from .core import ModelSpec
 from .models import FiniteHmmParams, GlmParams, SvParams, finite_hmm_stationary, glm_stationary_cov
+from .models import sv_g_logpdf, sv_qx_logpdf
 
 _LOG2PI = np.log(2.0 * np.pi)
 
@@ -131,12 +132,10 @@ def _sv_logratio(star: SvParams, other: SvParams, draws: int, seed: int) -> KldE
     x1 = star.phi * x0 + star.sigma * rng.standard_normal(draws)
     y1 = star.beta * np.exp(x1 / 2.0) * rng.standard_normal(draws)
 
-    def logq(params, x0, x1, y1):
-        lqx = -0.5 * (_LOG2PI + np.log(params.sigma**2) + (x1 - params.phi * x0) ** 2 / params.sigma**2)
-        lg = -0.5 * (_LOG2PI + np.log(params.beta**2) + x1 + y1**2 * np.exp(-x1) / params.beta**2)
-        return lqx + lg
+    def logq(params):
+        return sv_qx_logpdf(params, x0, x1) + sv_g_logpdf(params, x1, y1)
 
-    lr = logq(star, x0, x1, y1) - logq(other, x0, x1, y1)
+    lr = logq(star) - logq(other)
     return _finish_mc(lr, "mc")
 
 
@@ -231,7 +230,6 @@ def delta_bar_hmm(
     spec_other: ModelSpec,
     draws: int = 100_000,
     seed: int = 0,
-    emission_kl: Optional[Callable[[float, float], float]] = None,
 ) -> KldEstimate:
     """Emission-level divergence, integrating the two stationary x-marginals.
 
@@ -239,7 +237,7 @@ def delta_bar_hmm(
     closed-form KLD between the two conditional Gaussian emissions. Any
     other HMM pair is estimated by Monte Carlo: pairs ``(x, x')`` are
     drawn from the product of stationary marginals and the inner emission
-    KLD uses ``emission_kl`` when supplied, else a single-draw log ratio.
+    KLD is a single-draw log ratio.
     """
     if spec_star.hmm is None or spec_other.hmm is None:
         raise ValueError("the emission-level divergence needs HMM factorizations on both sides")
@@ -258,18 +256,14 @@ def delta_bar_hmm(
         raise ValueError("both models must expose stationary hidden-state samplers")
     xs = np.asarray(star_h.stationary_x_sample_many(draws, rng))
     xo = np.asarray(other_h.stationary_x_sample_many(draws, rng))
+    if star_h.g_sample is None:
+        raise ValueError("inner Monte Carlo needs an emission sampler on the reference model")
     samples = np.empty(draws)
-    if emission_kl is not None:
-        for i in range(draws):
-            samples[i] = emission_kl(xs[i], xo[i])
-    else:
-        if star_h.g_sample is None:
-            raise ValueError("inner Monte Carlo needs an emission sampler on the reference model")
-        for i in range(draws):
-            y = star_h.g_sample(xs[i], rng)
-            num = star_h.g_logpdf(xs[i], y)
-            den = other_h.g_logpdf(xo[i], y)
-            samples[i] = np.inf if den == -np.inf and num > -np.inf else num - den
+    for i in range(draws):
+        y = star_h.g_sample(xs[i], rng)
+        num = star_h.g_logpdf(xs[i], y)
+        den = other_h.g_logpdf(xo[i], y)
+        samples[i] = np.inf if den == -np.inf and num > -np.inf else num - den
     return _finish_mc(samples, "mc")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _chol_psd
-from .models import glm_stationary_cov, stationary_cov
+from .models import glm_stationary_cov, stationary_cov, sv_qx_logpdf
 
 _LOG2PI = np.log(2.0 * np.pi)
 
@@ -121,7 +121,7 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
 
 def kalman_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
     """Exact log likelihood of a linear Gaussian model."""
-    obs = _obs_column(obs, spec.obs_dim)
+    obs = _obs_column(_finite_obs(obs), spec.obs_dim)
     if len(obs) == 0:
         return LogLik(0.0, 0, "kalman")
     inc = kalman_increments(spec, obs, init)
@@ -218,7 +218,7 @@ def ssm_kalman_increments(ssm, obs: np.ndarray, init) -> np.ndarray:
 
 
 def ssm_kalman_loglik(ssm, obs: np.ndarray, init) -> LogLik:
-    obs = np.asarray(obs)
+    obs = _finite_obs(obs)
     if len(obs) == 0:
         return LogLik(0.0, 0, "kalman")
     inc = ssm_kalman_increments(ssm, obs, init)
@@ -245,7 +245,7 @@ def _finite_x0_dist(spec: ModelSpec, init) -> np.ndarray:
         return dist
     if isinstance(init, np.ndarray):
         dist = np.asarray(init, dtype=float)
-        if dist.shape != (K,) or np.any(dist < 0) or abs(dist.sum() - 1.0) > 1e-10:
+        if dist.shape != (K,) or not np.isfinite(dist).all() or np.any(dist < 0) or abs(dist.sum() - 1.0) > 1e-10:
             raise ValueError("initial state distribution must be a probability vector over states")
         return dist
     raise UnsupportedInitError(
@@ -282,7 +282,7 @@ def forward_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
 
 def forward_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
     """Exact log likelihood of a finite HMM by the forward algorithm."""
-    ys = np.asarray(obs).reshape(-1)
+    ys = _finite_obs(obs).reshape(-1)
     if len(ys) == 0:
         return LogLik(0.0, 0, "forward")
     inc = forward_increments(spec, obs, init)
@@ -458,26 +458,19 @@ def _gh_nodes(mean: float, sd: float, n: int = 80) -> tuple[np.ndarray, np.ndarr
 def _qx_log_matrix(spec: ModelSpec, x_from: np.ndarray, x_to: np.ndarray) -> np.ndarray:
     """log qx evaluated on the product grid, shape (from, to)."""
     if spec.sv is not None:
-        sv = spec.sv
-        dev = x_to[None, :] - sv.phi * x_from[:, None]
-        return -0.5 * (_LOG2PI + np.log(sv.sigma**2) + dev**2 / sv.sigma**2)
+        return sv_qx_logpdf(spec.sv, x_from[:, None], x_to[None, :])
     if spec.ssm is not None:
         a = float(spec.ssm.A[0, 0])
         qz = float(spec.ssm.Qzeta[0, 0])
         dev = x_to[None, :] - a * x_from[:, None]
         return -0.5 * (_LOG2PI + np.log(qz) + dev**2 / qz)
-    hmm = spec.hmm
-    return np.array([[hmm.qx_logpdf(xf, xt) for xt in x_to] for xf in x_from])
-
-
-def _g_log_vector(spec: ModelSpec, x: np.ndarray, y) -> np.ndarray:
-    hmm = spec.hmm
-    if hmm.g_logpdf_many is not None:
-        return np.asarray(hmm.g_logpdf_many(x, y))
-    return np.array([hmm.g_logpdf(xx, y) for xx in x])
+    raise ValueError("quadrature needs the transition of a stochastic volatility or state-space model")
 
 
 def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, logw: np.ndarray) -> LogLik:
+    g_logpdf_many = spec.hmm.g_logpdf_many
+    if g_logpdf_many is None:
+        raise ValueError("quadrature needs the batch emission density g_logpdf_many")
     yvals = [float(y[0]) if y.size == 1 else y for y in ys]
     # first factor: integrate z0's state component against the initial law
     if isinstance(init, PointMass):
@@ -497,7 +490,7 @@ def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
             logm = _qx_log_matrix(spec, x0n, grid) + np.log(w0)[:, None]
             mcol = logm.max(axis=0)
             la = mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
-    la = la + _g_log_vector(spec, grid, yvals[0])
+    la = la + g_logpdf_many(grid, yvals[0])
     if len(yvals) > 1:
         trans = np.exp(_qx_log_matrix(spec, grid, grid))  # the same at every step
     for y in yvals[1:]:
@@ -505,7 +498,7 @@ def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
         alpha = np.exp(la + logw - m)
         v = alpha @ trans
         with np.errstate(divide="ignore"):
-            la = m + np.log(v) + _g_log_vector(spec, grid, y)
+            la = m + np.log(v) + g_logpdf_many(grid, y)
     total = _logsumexp(la + logw)
     return LogLik(total, len(yvals), "quadrature")
 

@@ -16,6 +16,16 @@ Four families are provided:
   matrices; everything about it can be computed by exact enumeration, so
   it serves as the brute-force oracle for the continuous families.
 
+The HMM families (``sv_spec``, ``finite_hmm_spec`` and the i.i.d.
+specialization ``iid_gaussian_spec``) declare only their factorization,
+an ``HmmFactorization`` of transition and emission hooks. Their
+joint-chain callables are derived from it in one place: the transition
+log density is ``qx_logpdf + g_logpdf``, a step draws ``x'`` and then
+``y'``, and a stationary pair draws ``x`` and then ``y``. The SV
+transition and emission log densities are the broadcasting functions
+``sv_qx_logpdf`` and ``sv_g_logpdf``, which the quadrature, the
+divergences and the audits call as well.
+
 Building a spec of the linear families does only what the exact
 evaluators need: the parameter records run every check (stability,
 symmetry, positive definiteness), and ``ssm_embed`` assembles the joint
@@ -27,6 +37,7 @@ Metropolis step that builds one spec per parameter never pays for them.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +74,8 @@ class GlmParams:
             raise ValueError("state and observation dimensions must be positive")
         if Phi.shape != (d, d) or R.shape != (d, d):
             raise ValueError(f"Phi and R must be {d}x{d}")
+        if not np.isfinite(Phi).all():
+            raise ValueError("Phi must be finite")
         rho = spectral_radius(Phi)
         if rho >= 1.0:
             raise ValueError(f"spectral radius of Phi must be < 1, got {rho:.6g}")
@@ -98,6 +111,9 @@ class SsmParams:
             raise ValueError(f"B must be {q}x{p}")
         if Qzeta.shape != (p, p) or Qxi.shape != (q, q):
             raise ValueError("noise covariances have inconsistent shapes")
+        for name, M in (("A", A), ("B", B)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
         if spectral_radius(A) >= 1.0:
             raise ValueError("spectral radius of A must be < 1")
         for name, M in (("Qzeta", Qzeta), ("Qxi", Qxi)):
@@ -342,7 +358,6 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
     are computed on first use.
     """
     glm = ssm_embed(params)
-    spec = glm_spec(glm)
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p, q = params.p, params.q
     qz_factors = _Once(_chol_logdet, Qz)
@@ -395,18 +410,7 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
         g_logpdf_many=g_logpdf_many,
         stationary_x_sample_many=stationary_x_sample_many,
     )
-    return ModelSpec(
-        state_dim=p,
-        obs_dim=q,
-        trans_logpdf=spec.trans_logpdf,
-        sample_step=spec.sample_step,
-        sample_stationary=spec.sample_stationary,
-        sample_stationary_many=spec.sample_stationary_many,
-        hmm=hmm,
-        glm=glm,
-        ssm=params,
-        label="ssm",
-    )
+    return dataclasses.replace(glm_spec(glm), hmm=hmm, ssm=params, label="ssm")
 
 
 def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.2) -> ModelSpec:
@@ -415,8 +419,66 @@ def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.
 
 
 # ---------------------------------------------------------------------------
+# HMM families with a scalar state and observation
+# ---------------------------------------------------------------------------
+
+
+def _scalar(v) -> float:
+    return float(np.atleast_1d(v)[0])
+
+
+def _hmm_spec(hmm: HmmFactorization, **fields) -> ModelSpec:
+    """The joint chain ``z = (x, y)`` of an HMM, derived from its factorization.
+
+    ``trans_logpdf`` is ``qx_logpdf + g_logpdf``; a step draws ``x'`` and
+    then ``y'``; a stationary pair draws ``x`` from
+    ``stationary_x_sample_many`` and then ``y`` from ``g_sample``. The
+    hooks receive states as Python floats, so finite families convert
+    them back to indices. ``fields`` holds the remaining ``ModelSpec``
+    fields: the family's parameters, its label and any batch sampler.
+    """
+
+    def trans_logpdf(z, z_next) -> float:
+        x1 = _scalar(z_next[0])
+        return hmm.qx_logpdf(_scalar(z[0]), x1) + hmm.g_logpdf(x1, _scalar(z_next[1]))
+
+    def sample_step(z, rng):
+        x1 = hmm.qx_sample(_scalar(z[0]), rng)
+        return (np.array([x1]), np.array([hmm.g_sample(x1, rng)]))
+
+    def sample_stationary(rng):
+        x = hmm.stationary_x_sample_many(1, rng)[0]
+        return (np.array([x]), np.array([hmm.g_sample(x, rng)]))
+
+    return ModelSpec(
+        state_dim=1,
+        obs_dim=1,
+        trans_logpdf=trans_logpdf,
+        sample_step=sample_step,
+        sample_stationary=sample_stationary,
+        hmm=hmm,
+        **fields,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Stochastic volatility family
 # ---------------------------------------------------------------------------
+
+
+def sv_qx_logpdf(params: SvParams, x, x_next):
+    """SV hidden-state transition log density ``log N(x_next; phi x, sigma^2)``.
+
+    Broadcasts over ``x`` and ``x_next``; Python floats give a numpy scalar.
+    """
+    sig2 = params.sigma**2
+    return -0.5 * (_LOG2PI + np.log(sig2) + (x_next - params.phi * x) ** 2 / sig2)
+
+
+def sv_g_logpdf(params: SvParams, x, y):
+    """SV emission log density ``log N(y; 0, beta^2 e^x)``; broadcasts over ``x`` and ``y``."""
+    b2 = params.beta**2
+    return -0.5 * (_LOG2PI + np.log(b2) + x + y * y * np.exp(-x) / b2)
 
 
 def sv_spec(params: SvParams) -> ModelSpec:
@@ -428,47 +490,7 @@ def sv_spec(params: SvParams) -> ModelSpec:
     sampled exactly: ``X ~ N(0, sigma^2 / (1 - phi^2))``.
     """
     beta, sigma, phi = params.beta, params.sigma, params.phi
-    sig2 = sigma**2
-    b2 = beta**2
     x_sd = np.sqrt(params.x_var)
-
-    def qx_logpdf(x, x_next) -> float:
-        return float(-0.5 * (_LOG2PI + np.log(sig2) + (x_next - phi * x) ** 2 / sig2))
-
-    def qx_sample(x, rng):
-        return phi * x + sigma * rng.standard_normal()
-
-    def g_logpdf(x, y) -> float:
-        # N(0, beta^2 e^x) density at y
-        return float(-0.5 * (_LOG2PI + np.log(b2) + x + y * y * np.exp(-x) / b2))
-
-    def g_sample(x, rng):
-        return beta * np.exp(x / 2.0) * rng.standard_normal()
-
-    def qx_sample_many(xs, rng):
-        return phi * np.asarray(xs) + sigma * rng.standard_normal(np.shape(xs))
-
-    def g_logpdf_many(xs, y):
-        xs = np.asarray(xs)
-        return -0.5 * (_LOG2PI + np.log(b2) + xs + float(y) ** 2 * np.exp(-xs) / b2)
-
-    def stationary_x_sample_many(n, rng):
-        return x_sd * rng.standard_normal(n)
-
-    def trans_logpdf(z, z_next) -> float:
-        x = float(np.atleast_1d(z[0])[0])
-        x1 = float(np.atleast_1d(z_next[0])[0])
-        y1 = float(np.atleast_1d(z_next[1])[0])
-        return qx_logpdf(x, x1) + g_logpdf(x1, y1)
-
-    def sample_step(z, rng):
-        x = float(np.atleast_1d(z[0])[0])
-        x1 = qx_sample(x, rng)
-        return (np.array([x1]), np.array([g_sample(x1, rng)]))
-
-    def sample_stationary(rng):
-        x = x_sd * rng.standard_normal()
-        return (np.array([x]), np.array([g_sample(x, rng)]))
 
     def sample_stationary_many(n, rng):
         xs = x_sd * rng.standard_normal(n)
@@ -476,25 +498,15 @@ def sv_spec(params: SvParams) -> ModelSpec:
         return (xs[:, None], ys[:, None])
 
     hmm = HmmFactorization(
-        qx_logpdf=qx_logpdf,
-        qx_sample=qx_sample,
-        g_logpdf=g_logpdf,
-        g_sample=g_sample,
-        qx_sample_many=qx_sample_many,
-        g_logpdf_many=g_logpdf_many,
-        stationary_x_sample_many=stationary_x_sample_many,
+        qx_logpdf=lambda x, x_next: float(sv_qx_logpdf(params, x, x_next)),
+        qx_sample=lambda x, rng: phi * x + sigma * rng.standard_normal(),
+        g_logpdf=lambda x, y: float(sv_g_logpdf(params, x, y)),
+        g_sample=lambda x, rng: beta * np.exp(x / 2.0) * rng.standard_normal(),
+        qx_sample_many=lambda xs, rng: phi * np.asarray(xs) + sigma * rng.standard_normal(np.shape(xs)),
+        g_logpdf_many=lambda xs, y: sv_g_logpdf(params, np.asarray(xs), float(y)),
+        stationary_x_sample_many=lambda n, rng: x_sd * rng.standard_normal(n),
     )
-    return ModelSpec(
-        state_dim=1,
-        obs_dim=1,
-        trans_logpdf=trans_logpdf,
-        sample_step=sample_step,
-        sample_stationary=sample_stationary,
-        sample_stationary_many=sample_stationary_many,
-        hmm=hmm,
-        sv=params,
-        label="sv",
-    )
+    return _hmm_spec(hmm, sample_stationary_many=sample_stationary_many, sv=params, label="sv")
 
 
 # ---------------------------------------------------------------------------
@@ -523,77 +535,29 @@ def finite_hmm_stationary(params: FiniteHmmParams, tol: float = 1e-9) -> np.ndar
 
 def finite_hmm_spec(params: FiniteHmmParams) -> ModelSpec:
     """Finite HMM with exact stationary law ``pi(x, y) = piX(x) G[x, y]``."""
-    P, G = params.P, params.G
-    K, L = params.n_states, params.n_symbols
     pi_x = finite_hmm_stationary(params)
     with np.errstate(divide="ignore"):
-        logP = np.log(P)
-        logG = np.log(G)
-    cumP = np.cumsum(P, axis=1)
+        logP = np.log(params.P)
+        logG = np.log(params.G)
+    cumP = np.cumsum(params.P, axis=1)
     cum_pi = np.cumsum(pi_x)
-    cumG = np.cumsum(G, axis=1)
-
-    def _xy(z):
-        x = int(np.atleast_1d(z[0])[0])
-        y = int(np.atleast_1d(z[1])[0])
-        return x, y
-
-    def trans_logpdf(z, z_next) -> float:
-        x, _ = _xy(z)
-        x1, y1 = _xy(z_next)
-        return float(logP[x, x1] + logG[x1, y1])
-
-    def qx_logpdf(x, x_next) -> float:
-        return float(logP[int(x), int(x_next)])
-
-    def g_logpdf(x, y) -> float:
-        return float(logG[int(x), int(y)])
-
-    def qx_sample(x, rng):
-        return int(np.searchsorted(cumP[int(x)], rng.random(), side="right"))
-
-    def g_sample(x, rng):
-        return int(np.searchsorted(cumG[int(x)], rng.random(), side="right"))
+    cumG = np.cumsum(params.G, axis=1)
 
     def qx_sample_many(xs, rng):
         xs = np.asarray(xs, dtype=int)
         u = rng.random(xs.shape[0])
         return (u[:, None] > cumP[xs]).sum(axis=1)
 
-    def g_logpdf_many(xs, y):
-        return logG[np.asarray(xs, dtype=int), int(y)]
-
-    def stationary_x_sample_many(n, rng):
-        return (rng.random(n)[:, None] > cum_pi[None, :]).sum(axis=1)
-
-    def sample_step(z, rng):
-        x, _ = _xy(z)
-        x1 = qx_sample(x, rng)
-        return (np.array([x1]), np.array([g_sample(x1, rng)]))
-
-    def sample_stationary(rng):
-        x = int(np.searchsorted(cum_pi, rng.random(), side="right"))
-        return (np.array([x]), np.array([g_sample(x, rng)]))
-
     hmm = HmmFactorization(
-        qx_logpdf=qx_logpdf,
-        qx_sample=qx_sample,
-        g_logpdf=g_logpdf,
-        g_sample=g_sample,
+        qx_logpdf=lambda x, x_next: float(logP[int(x), int(x_next)]),
+        qx_sample=lambda x, rng: int(np.searchsorted(cumP[int(x)], rng.random(), side="right")),
+        g_logpdf=lambda x, y: float(logG[int(x), int(y)]),
+        g_sample=lambda x, rng: int(np.searchsorted(cumG[int(x)], rng.random(), side="right")),
         qx_sample_many=qx_sample_many,
-        g_logpdf_many=g_logpdf_many,
-        stationary_x_sample_many=stationary_x_sample_many,
+        g_logpdf_many=lambda xs, y: logG[np.asarray(xs, dtype=int), int(y)],
+        stationary_x_sample_many=lambda n, rng: (rng.random(n)[:, None] > cum_pi[None, :]).sum(axis=1),
     )
-    return ModelSpec(
-        state_dim=1,
-        obs_dim=1,
-        trans_logpdf=trans_logpdf,
-        sample_step=sample_step,
-        sample_stationary=sample_stationary,
-        hmm=hmm,
-        finite=params,
-        label="finite_hmm",
-    )
+    return _hmm_spec(hmm, finite=params, label="finite_hmm")
 
 
 # ---------------------------------------------------------------------------
@@ -610,48 +574,11 @@ def iid_gaussian_spec(mu: float, sd: float) -> ModelSpec:
     if sd <= 0.0:
         raise ValueError("sd must be positive")
     var = sd * sd
-
-    def qx_logpdf(x, x_next) -> float:
-        return float(-0.5 * (_LOG2PI + x_next * x_next))
-
-    def qx_sample(x, rng):
-        return float(rng.standard_normal())
-
-    def g_logpdf(x, y) -> float:
-        return float(-0.5 * (_LOG2PI + np.log(var) + (y - mu) ** 2 / var))
-
-    def g_sample(x, rng):
-        return float(mu + sd * rng.standard_normal())
-
-    def trans_logpdf(z, z_next) -> float:
-        x1 = float(np.atleast_1d(z_next[0])[0])
-        y1 = float(np.atleast_1d(z_next[1])[0])
-        return qx_logpdf(0.0, x1) + g_logpdf(x1, y1)
-
-    def sample_step(z, rng):
-        x1 = qx_sample(0.0, rng)
-        return (np.array([x1]), np.array([g_sample(x1, rng)]))
-
-    def stationary_x_sample_many(n, rng):
-        return rng.standard_normal(n)
-
-    def sample_stationary(rng):
-        # one kernel step from anywhere is already stationary
-        return sample_step((np.zeros(1), np.zeros(1)), rng)
-
     hmm = HmmFactorization(
-        qx_logpdf=qx_logpdf,
-        qx_sample=qx_sample,
-        g_logpdf=g_logpdf,
-        g_sample=g_sample,
-        stationary_x_sample_many=stationary_x_sample_many,
+        qx_logpdf=lambda x, x_next: float(-0.5 * (_LOG2PI + x_next * x_next)),
+        qx_sample=lambda x, rng: float(rng.standard_normal()),
+        g_logpdf=lambda x, y: float(-0.5 * (_LOG2PI + np.log(var) + (y - mu) ** 2 / var)),
+        g_sample=lambda x, rng: float(mu + sd * rng.standard_normal()),
+        stationary_x_sample_many=lambda n, rng: rng.standard_normal(n),
     )
-    return ModelSpec(
-        state_dim=1,
-        obs_dim=1,
-        trans_logpdf=trans_logpdf,
-        sample_step=sample_step,
-        sample_stationary=sample_stationary,
-        hmm=hmm,
-        label="iid_gaussian",
-    )
+    return _hmm_spec(hmm, label="iid_gaussian")

@@ -1,5 +1,7 @@
 """Likelihood evaluators against each other and against closed forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pommkit import (
     PointMass,
     SsmParams,
     Stationary,
+    SvParams,
     bpf_loglik,
     conditional_entropy_sequence,
     enumeration_loglik,
@@ -27,9 +30,10 @@ from pommkit import (
     scalar_ssm,
     simulate_complete,
     ssm_spec,
+    sv_spec,
 )
 from pommkit.core import UnsupportedInitError
-from pommkit.likelihood import forward_increments, ssm_kalman_increments
+from pommkit.likelihood import forward_increments, ssm_kalman_increments, ssm_kalman_loglik
 
 
 def simulated_obs(spec, n, seed, init=None):
@@ -103,6 +107,17 @@ class TestQuadratureOracle:
         spec = scalar_ssm(0.5)
         with pytest.raises(ValueError):
             quadrature_loglik(spec, np.zeros(9), Stationary())
+
+    def test_spec_without_vectorized_hooks_rejected(self):
+        ys = np.array([0.3, -0.4])
+        sv = sv_spec(SvParams(1.0, 0.4, 0.9))
+        no_batch_emission = replace(sv, hmm=replace(sv.hmm, g_logpdf_many=None))
+        with pytest.raises(ValueError, match="g_logpdf_many"):
+            quadrature_loglik(no_batch_emission, ys, Stationary(), nodes=101)
+        # an HMM with linear-family parameters but neither SV nor state-space ones
+        no_grid_transition = replace(scalar_ssm(0.5), ssm=None)
+        with pytest.raises(ValueError, match="transition"):
+            quadrature_loglik(no_grid_transition, ys, Stationary(), nodes=101)
 
 
 class TestForward:
@@ -293,6 +308,24 @@ class TestDispatch:
         finite = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]))
         with pytest.raises(ValueError, match="observation 1 is not finite"):
             loglik(finite, np.array([0.0, np.inf]), Stationary(), "forward")
+
+    def test_oracle_evaluators_reject_non_finite_observations(self):
+        spec = scalar_ssm(0.5)
+        ys = [0.1, np.nan, 0.3]
+        with pytest.raises(ValueError, match="observation 1 is not finite"):
+            kalman_loglik(spec, ys, Stationary())
+        with pytest.raises(ValueError, match="observation 1 is not finite"):
+            ssm_kalman_loglik(spec.ssm, ys, Stationary())
+        finite = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]))
+        with pytest.raises(ValueError, match="observation 2 is not finite"):
+            forward_loglik(finite, [0, 1, -np.inf], Stationary())
+
+    def test_non_finite_initial_state_vector_rejected(self):
+        spec = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.2, 0.8]], [[0.9, 0.1], [0.1, 0.9]]))
+        for dist in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="probability vector"):
+                forward_loglik(spec, [0, 1], np.array(dist))
+        assert np.isfinite(forward_loglik(spec, [0, 1], np.array([0.25, 0.75])).value)
 
 
 class TestGridIncrements:

@@ -58,6 +58,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             SvParams(beta=1.0, sigma=1.0, phi=1.0)
 
+    def test_non_finite_matrices_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="A must be finite"):
+                SsmParams(A=[[bad]], B=[[1.0]], Qzeta=[[1.0]], Qxi=[[1.0]])
+            with pytest.raises(ValueError, match="B must be finite"):
+                SsmParams(A=[[0.5]], B=[[bad]], Qzeta=[[1.0]], Qxi=[[1.0]])
+            with pytest.raises(ValueError, match="A must be finite"):
+                scalar_ssm(bad)
+            with pytest.raises(ValueError, match="B must be finite"):
+                scalar_ssm(0.5, b=bad)
+            with pytest.raises(ValueError, match="Phi must be finite"):
+                GlmParams([[0.5, 0.0], [bad, 0.0]], np.eye(2), 1, 1)
+
     def test_finite_rows_must_be_stochastic(self):
         with pytest.raises(ValueError):
             FiniteHmmParams([[0.5, 0.4], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]])
@@ -204,10 +217,16 @@ class TestLinearFamily:
         mean = params.Phi @ np.array([0.3, -0.2])
         g0 = np.linspace(mean[0] - 8 * sds[0], mean[0] + 8 * sds[0], 801)
         g1 = np.linspace(mean[1] - 8 * sds[1], mean[1] + 8 * sds[1], 801)
-        vals = np.empty((801, 801))
-        for i, a in enumerate(g0):
-            z1x = np.full(801, a)
-            vals[i] = [spec.trans_logpdf(z, (np.array([a]), np.array([b]))) for b in g1]
+        # log N(z1; Phi z, R) on the whole grid at once
+        chol = np.linalg.cholesky(params.R)
+        dev = np.stack(np.meshgrid(g0 - mean[0], g1 - mean[1], indexing="ij"))
+        u = np.linalg.solve(chol, dev.reshape(2, -1)).reshape(dev.shape)
+        vals = -0.5 * (2 * LOG2PI + 2 * np.log(np.diag(chol)).sum() + (u * u).sum(axis=0))
+        # the spec's own density agrees with it over the whole grid
+        picks = np.vstack([rng.integers(0, 801, size=(300, 2)), [[0, 0], [0, 800], [800, 0], [800, 800], [400, 400]]])
+        for i, j in picks:
+            got = spec.trans_logpdf(z, (np.array([g0[i]]), np.array([g1[j]])))
+            assert abs(got - vals[i, j]) < 1e-12
         integral = np.trapezoid(np.trapezoid(np.exp(vals), g1, axis=1), g0)
         assert abs(integral - 1.0) < 1e-6
 
@@ -344,6 +363,65 @@ class TestFiniteHmm:
         zb = (np.array([1]), np.array([1]))
         znext = (np.array([0]), np.array([1]))
         assert spec.trans_logpdf(za, znext) == spec.trans_logpdf(zb, znext)
+
+
+def hmm_family_specs():
+    P = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]])
+    G = np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]])
+    return {
+        "sv": sv_spec(SvParams(1.1, 0.4, 0.93)),
+        "finite": finite_hmm_spec(FiniteHmmParams(P, G)),
+        "iid": iid_gaussian_spec(0.5, 2.0),
+    }
+
+
+class TestHmmJointChain:
+    """The joint-chain callables of the HMM families come from their factorization."""
+
+    def test_trans_logpdf_is_the_factorized_sum(self):
+        rng = np.random.default_rng(14)
+        for name, spec in hmm_family_specs().items():
+            hmm = spec.hmm
+            for _ in range(200):
+                if name == "finite":
+                    x, y, x1, y1 = rng.integers(0, [3, 2, 3, 2]).tolist()
+                else:
+                    x, y, x1, y1 = (3.0 * rng.standard_normal(4)).tolist()
+                got = spec.trans_logpdf((np.array([x]), np.array([y])), (np.array([x1]), np.array([y1])))
+                assert type(got) is float
+                assert got == hmm.qx_logpdf(x, x1) + hmm.g_logpdf(x1, y1)
+
+    def test_samplers_follow_the_hook_sequence(self):
+        for spec in hmm_family_specs().values():
+            hmm = spec.hmm
+            for seed in range(5):
+                got = spec.sample_stationary(rngmod.substream(seed, 0))
+                rng = rngmod.substream(seed, 0)
+                x = hmm.stationary_x_sample_many(1, rng)[0]
+                want = (np.array([x]), np.array([hmm.g_sample(x, rng)]))
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                z = got
+                rng_spec, rng_hooks = rngmod.substream(seed, 1), rngmod.substream(seed, 1)
+                for _ in range(20):
+                    got = spec.sample_step(z, rng_spec)
+                    x1 = hmm.qx_sample(float(z[0][0]), rng_hooks)
+                    want = (np.array([x1]), np.array([hmm.g_sample(x1, rng_hooks)]))
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                    z = got
+
+    def test_sv_densities_match_the_hooks_on_a_broadcast_grid(self):
+        params = SvParams(1.1, 0.4, 0.93)
+        hmm = sv_spec(params).hmm
+        xs = np.linspace(-6.0, 6.0, 41)
+        ys = np.linspace(-4.0, 4.0, 33)
+        qx = models.sv_qx_logpdf(params, xs[:, None], xs[None, :])
+        g = models.sv_g_logpdf(params, xs[:, None], ys[None, :])
+        assert qx.shape == (41, 41) and g.shape == (41, 33)
+        for i, x in enumerate(xs.tolist()):
+            assert qx[i].tolist() == [hmm.qx_logpdf(x, x1) for x1 in xs.tolist()]
+            assert g[i].tolist() == [hmm.g_logpdf(x, y) for y in ys.tolist()]
+        for j, y in enumerate(ys.tolist()):
+            assert np.array_equal(hmm.g_logpdf_many(xs, y), g[:, j])
 
 
 class TestIidSpecialization:
