@@ -32,9 +32,15 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import ModelSpec
-from .models import SvParams, sv_g_logpdf, sv_qx_logpdf
+from .models import SvParams, sv_g_logpdf, sv_g_sample, sv_qx_logpdf, sv_qx_sample, sv_stationary_x_sample
 
 _LOG2PI = np.log(2.0 * np.pi)
+_BLOCK_NODES, _BLOCK_SPAN = 241, 9.0  # sv_block_density: nodes per axis, half-width in sigmas
+_MARGINAL_GH_NODES = 201  # sv_marginal_y_logpdf
+_BETA_CUTOFFS, _B6_NODES = (1e2, 1e4, 1e6, 1e8), 201  # b6_sufficient_integral_sv
+_ENVELOPE_SLACK, _ENVELOPE_X0_SD = 1e-9, 3.0  # envelope_validity_audit
+_POSITIVITY_SAMPLES = 200  # positivity_audit
+_KINGMAN_REL_TOL = 1e-12  # kingman_check
 
 
 @dataclass(frozen=True)
@@ -202,9 +208,10 @@ def psup_cm_complement_bound(box: SvThetaBox, m: float, y1, y2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sv_block_density(params: SvParams, x0: float, y1: float, y2: float, nodes: int = 241, span: float = 9.0) -> float:
+def sv_block_density(params: SvParams, x0: float, y1: float, y2: float) -> float:
     """Quadrature value of the integrated two-step density block."""
     phi, sigma = params.phi, params.sigma
+    nodes, span = _BLOCK_NODES, _BLOCK_SPAN
     m1 = phi * x0
     g1 = np.linspace(m1 - span * sigma, m1 + span * sigma, nodes)
     lo2 = phi * g1[0 if phi >= 0 else -1] - span * sigma
@@ -219,13 +226,7 @@ def sv_block_density(params: SvParams, x0: float, y1: float, y2: float, nodes: i
     return float(outer @ w1)
 
 
-def envelope_validity_audit(
-    box: SvThetaBox,
-    draws: int,
-    seed: int,
-    slack: float = 1e-9,
-    x0_sd: float = 3.0,
-) -> AuditReport:
+def envelope_validity_audit(box: SvThetaBox, draws: int, seed: int) -> AuditReport:
     """Check that the analytic envelopes really dominate the quadrature value.
 
     Draws parameters from the box (beta and sigma log-uniform over a
@@ -243,14 +244,13 @@ def envelope_validity_audit(
         sigma = float(np.exp(rng.uniform(np.log(box.sigma_lo), np.log(sigma_hi))))
         phi = float(rng.uniform(-box.phi_hi, box.phi_hi))
         params = SvParams(beta=beta, sigma=sigma, phi=phi)
-        x0 = float(x0_sd * rng.standard_normal())
-        xs = np.sqrt(params.x_var) * rng.standard_normal(2)
-        y1, y2 = (beta * np.exp(xs / 2.0) * rng.standard_normal(2)).tolist()
+        x0 = float(_ENVELOPE_X0_SD * rng.standard_normal())
+        y1, y2 = sv_g_sample(params, sv_stationary_x_sample(params, 2, rng), rng).tolist()
         d_val = sv_block_density(params, x0, y1, y2)
         bound = psup_pointwise_bound(params, y1, y2)
         excess = d_val - bound
         worst = max(worst, excess)
-        if excess > slack:
+        if excess > _ENVELOPE_SLACK:
             violations += 1
     status = "pass" if violations == 0 else "fail"
     return AuditReport(
@@ -259,7 +259,7 @@ def envelope_validity_audit(
         statistic=float(worst),
         seed=seed,
         sims=draws,
-        detail=f"max(D - bound) over {draws} draws; {violations} beyond slack {slack:g}",
+        detail=f"max(D - bound) over {draws} draws; {violations} beyond slack {_ENVELOPE_SLACK:g}",
     )
 
 
@@ -268,15 +268,12 @@ def envelope_validity_audit(
 # ---------------------------------------------------------------------------
 
 
-def _simulate_sv_blocks(params: SvParams, sims: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x0 = np.sqrt(params.x_var) * rng.standard_normal(sims)
-    x1 = params.phi * x0 + params.sigma * rng.standard_normal(sims)
-    x2 = params.phi * x1 + params.sigma * rng.standard_normal(sims)
-    u = rng.standard_normal((3, sims))
-    y0 = params.beta * np.exp(x0 / 2.0) * u[0]
-    y1 = params.beta * np.exp(x1 / 2.0) * u[1]
-    y2 = params.beta * np.exp(x2 / 2.0) * u[2]
-    return y0, y1, y2
+def _simulate_sv_blocks(params: SvParams, sims: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    x0 = sv_stationary_x_sample(params, sims, rng)
+    x1 = sv_qx_sample(params, x0, rng)
+    x2 = sv_qx_sample(params, x1, rng)
+    _, y1, y2 = sv_g_sample(params, np.stack([x0, x1, x2]), rng)  # y0 is drawn for the stream, then dropped
+    return y1, y2
 
 
 def tightness_audit_sv(
@@ -296,7 +293,7 @@ def tightness_audit_sv(
     are estimates by nature, never pass/fail.
     """
     rng = rngmod.substream(seed, rngmod.AUDIT, 2)
-    _, y1, y2 = _simulate_sv_blocks(params_star, sims, rng)
+    y1, y2 = _simulate_sv_blocks(params_star, sims, rng)
     max_per_m = []
     for m in m_list:
         vals = psup_cm_complement_bound(box, float(m), y1, y2)
@@ -332,12 +329,7 @@ def tightness_audit_sv(
 # ---------------------------------------------------------------------------
 
 
-def b6_sufficient_integral_sv(
-    box: SvThetaBox,
-    proper: bool,
-    beta_cutoffs: Sequence[float] = (1e2, 1e4, 1e6, 1e8),
-    nodes: int = 201,
-) -> AuditReport:
+def b6_sufficient_integral_sv(box: SvThetaBox, proper: bool) -> AuditReport:
     """Integrability of ``min(1/sigma, e^{sigma^2/8} / beta^{1-phi_hi})``.
 
     A proper prior makes the condition automatic (the integrand is
@@ -353,10 +345,10 @@ def b6_sufficient_integral_sv(
             detail="proper prior: finite measure times a bounded integrand",
         )
     sigma_hi = box.sigma_hi if np.isfinite(box.sigma_hi) else max(5.0, 3.0 * box.sigma_lo)
-    sigmas = np.linspace(box.sigma_lo, sigma_hi, nodes)
+    sigmas = np.linspace(box.sigma_lo, sigma_hi, _B6_NODES)
     values = []
-    for cutoff in beta_cutoffs:
-        lb = np.linspace(np.log(box.beta_lo), np.log(cutoff), nodes)
+    for cutoff in _BETA_CUTOFFS:
+        lb = np.linspace(np.log(box.beta_lo), np.log(cutoff), _B6_NODES)
         betas = np.exp(lb)
         integrand = np.minimum(
             1.0 / sigmas[:, None],
@@ -368,7 +360,7 @@ def b6_sufficient_integral_sv(
     growth = values[-1] / values[-2]
     diverging = growth > 1.2
     detail = "integral under beta cutoffs " + ", ".join(
-        f"{c:g}: {v:.6g}" for c, v in zip(beta_cutoffs, values)
+        f"{c:g}: {v:.6g}" for c, v in zip(_BETA_CUTOFFS, values)
     )
     return AuditReport(
         assumption="B6.1",
@@ -378,13 +370,13 @@ def b6_sufficient_integral_sv(
     )
 
 
-def sv_marginal_y_logpdf(params: SvParams, ys: np.ndarray, gh_nodes: int = 201) -> np.ndarray:
+def sv_marginal_y_logpdf(params: SvParams, ys: np.ndarray) -> np.ndarray:
     """log density of one stationary observation, by Gauss-Hermite mixing.
 
     ``Y = beta e^{X/2} U`` with ``X ~ N(0, v)``: the density is the
     normal scale mixture ``E_X[ N(y; 0, beta^2 e^X) ]``.
     """
-    t, w = np.polynomial.hermite.hermgauss(gh_nodes)
+    t, w = np.polynomial.hermite.hermgauss(_MARGINAL_GH_NODES)
     xs = np.sqrt(2.0 * params.x_var) * t
     lw = np.log(w / np.sqrt(np.pi))
     ys = np.asarray(ys, dtype=float)
@@ -425,8 +417,7 @@ def b6_entropy_floor_sv(params_star: SvParams, draws: int, seed: int) -> AuditRe
     condition at horizon one.
     """
     rng = rngmod.substream(seed, rngmod.AUDIT, 3)
-    xs = np.sqrt(params_star.x_var) * rng.standard_normal(draws)
-    ys = params_star.beta * np.exp(xs / 2.0) * rng.standard_normal(draws)
+    ys = sv_g_sample(params_star, sv_stationary_x_sample(params_star, draws, rng), rng)
     vals = sv_marginal_y_logpdf(params_star, ys)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(draws))
@@ -497,7 +488,6 @@ def kingman_check(
     w_fn: Callable[[int, int, np.ndarray], float],
     obs: np.ndarray,
     triples: Sequence[tuple[int, int, int]],
-    rel_tol: float = 1e-12,
 ) -> AuditReport:
     """Verify ``W(r, t) <= W(r, s) W(s, t)`` on every triple.
 
@@ -514,7 +504,7 @@ def kingman_check(
         w_split = w_fn(r, s, ys) * w_fn(s, t, ys)
         scale = max(abs(w_rt), np.finfo(float).tiny)
         worst = max(worst, (w_rt - w_split) / scale)
-    status = "pass" if worst <= rel_tol else "fail"
+    status = "pass" if worst <= _KINGMAN_REL_TOL else "fail"
     return AuditReport(
         assumption="Kingman",
         status=status,
@@ -529,7 +519,7 @@ def kingman_check(
 # ---------------------------------------------------------------------------
 
 
-def positivity_audit(spec: ModelSpec, samples: int = 200, seed: int = 0) -> list[AuditReport]:
+def positivity_audit(spec: ModelSpec, seed: int = 0) -> list[AuditReport]:
     """Positivity of the transition density (and the emission, for HMMs).
 
     Finite models are decided exactly from their matrices. The Gaussian
@@ -561,7 +551,7 @@ def positivity_audit(spec: ModelSpec, samples: int = 200, seed: int = 0) -> list
     p, q = spec.state_dim, spec.obs_dim
     extremes = [-50.0, -1.0, 0.0, 1.0, 50.0]
     worst = np.inf
-    for _ in range(samples):
+    for _ in range(_POSITIVITY_SAMPLES):
         z = (rng.standard_normal(p) * 5.0, rng.standard_normal(q) * 5.0)
         z1 = (rng.standard_normal(p) * 5.0, rng.standard_normal(q) * 5.0)
         worst = min(worst, spec.trans_logpdf(z, z1))
@@ -575,13 +565,13 @@ def positivity_audit(spec: ModelSpec, samples: int = 200, seed: int = 0) -> list
             status=("pass" if analytic else "estimate") if np.isfinite(worst) else "fail",
             statistic=float(worst),
             seed=seed,
-            sims=samples,
+            sims=_POSITIVITY_SAMPLES,
             detail="minimum transition log-density over sampled and extreme points",
         )
     )
     if spec.hmm is not None:
         worst_g = np.inf
-        for _ in range(samples):
+        for _ in range(_POSITIVITY_SAMPLES):
             x = float(rng.standard_normal() * 5.0)
             y = float(rng.standard_normal() * 5.0)
             worst_g = min(worst_g, spec.hmm.g_logpdf(x, y))
@@ -591,7 +581,7 @@ def positivity_audit(spec: ModelSpec, samples: int = 200, seed: int = 0) -> list
                 status=("pass" if analytic else "estimate") if np.isfinite(worst_g) else "fail",
                 statistic=float(worst_g),
                 seed=seed,
-                sims=samples,
+                sims=_POSITIVITY_SAMPLES,
                 detail="minimum emission log-density over sampled points",
             )
         )

@@ -101,7 +101,8 @@ class HmmFactorization:
 
     ``qx`` is the hidden-chain transition density on X x X and ``g`` the
     emission density on X x Y; both in the log domain. Batch variants act
-    on arrays of states and are required by the particle filter.
+    on arrays of states: the particle filter needs ``qx_sample_many`` and
+    ``g_logpdf_many``, the quadrature ``g_logpdf_many`` and the broadcasting ``qx_logpdf_many``.
     """
 
     qx_logpdf: Callable[[float, float], float]
@@ -110,6 +111,7 @@ class HmmFactorization:
     g_sample: Optional[Callable[[float, np.random.Generator], float]] = None
     qx_sample_many: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     g_logpdf_many: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
+    qx_logpdf_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     stationary_x_sample_many: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None
 
 

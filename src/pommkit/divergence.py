@@ -21,7 +21,7 @@ import numpy as np
 from . import rng as rngmod
 from .core import ModelSpec
 from .models import FiniteHmmParams, GlmParams, SvParams, finite_hmm_stationary, glm_stationary_cov
-from .models import sv_g_logpdf, sv_qx_logpdf
+from .models import sv_g_logpdf, sv_g_sample, sv_qx_logpdf, sv_qx_sample, sv_stationary_x_sample
 
 _LOG2PI = np.log(2.0 * np.pi)
 
@@ -128,9 +128,9 @@ def _glm_inner_logratio(star: GlmParams, other: GlmParams, draws: int, seed: int
 
 def _sv_logratio(star: SvParams, other: SvParams, draws: int, seed: int) -> KldEstimate:
     rng = rngmod.substream(seed, rngmod.KLD_OUTER)
-    x0 = np.sqrt(star.x_var) * rng.standard_normal(draws)
-    x1 = star.phi * x0 + star.sigma * rng.standard_normal(draws)
-    y1 = star.beta * np.exp(x1 / 2.0) * rng.standard_normal(draws)
+    x0 = sv_stationary_x_sample(star, draws, rng)
+    x1 = sv_qx_sample(star, x0, rng)
+    y1 = sv_g_sample(star, x1, rng)
 
     def logq(params):
         return sv_qx_logpdf(params, x0, x1) + sv_g_logpdf(params, x1, y1)
@@ -246,8 +246,8 @@ def delta_bar_hmm(
     rng = rngmod.substream(seed, rngmod.KLD_OUTER, 1)
     if spec_star.sv is not None and spec_other.sv is not None:
         sv_s, sv_o = spec_star.sv, spec_other.sv
-        x = np.sqrt(sv_s.x_var) * rng.standard_normal(draws)
-        xo = np.sqrt(sv_o.x_var) * rng.standard_normal(draws)
+        x = sv_stationary_x_sample(sv_s, draws, rng)
+        xo = sv_stationary_x_sample(sv_o, draws, rng)
         ratio = (sv_s.beta**2 / sv_o.beta**2) * np.exp(x - xo)
         samples = 0.5 * (ratio - 1.0 - np.log(ratio))
         return _finish_mc(samples, "mc")

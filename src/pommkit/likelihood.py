@@ -24,9 +24,12 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _chol_psd
-from .models import glm_stationary_cov, stationary_cov, sv_qx_logpdf
+from .models import glm_stationary_cov, stationary_cov
 
 _LOG2PI = np.log(2.0 * np.pi)
+_QUADRATURE_SPAN = 8.0  # half-width of the quadrature node grid, in stationary standard deviations
+_ENUMERATION_CAP = 1 << 22  # hidden paths summed by enumeration_loglik
+_STRING_CAP = 1 << 20  # observation strings enumerated by conditional_entropy_sequence
 
 
 @dataclass(frozen=True)
@@ -289,7 +292,7 @@ def forward_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
     return LogLik(float(inc.sum()), len(inc), "forward")
 
 
-def enumeration_loglik(spec: ModelSpec, obs: np.ndarray, init, cap: int = 1 << 22) -> float:
+def enumeration_loglik(spec: ModelSpec, obs: np.ndarray, init) -> float:
     """Brute-force log p(y_{1:n}) as a sum over all hidden paths.
 
     Exponential in n; this exists purely as an oracle for the forward
@@ -301,7 +304,7 @@ def enumeration_loglik(spec: ModelSpec, obs: np.ndarray, init, cap: int = 1 << 2
     K = spec.finite.n_states
     ys = _check_symbols(obs, spec.finite.n_symbols)
     n = len(ys)
-    if K**n > cap:
+    if K**n > _ENUMERATION_CAP:
         raise ValueError(f"enumeration over {K}^{n} paths exceeds the cap")
     x0_dist = _finite_x0_dist(spec, init)
     total = 0.0
@@ -402,16 +405,18 @@ def _x_marginal_sd(spec: ModelSpec) -> float:
     raise ValueError("cannot infer a state grid for this model; quadrature supports the built-in families")
 
 
-def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001, span: float = 8.0) -> LogLik:
+def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001) -> LogLik:
     """Tensor-grid quadrature of the likelihood integral, scalar state only.
 
     The hidden-state axis is discretized on ``nodes`` trapezoid points
-    spanning ``span`` stationary standard deviations (widened to cover a
-    displaced initial condition), and the n-fold integral is accumulated
-    one factor at a time in the log domain, which evaluates the full
-    tensor-product rule without materializing the n-dimensional grid.
-    For factorized models only the hidden-state marginal of ``init``
-    matters; the general linear path integrates the full initial pair.
+    spanning ``_QUADRATURE_SPAN`` stationary standard deviations (widened
+    to cover a displaced initial condition), and the n-fold integral is
+    accumulated one factor at a time in the log domain, which evaluates
+    the full tensor-product rule without materializing the n-dimensional
+    grid. An HMM takes both factors from its spec's ``qx_logpdf_many``
+    and ``g_logpdf_many`` hooks and needs both; only the hidden-state
+    marginal of ``init`` matters for it. A linear model without an HMM
+    factorization integrates the full initial pair.
     """
     if spec.state_dim != 1:
         raise ValueError("quadrature supports one-dimensional hidden states only")
@@ -430,8 +435,8 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001,
     elif isinstance(init, GaussianOnZ):
         center = float(init.mean[0])
         extra = abs(center) + float(np.sqrt(max(init.cov[0, 0], 0.0)))
-    lo = min(0.0, center) - span * sd - extra
-    hi = max(0.0, center) + span * sd + extra
+    lo = min(0.0, center) - _QUADRATURE_SPAN * sd - extra
+    hi = max(0.0, center) + _QUADRATURE_SPAN * sd + extra
     grid = np.linspace(lo, hi, nodes)
     logw = np.log(_trapezoid_weights(grid))
 
@@ -455,27 +460,17 @@ def _gh_nodes(mean: float, sd: float, n: int = 80) -> tuple[np.ndarray, np.ndarr
     return mean + np.sqrt(2.0) * sd * t, w / np.sqrt(np.pi)
 
 
-def _qx_log_matrix(spec: ModelSpec, x_from: np.ndarray, x_to: np.ndarray) -> np.ndarray:
-    """log qx evaluated on the product grid, shape (from, to)."""
-    if spec.sv is not None:
-        return sv_qx_logpdf(spec.sv, x_from[:, None], x_to[None, :])
-    if spec.ssm is not None:
-        a = float(spec.ssm.A[0, 0])
-        qz = float(spec.ssm.Qzeta[0, 0])
-        dev = x_to[None, :] - a * x_from[:, None]
-        return -0.5 * (_LOG2PI + np.log(qz) + dev**2 / qz)
-    raise ValueError("quadrature needs the transition of a stochastic volatility or state-space model")
-
-
 def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, logw: np.ndarray) -> LogLik:
-    g_logpdf_many = spec.hmm.g_logpdf_many
+    qx_logpdf_many, g_logpdf_many = spec.hmm.qx_logpdf_many, spec.hmm.g_logpdf_many
     if g_logpdf_many is None:
         raise ValueError("quadrature needs the batch emission density g_logpdf_many")
+    if qx_logpdf_many is None:
+        raise ValueError("quadrature needs the broadcasting transition density qx_logpdf_many")
     yvals = [float(y[0]) if y.size == 1 else y for y in ys]
     # first factor: integrate z0's state component against the initial law
     if isinstance(init, PointMass):
         x0 = float(np.atleast_1d(init.x)[0])
-        la = _qx_log_matrix(spec, np.array([x0]), grid)[0]
+        la = qx_logpdf_many(x0, grid)
     else:
         if isinstance(init, Stationary):
             mean, sd = 0.0, _x_marginal_sd(spec)
@@ -484,15 +479,15 @@ def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
         else:
             raise UnsupportedInitError(f"unsupported initial distribution for quadrature: {type(init).__name__}")
         if sd == 0.0:
-            la = _qx_log_matrix(spec, np.array([mean]), grid)[0]
+            la = qx_logpdf_many(mean, grid)
         else:
             x0n, w0 = _gh_nodes(mean, sd)
-            logm = _qx_log_matrix(spec, x0n, grid) + np.log(w0)[:, None]
+            logm = qx_logpdf_many(x0n[:, None], grid[None, :]) + np.log(w0)[:, None]
             mcol = logm.max(axis=0)
             la = mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
     la = la + g_logpdf_many(grid, yvals[0])
     if len(yvals) > 1:
-        trans = np.exp(_qx_log_matrix(spec, grid, grid))  # the same at every step
+        trans = np.exp(qx_logpdf_many(grid[:, None], grid[None, :]))  # the same at every step
     for y in yvals[1:]:
         m = la.max()
         alpha = np.exp(la + logw - m)
@@ -628,7 +623,7 @@ def loglik(
 # ---------------------------------------------------------------------------
 
 
-def conditional_entropy_sequence(spec: ModelSpec, nmax: int, cap: int = 1 << 20) -> np.ndarray:
+def conditional_entropy_sequence(spec: ModelSpec, nmax: int) -> np.ndarray:
     """Expected predictive log densities E[log p(Y_n | Y_{1:n-1})], n = 1..nmax.
 
     Computed exactly, under the stationary law, by enumerating every
@@ -640,7 +635,7 @@ def conditional_entropy_sequence(spec: ModelSpec, nmax: int, cap: int = 1 << 20)
         raise ValueError("the entropy sequence is computed exactly on finite models only")
     P, G = spec.finite.P, spec.finite.G
     K, L = spec.finite.n_states, spec.finite.n_symbols
-    if L**nmax > cap:
+    if L**nmax > _STRING_CAP:
         raise ValueError(f"enumeration over {L}^{nmax} strings exceeds the cap")
     from .models import finite_hmm_stationary
 

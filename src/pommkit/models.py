@@ -21,10 +21,12 @@ specialization ``iid_gaussian_spec``) declare only their factorization,
 an ``HmmFactorization`` of transition and emission hooks. Their
 joint-chain callables are derived from it in one place: the transition
 log density is ``qx_logpdf + g_logpdf``, a step draws ``x'`` and then
-``y'``, and a stationary pair draws ``x`` and then ``y``. The SV
-transition and emission log densities are the broadcasting functions
-``sv_qx_logpdf`` and ``sv_g_logpdf``, which the quadrature, the
-divergences and the audits call as well.
+``y'``, and a stationary pair draws ``x`` and then ``y``. Only this
+module writes out a family's formulas: the SV densities and samplers
+(``sv_qx_logpdf``, ``sv_g_logpdf``, ``sv_stationary_x_sample``,
+``sv_qx_sample``, ``sv_g_sample``) and the scalar ``normal_logpdf``
+broadcast over arrays, and the quadrature, divergences and audits call
+them or the spec's hooks (``qx_logpdf_many``, ``g_logpdf_many``).
 
 Building a spec of the linear families does only what the exact
 evaluators need: the parameter records run every check (stability,
@@ -39,12 +41,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import HmmFactorization, ModelSpec
 
 _LOG2PI = np.log(2.0 * np.pi)
+_UNIT_EIG_TOL = 1e-9  # finite_hmm_stationary: distance of an eigenvalue from 1 and from the unit circle
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +284,11 @@ def _stationary_chol(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(stationary_cov(A, Q))
 
 
+def normal_logpdf(dev, var):
+    """Log density ``log N(dev; 0, var)``; broadcasts over ``dev`` and ``var``."""
+    return -0.5 * (_LOG2PI + np.log(var) + dev**2 / var)  # on floats C pow, whose last bit can differ from dev * dev
+
+
 def _gaussian_logpdf(chol: np.ndarray, logdet: float, dev: np.ndarray) -> float:
     u = np.linalg.solve(chol, dev)
     return float(-0.5 * (chol.shape[0] * _LOG2PI + logdet + u @ u))
@@ -333,6 +342,7 @@ def ssm_embed(params: SsmParams) -> GlmParams:
     With ``eps_k = (zeta_k, B zeta_k + xi_k)`` the joint chain
     ``Z_k = (X_k, Y_k)`` has transition matrix ``[[A, 0], [BA, 0]]`` and
     innovation covariance assembled from ``Cov(zeta, B zeta + xi)``.
+    A failed check of the embedded parameters is re-raised naming the embedding.
     """
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p, q = params.p, params.q
@@ -345,7 +355,10 @@ def ssm_embed(params: SsmParams) -> GlmParams:
     R[:p, p:] = Qz @ B.T
     R[p:, :p] = BQz
     R[p:, p:] = BQz @ B.T + Qx
-    return GlmParams(Phi=Phi, R=R, p=p, q=q)
+    try:
+        return GlmParams(Phi=Phi, R=R, p=p, q=q)
+    except ValueError as err:
+        raise ValueError(f"the joint-chain embedding of this state-space model is invalid: {err}") from err
 
 
 def ssm_spec(params: SsmParams) -> ModelSpec:
@@ -390,8 +403,7 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
     def g_logpdf_many(xs, y):
         xs = np.asarray(xs, dtype=float)
         if p == 1 and q == 1 and xs.ndim == 1:
-            dev = float(np.atleast_1d(y)[0]) - b11 * xs
-            return -0.5 * (_LOG2PI + np.log(qx11) + dev * dev / qx11)
+            return normal_logpdf(float(np.atleast_1d(y)[0]) - b11 * xs, qx11)
         dev = np.atleast_1d(y)[None, :] - xs.reshape(len(xs), p) @ B.T
         chol_qx, logdet_qx = qx_factors()
         u = np.linalg.solve(chol_qx, dev.T)
@@ -408,6 +420,7 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
         g_sample=g_sample,
         qx_sample_many=qx_sample_many,
         g_logpdf_many=g_logpdf_many,
+        qx_logpdf_many=(lambda x, x_next: normal_logpdf(x_next - a11 * x, qz11)) if p == 1 else None,
         stationary_x_sample_many=stationary_x_sample_many,
     )
     return dataclasses.replace(glm_spec(glm), hmm=hmm, ssm=params, label="ssm")
@@ -471,14 +484,28 @@ def sv_qx_logpdf(params: SvParams, x, x_next):
 
     Broadcasts over ``x`` and ``x_next``; Python floats give a numpy scalar.
     """
-    sig2 = params.sigma**2
-    return -0.5 * (_LOG2PI + np.log(sig2) + (x_next - params.phi * x) ** 2 / sig2)
+    return normal_logpdf(x_next - params.phi * x, params.sigma**2)
 
 
 def sv_g_logpdf(params: SvParams, x, y):
     """SV emission log density ``log N(y; 0, beta^2 e^x)``; broadcasts over ``x`` and ``y``."""
     b2 = params.beta**2
     return -0.5 * (_LOG2PI + np.log(b2) + x + y * y * np.exp(-x) / b2)
+
+
+def sv_stationary_x_sample(params: SvParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws of the stationary log-volatility ``N(0, sigma^2 / (1 - phi^2))``."""
+    return np.sqrt(params.x_var) * rng.standard_normal(n)
+
+
+def sv_qx_sample(params: SvParams, x, rng: np.random.Generator):
+    """One draw of ``x' = phi x + sigma u`` per entry of ``x`` (a float gives a numpy scalar)."""
+    return params.phi * x + params.sigma * rng.standard_normal(np.shape(x))
+
+
+def sv_g_sample(params: SvParams, x, rng: np.random.Generator):
+    """One draw of ``y = beta exp(x/2) u`` per entry of ``x`` (a float gives a numpy scalar)."""
+    return params.beta * np.exp(x / 2.0) * rng.standard_normal(np.shape(x))
 
 
 def sv_spec(params: SvParams) -> ModelSpec:
@@ -489,22 +516,20 @@ def sv_spec(params: SvParams) -> ModelSpec:
     the emission density is ``N(0, beta^2 e^x)``. The stationary law is
     sampled exactly: ``X ~ N(0, sigma^2 / (1 - phi^2))``.
     """
-    beta, sigma, phi = params.beta, params.sigma, params.phi
-    x_sd = np.sqrt(params.x_var)
 
     def sample_stationary_many(n, rng):
-        xs = x_sd * rng.standard_normal(n)
-        ys = beta * np.exp(xs / 2.0) * rng.standard_normal(n)
-        return (xs[:, None], ys[:, None])
+        xs = sv_stationary_x_sample(params, n, rng)
+        return (xs[:, None], sv_g_sample(params, xs, rng)[:, None])
 
     hmm = HmmFactorization(
         qx_logpdf=lambda x, x_next: float(sv_qx_logpdf(params, x, x_next)),
-        qx_sample=lambda x, rng: phi * x + sigma * rng.standard_normal(),
+        qx_sample=partial(sv_qx_sample, params),
         g_logpdf=lambda x, y: float(sv_g_logpdf(params, x, y)),
-        g_sample=lambda x, rng: beta * np.exp(x / 2.0) * rng.standard_normal(),
-        qx_sample_many=lambda xs, rng: phi * np.asarray(xs) + sigma * rng.standard_normal(np.shape(xs)),
+        g_sample=partial(sv_g_sample, params),
+        qx_sample_many=partial(sv_qx_sample, params),
         g_logpdf_many=lambda xs, y: sv_g_logpdf(params, np.asarray(xs), float(y)),
-        stationary_x_sample_many=lambda n, rng: x_sd * rng.standard_normal(n),
+        qx_logpdf_many=partial(sv_qx_logpdf, params),
+        stationary_x_sample_many=partial(sv_stationary_x_sample, params),
     )
     return _hmm_spec(hmm, sample_stationary_many=sample_stationary_many, sv=params, label="sv")
 
@@ -514,7 +539,7 @@ def sv_spec(params: SvParams) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def finite_hmm_stationary(params: FiniteHmmParams, tol: float = 1e-9) -> np.ndarray:
+def finite_hmm_stationary(params: FiniteHmmParams) -> np.ndarray:
     """Stationary vector ``pi`` of ``P`` with ``pi P = pi``.
 
     Raises if the unit eigenvalue is not simple (reducible chain) or if
@@ -522,8 +547,8 @@ def finite_hmm_stationary(params: FiniteHmmParams, tol: float = 1e-9) -> np.ndar
     """
     P = params.P
     w, v = np.linalg.eig(P.T)
-    on_circle = np.abs(np.abs(w) - 1.0) < tol
-    unit = np.abs(w - 1.0) < tol
+    on_circle = np.abs(np.abs(w) - 1.0) < _UNIT_EIG_TOL
+    unit = np.abs(w - 1.0) < _UNIT_EIG_TOL
     if unit.sum() != 1 or on_circle.sum() != 1:
         raise ValueError("transition matrix has no unique stationary vector (reducible or periodic)")
     pi = np.real(v[:, np.argmax(unit)])
@@ -575,9 +600,10 @@ def iid_gaussian_spec(mu: float, sd: float) -> ModelSpec:
         raise ValueError("sd must be positive")
     var = sd * sd
     hmm = HmmFactorization(
+        # squared by multiplication, which ``normal_logpdf(x_next, 1.0)`` would move in the last bit
         qx_logpdf=lambda x, x_next: float(-0.5 * (_LOG2PI + x_next * x_next)),
         qx_sample=lambda x, rng: float(rng.standard_normal()),
-        g_logpdf=lambda x, y: float(-0.5 * (_LOG2PI + np.log(var) + (y - mu) ** 2 / var)),
+        g_logpdf=lambda x, y: float(normal_logpdf(y - mu, var)),
         g_sample=lambda x, rng: float(mu + sd * rng.standard_normal()),
         stationary_x_sample_many=lambda n, rng: rng.standard_normal(n),
     )

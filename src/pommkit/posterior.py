@@ -34,6 +34,8 @@ from .likelihood import _finite_obs, _logsumexp, forward_loglik, grid_increments
 
 # the loglik options a grid sweep passes on; it sets ``stream`` itself
 _GRID_OPTIONS = ("particles", "seed", "nodes")
+_DECAY_TOL = 0.01  # remoteness_rate: a slope below -_DECAY_TOL per observation counts as decay
+_STRING_PATH_CAP = 1 << 18  # image_density_check: observation strings times hidden paths
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,6 @@ def remoteness_rate(
     star_spec: ModelSpec,
     ns: Sequence[int],
     method: str = "kalman",
-    decay_tol: float = 0.01,
 ) -> RemotenessResult:
     """Decay rate of the prior-weighted likelihood ratio over a subset.
 
@@ -355,8 +356,8 @@ def remoteness_rate(
     values = np.array([_logsumexp(logw + profiles[:, n - 1]) - star[n - 1] for n in ns])
     half = len(ns) // 2 if len(ns) >= 4 else 0  # fit the last half once it holds two points
     slope = float(np.polyfit(ns[half:], values[half:], 1)[0])
-    flags = () if slope < -decay_tol else ("no_decay",)
-    return RemotenessResult(slope=slope, ns=ns, log_ratio=values, decaying=slope < -decay_tol, flags=flags)
+    flags = () if slope < -_DECAY_TOL else ("no_decay",)
+    return RemotenessResult(slope=slope, ns=ns, log_ratio=values, decaying=slope < -_DECAY_TOL, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +459,7 @@ def _finite_enumeration_ratio_parts(spec_star: ModelSpec, spec_other: ModelSpec,
     return p_star, p_other, per_path
 
 
-def image_density_check(spec_star: ModelSpec, spec_other: ModelSpec, init_eta, n: int, cap: int = 1 << 18) -> float:
+def image_density_check(spec_star: ModelSpec, spec_other: ModelSpec, init_eta, n: int) -> float:
     """Largest residual of the conditional-expectation identity for ratios.
 
     For every observation string of length ``n``, the observed-data
@@ -470,7 +471,7 @@ def image_density_check(spec_star: ModelSpec, spec_other: ModelSpec, init_eta, n
     if spec_star.finite is None or spec_other.finite is None:
         raise ValueError("the identity is checked exactly on finite models")
     K, L = spec_star.finite.n_states, spec_star.finite.n_symbols
-    if (K**n) * (L**n) > cap:
+    if (K**n) * (L**n) > _STRING_PATH_CAP:
         raise ValueError("enumeration cap exceeded")
     worst = 0.0
     for ys in itertools.product(range(L), repeat=n):

@@ -28,7 +28,9 @@ from pommkit import (
     sv_spec,
     tightness_audit_sv,
 )
-from pommkit.audit import b6_sufficient_integral_sv, b6_entropy_floor_sv, write_audit_jsonl
+from pommkit import rng as rngmod
+from pommkit.audit import b6_sufficient_integral_sv, b6_entropy_floor_sv, sv_marginal_y_logpdf, write_audit_jsonl
+from pommkit.models import sv_g_sample, sv_qx_sample, sv_stationary_x_sample
 from tests.test_models import random_stable_glm
 
 STAR = SvParams(beta=1.0, sigma=0.3, phi=0.9)
@@ -101,6 +103,29 @@ class TestTightnessAudit:
         a = tightness_audit_sv(STAR, BOX, [100.0], sims=2_000, seed=8)[0]
         b = tightness_audit_sv(STAR, BOX, [100.0], sims=2_000, seed=8)[0]
         assert a.statistic == b.statistic
+
+
+class TestAuditDraws:
+    """The SV audits draw with the shared samplers of ``models`` on their audit substreams."""
+
+    def test_tightness_blocks(self):
+        ms, sims, seed = [10.0, 100.0], 3_000, 12
+        conv, logmom = tightness_audit_sv(STAR, BOX, ms, sims=sims, seed=seed)
+        rng = rngmod.substream(seed, rngmod.AUDIT, 2)
+        x0 = sv_stationary_x_sample(STAR, sims, rng)
+        x1 = sv_qx_sample(STAR, x0, rng)
+        x2 = sv_qx_sample(STAR, x1, rng)
+        _, y1, y2 = [sv_g_sample(STAR, x, rng) for x in (x0, x1, x2)]  # one emission per state, in order
+        assert conv.statistic == float(np.max(psup_cm_complement_bound(BOX, ms[-1], y1, y2)))
+        whole = SvRegion.make(BOX.sigma_lo, BOX.sigma_hi, BOX.beta_lo, BOX.phi_hi)
+        assert logmom.statistic == float(np.maximum(np.log(psup_sv_bound(whole, y1, y2)), 0.0).mean())
+
+    def test_entropy_floor_observations(self):
+        draws, seed = 5_000, 11
+        rep = b6_entropy_floor_sv(STAR, draws=draws, seed=seed)
+        rng = rngmod.substream(seed, rngmod.AUDIT, 3)
+        ys = sv_g_sample(STAR, sv_stationary_x_sample(STAR, draws, rng), rng)
+        assert rep.statistic == float(sv_marginal_y_logpdf(STAR, ys).mean())
 
 
 class TestPriorIntegrability:

@@ -114,10 +114,13 @@ class TestQuadratureOracle:
         no_batch_emission = replace(sv, hmm=replace(sv.hmm, g_logpdf_many=None))
         with pytest.raises(ValueError, match="g_logpdf_many"):
             quadrature_loglik(no_batch_emission, ys, Stationary(), nodes=101)
-        # an HMM with linear-family parameters but neither SV nor state-space ones
-        no_grid_transition = replace(scalar_ssm(0.5), ssm=None)
-        with pytest.raises(ValueError, match="transition"):
+        ssm = scalar_ssm(0.5)
+        no_grid_transition = replace(ssm, hmm=replace(ssm.hmm, qx_logpdf_many=None))
+        with pytest.raises(ValueError, match="qx_logpdf_many"):
             quadrature_loglik(no_grid_transition, ys, Stationary(), nodes=101)
+        # the transition comes from the hook, not from the family's parameters
+        full = quadrature_loglik(ssm, ys, Stationary(), nodes=101)
+        assert quadrature_loglik(replace(ssm, ssm=None), ys, Stationary(), nodes=101) == full
 
 
 class TestForward:

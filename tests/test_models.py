@@ -71,6 +71,16 @@ class TestValidation:
             with pytest.raises(ValueError, match="Phi must be finite"):
                 GlmParams([[0.5, 0.0], [bad, 0.0]], np.eye(2), 1, 1)
 
+    def test_invalid_joint_chain_embedding_names_the_embedding(self):
+        # valid state-space models whose embedded R is singular in floating
+        # point (1e10 + 1e-8 == 1e10) or overflows to inf
+        for args, cause in (((0.5, 1.0, 1e10, 1e-8), "R must be positive definite"),
+                            ((0.5, 1e200, 1e200, 1.0), "R must be symmetric")):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="joint-chain embedding") as err:
+                scalar_ssm(*args)
+            assert isinstance(err.value.__cause__, ValueError)
+            assert str(err.value.__cause__) == cause
+
     def test_finite_rows_must_be_stochastic(self):
         with pytest.raises(ValueError):
             FiniteHmmParams([[0.5, 0.4], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]])
@@ -422,6 +432,67 @@ class TestHmmJointChain:
             assert g[i].tolist() == [hmm.g_logpdf(x, y) for y in ys.tolist()]
         for j, y in enumerate(ys.tolist()):
             assert np.array_equal(hmm.g_logpdf_many(xs, y), g[:, j])
+
+
+class TestSharedFormulas:
+    """The SV hooks are the shared samplers, and ``normal_logpdf`` is the hooks' Gaussian."""
+
+    def test_sv_hooks_draw_what_the_shared_samplers_draw(self):
+        params = SvParams(1.1, 0.4, 0.93)
+        spec = sv_spec(params)
+        hmm = spec.hmm
+        beta, sigma, phi, x_sd = params.beta, params.sigma, params.phi, np.sqrt(params.x_var)
+
+        def by_hooks(rng):
+            x = hmm.stationary_x_sample_many(50, rng)
+            x1 = hmm.qx_sample_many(x, rng)
+            s = hmm.qx_sample(0.3, rng)
+            return [x, x1, s, hmm.g_sample(s, rng), *spec.sample_stationary_many(40, rng)]
+
+        def by_samplers(rng):
+            x = models.sv_stationary_x_sample(params, 50, rng)
+            x1 = models.sv_qx_sample(params, x, rng)
+            s = models.sv_qx_sample(params, 0.3, rng)
+            g = models.sv_g_sample(params, s, rng)
+            x0 = models.sv_stationary_x_sample(params, 40, rng)
+            return [x, x1, s, g, x0[:, None], models.sv_g_sample(params, x0, rng)[:, None]]
+
+        def written_out(rng):
+            x = x_sd * rng.standard_normal(50)
+            x1 = phi * x + sigma * rng.standard_normal(50)
+            s = phi * 0.3 + sigma * rng.standard_normal()
+            g = beta * np.exp(s / 2.0) * rng.standard_normal()
+            x0 = x_sd * rng.standard_normal(40)
+            return [x, x1, s, g, x0[:, None], (beta * np.exp(x0 / 2.0) * rng.standard_normal(40))[:, None]]
+
+        for seed in range(5):
+            got = [np.asarray(v).tobytes() for v in by_hooks(rngmod.substream(seed, 0))]
+            assert got == [np.asarray(v).tobytes() for v in by_samplers(rngmod.substream(seed, 0))]
+            assert got == [np.asarray(v).tobytes() for v in written_out(rngmod.substream(seed, 0))]
+
+    def test_normal_logpdf_is_the_hooks_gaussian(self):
+        sv = SvParams(1.1, 0.4, 0.93)
+        sv_hmm = sv_spec(sv).hmm
+        ssm_hmm = scalar_ssm(0.7, 1.2, 0.8, 0.3).hmm
+        iid_hmm = iid_gaussian_spec(0.5, 2.0).hmm
+        xs = np.linspace(-6.0, 6.0, 41)
+        normal = models.normal_logpdf
+        assert np.array_equal(sv_hmm.qx_logpdf_many(xs[:, None], xs[None, :]),
+                              normal(xs[None, :] - sv.phi * xs[:, None], sv.sigma**2))
+        assert np.array_equal(ssm_hmm.qx_logpdf_many(xs[:, None], xs[None, :]),
+                              normal(xs[None, :] - 0.7 * xs[:, None], 0.8))
+        for y in xs.tolist():
+            assert np.array_equal(ssm_hmm.g_logpdf_many(xs, y), normal(y - 1.2 * xs, 0.3))
+        rng = np.random.default_rng(16)
+        for x, x1, y in (3.0 * rng.standard_normal((2000, 3))).tolist():
+            assert sv_hmm.qx_logpdf(x, x1) == float(normal(x1 - sv.phi * x, sv.sigma**2))
+            assert iid_hmm.g_logpdf(x, y) == float(normal(y - 0.5, 4.0))
+            # the Cholesky-based scalar hooks, and the standard normal that
+            # squares by multiplication, agree with it to rounding
+            for got, want in ((ssm_hmm.qx_logpdf(x, x1), normal(x1 - 0.7 * x, 0.8)),
+                              (ssm_hmm.g_logpdf(x, y), normal(y - 1.2 * x, 0.3)),
+                              (iid_hmm.qx_logpdf(x, x1), normal(x1, 1.0))):
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 class TestIidSpecialization:
