@@ -100,19 +100,20 @@ class HmmFactorization:
     """Factorized transition ``q(z, z') = qx(x, x') * g(x', y')``.
 
     ``qx`` is the hidden-chain transition density on X x X and ``g`` the
-    emission density on X x Y; both in the log domain. Batch variants act
-    on arrays of states: the particle filter needs ``qx_sample_many`` and
-    ``g_logpdf_many``, the quadrature ``g_logpdf_many`` and the broadcasting ``qx_logpdf_many``.
+    emission density on X x Y; both in the log domain. Every hook
+    broadcasts: it takes one state or an array of states and gives one
+    value (or draw) per state, the same value either way, and an array
+    draw consumes the generator as the scalar draws in turn would. A
+    scalar state is a plain number; a vector state of dimension ``p``
+    keeps a trailing axis of length ``p``. ``stationary_x_sample(n, rng)``
+    draws ``n`` states from the stationary hidden-state law.
     """
 
-    qx_logpdf: Callable[[float, float], float]
-    qx_sample: Callable[[float, np.random.Generator], float]
-    g_logpdf: Callable[[float, float], float]
-    g_sample: Optional[Callable[[float, np.random.Generator], float]] = None
-    qx_sample_many: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
-    g_logpdf_many: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
-    qx_logpdf_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    stationary_x_sample_many: Optional[Callable[[int, np.random.Generator], np.ndarray]] = None
+    qx_logpdf: Callable[[object, object], object]
+    qx_sample: Callable[[object, np.random.Generator], object]
+    g_logpdf: Callable[[object, object], object]
+    g_sample: Callable[[object, np.random.Generator], object]
+    stationary_x_sample: Callable[[int, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)

@@ -252,19 +252,12 @@ def delta_bar_hmm(
         samples = 0.5 * (ratio - 1.0 - np.log(ratio))
         return _finish_mc(samples, "mc")
     star_h, other_h = spec_star.hmm, spec_other.hmm
-    if star_h.stationary_x_sample_many is None or other_h.stationary_x_sample_many is None:
-        raise ValueError("both models must expose stationary hidden-state samplers")
-    xs = np.asarray(star_h.stationary_x_sample_many(draws, rng))
-    xo = np.asarray(other_h.stationary_x_sample_many(draws, rng))
-    if star_h.g_sample is None:
-        raise ValueError("inner Monte Carlo needs an emission sampler on the reference model")
-    samples = np.empty(draws)
-    for i in range(draws):
-        y = star_h.g_sample(xs[i], rng)
-        num = star_h.g_logpdf(xs[i], y)
-        den = other_h.g_logpdf(xo[i], y)
-        samples[i] = np.inf if den == -np.inf and num > -np.inf else num - den
-    return _finish_mc(samples, "mc")
+    xs = star_h.stationary_x_sample(draws, rng)
+    xo = other_h.stationary_x_sample(draws, rng)
+    y = star_h.g_sample(xs, rng)
+    num = star_h.g_logpdf(xs, y)
+    den = other_h.g_logpdf(xo, y)
+    return _finish_mc(np.where((den == -np.inf) & (num > -np.inf), np.inf, num - den), "mc")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ arrays of grid parameters.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,6 +56,11 @@ def _finite_obs(obs) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"observation {np.argwhere(~finite)[0][0]} is not finite")
     return obs
+
+
+def _check_size(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or value < 2:
+        raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
 
 
 def _obs_column(obs: np.ndarray, obs_dim: int) -> np.ndarray:
@@ -322,11 +328,8 @@ def enumeration_loglik(spec: ModelSpec, obs: np.ndarray, init) -> float:
 
 
 def _bpf_initial_particles(spec: ModelSpec, init, n_particles: int, rng: np.random.Generator):
-    hmm = spec.hmm
     if isinstance(init, Stationary):
-        if hmm.stationary_x_sample_many is None:
-            raise UnsupportedInitError("model has no stationary state sampler")
-        return np.asarray(hmm.stationary_x_sample_many(n_particles, rng))
+        return spec.hmm.stationary_x_sample(n_particles, rng)
     if isinstance(init, PointMass):
         x0 = np.atleast_1d(init.x)
         if x0.size == 1:
@@ -357,22 +360,20 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
     the within-run weight variances; it carries no replicate information.
     ``init`` is a law on the full (x, y) pair, but under the factorized
     transition only its hidden-state marginal affects the likelihood.
+    ``particles`` must be an integer >= 2.
     """
+    _check_size("particles", particles)
     if spec.hmm is None:
         raise ValueError("the particle filter needs an HMM factorization")
-    if particles < 2:
-        raise ValueError("particles must be >= 2")
     hmm = spec.hmm
-    if hmm.qx_sample_many is None or hmm.g_logpdf_many is None:
-        raise ValueError("the particle filter needs batch transition/emission hooks")
     ys = _obs_column(_finite_obs(obs), spec.obs_dim)
     rng = rngmod.substream(seed, rngmod.BPF, stream)
     x = _bpf_initial_particles(spec, init, particles, rng)
     total = 0.0
     var_log = 0.0
     for y in ys:
-        x = np.asarray(hmm.qx_sample_many(x, rng))
-        logw = np.asarray(hmm.g_logpdf_many(x, y if y.size > 1 else float(y[0])))
+        x = hmm.qx_sample(x, rng)
+        logw = hmm.g_logpdf(x, y if y.size > 1 else float(y[0]))
         m = logw.max()
         if not np.isfinite(m):
             return LogLik(-np.inf, len(ys), "bpf", flags=("zero_weights",))
@@ -413,11 +414,13 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     to cover a displaced initial condition), and the n-fold integral is
     accumulated one factor at a time in the log domain, which evaluates
     the full tensor-product rule without materializing the n-dimensional
-    grid. An HMM takes both factors from its spec's ``qx_logpdf_many``
-    and ``g_logpdf_many`` hooks and needs both; only the hidden-state
+    grid. An HMM takes both factors from its spec's broadcasting
+    ``qx_logpdf`` and ``g_logpdf`` hooks; only the hidden-state
     marginal of ``init`` matters for it. A linear model without an HMM
-    factorization integrates the full initial pair.
+    factorization integrates the full initial pair. ``nodes`` must be an
+    integer >= 2.
     """
+    _check_size("nodes", nodes)
     if spec.state_dim != 1:
         raise ValueError("quadrature supports one-dimensional hidden states only")
     ys = _obs_column(_finite_obs(obs), spec.obs_dim)
@@ -461,16 +464,12 @@ def _gh_nodes(mean: float, sd: float, n: int = 80) -> tuple[np.ndarray, np.ndarr
 
 
 def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, logw: np.ndarray) -> LogLik:
-    qx_logpdf_many, g_logpdf_many = spec.hmm.qx_logpdf_many, spec.hmm.g_logpdf_many
-    if g_logpdf_many is None:
-        raise ValueError("quadrature needs the batch emission density g_logpdf_many")
-    if qx_logpdf_many is None:
-        raise ValueError("quadrature needs the broadcasting transition density qx_logpdf_many")
+    qx_logpdf, g_logpdf = spec.hmm.qx_logpdf, spec.hmm.g_logpdf
     yvals = [float(y[0]) if y.size == 1 else y for y in ys]
     # first factor: integrate z0's state component against the initial law
     if isinstance(init, PointMass):
         x0 = float(np.atleast_1d(init.x)[0])
-        la = qx_logpdf_many(x0, grid)
+        la = qx_logpdf(x0, grid)
     else:
         if isinstance(init, Stationary):
             mean, sd = 0.0, _x_marginal_sd(spec)
@@ -479,21 +478,21 @@ def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
         else:
             raise UnsupportedInitError(f"unsupported initial distribution for quadrature: {type(init).__name__}")
         if sd == 0.0:
-            la = qx_logpdf_many(mean, grid)
+            la = qx_logpdf(mean, grid)
         else:
             x0n, w0 = _gh_nodes(mean, sd)
-            logm = qx_logpdf_many(x0n[:, None], grid[None, :]) + np.log(w0)[:, None]
+            logm = qx_logpdf(x0n[:, None], grid[None, :]) + np.log(w0)[:, None]
             mcol = logm.max(axis=0)
             la = mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
-    la = la + g_logpdf_many(grid, yvals[0])
+    la = la + g_logpdf(grid, yvals[0])
     if len(yvals) > 1:
-        trans = np.exp(qx_logpdf_many(grid[:, None], grid[None, :]))  # the same at every step
+        trans = np.exp(qx_logpdf(grid[:, None], grid[None, :]))  # the same at every step
     for y in yvals[1:]:
         m = la.max()
         alpha = np.exp(la + logw - m)
         v = alpha @ trans
         with np.errstate(divide="ignore"):
-            la = m + np.log(v) + g_logpdf_many(grid, y)
+            la = m + np.log(v) + g_logpdf(grid, y)
     total = _logsumexp(la + logw)
     return LogLik(total, len(yvals), "quadrature")
 

@@ -18,15 +18,19 @@ Four families are provided:
 
 The HMM families (``sv_spec``, ``finite_hmm_spec`` and the i.i.d.
 specialization ``iid_gaussian_spec``) declare only their factorization,
-an ``HmmFactorization`` of transition and emission hooks. Their
-joint-chain callables are derived from it in one place: the transition
-log density is ``qx_logpdf + g_logpdf``, a step draws ``x'`` and then
-``y'``, and a stationary pair draws ``x`` and then ``y``. Only this
-module writes out a family's formulas: the SV densities and samplers
-(``sv_qx_logpdf``, ``sv_g_logpdf``, ``sv_stationary_x_sample``,
-``sv_qx_sample``, ``sv_g_sample``) and the scalar ``normal_logpdf``
-broadcast over arrays, and the quadrature, divergences and audits call
-them or the spec's hooks (``qx_logpdf_many``, ``g_logpdf_many``).
+an ``HmmFactorization`` of five transition and emission hooks, each
+written once and broadcasting over states: a float and an array give
+the same value per state, and an array draw consumes the generator as
+the scalar draws in turn would. Their joint-chain callables are derived
+from the factorization in one place: the transition log density is
+``qx_logpdf + g_logpdf``, a step draws ``x'`` and then ``y'``, and a
+stationary pair draws ``x`` and then ``y``. ``ssm_spec`` attaches such
+a factorization to its linear-family spec. Only this module writes out a
+family's formulas: the SV densities and samplers (``sv_qx_logpdf``,
+``sv_g_logpdf``, ``sv_stationary_x_sample``, ``sv_qx_sample``,
+``sv_g_sample``) and the scalar ``normal_logpdf``, which the particle
+filter, quadrature, divergences and audits call directly or through the
+spec's hooks.
 
 Building a spec of the linear families does only what the exact
 evaluators need: the parameter records run every check (stability,
@@ -285,8 +289,12 @@ def _stationary_chol(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def normal_logpdf(dev, var):
-    """Log density ``log N(dev; 0, var)``; broadcasts over ``dev`` and ``var``."""
-    return -0.5 * (_LOG2PI + np.log(var) + dev**2 / var)  # on floats C pow, whose last bit can differ from dev * dev
+    """Log density ``log N(dev; 0, var)``; broadcasts over ``dev`` and ``var``.
+
+    It squares by multiplication: on Python floats ``dev**2`` is C ``pow``,
+    whose last bit can differ from the multiply numpy does on arrays.
+    """
+    return -0.5 * (_LOG2PI + np.log(var) + dev * dev / var)
 
 
 def _gaussian_logpdf(chol: np.ndarray, logdet: float, dev: np.ndarray) -> float:
@@ -349,16 +357,49 @@ def ssm_embed(params: SsmParams) -> GlmParams:
     Phi = np.zeros((p + q, p + q))
     Phi[:p, :p] = A
     Phi[p:, :p] = B @ A
-    BQz = B @ Qz
     R = np.empty((p + q, p + q))
-    R[:p, :p] = Qz
-    R[:p, p:] = Qz @ B.T
-    R[p:, :p] = BQz
-    R[p:, p:] = BQz @ B.T + Qx
+    with np.errstate(over="ignore"):  # an overflowed block is non-finite, which GlmParams rejects
+        BQz = B @ Qz
+        R[:p, :p] = Qz
+        R[:p, p:] = Qz @ B.T
+        R[p:, :p] = BQz
+        R[p:, p:] = BQz @ B.T + Qx
     try:
         return GlmParams(Phi=Phi, R=R, p=p, q=q)
     except ValueError as err:
         raise ValueError(f"the joint-chain embedding of this state-space model is invalid: {err}") from err
+
+
+def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int):
+    """Broadcasting log density and sampler of ``N(M x, cov)`` given states ``x``.
+
+    A scalar factor (``M`` is 1 x 1) is ``normal_logpdf`` and one line of
+    sampling. Otherwise a state has shape ``(..., p)``, or ``(...)`` when
+    ``p == 1``, the outcome keeps its trailing axis, and the Cholesky
+    factor of ``cov`` is computed on first use.
+    """
+    if M.shape == (1, 1):
+        m, var = float(M[0, 0]), float(cov[0, 0])
+        return (lambda x, v: normal_logpdf(v - m * x, var),
+                lambda x, rng: m * x + np.sqrt(var) * rng.standard_normal(np.shape(x)))
+    factors = _Once(_chol_logdet, cov)
+    d = M.shape[0]
+
+    def mean(x):
+        x = np.asarray(x, dtype=float)
+        return (x[..., None] if p == 1 else x) @ M.T
+
+    def logpdf(x, v):
+        dev = v - mean(x)
+        chol, logdet = factors()
+        u = np.linalg.solve(chol, dev.reshape(-1, d).T)
+        return (-0.5 * (d * _LOG2PI + logdet + np.sum(u * u, axis=0))).reshape(dev.shape[:-1])
+
+    def sample(x, rng):
+        mu = mean(x)
+        return mu + rng.standard_normal(mu.shape) @ factors()[0].T
+
+    return logpdf, sample
 
 
 def ssm_spec(params: SsmParams) -> ModelSpec:
@@ -366,63 +407,20 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
 
     The returned spec carries the embedded linear parameters (for the
     exact Kalman evaluator) and the HMM factorization
-    ``qx = N(Ax, Qzeta)``, ``g = N(Bx, Qxi)`` (for particle filtering).
-    The factors of ``Qzeta`` and ``Qxi`` and of the stationary x-marginal
-    are computed on first use.
+    ``qx = N(Ax, Qzeta)``, ``g = N(Bx, Qxi)`` (for particle filtering and
+    quadrature), each factor built by ``_linear_gaussian``. The stationary
+    x-marginal is computed on first use.
     """
     glm = ssm_embed(params)
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
-    p, q = params.p, params.q
-    qz_factors = _Once(_chol_logdet, Qz)
-    qx_factors = _Once(_chol_logdet, Qx)
+    p = params.p
     chol_gx = _Once(_stationary_chol, A, Qz)  # stationary x-marginal
 
-    def qx_logpdf(x, x_next) -> float:
-        return _gaussian_logpdf(*qz_factors(), np.atleast_1d(x_next) - A @ np.atleast_1d(x))
-
-    def qx_sample(x, rng):
-        return A @ np.atleast_1d(x) + qz_factors()[0] @ rng.standard_normal(p)
-
-    def g_logpdf(x, y) -> float:
-        return _gaussian_logpdf(*qx_factors(), np.atleast_1d(y) - B @ np.atleast_1d(x))
-
-    def g_sample(x, rng):
-        return B @ np.atleast_1d(x) + qx_factors()[0] @ rng.standard_normal(q)
-
-    a11 = float(A[0, 0])
-    b11 = float(B[0, 0])
-    qz11 = float(Qz[0, 0])
-    qx11 = float(Qx[0, 0])
-
-    def qx_sample_many(xs, rng):
-        xs = np.asarray(xs, dtype=float)
-        if p == 1 and xs.ndim == 1:
-            return a11 * xs + np.sqrt(qz11) * rng.standard_normal(xs.shape)
-        return xs.reshape(len(xs), p) @ A.T + rng.standard_normal((len(xs), p)) @ qz_factors()[0].T
-
-    def g_logpdf_many(xs, y):
-        xs = np.asarray(xs, dtype=float)
-        if p == 1 and q == 1 and xs.ndim == 1:
-            return normal_logpdf(float(np.atleast_1d(y)[0]) - b11 * xs, qx11)
-        dev = np.atleast_1d(y)[None, :] - xs.reshape(len(xs), p) @ B.T
-        chol_qx, logdet_qx = qx_factors()
-        u = np.linalg.solve(chol_qx, dev.T)
-        return -0.5 * (q * _LOG2PI + logdet_qx + np.sum(u * u, axis=0))
-
-    def stationary_x_sample_many(n, rng):
+    def stationary_x_sample(n, rng):
         draws = rng.standard_normal((n, p)) @ chol_gx().T
         return draws[:, 0] if p == 1 else draws
 
-    hmm = HmmFactorization(
-        qx_logpdf=qx_logpdf,
-        qx_sample=qx_sample,
-        g_logpdf=g_logpdf,
-        g_sample=g_sample,
-        qx_sample_many=qx_sample_many,
-        g_logpdf_many=g_logpdf_many,
-        qx_logpdf_many=(lambda x, x_next: normal_logpdf(x_next - a11 * x, qz11)) if p == 1 else None,
-        stationary_x_sample_many=stationary_x_sample_many,
-    )
+    hmm = HmmFactorization(*_linear_gaussian(A, Qz, p), *_linear_gaussian(B, Qx, p), stationary_x_sample)
     return dataclasses.replace(glm_spec(glm), hmm=hmm, ssm=params, label="ssm")
 
 
@@ -445,7 +443,7 @@ def _hmm_spec(hmm: HmmFactorization, **fields) -> ModelSpec:
 
     ``trans_logpdf`` is ``qx_logpdf + g_logpdf``; a step draws ``x'`` and
     then ``y'``; a stationary pair draws ``x`` from
-    ``stationary_x_sample_many`` and then ``y`` from ``g_sample``. The
+    ``stationary_x_sample`` and then ``y`` from ``g_sample``. The
     hooks receive states as Python floats, so finite families convert
     them back to indices. ``fields`` holds the remaining ``ModelSpec``
     fields: the family's parameters, its label and any batch sampler.
@@ -453,14 +451,14 @@ def _hmm_spec(hmm: HmmFactorization, **fields) -> ModelSpec:
 
     def trans_logpdf(z, z_next) -> float:
         x1 = _scalar(z_next[0])
-        return hmm.qx_logpdf(_scalar(z[0]), x1) + hmm.g_logpdf(x1, _scalar(z_next[1]))
+        return float(hmm.qx_logpdf(_scalar(z[0]), x1) + hmm.g_logpdf(x1, _scalar(z_next[1])))
 
     def sample_step(z, rng):
         x1 = hmm.qx_sample(_scalar(z[0]), rng)
         return (np.array([x1]), np.array([hmm.g_sample(x1, rng)]))
 
     def sample_stationary(rng):
-        x = hmm.stationary_x_sample_many(1, rng)[0]
+        x = hmm.stationary_x_sample(1, rng)[0]
         return (np.array([x]), np.array([hmm.g_sample(x, rng)]))
 
     return ModelSpec(
@@ -522,14 +520,11 @@ def sv_spec(params: SvParams) -> ModelSpec:
         return (xs[:, None], sv_g_sample(params, xs, rng)[:, None])
 
     hmm = HmmFactorization(
-        qx_logpdf=lambda x, x_next: float(sv_qx_logpdf(params, x, x_next)),
+        qx_logpdf=partial(sv_qx_logpdf, params),
         qx_sample=partial(sv_qx_sample, params),
-        g_logpdf=lambda x, y: float(sv_g_logpdf(params, x, y)),
+        g_logpdf=partial(sv_g_logpdf, params),
         g_sample=partial(sv_g_sample, params),
-        qx_sample_many=partial(sv_qx_sample, params),
-        g_logpdf_many=lambda xs, y: sv_g_logpdf(params, np.asarray(xs), float(y)),
-        qx_logpdf_many=partial(sv_qx_logpdf, params),
-        stationary_x_sample_many=partial(sv_stationary_x_sample, params),
+        stationary_x_sample=partial(sv_stationary_x_sample, params),
     )
     return _hmm_spec(hmm, sample_stationary_many=sample_stationary_many, sv=params, label="sv")
 
@@ -568,19 +563,19 @@ def finite_hmm_spec(params: FiniteHmmParams) -> ModelSpec:
     cum_pi = np.cumsum(pi_x)
     cumG = np.cumsum(params.G, axis=1)
 
-    def qx_sample_many(xs, rng):
-        xs = np.asarray(xs, dtype=int)
-        u = rng.random(xs.shape[0])
-        return (u[:, None] > cumP[xs]).sum(axis=1)
+    def idx(v):
+        return np.asarray(v, dtype=int)
+
+    def draw(cum, u):
+        # inverse CDF with searchsorted(side="right") semantics: u == 0.0 never lands on a zero-probability entry
+        return (u[..., None] >= cum).sum(-1)
 
     hmm = HmmFactorization(
-        qx_logpdf=lambda x, x_next: float(logP[int(x), int(x_next)]),
-        qx_sample=lambda x, rng: int(np.searchsorted(cumP[int(x)], rng.random(), side="right")),
-        g_logpdf=lambda x, y: float(logG[int(x), int(y)]),
-        g_sample=lambda x, rng: int(np.searchsorted(cumG[int(x)], rng.random(), side="right")),
-        qx_sample_many=qx_sample_many,
-        g_logpdf_many=lambda xs, y: logG[np.asarray(xs, dtype=int), int(y)],
-        stationary_x_sample_many=lambda n, rng: (rng.random(n)[:, None] > cum_pi[None, :]).sum(axis=1),
+        qx_logpdf=lambda x, x_next: logP[idx(x), idx(x_next)],
+        qx_sample=lambda x, rng: draw(cumP[idx(x)], rng.random(np.shape(x))),
+        g_logpdf=lambda x, y: logG[idx(x), idx(y)],
+        g_sample=lambda x, rng: draw(cumG[idx(x)], rng.random(np.shape(x))),
+        stationary_x_sample=lambda n, rng: draw(cum_pi, rng.random(n)),
     )
     return _hmm_spec(hmm, finite=params, label="finite_hmm")
 
@@ -599,12 +594,11 @@ def iid_gaussian_spec(mu: float, sd: float) -> ModelSpec:
     if sd <= 0.0:
         raise ValueError("sd must be positive")
     var = sd * sd
-    hmm = HmmFactorization(
-        # squared by multiplication, which ``normal_logpdf(x_next, 1.0)`` would move in the last bit
-        qx_logpdf=lambda x, x_next: float(-0.5 * (_LOG2PI + x_next * x_next)),
-        qx_sample=lambda x, rng: float(rng.standard_normal()),
-        g_logpdf=lambda x, y: float(normal_logpdf(y - mu, var)),
-        g_sample=lambda x, rng: float(mu + sd * rng.standard_normal()),
-        stationary_x_sample_many=lambda n, rng: rng.standard_normal(n),
+    hmm = HmmFactorization(  # the zeros give the state-free densities one value per state
+        qx_logpdf=lambda x, x_next: normal_logpdf(x_next, 1.0) + np.zeros(np.shape(x)),
+        qx_sample=lambda x, rng: rng.standard_normal(np.shape(x)),
+        g_logpdf=lambda x, y: normal_logpdf(y - mu, var) + np.zeros(np.shape(x)),
+        g_sample=lambda x, rng: mu + sd * rng.standard_normal(np.shape(x)),
+        stationary_x_sample=lambda n, rng: rng.standard_normal(n),
     )
     return _hmm_spec(hmm, label="iid_gaussian")

@@ -16,10 +16,12 @@ from pommkit import (
     glm_stationary_cov,
     iid_gaussian_spec,
     information_denseness_profile,
+    scalar_ssm,
     step_kld_mc,
     sv_spec,
     uniform_grid_1d,
 )
+from pommkit import rng as rngmod
 from pommkit.divergence import delta_bar_finite_exact, write_denseness_csv
 from tests.test_models import random_stable_glm
 
@@ -170,6 +172,22 @@ class TestEmissionLevelDivergence:
         emission = delta_bar_hmm(star, other, draws=20_000, seed=15)
         assert agrees(exact, full)
         assert agrees(exact, emission)
+
+    def test_generic_pairs_equal_a_per_draw_loop(self):
+        # one emission draw and two log densities per pair of states, in order
+        for star, other in ((iid_gaussian_spec(0.0, 1.0), iid_gaussian_spec(0.5, 1.3)),
+                            (scalar_ssm(0.6, 1.0, 1.0, 0.3), scalar_ssm(0.4, 1.2, 0.8, 0.5))):
+            rng = rngmod.substream(19, rngmod.KLD_OUTER, 1)
+            xs = star.hmm.stationary_x_sample(500, rng).tolist()
+            xo = other.hmm.stationary_x_sample(500, rng).tolist()
+            samples = []
+            for x, x_other in zip(xs, xo):
+                y = star.hmm.g_sample(x, rng)
+                samples.append(star.hmm.g_logpdf(x, y) - other.hmm.g_logpdf(x_other, y))
+            samples = np.array(samples)
+            est = delta_bar_hmm(star, other, draws=500, seed=19)
+            assert est.value == samples.mean()
+            assert est.se == samples.std(ddof=1) / np.sqrt(500)
 
     def test_iid_identity_is_zero(self):
         star = iid_gaussian_spec(1.0, 2.0)

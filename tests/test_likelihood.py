@@ -21,6 +21,7 @@ from pommkit import (
     forward_loglik,
     glm_spec,
     grid_increments,
+    iid_gaussian_spec,
     increments,
     kalman_increments,
     kalman_loglik,
@@ -34,6 +35,7 @@ from pommkit import (
 )
 from pommkit.core import UnsupportedInitError
 from pommkit.likelihood import forward_increments, ssm_kalman_increments, ssm_kalman_loglik
+from pommkit.models import normal_logpdf
 
 
 def simulated_obs(spec, n, seed, init=None):
@@ -110,14 +112,7 @@ class TestQuadratureOracle:
 
     def test_spec_without_vectorized_hooks_rejected(self):
         ys = np.array([0.3, -0.4])
-        sv = sv_spec(SvParams(1.0, 0.4, 0.9))
-        no_batch_emission = replace(sv, hmm=replace(sv.hmm, g_logpdf_many=None))
-        with pytest.raises(ValueError, match="g_logpdf_many"):
-            quadrature_loglik(no_batch_emission, ys, Stationary(), nodes=101)
         ssm = scalar_ssm(0.5)
-        no_grid_transition = replace(ssm, hmm=replace(ssm.hmm, qx_logpdf_many=None))
-        with pytest.raises(ValueError, match="qx_logpdf_many"):
-            quadrature_loglik(no_grid_transition, ys, Stationary(), nodes=101)
         # the transition comes from the hook, not from the family's parameters
         full = quadrature_loglik(ssm, ys, Stationary(), nodes=101)
         assert quadrature_loglik(replace(ssm, ssm=None), ys, Stationary(), nodes=101) == full
@@ -183,6 +178,17 @@ class TestParticleFilter:
         params = GlmParams(np.array([[0.5, 0.2], [0.1, 0.3]]), np.eye(2), 1, 1)
         with pytest.raises(ValueError):
             bpf_loglik(glm_spec(params), np.array([0.1]), Stationary(), 256, seed=0)
+
+    def test_exact_on_iid_model(self):
+        # the emission ignores the state, so every particle carries the same
+        # weight and the filter adds the emission log densities in order
+        mu, sd = 0.5, 1.5
+        spec = iid_gaussian_spec(mu, sd)
+        ys = simulated_obs(spec, 200, seed=7)
+        want = np.cumsum(normal_logpdf(ys[:, 0] - mu, sd**2))[-1]
+        for init in (Stationary(), PointMass(0.3, 0.0)):
+            ll = bpf_loglik(spec, ys, init, particles=64, seed=3)
+            assert ll.value == want and ll.se == 0.0
 
     def test_all_zero_weights_flagged(self):
         # symbol 1 is impossible under every state: weights vanish at step 2
@@ -299,6 +305,18 @@ class TestDispatch:
             loglik(spec, ys, Stationary(), "exact")
         with pytest.raises(TypeError):
             loglik(spec, ys, Stationary(), "bpf", particle=3)
+        # sizes must be integers >= 2, named when they are not
+        for bad in (1, 0, -3, 2001.0, 100.0, "512", None, True):
+            with pytest.raises(ValueError, match="nodes must be an integer >= 2"):
+                loglik(spec, ys, Stationary(), "quadrature", nodes=bad)
+            with pytest.raises(ValueError, match="nodes must be an integer >= 2"):
+                quadrature_loglik(spec, np.empty(0), Stationary(), bad)
+            with pytest.raises(ValueError, match="particles must be an integer >= 2"):
+                loglik(spec, ys, Stationary(), "bpf", particles=bad)
+            with pytest.raises(ValueError, match="particles must be an integer >= 2"):
+                bpf_loglik(spec, ys, Stationary(), bad, seed=0)
+        assert np.isfinite(loglik(spec, ys, Stationary(), "quadrature", nodes=np.int64(2)).value)
+        assert np.isfinite(loglik(spec, ys, Stationary(), "bpf", particles=np.int64(2)).value)
 
     def test_non_finite_observations_rejected(self):
         spec = scalar_ssm(0.5)

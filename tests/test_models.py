@@ -1,7 +1,11 @@
 """Model families: validation, embeddings, stationary laws, densities."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pommkit import (
     FiniteHmmParams,
@@ -76,8 +80,10 @@ class TestValidation:
         # point (1e10 + 1e-8 == 1e10) or overflows to inf
         for args, cause in (((0.5, 1.0, 1e10, 1e-8), "R must be positive definite"),
                             ((0.5, 1e200, 1e200, 1.0), "R must be symmetric")):
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="joint-chain embedding") as err:
-                scalar_ssm(*args)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # rejected without a numpy overflow warning
+                with pytest.raises(ValueError, match="joint-chain embedding") as err:
+                    scalar_ssm(*args)
             assert isinstance(err.value.__cause__, ValueError)
             assert str(err.value.__cause__) == cause
 
@@ -157,7 +163,7 @@ class TestLazyFactors:
                 got = spec.sample_stationary(rngmod.substream(2, 0))
                 want = chol(stationary_cov(glm.Phi, glm.R)) @ rngmod.substream(2, 0).standard_normal(d)
                 assert np.concatenate(got).tobytes() == want.tobytes()
-                got = spec.hmm.stationary_x_sample_many(20, rngmod.substream(3, 0))
+                got = spec.hmm.stationary_x_sample(20, rngmod.substream(3, 0))
                 want = rngmod.substream(3, 0).standard_normal((20, p)) @ chol(stationary_cov(ssm.A, ssm.Qzeta)).T
                 assert np.asarray(got).tobytes() == (want[:, 0] if p == 1 else want).tobytes()
                 got = spec.sample_step(z, rngmod.substream(4, 0))
@@ -297,7 +303,7 @@ class TestStochasticVolatility:
         spec = sv_spec(SvParams(1.3, 0.5, 0.6))
         y = 2.0
         xs = np.linspace(-60.0, 60.0, 240_001)
-        vals = np.exp(spec.hmm.g_logpdf_many(xs, y))
+        vals = np.exp(spec.hmm.g_logpdf(xs, y))
         integral = np.trapezoid(vals, xs)
         assert abs(integral - 1.0 / abs(y)) < 1e-6
 
@@ -305,7 +311,7 @@ class TestStochasticVolatility:
         spec = sv_spec(SvParams(1.3, 0.5, 0.6))
         y = 1.0
         xs = np.linspace(-30.0, 30.0, 200_001)
-        sup = np.exp(spec.hmm.g_logpdf_many(xs, y)).max()
+        sup = np.exp(spec.hmm.g_logpdf(xs, y)).max()
         target = 1.0 / (abs(y) * np.sqrt(2 * np.pi * np.e))
         assert abs(sup - target) < 1e-8
 
@@ -323,6 +329,18 @@ class TestFiniteHmm:
     def test_symmetric_stationary(self):
         params = FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]])
         np.testing.assert_allclose(finite_hmm_stationary(params), [0.5, 0.5])
+
+    def test_zero_probability_entries_never_drawn(self):
+        class ZeroUniforms:  # the smallest uniform a generator can return, every time
+            def random(self, shape=None):
+                return np.zeros(shape)
+
+        P = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+        hmm = finite_hmm_spec(FiniteHmmParams(P, [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])).hmm
+        states = np.array([0, 1, 2])
+        assert hmm.qx_sample(states, ZeroUniforms()).tolist() == [1, 0, 0]
+        assert hmm.g_sample(states, ZeroUniforms()).tolist() == [1, 0, 0]
+        assert hmm.qx_sample(0, ZeroUniforms()) == 1
 
     def test_stationary_fixed_point(self):
         rng = np.random.default_rng(7)
@@ -407,7 +425,7 @@ class TestHmmJointChain:
             for seed in range(5):
                 got = spec.sample_stationary(rngmod.substream(seed, 0))
                 rng = rngmod.substream(seed, 0)
-                x = hmm.stationary_x_sample_many(1, rng)[0]
+                x = hmm.stationary_x_sample(1, rng)[0]
                 want = (np.array([x]), np.array([hmm.g_sample(x, rng)]))
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
                 z = got
@@ -431,7 +449,7 @@ class TestHmmJointChain:
             assert qx[i].tolist() == [hmm.qx_logpdf(x, x1) for x1 in xs.tolist()]
             assert g[i].tolist() == [hmm.g_logpdf(x, y) for y in ys.tolist()]
         for j, y in enumerate(ys.tolist()):
-            assert np.array_equal(hmm.g_logpdf_many(xs, y), g[:, j])
+            assert np.array_equal(hmm.g_logpdf(xs, y), g[:, j])
 
 
 class TestSharedFormulas:
@@ -444,8 +462,8 @@ class TestSharedFormulas:
         beta, sigma, phi, x_sd = params.beta, params.sigma, params.phi, np.sqrt(params.x_var)
 
         def by_hooks(rng):
-            x = hmm.stationary_x_sample_many(50, rng)
-            x1 = hmm.qx_sample_many(x, rng)
+            x = hmm.stationary_x_sample(50, rng)
+            x1 = hmm.qx_sample(x, rng)
             s = hmm.qx_sample(0.3, rng)
             return [x, x1, s, hmm.g_sample(s, rng), *spec.sample_stationary_many(40, rng)]
 
@@ -477,22 +495,67 @@ class TestSharedFormulas:
         iid_hmm = iid_gaussian_spec(0.5, 2.0).hmm
         xs = np.linspace(-6.0, 6.0, 41)
         normal = models.normal_logpdf
-        assert np.array_equal(sv_hmm.qx_logpdf_many(xs[:, None], xs[None, :]),
+        assert np.array_equal(sv_hmm.qx_logpdf(xs[:, None], xs[None, :]),
                               normal(xs[None, :] - sv.phi * xs[:, None], sv.sigma**2))
-        assert np.array_equal(ssm_hmm.qx_logpdf_many(xs[:, None], xs[None, :]),
+        assert np.array_equal(ssm_hmm.qx_logpdf(xs[:, None], xs[None, :]),
                               normal(xs[None, :] - 0.7 * xs[:, None], 0.8))
         for y in xs.tolist():
-            assert np.array_equal(ssm_hmm.g_logpdf_many(xs, y), normal(y - 1.2 * xs, 0.3))
+            assert np.array_equal(ssm_hmm.g_logpdf(xs, y), normal(y - 1.2 * xs, 0.3))
         rng = np.random.default_rng(16)
         for x, x1, y in (3.0 * rng.standard_normal((2000, 3))).tolist():
-            assert sv_hmm.qx_logpdf(x, x1) == float(normal(x1 - sv.phi * x, sv.sigma**2))
-            assert iid_hmm.g_logpdf(x, y) == float(normal(y - 0.5, 4.0))
-            # the Cholesky-based scalar hooks, and the standard normal that
-            # squares by multiplication, agree with it to rounding
-            for got, want in ((ssm_hmm.qx_logpdf(x, x1), normal(x1 - 0.7 * x, 0.8)),
-                              (ssm_hmm.g_logpdf(x, y), normal(y - 1.2 * x, 0.3)),
-                              (iid_hmm.qx_logpdf(x, x1), normal(x1, 1.0))):
-                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+            assert sv_hmm.qx_logpdf(x, x1) == normal(x1 - sv.phi * x, sv.sigma**2)
+            assert iid_hmm.g_logpdf(x, y) == normal(y - 0.5, 4.0)
+            assert ssm_hmm.qx_logpdf(x, x1) == normal(x1 - 0.7 * x, 0.8)
+            assert ssm_hmm.g_logpdf(x, y) == normal(y - 1.2 * x, 0.3)
+            assert iid_hmm.qx_logpdf(x, x1) == normal(x1, 1.0)
+
+
+def random_hmm_spec(family, seed):
+    """An HMM spec of ``family`` with parameters drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform
+    if family == "sv":
+        return sv_spec(SvParams(u(0.1, 3.0), u(0.05, 2.0), u(-0.99, 0.99)))
+    if family == "ssm":
+        return scalar_ssm(u(-0.99, 0.99), u(-3.0, 3.0), u(0.01, 5.0), u(0.01, 5.0))
+    if family == "iid":
+        return iid_gaussian_spec(u(-3.0, 3.0), u(0.1, 3.0))
+    k, m = rng.integers(2, 5, size=2)
+    # zero entries in P and G exercise -inf densities and zero-probability draws
+    P, G = (rng.dirichlet(np.ones(c), size=k) * (rng.random((k, c)) > 0.3) for c in (k, m))
+    P[:, 0] += 1e-3
+    G[:, 0] += 1e-3
+    return finite_hmm_spec(FiniteHmmParams(P / P.sum(1, keepdims=True), G / G.sum(1, keepdims=True)))
+
+
+class TestBroadcastingHooks:
+    """Every hook gives the same bits on one state as on an array of states."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["sv", "ssm", "finite", "iid"]), seed=st.integers(0, 2**32 - 1))
+    def test_scalar_call_equals_array_entry(self, family, seed):
+        spec = random_hmm_spec(family, seed)
+        hmm = spec.hmm
+        rng = np.random.default_rng(seed)
+        if family == "finite":
+            k, m = spec.finite.G.shape
+            x, x1, y = rng.integers(0, [[k], [k], [m]], (3, 500))
+        else:
+            x, x1, y = 3.0 * rng.standard_normal((3, 500))
+        for hook, a, b in ((hmm.qx_logpdf, x, x1), (hmm.g_logpdf, x, y)):
+            batch = hook(a, b)
+            for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+                assert np.asarray(hook(ai, bi)).tobytes() == batch[i].tobytes()
+        for draw_batch, draw_one in (
+            (lambda r: hmm.qx_sample(x, r), lambda r: [hmm.qx_sample(v, r) for v in x.tolist()]),
+            (lambda r: hmm.g_sample(x, r), lambda r: [hmm.g_sample(v, r) for v in x.tolist()]),
+            (lambda r: hmm.stationary_x_sample(500, r), lambda r: [hmm.stationary_x_sample(1, r)[0] for _ in x]),
+        ):
+            r_batch, r_one = rngmod.substream(seed % 1000, 0), rngmod.substream(seed % 1000, 0)
+            batch = draw_batch(r_batch)
+            assert batch.shape == (500,)
+            assert np.array(draw_one(r_one), dtype=batch.dtype).tobytes() == batch.tobytes()
+            assert r_batch.random() == r_one.random()  # the same stream consumed
 
 
 class TestIidSpecialization:
