@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .core import ModelSpec
+from .core import _BLOCK_FLOATS, ModelSpec, _check_size
 from .models import SvParams, sv_g_logpdf, sv_g_sample, sv_qx_logpdf, sv_qx_sample, sv_stationary_x_sample
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -221,7 +221,9 @@ def sv_block_density(params: SvParams, x0: float, y1: float, y2: float) -> float
     w1[0] = w1[-1] = w1[0] / 2.0
     w2 = np.full(nodes, g2[1] - g2[0])
     w2[0] = w2[-1] = w2[0] / 2.0
-    inner = np.exp(sv_qx_logpdf(params, g1[:, None], g2[None, :]) + sv_g_logpdf(params, g2, y2)[None, :]) @ w2
+    kernel = sv_qx_logpdf(params, g1[:, None], g2[None, :])
+    kernel += sv_g_logpdf(params, g2, y2)[None, :]
+    inner = np.exp(kernel, out=kernel) @ w2
     outer = np.exp(sv_qx_logpdf(params, x0, g1) + sv_g_logpdf(params, g1, y1)) * inner
     return float(outer @ w1)
 
@@ -233,7 +235,9 @@ def envelope_validity_audit(box: SvThetaBox, draws: int, seed: int) -> AuditRepo
     bounded slice, phi uniform), together with an initial state and a
     stationary observation pair, and verifies
     ``D_{theta, x0}(y) <= envelope(theta, y) + slack`` on every draw.
+    ``draws`` must be an integer >= 2.
     """
+    _check_size("draws", draws)
     rng = rngmod.substream(seed, rngmod.AUDIT, 1)
     beta_hi = box.beta_lo * 100.0
     sigma_hi = box.sigma_hi if np.isfinite(box.sigma_hi) else box.sigma_lo * 25.0
@@ -290,8 +294,10 @@ def tightness_audit_sv(
     compact set ``C_m``, for each ``m`` (it should fall towards zero as
     ``m`` grows), and (ii) the sample mean of ``log+ psup`` over the whole
     box with a confidence interval (it should be finite and stable). Both
-    are estimates by nature, never pass/fail.
+    are estimates by nature, never pass/fail. ``sims`` must be an integer
+    >= 2.
     """
+    _check_size("sims", sims)
     rng = rngmod.substream(seed, rngmod.AUDIT, 2)
     y1, y2 = _simulate_sv_blocks(params_star, sims, rng)
     max_per_m = []
@@ -374,15 +380,24 @@ def sv_marginal_y_logpdf(params: SvParams, ys: np.ndarray) -> np.ndarray:
     """log density of one stationary observation, by Gauss-Hermite mixing.
 
     ``Y = beta e^{X/2} U`` with ``X ~ N(0, v)``: the density is the
-    normal scale mixture ``E_X[ N(y; 0, beta^2 e^X) ]``.
+    normal scale mixture ``E_X[ N(y; 0, beta^2 e^X) ]``, taken as a
+    log-sum-exp over the nodes. The draws go through in row blocks, so
+    the working set is one block of about 0.5 MB (a few hundred draws by
+    ``_MARGINAL_GH_NODES``) besides the output, however many draws there are.
     """
     t, w = np.polynomial.hermite.hermgauss(_MARGINAL_GH_NODES)
     xs = np.sqrt(2.0 * params.x_var) * t
     lw = np.log(w / np.sqrt(np.pi))
     ys = np.asarray(ys, dtype=float)
-    comp = sv_g_logpdf(params, xs[None, :], ys[:, None]) + lw[None, :]
-    m = comp.max(axis=1)
-    return m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
+    out = np.empty(len(ys))
+    rows = _BLOCK_FLOATS // _MARGINAL_GH_NODES
+    for i in range(0, len(ys), rows):
+        comp = sv_g_logpdf(params, xs[None, :], ys[i : i + rows, None])
+        comp += lw
+        m = comp.max(axis=1)
+        comp -= m[:, None]
+        out[i : i + rows] = m + np.log(np.exp(comp, out=comp).sum(axis=1))
+    return out
 
 
 def b6_jensen_floor_sv(params: SvParams) -> tuple[float, float]:
@@ -414,8 +429,9 @@ def b6_entropy_floor_sv(params_star: SvParams, draws: int, seed: int) -> AuditRe
     The estimate averages the exact (quadrature) marginal log density
     over stationary draws of the observation; finiteness and the margin
     above the closed-form floor certify the conditional-entropy
-    condition at horizon one.
+    condition at horizon one. ``draws`` must be an integer >= 2.
     """
+    _check_size("draws", draws)
     rng = rngmod.substream(seed, rngmod.AUDIT, 3)
     ys = sv_g_sample(params_star, sv_stationary_x_sample(params_star, draws, rng), rng)
     vals = sv_marginal_y_logpdf(params_star, ys)

@@ -22,6 +22,11 @@ from . import rng as rngmod
 
 Z = tuple  # a state-observation pair (x, y)
 
+# float64 entries per block of a dense kernel built in row blocks (512 KB,
+# a quarter of a 2 MB L2 cache): audit.sv_marginal_y_logpdf and the
+# quadrature's transition kernel
+_BLOCK_FLOATS = 1 << 16
+
 
 class NoStationarySamplerError(ValueError):
     """Stationary initialization requested from a model without one."""
@@ -227,6 +232,12 @@ def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) 
     if isinstance(init, CustomInit):
         return init.sampler(rng)
     raise TypeError(f"unknown initial distribution {init!r}")
+
+
+def _check_size(name: str, value) -> None:
+    """Reject a node, particle or draw count that is not an integer >= 2."""
+    if not isinstance(value, numbers.Integral) or value < 2:
+        raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
 
 
 def _chol_psd(cov: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .core import ModelSpec
+from .core import ModelSpec, _check_size
 from .models import FiniteHmmParams, GlmParams, SvParams, finite_hmm_stationary, glm_stationary_cov
 from .models import sv_g_logpdf, sv_g_sample, sv_qx_logpdf, sv_qx_sample, sv_stationary_x_sample
 
@@ -75,8 +75,10 @@ def step_kld_mc(
     When both transition kernels are Gaussian the inner KLD is evaluated
     in closed form; otherwise (or with ``inner="logratio"``) the estimate
     averages the log density ratio at ``z_1`` drawn from the reference
-    kernel. Both routes return a standard error.
+    kernel. Both routes return a standard error. ``draws`` must be an
+    integer >= 2.
     """
+    _check_size("draws", draws)
     if inner not in ("auto", "closed", "logratio"):
         raise ValueError(f"unknown inner mode {inner!r}")
     if spec_star.sample_stationary is None:
@@ -237,8 +239,9 @@ def delta_bar_hmm(
     closed-form KLD between the two conditional Gaussian emissions. Any
     other HMM pair is estimated by Monte Carlo: pairs ``(x, x')`` are
     drawn from the product of stationary marginals and the inner emission
-    KLD is a single-draw log ratio.
+    KLD is a single-draw log ratio. ``draws`` must be an integer >= 2.
     """
+    _check_size("draws", draws)
     if spec_star.hmm is None or spec_other.hmm is None:
         raise ValueError("the emission-level divergence needs HMM factorizations on both sides")
     if spec_star.finite is not None and spec_other.finite is not None:

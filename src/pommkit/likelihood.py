@@ -17,14 +17,13 @@ arrays of grid parameters.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import rng as rngmod
-from .core import GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _chol_psd
+from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_size, _chol_psd
 from .models import glm_stationary_cov, stationary_cov
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -56,11 +55,6 @@ def _finite_obs(obs) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"observation {np.argwhere(~finite)[0][0]} is not finite")
     return obs
-
-
-def _check_size(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or value < 2:
-        raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
 
 
 def _obs_column(obs: np.ndarray, obs_dim: int) -> np.ndarray:
@@ -419,6 +413,10 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     marginal of ``init`` matters for it. A linear model without an HMM
     factorization integrates the full initial pair. ``nodes`` must be an
     integer >= 2.
+
+    The working set is one ``nodes x nodes`` transition kernel (32 MB at
+    2001 nodes), filled in place by row blocks of about 0.5 MB, so no
+    full-size temporary exists besides it.
     """
     _check_size("nodes", nodes)
     if spec.state_dim != 1:
@@ -485,8 +483,11 @@ def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
             mcol = logm.max(axis=0)
             la = mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
     la = la + g_logpdf(grid, yvals[0])
-    if len(yvals) > 1:
-        trans = np.exp(qx_logpdf(grid[:, None], grid[None, :]))  # the same at every step
+    if len(yvals) > 1:  # the kernel is the same at every step; its rows are built block by block
+        trans = np.empty((len(grid), len(grid)))
+        rows = max(1, _BLOCK_FLOATS // len(grid))
+        for i in range(0, len(grid), rows):
+            np.exp(qx_logpdf(grid[i : i + rows, None], grid[None, :]), out=trans[i : i + rows])
     for y in yvals[1:]:
         m = la.max()
         alpha = np.exp(la + logw - m)
@@ -540,7 +541,8 @@ def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
         z_next = np.column_stack([grid, np.full(len(grid), yvals[k])])
         m = la.max()
         alpha = np.exp(la + logw - m)
-        trans = np.exp(log_q(z_prev, z_next))
+        trans = log_q(z_prev, z_next)
+        np.exp(trans, out=trans)
         with np.errstate(divide="ignore"):
             la = m + np.log(alpha @ trans)
     return LogLik(_logsumexp(la + logw), len(yvals), "quadrature")

@@ -293,8 +293,15 @@ def normal_logpdf(dev, var):
 
     It squares by multiplication: on Python floats ``dev**2`` is C ``pow``,
     whose last bit can differ from the multiply numpy does on arrays.
+    The value is ``-0.5 * (log(2 pi) + log(var) + dev * dev / var)``,
+    computed in that order; the quotient is a fresh float buffer of the
+    broadcast shape, and the rest updates it in place. Python floats give
+    a numpy scalar.
     """
-    return -0.5 * (_LOG2PI + np.log(var) + dev * dev / var)
+    q = dev * dev / var
+    q += _LOG2PI + np.log(var)
+    q *= -0.5
+    return q
 
 
 def _gaussian_logpdf(chol: np.ndarray, logdet: float, dev: np.ndarray) -> float:
@@ -486,9 +493,19 @@ def sv_qx_logpdf(params: SvParams, x, x_next):
 
 
 def sv_g_logpdf(params: SvParams, x, y):
-    """SV emission log density ``log N(y; 0, beta^2 e^x)``; broadcasts over ``x`` and ``y``."""
+    """SV emission log density ``log N(y; 0, beta^2 e^x)``; broadcasts over ``x`` and ``y``.
+
+    The value is ``-0.5 * (log(2 pi) + log(beta^2) + x + y * y * exp(-x) / beta^2)``,
+    computed in that order; the terms in ``x`` alone take ``x``'s shape,
+    and the rest goes into one fresh buffer of the broadcast shape,
+    updated in place.
+    """
     b2 = params.beta**2
-    return -0.5 * (_LOG2PI + np.log(b2) + x + y * y * np.exp(-x) / b2)
+    q = y * y * np.exp(-x)
+    q /= b2
+    q += _LOG2PI + np.log(b2) + x
+    q *= -0.5
+    return q
 
 
 def sv_stationary_x_sample(params: SvParams, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -553,15 +570,26 @@ def finite_hmm_stationary(params: FiniteHmmParams) -> np.ndarray:
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
+def _inverse_cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, with each row's total raised to ``+inf``.
+
+    A row may sum to just under 1, so a uniform draw can reach its total;
+    with the last positive entry (and the zero entries after it) at
+    ``+inf``, such a draw lands on the row's last positive-probability
+    state instead of one past the end. Draws below the total are unchanged.
+    """
+    cum = np.cumsum(p, axis=-1)
+    cum[cum >= cum[..., -1:]] = np.inf
+    return cum
+
+
 def finite_hmm_spec(params: FiniteHmmParams) -> ModelSpec:
     """Finite HMM with exact stationary law ``pi(x, y) = piX(x) G[x, y]``."""
     pi_x = finite_hmm_stationary(params)
     with np.errstate(divide="ignore"):
         logP = np.log(params.P)
         logG = np.log(params.G)
-    cumP = np.cumsum(params.P, axis=1)
-    cum_pi = np.cumsum(pi_x)
-    cumG = np.cumsum(params.G, axis=1)
+    cumP, cum_pi, cumG = _inverse_cdf(params.P), _inverse_cdf(pi_x), _inverse_cdf(params.G)
 
     def idx(v):
         return np.asarray(v, dtype=int)

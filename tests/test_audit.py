@@ -1,6 +1,7 @@
 """Assumption auditors: envelopes, integrability, subadditivity, positivity."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from pommkit import (
 from pommkit import rng as rngmod
 from pommkit.audit import b6_sufficient_integral_sv, b6_entropy_floor_sv, sv_marginal_y_logpdf, write_audit_jsonl
 from pommkit.models import sv_g_sample, sv_qx_sample, sv_stationary_x_sample
-from tests.test_models import random_stable_glm
+from tests.test_models import one_expression_normal, one_expression_sv_g, random_stable_glm
 
 STAR = SvParams(beta=1.0, sigma=0.3, phi=0.9)
 BOX = SvThetaBox(beta_lo=0.1, sigma_lo=0.1, phi_hi=0.95, sigma_hi=2.5)
@@ -126,6 +127,55 @@ class TestAuditDraws:
         rng = rngmod.substream(seed, rngmod.AUDIT, 3)
         ys = sv_g_sample(STAR, sv_stationary_x_sample(STAR, draws, rng), rng)
         assert rep.statistic == float(sv_marginal_y_logpdf(STAR, ys).mean())
+
+
+def one_expression_sv_qx(params, x, x_next):
+    return one_expression_normal(x_next - params.phi * x, params.sigma**2)
+
+
+class TestBlockedKernels:
+    """The row-blocked, in-place kernels give the bits of the one-shot formulas they replaced."""
+
+    def test_marginal_matches_one_shot(self):
+        for params in (STAR, SvParams(0.7, 0.45, -0.6)):
+            t, w = np.polynomial.hermite.hermgauss(201)
+            xs = np.sqrt(2.0 * params.x_var) * t
+            lw = np.log(w / np.sqrt(np.pi))
+            ys = 2.0 * np.random.default_rng(31).standard_normal(1037)  # not a multiple of the block
+            for n in (1037, 1, 0):
+                comp = one_expression_sv_g(params, xs[None, :], ys[:n, None]) + lw[None, :]
+                m = comp.max(axis=1)
+                want = m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
+                got = sv_marginal_y_logpdf(params, ys[:n])
+                assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
+    def test_block_density_matches_one_shot(self):
+        nodes, span = 241, 9.0
+        for params, x0, y1, y2 in (
+            (STAR, 0.3, 0.5, -1.2),
+            (SvParams(0.5, 0.8, -0.7), -1.1, 2.0, 0.1),
+            (SvParams(2.0, 0.2, 0.0), 0.0, -0.4, 0.9),
+            (SvParams(0.3, 1.5, -0.95), 2.5, 0.05, -3.0),
+        ):
+            phi, sigma = params.phi, params.sigma
+            g1 = np.linspace(phi * x0 - span * sigma, phi * x0 + span * sigma, nodes)
+            g2 = np.linspace(phi * g1[0 if phi >= 0 else -1] - span * sigma, phi * g1[-1 if phi >= 0 else 0] + span * sigma, nodes)
+            w1, w2 = np.full(nodes, g1[1] - g1[0]), np.full(nodes, g2[1] - g2[0])
+            w1[0] = w1[-1] = w1[0] / 2.0
+            w2[0] = w2[-1] = w2[0] / 2.0
+            inner = np.exp(one_expression_sv_qx(params, g1[:, None], g2[None, :]) + one_expression_sv_g(params, g2, y2)[None, :]) @ w2
+            outer = np.exp(one_expression_sv_qx(params, x0, g1) + one_expression_sv_g(params, g1, y1)) * inner
+            assert sv_block_density(params, x0, y1, y2) == float(outer @ w1)
+
+    def test_entropy_floor_allocates_one_block_not_one_matrix(self):
+        # the one-shot marginal held a 100,000 x 201 matrix several times over (484 MB traced)
+        tracemalloc.start()
+        try:
+            b6_entropy_floor_sv(STAR, draws=100_000, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestPriorIntegrability:

@@ -155,6 +155,11 @@ class TestCli:
         assert cli.main(args) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
+    def test_audit_rejects_too_few_sims(self):
+        for assumption, name in (("B5", "sims"), ("B6", "draws"), ("envelope", "draws"), ("all", "sims")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 2, got 0"):
+                cli.main(["audit", "--assumption", assumption, "--family", "sv", "--sims", "0"])
+
     def test_experiment_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         rc = cli.main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -14,9 +14,13 @@ from pommkit import (
     SsmParams,
     Stationary,
     SvParams,
+    SvThetaBox,
+    b6_audit_sv,
     bpf_loglik,
     conditional_entropy_sequence,
+    delta_bar_hmm,
     enumeration_loglik,
+    envelope_validity_audit,
     finite_hmm_spec,
     forward_loglik,
     glm_spec,
@@ -31,11 +35,15 @@ from pommkit import (
     scalar_ssm,
     simulate_complete,
     ssm_spec,
+    step_kld_mc,
     sv_spec,
+    tightness_audit_sv,
 )
+from pommkit.audit import b6_entropy_floor_sv
 from pommkit.core import UnsupportedInitError
 from pommkit.likelihood import forward_increments, ssm_kalman_increments, ssm_kalman_loglik
-from pommkit.models import normal_logpdf
+from pommkit.models import glm_stationary_cov, normal_logpdf
+from tests.test_models import one_expression_normal, one_expression_sv_g
 
 
 def simulated_obs(spec, n, seed, init=None):
@@ -116,6 +124,59 @@ class TestQuadratureOracle:
         # the transition comes from the hook, not from the family's parameters
         full = quadrature_loglik(ssm, ys, Stationary(), nodes=101)
         assert quadrature_loglik(replace(ssm, ssm=None), ys, Stationary(), nodes=101) == full
+
+
+def one_shot_quadrature(qx, g, sd, ys, x0=None, nodes=2001):
+    """The quadrature of an HMM with its whole transition kernel exponentiated in one expression."""
+    c = 0.0 if x0 is None else x0
+    grid = np.linspace(min(0.0, c) - 8.0 * sd - abs(c), max(0.0, c) + 8.0 * sd + abs(c), nodes)
+    w = np.full(nodes, grid[1] - grid[0])
+    w[0] = w[-1] = w[0] / 2.0
+    logw = np.log(w)
+    if x0 is None:
+        t, wh = np.polynomial.hermite.hermgauss(80)
+        logm = qx((0.0 + np.sqrt(2.0) * sd * t)[:, None], grid[None, :]) + np.log(wh / np.sqrt(np.pi))[:, None]
+        mcol = logm.max(axis=0)
+        la = mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
+    else:
+        la = qx(x0, grid)
+    la = la + g(grid, ys[0])
+    trans = np.exp(qx(grid[:, None], grid[None, :]))
+    for y in ys[1:]:
+        m = la.max()
+        v = np.exp(la + logw - m) @ trans
+        la = m + np.log(v) + g(grid, y)
+    v = la + logw
+    return float(v.max() + np.log(np.exp(v - v.max()).sum()))
+
+
+class TestBlockedQuadratureKernel:
+    """``quadrature_loglik`` builds its kernel in row blocks and gives the one-shot bits."""
+
+    def test_sv_matches_one_shot(self):
+        params = SvParams(1.0, 0.3, 0.9)
+        spec = sv_spec(params)
+        ys = simulated_obs(spec, 8, seed=11)
+        sd = float(np.sqrt(params.x_var))
+        for init, x0 in ((Stationary(), None), (PointMass(1.5, 0.0), 1.5)):
+            want = one_shot_quadrature(
+                lambda x, x1: one_expression_normal(x1 - params.phi * x, params.sigma**2),
+                lambda x, y: one_expression_sv_g(params, x, y),
+                sd, ys[:, 0].tolist(), x0,
+            )
+            assert quadrature_loglik(spec, ys, init, nodes=2001).value == want
+
+    def test_scalar_ssm_matches_one_shot(self):
+        a, b, q_state, q_obs = 0.6, 1.0, 1.0, 0.2
+        spec = scalar_ssm(a, b, q_state, q_obs)
+        ys = simulated_obs(spec, 8, seed=12)
+        sd = float(np.sqrt(glm_stationary_cov(spec.glm)[0, 0]))
+        for init, x0 in ((Stationary(), None), (PointMass(-0.8, 0.0), -0.8)):
+            want = one_shot_quadrature(
+                lambda x, x1: one_expression_normal(x1 - a * x, q_state), lambda x, y: one_expression_normal(y - b * x, q_obs),
+                sd, ys[:, 0].tolist(), x0,
+            )
+            assert quadrature_loglik(spec, ys, init, nodes=2001).value == want
 
 
 class TestForward:
@@ -305,7 +366,9 @@ class TestDispatch:
             loglik(spec, ys, Stationary(), "exact")
         with pytest.raises(TypeError):
             loglik(spec, ys, Stationary(), "bpf", particle=3)
-        # sizes must be integers >= 2, named when they are not
+        # sizes must be integers >= 2, named when they are not; the Monte Carlo
+        # divergences and the SV audits check their draw counts the same way
+        sv, sv_star, box = sv_spec(SvParams(1.0, 0.3, 0.9)), SvParams(1.0, 0.3, 0.9), SvThetaBox(0.1, 0.1, 0.95, 2.5)
         for bad in (1, 0, -3, 2001.0, 100.0, "512", None, True):
             with pytest.raises(ValueError, match="nodes must be an integer >= 2"):
                 loglik(spec, ys, Stationary(), "quadrature", nodes=bad)
@@ -315,8 +378,25 @@ class TestDispatch:
                 loglik(spec, ys, Stationary(), "bpf", particles=bad)
             with pytest.raises(ValueError, match="particles must be an integer >= 2"):
                 bpf_loglik(spec, ys, Stationary(), bad, seed=0)
+            for count in (
+                lambda: step_kld_mc(sv, sv, bad, 1),
+                lambda: step_kld_mc(spec, spec, bad, 1),
+                lambda: delta_bar_hmm(sv, sv, bad, 1),
+                lambda: envelope_validity_audit(box, bad, 5),
+                lambda: b6_entropy_floor_sv(sv_star, bad, 5),
+                lambda: b6_audit_sv(sv_star, box, True, bad, 5),
+            ):
+                with pytest.raises(ValueError, match="draws must be an integer >= 2"):
+                    count()
+            with pytest.raises(ValueError, match="sims must be an integer >= 2"):
+                tightness_audit_sv(sv_star, box, [100.0], bad, 5)
         assert np.isfinite(loglik(spec, ys, Stationary(), "quadrature", nodes=np.int64(2)).value)
         assert np.isfinite(loglik(spec, ys, Stationary(), "bpf", particles=np.int64(2)).value)
+        # two draws give a finite standard error
+        assert np.isfinite(step_kld_mc(sv, sv_spec(SvParams(1.1, 0.3, 0.8)), np.int64(2), 1).se)
+        assert envelope_validity_audit(box, np.int64(2), 5).sims == 2
+        assert np.isfinite(b6_entropy_floor_sv(sv_star, 2, 5).ci_hi)
+        assert np.isfinite(tightness_audit_sv(sv_star, box, [100.0], 2, 5)[1].ci_hi)
 
     def test_non_finite_observations_rejected(self):
         spec = scalar_ssm(0.5)

@@ -342,6 +342,36 @@ class TestFiniteHmm:
         assert hmm.g_sample(states, ZeroUniforms()).tolist() == [1, 0, 0]
         assert hmm.qx_sample(0, ZeroUniforms()) == 1
 
+    def test_draw_at_a_short_row_total_stays_in_range(self):
+        class LargestUniforms:  # the largest uniform a generator can return, every time
+            def random(self, shape=None):
+                return np.full(shape, 1.0 - 2.0**-53)
+
+        P = [[0.3, 0.3, 0.4 - 4e-13], [0.2, 0.8, 0.0], [0.5, 0.5, 0.0]]  # row 0 sums to just under 1
+        spec = finite_hmm_spec(FiniteHmmParams(P, [[0.6, 0.4 - 4e-13], [0.5, 0.5], [1.0, 0.0]]))
+        hmm = spec.hmm
+        states = np.array([0, 1, 2])
+        # each row's last positive-probability state, not one past the end
+        assert hmm.qx_sample(states, LargestUniforms()).tolist() == [2, 1, 1]
+        assert hmm.g_sample(states, LargestUniforms()).tolist() == [1, 1, 0]
+        assert hmm.qx_sample(0, LargestUniforms()) == 2
+        assert 0 <= hmm.stationary_x_sample(1, LargestUniforms())[0] <= 2
+        assert spec.sample_step((np.array([0]), np.array([0])), LargestUniforms())[0].tolist() == [2]
+
+    def test_draws_below_the_row_total_are_the_plain_inverse_cdf(self):
+        P = [[0.3, 0.3, 0.4 - 4e-13], [0.0, 0.5, 0.5], [0.25, 0.0, 0.75]]
+        G = [[0.5, 0.5], [0.1, 0.9], [0.0, 1.0]]
+        hmm = finite_hmm_spec(FiniteHmmParams(P, G)).hmm
+        x = np.repeat([0, 1, 2], 2000)
+        for seed in range(3):
+            rng_hook, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = [hmm.qx_sample(x, rng_hook), hmm.g_sample(x, rng_hook)]
+            want = []
+            for M in (np.asarray(P), np.asarray(G)):
+                u = rng_ref.random(len(x))
+                want.append(np.array([np.searchsorted(np.cumsum(M[i]), v, side="right") for i, v in zip(x, u)]))
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
     def test_stationary_fixed_point(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -508,6 +538,51 @@ class TestSharedFormulas:
             assert ssm_hmm.qx_logpdf(x, x1) == normal(x1 - 0.7 * x, 0.8)
             assert ssm_hmm.g_logpdf(x, y) == normal(y - 1.2 * x, 0.3)
             assert iid_hmm.qx_logpdf(x, x1) == normal(x1, 1.0)
+
+
+def one_expression_normal(dev, var):
+    """``normal_logpdf`` as one expression: the reference for its in-place form."""
+    return -0.5 * (LOG2PI + np.log(var) + dev * dev / var)
+
+
+def one_expression_sv_g(params, x, y):
+    """``sv_g_logpdf`` as one expression: the reference for its in-place form."""
+    b2 = params.beta**2
+    return -0.5 * (LOG2PI + np.log(b2) + x + y * y * np.exp(-x) / b2)
+
+
+class TestInPlaceDensities:
+    """The log densities fill one fresh buffer in place and keep the one-expression values."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert type(got) is type(want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_floats_arrays_and_integers(self):
+        params = SvParams(1.1, 0.4, 0.93)
+        rng = np.random.default_rng(23)
+        a, b = 3.0 * rng.standard_normal((2, 300))
+        cases = [
+            (a, 2.5), (a, b * b), (a[:, None], (b * b)[None, :40]), (1.5, (b * b)[:30]),
+            (0.7, 1.3), (np.float64(0.7), 1.3), (np.arange(3), 2.0), (np.arange(-4, 5), 3), (3, 2),
+        ]
+        for dev, var in cases:
+            self.assert_same_bits(models.normal_logpdf(dev, var), one_expression_normal(dev, var))
+        cases = [(a, b), (a[None, :], b[:40, None]), (a, 0.7), (0.3, b), (0.3, 0.7), (np.arange(-3, 4), np.arange(7)), (2, 3)]
+        for x, y in cases:
+            self.assert_same_bits(models.sv_g_logpdf(params, x, y), one_expression_sv_g(params, x, y))
+
+    def test_read_only_inputs_are_not_written(self):
+        params = SvParams(1.1, 0.4, 0.93)
+        a, b = 3.0 * np.random.default_rng(24).standard_normal((2, 300))
+        a.flags.writeable = b.flags.writeable = False
+        a0, b0 = a.copy(), b.copy()
+        self.assert_same_bits(models.normal_logpdf(a, b * b), one_expression_normal(a, b * b))
+        self.assert_same_bits(models.sv_g_logpdf(params, a, b), one_expression_sv_g(params, a, b))
+        self.assert_same_bits(models.sv_qx_logpdf(params, a, b), one_expression_normal(b - params.phi * a, params.sigma**2))
+        assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
 
 
 def random_hmm_spec(family, seed):
