@@ -586,11 +586,11 @@ def positivity_audit(spec: ModelSpec, seed: int = 0) -> list[AuditReport]:
         )
     )
     if spec.hmm is not None:
-        worst_g = np.inf
-        for _ in range(_POSITIVITY_SAMPLES):
-            x = float(rng.standard_normal() * 5.0)
-            y = float(rng.standard_normal() * 5.0)
-            worst_g = min(worst_g, spec.hmm.g_logpdf(x, y))
+        zs = rng.standard_normal((_POSITIVITY_SAMPLES, p + q)) * 5.0  # x then y per sample
+        # a scalar state has no trailing axis; an observation keeps one unless the factor is scalar (p = q = 1)
+        x = zs[:, 0] if p == 1 else zs[:, :p]
+        y = zs[:, 1] if p == q == 1 else zs[:, p:]
+        worst_g = np.min(spec.hmm.g_logpdf(x, y))
         reports.append(
             AuditReport(
                 assumption="C2",

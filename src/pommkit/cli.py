@@ -234,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:  # rejected input: one line and exit status 2, as argparse reports its own errors
+        parser.exit(2, f"{parser.prog} {args.command}: error: {err}\n")
 
 
 if __name__ == "__main__":

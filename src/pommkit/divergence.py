@@ -8,8 +8,8 @@ against the product of the two stationary hidden-state marginals; the
 two coincide with the plain emission KLD in the i.i.d. specialization.
 
 Closed forms exist for the linear Gaussian and stochastic volatility
-families and are cross-checked by a Monte Carlo estimator that only
-touches the generic model callables.
+families and are cross-checked by a Monte Carlo estimator that touches
+only the generic model callables or, for HMMs, the factorization hooks.
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .core import ModelSpec, _check_size
+from .core import HmmFactorization, ModelSpec, _check_size
 from .models import FiniteHmmParams, GlmParams, SvParams, finite_hmm_stationary, glm_stationary_cov
-from .models import sv_g_logpdf, sv_g_sample, sv_qx_logpdf, sv_qx_sample, sv_stationary_x_sample
+from .models import sv_stationary_x_sample
 
 _LOG2PI = np.log(2.0 * np.pi)
 
@@ -75,8 +75,11 @@ def step_kld_mc(
     When both transition kernels are Gaussian the inner KLD is evaluated
     in closed form; otherwise (or with ``inner="logratio"``) the estimate
     averages the log density ratio at ``z_1`` drawn from the reference
-    kernel. Both routes return a standard error. ``draws`` must be an
-    integer >= 2.
+    kernel. Two HMMs draw and evaluate through their broadcasting hooks,
+    one block per stage (every ``x_0``, then every ``x_1``, then every
+    ``y_1``); only a pair without HMM factorizations on both sides loops
+    over draws through the generic callables. Both routes return a
+    standard error. ``draws`` must be an integer >= 2.
     """
     _check_size("draws", draws)
     if inner not in ("auto", "closed", "logratio"):
@@ -88,8 +91,8 @@ def step_kld_mc(
         return _glm_inner_closed(spec_star.glm, spec_other.glm, draws, seed)
     if both_glm:
         return _glm_inner_logratio(spec_star.glm, spec_other.glm, draws, seed)
-    if spec_star.sv is not None and spec_other.sv is not None:
-        return _sv_logratio(spec_star.sv, spec_other.sv, draws, seed)
+    if spec_star.hmm is not None and spec_other.hmm is not None:
+        return _hmm_logratio(spec_star.hmm, spec_other.hmm, draws, seed)
     return _generic_logratio(spec_star, spec_other, draws, seed)
 
 
@@ -99,6 +102,11 @@ def _finish_mc(samples: np.ndarray, method: str) -> KldEstimate:
     mean = float(samples.mean())
     se = float(samples.std(ddof=1) / np.sqrt(len(samples)))
     return KldEstimate(mean, method, se=se)
+
+
+def _finish_logratio(num: np.ndarray, den: np.ndarray) -> KldEstimate:
+    """Mean log ratio ``num - den``; a draw only the reference density reaches is ``+inf``."""
+    return _finish_mc(np.where((den == -np.inf) & (num > -np.inf), np.inf, num - den), "mc")
 
 
 def _glm_inner_closed(star: GlmParams, other: GlmParams, draws: int, seed: int) -> KldEstimate:
@@ -128,29 +136,25 @@ def _glm_inner_logratio(star: GlmParams, other: GlmParams, draws: int, seed: int
     return _finish_mc(lr, "mc")
 
 
-def _sv_logratio(star: SvParams, other: SvParams, draws: int, seed: int) -> KldEstimate:
+def _hmm_logratio(star: HmmFactorization, other: HmmFactorization, draws: int, seed: int) -> KldEstimate:
     rng = rngmod.substream(seed, rngmod.KLD_OUTER)
-    x0 = sv_stationary_x_sample(star, draws, rng)
-    x1 = sv_qx_sample(star, x0, rng)
-    y1 = sv_g_sample(star, x1, rng)
-
-    def logq(params):
-        return sv_qx_logpdf(params, x0, x1) + sv_g_logpdf(params, x1, y1)
-
-    lr = logq(star) - logq(other)
-    return _finish_mc(lr, "mc")
+    x0 = star.stationary_x_sample(draws, rng)
+    x1 = star.qx_sample(x0, rng)
+    y1 = star.g_sample(x1, rng)
+    num = star.qx_logpdf(x0, x1) + star.g_logpdf(x1, y1)
+    den = other.qx_logpdf(x0, x1) + other.g_logpdf(x1, y1)
+    return _finish_logratio(num, den)
 
 
 def _generic_logratio(spec_star: ModelSpec, spec_other: ModelSpec, draws: int, seed: int) -> KldEstimate:
     rng = rngmod.substream(seed, rngmod.KLD_OUTER)
-    samples = np.empty(draws)
+    num, den = np.empty(draws), np.empty(draws)
     for i in range(draws):
         z0 = spec_star.sample_stationary(rng)
         z1 = spec_star.sample_step(z0, rng)
-        num = spec_star.trans_logpdf(z0, z1)
-        den = spec_other.trans_logpdf(z0, z1)
-        samples[i] = np.inf if den == -np.inf and num > -np.inf else num - den
-    return _finish_mc(samples, "mc")
+        num[i] = spec_star.trans_logpdf(z0, z1)
+        den[i] = spec_other.trans_logpdf(z0, z1)
+    return _finish_logratio(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +262,7 @@ def delta_bar_hmm(
     xs = star_h.stationary_x_sample(draws, rng)
     xo = other_h.stationary_x_sample(draws, rng)
     y = star_h.g_sample(xs, rng)
-    num = star_h.g_logpdf(xs, y)
-    den = other_h.g_logpdf(xo, y)
-    return _finish_mc(np.where((den == -np.inf) & (num > -np.inf), np.inf, num - den), "mc")
+    return _finish_logratio(star_h.g_logpdf(xs, y), other_h.g_logpdf(xo, y))
 
 
 # ---------------------------------------------------------------------------

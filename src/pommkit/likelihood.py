@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_size, _chol_psd
-from .models import glm_stationary_cov, stationary_cov
+from .models import glm_stationary_cov, ssm_spec
 
 _LOG2PI = np.log(2.0 * np.pi)
 _QUADRATURE_SPAN = 8.0  # half-width of the quadrature node grid, in stationary standard deviations
@@ -179,45 +179,17 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
 
 
 def ssm_kalman_increments(ssm, obs: np.ndarray, init) -> np.ndarray:
-    """Predictive log densities from the filter on the hidden state only.
+    """Predictive log densities of a state-space model from its parameters.
 
-    Independent of :func:`kalman_increments`: this version filters the
-    p-dimensional hidden state with the measurement equation
-    ``y = Bx + xi``, instead of filtering the joint (p+q)-vector. The two
-    must agree to floating-point accuracy on the same data.
+    For p = q = 1 this is the plain-float filter on the hidden state with
+    the measurement equation ``y = Bx + xi``: the independent check of
+    :func:`kalman_increments`, which filters the joint (x, y) vector. Any
+    other shape runs :func:`kalman_increments` on the joint-chain embedding.
     """
-    A, B, Qz, Qx = ssm.A, ssm.B, ssm.Qzeta, ssm.Qxi
-    p, q = ssm.p, ssm.q
-    ys = _obs_column(obs, q)
-    if p == 1 and q == 1:
-        return _scalar_kalman_increments(float(A[0, 0]), float(B[0, 0]), float(Qz[0, 0]), float(Qx[0, 0]), ys, init)
-    if isinstance(init, Stationary):
-        m = np.zeros(p)
-        P = stationary_cov(A, Qz)
-    elif isinstance(init, PointMass):
-        m = np.atleast_1d(init.x).astype(float)
-        P = np.zeros((p, p))
-    elif isinstance(init, GaussianOnZ):
-        m = init.mean[:p].copy()
-        P = init.cov[:p, :p].copy()
-    else:
-        raise UnsupportedInitError(
-            f"the Kalman evaluator needs a Gaussian-type initial distribution, got {type(init).__name__}"
-        )
-    out = np.empty(len(ys))
-    for k, y in enumerate(ys):
-        m = A @ m
-        P = A @ P @ A.T + Qz
-        S = B @ P @ B.T + Qx
-        chol = np.linalg.cholesky(S)
-        innov = y - B @ m
-        u = np.linalg.solve(chol, innov)
-        out[k] = -0.5 * (q * _LOG2PI + 2.0 * np.sum(np.log(np.diag(chol))) + u @ u)
-        gain = np.linalg.solve(S, B @ P).T
-        m = m + gain @ innov
-        P = P - gain @ (B @ P)
-        P = 0.5 * (P + P.T)
-    return out
+    if ssm.p != 1 or ssm.q != 1:
+        return kalman_increments(ssm_spec(ssm), obs, init)
+    a, b, qz, qx = (float(M[0, 0]) for M in (ssm.A, ssm.B, ssm.Qzeta, ssm.Qxi))
+    return _scalar_kalman_increments(a, b, qz, qx, _obs_column(obs, 1), init)
 
 
 def ssm_kalman_loglik(ssm, obs: np.ndarray, init) -> LogLik:
@@ -428,21 +400,24 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     if n > 8:
         raise ValueError("quadrature is an oracle for short sequences (n <= 8)")
     sd = _x_marginal_sd(spec)
-    center = 0.0
-    extra = 0.0
-    if isinstance(init, PointMass):
-        center = float(np.atleast_1d(init.x)[0])
-        extra = abs(center)
+    # mean and sd of x0, and how far a displaced initial law widens the grid
+    if isinstance(init, Stationary):
+        mean0, sd0, extra = 0.0, sd, 0.0
+    elif isinstance(init, PointMass):
+        mean0, sd0 = float(np.atleast_1d(init.x)[0]), 0.0
+        extra = abs(mean0)
     elif isinstance(init, GaussianOnZ):
-        center = float(init.mean[0])
-        extra = abs(center) + float(np.sqrt(max(init.cov[0, 0], 0.0)))
-    lo = min(0.0, center) - _QUADRATURE_SPAN * sd - extra
-    hi = max(0.0, center) + _QUADRATURE_SPAN * sd + extra
+        mean0, sd0 = float(init.mean[0]), float(np.sqrt(max(init.cov[0, 0], 0.0)))
+        extra = abs(mean0) + sd0
+    else:
+        raise UnsupportedInitError(f"unsupported initial distribution for quadrature: {type(init).__name__}")
+    lo = min(0.0, mean0) - _QUADRATURE_SPAN * sd - extra
+    hi = max(0.0, mean0) + _QUADRATURE_SPAN * sd + extra
     grid = np.linspace(lo, hi, nodes)
     logw = np.log(_trapezoid_weights(grid))
 
     if spec.hmm is not None:
-        return _quadrature_hmm(spec, ys, init, grid, logw)
+        return _quadrature_hmm(spec, ys, mean0, sd0, grid, logw)
     if spec.glm is not None:
         return _quadrature_glm(spec, ys, init, grid, logw)
     raise ValueError("quadrature needs either an HMM factorization or linear-family parameters")
@@ -455,33 +430,35 @@ def _logsumexp(v: np.ndarray) -> float:
     return float(m + np.log(np.exp(v - m).sum()))
 
 
+def _logsumexp_columns(logm: np.ndarray) -> np.ndarray:
+    """Log-sum-exp down each column: the initial factor over Gauss-Hermite nodes."""
+    mcol = logm.max(axis=0)
+    return mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
+
+
+def _forward_step(la: np.ndarray, logw: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """One forward step on the node grid: ``log sum_i w_i exp(la_i) trans[i, j]`` per node j, scaled by ``max(la)``."""
+    m = la.max()
+    alpha = np.exp(la + logw - m)
+    with np.errstate(divide="ignore"):
+        return m + np.log(alpha @ trans)
+
+
 def _gh_nodes(mean: float, sd: float, n: int = 80) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes/weights for integrating against N(mean, sd^2)."""
     t, w = np.polynomial.hermite.hermgauss(n)
     return mean + np.sqrt(2.0) * sd * t, w / np.sqrt(np.pi)
 
 
-def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, logw: np.ndarray) -> LogLik:
+def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, mean0: float, sd0: float, grid: np.ndarray, logw: np.ndarray) -> LogLik:
+    """An HMM with x0 ~ N(mean0, sd0^2); ``sd0 == 0`` is a point mass."""
     qx_logpdf, g_logpdf = spec.hmm.qx_logpdf, spec.hmm.g_logpdf
     yvals = [float(y[0]) if y.size == 1 else y for y in ys]
-    # first factor: integrate z0's state component against the initial law
-    if isinstance(init, PointMass):
-        x0 = float(np.atleast_1d(init.x)[0])
-        la = qx_logpdf(x0, grid)
+    if sd0 == 0.0:
+        la = qx_logpdf(mean0, grid)
     else:
-        if isinstance(init, Stationary):
-            mean, sd = 0.0, _x_marginal_sd(spec)
-        elif isinstance(init, GaussianOnZ):
-            mean, sd = float(init.mean[0]), float(np.sqrt(max(init.cov[0, 0], 0.0)))
-        else:
-            raise UnsupportedInitError(f"unsupported initial distribution for quadrature: {type(init).__name__}")
-        if sd == 0.0:
-            la = qx_logpdf(mean, grid)
-        else:
-            x0n, w0 = _gh_nodes(mean, sd)
-            logm = qx_logpdf(x0n[:, None], grid[None, :]) + np.log(w0)[:, None]
-            mcol = logm.max(axis=0)
-            la = mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
+        x0n, w0 = _gh_nodes(mean0, sd0)
+        la = _logsumexp_columns(qx_logpdf(x0n[:, None], grid[None, :]) + np.log(w0)[:, None])
     la = la + g_logpdf(grid, yvals[0])
     if len(yvals) > 1:  # the kernel is the same at every step; its rows are built block by block
         trans = np.empty((len(grid), len(grid)))
@@ -489,11 +466,7 @@ def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
         for i in range(0, len(grid), rows):
             np.exp(qx_logpdf(grid[i : i + rows, None], grid[None, :]), out=trans[i : i + rows])
     for y in yvals[1:]:
-        m = la.max()
-        alpha = np.exp(la + logw - m)
-        v = alpha @ trans
-        with np.errstate(divide="ignore"):
-            la = m + np.log(v) + g_logpdf(grid, y)
+        la = _forward_step(la, logw, trans) + g_logpdf(grid, y)
     total = _logsumexp(la + logw)
     return LogLik(total, len(yvals), "quadrature")
 
@@ -519,32 +492,22 @@ def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
     if isinstance(init, PointMass):
         z0 = np.concatenate([np.atleast_1d(init.x), np.atleast_1d(init.y)]).astype(float)[None, :]
         la = log_q(z0, z1_grid)[0]
-    elif isinstance(init, (Stationary, GaussianOnZ)):
-        if isinstance(init, Stationary):
-            mean, cov = np.zeros(2), glm_stationary_cov(params)
-        else:
-            mean, cov = init.mean, init.cov
+    else:
         # tensor Gauss-Hermite on the two z0 coordinates via the Cholesky map
+        mean, cov = _gaussian_init_moments(spec, init)
         t, w = np.polynomial.hermite.hermgauss(64)
         tt0, tt1 = np.meshgrid(t, t, indexing="ij")
         u = np.column_stack([tt0.ravel(), tt1.ravel()]) * np.sqrt(2.0)
         z0 = u @ _chol_psd(cov).T + mean
         lw0 = np.log(np.outer(w, w).ravel() / np.pi)
-        logm = log_q(z0, z1_grid) + lw0[:, None]
-        mcol = logm.max(axis=0)
-        la = mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
-    else:
-        raise UnsupportedInitError(f"unsupported initial distribution for quadrature: {type(init).__name__}")
+        la = _logsumexp_columns(log_q(z0, z1_grid) + lw0[:, None])
 
     for k in range(1, len(yvals)):
         z_prev = np.column_stack([grid, np.full(len(grid), yvals[k - 1])])
         z_next = np.column_stack([grid, np.full(len(grid), yvals[k])])
-        m = la.max()
-        alpha = np.exp(la + logw - m)
         trans = log_q(z_prev, z_next)
         np.exp(trans, out=trans)
-        with np.errstate(divide="ignore"):
-            la = m + np.log(alpha @ trans)
+        la = _forward_step(la, logw, trans)
     return LogLik(_logsumexp(la + logw), len(yvals), "quadrature")
 
 

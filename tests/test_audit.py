@@ -8,6 +8,7 @@ import pytest
 
 from pommkit import (
     FiniteHmmParams,
+    SsmParams,
     Stationary,
     SvParams,
     SvRegion,
@@ -25,6 +26,7 @@ from pommkit import (
     psup_sv_bound,
     scalar_ssm,
     simulate_complete,
+    ssm_spec,
     sv_block_density,
     sv_spec,
     tightness_audit_sv,
@@ -275,6 +277,23 @@ class TestPositivity:
     def test_ssm_factorized_model(self):
         reports = {r.assumption: r for r in positivity_audit(scalar_ssm(0.5), seed=18)}
         assert reports["B3"].status == "pass" and reports["C2"].status == "pass"
+
+    def test_vector_state_space_models(self):
+        # C2 reads the hooks' shapes: states (samples, p) when p > 1, observations (samples, q) unless p = q = 1
+        for params in (SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], np.eye(2), [[0.3]]),
+                       SsmParams([[0.7]], [[1.0], [-0.4]], [[0.8]], [[0.3, 0.1], [0.1, 0.5]])):
+            spec = ssm_spec(params)
+            p, q = params.p, params.q
+            reports = {r.assumption: r for r in positivity_audit(spec, seed=21)}
+            assert reports["B3"].status == "pass" and reports["C2"].status == "pass"
+            # the same samples, one call per sample, after the B3 draws (x, y, x', y' per sample)
+            n = reports["C2"].sims
+            rng = rngmod.substream(21, rngmod.AUDIT, 4)
+            for i in range(4 * n):
+                rng.standard_normal(p if i % 2 == 0 else q)
+            per_sample = [spec.hmm.g_logpdf(z[:p] if p > 1 else z[0], z[p:])
+                          for z in rng.standard_normal((n, p + q)) * 5.0]
+            assert reports["C2"].statistic == min(per_sample)
 
 
 class TestSerialization:

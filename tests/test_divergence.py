@@ -23,6 +23,8 @@ from pommkit import (
 )
 from pommkit import rng as rngmod
 from pommkit.divergence import delta_bar_finite_exact, write_denseness_csv
+from pommkit.models import finite_hmm_stationary, sv_g_logpdf, sv_g_sample, sv_qx_logpdf, sv_qx_sample
+from pommkit.models import sv_stationary_x_sample
 from tests.test_models import random_stable_glm
 
 
@@ -106,6 +108,36 @@ class TestMonteCarloOracle:
         exact = gaussian_kl([0.0], [[1.0]], [0.4], [[2.25]])
         est = step_kld_mc(star, other, draws=20_000, seed=5)
         assert agrees(exact, est)
+
+    def test_hmm_pairs_draw_in_blocks_through_the_hooks(self):
+        # every x0, then every x1, then every y1 on the reference stream; on SV
+        # these are the family's own samplers and densities, bit for bit
+        star, other = SvParams(1.0, 0.3, 0.9), SvParams(1.2, 0.4, 0.8)
+        rng = rngmod.substream(3, rngmod.KLD_OUTER)
+        x0 = sv_stationary_x_sample(star, 2000, rng)
+        x1 = sv_qx_sample(star, x0, rng)
+        y1 = sv_g_sample(star, x1, rng)
+        num, den = (sv_qx_logpdf(p, x0, x1) + sv_g_logpdf(p, x1, y1) for p in (star, other))
+        est = step_kld_mc(sv_spec(star), sv_spec(other), draws=2000, seed=3)
+        assert est.value == (num - den).mean()
+        assert est.se == (num - den).std(ddof=1) / np.sqrt(2000)
+
+    def test_finite_pair_matches_exact_sum(self):
+        P1, G1 = np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]])
+        P2, G2 = np.array([[0.5, 0.5], [0.4, 0.6]]), np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
+        pi = finite_hmm_stationary(FiniteHmmParams(P1, G1))
+        # sum over x0, x1, y1 of pi(x0) P1(x0, x1) G1(x1, y1) log of the transition density ratio
+        joint = pi[:, None, None] * P1[:, :, None] * G1[None, :, :]
+        exact = float(np.sum(joint * np.log((P1[:, :, None] * G1[None, :, :]) / (P2[:, :, None] * G2[None, :, :]))))
+        est = step_kld_mc(finite_hmm_spec(FiniteHmmParams(P1, G1)), finite_hmm_spec(FiniteHmmParams(P2, G2)),
+                          draws=20_000, seed=8)
+        assert agrees(exact, est)
+
+    def test_finite_support_mismatch_is_infinite(self):
+        star = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]))
+        other = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.5, 0.5]]))
+        est = step_kld_mc(star, other, draws=1000, seed=4)
+        assert est.value == np.inf and est.flags == ("support_mismatch",)
 
     def test_se_scaling(self):
         rng = np.random.default_rng(6)

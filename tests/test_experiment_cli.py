@@ -155,10 +155,27 @@ class TestCli:
         assert cli.main(args) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
-    def test_audit_rejects_too_few_sims(self):
+    def test_audit_rejects_too_few_sims(self, capsys):
         for assumption, name in (("B5", "sims"), ("B6", "draws"), ("envelope", "draws"), ("all", "sims")):
-            with pytest.raises(ValueError, match=f"{name} must be an integer >= 2, got 0"):
+            with pytest.raises(SystemExit) as exc:
                 cli.main(["audit", "--assumption", assumption, "--family", "sv", "--sims", "0"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"{name} must be an integer >= 2, got 0\n")
+
+    def test_rejected_input_is_one_line_without_traceback(self, capsys):
+        # a ValueError from the library is reported the way argparse reports a usage error
+        for argv, message in (
+            (["audit", "--assumption", "B6", "--family", "sv", "--sims", "0"], "draws must be an integer >= 2, got 0"),
+            (["kld", "--family", "sv", "--theta-star", "1", "0.5", "1.2", "--theta", "1", "0.5", "0.9"],
+             "|phi| must be < 1, got 1.2"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"pommkit {argv[0]}: error: {message}\n"
+            assert "Traceback" not in captured.err
 
     def test_experiment_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)

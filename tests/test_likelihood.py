@@ -125,6 +125,22 @@ class TestQuadratureOracle:
         full = quadrature_loglik(ssm, ys, Stationary(), nodes=101)
         assert quadrature_loglik(replace(ssm, ssm=None), ys, Stationary(), nodes=101) == full
 
+    def test_point_mass_is_a_gaussian_with_zero_covariance(self):
+        # one branch integrates both: a point mass is x0 ~ N(x0, 0)
+        for spec in (sv_spec(SvParams(1.0, 0.3, 0.9)), scalar_ssm(0.6, 1.0, 1.0, 0.5)):
+            ys = simulated_obs(spec, 5, seed=8)
+            for x0, y0 in ((1.5, 0.0), (-0.4, 2.0)):
+                for n in (5, 1):
+                    want = quadrature_loglik(spec, ys[:n], PointMass(x0, y0), nodes=401)
+                    assert quadrature_loglik(spec, ys[:n], GaussianOnZ([x0, y0], np.zeros((2, 2))), nodes=401) == want
+
+    def test_custom_init_rejected(self):
+        init = CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1)))
+        linear = glm_spec(GlmParams([[0.5, 0.2], [-0.3, 0.4]], [[1.0, 0.3], [0.3, 0.8]], 1, 1))
+        for spec in (sv_spec(SvParams(1.0, 0.3, 0.9)), scalar_ssm(0.5), linear):
+            with pytest.raises(UnsupportedInitError, match="CustomInit"):
+                quadrature_loglik(spec, np.array([0.3, -0.4]), init, nodes=101)
+
 
 def one_shot_quadrature(qx, g, sd, ys, x0=None, nodes=2001):
     """The quadrature of an HMM with its whole transition kernel exponentiated in one expression."""
@@ -329,6 +345,21 @@ class TestDispatch:
                 ll = loglik(spec, ys, init, "kalman")
                 assert (ll.n, ll.method) == (300, "kalman")
                 assert abs(ll.value - kalman_loglik(spec, ys, init).value) < 1e-10
+
+    def test_vector_state_space_models_use_joint_filter(self):
+        # the hidden-state filter is scalar only; every other shape is the joint-chain filter, bit for bit
+        gauss = GaussianOnZ([0.2, 0.1, -0.3], np.diag([0.5, 0.4, 0.2]))
+        for params, point in (
+            (SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], np.eye(2), [[0.3]]), PointMass([1.0, -0.5], 0.3)),
+            (SsmParams([[0.7]], [[1.0], [-0.4]], [[0.8]], [[0.3, 0.1], [0.1, 0.5]]), PointMass(1.0, [0.3, -0.2])),
+        ):
+            spec = ssm_spec(params)
+            ys = simulated_obs(spec, 60, seed=31)
+            for init in (Stationary(), point, gauss):
+                inc = ssm_kalman_increments(params, ys, init)
+                np.testing.assert_array_equal(inc, kalman_increments(spec, ys, init))
+                np.testing.assert_array_equal(inc, increments(spec, ys, init, "kalman"))
+                assert ssm_kalman_loglik(params, ys, init).value == float(inc.sum())
 
     def test_general_linear_model_uses_joint_filter(self):
         spec = glm_spec(GlmParams([[0.4, 0.2], [0.1, 0.3]], [[1.0, 0.4], [0.4, 1.0]], 1, 1))
