@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .core import _BLOCK_FLOATS, ModelSpec, _check_size
+from .core import _BLOCK_FLOATS, ModelSpec, _check_size, _trapezoid_weights
 from .models import SvParams, sv_g_logpdf, sv_g_sample, sv_qx_logpdf, sv_qx_sample, sv_stationary_x_sample
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -39,7 +39,7 @@ _BLOCK_NODES, _BLOCK_SPAN = 241, 9.0  # sv_block_density: nodes per axis, half-w
 _MARGINAL_GH_NODES = 201  # sv_marginal_y_logpdf
 _BETA_CUTOFFS, _B6_NODES = (1e2, 1e4, 1e6, 1e8), 201  # b6_sufficient_integral_sv
 _ENVELOPE_SLACK, _ENVELOPE_X0_SD = 1e-9, 3.0  # envelope_validity_audit
-_POSITIVITY_SAMPLES = 200  # positivity_audit
+_POSITIVITY_SAMPLES, _POSITIVITY_EXTREMES = 200, (-50.0, -1.0, 0.0, 1.0, 50.0)  # positivity_audit
 _KINGMAN_REL_TOL = 1e-12  # kingman_check
 
 
@@ -217,15 +217,11 @@ def sv_block_density(params: SvParams, x0: float, y1: float, y2: float) -> float
     lo2 = phi * g1[0 if phi >= 0 else -1] - span * sigma
     hi2 = phi * g1[-1 if phi >= 0 else 0] + span * sigma
     g2 = np.linspace(lo2, hi2, nodes)
-    w1 = np.full(nodes, g1[1] - g1[0])
-    w1[0] = w1[-1] = w1[0] / 2.0
-    w2 = np.full(nodes, g2[1] - g2[0])
-    w2[0] = w2[-1] = w2[0] / 2.0
     kernel = sv_qx_logpdf(params, g1[:, None], g2[None, :])
     kernel += sv_g_logpdf(params, g2, y2)[None, :]
-    inner = np.exp(kernel, out=kernel) @ w2
+    inner = np.exp(kernel, out=kernel) @ _trapezoid_weights(g2)
     outer = np.exp(sv_qx_logpdf(params, x0, g1) + sv_g_logpdf(params, g1, y1)) * inner
-    return float(outer @ w1)
+    return float(outer @ _trapezoid_weights(g1))
 
 
 def envelope_validity_audit(box: SvThetaBox, draws: int, seed: int) -> AuditReport:
@@ -565,15 +561,14 @@ def positivity_audit(spec: ModelSpec, seed: int = 0) -> list[AuditReport]:
         return reports
     rng = rngmod.substream(seed, rngmod.AUDIT, 4)
     p, q = spec.state_dim, spec.obs_dim
-    extremes = [-50.0, -1.0, 0.0, 1.0, 50.0]
-    worst = np.inf
-    for _ in range(_POSITIVITY_SAMPLES):
-        z = (rng.standard_normal(p) * 5.0, rng.standard_normal(q) * 5.0)
-        z1 = (rng.standard_normal(p) * 5.0, rng.standard_normal(q) * 5.0)
-        worst = min(worst, spec.trans_logpdf(z, z1))
-    for a in extremes:
-        for b in extremes:
-            worst = min(worst, spec.trans_logpdf((np.full(p, a), np.full(q, a)), (np.full(p, b), np.full(q, b))))
+    # x, y, x', y' per sample: one block, the stream the draws would take one sample at a time
+    z = np.split(rng.standard_normal((_POSITIVITY_SAMPLES, 2 * (p + q))) * 5.0, [p, p + q, 2 * p + q], axis=1)
+    sampled = spec.trans_logpdf(z[:2], z[2:])
+    # every pair (a, b) of extremes: from the pair with all coordinates a to the pair with all b
+    ext, k = np.array(_POSITIVITY_EXTREMES), len(_POSITIVITY_EXTREMES)
+    a, b = (np.broadcast_to(v, (k, k, p + q)) for v in (ext[:, None, None], ext[None, :, None]))
+    extreme = spec.trans_logpdf((a[..., :p], a[..., p:]), (b[..., :p], b[..., p:]))
+    worst = min(np.min(sampled), np.min(extreme))
     analytic = spec.glm is not None or spec.sv is not None
     reports.append(
         AuditReport(

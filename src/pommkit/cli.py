@@ -25,7 +25,7 @@ from .audit import (
 from .core import project_observations, simulate_complete
 from .divergence import delta_glm_closed, delta_sv_closed
 from .likelihood import loglik
-from .models import GlmParams, SvParams, sv_spec
+from .models import GlmParams, SvParams, scalar_ssm, sv_spec
 from .posterior import grid_loglik_profiles, posterior_from_profiles, write_posterior_csv
 
 
@@ -38,7 +38,7 @@ def _load_config(path: str) -> xp.ExperimentConfig:
 
 
 def _config_obs(cfg: xp.ExperimentConfig, n: int, seed: int):
-    spec = xp._build_ssm(cfg.model)
+    spec = scalar_ssm(**cfg.model)
     traj = simulate_complete(spec, xp._parse_init(cfg.init_true), n, seed)
     return spec, project_observations(traj)
 
@@ -58,7 +58,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     n = args.n if args.n is not None else cfg.n_list[-1]
-    spec = xp._build_ssm(cfg.model)
+    spec = scalar_ssm(**cfg.model)
     traj = simulate_complete(spec, xp._parse_init(cfg.init_true), n, seed)
     lines = ["k,x,y"]
     for k in range(len(traj)):
@@ -76,7 +76,7 @@ def _cmd_loglik(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     if args.obs:
         obs = _read_obs(args.obs)
-        spec = xp._build_ssm(cfg.model)
+        spec = scalar_ssm(**cfg.model)
     else:
         n = args.n if args.n is not None else cfg.n_list[-1]
         spec, obs = _config_obs(cfg, n, seed)
@@ -147,7 +147,7 @@ def _cmd_audit(args) -> int:
     elif args.family == "ssm":
         cfg = _load_config(args.config) if args.config else None
         model = cfg.model if cfg else {"a": 0.5, "b": 1.0, "q_state": 1.0, "q_obs": 0.2}
-        reports.extend(positivity_audit(xp._build_ssm(model), seed=args.seed))
+        reports.extend(positivity_audit(scalar_ssm(**model), seed=args.seed))
     else:
         raise SystemExit(f"unsupported family {args.family}")
     if not reports:

@@ -28,6 +28,14 @@ Z = tuple  # a state-observation pair (x, y)
 _BLOCK_FLOATS = 1 << 16
 
 
+def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on an evenly spaced node grid."""
+    h = grid[1] - grid[0]
+    w = np.full(len(grid), h)
+    w[0] = w[-1] = h / 2.0
+    return w
+
+
 class NoStationarySamplerError(ValueError):
     """Stationary initialization requested from a model without one."""
 
@@ -126,10 +134,13 @@ class ModelSpec:
     """A fully dominated partially observed Markov model, parameters bound.
 
     The transition log-density, sampler and (when available in closed
-    form) stationary sampler fully determine the model. Concrete families
-    attach their structured parameters (``glm``, ``ssm``, ``sv``,
-    ``finite``) so that exact evaluators can use them; generic code must
-    only rely on the callables.
+    form) stationary sampler fully determine the model. ``trans_logpdf``
+    broadcasts over pairs ``(x, y)`` of shapes ``(..., state_dim)`` and
+    ``(..., obs_dim)`` with the per-pair bits (one pair gives a float); so
+    does the linear families' ``sample_step``, drawing as the pairs would
+    in turn. Concrete families attach their structured parameters (``glm``,
+    ``ssm``, ``sv``, ``finite``) so that exact evaluators can use them;
+    generic code must only rely on the callables.
     """
 
     state_dim: int
@@ -143,7 +154,6 @@ class ModelSpec:
     ssm: Optional[object] = None
     sv: Optional[object] = None
     finite: Optional[object] = None
-    label: str = ""
 
 
 @dataclass(frozen=True)

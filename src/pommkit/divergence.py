@@ -23,8 +23,6 @@ from .core import HmmFactorization, ModelSpec, _check_size
 from .models import FiniteHmmParams, GlmParams, SvParams, finite_hmm_stationary, glm_stationary_cov
 from .models import sv_stationary_x_sample
 
-_LOG2PI = np.log(2.0 * np.pi)
-
 
 @dataclass(frozen=True)
 class KldEstimate:
@@ -75,11 +73,10 @@ def step_kld_mc(
     When both transition kernels are Gaussian the inner KLD is evaluated
     in closed form; otherwise (or with ``inner="logratio"``) the estimate
     averages the log density ratio at ``z_1`` drawn from the reference
-    kernel. Two HMMs draw and evaluate through their broadcasting hooks,
-    one block per stage (every ``x_0``, then every ``x_1``, then every
-    ``y_1``); only a pair without HMM factorizations on both sides loops
-    over draws through the generic callables. Both routes return a
-    standard error. ``draws`` must be an integer >= 2.
+    kernel. Linear pairs draw and evaluate through the broadcasting spec
+    callables and HMM pairs through their hooks, one block per stage; only
+    other pairs loop over draws through the generic callables. Every route
+    returns a standard error. ``draws`` must be an integer >= 2.
     """
     _check_size("draws", draws)
     if inner not in ("auto", "closed", "logratio"):
@@ -88,9 +85,9 @@ def step_kld_mc(
         raise ValueError("the reference model must expose its stationary law")
     both_glm = spec_star.glm is not None and spec_other.glm is not None
     if both_glm and inner in ("auto", "closed"):
-        return _glm_inner_closed(spec_star.glm, spec_other.glm, draws, seed)
+        return _glm_inner_closed(spec_star, spec_other, draws, seed)
     if both_glm:
-        return _glm_inner_logratio(spec_star.glm, spec_other.glm, draws, seed)
+        return _glm_logratio(spec_star, spec_other, draws, seed)
     if spec_star.hmm is not None and spec_other.hmm is not None:
         return _hmm_logratio(spec_star.hmm, spec_other.hmm, draws, seed)
     return _generic_logratio(spec_star, spec_other, draws, seed)
@@ -109,10 +106,10 @@ def _finish_logratio(num: np.ndarray, den: np.ndarray) -> KldEstimate:
     return _finish_mc(np.where((den == -np.inf) & (num > -np.inf), np.inf, num - den), "mc")
 
 
-def _glm_inner_closed(star: GlmParams, other: GlmParams, draws: int, seed: int) -> KldEstimate:
+def _glm_inner_closed(spec_star: ModelSpec, spec_other: ModelSpec, draws: int, seed: int) -> KldEstimate:
+    star, other = spec_star.glm, spec_other.glm
     rng = rngmod.substream(seed, rngmod.KLD_OUTER)
-    gamma = glm_stationary_cov(star)
-    z = rng.standard_normal((draws, star.p + star.q)) @ np.linalg.cholesky(gamma).T
+    z = np.concatenate(spec_star.sample_stationary_many(draws, rng), axis=1)
     dphi = other.Phi - star.Phi
     const = gaussian_kl(np.zeros(star.p + star.q), star.R, np.zeros(star.p + star.q), other.R)
     dev = z @ dphi.T
@@ -120,20 +117,11 @@ def _glm_inner_closed(star: GlmParams, other: GlmParams, draws: int, seed: int) 
     return _finish_mc(const + quad, "mc")
 
 
-def _glm_inner_logratio(star: GlmParams, other: GlmParams, draws: int, seed: int) -> KldEstimate:
+def _glm_logratio(spec_star: ModelSpec, spec_other: ModelSpec, draws: int, seed: int) -> KldEstimate:
     rng = rngmod.substream(seed, rngmod.KLD_OUTER)
-    d = star.p + star.q
-    z0 = rng.standard_normal((draws, d)) @ np.linalg.cholesky(glm_stationary_cov(star)).T
-    eps = rng.standard_normal((draws, d)) @ np.linalg.cholesky(star.R).T
-    z1 = z0 @ star.Phi.T + eps
-
-    def logpdf(params, dev):
-        u = np.linalg.solve(np.linalg.cholesky(params.R), dev.T)
-        logdet = float(np.linalg.slogdet(params.R)[1])
-        return -0.5 * (d * _LOG2PI + logdet + np.sum(u * u, axis=0))
-
-    lr = logpdf(star, z1 - z0 @ star.Phi.T) - logpdf(other, z1 - z0 @ other.Phi.T)
-    return _finish_mc(lr, "mc")
+    z0 = spec_star.sample_stationary_many(draws, rng)
+    z1 = spec_star.sample_step(z0, rng)
+    return _finish_logratio(spec_star.trans_logpdf(z0, z1), spec_other.trans_logpdf(z0, z1))
 
 
 def _hmm_logratio(star: HmmFactorization, other: HmmFactorization, draws: int, seed: int) -> KldEstimate:

@@ -49,8 +49,8 @@ from typing import Optional
 import numpy as np
 
 from .audit import AuditReport, positivity_audit, write_audit_jsonl
-from .core import ModelSpec, PointMass, Stationary, project_observations, simulate_complete
-from .models import SsmParams, ssm_spec
+from .core import PointMass, Stationary, project_observations, simulate_complete
+from .models import scalar_ssm
 from .posterior import (
     ConcentrationRow,
     ParamGrid,
@@ -102,7 +102,7 @@ class ExperimentConfig:
             raise ValueError("the grid must cover the true parameter for concentration runs")
 
 
-_MODEL_KEYS = {"ssm": ("a", "b", "q_state", "q_obs")}
+_MODEL_KEYS = {"ssm": ("a", "b", "q_state", "q_obs")}  # the argument names of scalar_ssm
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -216,18 +216,11 @@ def _parse_init(tag: str):
     raise ValueError(f"unknown initial distribution {tag!r}")
 
 
-def _build_ssm(model: dict, value: Optional[float] = None, key: Optional[str] = None) -> ModelSpec:
-    m = dict(model)
-    if key is not None:
-        m[key] = value
-    return ssm_spec(SsmParams(A=[[m["a"]]], B=[[m["b"]]], Qzeta=[[m["q_state"]]], Qxi=[[m["q_obs"]]]))
-
-
 def experiment_grid(cfg: ExperimentConfig) -> tuple[ParamGrid, list]:
     grid = uniform_grid_1d(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
     if cfg.prior == "improper":
         grid = ParamGrid(grid.points, np.ones(len(grid)), grid.cell_volume)
-    specs = [_build_ssm(cfg.model, float(pt[0]), cfg.grid_param) for pt in grid.points]
+    specs = [scalar_ssm(**{**cfg.model, cfg.grid_param: float(pt[0])}) for pt in grid.points]
     return grid, specs
 
 
@@ -255,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     non-degenerate or the run fails with a diagnostic.
     """
     cfg.validate()
-    truth_spec = _build_ssm(cfg.model)
+    truth_spec = scalar_ssm(**cfg.model)
     n_max = cfg.n_list[-1]
     traj = simulate_complete(truth_spec, _parse_init(cfg.init_true), n_max, cfg.seed)
     obs = project_observations(traj)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_size, _chol_psd
+from .core import _trapezoid_weights
 from .models import glm_stationary_cov, ssm_spec
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -72,18 +73,22 @@ def _obs_column(obs: np.ndarray, obs_dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_init_dim(init, p: int, q: int) -> None:
+    """Reject a point mass or Gaussian initial law whose (x, y) dimensions are not ``(p, q)``."""
+    if isinstance(init, PointMass) and (init.x.size, init.y.size) != (p, q):
+        raise ValueError(f"point mass has dimensions ({init.x.size}, {init.y.size}), expected ({p}, {q})")
+    if isinstance(init, GaussianOnZ) and init.mean.size != p + q:
+        raise ValueError(f"Gaussian init has dimension {init.mean.size}, expected {p + q}")
+
+
 def _gaussian_init_moments(spec: ModelSpec, init) -> tuple[np.ndarray, np.ndarray]:
     d = spec.state_dim + spec.obs_dim
+    _check_init_dim(init, spec.state_dim, spec.obs_dim)
     if isinstance(init, Stationary):
         return np.zeros(d), glm_stationary_cov(spec.glm)
     if isinstance(init, PointMass):
-        z = np.concatenate([np.atleast_1d(init.x).astype(float), np.atleast_1d(init.y).astype(float)])
-        if z.size != d:
-            raise ValueError(f"point mass has dimension {z.size}, expected {d}")
-        return z, np.zeros((d, d))
+        return np.concatenate([init.x, init.y]).astype(float), np.zeros((d, d))
     if isinstance(init, GaussianOnZ):
-        if init.mean.size != d:
-            raise ValueError(f"Gaussian init has dimension {init.mean.size}, expected {d}")
         return init.mean.copy(), init.cov.copy()
     raise UnsupportedInitError(
         f"the Kalman evaluator needs a Gaussian-type initial distribution, got {type(init).__name__}"
@@ -146,6 +151,7 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     in-place ufuncs over the whole buffer, with the same operations in the
     same order as one step would take them.
     """
+    _check_init_dim(init, 1, 1)
     if isinstance(init, Stationary):
         m, pv = 0.0, qz / (1.0 - a * a)
     elif isinstance(init, PointMass):
@@ -294,15 +300,12 @@ def enumeration_loglik(spec: ModelSpec, obs: np.ndarray, init) -> float:
 
 
 def _bpf_initial_particles(spec: ModelSpec, init, n_particles: int, rng: np.random.Generator):
+    _check_init_dim(init, spec.state_dim, spec.obs_dim)
     if isinstance(init, Stationary):
         return spec.hmm.stationary_x_sample(n_particles, rng)
     if isinstance(init, PointMass):
-        x0 = np.atleast_1d(init.x)
-        if x0.size == 1:
-            return np.full(n_particles, float(x0[0])) if spec.finite is None else np.full(
-                n_particles, int(x0[0]), dtype=int
-            )
-        return np.tile(x0.astype(float), (n_particles, 1))
+        x0 = init.x.astype(float if spec.finite is None else int)
+        return np.full(n_particles, x0[0]) if x0.size == 1 else np.tile(x0, (n_particles, 1))
     if isinstance(init, GaussianOnZ):
         p = spec.state_dim
         mean = init.mean[:p]
@@ -357,13 +360,6 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
-    h = grid[1] - grid[0]
-    w = np.full(len(grid), h)
-    w[0] = w[-1] = h / 2.0
-    return w
-
-
 def _x_marginal_sd(spec: ModelSpec) -> float:
     if spec.sv is not None:
         return float(np.sqrt(spec.sv.x_var))
@@ -399,6 +395,7 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
         return LogLik(0.0, 0, "quadrature")
     if n > 8:
         raise ValueError("quadrature is an oracle for short sequences (n <= 8)")
+    _check_init_dim(init, 1, spec.obs_dim)
     sd = _x_marginal_sd(spec)
     # mean and sd of x0, and how far a displaced initial law widens the grid
     if isinstance(init, Stationary):
@@ -450,6 +447,15 @@ def _gh_nodes(mean: float, sd: float, n: int = 80) -> tuple[np.ndarray, np.ndarr
     return mean + np.sqrt(2.0) * sd * t, w / np.sqrt(np.pi)
 
 
+def _transition_kernel(log_q, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``exp(log_q(r, c))`` for every row and column node, filled in place by row blocks of about ``_BLOCK_FLOATS`` entries."""
+    out = np.empty((len(rows), len(cols)))
+    step = max(1, _BLOCK_FLOATS // len(cols))
+    for i in range(0, len(rows), step):
+        np.exp(log_q(rows[i : i + step, None], cols[None, :]), out=out[i : i + step])
+    return out
+
+
 def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, mean0: float, sd0: float, grid: np.ndarray, logw: np.ndarray) -> LogLik:
     """An HMM with x0 ~ N(mean0, sd0^2); ``sd0 == 0`` is a point mass."""
     qx_logpdf, g_logpdf = spec.hmm.qx_logpdf, spec.hmm.g_logpdf
@@ -460,54 +466,35 @@ def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, mean0: float, sd0: float, g
         x0n, w0 = _gh_nodes(mean0, sd0)
         la = _logsumexp_columns(qx_logpdf(x0n[:, None], grid[None, :]) + np.log(w0)[:, None])
     la = la + g_logpdf(grid, yvals[0])
-    if len(yvals) > 1:  # the kernel is the same at every step; its rows are built block by block
-        trans = np.empty((len(grid), len(grid)))
-        rows = max(1, _BLOCK_FLOATS // len(grid))
-        for i in range(0, len(grid), rows):
-            np.exp(qx_logpdf(grid[i : i + rows, None], grid[None, :]), out=trans[i : i + rows])
+    if len(yvals) > 1:  # the kernel is the same at every step
+        trans = _transition_kernel(qx_logpdf, grid, grid)
     for y in yvals[1:]:
         la = _forward_step(la, logw, trans) + g_logpdf(grid, y)
-    total = _logsumexp(la + logw)
-    return LogLik(total, len(yvals), "quadrature")
+    return LogLik(_logsumexp(la + logw), len(yvals), "quadrature")
 
 
 def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, logw: np.ndarray) -> LogLik:
-    """General scalar linear model: the transition may depend on the past y."""
-    params = spec.glm
-    if params.p != 1 or params.q != 1:
+    """General scalar linear model, whose transition ``spec.trans_logpdf`` may depend on the past y."""
+    if spec.obs_dim != 1:  # quadrature_loglik admits one-dimensional states only
         raise ValueError("quadrature for the linear family is implemented for p = q = 1")
-    Phi, R = params.Phi, params.R
-    Rinv = np.linalg.inv(R)
-    logdet = float(np.linalg.slogdet(R)[1])
 
     def log_q(z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
-        # z0: (m, 2), z1: (k, 2) -> (m, k)
-        mean = z0 @ Phi.T
-        dev = z1[None, :, :] - mean[:, None, :]
-        quad = np.einsum("mki,ij,mkj->mk", dev, Rinv, dev)
-        return -0.5 * (2.0 * _LOG2PI + logdet + quad)
+        return spec.trans_logpdf((z0[..., :1], z0[..., 1:]), (z1[..., :1], z1[..., 1:]))
+
+    def on_grid(y: float) -> np.ndarray:
+        return np.column_stack([grid, np.full(len(grid), y)])
 
     yvals = ys[:, 0]
-    z1_grid = np.column_stack([grid, np.full(len(grid), yvals[0])])
     if isinstance(init, PointMass):
-        z0 = np.concatenate([np.atleast_1d(init.x), np.atleast_1d(init.y)]).astype(float)[None, :]
-        la = log_q(z0, z1_grid)[0]
+        la = log_q(np.concatenate([init.x, init.y]).astype(float), on_grid(yvals[0]))
     else:
-        # tensor Gauss-Hermite on the two z0 coordinates via the Cholesky map
+        # tensor Gauss-Hermite on the two z0 coordinates via the Cholesky map, as a forward step from the nodes
         mean, cov = _gaussian_init_moments(spec, init)
-        t, w = np.polynomial.hermite.hermgauss(64)
-        tt0, tt1 = np.meshgrid(t, t, indexing="ij")
-        u = np.column_stack([tt0.ravel(), tt1.ravel()]) * np.sqrt(2.0)
-        z0 = u @ _chol_psd(cov).T + mean
-        lw0 = np.log(np.outer(w, w).ravel() / np.pi)
-        la = _logsumexp_columns(log_q(z0, z1_grid) + lw0[:, None])
-
-    for k in range(1, len(yvals)):
-        z_prev = np.column_stack([grid, np.full(len(grid), yvals[k - 1])])
-        z_next = np.column_stack([grid, np.full(len(grid), yvals[k])])
-        trans = log_q(z_prev, z_next)
-        np.exp(trans, out=trans)
-        la = _forward_step(la, logw, trans)
+        t, w = _gh_nodes(0.0, 1.0, 64)
+        z0 = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2) @ _chol_psd(cov).T + mean
+        la = _forward_step(np.log(np.outer(w, w).ravel()), 0.0, _transition_kernel(log_q, z0, on_grid(yvals[0])))
+    for y_prev, y in zip(yvals[:-1], yvals[1:]):
+        la = _forward_step(la, logw, _transition_kernel(log_q, on_grid(y_prev), on_grid(y)))
     return LogLik(_logsumexp(la + logw), len(yvals), "quadrature")
 
 

@@ -26,11 +26,13 @@ from the factorization in one place: the transition log density is
 ``qx_logpdf + g_logpdf``, a step draws ``x'`` and then ``y'``, and a
 stationary pair draws ``x`` and then ``y``. ``ssm_spec`` attaches such
 a factorization to its linear-family spec. Only this module writes out a
-family's formulas: the SV densities and samplers (``sv_qx_logpdf``,
+family's formulas: the linear Gaussian density and sampler
+``_linear_gaussian`` (``glm_spec``'s transition and ``ssm_spec``'s
+factors), the SV densities and samplers (``sv_qx_logpdf``,
 ``sv_g_logpdf``, ``sv_stationary_x_sample``, ``sv_qx_sample``,
 ``sv_g_sample``) and the scalar ``normal_logpdf``, which the particle
 filter, quadrature, divergences and audits call directly or through the
-spec's hooks.
+spec's broadcasting callables and hooks.
 
 Building a spec of the linear families does only what the exact
 evaluators need: the parameter records run every check (stability,
@@ -277,10 +279,15 @@ def glm_stationary_cov(params: GlmParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chol_logdet(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor of ``cov`` and ``log det cov``."""
+def _gaussian_factors(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cholesky factor ``L`` of ``cov``, its inverse and ``log det cov``."""
     chol = np.linalg.cholesky(cov)
-    return chol, 2.0 * np.sum(np.log(np.diag(chol)))
+    return chol, np.linalg.inv(chol), 2.0 * np.sum(np.log(np.diag(chol)))
+
+
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M @ v`` per vector on the last axis of ``v``, with that vector's own bits in any batch."""
+    return (M @ v[..., None])[..., 0]
 
 
 def _stationary_chol(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -304,32 +311,32 @@ def normal_logpdf(dev, var):
     return q
 
 
-def _gaussian_logpdf(chol: np.ndarray, logdet: float, dev: np.ndarray) -> float:
-    u = np.linalg.solve(chol, dev)
-    return float(-0.5 * (chol.shape[0] * _LOG2PI + logdet + u @ u))
+def _pair_value(v):
+    """A transition log density: a Python float for one pair, else the array."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def glm_spec(params: GlmParams) -> ModelSpec:
     """Model with transition law ``z' ~ N(Phi z, R)`` and stationary law ``N(0, Gamma)``.
 
-    The factors of ``R`` and ``Gamma`` are computed on first use.
+    The transition is ``_linear_gaussian(Phi, R, p + q)`` on the stacked
+    pair, broadcast over pairs as ``ModelSpec`` describes. The factors of
+    ``R`` and ``Gamma`` are computed on first use.
     """
     Phi, R, p, q = params.Phi, params.R, params.p, params.q
     d = p + q
-    r_factors = _Once(_chol_logdet, R)
+    logpdf, sample = _linear_gaussian(Phi, R, d)
     chol_g = _Once(_stationary_chol, Phi, R)
 
     def _stack(z):
-        return np.concatenate([np.atleast_1d(np.asarray(z[0], dtype=float)),
-                               np.atleast_1d(np.asarray(z[1], dtype=float))])
+        return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in z], axis=-1)
 
-    def trans_logpdf(z, z_next) -> float:
-        dev = _stack(z_next) - Phi @ _stack(z)
-        return _gaussian_logpdf(*r_factors(), dev)
+    def trans_logpdf(z, z_next):
+        return _pair_value(logpdf(_stack(z), _stack(z_next)))
 
     def sample_step(z, rng):
-        znew = Phi @ _stack(z) + r_factors()[0] @ rng.standard_normal(d)
-        return (znew[:p], znew[p:])
+        znew = sample(_stack(z), rng)
+        return (znew[..., :p], znew[..., p:])
 
     def sample_stationary(rng):
         z0 = chol_g() @ rng.standard_normal(d)
@@ -347,7 +354,6 @@ def glm_spec(params: GlmParams) -> ModelSpec:
         sample_stationary=sample_stationary,
         sample_stationary_many=sample_stationary_many,
         glm=params,
-        label="glm",
     )
 
 
@@ -380,31 +386,32 @@ def ssm_embed(params: SsmParams) -> GlmParams:
 def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int):
     """Broadcasting log density and sampler of ``N(M x, cov)`` given states ``x``.
 
-    A scalar factor (``M`` is 1 x 1) is ``normal_logpdf`` and one line of
-    sampling. Otherwise a state has shape ``(..., p)``, or ``(...)`` when
-    ``p == 1``, the outcome keeps its trailing axis, and the Cholesky
-    factor of ``cov`` is computed on first use.
+    The linear family's only density and sampler. A scalar factor (``M``
+    is 1 x 1) is ``normal_logpdf`` and one line of sampling. Otherwise a
+    state has shape ``(..., p)``, or ``(...)`` when ``p == 1``, the
+    outcome keeps its trailing axis, and ``L``, ``L^{-1}`` and the log
+    determinant of ``cov = L L^T`` are computed on first use. Every
+    product goes through ``_matvec``, so a batch gives the per-state bits.
     """
     if M.shape == (1, 1):
         m, var = float(M[0, 0]), float(cov[0, 0])
         return (lambda x, v: normal_logpdf(v - m * x, var),
                 lambda x, rng: m * x + np.sqrt(var) * rng.standard_normal(np.shape(x)))
-    factors = _Once(_chol_logdet, cov)
+    factors = _Once(_gaussian_factors, cov)
     d = M.shape[0]
 
     def mean(x):
         x = np.asarray(x, dtype=float)
-        return (x[..., None] if p == 1 else x) @ M.T
+        return _matvec(M, x[..., None] if p == 1 else x)
 
     def logpdf(x, v):
-        dev = v - mean(x)
-        chol, logdet = factors()
-        u = np.linalg.solve(chol, dev.reshape(-1, d).T)
-        return (-0.5 * (d * _LOG2PI + logdet + np.sum(u * u, axis=0))).reshape(dev.shape[:-1])
+        _, chol_inv, logdet = factors()
+        u = _matvec(chol_inv, v - mean(x))
+        return -0.5 * (d * _LOG2PI + logdet + (u * u).sum(-1))
 
     def sample(x, rng):
         mu = mean(x)
-        return mu + rng.standard_normal(mu.shape) @ factors()[0].T
+        return mu + _matvec(factors()[0], rng.standard_normal(mu.shape))
 
     return logpdf, sample
 
@@ -428,7 +435,7 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
         return draws[:, 0] if p == 1 else draws
 
     hmm = HmmFactorization(*_linear_gaussian(A, Qz, p), *_linear_gaussian(B, Qx, p), stationary_x_sample)
-    return dataclasses.replace(glm_spec(glm), hmm=hmm, ssm=params, label="ssm")
+    return dataclasses.replace(glm_spec(glm), hmm=hmm, ssm=params)
 
 
 def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.2) -> ModelSpec:
@@ -441,27 +448,23 @@ def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.
 # ---------------------------------------------------------------------------
 
 
-def _scalar(v) -> float:
-    return float(np.atleast_1d(v)[0])
-
-
 def _hmm_spec(hmm: HmmFactorization, **fields) -> ModelSpec:
     """The joint chain ``z = (x, y)`` of an HMM, derived from its factorization.
 
-    ``trans_logpdf`` is ``qx_logpdf + g_logpdf``; a step draws ``x'`` and
-    then ``y'``; a stationary pair draws ``x`` from
-    ``stationary_x_sample`` and then ``y`` from ``g_sample``. The
-    hooks receive states as Python floats, so finite families convert
-    them back to indices. ``fields`` holds the remaining ``ModelSpec``
-    fields: the family's parameters, its label and any batch sampler.
+    ``trans_logpdf`` is ``qx_logpdf + g_logpdf``, broadcast through the
+    hooks; a step draws ``x'`` and then ``y'``; a stationary pair draws
+    ``x`` from ``stationary_x_sample`` and then ``y`` from ``g_sample``.
+    The hooks receive scalar states without their trailing axis, so finite
+    families convert them back to indices. ``fields`` holds the remaining
+    ``ModelSpec`` fields: the family's parameters and any batch sampler.
     """
 
-    def trans_logpdf(z, z_next) -> float:
-        x1 = _scalar(z_next[0])
-        return float(hmm.qx_logpdf(_scalar(z[0]), x1) + hmm.g_logpdf(x1, _scalar(z_next[1])))
+    def trans_logpdf(z, z_next):
+        x, x1, y1 = (np.atleast_1d(v)[..., 0] for v in (z[0], *z_next))
+        return _pair_value(hmm.qx_logpdf(x, x1) + hmm.g_logpdf(x1, y1))
 
     def sample_step(z, rng):
-        x1 = hmm.qx_sample(_scalar(z[0]), rng)
+        x1 = hmm.qx_sample(float(np.atleast_1d(z[0])[0]), rng)
         return (np.array([x1]), np.array([hmm.g_sample(x1, rng)]))
 
     def sample_stationary(rng):
@@ -543,7 +546,7 @@ def sv_spec(params: SvParams) -> ModelSpec:
         g_sample=partial(sv_g_sample, params),
         stationary_x_sample=partial(sv_stationary_x_sample, params),
     )
-    return _hmm_spec(hmm, sample_stationary_many=sample_stationary_many, sv=params, label="sv")
+    return _hmm_spec(hmm, sample_stationary_many=sample_stationary_many, sv=params)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +608,7 @@ def finite_hmm_spec(params: FiniteHmmParams) -> ModelSpec:
         g_sample=lambda x, rng: draw(cumG[idx(x)], rng.random(np.shape(x))),
         stationary_x_sample=lambda n, rng: draw(cum_pi, rng.random(n)),
     )
-    return _hmm_spec(hmm, finite=params, label="finite_hmm")
+    return _hmm_spec(hmm, finite=params)
 
 
 # ---------------------------------------------------------------------------
@@ -629,4 +632,4 @@ def iid_gaussian_spec(mu: float, sd: float) -> ModelSpec:
         g_sample=lambda x, rng: mu + sd * rng.standard_normal(np.shape(x)),
         stationary_x_sample=lambda n, rng: rng.standard_normal(n),
     )
-    return _hmm_spec(hmm, label="iid_gaussian")
+    return _hmm_spec(hmm)

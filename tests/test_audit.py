@@ -19,6 +19,7 @@ from pommkit import (
     finite_hmm_spec,
     finite_w_source,
     glm_spec,
+    iid_gaussian_spec,
     kingman_check,
     positivity_audit,
     project_observations,
@@ -294,6 +295,45 @@ class TestPositivity:
             per_sample = [spec.hmm.g_logpdf(z[:p] if p > 1 else z[0], z[p:])
                           for z in rng.standard_normal((n, p + q)) * 5.0]
             assert reports["C2"].statistic == min(per_sample)
+
+
+def per_pair_b3(spec, seed):
+    """B3's minimum by one ``trans_logpdf`` call per sampled pair and per pair of extremes, in turn."""
+    rng = rngmod.substream(seed, rngmod.AUDIT, 4)
+    p, q = spec.state_dim, spec.obs_dim
+    worst = np.inf
+    for _ in range(200):
+        z = (rng.standard_normal(p) * 5.0, rng.standard_normal(q) * 5.0)
+        z1 = (rng.standard_normal(p) * 5.0, rng.standard_normal(q) * 5.0)
+        worst = min(worst, spec.trans_logpdf(z, z1))
+    extremes = [-50.0, -1.0, 0.0, 1.0, 50.0]
+    for a in extremes:
+        for b in extremes:
+            worst = min(worst, spec.trans_logpdf((np.full(p, a), np.full(q, a)), (np.full(p, b), np.full(q, b))))
+    return worst
+
+
+class TestPositivityInOneCall:
+    """B3 evaluates its samples and its extremes in one broadcast call each, with the per-pair minimum."""
+
+    def test_b3_equals_the_per_pair_loop(self):
+        rng = np.random.default_rng(40)
+        specs = [
+            glm_spec(random_stable_glm(rng)),
+            glm_spec(random_stable_glm(rng, d=3, p=1, q=2)),
+            scalar_ssm(0.5),
+            scalar_ssm(0.95, 0.7, 1.3, 0.4),
+            ssm_spec(SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], np.eye(2), [[0.3]])),
+            ssm_spec(SsmParams([[0.7]], [[1.0], [-0.4]], [[0.8]], [[0.3, 0.1], [0.1, 0.5]])),
+            sv_spec(STAR),
+            sv_spec(SvParams(0.2, 1.5, -0.6)),
+            iid_gaussian_spec(0.5, 2.0),
+        ]
+        for spec in specs:
+            for seed in (0, 16, 20260808):
+                b3 = positivity_audit(spec, seed=seed)[0]
+                assert b3.assumption == "B3"
+                assert b3.statistic == per_pair_b3(spec, seed)
 
 
 class TestSerialization:

@@ -122,6 +122,23 @@ class TestMonteCarloOracle:
         assert est.value == (num - den).mean()
         assert est.se == (num - den).std(ddof=1) / np.sqrt(2000)
 
+    def test_linear_pairs_draw_and_evaluate_through_the_specs(self):
+        # every z0 from the stationary sampler, every z1 from the broadcasting step, then
+        # trans_logpdf on each side; the closed inner KLD reads the same z0
+        rng = np.random.default_rng(13)
+        for d, p, q in ((2, 1, 1), (3, 2, 1), (3, 1, 2)):
+            star, other = (glm_spec(random_stable_glm(rng, d=d, p=p, q=q)) for _ in range(2))
+            r = rngmod.substream(6, rngmod.KLD_OUTER)
+            z0 = star.sample_stationary_many(3000, r)
+            z1 = star.sample_step(z0, r)
+            lr = star.trans_logpdf(z0, z1) - other.trans_logpdf(z0, z1)
+            est = step_kld_mc(star, other, draws=3000, seed=6, inner="logratio")
+            assert (est.value, est.se) == (lr.mean(), lr.std(ddof=1) / np.sqrt(3000))
+            dphi, Rinv = other.glm.Phi - star.glm.Phi, np.linalg.inv(other.glm.R)
+            dev = np.hstack(z0) @ dphi.T
+            inner = gaussian_kl(np.zeros(d), star.glm.R, np.zeros(d), other.glm.R) + 0.5 * np.einsum("ni,ij,nj->n", dev, Rinv, dev)
+            assert step_kld_mc(star, other, draws=3000, seed=6).value == inner.mean()
+
     def test_finite_pair_matches_exact_sum(self):
         P1, G1 = np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]])
         P2, G2 = np.array([[0.5, 0.5], [0.4, 0.6]]), np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])

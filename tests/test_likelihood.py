@@ -41,7 +41,7 @@ from pommkit import (
 )
 from pommkit.audit import b6_entropy_floor_sv
 from pommkit.core import UnsupportedInitError
-from pommkit.likelihood import forward_increments, ssm_kalman_increments, ssm_kalman_loglik
+from pommkit.likelihood import _transition_kernel, forward_increments, ssm_kalman_increments, ssm_kalman_loglik
 from pommkit.models import glm_stationary_cov, normal_logpdf
 from tests.test_models import one_expression_normal, one_expression_sv_g
 
@@ -516,3 +516,66 @@ class TestGridIncrements:
         init = CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1)))
         with pytest.raises(UnsupportedInitError):
             grid_increments(specs, np.array([0.1, 0.2]), init, "kalman")
+
+
+class TestInitialLawDimension:
+    """Every likelihood path rejects a point mass or Gaussian initial law of the wrong (x, y) dimension."""
+
+    BAD = (
+        GaussianOnZ([0.3, 9.0, 9.0], np.eye(3)),
+        PointMass([0.3, 7.0], 0.0),
+        PointMass(0.3, [0.0, 7.0]),
+    )
+
+    def test_scalar_paths_reject_extra_coordinates(self):
+        ssm, sv = scalar_ssm(0.5), sv_spec(SvParams(1.0, 0.3, 0.9))
+        ys = np.array([0.1, 0.2])
+        for init in self.BAD:
+            calls = (
+                lambda: increments(ssm, ys, init, "kalman"),
+                lambda: ssm_kalman_increments(ssm.ssm, ys, init),
+                lambda: kalman_increments(ssm, ys, init),
+                lambda: grid_increments([scalar_ssm(0.4), ssm], ys, init, "kalman"),
+                lambda: quadrature_loglik(sv, ys, init, nodes=101),
+                lambda: quadrature_loglik(ssm, ys, init, nodes=101),
+                lambda: bpf_loglik(sv, ys, init, particles=16, seed=0),
+                lambda: bpf_loglik(ssm, ys, init, particles=16, seed=0),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match="point mass has dimensions|Gaussian init has dimension"):
+                    call()
+
+    def test_vector_paths_check_both_blocks(self):
+        # p = 2, q = 1: a point mass needs two state and one observation coordinate
+        spec = ssm_spec(SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], np.eye(2), [[0.3]]))
+        ys = simulated_obs(spec, 5, seed=41)
+        for init in (PointMass(1.0, [0.3, -0.5]), PointMass([1.0, 0.2, 0.3], 0.1), GaussianOnZ([0.1, 0.2], np.eye(2))):
+            for call in (lambda: kalman_increments(spec, ys, init), lambda: bpf_loglik(spec, ys, init, particles=16, seed=0)):
+                with pytest.raises(ValueError, match="point mass has dimensions|Gaussian init has dimension"):
+                    call()
+        good = PointMass([1.0, -0.5], 0.3)
+        assert np.isfinite(kalman_increments(spec, ys, good)).all()
+        assert np.isfinite(bpf_loglik(spec, ys, good, particles=16, seed=0).value)
+
+
+class TestLinearQuadrature:
+    """The linear quadrature takes every factor from ``trans_logpdf``, through the shared row-block kernel."""
+
+    def test_matches_kalman_for_every_initial_law(self):
+        spec = glm_spec(GlmParams([[0.5, 0.2], [-0.3, 0.4]], [[1.0, 0.3], [0.3, 0.8]], 1, 1))
+        ys = simulated_obs(spec, 3, seed=42)
+        for init in (Stationary(), PointMass(1.5, -0.5), GaussianOnZ([0.2, 0.1], [[0.5, 0.1], [0.1, 0.4]])):
+            assert abs(quadrature_loglik(spec, ys, init, nodes=801).value - kalman_loglik(spec, ys, init).value) < 1e-6
+
+    def test_row_block_kernel_is_the_one_shot_kernel(self):
+        spec = glm_spec(GlmParams([[0.5, 0.2], [-0.3, 0.4]], [[1.0, 0.3], [0.3, 0.8]], 1, 1))
+
+        def log_q(z0, z1):
+            return spec.trans_logpdf((z0[..., :1], z0[..., 1:]), (z1[..., :1], z1[..., 1:]))
+
+        rng = np.random.default_rng(43)
+        rows, cols = rng.standard_normal((700, 2)), rng.standard_normal((300, 2))  # 700 rows span several blocks
+        assert _transition_kernel(log_q, rows, cols).tobytes() == np.exp(log_q(rows[:, None], cols[None, :])).tobytes()
+        qx = scalar_ssm(0.6).hmm.qx_logpdf
+        grid = np.linspace(-5.0, 5.0, 401)
+        assert _transition_kernel(qx, grid, grid).tobytes() == np.exp(qx(grid[:, None], grid[None, :])).tobytes()

@@ -647,3 +647,89 @@ class TestIidSpecialization:
         ys = traj.y[1:, 0]
         assert abs(ys.mean() - 0.5) < 3 * 2.0 / np.sqrt(len(ys))
         assert abs(ys.var() - 4.0) < 3 * 4.0 * np.sqrt(2.0 / len(ys))
+
+
+def family_specs():
+    """One spec per family and shape: the linear family, state-space models with p or q above 1, and the HMMs."""
+    rng = np.random.default_rng(31)
+    return {
+        "glm": glm_spec(random_stable_glm(rng)),
+        "glm_p2": glm_spec(random_stable_glm(rng, d=3, p=2, q=1)),
+        "glm_q2": glm_spec(random_stable_glm(rng, d=3, p=1, q=2)),
+        "ssm": scalar_ssm(0.7, 1.2, 0.8, 0.3),
+        "ssm_p2": ssm_spec(SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], np.eye(2), [[0.3]])),
+        "ssm_q2": ssm_spec(SsmParams([[0.7]], [[1.0], [-0.4]], [[0.8]], [[0.3, 0.1], [0.1, 0.5]])),
+        **hmm_family_specs(),
+    }
+
+
+def random_pairs(spec, rng, n):
+    """``n`` pairs ``(x, y)``: arrays of shape (n, state_dim) and (n, obs_dim)."""
+    if spec.finite is not None:
+        k, m = spec.finite.G.shape
+        return rng.integers(0, k, (n, 1)), rng.integers(0, m, (n, 1))
+    return 3.0 * rng.standard_normal((n, spec.state_dim)), 3.0 * rng.standard_normal((n, spec.obs_dim))
+
+
+class TestBroadcastingTransition:
+    """Every family's ``trans_logpdf`` broadcasts, and the linear ``sample_step`` draws per pair in turn."""
+
+    def test_array_of_pairs_equals_per_pair_calls(self):
+        rng = np.random.default_rng(32)
+        for name, spec in family_specs().items():
+            z, z1 = random_pairs(spec, rng, 300), random_pairs(spec, rng, 300)
+            batch = spec.trans_logpdf(z, z1)
+            assert batch.shape == (300,), name
+            per_pair = [spec.trans_logpdf((z[0][i], z[1][i]), (z1[0][i], z1[1][i])) for i in range(300)]
+            assert all(type(v) is float for v in per_pair)
+            assert np.array(per_pair).tobytes() == batch.tobytes(), name
+            # any batch shape: a grid of pairs against one pair
+            grid = spec.trans_logpdf((z[0].reshape(20, 15, -1), z[1].reshape(20, 15, -1)), (z1[0][0], z1[1][0]))
+            assert grid.shape == (20, 15)
+            assert grid.ravel().tobytes() == np.array([spec.trans_logpdf((z[0][i], z[1][i]), (z1[0][0], z1[1][0]))
+                                                       for i in range(300)]).tobytes(), name
+
+    def test_vector_state_space_hooks_are_batch_invariant(self):
+        rng, specs = np.random.default_rng(33), family_specs()
+        for name in ("ssm_p2", "ssm_q2"):
+            spec = specs[name]
+            hmm, p, q = spec.hmm, spec.ssm.p, spec.ssm.q
+
+            def states(n):
+                return 3.0 * rng.standard_normal((n, p) if p > 1 else n)
+
+            # an observation keeps its trailing axis unless the factor is scalar (p = q = 1)
+            x, x1, y = states(500), states(500), 3.0 * rng.standard_normal((500, q))
+            for hook, a, b in ((hmm.qx_logpdf, x, x1), (hmm.g_logpdf, x, y)):
+                batch = hook(a, b)
+                assert batch.shape == (500,)
+                assert np.array([hook(a[i], b[i]) for i in range(500)]).tobytes() == batch.tobytes(), name
+            for draw in (hmm.qx_sample, hmm.g_sample):
+                r_batch, r_one = rngmod.substream(9, 0), rngmod.substream(9, 0)
+                batch = draw(x, r_batch)
+                assert np.array([draw(x[i], r_one) for i in range(500)]).tobytes() == batch.tobytes(), name
+                assert r_batch.random() == r_one.random()
+
+    def test_linear_sample_step_draws_the_pairs_in_turn(self):
+        rng, specs = np.random.default_rng(34), family_specs()
+        for name in ("glm", "glm_p2", "glm_q2", "ssm", "ssm_p2", "ssm_q2"):
+            spec = specs[name]
+            z = random_pairs(spec, rng, 200)
+            r_batch, r_one = rngmod.substream(10, 0), rngmod.substream(10, 0)
+            x1, y1 = spec.sample_step(z, r_batch)
+            assert x1.shape == (200, spec.state_dim) and y1.shape == (200, spec.obs_dim)
+            for i in range(200):
+                xi, yi = spec.sample_step((z[0][i], z[1][i]), r_one)
+                assert (xi.tobytes(), yi.tobytes()) == (x1[i].tobytes(), y1[i].tobytes()), name
+            assert r_batch.random() == r_one.random()
+
+    def test_linear_transition_is_the_written_out_gaussian(self):
+        # log N(z'; Phi z, R) by a dense solve, to float accuracy
+        rng, specs = np.random.default_rng(35), family_specs()
+        for name in ("glm", "glm_p2", "glm_q2", "ssm_p2", "ssm_q2"):
+            spec = specs[name]
+            Phi, R = spec.glm.Phi, spec.glm.R
+            z, z1 = random_pairs(spec, rng, 50), random_pairs(spec, rng, 50)
+            dev = np.hstack(z1) - np.hstack(z) @ Phi.T
+            want = -0.5 * (len(R) * LOG2PI + np.linalg.slogdet(R)[1] + np.sum(dev * np.linalg.solve(R, dev.T).T, axis=1))
+            np.testing.assert_allclose(spec.trans_logpdf(z, z1), want, rtol=1e-12, atol=0)
