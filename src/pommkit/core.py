@@ -224,7 +224,16 @@ def param_distance(space: ParamSpace, a, b) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_init_dim(init, p: int, q: int) -> None:
+    """Reject a point mass or Gaussian initial law whose (x, y) dimensions are not ``(p, q)``."""
+    if isinstance(init, PointMass) and (init.x.size, init.y.size) != (p, q):
+        raise ValueError(f"point mass has dimensions ({init.x.size}, {init.y.size}), expected ({p}, {q})")
+    if isinstance(init, GaussianOnZ) and init.mean.size != p + q:
+        raise ValueError(f"Gaussian init has dimension {init.mean.size}, expected {p + q}")
+
+
 def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) -> Z:
+    _check_init_dim(init, spec.state_dim, spec.obs_dim)
     if isinstance(init, Stationary):
         if spec.sample_stationary is None:
             raise NoStationarySamplerError(
@@ -235,8 +244,6 @@ def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) 
         return (init.x.copy(), init.y.copy())
     if isinstance(init, GaussianOnZ):
         d = spec.state_dim + spec.obs_dim
-        if init.mean.size != d:
-            raise ValueError(f"GaussianOnZ dimension {init.mean.size} does not match model z-dim {d}")
         z = init.mean + _chol_psd(init.cov) @ rng.standard_normal(d)
         return (z[: spec.state_dim], z[spec.state_dim :])
     if isinstance(init, CustomInit):

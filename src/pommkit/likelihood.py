@@ -17,14 +17,15 @@ arrays of grid parameters.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import rng as rngmod
-from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_size, _chol_psd
-from .core import _trapezoid_weights
+from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_init_dim
+from .core import _check_size, _chol_psd, _trapezoid_weights
 from .models import glm_stationary_cov, ssm_spec
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -71,14 +72,6 @@ def _obs_column(obs: np.ndarray, obs_dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Kalman recursion on the joint chain (linear Gaussian families)
 # ---------------------------------------------------------------------------
-
-
-def _check_init_dim(init, p: int, q: int) -> None:
-    """Reject a point mass or Gaussian initial law whose (x, y) dimensions are not ``(p, q)``."""
-    if isinstance(init, PointMass) and (init.x.size, init.y.size) != (p, q):
-        raise ValueError(f"point mass has dimensions ({init.x.size}, {init.y.size}), expected ({p}, {q})")
-    if isinstance(init, GaussianOnZ) and init.mean.size != p + q:
-        raise ValueError(f"Gaussian init has dimension {init.mean.size}, expected {p + q}")
 
 
 def _gaussian_init_moments(spec: ModelSpec, init) -> tuple[np.ndarray, np.ndarray]:
@@ -314,12 +307,6 @@ def _bpf_initial_particles(spec: ModelSpec, init, n_particles: int, rng: np.rand
     raise UnsupportedInitError(f"unsupported initial distribution for the particle filter: {type(init).__name__}")
 
 
-def _systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    n = len(weights)
-    positions = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(weights), positions, side="right").clip(max=n - 1)
-
-
 def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int, stream: int = 0) -> LogLik:
     """Bootstrap particle filter estimate of the log likelihood.
 
@@ -330,29 +317,49 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
     ``init`` is a law on the full (x, y) pair, but under the factorized
     transition only its hidden-state marginal affects the likelihood.
     ``particles`` must be an integer >= 2.
+
+    One step makes one pass of each of: the transition draw, the
+    emission log density, its max, the exp, the weight sum, the centred
+    squares and their sum, the cumulative sum, the search and the
+    gather. The weight mean and variance are numpy's ``mean`` and
+    ``var`` operations in their order, so they are numpy's bit for bit.
+    The weights overwrite the emission buffer and the cumulative sum
+    overwrites the squares, so besides the hooks' outputs a step
+    allocates only that buffer, the resampling positions and their
+    indices.
     """
     _check_size("particles", particles)
     if spec.hmm is None:
         raise ValueError("the particle filter needs an HMM factorization")
     hmm = spec.hmm
     ys = _obs_column(_finite_obs(obs), spec.obs_dim)
+    n = len(ys)
+    ys = ys[:, 0].astype(float).tolist() if spec.obs_dim == 1 else ys  # finite-alphabet codes arrive as floats
     rng = rngmod.substream(seed, rngmod.BPF, stream)
     x = _bpf_initial_particles(spec, init, particles, rng)
+    ks = np.arange(particles, dtype=float)
+    top = particles - 1
     total = 0.0
     var_log = 0.0
     for y in ys:
         x = hmm.qx_sample(x, rng)
-        logw = hmm.g_logpdf(x, y if y.size > 1 else float(y[0]))
-        m = logw.max()
-        if not np.isfinite(m):
-            return LogLik(-np.inf, len(ys), "bpf", flags=("zero_weights",))
-        w = np.exp(logw - m)
-        wmean = w.mean()
+        w = hmm.g_logpdf(x, y)  # a fresh buffer, so the weights can overwrite it
+        m = w.max()
+        if not math.isfinite(m):
+            return LogLik(-np.inf, n, "bpf", flags=("zero_weights",))
+        w -= m
+        np.exp(w, out=w)
+        s = w.sum()
+        wmean = s / particles
         total += m + np.log(wmean)
-        var_log += w.var() / (particles * wmean**2)
-        idx = _systematic_resample(w / w.sum(), rng)
-        x = x[idx]
-    return LogLik(float(total), len(ys), "bpf", se=float(np.sqrt(var_log)))
+        d = w - wmean
+        d *= d
+        var_log += d.sum() / particles / (particles * wmean**2)
+        w /= s
+        # systematic resampling: one uniform offset, positions (k + u) / particles
+        idx = np.searchsorted(np.cumsum(w, out=d), (ks + rng.random()) / particles, side="right")
+        x = x[np.minimum(idx, top, out=idx)]
+    return LogLik(float(total), n, "bpf", se=float(np.sqrt(var_log)))
 
 
 # ---------------------------------------------------------------------------

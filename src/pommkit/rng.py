@@ -7,6 +7,8 @@ so parallel Monte Carlo loops never share a stream.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # Stream-path tags, one per subsystem, so that independent operations
@@ -20,13 +22,20 @@ AUDIT = 6
 EXPERIMENT = 7
 
 
+def _is_index(value) -> bool:
+    return isinstance(value, numbers.Integral) and value >= 0
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return a Generator for the substream identified by ``(seed, *path)``.
 
     Identical arguments always produce an identical stream; distinct
-    paths are independent. ``seed`` must be a non-negative integer.
+    paths are independent. ``seed`` and every path entry must be
+    non-negative integers: a float is rejected, not truncated.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not _is_index(seed):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not all(_is_index(p) for p in path):
+        raise ValueError(f"stream path {path!r} must hold non-negative integers")
     ss = np.random.SeedSequence([int(seed), *[int(p) for p in path]])
     return np.random.Generator(np.random.Philox(ss))

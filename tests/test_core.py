@@ -10,9 +10,14 @@ from pommkit import (
     ParamSpace,
     PointMass,
     Stationary,
+    SvParams,
+    bpf_loglik,
+    iid_gaussian_spec,
+    mh_posterior,
     param_distance,
     project_observations,
     simulate_complete,
+    sv_spec,
 )
 from pommkit.models import GlmParams, glm_spec, scalar_ssm
 
@@ -74,6 +79,44 @@ class TestSimulation:
             with pytest.raises(ValueError, match="n must be an integer"):
                 simulate_complete(make_iid_glm(), Stationary(), n, seed=0)
         assert len(simulate_complete(make_iid_glm(), Stationary(), np.int64(3), seed=0)) == 4
+
+    def test_initial_law_of_the_wrong_dimension_rejected(self):
+        bad = (PointMass([0.3, 7.0], 0.0), PointMass(0.3, [0.0, 7.0]), GaussianOnZ([0.3, 9.0, 9.0], np.eye(3)))
+        for spec in (scalar_ssm(0.5), sv_spec(SvParams(1.0, 0.3, 0.9)), iid_gaussian_spec(0.5, 1.5)):
+            for init in bad:
+                with pytest.raises(ValueError, match="point mass has dimensions|Gaussian init has dimension"):
+                    simulate_complete(spec, init, 3, 0)
+            assert len(simulate_complete(spec, PointMass(0.3, 0.0), 3, 0)) == 4
+
+
+class TestSeedsAndStreams:
+    """Seeds and stream indices are non-negative integers: a float is rejected, never truncated."""
+
+    def test_rejected_at_every_entry_point(self):
+        spec, ys = scalar_ssm(0.5), np.array([0.1, -0.2])
+
+        def mh(seed):
+            return mh_posterior(lambda th: spec, lambda th: 0.0, ys, Stationary(), [0.5], 2, [0.1], seed)
+
+        for bad in (1.5, 2.0, -1, np.float64(2.0), "3"):
+            for call in (
+                lambda: bpf_loglik(spec, ys, Stationary(), 16, seed=bad),
+                lambda: simulate_complete(spec, Stationary(), 3, seed=bad),
+                lambda: mh(bad),
+            ):
+                with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                    call()
+            for call in (
+                lambda: bpf_loglik(spec, ys, Stationary(), 16, seed=0, stream=bad),
+                lambda: simulate_complete(spec, Stationary(), 3, 0, stream=bad),
+            ):
+                with pytest.raises(ValueError, match="stream path .* must hold non-negative integers"):
+                    call()
+
+    def test_numpy_integers_are_integers(self):
+        spec, ys = scalar_ssm(0.5), np.array([0.1, -0.2])
+        want = bpf_loglik(spec, ys, Stationary(), 16, seed=1, stream=2).value
+        assert bpf_loglik(spec, ys, Stationary(), 16, seed=np.int64(1), stream=np.uint8(2)).value == want
 
 
 class TestProjection:

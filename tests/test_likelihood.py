@@ -285,6 +285,108 @@ class TestParticleFilter:
         assert 0.3 < mean_se / spread < 3.0
 
 
+def _bpf_pin_case(name):
+    """Model, observations and initial law of a pinned particle-filter case."""
+    sv = sv_spec(SvParams(1.0, 0.3, 0.9))
+    ssm = scalar_ssm(0.7)
+    p2 = ssm_spec(SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], np.eye(2), [[0.3]]))
+    q2 = ssm_spec(SsmParams([[0.6]], [[1.0], [-0.5]], [[1.0]], [[0.3, 0.1], [0.1, 0.4]]))
+    finite = finite_hmm_spec(FiniteHmmParams([[0.8, 0.2], [0.3, 0.7]], [[0.9, 0.1, 0.0], [0.2, 0.5, 0.3]]))
+    # symbol 2 is impossible under every state, so the weights vanish at step 5
+    zero = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.7, 0.3, 0.0], [0.4, 0.6, 0.0]]))
+    cases = {
+        "sv_stationary": lambda: (sv, simulated_obs(sv, 40, seed=1), Stationary()),
+        "sv_point_mass": lambda: (sv, simulated_obs(sv, 40, seed=1), PointMass(1.5, 0.0)),
+        "ssm_stationary": lambda: (ssm, simulated_obs(ssm, 40, seed=2), Stationary()),
+        "ssm_point_mass": lambda: (ssm, simulated_obs(ssm, 40, seed=2), PointMass(-2.0, 0.5)),
+        "ssm_p2": lambda: (p2, simulated_obs(p2, 40, seed=3), Stationary()),
+        "ssm_q2": lambda: (q2, simulated_obs(q2, 40, seed=4), Stationary()),
+        "finite": lambda: (finite, simulated_obs(finite, 40, seed=5), Stationary()),
+        "finite_zero_weights": lambda: (zero, np.array([0, 1, 1, 0, 2, 1]), Stationary()),
+    }
+    return cases[name]()
+
+
+# (particles, stream, float.hex of value, float.hex of se, flags) of bpf_loglik at seed 7.
+# Any change to the filter's arithmetic or to the order of its draws moves these bits.
+BPF_PINS = {
+    "sv_stationary": [
+        (2, 0, "-0x1.19985a479c376p+6", "0x1.0ac7f687304cfp+0", ()),
+        (2, 3, "-0x1.0d41a5ec0160bp+6", "0x1.e43f096f7ddc1p-1", ()),
+        (37, 0, "-0x1.0c74c91bb6605p+6", "0x1.58aaeee35107cp-2", ()),
+        (37, 3, "-0x1.09afa6000260ap+6", "0x1.867d9594dd096p-2", ()),
+        (512, 0, "-0x1.07a095b590a28p+6", "0x1.7f4169fd61b6fp-4", ()),
+        (512, 3, "-0x1.08429cd56fcfbp+6", "0x1.7e56a380ae40bp-4", ()),
+    ],
+    "sv_point_mass": [
+        (2, 0, "-0x1.1b1eac98fa8bap+6", "0x1.ed8c41429417ep-1", ()),
+        (2, 3, "-0x1.10524f3b77b72p+6", "0x1.36217f20d67bdp+0", ()),
+        (37, 0, "-0x1.146426e1af2b4p+6", "0x1.4e0c7358719e3p-2", ()),
+        (37, 3, "-0x1.14639edc1c589p+6", "0x1.63a2185aa92e7p-2", ()),
+        (512, 0, "-0x1.128f476c08349p+6", "0x1.63d9ee8b2bfaap-4", ()),
+        (512, 3, "-0x1.136a2a4148453p+6", "0x1.732eef7d3824dp-4", ()),
+    ],
+    "ssm_stationary": [
+        (2, 0, "-0x1.284f44cfe41edp+7", "0x1.c3145fcf47f59p+1", ()),
+        (2, 3, "-0x1.c5adade94e4aap+6", "0x1.dd70f6544b96dp+1", ()),
+        (37, 0, "-0x1.f7c927d2ca003p+5", "0x1.d0cc1efc32978p+0", ()),
+        (37, 3, "-0x1.e976f444e3ec4p+5", "0x1.bbe2d784ba125p+0", ()),
+        (512, 0, "-0x1.d81463159e670p+5", "0x1.c4a25b02d792fp-2", ()),
+        (512, 3, "-0x1.d97ee76262e4fp+5", "0x1.c1f40bc902d45p-2", ()),
+    ],
+    "ssm_point_mass": [
+        (2, 0, "-0x1.51bd632c231d8p+7", "0x1.e568f9725d159p+1", ()),
+        (2, 3, "-0x1.4b048b15fc765p+7", "0x1.04480b0a0adb3p+2", ()),
+        (37, 0, "-0x1.1b35356f60db3p+6", "0x1.99d800ff676ebp+0", ()),
+        (37, 3, "-0x1.0c2674866f0eep+6", "0x1.c14b3678625fbp+0", ()),
+        (512, 0, "-0x1.f7170a02b4839p+5", "0x1.40b45243a7b28p-1", ()),
+        (512, 3, "-0x1.f9c80942d54a0p+5", "0x1.6e36ad0046037p-1", ()),
+    ],
+    "ssm_p2": [
+        (2, 0, "-0x1.fea3a6927e1b7p+6", "0x1.af32c3154b686p+1", ()),
+        (2, 3, "-0x1.21aba1b3de6d0p+7", "0x1.e34841943cb81p+1", ()),
+        (37, 0, "-0x1.04627723e2bc4p+6", "0x1.7f37d7e5446e4p+0", ()),
+        (37, 3, "-0x1.0f6e2cbeaaf09p+6", "0x1.86de6cd234193p+0", ()),
+        (512, 0, "-0x1.02f7c784d3c30p+6", "0x1.ad4d41d1f5064p-2", ()),
+        (512, 3, "-0x1.022acf43f3254p+6", "0x1.9cb2b4165ad61p-2", ()),
+    ],
+    "ssm_q2": [
+        (2, 0, "-0x1.7a4fe9810bf58p+7", "0x1.b9a1830975e53p+1", ()),
+        (2, 3, "-0x1.416185dd53df3p+7", "0x1.f07220530ff3fp+1", ()),
+        (37, 0, "-0x1.8e025268f7e3bp+6", "0x1.874535eedee1cp+0", ()),
+        (37, 3, "-0x1.8f155daa8affdp+6", "0x1.b438d7c2f8a71p+0", ()),
+        (512, 0, "-0x1.8139264ca6576p+6", "0x1.aae7a72d0c274p-2", ()),
+        (512, 3, "-0x1.80bc75d80e86dp+6", "0x1.a94099d252998p-2", ()),
+    ],
+    "finite": [
+        (2, 0, "-inf", None, ("zero_weights",)),
+        (2, 3, "-0x1.f4c41a2cb894bp+4", "0x1.175a8086e78b6p+1", ()),
+        (37, 0, "-0x1.bb822586b4c5fp+4", "0x1.41557e734a0fep-1", ()),
+        (37, 3, "-0x1.ac964b3905f8fp+4", "0x1.406f2025f9965p-1", ()),
+        (512, 0, "-0x1.bfb75d3e423c5p+4", "0x1.6254ee1a74294p-3", ()),
+        (512, 3, "-0x1.c3995a62120bbp+4", "0x1.66b162a1fd9cap-3", ()),
+    ],
+    "finite_zero_weights": [
+        (2, 0, "-inf", None, ("zero_weights",)),
+        (2, 3, "-inf", None, ("zero_weights",)),
+        (37, 0, "-inf", None, ("zero_weights",)),
+        (37, 3, "-inf", None, ("zero_weights",)),
+        (512, 0, "-inf", None, ("zero_weights",)),
+        (512, 3, "-inf", None, ("zero_weights",)),
+    ],
+}
+
+
+class TestParticleFilterBits:
+    @pytest.mark.parametrize("case", list(BPF_PINS))
+    def test_pinned_bits(self, case):
+        spec, ys, init = _bpf_pin_case(case)
+        for particles, stream, value, se, flags in BPF_PINS[case]:
+            ll = bpf_loglik(spec, ys, init, particles, seed=7, stream=stream)
+            got = (ll.value.hex(), None if ll.se is None else ll.se.hex(), ll.flags)
+            assert got == (value, se, flags), (particles, stream)
+
+
 class TestEntropySequence:
     def test_iid_model_constant(self):
         # one state: observations i.i.d., predictive log density constant
