@@ -232,8 +232,22 @@ def _check_init_dim(init, p: int, q: int) -> None:
         raise ValueError(f"Gaussian init has dimension {init.mean.size}, expected {p + q}")
 
 
-def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) -> Z:
+def _check_init(spec: ModelSpec, init) -> None:
+    """``_check_init_dim`` on the dimensions of ``spec``, and on a finite chain its point-mass state.
+
+    A finite chain's point mass must sit on a state, an integer in
+    ``0..K-1``; a cast would read 1.7 as 1 and an index would wrap -1 to
+    the last state.
+    """
     _check_init_dim(init, spec.state_dim, spec.obs_dim)
+    if spec.finite is not None and isinstance(init, PointMass):
+        x0, k = float(init.x[0]), spec.finite.n_states
+        if not (x0.is_integer() and 0 <= x0 < k):
+            raise ValueError(f"point-mass state must be an integer in 0..{k - 1}, got {init.x[0]}")
+
+
+def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) -> Z:
+    _check_init(spec, init)
     if isinstance(init, Stationary):
         if spec.sample_stationary is None:
             raise NoStationarySamplerError(

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import rng as rngmod
-from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_init_dim
+from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_init, _check_init_dim
 from .core import _check_size, _chol_psd, _trapezoid_weights
 from .models import glm_stationary_cov, ssm_spec
 
@@ -32,6 +33,7 @@ _LOG2PI = np.log(2.0 * np.pi)
 _QUADRATURE_SPAN = 8.0  # half-width of the quadrature node grid, in stationary standard deviations
 _ENUMERATION_CAP = 1 << 22  # hidden paths summed by enumeration_loglik
 _STRING_CAP = 1 << 20  # observation strings enumerated by conditional_entropy_sequence
+_RICCATI_CHECK = 8  # least gap between the scalar filter's checks for a repeating variance state
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ def _obs_column(obs: np.ndarray, obs_dim: int) -> np.ndarray:
 
 def _gaussian_init_moments(spec: ModelSpec, init) -> tuple[np.ndarray, np.ndarray]:
     d = spec.state_dim + spec.obs_dim
-    _check_init_dim(init, spec.state_dim, spec.obs_dim)
+    _check_init(spec, init)
     if isinstance(init, Stationary):
         return np.zeros(d), glm_stationary_cov(spec.glm)
     if isinstance(init, PointMass):
@@ -137,6 +139,19 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     grid point in one pass and returns shape (n, G). Both shapes take the
     same start values and the same operations in the same order.
 
+    The variance recursion ``pv -> (s, gain, pv')`` does not see the data,
+    so once its state repeats bit for bit, its innovation variances and
+    gains repeat forever: this is the steady-state filter (Anderson &
+    Moore 1979), exact in floating point. At checkpoints the state is
+    compared with the state two steps back, which catches a fixed point
+    and a cycle of period 2 at every grid point. From then on only the
+    mean recursion runs, with the cycle's gains, and every value keeps
+    the bits of the full recursion. A state that never repeats, or
+    repeats with a longer period, runs the full recursion to the end.
+    The checkpoints are ``_RICCATI_CHECK`` steps apart, and a quarter of
+    the step index apart once that is more, so such a grid pays for
+    about 20 comparisons over 1600 observations.
+
     The loop runs over the observations as Python floats, so the float
     filter does plain float arithmetic, and stores each step's innovation
     variance and innovation in two preallocated buffers. The log densities
@@ -157,18 +172,34 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
         )
     aa, bb = a * a, b * b
     yflat = ys[:, 0].tolist()
-    s_buf = np.empty((len(yflat),) + np.shape(a))
+    n = len(yflat)
+    s_buf = np.empty((n,) + np.shape(a))
     innov_buf = np.empty_like(s_buf)
+    repeats = operator.eq if s_buf.ndim == 1 else np.array_equal  # one float, or every grid point
+    pv1 = gain = None  # the variance state and the gain one step back
+    check = _RICCATI_CHECK - 1  # the next step whose variance state is compared
     for k, y in enumerate(yflat):
         m = a * m
-        pv = aa * pv + qz
-        s = bb * pv + qx
+        pp = aa * pv + qz
+        s = bb * pp + qx
         innov = y - b * m
         s_buf[k] = s
         innov_buf[k] = innov
-        gain = pv * b / s
+        gain1, gain = gain, pp * b / s
         m = m + gain * innov
-        pv = pv - gain * b * pv
+        pv2, pv1, pv = pv1, pv, pp - gain * b * pp
+        if k == check:
+            if repeats(pv, pv2):
+                # step k + 1 repeats step k - 1, step k + 2 repeats step k, and so on
+                s_buf[k + 1 :: 2] = s_buf[k - 1]
+                s_buf[k + 2 :: 2] = s_buf[k]
+                for j, y, gain in zip(range(k + 1, n), yflat[k + 1 :], itertools.cycle((gain1, gain))):
+                    m = a * m
+                    innov = y - b * m
+                    innov_buf[j] = innov
+                    m = m + gain * innov
+                break
+            check += max(_RICCATI_CHECK, k // 4)
     np.multiply(innov_buf, innov_buf, out=innov_buf)
     np.divide(innov_buf, s_buf, out=innov_buf)
     out = np.log(s_buf, out=s_buf)
@@ -206,16 +237,14 @@ def ssm_kalman_loglik(ssm, obs: np.ndarray, init) -> LogLik:
 
 def _finite_x0_dist(spec: ModelSpec, init) -> np.ndarray:
     K = spec.finite.n_states
+    _check_init(spec, init)
     if isinstance(init, Stationary):
         from .models import finite_hmm_stationary
 
         return finite_hmm_stationary(spec.finite)
     if isinstance(init, PointMass):
-        x0 = int(np.atleast_1d(init.x)[0])
-        if not 0 <= x0 < K:
-            raise ValueError(f"point-mass state {x0} outside 0..{K - 1}")
         dist = np.zeros(K)
-        dist[x0] = 1.0
+        dist[int(init.x[0])] = 1.0
         return dist
     if isinstance(init, np.ndarray):
         dist = np.asarray(init, dtype=float)
@@ -293,7 +322,7 @@ def enumeration_loglik(spec: ModelSpec, obs: np.ndarray, init) -> float:
 
 
 def _bpf_initial_particles(spec: ModelSpec, init, n_particles: int, rng: np.random.Generator):
-    _check_init_dim(init, spec.state_dim, spec.obs_dim)
+    _check_init(spec, init)
     if isinstance(init, Stationary):
         return spec.hmm.stationary_x_sample(n_particles, rng)
     if isinstance(init, PointMass):
@@ -333,6 +362,8 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
         raise ValueError("the particle filter needs an HMM factorization")
     hmm = spec.hmm
     ys = _obs_column(_finite_obs(obs), spec.obs_dim)
+    if spec.finite is not None:
+        _check_symbols(ys, spec.finite.n_symbols)
     n = len(ys)
     ys = ys[:, 0].astype(float).tolist() if spec.obs_dim == 1 else ys  # finite-alphabet codes arrive as floats
     rng = rngmod.substream(seed, rngmod.BPF, stream)
@@ -402,7 +433,7 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
         return LogLik(0.0, 0, "quadrature")
     if n > 8:
         raise ValueError("quadrature is an oracle for short sequences (n <= 8)")
-    _check_init_dim(init, 1, spec.obs_dim)
+    _check_init(spec, init)
     sd = _x_marginal_sd(spec)
     # mean and sd of x0, and how far a displaced initial law widens the grid
     if isinstance(init, Stationary):

@@ -36,8 +36,10 @@ spec's broadcasting callables and hooks.
 
 Building a spec of the linear families does only what the exact
 evaluators need: the parameter records run every check (stability,
-symmetry, positive definiteness), and ``ssm_embed`` assembles the joint
-transition and innovation matrices. The factors that only samplers and
+symmetry, positive definiteness) once each, in scalar arithmetic where
+a matrix is 1 x 1, and ``ssm_embed`` assembles the joint transition and innovation
+matrices and checks the innovation covariance, the one embedded matrix
+whose checks the records do not imply. The factors that only samplers and
 densities use -- the Cholesky factors of ``R``, ``Qzeta`` and ``Qxi``,
 the stationary covariances and their Cholesky factors -- are computed on
 first use and then kept with the spec, so a likelihood sweep or a
@@ -45,7 +47,7 @@ Metropolis step that builds one spec per parameter never pays for them.
 """
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -89,6 +91,10 @@ class GlmParams:
         rho = spectral_radius(Phi)
         if rho >= 1.0:
             raise ValueError(f"spectral radius of Phi must be < 1, got {rho:.6g}")
+        self._finish_init(Phi, R, p, q)
+
+    def _finish_init(self, Phi, R, p: int, q: int) -> None:
+        """Check ``R`` and set the fields; ``Phi`` is finite and stable already."""
         if not _is_symmetric(R):
             raise ValueError("R must be symmetric")
         if np.linalg.eigvalsh(R).min() <= 0.0:
@@ -127,7 +133,7 @@ class SsmParams:
         if spectral_radius(A) >= 1.0:
             raise ValueError("spectral radius of A must be < 1")
         for name, M in (("Qzeta", Qzeta), ("Qxi", Qxi)):
-            if not _is_symmetric(M) or np.linalg.eigvalsh(M).min() <= 0.0:
+            if not _is_spd(M):
                 raise ValueError(f"{name} must be symmetric positive definite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -200,7 +206,17 @@ class FiniteHmmParams:
 
 
 def spectral_radius(M: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(np.atleast_2d(M)))))
+    """Largest modulus of an eigenvalue of ``M``.
+
+    A 1 x 1 matrix is its own eigenvalue, so its radius is ``abs`` of the
+    entry, exactly. ``eigvals`` returns the same bits for entries of
+    modulus between about 1e-20 and 1e20 and can miss by an ulp beyond,
+    where it scales the matrix; the test ``< 1`` comes out the same.
+    """
+    M = np.atleast_2d(M)
+    if M.shape == (1, 1):
+        return abs(float(M[0, 0]))
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
@@ -211,6 +227,18 @@ def _is_symmetric(M: np.ndarray) -> bool:
     a spec build. Non-finite matrices are rejected outright.
     """
     return bool(np.isfinite(M).all() and (np.abs(M - M.T) <= 1e-10 + 1e-5 * np.abs(M.T)).all())
+
+
+def _is_spd(M: np.ndarray) -> bool:
+    """Whether ``M`` is symmetric (``_is_symmetric``) with ``eigvalsh(M).min() > 0``.
+
+    A 1 x 1 matrix is its own eigenvalue, which ``eigvalsh`` returns
+    exactly, so it is tested as a finite positive number.
+    """
+    if M.shape == (1, 1):
+        v = float(M[0, 0])
+        return math.isfinite(v) and v > 0.0
+    return _is_symmetric(M) and not np.linalg.eigvalsh(M).min() <= 0.0
 
 
 class _Once:
@@ -323,6 +351,11 @@ def glm_spec(params: GlmParams) -> ModelSpec:
     pair, broadcast over pairs as ``ModelSpec`` describes. The factors of
     ``R`` and ``Gamma`` are computed on first use.
     """
+    return _linear_spec(params)
+
+
+def _linear_spec(params: GlmParams, **fields) -> ModelSpec:
+    """``glm_spec(params)`` with the further ``ModelSpec`` fields ``fields`` (``ssm_spec``'s views)."""
     Phi, R, p, q = params.Phi, params.R, params.p, params.q
     d = p + q
     logpdf, sample = _linear_gaussian(Phi, R, d)
@@ -354,6 +387,7 @@ def glm_spec(params: GlmParams) -> ModelSpec:
         sample_stationary=sample_stationary,
         sample_stationary_many=sample_stationary_many,
         glm=params,
+        **fields,
     )
 
 
@@ -363,7 +397,10 @@ def ssm_embed(params: SsmParams) -> GlmParams:
     With ``eps_k = (zeta_k, B zeta_k + xi_k)`` the joint chain
     ``Z_k = (X_k, Y_k)`` has transition matrix ``[[A, 0], [BA, 0]]`` and
     innovation covariance assembled from ``Cov(zeta, B zeta + xi)``.
-    A failed check of the embedded parameters is re-raised naming the embedding.
+    The spectrum of the embedded transition matrix is A's plus zeros, which
+    ``SsmParams`` has checked, so only its finiteness is checked again;
+    ``R`` takes every check of ``GlmParams``, and a failed check is
+    re-raised naming the embedding.
     """
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p, q = params.p, params.q
@@ -377,10 +414,14 @@ def ssm_embed(params: SsmParams) -> GlmParams:
         R[:p, p:] = Qz @ B.T
         R[p:, :p] = BQz
         R[p:, p:] = BQz @ B.T + Qx
+    glm = object.__new__(GlmParams)
     try:
-        return GlmParams(Phi=Phi, R=R, p=p, q=q)
+        if not np.isfinite(Phi).all():
+            raise ValueError("Phi must be finite")
+        glm._finish_init(Phi, R, p, q)
     except ValueError as err:
         raise ValueError(f"the joint-chain embedding of this state-space model is invalid: {err}") from err
+    return glm
 
 
 def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int):
@@ -435,7 +476,7 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
         return draws[:, 0] if p == 1 else draws
 
     hmm = HmmFactorization(*_linear_gaussian(A, Qz, p), *_linear_gaussian(B, Qx, p), stationary_x_sample)
-    return dataclasses.replace(glm_spec(glm), hmm=hmm, ssm=params)
+    return _linear_spec(glm, hmm=hmm, ssm=params)
 
 
 def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.2) -> ModelSpec:

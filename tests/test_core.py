@@ -5,6 +5,7 @@ import pytest
 
 from pommkit import (
     CustomInit,
+    FiniteHmmParams,
     GaussianOnZ,
     NoStationarySamplerError,
     ParamSpace,
@@ -12,6 +13,8 @@ from pommkit import (
     Stationary,
     SvParams,
     bpf_loglik,
+    finite_hmm_spec,
+    forward_loglik,
     iid_gaussian_spec,
     mh_posterior,
     param_distance,
@@ -193,3 +196,27 @@ class TestInitialDistributions:
             [simulate_complete(spec, init, 1, seed=s).x[0, 0] for s in range(4000)]
         )
         assert abs(starts.mean() - 3.0) < 3 * 0.5 / np.sqrt(4000)
+
+
+class TestFiniteInitialState:
+    """A finite chain's point mass must sit on a state: simulation, forward and the particle filter agree."""
+
+    spec = finite_hmm_spec(FiniteHmmParams([[0.8, 0.2], [0.3, 0.7]], [[0.9, 0.1], [0.2, 0.8]]))
+
+    def calls(self, init):
+        return (
+            lambda: simulate_complete(self.spec, init, 3, seed=0),
+            lambda: forward_loglik(self.spec, np.array([0, 1]), init),
+            lambda: bpf_loglik(self.spec, np.array([0, 1]), init, particles=16, seed=0),
+        )
+
+    def test_rejects_states_off_the_chain(self):
+        for x0 in (1.7, -1, 5, np.nan):
+            for call in self.calls(PointMass(x0, 0)):
+                with pytest.raises(ValueError, match=r"point-mass state must be an integer in 0\.\.1"):
+                    call()
+
+    def test_accepts_integer_valued_states(self):
+        for x0 in (0, 1, 1.0):
+            traj, ll, pf = (call() for call in self.calls(PointMass(x0, 0)))
+            assert traj.x[0, 0] == x0 and np.isfinite(ll.value) and np.isfinite(pf.value)

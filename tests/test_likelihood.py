@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pommkit import (
     CustomInit,
@@ -41,7 +43,13 @@ from pommkit import (
 )
 from pommkit.audit import b6_entropy_floor_sv
 from pommkit.core import UnsupportedInitError
-from pommkit.likelihood import _transition_kernel, forward_increments, ssm_kalman_increments, ssm_kalman_loglik
+from pommkit.likelihood import (
+    _scalar_kalman_increments,
+    _transition_kernel,
+    forward_increments,
+    ssm_kalman_increments,
+    ssm_kalman_loglik,
+)
 from pommkit.models import glm_stationary_cov, normal_logpdf
 from tests.test_models import one_expression_normal, one_expression_sv_g
 
@@ -618,6 +626,136 @@ class TestGridIncrements:
         init = CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1)))
         with pytest.raises(UnsupportedInitError):
             grid_increments(specs, np.array([0.1, 0.2]), init, "kalman")
+
+
+def full_recursion_increments(a, b, qz, qx, ys, m, pv):
+    """The scalar filter with no steady-state shortcut: every step runs the variance recursion too.
+
+    Plain floats, with the operations in the filter's order; the log
+    densities are formed over the whole series at the end, as the filter does.
+    """
+    s_list, innov_list = [], []
+    for y in ys:
+        m = a * m
+        pv = a * a * pv + qz
+        s = b * b * pv + qx
+        innov = y - b * m
+        s_list.append(s)
+        innov_list.append(innov)
+        gain = pv * b / s
+        m = m + gain * innov
+        pv = pv - gain * b * pv
+    s, u = np.array(s_list), np.array(innov_list)
+    return -0.5 * (np.log(s) + np.log(2.0 * np.pi) + u * u / s)
+
+
+def riccati_period(a, b, qz, qx, pv, steps=5000):
+    """Period of the cycle the filter's variance state ends in, or None if it does not repeat within ``steps``."""
+    seen = {}
+    for k in range(steps):
+        if pv in seen:
+            return k - seen[pv]
+        seen[pv] = k
+        pp = a * a * pv + qz
+        gain = pp * b / (b * b * pp + qx)
+        pv = pp - gain * b * pp
+    return None
+
+
+# the perfbench Metropolis oracle grid; some of its points end in a cycle of period 2
+MH_GRID = np.linspace(0.5, 0.999, 500)
+PERIOD_3 = (0.6611967562552636, -1.4427065631673313, 0.022785286114335623, 0.033187939831408574)
+
+
+class TestSteadyStateScalarFilter:
+    """The scalar filter's steady-state shortcut keeps every bit of the full recursion."""
+
+    INITS = (
+        (Stationary(), None),
+        (PointMass(1.5, 0.0), (1.5, 0.0)),
+        (GaussianOnZ([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]), (0.5, 2.0)),
+    )
+
+    @staticmethod
+    def cycling(period):
+        return [float(a) for a in MH_GRID if riccati_period(float(a), 1.0, 1.0, 0.2, 1.0 / (1.0 - a * a)) == period]
+
+    def check(self, a, b, qz, qx, ys):
+        for init, start in self.INITS:
+            m, pv = start if start is not None else (0.0, qz / (1.0 - a * a))
+            want = full_recursion_increments(a, b, qz, qx, ys[:, 0].tolist(), m, pv)
+            got = _scalar_kalman_increments(a, b, qz, qx, ys, init)
+            np.testing.assert_array_equal(got, want)
+            if len(ys):
+                np.testing.assert_array_equal(increments(scalar_ssm(a, b, qz, qx), ys, init, "kalman"), want)
+                assert ssm_kalman_loglik(scalar_ssm(a, b, qz, qx).ssm, ys, init).value == float(want.sum())
+
+    def test_cases_reach_the_intended_cycles(self):
+        assert len(self.cycling(2)) >= 10
+        assert riccati_period(*PERIOD_3, PERIOD_3[2] / (1.0 - PERIOD_3[0] ** 2)) == 3
+        assert riccati_period(0.9999, 1.0, 1.0, 0.2, 1.0 / (1.0 - 0.9999**2)) == 1
+
+    def test_matches_full_recursion(self):
+        ys = simulated_obs(scalar_ssm(0.95), 400, seed=51)
+        cases = [(0.9999, 1.0, 1.0, 0.2), (0.5, 1.0, 1.0, 0.2), (-0.7, 2.0, 0.3, 1.5), PERIOD_3]
+        cases += [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)[:6]]
+        for case in cases:
+            for n in (0, 1, 7, 8, 9, 16, 17, 400):  # around the points where the filter checks for a repeat
+                self.check(*case, ys[:n])
+
+    def test_grid_with_cycling_points_equals_single_specs(self):
+        ys = simulated_obs(scalar_ssm(0.95), 401, seed=52)
+        params = [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)] + [PERIOD_3, (0.9999, 1.0, 1.0, 0.2), (0.3, -0.8, 2.0, 0.1)]
+        specs = [scalar_ssm(*theta) for theta in params]
+        for init, _ in self.INITS:
+            rows = grid_increments(specs, ys, init, "kalman")
+            for row, spec in zip(rows, specs):
+                np.testing.assert_array_equal(row, increments(spec, ys, init, "kalman"))
+            # without the period-3 point every grid point ends in a cycle of period <= 2
+            np.testing.assert_array_equal(
+                grid_increments(specs[: -3] + specs[-2:], ys, init, "kalman"), np.delete(rows, len(specs) - 3, axis=0)
+            )
+
+
+class TestScalarFilterProperty:
+    """Over random stable parameters the steady-state scalar filter agrees with the joint-chain filter."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-0.999, 0.999),
+        b=st.floats(0.1, 3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        qz=st.floats(0.05, 5.0),
+        qx=st.floats(0.05, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_scalar_joint_and_batched_filters_agree(self, a, b, sign, qz, qx, seed):
+        spec = scalar_ssm(a, sign * b, qz, qx)
+        ys = simulated_obs(spec, 150, seed=seed)
+        for init in (Stationary(), PointMass(1.0, 0.0)):
+            scalar = increments(spec, ys, init, "kalman")
+            np.testing.assert_allclose(scalar, kalman_increments(spec, ys, init), rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(grid_increments([scalar_ssm(0.3), spec], ys, init, "kalman")[1], scalar)
+
+
+class TestFiniteParticleFilterInput:
+    """The particle filter checks finite-alphabet symbols as the forward recursion does."""
+
+    spec = finite_hmm_spec(FiniteHmmParams([[0.8, 0.2], [0.3, 0.7]], [[0.9, 0.1], [0.2, 0.8]]))
+
+    def test_rejects_what_forward_rejects(self):
+        for ys in ([0, 1.5, 1.2, 0], [0, -1, 1, 0], [0, 1, 2, 0]):
+            for call in (
+                lambda: forward_loglik(self.spec, np.array(ys), Stationary()),
+                lambda: bpf_loglik(self.spec, np.array(ys), Stationary(), particles=64, seed=0),
+            ):
+                with pytest.raises(ValueError, match=r"observation symbols must lie in 0\.\.1"):
+                    call()
+
+    def test_float_codes_of_symbols_are_accepted(self):
+        ints = bpf_loglik(self.spec, np.array([0, 1, 1, 0]), Stationary(), particles=64, seed=0)
+        floats = bpf_loglik(self.spec, np.array([0.0, 1.0, 1.0, 0.0]), Stationary(), particles=64, seed=0)
+        assert ints == floats
 
 
 class TestInitialLawDimension:

@@ -29,7 +29,7 @@ from pommkit import (
 )
 from pommkit.likelihood import ssm_kalman_loglik
 from pommkit import models
-from pommkit.models import _is_symmetric, spectral_radius, stationary_cov
+from pommkit.models import _is_spd, _is_symmetric, spectral_radius, stationary_cov
 from pommkit import rng as rngmod
 
 LOG2PI = np.log(2 * np.pi)
@@ -74,12 +74,16 @@ class TestValidation:
                 scalar_ssm(0.5, b=bad)
             with pytest.raises(ValueError, match="Phi must be finite"):
                 GlmParams([[0.5, 0.0], [bad, 0.0]], np.eye(2), 1, 1)
+            for args, name in (((0.5, 1.0, bad, 0.2), "Qzeta"), ((0.5, 1.0, 1.0, bad), "Qxi")):
+                with pytest.raises(ValueError, match=f"{name} must be symmetric positive definite"):
+                    scalar_ssm(*args)
 
     def test_invalid_joint_chain_embedding_names_the_embedding(self):
         # valid state-space models whose embedded R is singular in floating
         # point (1e10 + 1e-8 == 1e10) or overflows to inf
         for args, cause in (((0.5, 1.0, 1e10, 1e-8), "R must be positive definite"),
                             ((0.5, 1e200, 1e200, 1.0), "R must be symmetric")):
+            SsmParams(*([[v]] for v in args))  # the record itself is valid
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # rejected without a numpy overflow warning
                 with pytest.raises(ValueError, match="joint-chain embedding") as err:
@@ -92,6 +96,63 @@ class TestValidation:
             FiniteHmmParams([[0.5, 0.4], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[1.2, -0.2], [0.0, 1.0]])
+
+
+class TestBuildRejections:
+    """The scalar shortcuts of a build reject exactly what the eigenvalue solvers rejected."""
+
+    GOOD = (0.5, 1.0, 1.0, 0.2)
+
+    @staticmethod
+    def builds(a, b, qz, qx):
+        return (lambda: scalar_ssm(a, b, qz, qx), lambda: SsmParams(A=[[a]], B=[[b]], Qzeta=[[qz]], Qxi=[[qx]]))
+
+    def test_unit_root(self):
+        for a in (1.0, -1.0, 1.5):
+            for build in self.builds(a, *self.GOOD[1:]):
+                with pytest.raises(ValueError, match="spectral radius of A"):
+                    build()
+        edge = np.nextafter(1.0, 0.0)
+        for a in (edge, -edge):
+            spec = scalar_ssm(a, *self.GOOD[1:])
+            assert spec.ssm.A[0, 0] == a and spectral_radius(spec.glm.Phi) == edge
+            SsmParams(A=[[a]], B=[[1.0]], Qzeta=[[1.0]], Qxi=[[0.2]])
+
+    def test_non_positive_variances(self):
+        for q in (0.0, -0.0, -5e-324, -1.0):
+            for args, name in (((0.5, 1.0, q, 0.2), "Qzeta"), ((0.5, 1.0, 1.0, q), "Qxi")):
+                for build in self.builds(*args):
+                    with pytest.raises(ValueError, match=f"{name} must be symmetric positive definite"):
+                        build()
+        SsmParams(A=[[0.5]], B=[[1.0]], Qzeta=[[5e-324]], Qxi=[[5e-324]])
+
+    def test_embedded_Phi_finiteness_stays(self):
+        # B A overflows although A is stable and B finite
+        params = SsmParams([[0.5, 0.0], [0.9, 0.0]], [[1.5e308, 1.5e308]], np.eye(2), [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="joint-chain embedding of this state-space model is invalid: Phi must be finite"):
+                ssm_embed(params)
+
+    def test_one_by_one_shortcuts_equal_the_solvers(self):
+        rng = np.random.default_rng(21)
+        edges = np.array([1.0, -1.0])
+        ulps = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0 * edges)])
+        values = np.concatenate([
+            10.0 ** rng.uniform(-323, 308, 3000) * rng.choice([-1.0, 1.0], 3000),
+            rng.uniform(-4.0, 4.0, 3000),
+            ulps,
+            [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max],
+        ])
+        for v in values.tolist():
+            M = np.array([[v]])
+            rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+            assert (spectral_radius(M) < 1.0) == (rho < 1.0)
+            if 1e-20 < abs(v) < 1e20:  # beyond, eigvals scales the matrix and can miss |v| by an ulp
+                assert spectral_radius(M) == rho
+            assert _is_spd(M) == (_is_symmetric(M) and not np.linalg.eigvalsh(M).min() <= 0.0)
+        for v in (np.nan, np.inf, -np.inf):
+            assert not _is_spd(np.array([[v]]))
 
 
 class TestSymmetryCheck:
