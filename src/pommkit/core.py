@@ -66,8 +66,11 @@ class PointMass:
     y: np.ndarray
 
     def __init__(self, x, y):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(x)))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(y)))
+        x, y = np.atleast_1d(np.asarray(x)), np.atleast_1d(np.asarray(y))
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"point mass must be finite, got x={x} and y={y}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,8 @@ class GaussianOnZ:
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean size {mean.size}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("Gaussian init mean and cov must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("cov must be symmetric")
         # Positive semi-definite is enough: a point mass is cov = 0.
@@ -136,9 +141,13 @@ class ModelSpec:
     The transition log-density, sampler and (when available in closed
     form) stationary sampler fully determine the model. ``trans_logpdf``
     broadcasts over pairs ``(x, y)`` of shapes ``(..., state_dim)`` and
-    ``(..., obs_dim)`` with the per-pair bits (one pair gives a float); so
-    does the linear families' ``sample_step``, drawing as the pairs would
-    in turn. Concrete families attach their structured parameters (``glm``,
+    ``(..., obs_dim)`` with the per-pair bits (one pair gives a float).
+    So does every family's ``sample_step``: a linear family draws as the
+    pairs would in turn, an HMM draws every ``x'`` and then every ``y'``.
+    ``sample_stationary(n, rng)`` draws ``n`` stationary pairs as blocks
+    ``(x, y)`` of shapes ``(n, state_dim)`` and ``(n, obs_dim)``; one pair
+    is a block of one.
+    Concrete families attach their structured parameters (``glm``,
     ``ssm``, ``sv``, ``finite``) so that exact evaluators can use them;
     generic code must only rely on the callables.
     """
@@ -147,8 +156,7 @@ class ModelSpec:
     obs_dim: int
     trans_logpdf: Callable[[Z, Z], float]
     sample_step: Callable[[Z, np.random.Generator], Z]
-    sample_stationary: Optional[Callable[[np.random.Generator], Z]] = None
-    sample_stationary_many: Optional[Callable[[int, np.random.Generator], tuple]] = None
+    sample_stationary: Optional[Callable[[int, np.random.Generator], Z]] = None
     hmm: Optional[HmmFactorization] = None
     glm: Optional[object] = None
     ssm: Optional[object] = None
@@ -233,17 +241,17 @@ def _check_init_dim(init, p: int, q: int) -> None:
 
 
 def _check_init(spec: ModelSpec, init) -> None:
-    """``_check_init_dim`` on the dimensions of ``spec``, and on a finite chain its point-mass state.
+    """``_check_init_dim`` on the dimensions of ``spec``, and on a finite chain its point mass.
 
     A finite chain's point mass must sit on a state, an integer in
-    ``0..K-1``; a cast would read 1.7 as 1 and an index would wrap -1 to
-    the last state.
+    ``0..K-1``, and on a symbol, an integer in ``0..L-1``; a cast would
+    read 1.7 as 1 and an index would wrap -1 to the last state.
     """
     _check_init_dim(init, spec.state_dim, spec.obs_dim)
     if spec.finite is not None and isinstance(init, PointMass):
-        x0, k = float(init.x[0]), spec.finite.n_states
-        if not (x0.is_integer() and 0 <= x0 < k):
-            raise ValueError(f"point-mass state must be an integer in 0..{k - 1}, got {init.x[0]}")
+        for name, v, k in (("state", init.x[0], spec.finite.n_states), ("symbol", init.y[0], spec.finite.n_symbols)):
+            if not (float(v).is_integer() and 0 <= v < k):
+                raise ValueError(f"point-mass {name} must be an integer in 0..{k - 1}, got {v}")
 
 
 def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) -> Z:
@@ -253,7 +261,8 @@ def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) 
             raise NoStationarySamplerError(
                 "no stationary sampler: this model does not expose its stationary law"
             )
-        return spec.sample_stationary(rng)
+        x, y = spec.sample_stationary(1, rng)
+        return (x[0], y[0])
     if isinstance(init, PointMass):
         return (init.x.copy(), init.y.copy())
     if isinstance(init, GaussianOnZ):

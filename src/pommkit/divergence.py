@@ -8,8 +8,9 @@ against the product of the two stationary hidden-state marginals; the
 two coincide with the plain emission KLD in the i.i.d. specialization.
 
 Closed forms exist for the linear Gaussian and stochastic volatility
-families and are cross-checked by a Monte Carlo estimator that touches
-only the generic model callables or, for HMMs, the factorization hooks.
+families and are cross-checked by Monte Carlo estimators: the
+transition-level one touches only the broadcasting model callables, the
+emission-level one the factorization hooks.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .core import HmmFactorization, ModelSpec, _check_size
+from .core import ModelSpec, _check_size
 from .models import FiniteHmmParams, GlmParams, SvParams, finite_hmm_stationary, glm_stationary_cov
 from .models import sv_stationary_x_sample
 
@@ -69,28 +70,34 @@ def step_kld_mc(
 ) -> KldEstimate:
     """Monte Carlo estimate of the expected transition KLD.
 
-    The outer loop draws ``z_0`` from the stationary law of ``spec_star``.
-    When both transition kernels are Gaussian the inner KLD is evaluated
-    in closed form; otherwise (or with ``inner="logratio"``) the estimate
-    averages the log density ratio at ``z_1`` drawn from the reference
-    kernel. Linear pairs draw and evaluate through the broadcasting spec
-    callables and HMM pairs through their hooks, one block per stage; only
-    other pairs loop over draws through the generic callables. Every route
-    returns a standard error. ``draws`` must be an integer >= 2.
+    The estimate draws a block of ``z_0`` from the stationary law of
+    ``spec_star`` and a block of ``z_1`` from its kernel, then averages
+    the log ratio of the two models' ``trans_logpdf`` at ``(z_0, z_1)``,
+    with one call on each side. Every family's callables broadcast, so
+    this one estimator serves every pair of models of the same
+    dimensions. When both models are linear, so that both transition
+    kernels are Gaussian, ``inner="auto"`` or ``"closed"`` instead
+    evaluates the inner KLD in closed form at each ``z_0``, with a lower
+    variance; ``"closed"`` on any other pair raises ``ValueError``. Both
+    return a standard error. ``draws`` must be an integer >= 2.
     """
     _check_size("draws", draws)
     if inner not in ("auto", "closed", "logratio"):
         raise ValueError(f"unknown inner mode {inner!r}")
     if spec_star.sample_stationary is None:
         raise ValueError("the reference model must expose its stationary law")
+    dims = [(s.state_dim, s.obs_dim) for s in (spec_star, spec_other)]
+    if dims[0] != dims[1]:
+        raise ValueError(f"the two models have different (state, observation) dimensions {dims[0]} and {dims[1]}")
     both_glm = spec_star.glm is not None and spec_other.glm is not None
-    if both_glm and inner in ("auto", "closed"):
+    if inner == "closed" and not both_glm:
+        raise ValueError("the closed inner KLD needs two linear Gaussian models")
+    if both_glm and inner != "logratio":
         return _glm_inner_closed(spec_star, spec_other, draws, seed)
-    if both_glm:
-        return _glm_logratio(spec_star, spec_other, draws, seed)
-    if spec_star.hmm is not None and spec_other.hmm is not None:
-        return _hmm_logratio(spec_star.hmm, spec_other.hmm, draws, seed)
-    return _generic_logratio(spec_star, spec_other, draws, seed)
+    rng = rngmod.substream(seed, rngmod.KLD_OUTER)
+    z0 = spec_star.sample_stationary(draws, rng)
+    z1 = spec_star.sample_step(z0, rng)
+    return _finish_logratio(spec_star.trans_logpdf(z0, z1), spec_other.trans_logpdf(z0, z1))
 
 
 def _finish_mc(samples: np.ndarray, method: str) -> KldEstimate:
@@ -109,40 +116,12 @@ def _finish_logratio(num: np.ndarray, den: np.ndarray) -> KldEstimate:
 def _glm_inner_closed(spec_star: ModelSpec, spec_other: ModelSpec, draws: int, seed: int) -> KldEstimate:
     star, other = spec_star.glm, spec_other.glm
     rng = rngmod.substream(seed, rngmod.KLD_OUTER)
-    z = np.concatenate(spec_star.sample_stationary_many(draws, rng), axis=1)
+    z = np.concatenate(spec_star.sample_stationary(draws, rng), axis=1)
     dphi = other.Phi - star.Phi
     const = gaussian_kl(np.zeros(star.p + star.q), star.R, np.zeros(star.p + star.q), other.R)
     dev = z @ dphi.T
     quad = 0.5 * np.einsum("ni,ij,nj->n", dev, np.linalg.inv(other.R), dev)
     return _finish_mc(const + quad, "mc")
-
-
-def _glm_logratio(spec_star: ModelSpec, spec_other: ModelSpec, draws: int, seed: int) -> KldEstimate:
-    rng = rngmod.substream(seed, rngmod.KLD_OUTER)
-    z0 = spec_star.sample_stationary_many(draws, rng)
-    z1 = spec_star.sample_step(z0, rng)
-    return _finish_logratio(spec_star.trans_logpdf(z0, z1), spec_other.trans_logpdf(z0, z1))
-
-
-def _hmm_logratio(star: HmmFactorization, other: HmmFactorization, draws: int, seed: int) -> KldEstimate:
-    rng = rngmod.substream(seed, rngmod.KLD_OUTER)
-    x0 = star.stationary_x_sample(draws, rng)
-    x1 = star.qx_sample(x0, rng)
-    y1 = star.g_sample(x1, rng)
-    num = star.qx_logpdf(x0, x1) + star.g_logpdf(x1, y1)
-    den = other.qx_logpdf(x0, x1) + other.g_logpdf(x1, y1)
-    return _finish_logratio(num, den)
-
-
-def _generic_logratio(spec_star: ModelSpec, spec_other: ModelSpec, draws: int, seed: int) -> KldEstimate:
-    rng = rngmod.substream(seed, rngmod.KLD_OUTER)
-    num, den = np.empty(draws), np.empty(draws)
-    for i in range(draws):
-        z0 = spec_star.sample_stationary(rng)
-        z1 = spec_star.sample_step(z0, rng)
-        num[i] = spec_star.trans_logpdf(z0, z1)
-        den[i] = spec_other.trans_logpdf(z0, z1)
-    return _finish_logratio(num, den)
 
 
 # ---------------------------------------------------------------------------

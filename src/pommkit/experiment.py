@@ -12,7 +12,7 @@ Config grammar (parsed with :mod:`configparser`, flat typed keys inside
 four sections)::
 
     [model]
-    family = ssm | finite          # grid experiments use exact likelihoods
+    family = ssm                   # the runner supports the state-space family only
     a = 0.5                        # ssm: AR coefficient (the true value)
     b = 1.0                        # ssm: observation loading
     q_state = 1.0                  # ssm: state noise variance

@@ -23,9 +23,9 @@ written once and broadcasting over states: a float and an array give
 the same value per state, and an array draw consumes the generator as
 the scalar draws in turn would. Their joint-chain callables are derived
 from the factorization in one place: the transition log density is
-``qx_logpdf + g_logpdf``, a step draws ``x'`` and then ``y'``, and a
-stationary pair draws ``x`` and then ``y``. ``ssm_spec`` attaches such
-a factorization to its linear-family spec. Only this module writes out a
+``qx_logpdf + g_logpdf``, a step draws every ``x'`` and then every
+``y'``, and a stationary block draws every ``x`` and then every ``y``.
+``ssm_spec`` attaches such a factorization to its linear-family spec. Only this module writes out a
 family's formulas: the linear Gaussian density and sampler
 ``_linear_gaussian`` (``glm_spec``'s transition and ``ssm_spec``'s
 factors), the SV densities and samplers (``sv_qx_logpdf``,
@@ -371,11 +371,7 @@ def _linear_spec(params: GlmParams, **fields) -> ModelSpec:
         znew = sample(_stack(z), rng)
         return (znew[..., :p], znew[..., p:])
 
-    def sample_stationary(rng):
-        z0 = chol_g() @ rng.standard_normal(d)
-        return (z0[:p], z0[p:])
-
-    def sample_stationary_many(n, rng):
+    def sample_stationary(n, rng):
         z0 = rng.standard_normal((n, d)) @ chol_g().T
         return (z0[:, :p], z0[:, p:])
 
@@ -385,7 +381,6 @@ def _linear_spec(params: GlmParams, **fields) -> ModelSpec:
         trans_logpdf=trans_logpdf,
         sample_step=sample_step,
         sample_stationary=sample_stationary,
-        sample_stationary_many=sample_stationary_many,
         glm=params,
         **fields,
     )
@@ -492,12 +487,13 @@ def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.
 def _hmm_spec(hmm: HmmFactorization, **fields) -> ModelSpec:
     """The joint chain ``z = (x, y)`` of an HMM, derived from its factorization.
 
-    ``trans_logpdf`` is ``qx_logpdf + g_logpdf``, broadcast through the
-    hooks; a step draws ``x'`` and then ``y'``; a stationary pair draws
-    ``x`` from ``stationary_x_sample`` and then ``y`` from ``g_sample``.
-    The hooks receive scalar states without their trailing axis, so finite
-    families convert them back to indices. ``fields`` holds the remaining
-    ``ModelSpec`` fields: the family's parameters and any batch sampler.
+    ``trans_logpdf`` is ``qx_logpdf + g_logpdf``; a step draws every
+    ``x'`` and then every ``y'``; a stationary block draws every ``x``
+    from ``stationary_x_sample`` and then every ``y`` from ``g_sample``.
+    All three broadcast over pairs through the hooks, and one pair draws
+    as a block of one. The hooks receive scalar states without their
+    trailing axis, so finite families convert them back to indices.
+    ``fields`` holds the family's parameters.
     """
 
     def trans_logpdf(z, z_next):
@@ -505,12 +501,12 @@ def _hmm_spec(hmm: HmmFactorization, **fields) -> ModelSpec:
         return _pair_value(hmm.qx_logpdf(x, x1) + hmm.g_logpdf(x1, y1))
 
     def sample_step(z, rng):
-        x1 = hmm.qx_sample(float(np.atleast_1d(z[0])[0]), rng)
-        return (np.array([x1]), np.array([hmm.g_sample(x1, rng)]))
+        x1 = hmm.qx_sample(np.atleast_1d(z[0])[..., 0], rng)
+        return (x1[..., None], hmm.g_sample(x1, rng)[..., None])
 
-    def sample_stationary(rng):
-        x = hmm.stationary_x_sample(1, rng)[0]
-        return (np.array([x]), np.array([hmm.g_sample(x, rng)]))
+    def sample_stationary(n, rng):
+        x = hmm.stationary_x_sample(n, rng)
+        return (x[:, None], hmm.g_sample(x, rng)[:, None])
 
     return ModelSpec(
         state_dim=1,
@@ -575,11 +571,6 @@ def sv_spec(params: SvParams) -> ModelSpec:
     the emission density is ``N(0, beta^2 e^x)``. The stationary law is
     sampled exactly: ``X ~ N(0, sigma^2 / (1 - phi^2))``.
     """
-
-    def sample_stationary_many(n, rng):
-        xs = sv_stationary_x_sample(params, n, rng)
-        return (xs[:, None], sv_g_sample(params, xs, rng)[:, None])
-
     hmm = HmmFactorization(
         qx_logpdf=partial(sv_qx_logpdf, params),
         qx_sample=partial(sv_qx_sample, params),
@@ -587,7 +578,7 @@ def sv_spec(params: SvParams) -> ModelSpec:
         g_sample=partial(sv_g_sample, params),
         stationary_x_sample=partial(sv_stationary_x_sample, params),
     )
-    return _hmm_spec(hmm, sample_stationary_many=sample_stationary_many, sv=params)
+    return _hmm_spec(hmm, sv=params)
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +654,10 @@ def iid_gaussian_spec(mu: float, sd: float) -> ModelSpec:
     The hidden chain regenerates from N(0, 1) at every step, so the
     transition does not depend on the current state at all.
     """
-    if sd <= 0.0:
-        raise ValueError("sd must be positive")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+    if not (math.isfinite(sd) and sd > 0.0):
+        raise ValueError(f"sd must be positive and finite, got {sd}")
     var = sd * sd
     hmm = HmmFactorization(  # the zeros give the state-free densities one value per state
         qx_logpdf=lambda x, x_next: normal_logpdf(x_next, 1.0) + np.zeros(np.shape(x)),

@@ -189,6 +189,15 @@ class TestInitialDistributions:
         init = GaussianOnZ(np.zeros(2), np.zeros((2, 2)))  # point mass as degenerate Gaussian
         assert init.cov.shape == (2, 2)
 
+    def test_non_finite_laws_rejected_when_built(self):
+        for x, y in ((np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf), ([0.0, np.nan], 1.0)):
+            with pytest.raises(ValueError, match="point mass must be finite"):
+                PointMass(x, y)
+        for mean, cov in (([np.nan, 0.0], np.eye(2)), ([0.0, np.inf], np.eye(2)),
+                          ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]), ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]])):
+            with pytest.raises(ValueError, match="mean and cov must be finite"):
+                GaussianOnZ(mean, cov)
+
     def test_gaussian_on_z_sampling_moments(self):
         spec = make_iid_glm()
         init = GaussianOnZ(np.array([3.0, -3.0]), 0.25 * np.eye(2))
@@ -211,9 +220,18 @@ class TestFiniteInitialState:
         )
 
     def test_rejects_states_off_the_chain(self):
-        for x0 in (1.7, -1, 5, np.nan):
+        for x0 in (1.7, -1, 5):
             for call in self.calls(PointMass(x0, 0)):
                 with pytest.raises(ValueError, match=r"point-mass state must be an integer in 0\.\.1"):
+                    call()
+        with pytest.raises(ValueError, match="point mass must be finite"):  # NaN is rejected when built
+            PointMass(np.nan, 0)
+
+    def test_rejects_symbols_off_the_alphabet(self):
+        # y0 = 7 would be recorded as an observation, 0.5 would turn the y codes into floats
+        for y0 in (7, -1, 0.5):
+            for call in self.calls(PointMass(0, y0)):
+                with pytest.raises(ValueError, match=r"point-mass symbol must be an integer in 0\.\.1"):
                     call()
 
     def test_accepts_integer_valued_states(self):

@@ -1,7 +1,11 @@
 """Expected-KLD functionals: closed forms against the Monte Carlo oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pommkit import (
     FiniteHmmParams,
@@ -25,7 +29,7 @@ from pommkit import rng as rngmod
 from pommkit.divergence import delta_bar_finite_exact, write_denseness_csv
 from pommkit.models import finite_hmm_stationary, sv_g_logpdf, sv_g_sample, sv_qx_logpdf, sv_qx_sample
 from pommkit.models import sv_stationary_x_sample
-from tests.test_models import random_stable_glm
+from tests.test_models import hmm_family_specs, random_stable_glm
 
 
 def agrees(value, estimate, atol=1e-12):
@@ -110,17 +114,82 @@ class TestMonteCarloOracle:
         assert agrees(exact, est)
 
     def test_hmm_pairs_draw_in_blocks_through_the_hooks(self):
-        # every x0, then every x1, then every y1 on the reference stream; on SV
-        # these are the family's own samplers and densities, bit for bit
+        # every x0, then every y0, then every x1, then every y1 on the reference stream;
+        # on SV these are the family's own samplers and densities, bit for bit
         star, other = SvParams(1.0, 0.3, 0.9), SvParams(1.2, 0.4, 0.8)
         rng = rngmod.substream(3, rngmod.KLD_OUTER)
         x0 = sv_stationary_x_sample(star, 2000, rng)
+        sv_g_sample(star, x0, rng)  # y0: drawn with the stationary pair, read by no HMM density
         x1 = sv_qx_sample(star, x0, rng)
         y1 = sv_g_sample(star, x1, rng)
         num, den = (sv_qx_logpdf(p, x0, x1) + sv_g_logpdf(p, x1, y1) for p in (star, other))
         est = step_kld_mc(sv_spec(star), sv_spec(other), draws=2000, seed=3)
         assert est.value == (num - den).mean()
         assert est.se == (num - den).std(ddof=1) / np.sqrt(2000)
+        # the same order through the hooks of every HMM family
+        specs = hmm_family_specs()
+        for star_spec, other in ((specs["sv"], specs["iid"]),
+                                 (specs["finite"], finite_hmm_spec(FiniteHmmParams([[0.5, 0.3, 0.2]] * 3, [[0.5, 0.5]] * 3))),
+                                 (specs["iid"], iid_gaussian_spec(0.3, 1.5))):
+            h, ho = star_spec.hmm, other.hmm
+            rng = rngmod.substream(4, rngmod.KLD_OUTER)
+            x0 = h.stationary_x_sample(500, rng)
+            h.g_sample(x0, rng)
+            x1 = h.qx_sample(x0, rng)
+            y1 = h.g_sample(x1, rng)
+            lr = h.qx_logpdf(x0, x1) + h.g_logpdf(x1, y1) - (ho.qx_logpdf(x0, x1) + ho.g_logpdf(x1, y1))
+            est = step_kld_mc(star_spec, other, draws=500, seed=4)
+            assert (est.value, est.se) == (lr.mean(), lr.std(ddof=1) / np.sqrt(500))
+
+    def test_mixed_family_pair_matches_closed_form(self):
+        # a linear model against the i.i.d. HMM, both ways round: the other transition is
+        # N(m, S) with m = (0, mu) and S = diag(1, sd^2) whatever the current state
+        Phi, R = np.array([[0.6, 0.2], [0.3, 0.4]]), np.array([[1.0, 0.3], [0.3, 0.8]])
+        mu, sd = 0.4, 1.3
+        m, S = np.array([0.0, mu]), np.diag([1.0, sd * sd])
+        lin, iid = glm_spec(GlmParams(Phi, R, 1, 1)), iid_gaussian_spec(mu, sd)
+        gamma = glm_stationary_cov(lin.glm)
+        Si, Ri = np.linalg.inv(S), np.linalg.inv(R)
+        logdet_ratio = np.linalg.slogdet(S)[1] - np.linalg.slogdet(R)[1]
+        # z0 ~ N(0, Gamma) and z1 | z0 ~ N(Phi z0, R) against N(m, S)
+        lin_first = 0.5 * (np.trace(Si @ R) - 2 + logdet_ratio + np.trace(Si @ Phi @ gamma @ Phi.T) + m @ Si @ m)
+        # gaussian_kl(Phi z0, R, m, S) averaged over z0: the mean term's expectation adds tr(S^-1 Phi Gamma Phi^T)
+        assert abs(lin_first - gaussian_kl([0, 0], R, m, S) - 0.5 * np.trace(Si @ Phi @ gamma @ Phi.T)) < 1e-12
+        # z0 ~ N(m, S) (y0 counts here) and z1 ~ N(m, S) against N(Phi z0, R)
+        dev = (Phi - np.eye(2)) @ m
+        iid_first = 0.5 * (np.trace(Ri @ S) - 2 - logdet_ratio + np.trace(Ri @ Phi @ S @ Phi.T) + dev @ Ri @ dev)
+        assert abs(iid_first - gaussian_kl(m, S, Phi @ m, R) - 0.5 * np.trace(Ri @ Phi @ S @ Phi.T)) < 1e-12
+        for star, other, exact in ((lin, iid, lin_first), (iid, lin, iid_first)):
+            est = step_kld_mc(star, other, draws=100_000, seed=21)
+            assert est.method == "mc" and agrees(exact, est), (est, exact)
+
+    def test_mixed_family_pair_evaluates_each_density_once(self):
+        calls = []
+
+        def counted(spec, name):
+            def trans_logpdf(z, z_next):
+                calls.append((name, np.shape(z[0])))
+                return spec.trans_logpdf(z, z_next)
+
+            return dataclasses.replace(spec, trans_logpdf=trans_logpdf)
+
+        star = counted(glm_spec(GlmParams([[0.6, 0.2], [0.3, 0.4]], np.eye(2), 1, 1)), "star")
+        other = counted(sv_spec(SvParams(1.0, 0.5, 0.9)), "other")
+        step_kld_mc(star, other, draws=3000, seed=22)
+        assert sorted(calls) == [("other", (3000, 1)), ("star", (3000, 1))]
+
+    def test_closed_inner_needs_two_linear_models(self):
+        lin = glm_spec(GlmParams([[0.6, 0.2], [0.3, 0.4]], np.eye(2), 1, 1))
+        sv = sv_spec(SvParams(1.0, 0.5, 0.9))
+        for star, other in ((lin, sv), (sv, lin), (sv, sv)):
+            with pytest.raises(ValueError, match="closed inner KLD needs two linear Gaussian models"):
+                step_kld_mc(star, other, draws=100, inner="closed")
+        assert step_kld_mc(lin, lin, draws=100, inner="closed") == step_kld_mc(lin, lin, draws=100)
+
+    def test_models_of_different_dimensions_rejected(self):
+        lin3 = glm_spec(random_stable_glm(np.random.default_rng(23), d=3, p=2, q=1))
+        with pytest.raises(ValueError, match="different"):
+            step_kld_mc(lin3, sv_spec(SvParams(1.0, 0.5, 0.9)), draws=100)
 
     def test_linear_pairs_draw_and_evaluate_through_the_specs(self):
         # every z0 from the stationary sampler, every z1 from the broadcasting step, then
@@ -129,7 +198,7 @@ class TestMonteCarloOracle:
         for d, p, q in ((2, 1, 1), (3, 2, 1), (3, 1, 2)):
             star, other = (glm_spec(random_stable_glm(rng, d=d, p=p, q=q)) for _ in range(2))
             r = rngmod.substream(6, rngmod.KLD_OUTER)
-            z0 = star.sample_stationary_many(3000, r)
+            z0 = star.sample_stationary(3000, r)
             z1 = star.sample_step(z0, r)
             lr = star.trans_logpdf(z0, z1) - other.trans_logpdf(z0, z1)
             est = step_kld_mc(star, other, draws=3000, seed=6, inner="logratio")
@@ -169,6 +238,29 @@ class TestMonteCarloOracle:
             star, other = random_stable_glm(rng), random_stable_glm(rng)
             est = step_kld_mc(glm_spec(star), glm_spec(other), draws=50_000, seed=300 + i)
             assert est.value >= -3.0 * est.se
+
+
+class TestBlockEstimatorProperty:
+    """Over random stable pairs the block log-ratio estimator agrees with the closed forms within 5 se."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), d=st.sampled_from([(2, 1, 1), (3, 2, 1), (3, 1, 2)]))
+    def test_linear_pairs(self, seed, d):
+        rng = np.random.default_rng(seed)
+        star, other = (random_stable_glm(rng, *d) for _ in range(2))
+        est = step_kld_mc(glm_spec(star), glm_spec(other), draws=20_000, seed=seed, inner="logratio")
+        assert abs(est.value - delta_glm_closed(star, other).value) <= 5.0 * est.se
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        star=st.tuples(st.floats(0.5, 2.0), st.floats(0.2, 1.0), st.floats(-0.95, 0.95)),
+        other=st.tuples(st.floats(0.5, 2.0), st.floats(0.2, 1.0), st.floats(-0.95, 0.95)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sv_pairs(self, star, other, seed):
+        star, other = SvParams(*star), SvParams(*other)
+        est = step_kld_mc(sv_spec(star), sv_spec(other), draws=20_000, seed=seed)
+        assert abs(est.value - delta_sv_closed(star, other).value) <= 5.0 * est.se
 
 
 class TestSvContinuityAtReference:

@@ -177,6 +177,15 @@ class TestCli:
             assert captured.err == f"pommkit {argv[0]}: error: {message}\n"
             assert "Traceback" not in captured.err
 
+    def test_non_finite_point_mass_is_rejected_input(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("init_true = stationary", "init_true = pointmass nan 0"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfg), "--n", "10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pommkit simulate: error: point mass must be finite") and "Traceback" not in err
+
     def test_experiment_command(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         rc = cli.main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -62,6 +62,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             SvParams(beta=1.0, sigma=1.0, phi=1.0)
 
+    def test_iid_rejects_non_finite_or_non_positive_parameters(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                iid_gaussian_spec(bad, 1.0)
+            with pytest.raises(ValueError, match="sd must be positive and finite"):
+                iid_gaussian_spec(0.0, bad)
+        for sd in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sd must be positive and finite"):
+                iid_gaussian_spec(0.0, sd)
+
     def test_non_finite_matrices_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="A must be finite"):
@@ -207,8 +217,8 @@ class TestLazyFactors:
         assert calls == {"stationary_cov": 0, "cholesky": 0}
         # the counters see the factors once a sampler needs them, and only once
         for spec in specs:
-            spec.sample_stationary_many(3, rngmod.substream(0, 0))
-            spec.sample_stationary_many(3, rngmod.substream(0, 0))
+            spec.sample_stationary(3, rngmod.substream(0, 0))
+            spec.sample_stationary(3, rngmod.substream(0, 0))
         assert calls == {"stationary_cov": 4, "cholesky": 4}
 
     def test_samplers_match_direct_factors(self):
@@ -218,12 +228,13 @@ class TestLazyFactors:
             d, p, q = glm.p + glm.q, ssm.p, ssm.q
             z = (np.linspace(-1.0, 1.0, p), np.array([0.3]))
             for _ in range(2):  # the first call computes a factor, the second reuses it
-                got = spec.sample_stationary_many(20, rngmod.substream(1, 0))
+                got = spec.sample_stationary(20, rngmod.substream(1, 0))
                 want = rngmod.substream(1, 0).standard_normal((20, d)) @ chol(stationary_cov(glm.Phi, glm.R)).T
                 assert np.concatenate(got, axis=1).tobytes() == want.tobytes()
-                got = spec.sample_stationary(rngmod.substream(2, 0))
+                # a block of one, as simulate_complete draws its start, is the matrix-vector product
+                got = spec.sample_stationary(1, rngmod.substream(2, 0))
                 want = chol(stationary_cov(glm.Phi, glm.R)) @ rngmod.substream(2, 0).standard_normal(d)
-                assert np.concatenate(got).tobytes() == want.tobytes()
+                assert np.concatenate(got, axis=1)[0].tobytes() == want.tobytes()
                 got = spec.hmm.stationary_x_sample(20, rngmod.substream(3, 0))
                 want = rngmod.substream(3, 0).standard_normal((20, p)) @ chol(stationary_cov(ssm.A, ssm.Qzeta)).T
                 assert np.asarray(got).tobytes() == (want[:, 0] if p == 1 else want).tobytes()
@@ -380,7 +391,7 @@ class TestStochasticVolatility:
         params = SvParams(1.0, 0.5, 0.9)
         spec = sv_spec(params)
         gen = rngmod.substream(13, 0)
-        xs, _ = spec.sample_stationary_many(1_000_000, gen)
+        xs, _ = spec.sample_stationary(1_000_000, gen)
         target = params.x_var
         se = target * np.sqrt(2.0 / len(xs))
         assert abs(xs.var() - target) < 3 * se
@@ -514,7 +525,7 @@ class TestHmmJointChain:
         for spec in hmm_family_specs().values():
             hmm = spec.hmm
             for seed in range(5):
-                got = spec.sample_stationary(rngmod.substream(seed, 0))
+                got = [v[0] for v in spec.sample_stationary(1, rngmod.substream(seed, 0))]  # a block of one
                 rng = rngmod.substream(seed, 0)
                 x = hmm.stationary_x_sample(1, rng)[0]
                 want = (np.array([x]), np.array([hmm.g_sample(x, rng)]))
@@ -556,7 +567,7 @@ class TestSharedFormulas:
             x = hmm.stationary_x_sample(50, rng)
             x1 = hmm.qx_sample(x, rng)
             s = hmm.qx_sample(0.3, rng)
-            return [x, x1, s, hmm.g_sample(s, rng), *spec.sample_stationary_many(40, rng)]
+            return [x, x1, s, hmm.g_sample(s, rng), *spec.sample_stationary(40, rng)]
 
         def by_samplers(rng):
             x = models.sv_stationary_x_sample(params, 50, rng)
@@ -733,7 +744,7 @@ def random_pairs(spec, rng, n):
 
 
 class TestBroadcastingTransition:
-    """Every family's ``trans_logpdf`` broadcasts, and the linear ``sample_step`` draws per pair in turn."""
+    """Every family's ``trans_logpdf`` and ``sample_step`` broadcast over pairs."""
 
     def test_array_of_pairs_equals_per_pair_calls(self):
         rng = np.random.default_rng(32)
@@ -783,6 +794,30 @@ class TestBroadcastingTransition:
                 xi, yi = spec.sample_step((z[0][i], z[1][i]), r_one)
                 assert (xi.tobytes(), yi.tobytes()) == (x1[i].tobytes(), y1[i].tobytes()), name
             assert r_batch.random() == r_one.random()
+
+    def test_hmm_blocks_draw_every_state_then_every_observation(self):
+        # the HMM step and stationary block draw x for every pair, then y for every pair, through the hooks
+        rng, specs = np.random.default_rng(36), hmm_family_specs()
+        for name, spec in specs.items():
+            hmm = spec.hmm
+            z = random_pairs(spec, rng, 200)
+            r_spec, r_hooks = rngmod.substream(11, 0), rngmod.substream(11, 0)
+            x1, y1 = spec.sample_step(z, r_spec)
+            want_x1 = hmm.qx_sample(z[0][:, 0], r_hooks)
+            want_y1 = hmm.g_sample(want_x1, r_hooks)
+            assert x1.shape == y1.shape == (200, 1), name
+            assert (x1.tobytes(), y1.tobytes()) == (want_x1[:, None].tobytes(), want_y1[:, None].tobytes()), name
+            x0, y0 = spec.sample_stationary(300, r_spec)
+            want_x0 = hmm.stationary_x_sample(300, r_hooks)
+            want_y0 = hmm.g_sample(want_x0, r_hooks)
+            assert x0.shape == y0.shape == (300, 1), name
+            assert (x0.tobytes(), y0.tobytes()) == (want_x0[:, None].tobytes(), want_y0[:, None].tobytes()), name
+            assert r_spec.random() == r_hooks.random()
+
+    def test_stationary_blocks_have_the_spec_shapes(self):
+        for name, spec in family_specs().items():
+            x, y = spec.sample_stationary(7, rngmod.substream(12, 0))
+            assert (x.shape, y.shape) == ((7, spec.state_dim), (7, spec.obs_dim)), name
 
     def test_linear_transition_is_the_written_out_gaussian(self):
         # log N(z'; Phi z, R) by a dense solve, to float accuracy
