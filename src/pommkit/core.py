@@ -245,9 +245,14 @@ def _check_init(spec: ModelSpec, init) -> None:
 
     A finite chain's point mass must sit on a state, an integer in
     ``0..K-1``, and on a symbol, an integer in ``0..L-1``; a cast would
-    read 1.7 as 1 and an index would wrap -1 to the last state.
+    read 1.7 as 1 and an index would wrap -1 to the last state. A finite
+    chain takes no Gaussian law, whose draws are not states.
     """
     _check_init_dim(init, spec.state_dim, spec.obs_dim)
+    if spec.finite is not None and isinstance(init, GaussianOnZ):
+        raise UnsupportedInitError(
+            "finite models take Stationary, PointMass or an explicit state distribution, got GaussianOnZ"
+        )
     if spec.finite is not None and isinstance(init, PointMass):
         for name, v, k in (("state", init.x[0], spec.finite.n_states), ("symbol", init.y[0], spec.finite.n_symbols)):
             if not (float(v).is_integer() and 0 <= v < k):
@@ -270,7 +275,12 @@ def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) 
         z = init.mean + _chol_psd(init.cov) @ rng.standard_normal(d)
         return (z[: spec.state_dim], z[spec.state_dim :])
     if isinstance(init, CustomInit):
-        return init.sampler(rng)
+        try:
+            draw = PointMass(*init.sampler(rng))  # rejects a non-finite draw
+            _check_init(spec, draw)
+        except ValueError as err:
+            raise ValueError(f"CustomInit drew an invalid initial pair: {err}") from err
+        return (draw.x, draw.y)
     raise TypeError(f"unknown initial distribution {init!r}")
 
 
@@ -292,12 +302,19 @@ def _chol_psd(cov: np.ndarray) -> np.ndarray:
 def simulate_complete(spec: ModelSpec, init: InitialDist, n: int, seed: int, stream: int = 0) -> Trajectory:
     """Simulate ``z_0, ..., z_n`` with ``z_0 ~ init`` and one-step kernel moves.
 
-    Deterministic given ``(seed, stream)``.
+    Deterministic given ``(seed, stream)``. A linear spec (one with
+    ``glm`` parameters) draws its whole path with ``models._linear_path``,
+    every other spec calls ``sample_step`` once per step; on a linear spec
+    both give the same bytes from the same stream.
     """
     if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rng = rngmod.substream(seed, rngmod.SIMULATE, stream)
     z = _draw_initial(spec, init, rng)
+    if spec.glm is not None:
+        from .models import _linear_path  # models imports this module
+
+        return Trajectory(*_linear_path(spec.glm, z, n, rng))
     xs = [np.atleast_1d(np.asarray(z[0]))]
     ys = [np.atleast_1d(np.asarray(z[1]))]
     for _ in range(n):

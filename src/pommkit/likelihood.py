@@ -33,7 +33,7 @@ _LOG2PI = np.log(2.0 * np.pi)
 _QUADRATURE_SPAN = 8.0  # half-width of the quadrature node grid, in stationary standard deviations
 _ENUMERATION_CAP = 1 << 22  # hidden paths summed by enumeration_loglik
 _STRING_CAP = 1 << 20  # observation strings enumerated by conditional_entropy_sequence
-_RICCATI_CHECK = 8  # least gap between the scalar filter's checks for a repeating variance state
+_RICCATI_CHECK = 8  # least gap between the Kalman filters' checks for a repeating covariance state
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,41 @@ def _gaussian_init_moments(spec: ModelSpec, init) -> tuple[np.ndarray, np.ndarra
     )
 
 
+def _riccati_checks():
+    """The steps at which a Kalman filter compares its covariance state with the state two steps back.
+
+    The first is step ``_RICCATI_CHECK - 1``; the checks are then
+    ``_RICCATI_CHECK`` steps apart, and a quarter of the step index apart
+    once that is more, so a recursion that never repeats pays for about
+    20 comparisons over 1600 observations.
+    """
+    k = _RICCATI_CHECK - 1
+    while True:
+        yield k
+        k += max(_RICCATI_CHECK, k // 4)
+
+
 def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     """Per-observation predictive log densities from the exact filter.
 
     The filter runs on the full joint vector ``z = (x, y)``; the
     observation at each step is the (noiselessly observed) ``y`` block of
-    the predicted Gaussian, so the innovation covariance is the ``yy``
-    block of the predicted covariance.
+    the predicted Gaussian, so the innovation covariance ``S`` is the
+    ``yy`` block of the predicted covariance.
+
+    The covariance recursion does not see the data, so once its updated,
+    symmetrized state repeats bit for bit, every later ``S`` and gain
+    repeats too: the exact steady-state filter (Anderson & Moore 1979), as
+    in the scalar filter, with the same checkpoints (``_riccati_checks``)
+    and the same comparison with the state two steps back, which catches a
+    fixed point and a cycle of period 2. From then on only the mean
+    recursion runs, with the cycle's gains. A covariance that never
+    repeats, or repeats with a longer period, runs the full recursion to
+    the end. The loop stores each step's ``S`` and innovation; the log
+    densities ``-0.5 * (q log 2pi + log det S + u.u)`` with ``u = L^{-1}
+    innov`` and ``S = L L^T`` are formed after it by one stacked Cholesky
+    factorization and one stacked solve, whose values are the per-step
+    ones bit for bit.
     """
     if spec.glm is None:
         raise ValueError("kalman evaluation needs a linear Gaussian model")
@@ -106,20 +134,39 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     Phi, R = params.Phi, params.R
     m, P = _gaussian_init_moments(spec, init)
     yi = slice(p, p + q)
-    out = np.empty(len(ys))
+    n = len(ys)
+    s_buf = np.empty((n, q, q))
+    innov_buf = np.empty((n, q))
+    P1 = gain = None  # the covariance state and the gain one step back
+    checks = _riccati_checks()
+    check = next(checks)
     for k, y in enumerate(ys):
         m = Phi @ m
-        P = Phi @ P @ Phi.T + R
-        S = P[yi, yi]
-        chol = np.linalg.cholesky(S)
+        Pp = Phi @ P @ Phi.T + R
+        S = Pp[yi, yi]
         innov = y - m[yi]
-        u = np.linalg.solve(chol, innov)
-        out[k] = -0.5 * (q * _LOG2PI + 2.0 * np.sum(np.log(np.diag(chol))) + u @ u)
-        gain = np.linalg.solve(S, P[yi, :]).T  # P[:, yi] S^{-1}
+        s_buf[k] = S
+        innov_buf[k] = innov
+        gain1, gain = gain, np.linalg.solve(S, Pp[yi, :]).T  # P[:, yi] S^{-1}
         m = m + gain @ innov
-        P = P - gain @ P[yi, :]
-        P = 0.5 * (P + P.T)
-    return out
+        Pp = Pp - gain @ Pp[yi, :]
+        P2, P1, P = P1, P, 0.5 * (Pp + Pp.T)
+        if k == check:
+            if np.array_equal(P, P2):
+                # step k + 1 repeats step k - 1, step k + 2 repeats step k, and so on
+                s_buf[k + 1 :: 2] = s_buf[k - 1]
+                s_buf[k + 2 :: 2] = s_buf[k]
+                for y, innov, gain in zip(ys[k + 1 :], innov_buf[k + 1 :], itertools.cycle((gain1, gain))):
+                    m = Phi @ m
+                    np.subtract(y, m[yi], out=innov)
+                    m = m + gain @ innov
+                break
+            check = next(checks)
+    chol = np.linalg.cholesky(s_buf)
+    u = np.linalg.solve(chol, innov_buf[:, :, None])[:, :, 0]
+    uu = u[:, 0] * u[:, 0] if q == 1 else np.array([v @ v for v in u])
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=-1)
+    return -0.5 * (q * _LOG2PI + logdet + uu)
 
 
 def kalman_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
@@ -148,9 +195,8 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     mean recursion runs, with the cycle's gains, and every value keeps
     the bits of the full recursion. A state that never repeats, or
     repeats with a longer period, runs the full recursion to the end.
-    The checkpoints are ``_RICCATI_CHECK`` steps apart, and a quarter of
-    the step index apart once that is more, so such a grid pays for
-    about 20 comparisons over 1600 observations.
+    The checkpoints are those of ``_riccati_checks``, which the joint-chain
+    filter shares.
 
     The loop runs over the observations as Python floats, so the float
     filter does plain float arithmetic, and stores each step's innovation
@@ -177,7 +223,8 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     innov_buf = np.empty_like(s_buf)
     repeats = operator.eq if s_buf.ndim == 1 else np.array_equal  # one float, or every grid point
     pv1 = gain = None  # the variance state and the gain one step back
-    check = _RICCATI_CHECK - 1  # the next step whose variance state is compared
+    checks = _riccati_checks()
+    check = next(checks)
     for k, y in enumerate(yflat):
         m = a * m
         pp = aa * pv + qz
@@ -199,7 +246,7 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
                     innov_buf[j] = innov
                     m = m + gain * innov
                 break
-            check += max(_RICCATI_CHECK, k // 4)
+            check = next(checks)
     np.multiply(innov_buf, innov_buf, out=innov_buf)
     np.divide(innov_buf, s_buf, out=innov_buf)
     out = np.log(s_buf, out=s_buf)

@@ -452,6 +452,26 @@ def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int):
     return logpdf, sample
 
 
+def _linear_path(params: GlmParams, z0, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks ``x`` and ``y`` of ``z_0, ..., z_n`` under ``z' = Phi z + N(0, R)`` from the pair ``z0``.
+
+    The step noise is one ``(n, p + q)`` standard-normal block, which the
+    generator fills in the order that ``n`` calls of the linear
+    ``sample_step`` draw it, mapped by one batched ``_matvec(L, .)`` with
+    ``L`` the Cholesky factor of ``R``. The path is then
+    ``z_{k+1} = _matvec(Phi, z_k) + noise_k`` in one preallocated array,
+    so it has the bytes of the per-step loop.
+    """
+    Phi, p = params.Phi, params.p
+    d = p + params.q
+    noise = _matvec(np.linalg.cholesky(params.R), rng.standard_normal((n, d)))
+    z = np.empty((n + 1, d))
+    z[0, :p], z[0, p:] = z0
+    for k in range(n):
+        np.add(_matvec(Phi, z[k]), noise[k], out=z[k + 1])
+    return np.ascontiguousarray(z[:, :p]), np.ascontiguousarray(z[:, p:])
+
+
 def ssm_spec(params: SsmParams) -> ModelSpec:
     """State-space model as a ModelSpec, with both views attached.
 

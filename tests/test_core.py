@@ -22,6 +22,7 @@ from pommkit import (
     simulate_complete,
     sv_spec,
 )
+from pommkit.core import UnsupportedInitError
 from pommkit.models import GlmParams, glm_spec, scalar_ssm
 
 
@@ -60,6 +61,20 @@ class TestSimulation:
         init = CustomInit(sampler=lambda rng: (np.array([9.0]), np.array([9.0])))
         traj = simulate_complete(spec, init, 1, seed=0)
         assert traj.x[0, 0] == 9.0
+
+    def test_custom_draws_checked(self):
+        spec = scalar_ssm(0.5)
+        wrong_size = CustomInit(sampler=lambda rng: (np.zeros(2), np.zeros(1)))
+        with pytest.raises(ValueError, match=r"CustomInit drew .* dimensions \(2, 1\), expected \(1, 1\)"):
+            simulate_complete(spec, wrong_size, 3, seed=0)
+        for bad in (np.nan, np.inf):
+            init = CustomInit(sampler=lambda rng, bad=bad: (np.array([bad]), np.zeros(1)))
+            with pytest.raises(ValueError, match="CustomInit drew .* must be finite"):
+                simulate_complete(spec, init, 3, seed=0)
+        # a draw that takes nothing from the stream starts the path a point mass starts
+        fixed = simulate_complete(spec, CustomInit(sampler=lambda rng: (0.3, [-1.0])), 5, seed=4)
+        point = simulate_complete(spec, PointMass(0.3, -1.0), 5, seed=4)
+        assert fixed.x.tobytes() == point.x.tobytes() and fixed.y.tobytes() == point.y.tobytes()
 
     def test_missing_stationary_sampler(self):
         spec = make_iid_glm()
@@ -233,6 +248,27 @@ class TestFiniteInitialState:
             for call in self.calls(PointMass(0, y0)):
                 with pytest.raises(ValueError, match=r"point-mass symbol must be an integer in 0\.\.1"):
                     call()
+
+    def test_gaussian_law_not_simulated(self):
+        # its draws are not states: x0 = 0.296 was recorded and the chain stepped from state 0
+        with pytest.raises(UnsupportedInitError, match="finite models take"):
+            simulate_complete(self.spec, GaussianOnZ([0.4, 0.6], 0.01 * np.eye(2)), 3, seed=0)
+
+    def test_gaussian_law_not_filtered(self):
+        # the particle filter returned a finite value where the forward recursion refuses
+        for call in self.calls(GaussianOnZ([0.4, 0.6], 0.01 * np.eye(2)))[1:]:
+            with pytest.raises(UnsupportedInitError, match="finite models take"):
+                call()
+
+    def test_gaussian_law_off_the_chain_is_not_an_index_error(self):
+        with pytest.raises(UnsupportedInitError, match="finite models take"):
+            simulate_complete(self.spec, GaussianOnZ([5.0, 0.0], np.eye(2)), 3, seed=0)
+
+    def test_custom_draws_off_the_chain_rejected(self):
+        for x0, y0 in ((0.5, 0), (2, 0), (0, 3)):
+            init = CustomInit(sampler=lambda rng, x0=x0, y0=y0: (np.array([x0]), np.array([y0])))
+            with pytest.raises(ValueError, match="CustomInit drew an invalid initial pair: point-mass"):
+                simulate_complete(self.spec, init, 3, seed=0)
 
     def test_accepts_integer_valued_states(self):
         for x0 in (0, 1, 1.0):

@@ -51,7 +51,7 @@ from pommkit.likelihood import (
     ssm_kalman_loglik,
 )
 from pommkit.models import glm_stationary_cov, normal_logpdf
-from tests.test_models import one_expression_normal, one_expression_sv_g
+from tests.test_models import one_expression_normal, one_expression_sv_g, random_gaussian_inits, random_linear_spec
 
 
 def simulated_obs(spec, n, seed, init=None):
@@ -736,6 +736,89 @@ class TestScalarFilterProperty:
             scalar = increments(spec, ys, init, "kalman")
             np.testing.assert_allclose(scalar, kalman_increments(spec, ys, init), rtol=0, atol=1e-10)
             np.testing.assert_array_equal(grid_increments([scalar_ssm(0.3), spec], ys, init, "kalman")[1], scalar)
+
+
+def reference_joint_increments(spec, ys, init):
+    """The joint-chain filter with no steady-state shortcut, one log density per step.
+
+    Every step runs the covariance recursion, factors its own innovation
+    covariance and forms its log density from that factor, in the
+    filter's operations and order.
+    """
+    Phi, R, p, q = spec.glm.Phi, spec.glm.R, spec.glm.p, spec.glm.q
+    if isinstance(init, Stationary):
+        m, P = np.zeros(p + q), glm_stationary_cov(spec.glm)
+    elif isinstance(init, PointMass):
+        m, P = np.concatenate([init.x, init.y]).astype(float), np.zeros((p + q, p + q))
+    else:
+        m, P = init.mean, init.cov
+    yi = slice(p, p + q)
+    out = []
+    for y in ys:
+        m = Phi @ m
+        P = Phi @ P @ Phi.T + R
+        S = P[yi, yi]
+        chol = np.linalg.cholesky(S)
+        innov = y - m[yi]
+        u = np.linalg.solve(chol, innov)
+        out.append(-0.5 * (q * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(chol))) + u @ u))
+        gain = np.linalg.solve(S, P[yi, :]).T
+        m = m + gain @ innov
+        P = P - gain @ P[yi, :]
+        P = 0.5 * (P + P.T)
+    return np.array(out)
+
+
+def joint_riccati_period(spec, steps=5000):
+    """Period of the cycle the joint filter's covariance state ends in from ``Stationary``, or None."""
+    Phi, R, p, q = spec.glm.Phi, spec.glm.R, spec.glm.p, spec.glm.q
+    yi = slice(p, p + q)
+    P, seen = glm_stationary_cov(spec.glm), {}
+    for k in range(steps):
+        if P.tobytes() in seen:
+            return k - seen[P.tobytes()]
+        seen[P.tobytes()] = k
+        P = Phi @ P @ Phi.T + R
+        P = P - np.linalg.solve(P[yi, yi], P[yi, :]).T @ P[yi, :]
+        P = 0.5 * (P + P.T)
+    return None
+
+
+# a scalar state-space point whose joint-chain covariance ends in a cycle of period 3
+JOINT_PERIOD_3 = (0.4471818526911526, -1.6414591038171356, 1.0006205284834375, 1.8220034832462546)
+
+
+class TestSteadyStateJointFilter:
+    """The joint-chain filter's steady-state shortcut keeps every bit of the full recursion."""
+
+    def check(self, spec, n, seed):
+        ys = 2.0 * np.random.default_rng(seed).normal(size=(n, spec.obs_dim))
+        for init in random_gaussian_inits(spec, seed):
+            np.testing.assert_array_equal(kalman_increments(spec, ys, init), reference_joint_increments(spec, ys, init))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["glm", "ssm"]),
+        p=st.sampled_from([1, 2]),
+        q=st.sampled_from([1, 2]),
+        n=st.sampled_from([1, 7, 8, 9, 300]),  # the first check falls on step 8
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_full_recursion(self, family, p, q, n, seed):
+        self.check(random_linear_spec(family, p, q, seed), n, seed)
+
+    def test_longer_cycles_run_the_full_recursion(self):
+        period_3 = scalar_ssm(*JOINT_PERIOD_3)
+        assert joint_riccati_period(period_3) == 3
+        # the scalar filter's period-3 point settles to a fixed point on the joint chain
+        assert joint_riccati_period(scalar_ssm(*PERIOD_3)) == 1
+        for spec in (period_3, scalar_ssm(*PERIOD_3)):
+            for n in (1, 7, 8, 9, 300):
+                self.check(spec, n, seed=61)
+
+    def test_no_observations(self):
+        spec = random_linear_spec("glm", 2, 2, 62)
+        assert kalman_increments(spec, np.empty((0, 2)), Stationary()).shape == (0,)
 
 
 class TestFiniteParticleFilterInput:

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pommkit import (
+    CustomInit,
     FiniteHmmParams,
+    GaussianOnZ,
     GlmParams,
     PointMass,
     SsmParams,
@@ -27,6 +29,7 @@ from pommkit import (
     ssm_spec,
     sv_spec,
 )
+from pommkit.core import _draw_initial
 from pommkit.likelihood import ssm_kalman_loglik
 from pommkit import models
 from pommkit.models import _is_spd, _is_symmetric, spectral_radius, stationary_cov
@@ -703,6 +706,68 @@ class TestBroadcastingHooks:
             assert batch.shape == (500,)
             assert np.array(draw_one(r_one), dtype=batch.dtype).tobytes() == batch.tobytes()
             assert r_batch.random() == r_one.random()  # the same stream consumed
+
+
+def random_linear_spec(family, p, q, seed):
+    """A stable linear spec with state and observation dimensions (p, q), drawn from ``seed``.
+
+    ``family`` is ``glm`` (correlated noise) or ``ssm`` (a state-space
+    model embedded into the linear family).
+    """
+    rng = np.random.default_rng(seed)
+
+    def stable(d):
+        M = rng.normal(size=(d, d))
+        return M * (rng.uniform(0.0, 0.99) / spectral_radius(M))
+
+    def spd(d):
+        A = rng.normal(size=(d, d))
+        return A @ A.T + rng.uniform(0.05, 1.0) * np.eye(d)
+
+    if family == "glm":
+        return glm_spec(GlmParams(stable(p + q), spd(p + q), p, q))
+    return ssm_spec(SsmParams(stable(p), rng.normal(size=(q, p)), spd(p), spd(q)))
+
+
+def random_gaussian_inits(spec, seed):
+    """``Stationary``, a point mass and a Gaussian law on the pair of ``spec``, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    p, q = spec.state_dim, spec.obs_dim
+    A = rng.normal(size=(p + q, p + q))
+    return (
+        Stationary(),
+        PointMass(2.0 * rng.normal(size=p), 2.0 * rng.normal(size=q)),
+        GaussianOnZ(rng.normal(size=p + q), 0.5 * (A @ A.T)),
+    )
+
+
+class TestLinearPath:
+    """``simulate_complete`` on a linear spec draws the bytes of a ``sample_step`` loop."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["glm", "ssm"]),
+        p=st.sampled_from([1, 2]),
+        q=st.sampled_from([1, 2]),
+        init_kind=st.sampled_from([0, 1, 2, 3]),
+        n=st.sampled_from([1, 2, 9, 300]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_block_path_equals_step_loop(self, family, p, q, init_kind, n, seed):
+        spec = random_linear_spec(family, p, q, seed)
+        custom = CustomInit(sampler=lambda rng: (rng.standard_normal(p), rng.standard_normal(q)))
+        init = (*random_gaussian_inits(spec, seed), custom)[init_kind]
+        traj = simulate_complete(spec, init, n, seed, stream=3)
+        rng = rngmod.substream(seed, rngmod.SIMULATE, 3)
+        z = _draw_initial(spec, init, rng)
+        xs, ys = [z[0]], [z[1]]
+        for _ in range(n):
+            z = spec.sample_step(z, rng)
+            xs.append(z[0])
+            ys.append(z[1])
+        for got, want in ((traj.x, np.stack(xs)), (traj.y, np.stack(ys))):
+            assert got.flags.c_contiguous
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class TestIidSpecialization:
