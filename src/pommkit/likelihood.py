@@ -16,6 +16,7 @@ arrays of grid parameters.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -34,6 +35,7 @@ _QUADRATURE_SPAN = 8.0  # half-width of the quadrature node grid, in stationary 
 _ENUMERATION_CAP = 1 << 22  # hidden paths summed by enumeration_loglik
 _STRING_CAP = 1 << 20  # observation strings enumerated by conditional_entropy_sequence
 _RICCATI_CHECK = 8  # least gap between the Kalman filters' checks for a repeating covariance state
+_MAX_PERIOD = 4  # longest cycle of the covariance state that the Kalman filters' checks catch
 
 
 @dataclass(frozen=True)
@@ -91,17 +93,35 @@ def _gaussian_init_moments(spec: ModelSpec, init) -> tuple[np.ndarray, np.ndarra
 
 
 def _riccati_checks():
-    """The steps at which a Kalman filter compares its covariance state with the state two steps back.
+    """The steps at which a Kalman filter looks for a repeating covariance state.
 
-    The first is step ``_RICCATI_CHECK - 1``; the checks are then
-    ``_RICCATI_CHECK`` steps apart, and a quarter of the step index apart
-    once that is more, so a recursion that never repeats pays for about
-    20 comparisons over 1600 observations.
+    At each, the state is compared with the states 1 to ``_MAX_PERIOD``
+    steps back (``_cycle_period``), which catches a fixed point and a
+    cycle of period 2, 3 or 4. The first check is step
+    ``_RICCATI_CHECK - 1``; the checks are then ``_RICCATI_CHECK`` steps
+    apart, and a quarter of the step index apart once that is more, so a
+    recursion that never repeats pays for about 20 comparisons over 1600
+    observations.
     """
     k = _RICCATI_CHECK - 1
     while True:
         yield k
         k += max(_RICCATI_CHECK, k // 4)
+
+
+def _cycle_period(state, history, repeats) -> Optional[int]:
+    """The least ``L`` with ``repeats(state, history[-L])``, or None.
+
+    ``history`` holds the states after the last ``_MAX_PERIOD`` steps
+    before the one that gave ``state``, oldest first.
+    """
+    return next((L for L in range(1, len(history) + 1) if repeats(state, history[-L])), None)
+
+
+def _repeat_rows(buf: np.ndarray, k: int, period: int) -> None:
+    """Fill ``buf[k + 1 :]`` with the cycle ``buf[k + 1 - period : k + 1]``, row ``j`` from row ``j - period``."""
+    for i in range(k + 1 - period, k + 1):
+        buf[i + period :: period] = buf[i]
 
 
 def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
@@ -116,15 +136,15 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     symmetrized state repeats bit for bit, every later ``S`` and gain
     repeats too: the exact steady-state filter (Anderson & Moore 1979), as
     in the scalar filter, with the same checkpoints (``_riccati_checks``)
-    and the same comparison with the state two steps back, which catches a
-    fixed point and a cycle of period 2. From then on only the mean
-    recursion runs, with the cycle's gains. A covariance that never
-    repeats, or repeats with a longer period, runs the full recursion to
-    the end. The loop stores each step's ``S`` and innovation; the log
-    densities ``-0.5 * (q log 2pi + log det S + u.u)`` with ``u = L^{-1}
-    innov`` and ``S = L L^T`` are formed after it by one stacked Cholesky
-    factorization and one stacked solve, whose values are the per-step
-    ones bit for bit.
+    and the same comparison with the states 1 to 4 steps back, which
+    catches a fixed point and a cycle of period 2, 3 or 4. From then on
+    only the mean recursion runs, with the cycle's gains. A covariance that
+    never repeats, or repeats with a longer period, runs the full
+    recursion to the end. The loop stores each step's ``S`` and
+    innovation; the log densities ``-0.5 * (q log 2pi + log det S + u.u)``
+    with ``u = L^{-1} innov`` and ``S = L L^T`` are formed after it by one
+    stacked Cholesky factorization and one stacked solve, whose values are
+    the per-step ones bit for bit.
     """
     if spec.glm is None:
         raise ValueError("kalman evaluation needs a linear Gaussian model")
@@ -137,7 +157,8 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     n = len(ys)
     s_buf = np.empty((n, q, q))
     innov_buf = np.empty((n, q))
-    P1 = gain = None  # the covariance state and the gain one step back
+    states = collections.deque(maxlen=_MAX_PERIOD)  # the covariance states and gains of the last steps
+    gains = collections.deque(maxlen=_MAX_PERIOD)
     checks = _riccati_checks()
     check = next(checks)
     for k, y in enumerate(ys):
@@ -147,16 +168,18 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
         innov = y - m[yi]
         s_buf[k] = S
         innov_buf[k] = innov
-        gain1, gain = gain, np.linalg.solve(S, Pp[yi, :]).T  # P[:, yi] S^{-1}
+        gain = np.linalg.solve(S, Pp[yi, :]).T  # P[:, yi] S^{-1}
+        states.append(P)
+        gains.append(gain)
         m = m + gain @ innov
         Pp = Pp - gain @ Pp[yi, :]
-        P2, P1, P = P1, P, 0.5 * (Pp + Pp.T)
+        P = 0.5 * (Pp + Pp.T)
         if k == check:
-            if np.array_equal(P, P2):
-                # step k + 1 repeats step k - 1, step k + 2 repeats step k, and so on
-                s_buf[k + 1 :: 2] = s_buf[k - 1]
-                s_buf[k + 2 :: 2] = s_buf[k]
-                for y, innov, gain in zip(ys[k + 1 :], innov_buf[k + 1 :], itertools.cycle((gain1, gain))):
+            period = _cycle_period(P, states, np.array_equal)
+            if period:
+                # step k + j repeats step k + j - period
+                _repeat_rows(s_buf, k, period)
+                for y, innov, gain in zip(ys[k + 1 :], innov_buf[k + 1 :], itertools.cycle(list(gains)[-period:])):
                     m = Phi @ m
                     np.subtract(y, m[yi], out=innov)
                     m = m + gain @ innov
@@ -190,17 +213,22 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     so once its state repeats bit for bit, its innovation variances and
     gains repeat forever: this is the steady-state filter (Anderson &
     Moore 1979), exact in floating point. At checkpoints the state is
-    compared with the state two steps back, which catches a fixed point
-    and a cycle of period 2 at every grid point. From then on only the
-    mean recursion runs, with the cycle's gains, and every value keeps
-    the bits of the full recursion. A state that never repeats, or
-    repeats with a longer period, runs the full recursion to the end.
-    The checkpoints are those of ``_riccati_checks``, which the joint-chain
-    filter shares.
+    compared with the states 1 to 4 steps back, which catches a fixed
+    point and a cycle of period 2, 3 or 4; a grid takes the least period
+    that fits every one of its points, and none if no period up to 4
+    does. From then on only the mean recursion runs, with the cycle's
+    gains, and every value keeps the bits of the full recursion. A state
+    that never repeats, or repeats with a longer period, runs the full
+    recursion to the end. The checkpoints are those of
+    ``_riccati_checks``, which the joint-chain filter shares.
 
     The loop runs over the observations as Python floats, so the float
     filter does plain float arithmetic, and stores each step's innovation
-    variance and innovation in two preallocated buffers. The log densities
+    variance and innovation in two preallocated buffers. The mean
+    recursion after a repeat stores nothing per step in numpy: the float
+    filter appends its innovations to a list, which fills the buffer at
+    once, and the grid filter updates its arrays in place, writing each
+    innovation into its row of the buffer. The log densities
     ``-0.5 * (log 2pi + log s + innov^2 / s)`` are formed after the loop by
     in-place ufuncs over the whole buffer, with the same operations in the
     same order as one step would take them.
@@ -221,8 +249,10 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     n = len(yflat)
     s_buf = np.empty((n,) + np.shape(a))
     innov_buf = np.empty_like(s_buf)
-    repeats = operator.eq if s_buf.ndim == 1 else np.array_equal  # one float, or every grid point
-    pv1 = gain = None  # the variance state and the gain one step back
+    grid = s_buf.ndim == 2
+    repeats = np.array_equal if grid else operator.eq  # every grid point, or one float
+    states = collections.deque(maxlen=_MAX_PERIOD)  # the variance states and gains of the last steps
+    gains = collections.deque(maxlen=_MAX_PERIOD)
     checks = _riccati_checks()
     check = next(checks)
     for k, y in enumerate(yflat):
@@ -232,19 +262,21 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
         innov = y - b * m
         s_buf[k] = s
         innov_buf[k] = innov
-        gain1, gain = gain, pp * b / s
+        gain = pp * b / s
+        states.append(pv)
+        gains.append(gain)
         m = m + gain * innov
-        pv2, pv1, pv = pv1, pv, pp - gain * b * pp
+        pv = pp - gain * b * pp
         if k == check:
-            if repeats(pv, pv2):
-                # step k + 1 repeats step k - 1, step k + 2 repeats step k, and so on
-                s_buf[k + 1 :: 2] = s_buf[k - 1]
-                s_buf[k + 2 :: 2] = s_buf[k]
-                for j, y, gain in zip(range(k + 1, n), yflat[k + 1 :], itertools.cycle((gain1, gain))):
-                    m = a * m
-                    innov = y - b * m
-                    innov_buf[j] = innov
-                    m = m + gain * innov
+            period = _cycle_period(pv, states, repeats)
+            if period:
+                # step k + j repeats step k + j - period
+                _repeat_rows(s_buf, k, period)
+                cycle = list(gains)[-period:]
+                if grid:
+                    _grid_mean_recursion(a, b, m, yflat[k + 1 :], innov_buf[k + 1 :], cycle)
+                else:
+                    innov_buf[k + 1 :] = _float_mean_recursion(a, b, m, yflat[k + 1 :], cycle)
                 break
             check = next(checks)
     np.multiply(innov_buf, innov_buf, out=innov_buf)
@@ -253,6 +285,43 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     np.add(out, float(_LOG2PI), out=out)
     np.add(out, innov_buf, out=out)
     return np.multiply(out, -0.5, out=out)
+
+
+def _float_mean_recursion(a: float, b: float, m: float, ys: list, gains: list) -> list:
+    """Innovations ``y - b m`` of ``m -> a m``, ``m += gain * innov`` over ``ys``, the gains cycling.
+
+    The scalar filter's mean recursion in its operations and order, on
+    plain floats. A cycle of period 1 runs without the cycling iterator.
+    """
+    innovs = []
+    if len(gains) == 1:
+        gain = gains[0]
+        for y in ys:
+            m = a * m
+            innov = y - b * m
+            innovs.append(innov)
+            m = m + gain * innov
+        return innovs
+    for y, gain in zip(ys, itertools.cycle(gains)):
+        m = a * m
+        innov = y - b * m
+        innovs.append(innov)
+        m = m + gain * innov
+    return innovs
+
+
+def _grid_mean_recursion(a: np.ndarray, b: np.ndarray, m: np.ndarray, ys: list, rows: np.ndarray, gains: list) -> None:
+    """``_float_mean_recursion`` on (G,) arrays, writing the innovations into ``rows``.
+
+    Every step updates ``m`` (the filter's own array) and one row in place.
+    """
+    tmp = np.empty_like(m)
+    for y, innov, gain in zip(ys, rows, itertools.cycle(gains)):
+        np.multiply(a, m, out=m)
+        np.multiply(b, m, out=innov)
+        np.subtract(y, innov, out=innov)
+        np.multiply(gain, innov, out=tmp)
+        np.add(m, tmp, out=m)
 
 
 def ssm_kalman_increments(ssm, obs: np.ndarray, init) -> np.ndarray:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -97,6 +97,10 @@ class GlmParams:
         """Check ``R`` and set the fields; ``Phi`` is finite and stable already."""
         if not _is_symmetric(R):
             raise ValueError("R must be symmetric")
+        self._finish_symmetric(Phi, R, p, q)
+
+    def _finish_symmetric(self, Phi, R, p: int, q: int) -> None:
+        """Check that ``R``, known to be finite and symmetric, is positive definite, and set the fields."""
         if np.linalg.eigvalsh(R).min() <= 0.0:
             raise ValueError("R must be positive definite")
         object.__setattr__(self, "Phi", Phi)
@@ -104,10 +108,29 @@ class GlmParams:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
+    @cached_property
+    def _stationary_cov(self) -> np.ndarray:
+        """``glm_stationary_cov``'s value, read-only.
+
+        A frozen record still keeps it, because ``cached_property`` writes
+        the instance dictionary without ``__setattr__``.
+        """
+        gamma = stationary_cov(self.Phi, self.R)
+        gamma.flags.writeable = False
+        return gamma
+
 
 @dataclass(frozen=True)
 class SsmParams:
-    """Linear Gaussian state-space model ``X' = AX + zeta``, ``Y = BX + xi``."""
+    """Linear Gaussian state-space model ``X' = AX + zeta``, ``Y = BX + xi``.
+
+    The record checks that ``A`` and ``B`` are finite, that the spectral
+    radius of ``A`` is below 1 and that ``Qzeta`` and ``Qxi`` are symmetric
+    positive definite, in that order. When p = q = 1 it runs the same
+    checks once on the four entries as plain floats: ``a`` and ``b``
+    finite, ``|a| < 1`` and both variances finite and positive, which is
+    what ``spectral_radius`` and ``_is_spd`` compute for a 1 x 1 matrix.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -115,26 +138,35 @@ class SsmParams:
     Qxi: np.ndarray
 
     def __init__(self, A, B, Qzeta, Qxi):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        Qzeta = np.atleast_2d(np.asarray(Qzeta, dtype=float))
-        Qxi = np.atleast_2d(np.asarray(Qxi, dtype=float))
-        p = A.shape[0]
-        q = B.shape[0]
-        if A.shape != (p, p):
-            raise ValueError("A must be square")
-        if B.shape != (q, p):
-            raise ValueError(f"B must be {q}x{p}")
-        if Qzeta.shape != (p, p) or Qxi.shape != (q, q):
-            raise ValueError("noise covariances have inconsistent shapes")
-        for name, M in (("A", A), ("B", B)):
-            if not np.isfinite(M).all():
-                raise ValueError(f"{name} must be finite")
-        if spectral_radius(A) >= 1.0:
-            raise ValueError("spectral radius of A must be < 1")
-        for name, M in (("Qzeta", Qzeta), ("Qxi", Qxi)):
-            if not _is_spd(M):
-                raise ValueError(f"{name} must be symmetric positive definite")
+        A, B, Qzeta, Qxi = (np.array(M, dtype=float, ndmin=2, copy=None) for M in (A, B, Qzeta, Qxi))
+        if A.shape == B.shape == Qzeta.shape == Qxi.shape == (1, 1):
+            a, b = A.item(), B.item()
+            if not math.isfinite(a):
+                raise ValueError("A must be finite")
+            if not math.isfinite(b):
+                raise ValueError("B must be finite")
+            if not abs(a) < 1.0:
+                raise ValueError("spectral radius of A must be < 1")
+            for name, v in (("Qzeta", Qzeta.item()), ("Qxi", Qxi.item())):
+                if not (math.isfinite(v) and v > 0.0):
+                    raise ValueError(f"{name} must be symmetric positive definite")
+        else:
+            p = A.shape[0]
+            q = B.shape[0]
+            if A.shape != (p, p):
+                raise ValueError("A must be square")
+            if B.shape != (q, p):
+                raise ValueError(f"B must be {q}x{p}")
+            if Qzeta.shape != (p, p) or Qxi.shape != (q, q):
+                raise ValueError("noise covariances have inconsistent shapes")
+            for name, M in (("A", A), ("B", B)):
+                if not np.isfinite(M).all():
+                    raise ValueError(f"{name} must be finite")
+            if spectral_radius(A) >= 1.0:
+                raise ValueError("spectral radius of A must be < 1")
+            for name, M in (("Qzeta", Qzeta), ("Qxi", Qxi)):
+                if not _is_spd(M):
+                    raise ValueError(f"{name} must be symmetric positive definite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "Qzeta", Qzeta)
@@ -297,9 +329,10 @@ def glm_stationary_cov(params: GlmParams) -> np.ndarray:
     """Stationary covariance ``Gamma = sum_k Phi^k R (Phi^T)^k`` of the linear family.
 
     It is the solution of ``Gamma = Phi Gamma Phi^T + R``, computed by
-    :func:`stationary_cov`.
+    :func:`stationary_cov` on the first call for a record and then kept
+    with it, so every caller shares one read-only array.
     """
-    return stationary_cov(params.Phi, params.R)
+    return params._stationary_cov
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +429,42 @@ def ssm_embed(params: SsmParams) -> GlmParams:
     ``SsmParams`` has checked, so only its finiteness is checked again;
     ``R`` takes every check of ``GlmParams``, and a failed check is
     re-raised naming the embedding.
+
+    When p = q = 1 the blocks are products of plain floats, each added to
+    ``+0.0`` as a 1 x 1 matrix product adds its one term, so ``Phi`` and
+    ``R`` have the bits of the matrix assembly. The two off-diagonal
+    entries of ``R`` are then one float, so ``R`` is symmetric exactly
+    when it is finite, and that is what is checked in its place. The test
+    ``eigvalsh(R).min() > 0`` stays: ``R`` can be singular in floating
+    point although both variances are positive (``1e10 + 1e-8 == 1e10``).
     """
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p, q = params.p, params.q
-    Phi = np.zeros((p + q, p + q))
-    Phi[:p, :p] = A
-    Phi[p:, :p] = B @ A
-    R = np.empty((p + q, p + q))
-    with np.errstate(over="ignore"):  # an overflowed block is non-finite, which GlmParams rejects
-        BQz = B @ Qz
-        R[:p, :p] = Qz
-        R[:p, p:] = Qz @ B.T
-        R[p:, :p] = BQz
-        R[p:, p:] = BQz @ B.T + Qx
     glm = object.__new__(GlmParams)
     try:
-        if not np.isfinite(Phi).all():
-            raise ValueError("Phi must be finite")
-        glm._finish_init(Phi, R, p, q)
+        if p == q == 1:
+            a, b, qz, qx = A.item(), B.item(), Qz.item(), Qx.item()
+            ba, bqz = 0.0 + b * a, 0.0 + b * qz
+            r_yy = (0.0 + bqz * b) + qx
+            if not math.isfinite(ba):
+                raise ValueError("Phi must be finite")
+            if not (math.isfinite(bqz) and math.isfinite(r_yy)):
+                raise ValueError("R must be symmetric")
+            glm._finish_symmetric(np.array([[a, 0.0], [ba, 0.0]]), np.array([[qz, bqz], [bqz, r_yy]]), p, q)
+        else:
+            Phi = np.zeros((p + q, p + q))
+            Phi[:p, :p] = A
+            Phi[p:, :p] = B @ A
+            R = np.empty((p + q, p + q))
+            with np.errstate(over="ignore"):  # an overflowed block is non-finite, which GlmParams rejects
+                BQz = B @ Qz
+                R[:p, :p] = Qz
+                R[:p, p:] = Qz @ B.T
+                R[p:, :p] = BQz
+                R[p:, p:] = BQz @ B.T + Qx
+            if not np.isfinite(Phi).all():
+                raise ValueError("Phi must be finite")
+            glm._finish_init(Phi, R, p, q)
     except ValueError as err:
         raise ValueError(f"the joint-chain embedding of this state-space model is invalid: {err}") from err
     return glm
@@ -495,7 +546,16 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
 
 
 def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.2) -> ModelSpec:
-    """Convenience constructor for the one-dimensional state-space model."""
+    """Convenience constructor for the one-dimensional state-space model.
+
+    The build takes the 1 x 1 branches of ``SsmParams`` and ``ssm_embed``:
+    it checks ``a``, ``b`` and ``b a`` finite, ``|a| < 1``, both variances
+    finite and positive and the embedded ``R`` finite, all on plain
+    floats, and ``eigvalsh(R).min() > 0`` on the assembled 2 x 2 ``R``,
+    which can be singular in floating point although both variances are
+    positive. Each failure raises the ``ValueError`` of the general
+    matrix build, with its message, and the arrays have its bytes.
+    """
     return ssm_spec(SsmParams(A=[[a]], B=[[b]], Qzeta=[[q_state]], Qxi=[[q_obs]]))
 
 

@@ -42,6 +42,7 @@ from pommkit import (
     tightness_audit_sv,
 )
 from pommkit.audit import b6_entropy_floor_sv
+from pommkit import likelihood
 from pommkit.core import UnsupportedInitError
 from pommkit.likelihood import (
     _scalar_kalman_increments,
@@ -665,6 +666,8 @@ def riccati_period(a, b, qz, qx, pv, steps=5000):
 # the perfbench Metropolis oracle grid; some of its points end in a cycle of period 2
 MH_GRID = np.linspace(0.5, 0.999, 500)
 PERIOD_3 = (0.6611967562552636, -1.4427065631673313, 0.022785286114335623, 0.033187939831408574)
+PERIOD_4 = (-0.8958660164247867, 2.079559585595966, 3.469982272124825, 2.8292030026468797)
+FIXED_POINT = (0.9999, 1.0, 1.0, 0.2)
 
 
 class TestSteadyStateScalarFilter:
@@ -692,12 +695,14 @@ class TestSteadyStateScalarFilter:
 
     def test_cases_reach_the_intended_cycles(self):
         assert len(self.cycling(2)) >= 10
-        assert riccati_period(*PERIOD_3, PERIOD_3[2] / (1.0 - PERIOD_3[0] ** 2)) == 3
-        assert riccati_period(0.9999, 1.0, 1.0, 0.2, 1.0 / (1.0 - 0.9999**2)) == 1
+        for theta, period in ((PERIOD_3, 3), (PERIOD_4, 4), (FIXED_POINT, 1)):
+            a, b, qz, qx = theta
+            # from each initial variance of INITS
+            assert [riccati_period(a, b, qz, qx, pv) for pv in (qz / (1.0 - a * a), 0.0, 2.0)] == [period] * 3
 
     def test_matches_full_recursion(self):
         ys = simulated_obs(scalar_ssm(0.95), 400, seed=51)
-        cases = [(0.9999, 1.0, 1.0, 0.2), (0.5, 1.0, 1.0, 0.2), (-0.7, 2.0, 0.3, 1.5), PERIOD_3]
+        cases = [FIXED_POINT, (0.5, 1.0, 1.0, 0.2), (-0.7, 2.0, 0.3, 1.5), PERIOD_3, PERIOD_4]
         cases += [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)[:6]]
         for case in cases:
             for n in (0, 1, 7, 8, 9, 16, 17, 400):  # around the points where the filter checks for a repeat
@@ -705,16 +710,40 @@ class TestSteadyStateScalarFilter:
 
     def test_grid_with_cycling_points_equals_single_specs(self):
         ys = simulated_obs(scalar_ssm(0.95), 401, seed=52)
-        params = [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)] + [PERIOD_3, (0.9999, 1.0, 1.0, 0.2), (0.3, -0.8, 2.0, 0.1)]
+        params = [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)]
+        params += [PERIOD_3, PERIOD_4, FIXED_POINT, (0.3, -0.8, 2.0, 0.1)]
         specs = [scalar_ssm(*theta) for theta in params]
         for init, _ in self.INITS:
             rows = grid_increments(specs, ys, init, "kalman")
             for row, spec in zip(rows, specs):
                 np.testing.assert_array_equal(row, increments(spec, ys, init, "kalman"))
-            # without the period-3 point every grid point ends in a cycle of period <= 2
-            np.testing.assert_array_equal(
-                grid_increments(specs[: -3] + specs[-2:], ys, init, "kalman"), np.delete(rows, len(specs) - 3, axis=0)
-            )
+            # every sub-grid, whether one period fits all its points or none does, keeps the rows
+            for drop in ([], [-4], [-3], [-4, -3]):
+                keep = np.delete(np.arange(len(specs)), drop)
+                np.testing.assert_array_equal(grid_increments([specs[i] for i in keep], ys, init, "kalman"), rows[keep])
+
+    def test_cycles_up_to_period_4_take_the_shortcut(self, monkeypatch):
+        periods = []
+        for name in ("_float_mean_recursion", "_grid_mean_recursion"):
+            def recorded(*args, _fn=getattr(likelihood, name)):
+                periods.append(len(args[-1]))  # the cycle's gains
+                return _fn(*args)
+
+            monkeypatch.setattr(likelihood, name, recorded)
+        ys = simulated_obs(scalar_ssm(0.95), 401, seed=53)
+        period_2 = [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)]
+        cases = [([FIXED_POINT], 1), (period_2[:1], 2), ([PERIOD_3], 3), ([PERIOD_4], 4),
+                 # a grid takes the least period that fits every point, and none if no period up to 4 does
+                 (period_2 + [FIXED_POINT], 2), ([PERIOD_3, FIXED_POINT], 3), (period_2 + [PERIOD_4], 4),
+                 (period_2 + [PERIOD_3], None), ([PERIOD_3, PERIOD_4], None)]
+        for params, period in cases:
+            for init, _ in self.INITS:
+                periods.clear()
+                if len(params) == 1:
+                    increments(scalar_ssm(*params[0]), ys, init, "kalman")
+                else:
+                    grid_increments([scalar_ssm(*theta) for theta in params], ys, init, "kalman")
+                assert periods == ([] if period is None else [period])
 
 
 class TestScalarFilterProperty:
@@ -784,8 +813,9 @@ def joint_riccati_period(spec, steps=5000):
     return None
 
 
-# a scalar state-space point whose joint-chain covariance ends in a cycle of period 3
+# scalar state-space points whose joint-chain covariance ends in a cycle of period 3 and 4
 JOINT_PERIOD_3 = (0.4471818526911526, -1.6414591038171356, 1.0006205284834375, 1.8220034832462546)
+JOINT_PERIOD_4 = (-0.40990079306483307, 2.5720226654515965, 1.5341253385493003, 0.9978889593879571)
 
 
 class TestSteadyStateJointFilter:
@@ -807,14 +837,31 @@ class TestSteadyStateJointFilter:
     def test_equals_full_recursion(self, family, p, q, n, seed):
         self.check(random_linear_spec(family, p, q, seed), n, seed)
 
-    def test_longer_cycles_run_the_full_recursion(self):
-        period_3 = scalar_ssm(*JOINT_PERIOD_3)
+    def test_longer_cycles_equal_the_full_recursion(self):
+        period_3, period_4 = scalar_ssm(*JOINT_PERIOD_3), scalar_ssm(*JOINT_PERIOD_4)
         assert joint_riccati_period(period_3) == 3
+        assert joint_riccati_period(period_4) == 4
         # the scalar filter's period-3 point settles to a fixed point on the joint chain
         assert joint_riccati_period(scalar_ssm(*PERIOD_3)) == 1
-        for spec in (period_3, scalar_ssm(*PERIOD_3)):
-            for n in (1, 7, 8, 9, 300):
+        for spec in (period_3, period_4, scalar_ssm(*PERIOD_3)):
+            for n in (1, 7, 8, 9, 15, 16, 17, 300):
                 self.check(spec, n, seed=61)
+
+    def test_cycles_of_period_3_and_4_take_the_shortcut(self, monkeypatch):
+        # one solve per step of the covariance recursion and one stacked solve after the loop
+        calls = [0]
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        ys = 2.0 * np.random.default_rng(63).normal(size=(300, 1))
+        for theta in (JOINT_PERIOD_3, JOINT_PERIOD_4):
+            calls[0] = 0
+            kalman_increments(scalar_ssm(*theta), ys, Stationary())
+            assert calls[0] == 17  # the recursion stops at the second check, step 15
 
     def test_no_observations(self):
         spec = random_linear_spec("glm", 2, 2, 62)

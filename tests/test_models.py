@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pommkit import (
@@ -34,6 +34,7 @@ from pommkit.likelihood import ssm_kalman_loglik
 from pommkit import models
 from pommkit.models import _is_spd, _is_symmetric, spectral_radius, stationary_cov
 from pommkit import rng as rngmod
+from pommkit.divergence import delta_glm_closed
 
 LOG2PI = np.log(2 * np.pi)
 
@@ -168,6 +169,91 @@ class TestBuildRejections:
             assert not _is_spd(np.array([[v]]))
 
 
+def matrix_build(A, B, Qzeta, Qxi):
+    """``ssm_spec``'s record and embedding by the general matrix code, for any shapes.
+
+    Shape checks, the eigenvalue solvers in place of the 1 x 1 shortcuts,
+    and the joint matrices assembled by matrix products. Returns
+    ``(A, B, Qzeta, Qxi, Phi, R)`` or raises the ``ValueError`` that a build
+    raises, with its message.
+    """
+    A, B, Qzeta, Qxi = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B, Qzeta, Qxi))
+    p, q = A.shape[0], B.shape[0]
+    if A.shape != (p, p):
+        raise ValueError("A must be square")
+    if B.shape != (q, p):
+        raise ValueError(f"B must be {q}x{p}")
+    if Qzeta.shape != (p, p) or Qxi.shape != (q, q):
+        raise ValueError("noise covariances have inconsistent shapes")
+    for name, M in (("A", A), ("B", B)):
+        if not np.isfinite(M).all():
+            raise ValueError(f"{name} must be finite")
+    if np.abs(np.linalg.eigvals(A)).max() >= 1.0:
+        raise ValueError("spectral radius of A must be < 1")
+    for name, M in (("Qzeta", Qzeta), ("Qxi", Qxi)):
+        if not (np.allclose(M, M.T, atol=1e-10) and np.linalg.eigvalsh(M).min() > 0.0):
+            raise ValueError(f"{name} must be symmetric positive definite")
+    Phi = np.zeros((p + q, p + q))
+    Phi[:p, :p] = A
+    R = np.empty((p + q, p + q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Phi[p:, :p] = B @ A
+        R[:p, :p] = Qzeta
+        R[:p, p:] = Qzeta @ B.T
+        R[p:, :p] = B @ Qzeta
+        R[p:, p:] = (B @ Qzeta) @ B.T + Qxi
+        if not np.isfinite(Phi).all():
+            cause = "Phi must be finite"
+        elif not (np.isfinite(R).all() and np.allclose(R, R.T, atol=1e-10)):
+            cause = "R must be symmetric"
+        elif np.linalg.eigvalsh(R).min() <= 0.0:
+            cause = "R must be positive definite"
+        else:
+            return A, B, Qzeta, Qxi, Phi, R
+    raise ValueError(f"the joint-chain embedding of this state-space model is invalid: {cause}")
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-8, 1e10, 1e200, -1e200, 1.5e308, np.inf, -np.inf, np.nan,
+            1.0, -1.0, float(np.nextafter(1.0, 0.0)), -float(np.nextafter(1.0, 0.0))]
+NOT_SCALAR = [[0.5], np.array([0.5, 0.6]), [[0.5]], np.array([[0.3]]), [0.5, 0.6]]
+
+
+def build_arg(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.sampled_from(EXTREMES), st.sampled_from(NOT_SCALAR))
+
+
+class TestScalarBuild:
+    """A 1 x 1 build gives the bytes and the errors of the general matrix build."""
+
+    @staticmethod
+    def outcome(build):
+        try:
+            spec = build()
+        except ValueError as err:
+            return type(err), str(err), type(err.__cause__), str(err.__cause__)
+        arrays = (spec.ssm.A, spec.ssm.B, spec.ssm.Qzeta, spec.ssm.Qxi, spec.glm.Phi, spec.glm.R)
+        return [(M.dtype, M.shape, M.tobytes()) for M in arrays]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(a=build_arg(-1.2, 1.2), b=build_arg(-1e3, 1e3), qz=build_arg(0.0, 1e3), qx=build_arg(0.0, 1e3))
+    # the embedded R is singular in floating point (1e10 + 1e-8 == 1e10), or overflows
+    @example(a=0.5, b=1.0, qz=1e10, qx=1e-8)
+    @example(a=0.5, b=1e200, qz=1e200, qx=1.0)
+    @example(a=0.5, b=-0.0, qz=1.0, qx=0.2)  # B A and B Qzeta are +0.0, as a matrix product gives
+    def test_equals_matrix_build(self, a, b, qz, qx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither build warns
+            fast = self.outcome(lambda: scalar_ssm(a, b, qz, qx))
+            generic = self.outcome(lambda: ssm_spec(SsmParams([[a]], [[b]], [[qz]], [[qx]])))
+        assert fast == generic
+        try:
+            want = [(M.dtype, M.shape, M.tobytes()) for M in matrix_build([[a]], [[b]], [[qz]], [[qx]])]
+        except ValueError as err:
+            assert fast[:2] == (ValueError, str(err))  # never a TypeError, even for non-scalar arguments
+            return
+        assert fast == want
+
+
 class TestSymmetryCheck:
     @staticmethod
     def reference(M):
@@ -223,6 +309,28 @@ class TestLazyFactors:
             spec.sample_stationary(3, rngmod.substream(0, 0))
             spec.sample_stationary(3, rngmod.substream(0, 0))
         assert calls == {"stationary_cov": 4, "cholesky": 4}
+
+    def test_glm_stationary_cov_computed_once_per_record(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return stationary_cov(*args)
+
+        star = scalar_ssm(0.95, 0.7, 1.3, 0.4).glm
+        want = stationary_cov(star.Phi, star.R)
+        monkeypatch.setattr(models, "stationary_cov", counted)
+        others = [scalar_ssm(a, 0.7, 1.3, 0.4).glm for a in np.linspace(-0.9, 0.9, 50)]
+        values = [delta_glm_closed(star, other).value for other in others]
+        assert calls[0] == 1
+        gamma = glm_stationary_cov(star)
+        assert gamma is glm_stationary_cov(star) and gamma.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            gamma[0, 0] = 0.0
+        assert calls[0] == 1
+        # the same values as a record that computes its own
+        fresh = [delta_glm_closed(GlmParams(star.Phi, star.R, 1, 1), other).value for other in others]
+        assert values == fresh and calls[0] == len(others) + 1
 
     def test_samplers_match_direct_factors(self):
         chol = np.linalg.cholesky
