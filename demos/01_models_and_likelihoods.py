@@ -35,7 +35,8 @@ print("stationary variance of Y:", round(1.0 / (1 - 0.25) + 0.2, 3))
 ll = kalman_loglik(spec, obs[:500], Stationary())
 print("\nKalman log-likelihood (n=500):", ll.value)
 
-# The same integral by brute tensor quadrature (short sequences only).
+# The same integral by quadrature: the forward recursion on a node grid of the
+# hidden state (short sequences only).
 short = obs[:5]
 print("\nquadrature vs Kalman on n=5:")
 print("  kalman     ", kalman_loglik(spec, short, Stationary()).value)

@@ -15,12 +15,10 @@ from .core import (
     HmmFactorization,
     ModelSpec,
     NoStationarySamplerError,
-    ParamSpace,
     PointMass,
     Stationary,
     Trajectory,
     UnsupportedInitError,
-    param_distance,
     project_observations,
     simulate_complete,
 )

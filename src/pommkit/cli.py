@@ -25,7 +25,7 @@ from .audit import (
 from .core import project_observations, simulate_complete
 from .divergence import delta_glm_closed, delta_sv_closed
 from .likelihood import loglik
-from .models import GlmParams, SvParams, scalar_ssm, sv_spec
+from .models import GlmParams, SvParams, sv_spec
 from .posterior import grid_loglik_profiles, posterior_from_profiles, write_posterior_csv
 
 
@@ -38,7 +38,7 @@ def _load_config(path: str) -> xp.ExperimentConfig:
 
 
 def _config_obs(cfg: xp.ExperimentConfig, n: int, seed: int):
-    spec = scalar_ssm(**cfg.model)
+    spec = xp.model_spec(cfg)
     traj = simulate_complete(spec, xp._parse_init(cfg.init_true), n, seed)
     return spec, project_observations(traj)
 
@@ -58,7 +58,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     n = args.n if args.n is not None else cfg.n_list[-1]
-    spec = scalar_ssm(**cfg.model)
+    spec = xp.model_spec(cfg)
     traj = simulate_complete(spec, xp._parse_init(cfg.init_true), n, seed)
     lines = ["k,x,y"]
     for k in range(len(traj)):
@@ -76,7 +76,7 @@ def _cmd_loglik(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     if args.obs:
         obs = _read_obs(args.obs)
-        spec = scalar_ssm(**cfg.model)
+        spec = xp.model_spec(cfg)
     else:
         n = args.n if args.n is not None else cfg.n_list[-1]
         spec, obs = _config_obs(cfg, n, seed)
@@ -145,9 +145,8 @@ def _cmd_audit(args) -> int:
         if args.assumption in ("B3", "C2"):
             reports.extend(positivity_audit(sv_spec(star), seed=args.seed))
     elif args.family == "ssm":
-        cfg = _load_config(args.config) if args.config else None
-        model = cfg.model if cfg else {"a": 0.5, "b": 1.0, "q_state": 1.0, "q_obs": 0.2}
-        reports.extend(positivity_audit(scalar_ssm(**model), seed=args.seed))
+        cfg = _load_config(args.config) if args.config else xp.reference_config()
+        reports.extend(positivity_audit(xp.model_spec(cfg), seed=args.seed))
     else:
         raise SystemExit(f"unsupported family {args.family}")
     if not reports:

@@ -186,48 +186,6 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Parameter space
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParamSpace:
-    """A box-constrained parameter space with the Euclidean metric."""
-
-    dims: int
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __init__(self, dims: int, lower=None, upper=None):
-        if dims < 1:
-            raise ValueError("dims must be positive")
-        lo = np.full(dims, -np.inf) if lower is None else np.asarray(lower, dtype=float)
-        hi = np.full(dims, np.inf) if upper is None else np.asarray(upper, dtype=float)
-        if lo.shape != (dims,) or hi.shape != (dims,):
-            raise ValueError("bounds must have one entry per dimension")
-        if np.any(lo > hi):
-            raise ValueError("lower bounds must not exceed upper bounds")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    def contains(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dims,):
-            return False
-        return bool(np.all(np.isfinite(theta)) and np.all(theta >= self.lower) and np.all(theta <= self.upper))
-
-
-def param_distance(space: ParamSpace, a, b) -> float:
-    """Euclidean distance between two parameter points of ``space``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (space.dims,) or b.shape != (space.dims,):
-        raise ValueError(f"points must have dimension {space.dims}, got {a.shape} and {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-# ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
 

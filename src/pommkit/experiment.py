@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .audit import AuditReport, positivity_audit, write_audit_jsonl
-from .core import PointMass, Stationary, project_observations, simulate_complete
+from .core import ModelSpec, PointMass, Stationary, project_observations, simulate_complete
 from .models import scalar_ssm
 from .posterior import (
     ConcentrationRow,
@@ -62,6 +62,9 @@ from .posterior import (
     write_concentration_csv,
     write_posterior_csv,
 )
+
+
+_MODEL_KEYS = {"ssm": ("a", "b", "q_state", "q_obs")}  # the argument names of scalar_ssm
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class ExperimentConfig:
     formats: tuple
 
     def validate(self) -> None:
-        if self.family not in ("ssm",):
+        if self.family not in _MODEL_KEYS:
             raise ValueError(f"experiment runner supports the ssm family, got {self.family!r}")
         if list(self.n_list) != sorted(set(self.n_list)) or self.n_list[0] < 1:
             raise ValueError("n_list must be strictly increasing positive integers")
@@ -100,9 +103,6 @@ class ExperimentConfig:
         truth = self.model[self.grid_param]
         if not self.grid_lo <= truth <= self.grid_hi:
             raise ValueError("the grid must cover the true parameter for concentration runs")
-
-
-_MODEL_KEYS = {"ssm": ("a", "b", "q_state", "q_obs")}  # the argument names of scalar_ssm
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -216,11 +216,17 @@ def _parse_init(tag: str):
     raise ValueError(f"unknown initial distribution {tag!r}")
 
 
+def model_spec(cfg: ExperimentConfig, **coords) -> ModelSpec:
+    """The config's model, with ``coords`` in place of some of its coordinates."""
+    model = {**cfg.model, **coords}
+    return scalar_ssm(**{k: model[k] for k in _MODEL_KEYS[cfg.family]})
+
+
 def experiment_grid(cfg: ExperimentConfig) -> tuple[ParamGrid, list]:
     grid = uniform_grid_1d(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
     if cfg.prior == "improper":
         grid = ParamGrid(grid.points, np.ones(len(grid)), grid.cell_volume)
-    specs = [scalar_ssm(**{**cfg.model, cfg.grid_param: float(pt[0])}) for pt in grid.points]
+    specs = [model_spec(cfg, **{cfg.grid_param: float(pt[0])}) for pt in grid.points]
     return grid, specs
 
 
@@ -248,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     non-degenerate or the run fails with a diagnostic.
     """
     cfg.validate()
-    truth_spec = scalar_ssm(**cfg.model)
+    truth_spec = model_spec(cfg)
     n_max = cfg.n_list[-1]
     traj = simulate_complete(truth_spec, _parse_init(cfg.init_true), n_max, cfg.seed)
     obs = project_observations(traj)

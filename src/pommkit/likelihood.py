@@ -7,6 +7,10 @@ their per-observation increments ``log p(y_k | y_{1:k-1})``, whose sum is
 the log likelihood by the chain rule; posterior sweeps reuse the
 increments to get every prefix likelihood from a single pass.
 
+One scaled forward recursion serves two jobs: the exact forward
+algorithm on a finite state space, and the quadrature oracle, which runs
+it on a trapezoid node grid of a scalar hidden state.
+
 :func:`loglik` and :func:`increments` (one spec) and
 :func:`grid_increments` (every spec of a parameter grid) are the one
 place that maps a method name to its evaluator. A single spec takes the
@@ -380,23 +384,35 @@ def _check_symbols(obs: np.ndarray, n_symbols: int) -> np.ndarray:
     return ys_int
 
 
+def _scaled_forward(alpha: np.ndarray, steps, n: int) -> np.ndarray:
+    """The scaled forward recursion over ``n`` steps; returns log p(y_k | y_{1:k-1}) per step.
+
+    ``alpha`` holds the starting masses, and ``steps`` yields one
+    ``(kernel, emission, shift)`` per step: ``alpha @ kernel`` times
+    ``emission`` has sum ``c``, which gives the increment ``log c + shift``
+    and renormalizes ``alpha``. Once a step's sum is not positive (zero, or
+    NaN from an HMM emission that is ``-inf`` at every node), every
+    increment from it on is ``-inf``.
+    """
+    incs = []
+    for kernel, emission, shift in steps:
+        alpha = (alpha @ kernel) * emission
+        del kernel  # so that a kernel built per step is freed before the next one is built
+        c = alpha.sum()
+        if not c > 0.0:
+            break
+        incs.append(np.log(c) + shift)
+        alpha = alpha / c
+    return np.array(incs + [-np.inf] * (n - len(incs)))
+
+
 def forward_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     """Scaled forward recursion; returns log p(y_k | y_{1:k-1}) per step."""
     if spec.finite is None:
         raise ValueError("forward evaluation needs a finite-alphabet model")
     P, G = spec.finite.P, spec.finite.G
     ys = _check_symbols(obs, spec.finite.n_symbols)
-    alpha = _finite_x0_dist(spec, init)
-    out = np.empty(len(ys))
-    for k, y in enumerate(ys):
-        alpha = (alpha @ P) * G[:, y]
-        c = alpha.sum()
-        if c <= 0.0:
-            out[k:] = -np.inf
-            return out
-        out[k] = np.log(c)
-        alpha = alpha / c
-    return out
+    return _scaled_forward(_finite_x0_dist(spec, init), ((P, G[:, y], 0.0) for y in ys), len(ys))
 
 
 def forward_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
@@ -523,18 +539,20 @@ def _x_marginal_sd(spec: ModelSpec) -> float:
 
 
 def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001) -> LogLik:
-    """Tensor-grid quadrature of the likelihood integral, scalar state only.
+    """Quadrature of the likelihood integral on a node grid, scalar state only.
 
     The hidden-state axis is discretized on ``nodes`` trapezoid points
     spanning ``_QUADRATURE_SPAN`` stationary standard deviations (widened
-    to cover a displaced initial condition), and the n-fold integral is
-    accumulated one factor at a time in the log domain, which evaluates
-    the full tensor-product rule without materializing the n-dimensional
-    grid. An HMM takes both factors from its spec's broadcasting
-    ``qx_logpdf`` and ``g_logpdf`` hooks; only the hidden-state
-    marginal of ``init`` matters for it. A linear model without an HMM
-    factorization integrates the full initial pair. ``nodes`` must be an
-    integer >= 2.
+    to cover a displaced initial condition), and the scaled forward
+    recursion runs on the nodes as states, with the trapezoid weights
+    folded into each step's emission: the numerical-integration filter of
+    Kitagawa (1987). Its first step starts from Gauss-Hermite nodes for
+    ``z_0``, or from one node of weight 1 for a point mass, and the value
+    is the sum of its increments. An HMM takes both factors from its
+    spec's broadcasting ``qx_logpdf`` and ``g_logpdf`` hooks; only the
+    hidden-state marginal of ``init`` matters for it. A linear model
+    without an HMM factorization integrates the full initial pair. It
+    serves as an oracle for n <= 8. ``nodes`` must be an integer >= 2.
 
     The working set is one ``nodes x nodes`` transition kernel (32 MB at
     2001 nodes), filled in place by row blocks of about 0.5 MB, so no
@@ -565,38 +583,18 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     lo = min(0.0, mean0) - _QUADRATURE_SPAN * sd - extra
     hi = max(0.0, mean0) + _QUADRATURE_SPAN * sd + extra
     grid = np.linspace(lo, hi, nodes)
-    logw = np.log(_trapezoid_weights(grid))
+    w = _trapezoid_weights(grid)
 
-    if spec.hmm is not None:
-        return _quadrature_hmm(spec, ys, mean0, sd0, grid, logw)
-    if spec.glm is not None:
-        return _quadrature_glm(spec, ys, init, grid, logw)
-    raise ValueError("quadrature needs either an HMM factorization or linear-family parameters")
-
-
-def _logsumexp(v: np.ndarray) -> float:
-    m = v.max()
-    if not np.isfinite(m):
-        return -np.inf
-    return float(m + np.log(np.exp(v - m).sum()))
-
-
-def _logsumexp_columns(logm: np.ndarray) -> np.ndarray:
-    """Log-sum-exp down each column: the initial factor over Gauss-Hermite nodes."""
-    mcol = logm.max(axis=0)
-    return mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
-
-
-def _forward_step(la: np.ndarray, logw: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """One forward step on the node grid: ``log sum_i w_i exp(la_i) trans[i, j]`` per node j, scaled by ``max(la)``."""
-    m = la.max()
-    alpha = np.exp(la + logw - m)
-    with np.errstate(divide="ignore"):
-        return m + np.log(alpha @ trans)
+    if spec.hmm is None and spec.glm is None:
+        raise ValueError("quadrature needs either an HMM factorization or linear-family parameters")
+    inc = _quadrature_hmm(spec, ys, mean0, sd0, grid, w) if spec.hmm is not None else _quadrature_glm(spec, ys, init, grid, w)
+    return LogLik(float(inc.sum()), n, "quadrature")
 
 
 def _gh_nodes(mean: float, sd: float, n: int = 80) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes/weights for integrating against N(mean, sd^2)."""
+    """Gauss-Hermite nodes/weights for integrating against N(mean, sd^2); ``sd == 0`` is one node of weight 1."""
+    if sd == 0.0:
+        return np.array([mean]), np.ones(1)
     t, w = np.polynomial.hermite.hermgauss(n)
     return mean + np.sqrt(2.0) * sd * t, w / np.sqrt(np.pi)
 
@@ -610,25 +608,29 @@ def _transition_kernel(log_q, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, mean0: float, sd0: float, grid: np.ndarray, logw: np.ndarray) -> LogLik:
-    """An HMM with x0 ~ N(mean0, sd0^2); ``sd0 == 0`` is a point mass."""
+def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, mean0: float, sd0: float, grid: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Increments of an HMM with x0 ~ N(mean0, sd0^2); each emission is ``exp(g - max g)``, shifted by ``max g``."""
     qx_logpdf, g_logpdf = spec.hmm.qx_logpdf, spec.hmm.g_logpdf
     yvals = [float(y[0]) if y.size == 1 else y for y in ys]
-    if sd0 == 0.0:
-        la = qx_logpdf(mean0, grid)
-    else:
-        x0n, w0 = _gh_nodes(mean0, sd0)
-        la = _logsumexp_columns(qx_logpdf(x0n[:, None], grid[None, :]) + np.log(w0)[:, None])
-    la = la + g_logpdf(grid, yvals[0])
-    if len(yvals) > 1:  # the kernel is the same at every step
-        trans = _transition_kernel(qx_logpdf, grid, grid)
-    for y in yvals[1:]:
-        la = _forward_step(la, logw, trans) + g_logpdf(grid, y)
-    return LogLik(_logsumexp(la + logw), len(yvals), "quadrature")
+    x0n, w0 = _gh_nodes(mean0, sd0)
+
+    def emission(y):
+        g = g_logpdf(grid, y)
+        gmax = g.max()
+        return np.exp(g - gmax) * w, gmax
+
+    def steps():
+        yield _transition_kernel(qx_logpdf, x0n, grid), *emission(yvals[0])
+        if len(yvals) > 1:
+            trans = _transition_kernel(qx_logpdf, grid, grid)  # the kernel of every later step
+            for y in yvals[1:]:
+                yield trans, *emission(y)
+
+    return _scaled_forward(w0, steps(), len(yvals))
 
 
-def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, logw: np.ndarray) -> LogLik:
-    """General scalar linear model, whose transition ``spec.trans_logpdf`` may depend on the past y."""
+def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Increments of a scalar linear model, whose transition ``spec.trans_logpdf`` may depend on the past y."""
     if spec.obs_dim != 1:  # quadrature_loglik admits one-dimensional states only
         raise ValueError("quadrature for the linear family is implemented for p = q = 1")
 
@@ -638,18 +640,14 @@ def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, log
     def on_grid(y: float) -> np.ndarray:
         return np.column_stack([grid, np.full(len(grid), y)])
 
+    # tensor Gauss-Hermite nodes on the two z0 coordinates via the Cholesky map; a point mass is one node
+    mean, cov = _gaussian_init_moments(spec, init)
+    t, w0 = _gh_nodes(0.0, 1.0 if cov.any() else 0.0, 64)
+    z0 = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2) @ _chol_psd(cov).T + mean
     yvals = ys[:, 0]
-    if isinstance(init, PointMass):
-        la = log_q(np.concatenate([init.x, init.y]).astype(float), on_grid(yvals[0]))
-    else:
-        # tensor Gauss-Hermite on the two z0 coordinates via the Cholesky map, as a forward step from the nodes
-        mean, cov = _gaussian_init_moments(spec, init)
-        t, w = _gh_nodes(0.0, 1.0, 64)
-        z0 = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2) @ _chol_psd(cov).T + mean
-        la = _forward_step(np.log(np.outer(w, w).ravel()), 0.0, _transition_kernel(log_q, z0, on_grid(yvals[0])))
-    for y_prev, y in zip(yvals[:-1], yvals[1:]):
-        la = _forward_step(la, logw, _transition_kernel(log_q, on_grid(y_prev), on_grid(y)))
-    return LogLik(_logsumexp(la + logw), len(yvals), "quadrature")
+    rows = [z0] + [on_grid(y) for y in yvals[:-1]]
+    steps = ((_transition_kernel(log_q, r, on_grid(y)), w, 0.0) for r, y in zip(rows, yvals))
+    return _scaled_forward(np.outer(w0, w0).ravel(), steps, len(yvals))
 
 
 # ---------------------------------------------------------------------------

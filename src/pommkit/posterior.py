@@ -30,7 +30,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary
-from .likelihood import _finite_obs, _logsumexp, forward_loglik, grid_increments, increments, loglik
+from .likelihood import _finite_obs, forward_loglik, grid_increments, increments, loglik
 
 # the loglik options a grid sweep passes on; it sets ``stream`` itself
 _GRID_OPTIONS = ("particles", "seed", "nodes")
@@ -112,6 +112,13 @@ class PosteriorGrid:
 
     def mean(self) -> np.ndarray:
         return self.masses() @ self.grid.points
+
+
+def _logsumexp(v: np.ndarray) -> float:
+    m = v.max()
+    if not np.isfinite(m):
+        return -np.inf
+    return float(m + np.log(np.exp(v - m).sum()))
 
 
 def _normalize_log_mass(log_unnorm: np.ndarray, n: int, grid: ParamGrid) -> PosteriorGrid:

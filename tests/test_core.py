@@ -1,4 +1,4 @@
-"""Simulation, projection, and parameter-space basics."""
+"""Simulation, projection and initial-law basics."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from pommkit import (
     FiniteHmmParams,
     GaussianOnZ,
     NoStationarySamplerError,
-    ParamSpace,
     PointMass,
     Stationary,
     SvParams,
@@ -17,7 +16,6 @@ from pommkit import (
     forward_loglik,
     iid_gaussian_spec,
     mh_posterior,
-    param_distance,
     project_observations,
     simulate_complete,
     sv_spec,
@@ -162,39 +160,6 @@ class TestProjection:
         se_mean = np.sqrt(np.var(obs) / half) * 3  # ignores autocorrelation: use 5x margin
         assert abs(a.mean() - b.mean()) < 5 * se_mean
         assert abs(a.var() / b.var() - 1.0) < 0.15
-
-
-class TestParamSpace:
-    def test_distance_axioms(self):
-        space = ParamSpace(2)
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            a, b = rng.normal(size=2), rng.normal(size=2)
-            assert param_distance(space, a, a) == 0.0
-            assert param_distance(space, a, b) == param_distance(space, b, a)
-
-    def test_euclidean_value(self):
-        space = ParamSpace(2)
-        assert param_distance(space, np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-
-    def test_triangle_inequality_spot_check(self):
-        space = ParamSpace(3)
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            a, b, c = rng.normal(size=(3, 3))
-            assert param_distance(space, a, c) <= param_distance(space, a, b) + param_distance(space, b, c) + 1e-12
-
-    def test_dimension_mismatch(self):
-        space = ParamSpace(2)
-        with pytest.raises(ValueError):
-            param_distance(space, np.zeros(2), np.zeros(3))
-
-    def test_bounds(self):
-        space = ParamSpace(1, lower=[0.0], upper=[1.0])
-        assert space.contains(np.array([0.5]))
-        assert not space.contains(np.array([1.5]))
-        with pytest.raises(ValueError):
-            ParamSpace(1, lower=[2.0], upper=[1.0])
 
 
 class TestInitialDistributions:

@@ -155,6 +155,15 @@ class TestCli:
         assert cli.main(args) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
+    def test_ssm_audit_defaults_to_the_reference_model(self, tmp_path, capsys):
+        cfg = tmp_path / "reference.ini"
+        cfg.write_text(REFERENCE_CONFIG_TEXT)
+        args = ["audit", "--assumption", "B3", "--family", "ssm", "--seed", "3"]
+        assert cli.main(args) == 0
+        default = capsys.readouterr().out
+        assert cli.main(args + ["--config", str(cfg)]) == 0
+        assert default and capsys.readouterr().out == default
+
     def test_audit_rejects_too_few_sims(self, capsys):
         for assumption, name in (("B5", "sims"), ("B6", "draws"), ("envelope", "draws"), ("all", "sims")):
             with pytest.raises(SystemExit) as exc:

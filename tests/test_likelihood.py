@@ -1,6 +1,10 @@
 """Likelihood evaluators against each other and against closed forms."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,28 +155,62 @@ class TestQuadratureOracle:
                 quadrature_loglik(spec, np.array([0.3, -0.4]), init, nodes=101)
 
 
+class TestQuadratureProperty:
+    """Over random scalar state-space models the node-grid quadrature equals the Kalman filter.
+
+    The box keeps the trapezoid rule deep in its regime of exponential
+    convergence for Gaussian integrands. The node grid spans 16 stationary
+    standard deviations, at most 16 sqrt(2 / (1 - 0.81)) = 52, widened by
+    at most 8 for the initial laws below, so 801 nodes lie at most 0.075
+    apart. The narrowest kernels are the transition, of width
+    sqrt(Qz) >= 0.45, and the emission as a function of x, of width
+    sqrt(Qxi) / |b| >= 0.22, so the spacing stays within about a third of
+    each kernel's width.
+    """
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-0.9, 0.9),
+        b=st.floats(0.5, 2.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        qz=st.floats(0.2, 2.0),
+        qx=st.floats(0.2, 2.0),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_quadrature_equals_kalman(self, a, b, sign, qz, qx, n, seed):
+        spec = scalar_ssm(a, sign * b, qz, qx)
+        rng = np.random.default_rng(seed)
+        x0, sd0, rho = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 1.0), rng.uniform(-0.9, 0.9)
+        gaussian = GaussianOnZ([x0, 0.5], [[sd0**2, rho * sd0], [rho * sd0, 1.0]])
+        for init in (Stationary(), PointMass(x0, 0.0), gaussian):
+            ys = simulated_obs(spec, n, seed=seed, init=init)
+            q = quadrature_loglik(spec, ys, init, nodes=801).value
+            assert abs(q - kalman_loglik(spec, ys, init).value) < 1e-10
+
+
 def one_shot_quadrature(qx, g, sd, ys, x0=None, nodes=2001):
-    """The quadrature of an HMM with its whole transition kernel exponentiated in one expression."""
+    """The quadrature of an HMM as the scaled forward recursion on the nodes, each kernel exponentiated in one expression."""
     c = 0.0 if x0 is None else x0
     grid = np.linspace(min(0.0, c) - 8.0 * sd - abs(c), max(0.0, c) + 8.0 * sd + abs(c), nodes)
     w = np.full(nodes, grid[1] - grid[0])
     w[0] = w[-1] = w[0] / 2.0
-    logw = np.log(w)
     if x0 is None:
         t, wh = np.polynomial.hermite.hermgauss(80)
-        logm = qx((0.0 + np.sqrt(2.0) * sd * t)[:, None], grid[None, :]) + np.log(wh / np.sqrt(np.pi))[:, None]
-        mcol = logm.max(axis=0)
-        la = mcol + np.log(np.exp(logm - mcol[None, :]).sum(axis=0))
+        x0n, alpha = 0.0 + np.sqrt(2.0) * sd * t, wh / np.sqrt(np.pi)
     else:
-        la = qx(x0, grid)
-    la = la + g(grid, ys[0])
+        x0n, alpha = np.array([x0]), np.ones(1)
+    kernel = np.exp(qx(x0n[:, None], grid[None, :]))
     trans = np.exp(qx(grid[:, None], grid[None, :]))
-    for y in ys[1:]:
-        m = la.max()
-        v = np.exp(la + logw - m) @ trans
-        la = m + np.log(v) + g(grid, y)
-    v = la + logw
-    return float(v.max() + np.log(np.exp(v - v.max()).sum()))
+    incs = []
+    for y in ys:
+        gy = g(grid, y)
+        alpha = (alpha @ kernel) * (np.exp(gy - gy.max()) * w)
+        total = alpha.sum()
+        incs.append(np.log(total) + gy.max())
+        alpha = alpha / total
+        kernel = trans
+    return float(np.sum(incs))
 
 
 class TestBlockedQuadratureKernel:
@@ -424,6 +462,32 @@ class TestEntropySequence:
         spec = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]))
         with pytest.raises(ValueError):
             conditional_entropy_sequence(spec, 25)
+
+
+class TestForwardProperty:
+    """Over random finite HMMs the scaled forward recursion equals the sum over hidden paths."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        K=st.sampled_from([2, 3]),
+        L=st.sampled_from([2, 3]),
+        n=st.integers(1, 7),
+        sparse=st.booleans(),  # one symbol that no state emits, so that most sequences are impossible
+        seed=st.integers(0, 2**16),
+    )
+    def test_forward_equals_enumeration(self, K, L, n, sparse, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.dirichlet(np.ones(K), size=K)
+        G = rng.dirichlet(np.ones(L), size=K)
+        if sparse:
+            G[:, rng.integers(0, L)] = 0.0
+            G /= G.sum(axis=1, keepdims=True)
+        spec = finite_hmm_spec(FiniteHmmParams(P, G))
+        ys = rng.integers(0, L, size=n)
+        for init in (Stationary(), PointMass(int(rng.integers(0, K)), int(rng.integers(0, L))), rng.dirichlet(np.ones(K))):
+            fwd = forward_loglik(spec, ys, init).value
+            enu = enumeration_loglik(spec, ys, init)
+            assert fwd == enu if enu == -np.inf else abs(fwd - enu) < 1e-12
 
 
 class TestForwardIncrements:
@@ -949,3 +1013,33 @@ class TestLinearQuadrature:
         qx = scalar_ssm(0.6).hmm.qx_logpdf
         grid = np.linspace(-5.0, 5.0, 401)
         assert _transition_kernel(qx, grid, grid).tobytes() == np.exp(qx(grid[:, None], grid[None, :])).tobytes()
+
+
+class TestNumpyOnlyRuntime:
+    """numpy is the only runtime dependency: no evaluator imports scipy."""
+
+    SCRIPT = """
+import sys
+import numpy as np
+import pommkit as pk
+
+ssm = pk.scalar_ssm(0.5)
+linear = pk.glm_spec(pk.GlmParams([[0.5, 0.2], [-0.3, 0.4]], [[1.0, 0.3], [0.3, 0.8]], 1, 1))
+sv = pk.sv_spec(pk.SvParams(1.0, 0.3, 0.9))
+finite = pk.finite_hmm_spec(pk.FiniteHmmParams([[0.7, 0.3], [0.2, 0.8]], [[0.9, 0.1], [0.2, 0.8]]))
+ys, symbols = np.array([0.3, -0.4]), np.array([0, 1])
+pk.loglik(ssm, ys, pk.Stationary(), "kalman")
+pk.loglik(linear, ys, pk.Stationary(), "kalman")
+pk.loglik(finite, symbols, pk.Stationary(), "forward")
+pk.enumeration_loglik(finite, symbols, pk.Stationary())
+pk.loglik(sv, ys, pk.Stationary(), "bpf", particles=16)
+pk.loglik(sv, ys, pk.Stationary(), "quadrature", nodes=101)
+pk.loglik(linear, ys, pk.Stationary(), "quadrature", nodes=101)
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+    def test_evaluators_do_not_import_scipy(self):
+        src = str(Path(likelihood.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.strip() == "[]"
