@@ -119,11 +119,11 @@ class SvThetaBox:
     sigma_hi: float = np.inf
 
     def __post_init__(self):
-        if self.beta_lo <= 0.0 or self.sigma_lo <= 0.0:
-            raise ValueError("beta and sigma floors must be positive")
+        if not (0.0 < self.beta_lo < np.inf and 0.0 < self.sigma_lo < np.inf):
+            raise ValueError("beta and sigma floors must be positive and finite")
         if not 0.0 <= self.phi_hi < 1.0:
             raise ValueError("need 0 <= phi_hi < 1")
-        if self.sigma_hi <= self.sigma_lo:
+        if not self.sigma_hi > self.sigma_lo:
             raise ValueError("sigma_hi must exceed sigma_lo")
 
 

@@ -8,6 +8,7 @@ that runs can be compared byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -162,7 +163,7 @@ def _cmd_audit(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
-        cfg = xp.replace_seed(cfg, args.seed)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     out = args.out or cfg.directory
     result = xp.run_experiment(cfg, out_dir=out)
     for row in result.concentration:

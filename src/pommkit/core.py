@@ -99,10 +99,9 @@ class GaussianOnZ:
 
 @dataclass(frozen=True)
 class CustomInit:
-    """User-supplied sampler and (optional) log-density on z = (x, y)."""
+    """A user-supplied sampler of z = (x, y); only simulation can start from it."""
 
     sampler: Callable[[np.random.Generator], Z]
-    logpdf: Optional[Callable[[Z], float]] = None
 
 
 InitialDist = object  # Stationary | PointMass | GaussianOnZ | CustomInit

@@ -260,6 +260,8 @@ def information_denseness_profile(
     weights = np.asarray(grid.prior_weight, dtype=float)
     if divergences.shape != weights.shape:
         raise ValueError("one divergence value per grid point is required")
+    if np.isnan(divergences).any() or np.isnan(deltas).any():
+        raise ValueError("divergences and deltas must not be NaN")
     total = weights.sum()
     rows = []
     for delta in deltas:

@@ -42,7 +42,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -88,8 +90,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.family not in _MODEL_KEYS:
             raise ValueError(f"experiment runner supports the ssm family, got {self.family!r}")
-        if list(self.n_list) != sorted(set(self.n_list)) or self.n_list[0] < 1:
+        for key, value in (*self.model.items(), ("grid_lo", self.grid_lo), ("grid_hi", self.grid_hi)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        if not self.n_list or list(self.n_list) != sorted(set(self.n_list)) or self.n_list[0] < 1:
             raise ValueError("n_list must be strictly increasing positive integers")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.method != "kalman":
             raise ValueError("grid experiments use the exact kalman likelihood")
         if self.grid_param not in self.model:
@@ -100,6 +107,10 @@ class ExperimentConfig:
             raise ValueError("need at least two grid points")
         if self.prior not in ("uniform", "improper"):
             raise ValueError(f"unknown prior {self.prior!r}")
+        if not self.ps or not all(isinstance(p, numbers.Integral) and p >= 1 for p in self.ps):
+            raise ValueError(f"ps must be positive integers, got {list(self.ps)}")
+        if not set(self.formats) <= {"csv", "jsonl"}:
+            raise ValueError(f"formats must be csv and/or jsonl, got {list(self.formats)}")
         truth = self.model[self.grid_param]
         if not self.grid_lo <= truth <= self.grid_hi:
             raise ValueError("the grid must cover the true parameter for concentration runs")
@@ -160,10 +171,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     out.write(f"directory = {cfg.directory}\n")
     out.write(f"formats = {' '.join(cfg.formats)}\n")
     return out.getvalue()
-
-
-def replace_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(cfg, seed=seed)
 
 
 def reference_config() -> ExperimentConfig:

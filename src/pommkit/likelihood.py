@@ -17,6 +17,10 @@ place that maps a method name to its evaluator. A single spec takes the
 plain-float scalar filter when it is a one-dimensional state-space
 model; a Kalman grid of such models takes the same filter once over
 arrays of grid parameters.
+
+Every evaluator checks its observations once, on entry (``_observations``),
+and the dispatchers and wrappers pass them on unchecked. An empty sequence
+gives no increments, and its initial law is checked as at any length.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ import numpy as np
 from . import rng as rngmod
 from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_init, _check_init_dim
 from .core import _check_size, _chol_psd, _trapezoid_weights
-from .models import glm_stationary_cov, ssm_spec
+from .models import finite_hmm_stationary, glm_stationary_cov, ssm_spec
 
 _LOG2PI = np.log(2.0 * np.pi)
 _QUADRATURE_SPAN = 8.0  # half-width of the quadrature node grid, in stationary standard deviations
@@ -58,23 +62,29 @@ class LogLik:
     flags: tuple = field(default_factory=tuple)
 
 
-def _finite_obs(obs) -> np.ndarray:
-    """The observations as an array, rejecting non-finite values."""
-    obs = np.asarray(obs)
-    finite = np.isfinite(obs)
+def _observations(obs, obs_dim: int, n_symbols: Optional[int] = None) -> np.ndarray:
+    """The observations as a finite ``(n, obs_dim)`` array; a 1-D sequence is ``n`` scalars.
+
+    On a finite chain (``n_symbols`` given) they are integer symbols in ``0..n_symbols-1``, returned as integers.
+    """
+    ys = np.asarray(obs)
+    if ys.ndim == 1:
+        ys = ys[:, None]
+    if ys.ndim != 2 or ys.shape[1] != obs_dim:
+        raise ValueError(f"observations must have shape (n, {obs_dim}), got {ys.shape}")
+    finite = np.isfinite(ys)
     if not finite.all():
         raise ValueError(f"observation {np.argwhere(~finite)[0][0]} is not finite")
-    return obs
+    if n_symbols is None:
+        return ys
+    if np.any(ys < 0) or np.any(ys >= n_symbols) or np.any(ys % 1 != 0):
+        raise ValueError(f"observation symbols must lie in 0..{n_symbols - 1}")
+    return ys.astype(int)
 
 
-def _obs_column(obs: np.ndarray, obs_dim: int) -> np.ndarray:
-    """Normalize observations to shape (n, obs_dim)."""
-    obs = np.asarray(obs)
-    if obs.ndim == 1:
-        obs = obs[:, None]
-    if obs.ndim != 2 or obs.shape[1] != obs_dim:
-        raise ValueError(f"observations must have shape (n, {obs_dim}), got {obs.shape}")
-    return obs
+def _summed(inc: np.ndarray, method: str) -> LogLik:
+    """The log likelihood whose increments are ``inc``: their sum, over ``len(inc)`` observations."""
+    return LogLik(float(inc.sum()), len(inc), method)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +164,7 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
         raise ValueError("kalman evaluation needs a linear Gaussian model")
     params = spec.glm
     p, q = params.p, params.q
-    ys = _obs_column(obs, q)
+    ys = _observations(obs, q)
     Phi, R = params.Phi, params.R
     m, P = _gaussian_init_moments(spec, init)
     yi = slice(p, p + q)
@@ -198,11 +208,7 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
 
 def kalman_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
     """Exact log likelihood of a linear Gaussian model."""
-    obs = _obs_column(_finite_obs(obs), spec.obs_dim)
-    if len(obs) == 0:
-        return LogLik(0.0, 0, "kalman")
-    inc = kalman_increments(spec, obs, init)
-    return LogLik(float(inc.sum()), len(inc), "kalman")
+    return _summed(kalman_increments(spec, obs, init), "kalman")
 
 
 def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
@@ -339,15 +345,11 @@ def ssm_kalman_increments(ssm, obs: np.ndarray, init) -> np.ndarray:
     if ssm.p != 1 or ssm.q != 1:
         return kalman_increments(ssm_spec(ssm), obs, init)
     a, b, qz, qx = (float(M[0, 0]) for M in (ssm.A, ssm.B, ssm.Qzeta, ssm.Qxi))
-    return _scalar_kalman_increments(a, b, qz, qx, _obs_column(obs, 1), init)
+    return _scalar_kalman_increments(a, b, qz, qx, _observations(obs, 1), init)
 
 
 def ssm_kalman_loglik(ssm, obs: np.ndarray, init) -> LogLik:
-    obs = _finite_obs(obs)
-    if len(obs) == 0:
-        return LogLik(0.0, 0, "kalman")
-    inc = ssm_kalman_increments(ssm, obs, init)
-    return LogLik(float(inc.sum()), len(inc), "kalman")
+    return _summed(ssm_kalman_increments(ssm, obs, init), "kalman")
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +361,6 @@ def _finite_x0_dist(spec: ModelSpec, init) -> np.ndarray:
     K = spec.finite.n_states
     _check_init(spec, init)
     if isinstance(init, Stationary):
-        from .models import finite_hmm_stationary
-
         return finite_hmm_stationary(spec.finite)
     if isinstance(init, PointMass):
         dist = np.zeros(K)
@@ -374,14 +374,6 @@ def _finite_x0_dist(spec: ModelSpec, init) -> np.ndarray:
     raise UnsupportedInitError(
         f"finite models take Stationary, PointMass or an explicit state distribution, got {type(init).__name__}"
     )
-
-
-def _check_symbols(obs: np.ndarray, n_symbols: int) -> np.ndarray:
-    ys = np.asarray(obs).reshape(-1)
-    ys_int = ys.astype(int)
-    if np.any(ys_int != ys) or np.any(ys_int < 0) or np.any(ys_int >= n_symbols):
-        raise ValueError(f"observation symbols must lie in 0..{n_symbols - 1}")
-    return ys_int
 
 
 def _scaled_forward(alpha: np.ndarray, steps, n: int) -> np.ndarray:
@@ -411,17 +403,13 @@ def forward_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     if spec.finite is None:
         raise ValueError("forward evaluation needs a finite-alphabet model")
     P, G = spec.finite.P, spec.finite.G
-    ys = _check_symbols(obs, spec.finite.n_symbols)
+    ys = _observations(obs, spec.obs_dim, spec.finite.n_symbols)[:, 0]
     return _scaled_forward(_finite_x0_dist(spec, init), ((P, G[:, y], 0.0) for y in ys), len(ys))
 
 
 def forward_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
     """Exact log likelihood of a finite HMM by the forward algorithm."""
-    ys = _finite_obs(obs).reshape(-1)
-    if len(ys) == 0:
-        return LogLik(0.0, 0, "forward")
-    inc = forward_increments(spec, obs, init)
-    return LogLik(float(inc.sum()), len(inc), "forward")
+    return _summed(forward_increments(spec, obs, init), "forward")
 
 
 def enumeration_loglik(spec: ModelSpec, obs: np.ndarray, init) -> float:
@@ -434,11 +422,13 @@ def enumeration_loglik(spec: ModelSpec, obs: np.ndarray, init) -> float:
         raise ValueError("enumeration needs a finite-alphabet model")
     P, G = spec.finite.P, spec.finite.G
     K = spec.finite.n_states
-    ys = _check_symbols(obs, spec.finite.n_symbols)
+    ys = _observations(obs, spec.obs_dim, spec.finite.n_symbols)[:, 0]
     n = len(ys)
     if K**n > _ENUMERATION_CAP:
         raise ValueError(f"enumeration over {K}^{n} paths exceeds the cap")
     x0_dist = _finite_x0_dist(spec, init)
+    if n == 0:
+        return 0.0  # the one empty path has probability 1
     total = 0.0
     for path in itertools.product(range(K), repeat=n):
         prob = sum(x0_dist[x0] * P[x0, path[0]] for x0 in range(K)) * G[path[0], ys[0]]
@@ -493,9 +483,7 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
     if spec.hmm is None:
         raise ValueError("the particle filter needs an HMM factorization")
     hmm = spec.hmm
-    ys = _obs_column(_finite_obs(obs), spec.obs_dim)
-    if spec.finite is not None:
-        _check_symbols(ys, spec.finite.n_symbols)
+    ys = _observations(obs, spec.obs_dim, None if spec.finite is None else spec.finite.n_symbols)
     n = len(ys)
     ys = ys[:, 0].astype(float).tolist() if spec.obs_dim == 1 else ys  # finite-alphabet codes arrive as floats
     rng = rngmod.substream(seed, rngmod.BPF, stream)
@@ -561,10 +549,8 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     _check_size("nodes", nodes)
     if spec.state_dim != 1:
         raise ValueError("quadrature supports one-dimensional hidden states only")
-    ys = _obs_column(_finite_obs(obs), spec.obs_dim)
+    ys = _observations(obs, spec.obs_dim)
     n = len(ys)
-    if n == 0:
-        return LogLik(0.0, 0, "quadrature")
     if n > 8:
         raise ValueError("quadrature is an oracle for short sequences (n <= 8)")
     _check_init(spec, init)
@@ -580,6 +566,8 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
         extra = abs(mean0) + sd0
     else:
         raise UnsupportedInitError(f"unsupported initial distribution for quadrature: {type(init).__name__}")
+    if n == 0:
+        return LogLik(0.0, 0, "quadrature")
     lo = min(0.0, mean0) - _QUADRATURE_SPAN * sd - extra
     hi = max(0.0, mean0) + _QUADRATURE_SPAN * sd + extra
     grid = np.linspace(lo, hi, nodes)
@@ -588,7 +576,7 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     if spec.hmm is None and spec.glm is None:
         raise ValueError("quadrature needs either an HMM factorization or linear-family parameters")
     inc = _quadrature_hmm(spec, ys, mean0, sd0, grid, w) if spec.hmm is not None else _quadrature_glm(spec, ys, init, grid, w)
-    return LogLik(float(inc.sum()), n, "quadrature")
+    return _summed(inc, "quadrature")
 
 
 def _gh_nodes(mean: float, sd: float, n: int = 80) -> tuple[np.ndarray, np.ndarray]:
@@ -669,7 +657,6 @@ def increments(spec: ModelSpec, obs: np.ndarray, init, method: str) -> np.ndarra
     fraction of its cost, and the joint-chain filter on every other
     linear model. Non-finite observations raise ``ValueError``.
     """
-    obs = _finite_obs(obs)
     if method == "kalman":
         if _is_scalar_ssm(spec):
             return ssm_kalman_increments(spec.ssm, obs, init)
@@ -687,12 +674,11 @@ def grid_increments(specs, obs: np.ndarray, init, method: str) -> np.ndarray:
     arrays of grid parameters; any other grid stacks the per-spec rows.
     Non-finite observations raise ``ValueError``.
     """
-    obs = _finite_obs(obs)
     if method == "kalman" and all(_is_scalar_ssm(s) for s in specs):
         params = np.array([[s.ssm.A[0, 0], s.ssm.B[0, 0], s.ssm.Qzeta[0, 0], s.ssm.Qxi[0, 0]] for s in specs])
         a, b, qz, qx = params.T.copy()
         # C order, so that a row sums in the same order as one spec's increments
-        return np.ascontiguousarray(_scalar_kalman_increments(a, b, qz, qx, _obs_column(obs, 1), init).T)
+        return np.ascontiguousarray(_scalar_kalman_increments(a, b, qz, qx, _observations(obs, 1), init).T)
     return np.vstack([increments(s, obs, init, method) for s in specs])
 
 
@@ -717,8 +703,7 @@ def loglik(
         return bpf_loglik(spec, obs, init, particles, seed, stream)
     if method == "quadrature":
         return quadrature_loglik(spec, obs, init, nodes)
-    inc = increments(spec, obs, init, method)
-    return LogLik(float(inc.sum()), len(inc), method)
+    return _summed(increments(spec, obs, init, method), method)
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +725,6 @@ def conditional_entropy_sequence(spec: ModelSpec, nmax: int) -> np.ndarray:
     K, L = spec.finite.n_states, spec.finite.n_symbols
     if L**nmax > _STRING_CAP:
         raise ValueError(f"enumeration over {L}^{nmax} strings exceeds the cap")
-    from .models import finite_hmm_stationary
-
     alpha = finite_hmm_stationary(spec.finite)[None, :]  # (strings, states), unnormalized
     entropies = [0.0]
     for _ in range(nmax):

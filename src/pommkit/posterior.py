@@ -29,8 +29,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as rngmod
-from .core import DegeneratePosteriorError, ModelSpec, Stationary
-from .likelihood import _finite_obs, forward_loglik, grid_increments, increments, loglik
+from .core import DegeneratePosteriorError, ModelSpec, Stationary, simulate_complete
+from .likelihood import _finite_x0_dist, forward_loglik, grid_increments, increments, loglik
+from .models import finite_hmm_stationary
 
 # the loglik options a grid sweep passes on; it sets ``stream`` itself
 _GRID_OPTIONS = ("particles", "seed", "nodes")
@@ -58,8 +59,8 @@ class ParamGrid:
 
     def __init__(self, points, prior_weight=None, cell_volume=None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.ndim != 2:
-            raise ValueError("points must be a (G, d) array")
+        if points.ndim != 2 or 0 in points.shape:
+            raise ValueError(f"points must be a (G, d) array with G, d >= 1, got shape {points.shape}")
         if not np.all(np.isfinite(points)):
             raise ValueError("grid points must be finite")
         g = len(points)
@@ -71,6 +72,8 @@ class ParamGrid:
             raise ValueError("prior weights must be finite and non-negative")
         if not np.any(w > 0.0):
             raise ValueError("at least one prior weight must be positive")
+        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+            raise ValueError("cell volumes must be finite and non-negative")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "prior_weight", w)
         object.__setattr__(self, "cell_volume", v)
@@ -83,8 +86,8 @@ def uniform_grid_1d(lo: float, hi: float, count: int) -> ParamGrid:
     """Evenly spaced scalar grid with a uniform (proper) prior."""
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"grid bounds must be finite, got {lo} and {hi}")
-    if count < 2 or hi <= lo:
-        raise ValueError("need at least two points and hi > lo")
+    if not _is_int(count) or count < 2 or hi <= lo:
+        raise ValueError(f"need an integer count >= 2 and hi > lo, got count {count!r} on [{lo}, {hi}]")
     pts = np.linspace(lo, hi, count)
     step = pts[1] - pts[0]
     return ParamGrid(pts[:, None], np.full(count, 1.0 / count), np.full(count, step))
@@ -112,6 +115,11 @@ class PosteriorGrid:
 
     def mean(self) -> np.ndarray:
         return self.masses() @ self.grid.points
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -162,19 +170,17 @@ def grid_posterior(
     the options ``particles``, ``seed`` and ``nodes`` of
     :func:`~pommkit.likelihood.loglik`; grid point i draws particle-filter
     stream i. With ``n = 0`` observations the posterior is the normalized
-    prior. Non-finite observations raise ``ValueError``. A posterior in
+    prior, and ``init`` is checked as at any n. Non-finite observations
+    raise ``ValueError``. A posterior in
     which every point has zero mass raises instead of silently returning
     a uniform distribution.
     """
     _check_one_spec_per_point(specs, grid)
     _check_grid_options(kw)
-    obs = _finite_obs(obs)
+    lls = _grid_logliks(specs, obs, init, method, kw)
     with np.errstate(divide="ignore"):
         log_prior = np.log(grid.prior_weight)
-    n = len(obs)
-    if n == 0:
-        return _normalize_log_mass(log_prior, 0, grid)
-    return _normalize_log_mass(log_prior + _grid_logliks(specs, obs, init, method, kw), n, grid)
+    return _normalize_log_mass(log_prior + lls, len(obs), grid)
 
 
 def grid_loglik_profiles(
@@ -194,13 +200,11 @@ def grid_loglik_profiles(
 
 def posterior_from_profiles(grid: ParamGrid, profiles: np.ndarray, n: int) -> PosteriorGrid:
     """Posterior at sample size ``n`` from precomputed prefix profiles."""
-    if not 0 <= n <= profiles.shape[1]:
-        raise ValueError(f"n must lie in 0..{profiles.shape[1]}")
+    if not (_is_int(n) and 0 <= n <= profiles.shape[1]):
+        raise ValueError(f"n must be an integer in 0..{profiles.shape[1]}, got {n!r}")
     with np.errstate(divide="ignore"):
         log_prior = np.log(grid.prior_weight)
-    if n == 0:
-        return _normalize_log_mass(log_prior, 0, grid)
-    return _normalize_log_mass(log_prior + profiles[:, n - 1], n, grid)
+    return _normalize_log_mass(log_prior + (profiles[:, n - 1] if n else 0.0), n, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +239,8 @@ def concentration_profile(
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     rows = []
     for post in posteriors:
+        if theta_star.shape != post.grid.points.shape[1:] or not np.isfinite(theta_star).all():
+            raise ValueError(f"theta_star must be finite, of shape {post.grid.points.shape[1:]}, got {theta_star}")
         dist = np.linalg.norm(post.grid.points - theta_star[None, :], axis=1)
         masses = post.masses()
         for p in ps:
@@ -350,6 +356,8 @@ def remoteness_rate(
         raise ValueError("selection mask must have one entry per grid point")
     if not mask.any():
         raise ValueError("the selected set contains no grid points")
+    if not all(_is_int(n) for n in ns):
+        raise ValueError(f"sample sizes must be integers, got {list(ns)!r}")
     ns = np.asarray(sorted(ns), dtype=int)
     if len(ns) < 2:
         raise ValueError("the decay rate needs at least two sample sizes")
@@ -402,8 +410,12 @@ def mh_posterior(
     if not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
+    if not np.isfinite(theta).all():
+        raise ValueError(f"theta0 must be finite, got {theta0!r}")
     d = theta.size
-    sd = np.broadcast_to(np.asarray(proposal_sd, dtype=float), (d,)).copy()
+    sd = np.atleast_1d(np.asarray(proposal_sd, dtype=float))
+    if sd.shape != (d,) or not np.isfinite(sd).all() or np.any(sd < 0.0):
+        raise ValueError(f"proposal_sd must hold {d} finite non-negative entries, got {proposal_sd!r}")
     rng = rngmod.substream(seed, rngmod.MH)
     flags = []
     if method == "bpf":
@@ -442,9 +454,6 @@ def mh_posterior(
 
 def _finite_enumeration_ratio_parts(spec_star: ModelSpec, spec_other: ModelSpec, init_eta, ys: np.ndarray):
     """Path sums for the observed string: (p_star, p_other, per-path terms)."""
-    from .likelihood import _finite_x0_dist
-    from .models import finite_hmm_stationary
-
     P_s, G_s = spec_star.finite.P, spec_star.finite.G
     P_o, G_o = spec_other.finite.P, spec_other.finite.G
     K = spec_star.finite.n_states
@@ -509,13 +518,8 @@ def image_ratio_markov_check(
     exceedance probability is at most ``1/n^2``. Returns the empirical
     fraction and the bound.
     """
-    from .core import simulate_complete
-
     P_s, G_s = spec_star.finite.P, spec_star.finite.G
     P_o, G_o = spec_other.finite.P, spec_other.finite.G
-    from .likelihood import _finite_x0_dist
-    from .models import finite_hmm_stationary
-
     pi_x = finite_hmm_stationary(spec_star.finite)
     eta_x = _finite_x0_dist(spec_other, init_eta)
     K = spec_star.finite.n_states

@@ -71,6 +71,16 @@ class TestPsupEnvelope:
         assert vals[0] >= vals[1] >= vals[2]
         assert vals[2] < 1e-6
 
+    def test_box_rejects_nan_and_infinite_floors(self):
+        fields = dict(beta_lo=0.1, sigma_lo=0.1, phi_hi=0.95, sigma_hi=2.5)
+        for name in fields:
+            with pytest.raises(ValueError):
+                SvThetaBox(**{**fields, name: np.nan})
+        for name in ("beta_lo", "sigma_lo"):
+            with pytest.raises(ValueError, match="floors must be positive and finite"):
+                SvThetaBox(**{**fields, name: np.inf})
+        assert SvThetaBox(**{**fields, "sigma_hi": np.inf}).sigma_hi == np.inf
+
     def test_region_validation(self):
         with pytest.raises(ValueError):
             SvRegion.make(sigma_lo=2.0, sigma_hi=1.0, beta_lo=0.1, phi_hi=0.9)

@@ -380,6 +380,16 @@ class TestDensenessProfile:
         rows = information_denseness_profile(grid, divs + 1.0, [1e-6])
         assert rows[0].flag == "zero_mass"
 
+    def test_nan_divergence_or_threshold_rejected(self):
+        grid, divs = self.grid_with_divergences()
+        bad = divs.copy()
+        bad[7] = np.nan
+        with pytest.raises(ValueError, match="divergences and deltas must not be NaN"):
+            information_denseness_profile(grid, bad, [1e-1])
+        with pytest.raises(ValueError, match="divergences and deltas must not be NaN"):
+            information_denseness_profile(grid, divs, [1e-1, np.nan])
+        assert information_denseness_profile(grid, np.full(len(grid), np.inf), [1.0])[0].flag == "zero_mass"
+
     def test_csv_round_trip(self, tmp_path):
         grid, divs = self.grid_with_divergences()
         rows = information_denseness_profile(grid, divs, [0.1, 0.01])

@@ -1,5 +1,6 @@
 """Config round-trips, the experiment runner, and the command-line surface."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -36,6 +37,35 @@ class TestConfig:
         text = REFERENCE_CONFIG_TEXT.replace("grid_hi = 0.9", "grid_hi = 0.4")
         with pytest.raises(ValueError):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("b = 1.0", "b = inf", "b must be finite"),
+            ("a = 0.5", "a = nan", "a must be finite"),
+            ("grid_hi = 0.9", "grid_hi = inf", "grid_hi must be finite"),
+            ("grid_lo = -0.9", "grid_lo = nan", "grid_lo must be finite"),
+            ("seed = 20260808", "seed = -1", "seed must be a non-negative integer"),
+            ("ps = 2 5 10", "ps = 0 5", "ps must be positive integers"),
+            ("ps = 2 5 10", "ps =", "ps must be positive integers"),
+            ("formats = csv jsonl", "formats = xml", r"formats must be csv and/or jsonl, got \['xml'\]"),
+            ("n_list = 100 400 1600", "n_list =", "n_list must be"),
+        ],
+        ids=["b", "a", "grid_hi", "grid_lo", "seed", "ps", "ps_empty", "formats", "n_list_empty"],
+    )
+    def test_malformed_value_rejected_naming_its_key(self, old, new, message):
+        assert old in REFERENCE_CONFIG_TEXT
+        with pytest.raises(ValueError, match=message):
+            parse_config(REFERENCE_CONFIG_TEXT.replace(old, new))
+
+    def test_reference_config_text_and_hash_are_pinned(self):
+        def sha256(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert sha256(REFERENCE_CONFIG_TEXT) == "7313d14f650e109aac213e26f3baf1d03b1a8d3a6e739568b57cafcf2e0eaccb"
+        assert sha256(serialize_config(reference_config())) == (
+            "9b9fc00c16f330af724efb8a9bc1ec9c3382451a36ceb1b0ea16051c6f69cd88"
+        )
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

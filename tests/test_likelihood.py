@@ -1015,6 +1015,77 @@ class TestLinearQuadrature:
         assert _transition_kernel(qx, grid, grid).tobytes() == np.exp(qx(grid[:, None], grid[None, :])).tobytes()
 
 
+_REAL = scalar_ssm(0.5)
+_JOINT = glm_spec(GlmParams([[0.5, 0.2], [-0.3, 0.4]], [[1.0, 0.3], [0.3, 0.8]], 1, 1))
+_FINITE = finite_hmm_spec(FiniteHmmParams([[0.8, 0.2], [0.3, 0.7]], [[0.9, 0.1], [0.2, 0.8]]))
+
+# every public likelihood entry point: name -> (spec, call on (spec, obs, init))
+ENTRY_POINTS = {
+    "kalman_increments": (_REAL, kalman_increments),
+    "kalman_increments/joint": (_JOINT, kalman_increments),
+    "kalman_loglik": (_REAL, kalman_loglik),
+    "kalman_loglik/joint": (_JOINT, kalman_loglik),
+    "ssm_kalman_increments": (_REAL, lambda s, y, i: ssm_kalman_increments(s.ssm, y, i)),
+    "ssm_kalman_loglik": (_REAL, lambda s, y, i: ssm_kalman_loglik(s.ssm, y, i)),
+    "increments/kalman": (_REAL, lambda s, y, i: increments(s, y, i, "kalman")),
+    "grid_increments/kalman": (_REAL, lambda s, y, i: grid_increments([s, scalar_ssm(0.4)], y, i, "kalman")),
+    "grid_increments/joint": (_JOINT, lambda s, y, i: grid_increments([s, s], y, i, "kalman")),
+    "loglik/kalman": (_REAL, lambda s, y, i: loglik(s, y, i, "kalman")),
+    "loglik/bpf": (_REAL, lambda s, y, i: loglik(s, y, i, "bpf", particles=16)),
+    "loglik/quadrature": (_REAL, lambda s, y, i: loglik(s, y, i, "quadrature", nodes=101)),
+    "bpf_loglik": (_REAL, lambda s, y, i: bpf_loglik(s, y, i, particles=16, seed=0)),
+    "quadrature_loglik": (_REAL, lambda s, y, i: quadrature_loglik(s, y, i, nodes=101)),
+    "quadrature_loglik/joint": (_JOINT, lambda s, y, i: quadrature_loglik(s, y, i, nodes=101)),
+    "forward_increments": (_FINITE, forward_increments),
+    "forward_loglik": (_FINITE, forward_loglik),
+    "enumeration_loglik": (_FINITE, enumeration_loglik),
+    "increments/forward": (_FINITE, lambda s, y, i: increments(s, y, i, "forward")),
+    "grid_increments/forward": (_FINITE, lambda s, y, i: grid_increments([s, s], y, i, "forward")),
+    "loglik/forward": (_FINITE, lambda s, y, i: loglik(s, y, i, "forward")),
+    "loglik/bpf/finite": (_FINITE, lambda s, y, i: loglik(s, y, i, "bpf", particles=16)),
+    "bpf_loglik/finite": (_FINITE, lambda s, y, i: bpf_loglik(s, y, i, particles=16, seed=0)),
+}
+
+_CUSTOM = CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1)))
+# malformed input class -> (obs on a real chain, obs on a finite chain, init, the error it raises); None: no such input
+MALFORMED = {
+    "nan": ([0.1, np.nan, 0.2], [0, np.nan, 1], Stationary(), "observation 1 is not finite"),
+    "wrong_shape": (np.zeros((3, 2)), np.zeros((3, 2), int), Stationary(), r"observations must have shape \(n, 1\), got \(3, 2\)"),
+    "fractional_symbol": (None, [0, 1.5, 1], Stationary(), r"observation symbols must lie in 0\.\.1"),
+    "symbol_too_large": (None, [0, 1e300, 1], Stationary(), r"observation symbols must lie in 0\.\.1"),
+    "negative_symbol": (None, [0, -1, 1], Stationary(), r"observation symbols must lie in 0\.\.1"),
+    "empty_custom_init": (np.empty(0), np.empty(0), _CUSTOM, "CustomInit"),
+    "empty_point_mass_of_wrong_dimension": (np.empty(0), [], PointMass([0.0, 1.0], 0.0), "point mass has dimensions"),
+    "empty_point_mass_off_the_chain": (None, np.empty(0), PointMass(5, 0), r"point-mass state must be an integer in 0\.\.1"),
+}
+
+
+def _boundary_cases():
+    for entry, (spec, _) in ENTRY_POINTS.items():
+        for case, (real, symbols, _, _) in MALFORMED.items():
+            if (symbols if spec.finite is not None else real) is not None:
+                yield pytest.param(entry, case, id=f"{entry}-{case}")
+
+
+class TestObservationBoundary:
+    """Every public likelihood entry point rejects each class of malformed input, at every length."""
+
+    @pytest.mark.parametrize("entry, case", list(_boundary_cases()))
+    def test_rejects_malformed_input(self, entry, case):
+        spec, call = ENTRY_POINTS[entry]
+        real, symbols, init, message = MALFORMED[case]
+        obs = symbols if spec.finite is not None else real
+        with pytest.raises(ValueError, match=message):
+            call(spec, obs, init)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_empty_sequence_has_likelihood_one(self, entry):
+        spec, call = ENTRY_POINTS[entry]
+        out = call(spec, np.empty(0), Stationary())
+        assert getattr(out, "n", 0) == 0
+        assert float(np.sum(getattr(out, "value", out))) == 0.0
+
+
 class TestNumpyOnlyRuntime:
     """numpy is the only runtime dependency: no evaluator imports scipy."""
 

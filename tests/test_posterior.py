@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pommkit import (
+    CustomInit,
     DegeneratePosteriorError,
     FiniteHmmParams,
     ParamGrid,
@@ -53,6 +54,35 @@ class TestGridPosterior:
                 uniform_grid_1d(bad, 1.0, 3)
             with pytest.raises(ValueError, match="finite"):
                 uniform_grid_1d(0.0, bad, 3)
+
+    def test_empty_or_zero_dimensional_grid_rejected(self):
+        for points in (np.empty((0, 1)), [], np.empty((3, 0))):
+            with pytest.raises(ValueError, match=r"points must be a \(G, d\) array with G, d >= 1"):
+                ParamGrid(points)
+
+    def test_non_finite_or_negative_cell_volume_rejected(self):
+        for volume in ([np.inf, 1.0], [np.nan, 1.0], [-0.1, 1.0]):
+            with pytest.raises(ValueError, match="cell volumes must be finite and non-negative"):
+                ParamGrid([[0.0], [1.0]], cell_volume=volume)
+        assert ParamGrid([[0.0], [1.0]], cell_volume=[0.0, 1.0]).cell_volume[0] == 0.0
+
+    def test_non_integer_count_rejected(self):
+        for count in (2.0, 3.5, True):
+            with pytest.raises(ValueError, match="need an integer count >= 2"):
+                uniform_grid_1d(0.0, 1.0, count)
+        assert len(uniform_grid_1d(0.0, 1.0, np.int64(3))) == 3
+
+    def test_empty_sequence_checks_the_initial_law(self):
+        grid = self.grid3()
+        specs = [scalar_ssm(float(a)) for a in grid.points[:, 0]]
+        custom = CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1)))
+        for method in ("kalman", "bpf", "quadrature"):
+            with pytest.raises(ValueError, match="CustomInit"):
+                grid_posterior(specs, grid, np.empty(0), custom, method)
+            with pytest.raises(ValueError, match="point mass has dimensions"):
+                grid_posterior(specs, grid, np.empty(0), PointMass([0.0, 1.0], 0.0), method)
+        with pytest.raises(ValueError, match=r"point-mass state must be an integer in 0\.\.1"):
+            grid_posterior(finite_family(grid.points[:, 0]), grid, np.empty(0), PointMass(5, 0), "forward")
 
     def test_no_data_returns_normalized_prior(self):
         grid = self.grid3()
@@ -190,6 +220,20 @@ class TestConcentration:
             with pytest.raises(ValueError):
                 concentration_profile([post], np.array([0.0]), ps=ps)
 
+    def test_theta_star_must_be_finite_with_the_grid_dimension(self):
+        post = posterior_from_profiles(uniform_grid_1d(-1.0, 1.0, 5), np.zeros((5, 0)), 0)
+        for theta_star in ([np.nan], [np.inf], [0.5, 0.1], [[0.5]], []):
+            with pytest.raises(ValueError, match=r"theta_star must be finite, of shape \(1,\)"):
+                concentration_profile([post], np.array(theta_star), ps=[2])
+
+    def test_sample_size_must_be_an_integer(self):
+        grid = uniform_grid_1d(-1.0, 1.0, 5)
+        profiles = np.zeros((5, 3))
+        for n in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match=r"n must be an integer in 0\.\.3"):
+                posterior_from_profiles(grid, profiles, n)
+        assert posterior_from_profiles(grid, profiles, np.int64(2)).n == 2
+
     def test_closed_complement_convention(self):
         # cells at distance exactly 1/p count as outside
         grid = ParamGrid(np.array([[0.0], [0.5], [1.0]]))
@@ -317,6 +361,12 @@ class TestRemoteness:
         with pytest.raises(ValueError, match="observation 150 is not finite"):
             remoteness_rate(specs, grid, np.ones(len(grid), bool), obs, Stationary(), star, [100, 200])
 
+    def test_non_integer_sample_sizes_rejected(self):
+        star, obs, grid, specs = self.setup_ssm(n=200)
+        for ns in ([100, 10.5], [100.0, 200], [True, 100]):
+            with pytest.raises(ValueError, match="sample sizes must be integers"):
+                remoteness_rate(specs, grid, np.ones(len(grid), bool), obs, Stationary(), star, ns)
+
     def test_one_spec_per_grid_point_required(self):
         star, obs, grid, specs = self.setup_ssm(n=200)
         with pytest.raises(ValueError, match="one model per grid point"):
@@ -397,6 +447,22 @@ class TestMetropolis:
                 self.build, self.flat_prior(), np.array([0.1]), Stationary(),
                 theta0=np.array([5.0]), steps=10, proposal_sd=np.array([0.1]), seed=16,
             )
+
+    def test_non_finite_start_rejected(self):
+        for theta0 in ([np.nan], [np.inf]):
+            with pytest.raises(ValueError, match="theta0 must be finite"):
+                mh_posterior(
+                    self.build, self.flat_prior(), np.array([0.1]), Stationary(),
+                    theta0=np.array(theta0), steps=10, proposal_sd=np.array([0.1]), seed=16,
+                )
+
+    def test_proposal_sd_must_be_finite_non_negative_of_the_start_length(self):
+        for sd in ([np.nan], [np.inf], [-0.1], [0.1, 0.1], [[0.1]]):
+            with pytest.raises(ValueError, match="proposal_sd must hold 1 finite non-negative entries"):
+                mh_posterior(
+                    self.build, self.flat_prior(), np.array([0.1]), Stationary(),
+                    theta0=np.array([0.0]), steps=10, proposal_sd=np.array(sd), seed=16,
+                )
 
     def test_steps_must_be_a_positive_integer(self):
         for steps in (0, -3, 2.5):
