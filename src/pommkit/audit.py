@@ -99,6 +99,8 @@ class SvRegion:
             raise ValueError("need 0 < sigma_lo <= sigma_hi")
         if not 0.0 <= self.phi_hi < 1.0:
             raise ValueError("need 0 <= phi_hi < 1")
+        if math.isnan(self.log_beta_lo):
+            raise ValueError("log_beta_lo must not be NaN")
 
     @classmethod
     def make(cls, sigma_lo: float, sigma_hi: float, beta_lo: float, phi_hi: float) -> "SvRegion":

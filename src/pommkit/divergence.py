@@ -76,23 +76,20 @@ def step_kld_mc(
     with one call on each side. Every family's callables broadcast, so
     this one estimator serves every pair of models of the same
     dimensions. When both models are linear, so that both transition
-    kernels are Gaussian, ``inner="auto"`` or ``"closed"`` instead
-    evaluates the inner KLD in closed form at each ``z_0``, with a lower
-    variance; ``"closed"`` on any other pair raises ``ValueError``. Both
-    return a standard error. ``draws`` must be an integer >= 2.
+    kernels are Gaussian, ``inner="auto"`` instead evaluates the inner KLD
+    in closed form at each ``z_0``, with a lower variance, and
+    ``inner="logratio"`` keeps the log-ratio average. Both return a
+    standard error. ``draws`` must be an integer >= 2.
     """
     _check_size("draws", draws)
-    if inner not in ("auto", "closed", "logratio"):
+    if inner not in ("auto", "logratio"):
         raise ValueError(f"unknown inner mode {inner!r}")
     if spec_star.sample_stationary is None:
         raise ValueError("the reference model must expose its stationary law")
     dims = [(s.state_dim, s.obs_dim) for s in (spec_star, spec_other)]
     if dims[0] != dims[1]:
         raise ValueError(f"the two models have different (state, observation) dimensions {dims[0]} and {dims[1]}")
-    both_glm = spec_star.glm is not None and spec_other.glm is not None
-    if inner == "closed" and not both_glm:
-        raise ValueError("the closed inner KLD needs two linear Gaussian models")
-    if both_glm and inner != "logratio":
+    if spec_star.glm is not None and spec_other.glm is not None and inner == "auto":
         return _glm_inner_closed(spec_star, spec_other, draws, seed)
     rng = rngmod.substream(seed, rngmod.KLD_OUTER)
     z0 = spec_star.sample_stationary(draws, rng)

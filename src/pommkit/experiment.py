@@ -111,6 +111,11 @@ class ExperimentConfig:
             raise ValueError(f"ps must be positive integers, got {list(self.ps)}")
         if not set(self.formats) <= {"csv", "jsonl"}:
             raise ValueError(f"formats must be csv and/or jsonl, got {list(self.formats)}")
+        try:
+            model_spec(self)
+        except ValueError as err:
+            keys = ", ".join(f"{k} = {v!r}" for k, v in self.model.items())
+            raise ValueError(f"[model] {keys} is not a valid {self.family} model: {err}") from err
         truth = self.model[self.grid_param]
         if not self.grid_lo <= truth <= self.grid_hi:
             raise ValueError("the grid must cover the true parameter for concentration runs")

@@ -7,7 +7,11 @@ their per-observation increments ``log p(y_k | y_{1:k-1})``, whose sum is
 the log likelihood by the chain rule; posterior sweeps reuse the
 increments to get every prefix likelihood from a single pass.
 
-One scaled forward recursion serves two jobs: the exact forward
+Both Kalman filters, the joint-chain filter and the scalar filter, make
+one pass over the covariances first, through ``_riccati``: that
+recursion never sees the data and stops, exactly, once its state
+repeats. Then one mean recursion runs over every observation with its
+gains. One scaled forward recursion serves two jobs: the exact forward
 algorithm on a finite state space, and the quadrature oracle, which runs
 it on a trapezoid node grid of a scalar hidden state.
 
@@ -106,36 +110,40 @@ def _gaussian_init_moments(spec: ModelSpec, init) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _riccati_checks():
-    """The steps at which a Kalman filter looks for a repeating covariance state.
+def _riccati(step, state, s_buf: np.ndarray, repeats) -> tuple[list, list]:
+    """The Kalman covariance recursion over ``len(s_buf)`` steps; returns the gains ``(head, cycle)``.
 
-    At each, the state is compared with the states 1 to ``_MAX_PERIOD``
-    steps back (``_cycle_period``), which catches a fixed point and a
-    cycle of period 2, 3 or 4. The first check is step
-    ``_RICCATI_CHECK - 1``; the checks are then ``_RICCATI_CHECK`` steps
-    apart, and a quarter of the step index apart once that is more, so a
-    recursion that never repeats pays for about 20 comparisons over 1600
-    observations.
+    ``step(state)`` is one step ``state -> (S, gain, state')``, which never
+    sees the data; ``s_buf[k]`` receives step ``k``'s innovation covariance
+    ``S`` and ``head`` the gains of the steps computed. At the checks the
+    new state is compared (``repeats``) with the states 1 to
+    ``_MAX_PERIOD`` steps back. At the first repeat, of least period
+    ``L``, every later ``S`` and gain repeats the last ``L`` ones bit for
+    bit (the exact steady-state filter, Anderson & Moore 1979): the rest
+    of ``s_buf`` is filled with that cycle, the recursion stops, and
+    ``cycle`` holds the gains that cycle from the next step on. A state
+    that never repeats, or repeats with a longer period, runs to the end,
+    and ``cycle`` is empty. The first check is step ``_RICCATI_CHECK - 1``;
+    the checks are then ``_RICCATI_CHECK`` steps apart, and a quarter of
+    the step index apart once that is more, so a recursion that never
+    repeats pays for about 20 comparisons over 1600 observations.
     """
-    k = _RICCATI_CHECK - 1
-    while True:
-        yield k
-        k += max(_RICCATI_CHECK, k // 4)
-
-
-def _cycle_period(state, history, repeats) -> Optional[int]:
-    """The least ``L`` with ``repeats(state, history[-L])``, or None.
-
-    ``history`` holds the states after the last ``_MAX_PERIOD`` steps
-    before the one that gave ``state``, oldest first.
-    """
-    return next((L for L in range(1, len(history) + 1) if repeats(state, history[-L])), None)
-
-
-def _repeat_rows(buf: np.ndarray, k: int, period: int) -> None:
-    """Fill ``buf[k + 1 :]`` with the cycle ``buf[k + 1 - period : k + 1]``, row ``j`` from row ``j - period``."""
-    for i in range(k + 1 - period, k + 1):
-        buf[i + period :: period] = buf[i]
+    states = collections.deque(maxlen=_MAX_PERIOD)  # the states before the last steps
+    head = []
+    add_state, add_gain = states.append, head.append
+    check = _RICCATI_CHECK - 1
+    for k in range(len(s_buf)):
+        add_state(state)
+        s_buf[k], gain, state = step(state)
+        add_gain(gain)
+        if k == check:
+            for L in range(1, len(states) + 1):
+                if repeats(state, states[-L]):
+                    for i in range(k + 1 - L, k + 1):  # step j repeats step j - L
+                        s_buf[i + L :: L] = s_buf[i]
+                    return head, head[-L:]
+            check += max(_RICCATI_CHECK, check // 4)
+    return head, []
 
 
 def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
@@ -146,19 +154,15 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     the predicted Gaussian, so the innovation covariance ``S`` is the
     ``yy`` block of the predicted covariance.
 
-    The covariance recursion does not see the data, so once its updated,
-    symmetrized state repeats bit for bit, every later ``S`` and gain
-    repeats too: the exact steady-state filter (Anderson & Moore 1979), as
-    in the scalar filter, with the same checkpoints (``_riccati_checks``)
-    and the same comparison with the states 1 to 4 steps back, which
-    catches a fixed point and a cycle of period 2, 3 or 4. From then on
-    only the mean recursion runs, with the cycle's gains. A covariance that
-    never repeats, or repeats with a longer period, runs the full
-    recursion to the end. The loop stores each step's ``S`` and
-    innovation; the log densities ``-0.5 * (q log 2pi + log det S + u.u)``
-    with ``u = L^{-1} innov`` and ``S = L L^T`` are formed after it by one
-    stacked Cholesky factorization and one stacked solve, whose values are
-    the per-step ones bit for bit.
+    One pass over the covariances comes first: ``_riccati`` runs the
+    data-free recursion ``P -> (S, gain, P')``, with ``P'`` symmetrized,
+    and stops at the first repeat of period up to 4, as the scalar filter
+    does. Then one mean recursion runs over every observation with those
+    gains and stores each innovation. The log densities
+    ``-0.5 * (q log 2pi + log det S + u.u)`` with ``u = L^{-1} innov`` and
+    ``S = L L^T`` are formed after it by one stacked Cholesky
+    factorization and one stacked solve, whose values are the per-step
+    ones bit for bit.
     """
     if spec.glm is None:
         raise ValueError("kalman evaluation needs a linear Gaussian model")
@@ -168,37 +172,20 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     Phi, R = params.Phi, params.R
     m, P = _gaussian_init_moments(spec, init)
     yi = slice(p, p + q)
-    n = len(ys)
-    s_buf = np.empty((n, q, q))
-    innov_buf = np.empty((n, q))
-    states = collections.deque(maxlen=_MAX_PERIOD)  # the covariance states and gains of the last steps
-    gains = collections.deque(maxlen=_MAX_PERIOD)
-    checks = _riccati_checks()
-    check = next(checks)
-    for k, y in enumerate(ys):
-        m = Phi @ m
+
+    def step(P):
         Pp = Phi @ P @ Phi.T + R
-        S = Pp[yi, yi]
-        innov = y - m[yi]
-        s_buf[k] = S
-        innov_buf[k] = innov
-        gain = np.linalg.solve(S, Pp[yi, :]).T  # P[:, yi] S^{-1}
-        states.append(P)
-        gains.append(gain)
+        gain = np.linalg.solve(Pp[yi, yi], Pp[yi, :]).T  # P[:, yi] S^{-1}
+        Pu = Pp - gain @ Pp[yi, :]
+        return Pp[yi, yi], gain, 0.5 * (Pu + Pu.T)
+
+    s_buf = np.empty((len(ys), q, q))
+    head, cycle = _riccati(step, P, s_buf, np.array_equal)
+    innov_buf = np.empty((len(ys), q))
+    for y, innov, gain in zip(ys, innov_buf, itertools.chain(head, itertools.cycle(cycle))):
+        m = Phi @ m
+        np.subtract(y, m[yi], out=innov)
         m = m + gain @ innov
-        Pp = Pp - gain @ Pp[yi, :]
-        P = 0.5 * (Pp + Pp.T)
-        if k == check:
-            period = _cycle_period(P, states, np.array_equal)
-            if period:
-                # step k + j repeats step k + j - period
-                _repeat_rows(s_buf, k, period)
-                for y, innov, gain in zip(ys[k + 1 :], innov_buf[k + 1 :], itertools.cycle(list(gains)[-period:])):
-                    m = Phi @ m
-                    np.subtract(y, m[yi], out=innov)
-                    m = m + gain @ innov
-                break
-            check = next(checks)
     chol = np.linalg.cholesky(s_buf)
     u = np.linalg.solve(chol, innov_buf[:, :, None])[:, :, 0]
     uu = u[:, 0] * u[:, 0] if q == 1 else np.array([v @ v for v in u])
@@ -219,26 +206,15 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     grid point in one pass and returns shape (n, G). Both shapes take the
     same start values and the same operations in the same order.
 
-    The variance recursion ``pv -> (s, gain, pv')`` does not see the data,
-    so once its state repeats bit for bit, its innovation variances and
-    gains repeat forever: this is the steady-state filter (Anderson &
-    Moore 1979), exact in floating point. At checkpoints the state is
-    compared with the states 1 to 4 steps back, which catches a fixed
-    point and a cycle of period 2, 3 or 4; a grid takes the least period
-    that fits every one of its points, and none if no period up to 4
-    does. From then on only the mean recursion runs, with the cycle's
-    gains, and every value keeps the bits of the full recursion. A state
-    that never repeats, or repeats with a longer period, runs the full
-    recursion to the end. The checkpoints are those of
-    ``_riccati_checks``, which the joint-chain filter shares.
-
-    The loop runs over the observations as Python floats, so the float
-    filter does plain float arithmetic, and stores each step's innovation
-    variance and innovation in two preallocated buffers. The mean
-    recursion after a repeat stores nothing per step in numpy: the float
-    filter appends its innovations to a list, which fills the buffer at
-    once, and the grid filter updates its arrays in place, writing each
-    innovation into its row of the buffer. The log densities
+    One pass over the variances comes first: ``_riccati`` runs the
+    data-free recursion ``pv -> (s, gain, pv')`` and stops at the first
+    repeat of period up to 4. A grid repeats when every one of its points
+    does, so it takes the least period that fits them all, and none if no
+    period up to 4 does. Then one mean recursion runs over every
+    observation, as Python floats, with those gains: for one spec
+    ``_float_mean_recursion``, whose innovations ``np.fromiter`` collects,
+    and for a grid ``_grid_mean_recursion``, which fills its own buffer.
+    Every value keeps the bits of the full recursion. The log densities
     ``-0.5 * (log 2pi + log s + innov^2 / s)`` are formed after the loop by
     in-place ufuncs over the whole buffer, with the same operations in the
     same order as one step would take them.
@@ -255,40 +231,20 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
             f"the Kalman evaluator needs a Gaussian-type initial distribution, got {type(init).__name__}"
         )
     aa, bb = a * a, b * b
-    yflat = ys[:, 0].tolist()
-    n = len(yflat)
-    s_buf = np.empty((n,) + np.shape(a))
-    innov_buf = np.empty_like(s_buf)
-    grid = s_buf.ndim == 2
-    repeats = np.array_equal if grid else operator.eq  # every grid point, or one float
-    states = collections.deque(maxlen=_MAX_PERIOD)  # the variance states and gains of the last steps
-    gains = collections.deque(maxlen=_MAX_PERIOD)
-    checks = _riccati_checks()
-    check = next(checks)
-    for k, y in enumerate(yflat):
-        m = a * m
+
+    def step(pv):
         pp = aa * pv + qz
         s = bb * pp + qx
-        innov = y - b * m
-        s_buf[k] = s
-        innov_buf[k] = innov
         gain = pp * b / s
-        states.append(pv)
-        gains.append(gain)
-        m = m + gain * innov
-        pv = pp - gain * b * pp
-        if k == check:
-            period = _cycle_period(pv, states, repeats)
-            if period:
-                # step k + j repeats step k + j - period
-                _repeat_rows(s_buf, k, period)
-                cycle = list(gains)[-period:]
-                if grid:
-                    _grid_mean_recursion(a, b, m, yflat[k + 1 :], innov_buf[k + 1 :], cycle)
-                else:
-                    innov_buf[k + 1 :] = _float_mean_recursion(a, b, m, yflat[k + 1 :], cycle)
-                break
-            check = next(checks)
+        return s, gain, pp - gain * b * pp
+
+    yflat = ys[:, 0].tolist()
+    s_buf = np.empty((len(yflat),) + np.shape(a))
+    if s_buf.ndim == 2:  # a grid
+        innov_buf = _grid_mean_recursion(a, b, m, yflat, *_riccati(step, pv, s_buf, np.array_equal))
+    else:
+        gains = _riccati(step, pv, s_buf, operator.eq)
+        innov_buf = np.fromiter(_float_mean_recursion(a, b, m, yflat, *gains), float, len(yflat))
     np.multiply(innov_buf, innov_buf, out=innov_buf)
     np.divide(innov_buf, s_buf, out=innov_buf)
     out = np.log(s_buf, out=s_buf)
@@ -297,41 +253,46 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     return np.multiply(out, -0.5, out=out)
 
 
-def _float_mean_recursion(a: float, b: float, m: float, ys: list, gains: list) -> list:
-    """Innovations ``y - b m`` of ``m -> a m``, ``m += gain * innov`` over ``ys``, the gains cycling.
+def _float_mean_recursion(a: float, b: float, m: float, ys: list, head: list, cycle: list):
+    """Yields the innovations ``y - b m`` of ``m -> a m``, ``m += gain * innov`` over ``ys``.
 
-    The scalar filter's mean recursion in its operations and order, on
-    plain floats. A cycle of period 1 runs without the cycling iterator.
+    The gains are ``head``, one per step, then ``cycle`` repeated. The
+    scalar filter's mean recursion in its operations and order, on plain
+    floats; a cycle of period 1 runs without the cycling iterator. A
+    generator, so that ``np.fromiter`` fills the buffer without a list.
     """
-    innovs = []
-    if len(gains) == 1:
-        gain = gains[0]
-        for y in ys:
-            m = a * m
-            innov = y - b * m
-            innovs.append(innov)
-            m = m + gain * innov
-        return innovs
-    for y, gain in zip(ys, itertools.cycle(gains)):
+    rest = iter(ys)
+    period_1 = len(cycle) == 1
+    gains = head if period_1 else itertools.chain(head, itertools.cycle(cycle))
+    for gain, y in zip(gains, rest):  # the gains first, so that no y is drawn past them
         m = a * m
         innov = y - b * m
-        innovs.append(innov)
+        yield innov
         m = m + gain * innov
-    return innovs
+    if period_1:
+        gain = cycle[0]
+        for y in rest:
+            m = a * m
+            innov = y - b * m
+            yield innov
+            m = m + gain * innov
 
 
-def _grid_mean_recursion(a: np.ndarray, b: np.ndarray, m: np.ndarray, ys: list, rows: np.ndarray, gains: list) -> None:
-    """``_float_mean_recursion`` on (G,) arrays, writing the innovations into ``rows``.
+def _grid_mean_recursion(a: np.ndarray, b: np.ndarray, m, ys: list, head: list, cycle: list) -> np.ndarray:
+    """``_float_mean_recursion`` on (G,) arrays; returns the innovations, shape (n, G).
 
-    Every step updates ``m`` (the filter's own array) and one row in place.
+    Every step updates the mean and one row of the buffer in place.
     """
+    m = np.full(a.shape, m)
     tmp = np.empty_like(m)
-    for y, innov, gain in zip(ys, rows, itertools.cycle(gains)):
+    out = np.empty((len(ys),) + a.shape)
+    for y, innov, gain in zip(ys, out, itertools.chain(head, itertools.cycle(cycle))):
         np.multiply(a, m, out=m)
         np.multiply(b, m, out=innov)
         np.subtract(y, innov, out=innov)
         np.multiply(gain, innov, out=tmp)
         np.add(m, tmp, out=m)
+    return out
 
 
 def ssm_kalman_increments(ssm, obs: np.ndarray, init) -> np.ndarray:

@@ -356,6 +356,11 @@ def _stationary_chol(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(stationary_cov(A, Q))
 
 
+def _glm_stationary_chol(params: GlmParams) -> np.ndarray:
+    """Cholesky factor of the record's own ``glm_stationary_cov``, so the doubling runs once per record."""
+    return np.linalg.cholesky(glm_stationary_cov(params))
+
+
 def normal_logpdf(dev, var):
     """Log density ``log N(dev; 0, var)``; broadcasts over ``dev`` and ``var``.
 
@@ -392,7 +397,7 @@ def _linear_spec(params: GlmParams, **fields) -> ModelSpec:
     Phi, R, p, q = params.Phi, params.R, params.p, params.q
     d = p + q
     logpdf, sample = _linear_gaussian(Phi, R, d)
-    chol_g = _Once(_stationary_chol, Phi, R)
+    chol_g = _Once(_glm_stationary_chol, params)
 
     def _stack(z):
         return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in z], axis=-1)

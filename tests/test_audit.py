@@ -87,6 +87,13 @@ class TestPsupEnvelope:
         with pytest.raises(ValueError):
             SvRegion.make(sigma_lo=0.5, sigma_hi=1.0, beta_lo=0.1, phi_hi=1.0)
 
+    def test_nan_beta_floor_rejected(self):
+        # a NaN floor would make the second envelope, and so the bound, NaN at (1, 1) and (0.3, 2)
+        with pytest.raises(ValueError, match="log_beta_lo must not be NaN"):
+            SvRegion(0.1, 1.0, np.nan, 0.5)
+        bounds = psup_sv_bound(SvRegion(0.1, 1.0, 0.0, 0.5), np.array([1.0, 0.3]), np.array([1.0, 2.0]))
+        assert np.isfinite(bounds).all()
+
 
 class TestEnvelopeDominatesQuadrature:
     def test_block_density_positive_and_finite(self):

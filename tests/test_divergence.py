@@ -178,14 +178,6 @@ class TestMonteCarloOracle:
         step_kld_mc(star, other, draws=3000, seed=22)
         assert sorted(calls) == [("other", (3000, 1)), ("star", (3000, 1))]
 
-    def test_closed_inner_needs_two_linear_models(self):
-        lin = glm_spec(GlmParams([[0.6, 0.2], [0.3, 0.4]], np.eye(2), 1, 1))
-        sv = sv_spec(SvParams(1.0, 0.5, 0.9))
-        for star, other in ((lin, sv), (sv, lin), (sv, sv)):
-            with pytest.raises(ValueError, match="closed inner KLD needs two linear Gaussian models"):
-                step_kld_mc(star, other, draws=100, inner="closed")
-        assert step_kld_mc(lin, lin, draws=100, inner="closed") == step_kld_mc(lin, lin, draws=100)
-
     def test_models_of_different_dimensions_rejected(self):
         lin3 = glm_spec(random_stable_glm(np.random.default_rng(23), d=3, p=2, q=1))
         with pytest.raises(ValueError, match="different"):

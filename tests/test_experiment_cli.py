@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,20 @@ class TestConfig:
         assert old in REFERENCE_CONFIG_TEXT
         with pytest.raises(ValueError, match=message):
             parse_config(REFERENCE_CONFIG_TEXT.replace(old, new))
+
+    def test_invalid_model_rejected_at_parse_time_naming_the_model_keys(self):
+        # each parses finite values that do not make a model: a negative variance, a unit root
+        # outside the grid, and an observation variance that overflows in the joint-chain embedding
+        for old, new, cause in (
+            ("q_obs = 0.2", "q_obs = -1", "Qxi must be symmetric positive definite"),
+            ("a = 0.5", "a = 1.5", "spectral radius of A must be < 1"),
+            ("b = 1.0", "b = 1e200", "joint-chain embedding"),
+        ):
+            assert old in REFERENCE_CONFIG_TEXT
+            key, value = new.split(" = ")
+            named = rf"^\[model\] .*{key} = {re.escape(repr(float(value)))}.* is not a valid ssm model: .*{cause}"
+            with pytest.raises(ValueError, match=named):
+                parse_config(REFERENCE_CONFIG_TEXT.replace(old, new))
 
     def test_reference_config_text_and_hash_are_pinned(self):
         def sha256(text):

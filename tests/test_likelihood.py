@@ -788,12 +788,13 @@ class TestSteadyStateScalarFilter:
 
     def test_cycles_up_to_period_4_take_the_shortcut(self, monkeypatch):
         periods = []
-        for name in ("_float_mean_recursion", "_grid_mean_recursion"):
-            def recorded(*args, _fn=getattr(likelihood, name)):
-                periods.append(len(args[-1]))  # the cycle's gains
-                return _fn(*args)
 
-            monkeypatch.setattr(likelihood, name, recorded)
+        def recorded(*args, _fn=likelihood._riccati):
+            head, cycle = _fn(*args)
+            periods.append(len(cycle))  # the cycle's gains; none means no shortcut
+            return head, cycle
+
+        monkeypatch.setattr(likelihood, "_riccati", recorded)
         ys = simulated_obs(scalar_ssm(0.95), 401, seed=53)
         period_2 = [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)]
         cases = [([FIXED_POINT], 1), (period_2[:1], 2), ([PERIOD_3], 3), ([PERIOD_4], 4),
@@ -807,7 +808,7 @@ class TestSteadyStateScalarFilter:
                     increments(scalar_ssm(*params[0]), ys, init, "kalman")
                 else:
                     grid_increments([scalar_ssm(*theta) for theta in params], ys, init, "kalman")
-                assert periods == ([] if period is None else [period])
+                assert periods == [0 if period is None else period]
 
 
 class TestScalarFilterProperty:
@@ -829,6 +830,38 @@ class TestScalarFilterProperty:
             scalar = increments(spec, ys, init, "kalman")
             np.testing.assert_allclose(scalar, kalman_increments(spec, ys, init), rtol=0, atol=1e-10)
             np.testing.assert_array_equal(grid_increments([scalar_ssm(0.3), spec], ys, init, "kalman")[1], scalar)
+
+
+class TestRescaledHiddenState:
+    """(a, b, Qzeta, Qxi) and (a, b / c, c^2 Qzeta, Qxi) are one law of the observations, with x scaled by c.
+
+    No filter computes this identity, so it checks the scalar, joint and
+    batched filters from outside. A point mass scales its x0 by c; the
+    batched filter takes one initial law for every row, so its point mass
+    sits at x0 = 0, which the scaling keeps.
+    """
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-0.99, 0.99),
+        b=st.floats(0.1, 3.0),
+        c=st.floats(0.2, 5.0),
+        signs=st.sampled_from([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]),
+        qz=st.floats(0.05, 5.0),
+        qx=st.floats(0.05, 5.0),
+        x0=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_same_increments(self, a, b, c, signs, qz, qx, x0, seed):
+        b, c = signs[0] * b, signs[1] * c
+        spec, rescaled = scalar_ssm(a, b, qz, qx), scalar_ssm(a, b / c, c * c * qz, qx)
+        ys = simulated_obs(spec, 150, seed=seed)
+        for init, rescaled_init in ((Stationary(), Stationary()), (PointMass(x0, 0.5), PointMass(c * x0, 0.5))):
+            for evaluate in (lambda s, i: increments(s, ys, i, "kalman"), lambda s, i: kalman_increments(s, ys, i)):
+                np.testing.assert_allclose(evaluate(rescaled, rescaled_init), evaluate(spec, init), rtol=0, atol=1e-10)
+        for init in (Stationary(), PointMass(0.0, 0.5)):
+            rows = grid_increments([spec, rescaled], ys, init, "kalman")
+            np.testing.assert_allclose(rows[1], rows[0], rtol=0, atol=1e-10)
 
 
 def reference_joint_increments(spec, ys, init):

@@ -30,7 +30,7 @@ from pommkit import (
     sv_spec,
 )
 from pommkit.core import _draw_initial
-from pommkit.likelihood import ssm_kalman_loglik
+from pommkit.likelihood import kalman_increments, ssm_kalman_loglik
 from pommkit import models
 from pommkit.models import _is_spd, _is_symmetric, spectral_radius, stationary_cov
 from pommkit import rng as rngmod
@@ -331,6 +331,19 @@ class TestLazyFactors:
         # the same values as a record that computes its own
         fresh = [delta_glm_closed(GlmParams(star.Phi, star.R, 1, 1), other).value for other in others]
         assert values == fresh and calls[0] == len(others) + 1
+
+    def test_kalman_and_simulation_share_one_stationary_covariance(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return stationary_cov(*args)
+
+        monkeypatch.setattr(models, "stationary_cov", counted)
+        spec = glm_spec(GlmParams([[0.6, 0.2], [0.3, 0.4]], [[1.0, 0.4], [0.4, 1.0]], 1, 1))
+        traj = simulate_complete(spec, Stationary(), 20, seed=3)  # the stationary start draws through chol(Gamma)
+        kalman_increments(spec, traj.y[1:], Stationary())  # the filter starts from Gamma
+        assert calls[0] == 1
 
     def test_samplers_match_direct_factors(self):
         chol = np.linalg.cholesky
