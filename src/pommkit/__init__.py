@@ -25,6 +25,7 @@ from .core import (
 from .models import (
     FiniteHmmParams,
     GlmParams,
+    ScalarSsmGrid,
     SsmParams,
     SvParams,
     finite_hmm_spec,

@@ -96,8 +96,8 @@ def _cmd_posterior(args) -> int:
     n_eval = args.n if args.n is not None else cfg.n_list[-1]
     n_sim = max(n_eval, 1)
     spec, obs = _config_obs(cfg, n_sim, seed)
-    grid, specs = xp.experiment_grid(cfg)
-    profiles = grid_loglik_profiles(specs, obs, xp._parse_init(cfg.init_inference))
+    grid, models = xp.experiment_grid(cfg)
+    profiles = grid_loglik_profiles(models, obs, xp._parse_init(cfg.init_inference))
     post = posterior_from_profiles(grid, profiles, n_eval)
     if args.out:
         write_posterior_csv(post, args.out)

@@ -4,7 +4,11 @@ A single INI-style config describes the data-generating model, the data
 sizes, the inference grid and the outputs; running it simulates one
 trajectory, computes the posterior at every requested sample size from a
 single likelihood pass, and writes plot-ready tables plus an audit log
-and a manifest. Outputs are a pure function of (config, seed): floats are
+and a manifest. The grid's models are one checked parameter record
+(``experiment_grid``), which the Kalman grid sweep filters without
+building a spec per point; ``validate`` builds that record too, so a grid
+that leaves the model's domain fails at parse time, naming
+``grid_param``. Outputs are a pure function of (config, seed): floats are
 printed with 17 significant digits and no timestamps are recorded, so a
 rerun is byte-identical.
 
@@ -52,7 +56,7 @@ import numpy as np
 
 from .audit import AuditReport, positivity_audit, write_audit_jsonl
 from .core import ModelSpec, PointMass, Stationary, project_observations, simulate_complete
-from .models import scalar_ssm
+from .models import ScalarSsmGrid, scalar_ssm
 from .posterior import (
     ConcentrationRow,
     ParamGrid,
@@ -116,6 +120,11 @@ class ExperimentConfig:
         except ValueError as err:
             keys = ", ".join(f"{k} = {v!r}" for k, v in self.model.items())
             raise ValueError(f"[model] {keys} is not a valid {self.family} model: {err}") from err
+        try:
+            experiment_grid(self)
+        except ValueError as err:
+            span = f"[{self.grid_lo!r}, {self.grid_hi!r}]"
+            raise ValueError(f"grid_param {self.grid_param} on {span} leaves the {self.family} model: {err}") from err
         truth = self.model[self.grid_param]
         if not self.grid_lo <= truth <= self.grid_hi:
             raise ValueError("the grid must cover the true parameter for concentration runs")
@@ -228,18 +237,23 @@ def _parse_init(tag: str):
     raise ValueError(f"unknown initial distribution {tag!r}")
 
 
-def model_spec(cfg: ExperimentConfig, **coords) -> ModelSpec:
-    """The config's model, with ``coords`` in place of some of its coordinates."""
-    model = {**cfg.model, **coords}
-    return scalar_ssm(**{k: model[k] for k in _MODEL_KEYS[cfg.family]})
+def model_spec(cfg: ExperimentConfig) -> ModelSpec:
+    """The config's model."""
+    return scalar_ssm(**{k: cfg.model[k] for k in _MODEL_KEYS[cfg.family]})
 
 
-def experiment_grid(cfg: ExperimentConfig) -> tuple[ParamGrid, list]:
+def experiment_grid(cfg: ExperimentConfig) -> tuple[ParamGrid, ScalarSsmGrid]:
+    """The config's parameter grid and the model at each of its points.
+
+    The models are one checked ``ScalarSsmGrid``: the config's model with
+    its ``grid_param`` column set to the grid points. No spec is built
+    per point.
+    """
     grid = uniform_grid_1d(cfg.grid_lo, cfg.grid_hi, cfg.grid_points)
     if cfg.prior == "improper":
         grid = ParamGrid(grid.points, np.ones(len(grid)), grid.cell_volume)
-    specs = [model_spec(cfg, **{cfg.grid_param: float(pt[0])}) for pt in grid.points]
-    return grid, specs
+    model = {**cfg.model, cfg.grid_param: grid.points[:, 0]}
+    return grid, ScalarSsmGrid(*(model[k] for k in _MODEL_KEYS[cfg.family]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +284,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     n_max = cfg.n_list[-1]
     traj = simulate_complete(truth_spec, _parse_init(cfg.init_true), n_max, cfg.seed)
     obs = project_observations(traj)
-    grid, specs = experiment_grid(cfg)
+    grid, models = experiment_grid(cfg)
     init_inf = _parse_init(cfg.init_inference)
-    profiles = grid_loglik_profiles(specs, obs, init_inf, method=cfg.method)
+    profiles = grid_loglik_profiles(models, obs, init_inf, method=cfg.method)
     posteriors = [posterior_from_profiles(grid, profiles, n) for n in cfg.n_list]
     theta_star = np.array([cfg.model[cfg.grid_param]])
     rows = concentration_profile(posteriors, theta_star, cfg.ps)

@@ -16,10 +16,11 @@ algorithm on a finite state space, and the quadrature oracle, which runs
 it on a trapezoid node grid of a scalar hidden state.
 
 :func:`loglik` and :func:`increments` (one spec) and
-:func:`grid_increments` (every spec of a parameter grid) are the one
+:func:`grid_increments` (every model of a parameter grid) are the one
 place that maps a method name to its evaluator. A single spec takes the
 plain-float scalar filter when it is a one-dimensional state-space
-model; a Kalman grid of such models takes the same filter once over
+model; a Kalman grid of such models, given as a checked
+``ScalarSsmGrid`` or as a list of specs, takes the same filter once over
 arrays of grid parameters.
 
 Every evaluator checks its observations once, on entry (``_observations``),
@@ -40,7 +41,7 @@ import numpy as np
 from . import rng as rngmod
 from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_init, _check_init_dim
 from .core import _check_size, _chol_psd, _trapezoid_weights
-from .models import finite_hmm_stationary, glm_stationary_cov, ssm_spec
+from .models import ScalarSsmGrid, finite_hmm_stationary, glm_stationary_cov, ssm_spec
 
 _LOG2PI = np.log(2.0 * np.pi)
 _QUADRATURE_SPAN = 8.0  # half-width of the quadrature node grid, in stationary standard deviations
@@ -281,17 +282,19 @@ def _float_mean_recursion(a: float, b: float, m: float, ys: list, head: list, cy
 def _grid_mean_recursion(a: np.ndarray, b: np.ndarray, m, ys: list, head: list, cycle: list) -> np.ndarray:
     """``_float_mean_recursion`` on (G,) arrays; returns the innovations, shape (n, G).
 
-    Every step updates the mean and one row of the buffer in place.
+    Every step updates the mean and one row of the buffer in place, through
+    the ufuncs bound to locals and their positional outputs.
     """
     m = np.full(a.shape, m)
     tmp = np.empty_like(m)
     out = np.empty((len(ys),) + a.shape)
+    mul, sub, add = np.multiply, np.subtract, np.add
     for y, innov, gain in zip(ys, out, itertools.chain(head, itertools.cycle(cycle))):
-        np.multiply(a, m, out=m)
-        np.multiply(b, m, out=innov)
-        np.subtract(y, innov, out=innov)
-        np.multiply(gain, innov, out=tmp)
-        np.add(m, tmp, out=m)
+        mul(a, m, m)
+        mul(b, m, innov)
+        sub(y, innov, innov)
+        mul(gain, innov, tmp)
+        add(m, tmp, m)
     return out
 
 
@@ -627,20 +630,27 @@ def increments(spec: ModelSpec, obs: np.ndarray, init, method: str) -> np.ndarra
     raise ValueError(f"unknown likelihood method {method!r}; exact increments come from kalman or forward")
 
 
-def grid_increments(specs, obs: np.ndarray, init, method: str) -> np.ndarray:
-    """Increments of every spec of a parameter grid, shape (G, n).
+def grid_increments(grid, obs: np.ndarray, init, method: str) -> np.ndarray:
+    """Increments of every model of a parameter grid, shape (G, n).
 
-    Row i is ``increments(specs[i], obs, init, method)``. A Kalman grid of
-    one-dimensional state-space models runs the scalar filter once over
-    arrays of grid parameters; any other grid stacks the per-spec rows.
-    Non-finite observations raise ``ValueError``.
+    ``grid`` is a ``ScalarSsmGrid`` or a list of specs. Row i is
+    ``increments`` of the grid's i-th model. A record, which must use
+    ``kalman``, and a Kalman list of one-dimensional state-space specs,
+    stacked into the record's four arrays, take one call of the scalar
+    filter over arrays of grid parameters; any other list stacks the
+    per-spec rows. Non-finite observations raise ``ValueError``.
     """
-    if method == "kalman" and all(_is_scalar_ssm(s) for s in specs):
-        params = np.array([[s.ssm.A[0, 0], s.ssm.B[0, 0], s.ssm.Qzeta[0, 0], s.ssm.Qxi[0, 0]] for s in specs])
-        a, b, qz, qx = params.T.copy()
-        # C order, so that a row sums in the same order as one spec's increments
-        return np.ascontiguousarray(_scalar_kalman_increments(a, b, qz, qx, _observations(obs, 1), init).T)
-    return np.vstack([increments(s, obs, init, method) for s in specs])
+    if isinstance(grid, ScalarSsmGrid):
+        if method != "kalman":
+            raise ValueError(f"a scalar state-space grid uses the exact kalman likelihood, got {method!r}")
+        params = grid.a, grid.b, grid.q_state, grid.q_obs
+    elif method == "kalman" and all(_is_scalar_ssm(s) for s in grid):
+        stacked = np.array([[s.ssm.A[0, 0], s.ssm.B[0, 0], s.ssm.Qzeta[0, 0], s.ssm.Qxi[0, 0]] for s in grid])
+        params = stacked.T.copy()
+    else:
+        return np.vstack([increments(s, obs, init, method) for s in grid])
+    # C order, so that a row sums in the same order as one spec's increments
+    return np.ascontiguousarray(_scalar_kalman_increments(*params, _observations(obs, 1), init).T)
 
 
 def loglik(

@@ -44,6 +44,10 @@ densities use -- the Cholesky factors of ``R``, ``Qzeta`` and ``Qxi``,
 the stationary covariances and their Cholesky factors -- are computed on
 first use and then kept with the spec, so a likelihood sweep or a
 Metropolis step that builds one spec per parameter never pays for them.
+A Kalman grid sweep of the one-dimensional state-space model builds no
+spec at all: ``ScalarSsmGrid`` runs the checks of ``scalar_ssm`` on
+every grid point in one vectorized pass and keeps the four parameter
+arrays.
 """
 from __future__ import annotations
 
@@ -57,6 +61,7 @@ from .core import HmmFactorization, ModelSpec
 
 _LOG2PI = np.log(2.0 * np.pi)
 _UNIT_EIG_TOL = 1e-9  # finite_hmm_stationary: distance of an eigenvalue from 1 and from the unit circle
+_EMBEDDING_INVALID = "the joint-chain embedding of this state-space model is invalid"
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +476,7 @@ def ssm_embed(params: SsmParams) -> GlmParams:
                 raise ValueError("Phi must be finite")
             glm._finish_init(Phi, R, p, q)
     except ValueError as err:
-        raise ValueError(f"the joint-chain embedding of this state-space model is invalid: {err}") from err
+        raise ValueError(f"{_EMBEDDING_INVALID}: {err}") from err
     return glm
 
 
@@ -562,6 +567,63 @@ def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.
     matrix build, with its message, and the arrays have its bytes.
     """
     return ssm_spec(SsmParams(A=[[a]], B=[[b]], Qzeta=[[q_state]], Qxi=[[q_obs]]))
+
+
+@dataclass(frozen=True, eq=False)
+class ScalarSsmGrid:
+    """The parameters of ``scalar_ssm`` at every point of a grid: four read-only (G,) float arrays.
+
+    Scalars broadcast against the arrays. The constructor runs the checks
+    of ``scalar_ssm`` on every point in one vectorized pass, in its order
+    and its float arithmetic: ``a`` and ``b`` finite, ``|a| < 1``, both
+    variances finite and positive, the embedding's ``0.0 + b*a``,
+    ``0.0 + b*q_state`` and ``(0.0 + bqz*b) + q_obs`` finite, and one
+    ``eigvalsh`` over the stacked 2 x 2 embedded ``R``, which gives each
+    matrix the bits it gets alone. At the first failing point it raises
+    the ``ValueError`` that ``scalar_ssm`` raises for that point, prefixed
+    with the point's index and values. An exact Kalman grid sweep
+    (``likelihood.grid_increments``) takes the record in place of one
+    spec per point.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    q_state: np.ndarray
+    q_obs: np.ndarray
+
+    def __init__(self, a, b, q_state, q_obs):
+        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, q_state, q_obs)))
+        a, b, qz, qx = (np.array(v) for v in arrays)  # own copies, made read-only once checked
+        if a.ndim != 1 or a.size == 0:
+            raise ValueError(f"grid parameters must broadcast to a non-empty (G,) array, got shape {a.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry fails its check below
+            ba, bqz = 0.0 + b * a, 0.0 + b * qz
+            r_yy = (0.0 + bqz * b) + qx
+        checks = [
+            (~np.isfinite(a), "A must be finite"),
+            (~np.isfinite(b), "B must be finite"),
+            (~(np.abs(a) < 1.0), "spectral radius of A must be < 1"),
+            (~(np.isfinite(qz) & (qz > 0.0)), "Qzeta must be symmetric positive definite"),
+            (~(np.isfinite(qx) & (qx > 0.0)), "Qxi must be symmetric positive definite"),
+            (~np.isfinite(ba), f"{_EMBEDDING_INVALID}: Phi must be finite"),
+            (~(np.isfinite(bqz) & np.isfinite(r_yy)), f"{_EMBEDDING_INVALID}: R must be symmetric"),
+        ]
+        ok = ~np.logical_or.reduce([bad for bad, _ in checks])
+        R = np.empty((int(ok.sum()), 2, 2))
+        R[:, 0, 0], R[:, 1, 0], R[:, 0, 1], R[:, 1, 1] = qz[ok], bqz[ok], bqz[ok], r_yy[ok]
+        singular = np.zeros(a.shape, bool)
+        singular[ok] = np.linalg.eigvalsh(R)[:, 0] <= 0.0  # each matrix's least eigenvalue, first in ascending order
+        checks.append((singular, f"{_EMBEDDING_INVALID}: R must be positive definite"))
+        failed = ~ok | singular
+        fields = {"a": a, "b": b, "q_state": qz, "q_obs": qx}
+        if failed.any():
+            i = int(np.argmax(failed))
+            message = next(text for bad, text in checks if bad[i])
+            values = ", ".join(f"{name} = {float(v[i])!r}" for name, v in fields.items())
+            raise ValueError(f"grid point {i} ({values}): {message}")
+        for name, v in fields.items():
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
 
 # ---------------------------------------------------------------------------

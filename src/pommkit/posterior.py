@@ -31,7 +31,7 @@ import numpy as np
 from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary, simulate_complete
 from .likelihood import _finite_x0_dist, forward_loglik, grid_increments, increments, loglik
-from .models import finite_hmm_stationary
+from .models import ScalarSsmGrid, finite_hmm_stationary
 
 # the loglik options a grid sweep passes on; it sets ``stream`` itself
 _GRID_OPTIONS = ("particles", "seed", "nodes")
@@ -184,22 +184,27 @@ def grid_posterior(
 
 
 def grid_loglik_profiles(
-    specs: Sequence[ModelSpec],
+    models: Union[ScalarSsmGrid, Sequence[ModelSpec]],
     obs: np.ndarray,
     init,
     method: str = "kalman",
 ) -> np.ndarray:
     """Cumulative log likelihood of every observation prefix, per grid point.
 
-    Only the exact recursions expose increments, so ``method`` must be
-    ``kalman`` or ``forward``. Returns an array of shape (G, n) whose
-    [i, k] entry is ``log p(y_{1:k+1})`` under model i.
+    ``models`` is a ``ScalarSsmGrid`` or one spec per grid point, as
+    :func:`pommkit.likelihood.grid_increments` takes them. Only the exact
+    recursions expose increments, so ``method`` must be ``kalman`` or
+    ``forward``. Returns an array of shape (G, n) whose [i, k] entry is
+    ``log p(y_{1:k+1})`` under model i.
     """
-    return np.cumsum(grid_increments(specs, obs, init, method), axis=1)
+    return np.cumsum(grid_increments(models, obs, init, method), axis=1)
 
 
 def posterior_from_profiles(grid: ParamGrid, profiles: np.ndarray, n: int) -> PosteriorGrid:
-    """Posterior at sample size ``n`` from precomputed prefix profiles."""
+    """Posterior at sample size ``n`` from precomputed prefix profiles, one row per grid point."""
+    profiles = np.asarray(profiles)
+    if profiles.ndim != 2 or len(profiles) != len(grid):
+        raise ValueError(f"profiles of shape {profiles.shape} need one row per point of a grid of shape {grid.points.shape}")
     if not (_is_int(n) and 0 <= n <= profiles.shape[1]):
         raise ValueError(f"n must be an integer in 0..{profiles.shape[1]}, got {n!r}")
     with np.errstate(divide="ignore"):

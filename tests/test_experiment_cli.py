@@ -8,14 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pommkit import cli
+from pommkit import PointMass, Stationary, cli, models, project_observations, scalar_ssm, simulate_complete
 from pommkit.experiment import (
     REFERENCE_CONFIG_TEXT,
+    experiment_grid,
     parse_config,
     reference_config,
     run_experiment,
     serialize_config,
 )
+from pommkit.posterior import grid_loglik_profiles, posterior_from_profiles, write_posterior_csv
 
 
 class TestConfig:
@@ -73,6 +75,19 @@ class TestConfig:
             with pytest.raises(ValueError, match=named):
                 parse_config(REFERENCE_CONFIG_TEXT.replace(old, new))
 
+    def test_grid_outside_the_model_rejected_naming_grid_param(self):
+        # the model is valid at the truth, but the grid reaches a unit root or a negative variance
+        for change, value, cause in (
+            (dict(grid_lo=-1.0), "a = -1.0", "spectral radius of A must be < 1"),
+            (dict(grid_param="q_obs", grid_lo=-0.5, grid_hi=1.0), "q_obs = -0.5", "Qxi must be symmetric positive definite"),
+        ):
+            cfg = replace(reference_config(), **change)
+            named = rf"^grid_param {cfg.grid_param} on .* grid point 0 \(.*{value}.*\): {cause}$"
+            with pytest.raises(ValueError, match=named):
+                cfg.validate()
+            with pytest.raises(ValueError, match=named):
+                parse_config(serialize_config(cfg))
+
     def test_reference_config_text_and_hash_are_pinned(self):
         def sha256(text):
             return hashlib.sha256(text.encode()).hexdigest()
@@ -113,6 +128,31 @@ class TestRunner:
         m_st = [r.mass_outside for r in res_st.concentration if r.p == 5][0]
         m_pm = [r.mass_outside for r in res_pm.concentration if r.p == 5][0]
         assert abs(m_st - m_pm) < 0.2  # same order already at n = 200
+
+    def test_no_spec_per_grid_point(self, monkeypatch):
+        built = []
+        ssm_spec = models.ssm_spec
+        monkeypatch.setattr(models, "ssm_spec", lambda params: built.append(params) or ssm_spec(params))
+        counts = []
+        for points in (181, 37):
+            cfg = replace(reference_config(), grid_points=points)
+            built.clear()
+            run_experiment(cfg)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("init_true, truth_init", [("stationary", Stationary()), ("pointmass 4.0 4.0", PointMass(4.0, 4.0))])
+    def test_posterior_files_equal_a_sweep_over_specs(self, tmp_path, init_true, truth_init):
+        cfg = replace(reference_config(), init_true=init_true)
+        run_experiment(cfg, out_dir=tmp_path / "run")
+        m = cfg.model
+        obs = project_observations(simulate_complete(scalar_ssm(**m), truth_init, cfg.n_list[-1], cfg.seed))
+        grid, _ = experiment_grid(cfg)
+        specs = [scalar_ssm(float(a), m["b"], m["q_state"], m["q_obs"]) for a in grid.points[:, 0]]
+        profiles = grid_loglik_profiles(specs, obs, Stationary())
+        for n in cfg.n_list:
+            write_posterior_csv(posterior_from_profiles(grid, profiles, n), tmp_path / f"specs_n{n}.csv")
+            assert (tmp_path / "run" / f"posterior_n{n}.csv").read_bytes() == (tmp_path / f"specs_n{n}.csv").read_bytes()
 
     def test_improper_prior_supported(self):
         cfg = replace(reference_config(), n_list=(100,), prior="improper")

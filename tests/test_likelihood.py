@@ -17,6 +17,7 @@ from pommkit import (
     GaussianOnZ,
     GlmParams,
     PointMass,
+    ScalarSsmGrid,
     SsmParams,
     Stationary,
     SvParams,
@@ -691,6 +692,26 @@ class TestGridIncrements:
         init = CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1)))
         with pytest.raises(UnsupportedInitError):
             grid_increments(specs, np.array([0.1, 0.2]), init, "kalman")
+        with pytest.raises(UnsupportedInitError):
+            grid_increments(ScalarSsmGrid([0.2, 0.5], 1.0, 1.0, 0.2), np.array([0.1, 0.2]), init, "kalman")
+
+    def test_record_rows_equal_single_spec_increments(self):
+        for seed in (47, 48):
+            specs = self.random_scalar_grid(seed)
+            params = [(s.ssm.A.item(), s.ssm.B.item(), s.ssm.Qzeta.item(), s.ssm.Qxi.item()) for s in specs]
+            record = ScalarSsmGrid(*zip(*params))
+            ys = simulated_obs(specs[1], 300, seed=seed)
+            for init in self.INITS:
+                rows = grid_increments(record, ys, init, "kalman")
+                assert rows.shape == (len(specs), 300) and rows.flags.c_contiguous
+                np.testing.assert_array_equal(rows, grid_increments(specs, ys, init, "kalman"))
+                for row, spec in zip(rows, specs):
+                    assert np.array_equal(row, increments(spec, ys, init, "kalman"))
+
+    def test_record_takes_only_the_kalman_method(self):
+        for method in ("forward", "bpf", "quadrature"):
+            with pytest.raises(ValueError, match=f"exact kalman likelihood, got '{method}'"):
+                grid_increments(ScalarSsmGrid([0.2, 0.5], 1.0, 1.0, 0.2), np.array([0.1, 0.2]), Stationary(), method)
 
 
 def full_recursion_increments(a, b, qz, qx, ys, m, pv):
@@ -1063,6 +1084,7 @@ ENTRY_POINTS = {
     "increments/kalman": (_REAL, lambda s, y, i: increments(s, y, i, "kalman")),
     "grid_increments/kalman": (_REAL, lambda s, y, i: grid_increments([s, scalar_ssm(0.4)], y, i, "kalman")),
     "grid_increments/joint": (_JOINT, lambda s, y, i: grid_increments([s, s], y, i, "kalman")),
+    "grid_increments/record": (_REAL, lambda s, y, i: grid_increments(ScalarSsmGrid([0.5, 0.4], 1.0, 1.0, 0.2), y, i, "kalman")),
     "loglik/kalman": (_REAL, lambda s, y, i: loglik(s, y, i, "kalman")),
     "loglik/bpf": (_REAL, lambda s, y, i: loglik(s, y, i, "bpf", particles=16)),
     "loglik/quadrature": (_REAL, lambda s, y, i: loglik(s, y, i, "quadrature", nodes=101)),

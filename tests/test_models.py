@@ -13,6 +13,7 @@ from pommkit import (
     GaussianOnZ,
     GlmParams,
     PointMass,
+    ScalarSsmGrid,
     SsmParams,
     Stationary,
     SvParams,
@@ -252,6 +253,76 @@ class TestScalarBuild:
             assert fast[:2] == (ValueError, str(err))  # never a TypeError, even for non-scalar arguments
             return
         assert fast == want
+
+
+def scalar_point(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.sampled_from(EXTREMES))
+
+
+def build_error(a, b, qz, qx):
+    """The message ``scalar_ssm`` raises at this point, or None if it builds."""
+    try:
+        scalar_ssm(a, b, qz, qx)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class TestScalarSsmGrid:
+    """The grid record accepts exactly the points ``scalar_ssm`` accepts, and raises its message at the first other."""
+
+    @staticmethod
+    def point_error(i, a, b, qz, qx, message):
+        return f"grid point {i} (a = {float(a)!r}, b = {float(b)!r}, q_state = {float(qz)!r}, q_obs = {float(qx)!r}): {message}"
+
+    def check(self, points):
+        a, b, qz, qx = (np.array(col, dtype=float) for col in zip(*points))
+        errors = [build_error(*pt) for pt in points]
+        bad = [i for i, err in enumerate(errors) if err is not None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the vectorized checks do not warn, not even on overflow or NaN
+            if not bad:
+                grid = ScalarSsmGrid(a, b, qz, qx)
+                for got, want in zip((grid.a, grid.b, grid.q_state, grid.q_obs), (a, b, qz, qx)):
+                    assert got.tobytes() == want.tobytes()
+                return
+            with pytest.raises(ValueError) as raised:
+                ScalarSsmGrid(a, b, qz, qx)
+        assert str(raised.value) == self.point_error(bad[0], *points[bad[0]], errors[bad[0]])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(scalar_point(-1.2, 1.2), scalar_point(-1e3, 1e3), scalar_point(0.0, 1e3),
+                                     scalar_point(0.0, 1e3)), min_size=1, max_size=4))
+    def test_accepts_what_scalar_ssm_accepts(self, points):
+        self.check(points)
+
+    def test_edge_points(self):
+        good = (0.3, 1.0, 1.0, 0.2)
+        cases = [
+            ((1.0, 1.0, 1.0, 0.2), "spectral radius of A must be < 1"),
+            ((-1.0, 1.0, 1.0, 0.2), "spectral radius of A must be < 1"),
+            ((np.nan, 1.0, 1.0, 0.2), "A must be finite"),
+            ((0.5, np.nan, 1.0, 0.2), "B must be finite"),
+            ((0.5, 1.0, 1.0, 0.0), "Qxi must be symmetric positive definite"),
+            ((0.5, 1e200, 1.0, 0.2), "R must be symmetric"),  # b^2 q_state overflows
+            ((0.5, 1.0, 1e10, 1e-8), "R must be positive definite"),  # 1e10 + 1e-8 == 1e10: R is singular
+        ]
+        for point, message in cases:
+            assert message in build_error(*point)
+            for points in ([point], [good, point], [good, point, point]):
+                self.check(points)
+
+    def test_scalars_broadcast_and_arrays_are_read_only(self):
+        a = np.linspace(-0.9, 0.9, 5)
+        grid = ScalarSsmGrid(a, 1.0, 2.0, 0.2)
+        np.testing.assert_array_equal(grid.q_state, np.full(5, 2.0))
+        a[0] = 0.0  # the record holds its own copy
+        assert grid.a[0] == -0.9
+        for v in (grid.a, grid.b, grid.q_state, grid.q_obs):
+            assert v.dtype == float and v.shape == (5,) and not v.flags.writeable
+        for shape in ((), (0,), (2, 3)):
+            with pytest.raises(ValueError, match="non-empty"):
+                ScalarSsmGrid(np.full(shape, 0.5), 1.0, 1.0, 0.2)
 
 
 class TestSymmetryCheck:

@@ -1,5 +1,7 @@
 """Grid posteriors, concentration, AMLE, merging, remoteness, MH, identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,15 @@ class TestConcentration:
             with pytest.raises(ValueError, match=r"n must be an integer in 0\.\.3"):
                 posterior_from_profiles(grid, profiles, n)
         assert posterior_from_profiles(grid, profiles, np.int64(2)).n == 2
+
+    # one row would broadcast to every point, 180 rows would not broadcast, a 1-D profile has no rows
+    @pytest.mark.parametrize("shape", [(1, 40), (180, 40), (40,)], ids=["one_row", "too_few_rows", "one_dimensional"])
+    def test_profiles_need_one_row_per_grid_point(self, shape):
+        grid = uniform_grid_1d(-0.9, 0.9, 181)
+        message = rf"profiles of shape {re.escape(str(shape))} need one row per point of a grid of shape \(181, 1\)"
+        with pytest.raises(ValueError, match=message):
+            posterior_from_profiles(grid, np.zeros(shape), 20)
+        assert posterior_from_profiles(grid, np.zeros((181, 40)), 20).n == 20
 
     def test_closed_complement_convention(self):
         # cells at distance exactly 1/p count as outside
