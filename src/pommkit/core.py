@@ -12,7 +12,6 @@ handled in the log domain; ``-inf`` encodes zero density.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -243,7 +242,7 @@ def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) 
 
 def _check_size(name: str, value) -> None:
     """Reject a node, particle or draw count that is not an integer >= 2."""
-    if not isinstance(value, numbers.Integral) or value < 2:
+    if not rngmod._is_int(value) or value < 2:
         raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
 
 
@@ -262,9 +261,12 @@ def simulate_complete(spec: ModelSpec, init: InitialDist, n: int, seed: int, str
     Deterministic given ``(seed, stream)``. A linear spec (one with
     ``glm`` parameters) draws its whole path with ``models._linear_path``,
     every other spec calls ``sample_step`` once per step; on a linear spec
-    both give the same bytes from the same stream.
+    both give the same bytes from the same stream. ``_linear_path`` runs
+    the state recursion of a scalar state-space embedding (a 2 x 2
+    ``Phi`` with a zero y column) on Python floats, which keep the bytes
+    of the matrix loop that every other linear spec runs.
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if not rngmod._is_int(n) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rng = rngmod.substream(seed, rngmod.SIMULATE, stream)
     z = _draw_initial(spec, init, rng)

@@ -47,7 +47,6 @@ import configparser
 import hashlib
 import io
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -68,6 +67,7 @@ from .posterior import (
     write_concentration_csv,
     write_posterior_csv,
 )
+from .rng import _is_int
 
 
 _MODEL_KEYS = {"ssm": ("a", "b", "q_state", "q_obs")}  # the argument names of scalar_ssm
@@ -99,7 +99,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be finite, got {value}")
         if not self.n_list or list(self.n_list) != sorted(set(self.n_list)) or self.n_list[0] < 1:
             raise ValueError("n_list must be strictly increasing positive integers")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.method != "kalman":
             raise ValueError("grid experiments use the exact kalman likelihood")
@@ -111,7 +111,7 @@ class ExperimentConfig:
             raise ValueError("need at least two grid points")
         if self.prior not in ("uniform", "improper"):
             raise ValueError(f"unknown prior {self.prior!r}")
-        if not self.ps or not all(isinstance(p, numbers.Integral) and p >= 1 for p in self.ps):
+        if not self.ps or not all(_is_int(p) and p >= 1 for p in self.ps):
             raise ValueError(f"ps must be positive integers, got {list(self.ps)}")
         if not set(self.formats) <= {"csv", "jsonl"}:
             raise ValueError(f"formats must be csv and/or jsonl, got {list(self.formats)}")

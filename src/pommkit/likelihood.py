@@ -41,7 +41,7 @@ import numpy as np
 from . import rng as rngmod
 from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_init, _check_init_dim
 from .core import _check_size, _chol_psd, _trapezoid_weights
-from .models import ScalarSsmGrid, finite_hmm_stationary, glm_stationary_cov, ssm_spec
+from .models import ScalarSsmGrid, _float_phi, finite_hmm_stationary, glm_stationary_cov, ssm_spec
 
 _LOG2PI = np.log(2.0 * np.pi)
 _QUADRATURE_SPAN = 8.0  # half-width of the quadrature node grid, in stationary standard deviations
@@ -164,6 +164,12 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     ``S = L L^T`` are formed after it by one stacked Cholesky
     factorization and one stacked solve, whose values are the per-step
     ones bit for bit.
+
+    A record with ``models._float_phi`` (every scalar state-space
+    embedding) runs the mean recursion on Python floats,
+    ``_embedded_mean_recursion``, with the bits of the matrix loop; the
+    covariances, gains and log densities are still those of the joint
+    chain, so the filter stays independent of the scalar filter.
     """
     if spec.glm is None:
         raise ValueError("kalman evaluation needs a linear Gaussian model")
@@ -182,16 +188,41 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
 
     s_buf = np.empty((len(ys), q, q))
     head, cycle = _riccati(step, P, s_buf, np.array_equal)
-    innov_buf = np.empty((len(ys), q))
-    for y, innov, gain in zip(ys, innov_buf, itertools.chain(head, itertools.cycle(cycle))):
-        m = Phi @ m
-        np.subtract(y, m[yi], out=innov)
-        m = m + gain @ innov
+    phi = _float_phi(params)
+    if phi is not None:
+        gains = (np.reshape(g, (-1, 2)).tolist() for g in (head, cycle))
+        innovs = _embedded_mean_recursion(phi, *m.tolist(), ys[:, 0].tolist(), *gains)
+        innov_buf = np.fromiter(innovs, float, len(ys))[:, None]
+    else:
+        innov_buf = np.empty((len(ys), q))
+        for y, innov, gain in zip(ys, innov_buf, itertools.chain(head, itertools.cycle(cycle))):
+            m = Phi @ m
+            np.subtract(y, m[yi], out=innov)
+            m = m + gain @ innov
     chol = np.linalg.cholesky(s_buf)
     u = np.linalg.solve(chol, innov_buf[:, :, None])[:, :, 0]
     uu = u[:, 0] * u[:, 0] if q == 1 else np.array([v @ v for v in u])
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=-1)
     return -0.5 * (q * _LOG2PI + logdet + uu)
+
+
+def _embedded_mean_recursion(phi: tuple, x: float, y: float, ys: list, head: list, cycle: list):
+    """Yields the joint filter's innovations on a scalar embedding, with ``phi = models._float_phi(...)``.
+
+    The mean ``(x, y)`` steps to ``Phi (x, y)``, row i as
+    ``0.0 + pi0 x + pi1 y``; the innovation is ``obs - y``, and the update
+    adds ``0.0 + g innov`` to each coordinate, with the gains ``(g0, g1)``
+    of ``head``, one per step, then ``cycle`` repeated. Each expression
+    keeps the zero terms of the matrix products, so every value has the
+    bits of ``Phi @ m`` and ``gain @ innov``. A generator, so that
+    ``np.fromiter`` fills the buffer without a list.
+    """
+    p00, p01, p10, p11 = phi
+    for (g0, g1), obs in zip(itertools.chain(head, itertools.cycle(cycle)), ys):
+        x, y = 0.0 + p00 * x + p01 * y, 0.0 + p10 * x + p11 * y
+        innov = obs - y
+        yield innov
+        x, y = x + (0.0 + g0 * innov), y + (0.0 + g1 * innov)
 
 
 def kalman_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
@@ -506,9 +537,15 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     without an HMM factorization integrates the full initial pair. It
     serves as an oracle for n <= 8. ``nodes`` must be an integer >= 2.
 
-    The working set is one ``nodes x nodes`` transition kernel (32 MB at
-    2001 nodes), filled in place by row blocks of about 0.5 MB, so no
-    full-size temporary exists besides it.
+    The working set is one transition kernel at a time, filled in place
+    by row blocks of about 0.5 MB, so no full-size temporary exists
+    besides it. An HMM's first kernel is 80 Gauss-Hermite rows (one for a
+    point mass) by ``nodes``, and every later step shares one
+    ``nodes x nodes`` kernel (32 MB at 2001 nodes). The linear branch
+    builds a kernel per step, since its transition depends on the past
+    y: the first has a row per node of its 64 x 64 tensor Gauss-Hermite
+    start, 4096 x ``nodes`` (65 MB at 2001 nodes; one row for a point
+    mass), and each later one is ``nodes x nodes``.
     """
     _check_size("nodes", nodes)
     if spec.state_dim != 1:

@@ -513,6 +513,24 @@ def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int):
     return logpdf, sample
 
 
+def _float_phi(params: GlmParams):
+    """``Phi``'s entries ``(p00, p01, p10, p11)`` as floats when ``Phi`` is 2 x 2 with a zero y column, else None.
+
+    Every scalar state-space embedding has this shape, because y never
+    feeds back. Row i of ``Phi z`` is then ``pi0 x + pi1 y`` with one
+    product exactly zero, so BLAS's fused multiply-add cannot change its
+    rounding, and ``0.0 + pi0 * x + pi1 * y`` on Python floats gives the
+    bits of ``_matvec(Phi, z)``; the leading ``0.0 +`` gives its signed
+    zeros, since the product starts its sum from +0. With a non-zero y
+    column the float sum differs from ``_matvec`` in the last bit in
+    about 40% of random cases, so such a record keeps the matrix loops.
+    """
+    Phi = params.Phi
+    if Phi.shape != (2, 2) or Phi[0, 1] != 0.0 or Phi[1, 1] != 0.0:
+        return None
+    return tuple(Phi.ravel().tolist())
+
+
 def _linear_path(params: GlmParams, z0, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Blocks ``x`` and ``y`` of ``z_0, ..., z_n`` under ``z' = Phi z + N(0, R)`` from the pair ``z0``.
 
@@ -521,15 +539,30 @@ def _linear_path(params: GlmParams, z0, n: int, rng: np.random.Generator) -> tup
     ``sample_step`` draw it, mapped by one batched ``_matvec(L, .)`` with
     ``L`` the Cholesky factor of ``R``. The path is then
     ``z_{k+1} = _matvec(Phi, z_k) + noise_k`` in one preallocated array,
-    so it has the bytes of the per-step loop.
+    so it has the bytes of the per-step loop. A record with ``_float_phi``
+    (every scalar state-space embedding) runs that recursion on Python
+    floats, ``x, y = (0.0 + p00 x + p01 y) + nx, (0.0 + p10 x + p11 y) + ny``,
+    with the same bytes at about a tenth of the cost.
     """
     Phi, p = params.Phi, params.p
     d = p + params.q
     noise = _matvec(np.linalg.cholesky(params.R), rng.standard_normal((n, d)))
     z = np.empty((n + 1, d))
     z[0, :p], z[0, p:] = z0
-    for k in range(n):
-        np.add(_matvec(Phi, z[k]), noise[k], out=z[k + 1])
+    phi = _float_phi(params)
+    if phi is None:
+        for k in range(n):
+            np.add(_matvec(Phi, z[k]), noise[k], out=z[k + 1])
+    else:
+        p00, p01, p10, p11 = phi
+
+        def steps(x, y):  # z_1, ..., z_n flattened, so that np.fromiter fills the block without a list
+            for nx, ny in zip(*noise.T.tolist()):
+                x, y = (0.0 + p00 * x + p01 * y) + nx, (0.0 + p10 * x + p11 * y) + ny
+                yield x
+                yield y
+
+        z[1:] = np.fromiter(steps(*z[0].tolist()), float, 2 * n).reshape(n, 2)
     return np.ascontiguousarray(z[:, :p]), np.ascontiguousarray(z[:, p:])
 
 
@@ -582,8 +615,10 @@ class ScalarSsmGrid:
     matrix the bits it gets alone. At the first failing point it raises
     the ``ValueError`` that ``scalar_ssm`` raises for that point, prefixed
     with the point's index and values. An exact Kalman grid sweep
-    (``likelihood.grid_increments``) takes the record in place of one
-    spec per point.
+    (``likelihood.grid_increments`` and the grid calls of ``posterior``)
+    takes the record in place of one spec per point. ``len`` is the
+    number of points, and indexing by a boolean (G,) mask gives the
+    record of the selected points.
     """
 
     a: np.ndarray
@@ -624,6 +659,17 @@ class ScalarSsmGrid:
         for name, v in fields.items():
             v.flags.writeable = False
             object.__setattr__(self, name, v)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, mask) -> "ScalarSsmGrid":
+        """The record of the points where the boolean (G,) ``mask`` is true, in grid order."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != self.a.shape or not mask.any():
+            raise ValueError(f"a grid takes a boolean mask of shape {self.a.shape} that selects a point, "
+                             f"got {mask.dtype} of shape {mask.shape}")
+        return ScalarSsmGrid(self.a[mask], self.b[mask], self.q_state[mask], self.q_obs[mask])
 
 
 # ---------------------------------------------------------------------------

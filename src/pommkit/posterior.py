@@ -22,7 +22,6 @@ quadrature evaluate the grid points one after another, in grid order.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -32,6 +31,7 @@ from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary, simulate_complete
 from .likelihood import _finite_x0_dist, forward_loglik, grid_increments, increments, loglik
 from .models import ScalarSsmGrid, finite_hmm_stationary
+from .rng import _is_int
 
 # the loglik options a grid sweep passes on; it sets ``stream`` itself
 _GRID_OPTIONS = ("particles", "seed", "nodes")
@@ -117,11 +117,6 @@ class PosteriorGrid:
         return self.masses() @ self.grid.points
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an integer and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _logsumexp(v: np.ndarray) -> float:
     m = v.max()
     if not np.isfinite(m):
@@ -138,7 +133,10 @@ def _normalize_log_mass(log_unnorm: np.ndarray, n: int, grid: ParamGrid) -> Post
     return PosteriorGrid(grid=grid, n=n, log_mass=log_unnorm - total)
 
 
-def _check_one_spec_per_point(specs: Sequence[ModelSpec], grid: ParamGrid) -> None:
+GridModels = Union[ScalarSsmGrid, Sequence[ModelSpec]]  # a checked record or one spec per grid point
+
+
+def _check_one_spec_per_point(specs: GridModels, grid: ParamGrid) -> None:
     if len(specs) != len(grid):
         raise ValueError("one model per grid point is required")
 
@@ -149,15 +147,19 @@ def _check_grid_options(kw: dict) -> None:
         raise TypeError(f"unknown likelihood options {unknown}; a grid sweep takes {list(_GRID_OPTIONS)}")
 
 
-def _grid_logliks(specs: Sequence[ModelSpec], obs: np.ndarray, init, method: str, kw: dict) -> np.ndarray:
-    """Log likelihood of every grid point; point i draws particle-filter stream i."""
-    if method in ("kalman", "forward"):
+def _grid_logliks(specs: GridModels, obs: np.ndarray, init, method: str, kw: dict) -> np.ndarray:
+    """Log likelihood of every grid point; point i draws particle-filter stream i.
+
+    A ``ScalarSsmGrid`` always goes to ``grid_increments``, which rejects
+    any method but ``kalman`` for it.
+    """
+    if method in ("kalman", "forward") or isinstance(specs, ScalarSsmGrid):
         return grid_increments(specs, obs, init, method).sum(axis=1)
     return np.array([loglik(s, obs, init, method, stream=i, **kw).value for i, s in enumerate(specs)])
 
 
 def grid_posterior(
-    specs: Sequence[ModelSpec],
+    specs: GridModels,
     grid: ParamGrid,
     obs: np.ndarray,
     init,
@@ -166,8 +168,9 @@ def grid_posterior(
 ) -> PosteriorGrid:
     """Posterior masses ``prior x likelihood`` over the grid, normalized.
 
-    ``specs`` supplies the bound model for each grid point and ``kw``
-    the options ``particles``, ``seed`` and ``nodes`` of
+    ``specs`` supplies the bound model for each grid point, as one spec
+    per point or a ``ScalarSsmGrid``, which gives the bits of its spec
+    list, and ``kw`` the options ``particles``, ``seed`` and ``nodes`` of
     :func:`~pommkit.likelihood.loglik`; grid point i draws particle-filter
     stream i. With ``n = 0`` observations the posterior is the normalized
     prior, and ``init`` is checked as at any n. Non-finite observations
@@ -184,7 +187,7 @@ def grid_posterior(
 
 
 def grid_loglik_profiles(
-    models: Union[ScalarSsmGrid, Sequence[ModelSpec]],
+    models: GridModels,
     obs: np.ndarray,
     init,
     method: str = "kalman",
@@ -239,7 +242,7 @@ def concentration_profile(
     is at distance at least ``1/p`` (closed-complement convention).
     """
     for p in ps:
-        if not isinstance(p, numbers.Integral) or p < 1:
+        if not _is_int(p) or p < 1:
             raise ValueError(f"p must be a positive integer, got {p!r}")
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     rows = []
@@ -268,7 +271,7 @@ class AmleResult:
 
 
 def amle_grid(
-    specs: Sequence[ModelSpec],
+    specs: GridModels,
     grid: ParamGrid,
     obs: np.ndarray,
     init,
@@ -278,7 +281,8 @@ def amle_grid(
 ) -> AmleResult:
     """Likelihood argmax over the grid; ties resolve to the lowest index.
 
-    When the exact reference log likelihood is supplied, the achieved
+    ``specs`` is one spec per grid point or a ``ScalarSsmGrid``. When
+    the exact reference log likelihood is supplied, the achieved
     normalized defect ``(loglik(argmax) - star_loglik) / n`` is reported.
     """
     _check_one_spec_per_point(specs, grid)
@@ -334,7 +338,7 @@ class RemotenessResult:
 
 
 def remoteness_rate(
-    specs: Sequence[ModelSpec],
+    specs: GridModels,
     grid: ParamGrid,
     select: Union[np.ndarray, Callable[[np.ndarray], bool]],
     obs: np.ndarray,
@@ -350,7 +354,9 @@ def remoteness_rate(
     initial law) and fits an ordinary least-squares line to the last half
     of the n-range. A negative slope is the empirical signature of an
     exponentially remote set; a set containing the reference parameter
-    cannot decay.
+    cannot decay. ``specs`` is one spec per grid point or a
+    ``ScalarSsmGrid``, whose selected points are its boolean-mask
+    sub-record.
     """
     _check_one_spec_per_point(specs, grid)
     if callable(select):
@@ -368,7 +374,7 @@ def remoteness_rate(
         raise ValueError("the decay rate needs at least two sample sizes")
     if ns[0] < 1 or ns[-1] > len(obs):
         raise ValueError("requested sample sizes exceed the data")
-    sub_specs = [s for s, m in zip(specs, mask) if m]
+    sub_specs = specs[mask] if isinstance(specs, ScalarSsmGrid) else [s for s, m in zip(specs, mask) if m]
     profiles = grid_loglik_profiles(sub_specs, obs, init, method=method)
     star = np.cumsum(increments(star_spec, obs, Stationary(), method))
     with np.errstate(divide="ignore"):
@@ -412,7 +418,7 @@ def mh_posterior(
     receives a fresh estimator stream and the current value is carried,
     which leaves the target invariant but is flagged in the result.
     """
-    if not isinstance(steps, numbers.Integral) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     if not np.isfinite(theta).all():

@@ -22,8 +22,13 @@ AUDIT = 6
 EXPERIMENT = 7
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer and not a bool: the one integer check of every size, count and seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _is_index(value) -> bool:
-    return isinstance(value, numbers.Integral) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -135,6 +135,27 @@ class TestSeedsAndStreams:
         assert bpf_loglik(spec, ys, Stationary(), 16, seed=np.int64(1), stream=np.uint8(2)).value == want
 
 
+class TestBoolsAreNotIntegers:
+    """``True`` is no size, count, seed or stream index, although Python counts it as an integer."""
+
+    def test_sizes_and_seeds(self):
+        spec, ys = scalar_ssm(0.5), np.array([0.1, -0.2])
+        sv = sv_spec(SvParams(1.0, 0.3, 0.9))
+        for flag in (True, False):
+            for model in (sv, spec):  # an HMM loop and the linear block path
+                with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                    simulate_complete(model, Stationary(), flag, 0)
+            for call, message in (
+                (lambda: simulate_complete(spec, Stationary(), 3, seed=flag), "seed must be a non-negative integer"),
+                (lambda: simulate_complete(spec, Stationary(), 3, 0, stream=flag), "stream path"),
+                (lambda: bpf_loglik(spec, ys, Stationary(), flag, seed=0), "particles must be an integer >= 2"),
+                (lambda: mh_posterior(lambda th: spec, lambda th: 0.0, ys, Stationary(), [0.5], flag, [0.1], 0),
+                 "steps must be a positive integer"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+
 class TestProjection:
     def test_drops_initial_state(self):
         spec = make_iid_glm()

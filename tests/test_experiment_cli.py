@@ -61,6 +61,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             parse_config(REFERENCE_CONFIG_TEXT.replace(old, new))
 
+    def test_bools_are_not_integers(self):
+        cfg = parse_config(REFERENCE_CONFIG_TEXT)
+        for field, value, message in (("seed", True, "seed must be a non-negative integer"),
+                                      ("ps", (True, 5), "ps must be positive integers")):
+            with pytest.raises(ValueError, match=message):
+                replace(cfg, **{field: value}).validate()
+
     def test_invalid_model_rejected_at_parse_time_naming_the_model_keys(self):
         # each parses finite values that do not make a model: a negative variance, a unit root
         # outside the grid, and an observation variance that overflows in the joint-chain embedding

@@ -986,6 +986,63 @@ class TestSteadyStateJointFilter:
         assert kalman_increments(spec, np.empty((0, 2)), Stationary()).shape == (0,)
 
 
+def matrix_mean_increments(spec, ys, init):
+    """``kalman_increments`` with its mean recursion on matrices, ``m = Phi @ m`` and ``m = m + gain @ innov``."""
+    Phi, R, p, q = spec.glm.Phi, spec.glm.R, spec.glm.p, spec.glm.q
+    ys = np.asarray(ys, dtype=float).reshape(-1, q)
+    m, P = likelihood._gaussian_init_moments(spec, init)
+    yi = slice(p, p + q)
+
+    def step(P):
+        Pp = Phi @ P @ Phi.T + R
+        gain = np.linalg.solve(Pp[yi, yi], Pp[yi, :]).T
+        Pu = Pp - gain @ Pp[yi, :]
+        return Pp[yi, yi], gain, 0.5 * (Pu + Pu.T)
+
+    s_buf = np.empty((len(ys), q, q))
+    head, cycle = likelihood._riccati(step, P, s_buf, np.array_equal)
+    innov_buf = np.empty((len(ys), q))
+    for k, y in enumerate(ys):
+        gain = head[k] if k < len(head) else cycle[(k - len(head)) % len(cycle)]
+        m = Phi @ m
+        innov_buf[k] = y - m[yi]
+        m = m + gain @ innov_buf[k]
+    chol = np.linalg.cholesky(s_buf)
+    u = np.linalg.solve(chol, innov_buf[:, :, None])[:, :, 0]
+    uu = u[:, 0] * u[:, 0] if q == 1 else np.array([v @ v for v in u])
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=-1)
+    return -0.5 * (q * np.log(2.0 * np.pi) + logdet + uu)
+
+
+class TestEmbeddedMeanRecursion:
+    """On a scalar state-space embedding the joint filter's float mean recursion keeps the matrix loop's bits."""
+
+    def check(self, spec, ys, seed):
+        for init in (*random_gaussian_inits(spec, seed), PointMass(-0.0, -0.0)):
+            got = kalman_increments(spec, ys, init)
+            assert got.tobytes() == matrix_mean_increments(spec, ys, init).tobytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        a=st.floats(-0.999, 0.999),
+        b=st.floats(0.1, 3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        qz=st.floats(0.05, 5.0),
+        qx=st.floats(0.05, 5.0),
+        n=st.sampled_from([1, 7, 8, 9, 300]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_matrix_mean_recursion(self, a, b, sign, qz, qx, n, seed):
+        spec = scalar_ssm(a, sign * b, qz, qx)
+        self.check(spec, 2.0 * np.random.default_rng(seed).normal(size=n), seed)
+
+    def test_cycles_and_zero_y_column_glm(self):
+        ys = 2.0 * np.random.default_rng(64).normal(size=300)
+        zero_column = glm_spec(GlmParams([[0.6, 0.0], [-1.3, 0.0]], [[1.0, 0.3], [0.3, 0.5]], 1, 1))
+        for spec in (scalar_ssm(*JOINT_PERIOD_3), scalar_ssm(*JOINT_PERIOD_4), scalar_ssm(*PERIOD_3), zero_column):
+            self.check(spec, ys, 65)
+
+
 class TestFiniteParticleFilterInput:
     """The particle filter checks finite-alphabet symbols as the forward recursion does."""
 

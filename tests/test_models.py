@@ -1,5 +1,6 @@
 """Model families: validation, embeddings, stationary laws, densities."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -323,6 +324,20 @@ class TestScalarSsmGrid:
         for shape in ((), (0,), (2, 3)):
             with pytest.raises(ValueError, match="non-empty"):
                 ScalarSsmGrid(np.full(shape, 0.5), 1.0, 1.0, 0.2)
+
+    def test_length_and_boolean_mask(self):
+        a = np.linspace(-0.9, 0.9, 7)
+        grid = ScalarSsmGrid(a, np.linspace(0.5, 1.5, 7), 1.0, 0.2)
+        assert len(grid) == 7
+        mask = np.abs(a) >= 0.5
+        sub = grid[mask]
+        assert isinstance(sub, ScalarSsmGrid) and len(sub) == int(mask.sum())
+        for name in ("a", "b", "q_state", "q_obs"):
+            got, want = getattr(sub, name), getattr(grid, name)[mask]
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        for bad in (mask.astype(int), mask[:-1], np.zeros(7, bool), mask[:, None]):
+            with pytest.raises(ValueError, match="mask"):
+                grid[bad]
 
 
 class TestSymmetryCheck:
@@ -933,20 +948,22 @@ def random_gaussian_inits(spec, seed):
     )
 
 
-class TestLinearPath:
-    """``simulate_complete`` on a linear spec draws the bytes of a ``sample_step`` loop."""
+def random_scalar_ssm(seed):
+    """A ``scalar_ssm`` with stable ``a``, either sign of ``b`` and positive variances, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return scalar_ssm(rng.uniform(-0.999, 0.999), rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0),
+                      rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0))
 
-    @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(
-        family=st.sampled_from(["glm", "ssm"]),
-        p=st.sampled_from([1, 2]),
-        q=st.sampled_from([1, 2]),
-        init_kind=st.sampled_from([0, 1, 2, 3]),
-        n=st.sampled_from([1, 2, 9, 300]),
-        seed=st.integers(0, 2**16),
-    )
-    def test_block_path_equals_step_loop(self, family, p, q, init_kind, n, seed):
-        spec = random_linear_spec(family, p, q, seed)
+
+class TestLinearPath:
+    """``simulate_complete`` on a linear spec draws the bytes of a ``sample_step`` loop.
+
+    Scalar state-space specs take the plain-float recursion, every other
+    linear spec the ``_matvec`` loop; both must give the loop's bytes.
+    """
+
+    def check(self, spec, init_kind, n, seed):
+        p, q = spec.state_dim, spec.obs_dim
         custom = CustomInit(sampler=lambda rng: (rng.standard_normal(p), rng.standard_normal(q)))
         init = (*random_gaussian_inits(spec, seed), custom)[init_kind]
         traj = simulate_complete(spec, init, n, seed, stream=3)
@@ -960,6 +977,39 @@ class TestLinearPath:
         for got, want in ((traj.x, np.stack(xs)), (traj.y, np.stack(ys))):
             assert got.flags.c_contiguous
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["glm", "ssm", "scalar"]),
+        p=st.sampled_from([1, 2]),
+        q=st.sampled_from([1, 2]),
+        init_kind=st.sampled_from([0, 1, 2, 3]),
+        n=st.sampled_from([1, 2, 9, 300]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(family="scalar", p=1, q=1, init_kind=1, n=300, seed=0)
+    def test_block_path_equals_step_loop(self, family, p, q, init_kind, n, seed):
+        spec = random_scalar_ssm(seed) if family == "scalar" else random_linear_spec(family, p, q, seed)
+        self.check(spec, init_kind, n, seed)
+
+    def test_float_path_only_for_a_zero_y_column(self):
+        # a general 2 x 2 Phi and a p > 1 embedding keep the matvec loop, and still give the loop's bytes
+        rng = np.random.default_rng(37)
+        zero_column = rng.normal(size=(2, 2)) * [[0.0, 0.0], [1.0, 0.0]] + [[0.6, 0.0], [0.0, 0.0]]
+        cases = [(glm_spec(random_stable_glm(rng)), False), (random_linear_spec("ssm", 2, 1, 5), False),
+                 (random_linear_spec("glm", 1, 2, 6), False), (random_scalar_ssm(7), True),
+                 (glm_spec(GlmParams(zero_column, np.array([[1.0, 0.3], [0.3, 0.5]]), 1, 1)), True)]
+        for spec, on_floats in cases:
+            assert (models._float_phi(spec.glm) is not None) == on_floats
+            for seed in range(8):
+                self.check(spec, seed % 4, 200, seed)
+
+    def test_float_rows_keep_signed_zeros(self):
+        # ``0.0 + p0 x + p1 y`` against the matrix product, on signed zeros, tiny and huge entries
+        vals = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 3.7, 1e150, -1e150]
+        for p0, p1, x, y in itertools.product(vals, [0.0, -0.0], vals, vals):
+            want = models._matvec(np.array([[p0, p1], [p0, p1]]), np.array([x, y]))
+            assert np.array([0.0 + p0 * x + p1 * y] * 2).tobytes() == want.tobytes()
 
 
 class TestIidSpecialization:

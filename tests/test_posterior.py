@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pommkit import (
     CustomInit,
@@ -11,6 +13,7 @@ from pommkit import (
     FiniteHmmParams,
     ParamGrid,
     PointMass,
+    ScalarSsmGrid,
     Stationary,
     amle_grid,
     concentration_profile,
@@ -218,7 +221,7 @@ class TestConcentration:
 
     def test_non_integer_radius_rejected(self):
         post = posterior_from_profiles(uniform_grid_1d(-1.0, 1.0, 5), np.zeros((5, 0)), 0)
-        for ps in ([2.5], [0], [2, 2.0]):
+        for ps in ([2.5], [0], [2, 2.0], [True]):
             with pytest.raises(ValueError):
                 concentration_profile([post], np.array([0.0]), ps=ps)
 
@@ -306,6 +309,78 @@ class TestAmle:
         res = amle_grid(specs, grid, obs, Stationary(), "forward")
         lls = np.array([forward_loglik(s, obs, Stationary()).value for s in specs])
         assert res.index == int(np.argmax(lls)) == int(np.argmax(3.0 * lls + 7.0)) == int(np.argmax(np.exp(lls - lls.max())))
+
+
+class TestScalarSsmGridRecord:
+    """The grid calls give a ``ScalarSsmGrid`` the bits of its list of specs."""
+
+    def setup(self, n=400, seed=11):
+        star = scalar_ssm(0.5, 1.0, 1.0, 0.2)
+        obs = project_observations(simulate_complete(star, Stationary(), n, seed=seed))
+        grid = uniform_grid_1d(-0.9, 0.9, 37)
+        grid = ParamGrid(grid.points, np.linspace(1.0, 2.0, 37), grid.cell_volume)
+        a = grid.points[:, 0]
+        record = ScalarSsmGrid(a, 1.3, 0.8, 0.2)
+        specs = [scalar_ssm(float(v), 1.3, 0.8, 0.2) for v in a]
+        return star, obs, grid, record, specs
+
+    def test_posterior_amle_and_remoteness_equal_the_spec_list(self):
+        star, obs, grid, record, specs = self.setup()
+        mask = np.abs(grid.points[:, 0] - 0.5) >= 0.5
+        ns = list(range(50, 401, 50))
+        for init in (Stationary(), PointMass(1.5, -0.5)):
+            got, want = grid_posterior(record, grid, obs, init), grid_posterior(specs, grid, obs, init)
+            assert (got.n, got.log_mass.tobytes()) == (want.n, want.log_mass.tobytes())
+            star_ll = loglik(star, obs, Stationary(), "kalman").value
+            got, want = (amle_grid(m, grid, obs, init, star_loglik=star_ll) for m in (record, specs))
+            assert (got.index, got.point.tobytes(), got.loglik, got.epsilon_n) == (
+                want.index, want.point.tobytes(), want.loglik, want.epsilon_n)
+            for select in (mask, np.ones(len(grid), bool), lambda pt: pt[0] <= -0.3):
+                got, want = (remoteness_rate(m, grid, select, obs, init, star, ns) for m in (record, specs))
+                assert (got.slope, got.decaying, got.flags) == (want.slope, want.decaying, want.flags)
+                assert (got.ns.tobytes(), got.log_ratio.tobytes()) == (want.ns.tobytes(), want.log_ratio.tobytes())
+
+    def test_record_checks(self):
+        star, obs, grid, record, specs = self.setup(n=50)
+        short = ScalarSsmGrid(grid.points[:-1, 0], 1.3, 0.8, 0.2)
+        for call in (lambda: grid_posterior(short, grid, obs, Stationary()),
+                     lambda: amle_grid(short, grid, obs, Stationary()),
+                     lambda: remoteness_rate(short, grid, np.ones(37, bool), obs, Stationary(), star, [10, 20])):
+            with pytest.raises(ValueError, match="one model per grid point"):
+                call()
+        for method, kw in (("bpf", {"particles": 16}), ("quadrature", {"nodes": 11}), ("forward", {})):
+            with pytest.raises(ValueError, match="a scalar state-space grid uses the exact kalman likelihood"):
+                grid_posterior(record, grid, obs[:5], Stationary(), method, **kw)
+
+
+class TestPosteriorInvariance:
+    """A grid posterior is unchanged when every prior weight is scaled and every log likelihood shifted."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=12),
+        log_scale=st.floats(-6.0, 6.0),
+        shift=st.floats(-100.0, 100.0),
+        n=st.integers(0, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_prior_scale_and_loglik_shift(self, weights, log_scale, shift, n, seed):
+        g = len(weights)
+        points = np.linspace(-0.9, 0.9, g)[:, None]
+        grid = ParamGrid(points, np.array(weights))
+        scaled = ParamGrid(points, 10.0**log_scale * np.array(weights))
+        record = ScalarSsmGrid(points[:, 0], 1.0, 1.0, 0.2)
+        obs = project_observations(simulate_complete(scalar_ssm(0.5), Stationary(), 60, seed=seed))
+        profiles = grid_loglik_profiles(record, obs, Stationary())
+        want = posterior_from_profiles(grid, profiles, n).log_mass
+        for post in (
+            posterior_from_profiles(scaled, profiles, n),
+            posterior_from_profiles(grid, profiles + shift, n),
+            posterior_from_profiles(scaled, profiles + shift, n),
+            grid_posterior(record, grid, obs[:n], Stationary()),
+            grid_posterior(record, scaled, obs[:n], Stationary()),
+        ):
+            np.testing.assert_allclose(post.log_mass, want, rtol=0, atol=1e-12)
 
 
 class TestMerging:
@@ -476,7 +551,7 @@ class TestMetropolis:
                 )
 
     def test_steps_must_be_a_positive_integer(self):
-        for steps in (0, -3, 2.5):
+        for steps in (0, -3, 2.5, True):
             with pytest.raises(ValueError):
                 mh_posterior(
                     self.build, self.flat_prior(), np.array([0.1]), Stationary(),
