@@ -139,9 +139,12 @@ def delta_glm_closed(star: GlmParams, other: GlmParams) -> KldEstimate:
         raise ValueError("parameter dimensions differ")
     gamma = glm_stationary_cov(star)
     dphi = other.Phi - star.Phi
-    trace_term = float(np.trace(np.linalg.solve(other.R, star.R - other.R)))
+    d = len(dphi)
+    # one solve against both right-hand sides: R^{-1} (R* - R) and R^{-1} dPhi Gamma*
+    solved = np.linalg.solve(other.R, np.hstack([star.R - other.R, dphi @ gamma]))
+    trace_term = float(np.trace(solved[:, :d]))
     logdet_term = float(np.linalg.slogdet(star.R)[1] - np.linalg.slogdet(other.R)[1])
-    quad_term = float(np.trace(dphi.T @ np.linalg.solve(other.R, dphi @ gamma)))
+    quad_term = float(np.trace(dphi.T @ solved[:, d:]))
     return KldEstimate(0.5 * (trace_term - logdet_term + quad_term), "closed_form")
 
 

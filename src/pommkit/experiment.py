@@ -8,9 +8,10 @@ and a manifest. The grid's models are one checked parameter record
 (``experiment_grid``), which the Kalman grid sweep filters without
 building a spec per point; ``validate`` builds that record too, so a grid
 that leaves the model's domain fails at parse time, naming
-``grid_param``. Outputs are a pure function of (config, seed): floats are
-printed with 17 significant digits and no timestamps are recorded, so a
-rerun is byte-identical.
+``grid_param``, and ``run_experiment`` runs on the models its check
+built. Outputs are a pure function of (config, seed): floats are printed
+with 17 significant digits and no timestamps are recorded, so a rerun is
+byte-identical.
 
 Config grammar (parsed with :mod:`configparser`, flat typed keys inside
 four sections)::
@@ -92,13 +93,18 @@ class ExperimentConfig:
     formats: tuple
 
     def validate(self) -> None:
+        self._checked_models()
+
+    def _checked_models(self) -> tuple[ModelSpec, ParamGrid, ScalarSsmGrid]:
+        """Checks the config, and returns its true model, its grid and the grid's models, each built once."""
         if self.family not in _MODEL_KEYS:
             raise ValueError(f"experiment runner supports the ssm family, got {self.family!r}")
         for key, value in (*self.model.items(), ("grid_lo", self.grid_lo), ("grid_hi", self.grid_hi)):
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-        if not self.n_list or list(self.n_list) != sorted(set(self.n_list)) or self.n_list[0] < 1:
-            raise ValueError("n_list must be strictly increasing positive integers")
+        ints = all(_is_int(n) for n in self.n_list)
+        if not self.n_list or not ints or list(self.n_list) != sorted(set(self.n_list)) or self.n_list[0] < 1:
+            raise ValueError(f"n_list must be strictly increasing positive integers, got {list(self.n_list)!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.method != "kalman":
@@ -107,8 +113,8 @@ class ExperimentConfig:
             raise ValueError(f"grid_param {self.grid_param!r} is not a model coordinate")
         if not self.grid_lo < self.grid_hi:
             raise ValueError("grid_lo must be below grid_hi")
-        if self.grid_points < 2:
-            raise ValueError("need at least two grid points")
+        if not _is_int(self.grid_points) or self.grid_points < 2:
+            raise ValueError(f"grid_points must be an integer >= 2, got {self.grid_points!r}")
         if self.prior not in ("uniform", "improper"):
             raise ValueError(f"unknown prior {self.prior!r}")
         if not self.ps or not all(_is_int(p) and p >= 1 for p in self.ps):
@@ -116,18 +122,18 @@ class ExperimentConfig:
         if not set(self.formats) <= {"csv", "jsonl"}:
             raise ValueError(f"formats must be csv and/or jsonl, got {list(self.formats)}")
         try:
-            model_spec(self)
+            truth = model_spec(self)
         except ValueError as err:
             keys = ", ".join(f"{k} = {v!r}" for k, v in self.model.items())
             raise ValueError(f"[model] {keys} is not a valid {self.family} model: {err}") from err
         try:
-            experiment_grid(self)
+            grid, models = experiment_grid(self)
         except ValueError as err:
             span = f"[{self.grid_lo!r}, {self.grid_hi!r}]"
             raise ValueError(f"grid_param {self.grid_param} on {span} leaves the {self.family} model: {err}") from err
-        truth = self.model[self.grid_param]
-        if not self.grid_lo <= truth <= self.grid_hi:
+        if not self.grid_lo <= self.model[self.grid_param] <= self.grid_hi:
             raise ValueError("the grid must cover the true parameter for concentration runs")
+        return truth, grid, models
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -279,12 +285,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     single filter pass per grid point. The final posterior must be
     non-degenerate or the run fails with a diagnostic.
     """
-    cfg.validate()
-    truth_spec = model_spec(cfg)
+    truth_spec, grid, models = cfg._checked_models()
     n_max = cfg.n_list[-1]
     traj = simulate_complete(truth_spec, _parse_init(cfg.init_true), n_max, cfg.seed)
     obs = project_observations(traj)
-    grid, models = experiment_grid(cfg)
     init_inf = _parse_init(cfg.init_inference)
     profiles = grid_loglik_profiles(models, obs, init_inf, method=cfg.method)
     posteriors = [posterior_from_profiles(grid, profiles, n) for n in cfg.n_list]

@@ -10,8 +10,10 @@ increments to get every prefix likelihood from a single pass.
 Both Kalman filters, the joint-chain filter and the scalar filter, make
 one pass over the covariances first, through ``_riccati``: that
 recursion never sees the data and stops, exactly, once its state
-repeats. Then one mean recursion runs over every observation with its
-gains. One scaled forward recursion serves two jobs: the exact forward
+repeats, and it keeps one covariance and gain per distinct step. Then
+one mean recursion runs over every observation with its gains, and the
+log densities take each distinct covariance's logarithm or factor once.
+One scaled forward recursion serves two jobs: the exact forward
 algorithm on a finite state space, and the quadrature oracle, which runs
 it on a trapezoid node grid of a scalar hidden state.
 
@@ -111,40 +113,42 @@ def _gaussian_init_moments(spec: ModelSpec, init) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _riccati(step, state, s_buf: np.ndarray, repeats) -> tuple[list, list]:
-    """The Kalman covariance recursion over ``len(s_buf)`` steps; returns the gains ``(head, cycle)``.
+def _riccati(step, state, n: int, repeats) -> tuple[tuple[list, list], tuple[list, list]]:
+    """The Kalman covariance recursion over ``n`` steps; returns ``(covs, gains)``, each ``(head, cycle)``.
 
     ``step(state)`` is one step ``state -> (S, gain, state')``, which never
-    sees the data; ``s_buf[k]`` receives step ``k``'s innovation covariance
-    ``S`` and ``head`` the gains of the steps computed. At the checks the
-    new state is compared (``repeats``) with the states 1 to
+    sees the data. ``head`` holds the innovation covariances ``S`` (in
+    ``covs``) and the gains (in ``gains``) of the steps computed. At the
+    checks the new state is compared (``repeats``) with the states 1 to
     ``_MAX_PERIOD`` steps back. At the first repeat, of least period
     ``L``, every later ``S`` and gain repeats the last ``L`` ones bit for
-    bit (the exact steady-state filter, Anderson & Moore 1979): the rest
-    of ``s_buf`` is filled with that cycle, the recursion stops, and
-    ``cycle`` holds the gains that cycle from the next step on. A state
-    that never repeats, or repeats with a longer period, runs to the end,
-    and ``cycle`` is empty. The first check is step ``_RICCATI_CHECK - 1``;
-    the checks are then ``_RICCATI_CHECK`` steps apart, and a quarter of
-    the step index apart once that is more, so a recursion that never
+    bit (the exact steady-state filter, Anderson & Moore 1979): the
+    recursion stops, and each ``cycle`` holds those last ``L`` values,
+    which cycle from the next step on. So step ``k`` takes ``head[k]``
+    while ``k < len(head)`` and ``cycle[(k - len(head)) % L]`` after.
+    A state that never repeats, or repeats with a longer period, runs to
+    the end: ``head`` has all ``n`` values and ``cycle`` is empty. No
+    ``n``-length buffer is written; the callers keep one value per
+    distinct step. The first check is step ``_RICCATI_CHECK - 1``; the
+    checks are then ``_RICCATI_CHECK`` steps apart, and a quarter of the
+    step index apart once that is more, so a recursion that never
     repeats pays for about 20 comparisons over 1600 observations.
     """
     states = collections.deque(maxlen=_MAX_PERIOD)  # the states before the last steps
-    head = []
-    add_state, add_gain = states.append, head.append
+    covs, gains = [], []
+    add_state, add_cov, add_gain = states.append, covs.append, gains.append
     check = _RICCATI_CHECK - 1
-    for k in range(len(s_buf)):
+    for k in range(n):
         add_state(state)
-        s_buf[k], gain, state = step(state)
+        cov, gain, state = step(state)
+        add_cov(cov)
         add_gain(gain)
         if k == check:
             for L in range(1, len(states) + 1):
                 if repeats(state, states[-L]):
-                    for i in range(k + 1 - L, k + 1):  # step j repeats step j - L
-                        s_buf[i + L :: L] = s_buf[i]
-                    return head, head[-L:]
+                    return (covs, covs[-L:]), (gains, gains[-L:])
             check += max(_RICCATI_CHECK, check // 4)
-    return head, []
+    return (covs, []), (gains, [])
 
 
 def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
@@ -161,9 +165,12 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     does. Then one mean recursion runs over every observation with those
     gains and stores each innovation. The log densities
     ``-0.5 * (q log 2pi + log det S + u.u)`` with ``u = L^{-1} innov`` and
-    ``S = L L^T`` are formed after it by one stacked Cholesky
-    factorization and one stacked solve, whose values are the per-step
-    ones bit for bit.
+    ``S = L L^T`` are formed after it: one stacked Cholesky factorization
+    and its log determinants cover only the distinct ``S`` of the steps
+    ``_riccati`` computed, and one stacked solve takes each step's factor
+    by index. Every value is the per-step one bit for bit; besides the
+    ``(n, q)`` innovations, the working set is the distinct factors and
+    the indexed ``(n, q, q)`` stack of the solve.
 
     A record with ``models._float_phi`` (every scalar state-space
     embedding) runs the mean recursion on Python floats,
@@ -186,8 +193,7 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
         Pu = Pp - gain @ Pp[yi, :]
         return Pp[yi, yi], gain, 0.5 * (Pu + Pu.T)
 
-    s_buf = np.empty((len(ys), q, q))
-    head, cycle = _riccati(step, P, s_buf, np.array_equal)
+    (covs, _), (head, cycle) = _riccati(step, P, len(ys), np.array_equal)
     phi = _float_phi(params)
     if phi is not None:
         gains = (np.reshape(g, (-1, 2)).tolist() for g in (head, cycle))
@@ -199,10 +205,15 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
             m = Phi @ m
             np.subtract(y, m[yi], out=innov)
             m = m + gain @ innov
-    chol = np.linalg.cholesky(s_buf)
+    chol = np.linalg.cholesky(np.reshape(covs, (-1, q, q)))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=-1)
+    h, period = len(covs), len(cycle)
+    if period:  # step k >= h repeats step h - period + (k - h) % period
+        idx = np.arange(len(ys))
+        idx[h:] = h - period + (idx[h:] - h) % period
+        chol, logdet = chol[idx], logdet[idx]
     u = np.linalg.solve(chol, innov_buf[:, :, None])[:, :, 0]
     uu = u[:, 0] * u[:, 0] if q == 1 else np.array([v @ v for v in u])
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=-1)
     return -0.5 * (q * _LOG2PI + logdet + uu)
 
 
@@ -247,9 +258,13 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
     ``_float_mean_recursion``, whose innovations ``np.fromiter`` collects,
     and for a grid ``_grid_mean_recursion``, which fills its own buffer.
     Every value keeps the bits of the full recursion. The log densities
-    ``-0.5 * (log 2pi + log s + innov^2 / s)`` are formed after the loop by
-    in-place ufuncs over the whole buffer, with the same operations in the
-    same order as one step would take them.
+    ``-0.5 * (log 2pi + log s + innov^2 / s)`` are formed after the loop in
+    place on that buffer (``_gaussian_log_densities``), with the same
+    operations in the same order as one step would take them, and
+    ``log s`` is taken once per distinct variance. So the working set is
+    the one (n,) or (n, G) innovation buffer, which becomes the result,
+    and the variances of the steps ``_riccati`` computed: all n of them
+    only when no period up to 4 repeats.
     """
     _check_init_dim(init, 1, 1)
     if isinstance(init, Stationary):
@@ -271,18 +286,42 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
         return s, gain, pp - gain * b * pp
 
     yflat = ys[:, 0].tolist()
-    s_buf = np.empty((len(yflat),) + np.shape(a))
-    if s_buf.ndim == 2:  # a grid
-        innov_buf = _grid_mean_recursion(a, b, m, yflat, *_riccati(step, pv, s_buf, np.array_equal))
+    if isinstance(a, np.ndarray):  # a grid
+        covs, gains = _riccati(step, pv, len(yflat), np.array_equal)
+        innov_buf = _grid_mean_recursion(a, b, m, yflat, *gains)
     else:
-        gains = _riccati(step, pv, s_buf, operator.eq)
+        covs, gains = _riccati(step, pv, len(yflat), operator.eq)
         innov_buf = np.fromiter(_float_mean_recursion(a, b, m, yflat, *gains), float, len(yflat))
-    np.multiply(innov_buf, innov_buf, out=innov_buf)
-    np.divide(innov_buf, s_buf, out=innov_buf)
-    out = np.log(s_buf, out=s_buf)
-    np.add(out, float(_LOG2PI), out=out)
-    np.add(out, innov_buf, out=out)
-    return np.multiply(out, -0.5, out=out)
+    return _gaussian_log_densities(innov_buf, *covs)
+
+
+def _gaussian_log_densities(innov: np.ndarray, head: list, cycle: list) -> np.ndarray:
+    """``-0.5 * (log 2pi + log s + innov^2 / s)`` in place on ``innov``, shape (n,) or (n, G).
+
+    Step ``k`` has the variance ``s`` of ``head[k]``, then of ``cycle``
+    repeated, as ``_riccati`` returns them. ``log s + log 2pi`` is taken
+    once per distinct step, and each one meets its steps through the
+    head rows and one strided view per phase of the cycle. Every element
+    sees the operations of one step in its order, so it keeps the bits of
+    a per-step buffer of variances; the working set is ``innov`` and the
+    ``len(head)`` distinct variances.
+    """
+    h, period = len(head), len(cycle)
+    if not h:  # no observations
+        return innov
+    s = np.array(head)
+    logs = np.log(s)
+    logs += float(_LOG2PI)
+    innov *= innov
+    rows = innov[:h]
+    rows /= s
+    rows += logs
+    for i in range(h - period, h):  # the steps that repeat head step i
+        rows = innov[i + period :: period]
+        rows /= s[i]
+        rows += logs[i]
+    innov *= -0.5
+    return innov
 
 
 def _float_mean_recursion(a: float, b: float, m: float, ys: list, head: list, cycle: list):
@@ -677,6 +716,12 @@ def grid_increments(grid, obs: np.ndarray, init, method: str) -> np.ndarray:
     filter over arrays of grid parameters; any other list stacks the
     per-spec rows. Non-finite observations raise ``ValueError``.
     """
+    # C order, so that a row sums in the same order as one spec's increments
+    return np.ascontiguousarray(_grid_increments_by_step(grid, obs, init, method).T)
+
+
+def _grid_increments_by_step(grid, obs: np.ndarray, init, method: str) -> np.ndarray:
+    """``grid_increments`` transposed, shape (n, G): the scalar filter's own buffer, or a view of the stacked rows."""
     if isinstance(grid, ScalarSsmGrid):
         if method != "kalman":
             raise ValueError(f"a scalar state-space grid uses the exact kalman likelihood, got {method!r}")
@@ -685,9 +730,8 @@ def grid_increments(grid, obs: np.ndarray, init, method: str) -> np.ndarray:
         stacked = np.array([[s.ssm.A[0, 0], s.ssm.B[0, 0], s.ssm.Qzeta[0, 0], s.ssm.Qxi[0, 0]] for s in grid])
         params = stacked.T.copy()
     else:
-        return np.vstack([increments(s, obs, init, method) for s in grid])
-    # C order, so that a row sums in the same order as one spec's increments
-    return np.ascontiguousarray(_scalar_kalman_increments(*params, _observations(obs, 1), init).T)
+        return np.vstack([increments(s, obs, init, method) for s in grid]).T
+    return _scalar_kalman_increments(*params, _observations(obs, 1), init)
 
 
 def loglik(

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary, simulate_complete
-from .likelihood import _finite_x0_dist, forward_loglik, grid_increments, increments, loglik
+from .likelihood import _finite_x0_dist, _grid_increments_by_step, forward_loglik, grid_increments, increments, loglik
 from .models import ScalarSsmGrid, finite_hmm_stationary
 from .rng import _is_int
 
@@ -199,8 +199,15 @@ def grid_loglik_profiles(
     recursions expose increments, so ``method`` must be ``kalman`` or
     ``forward``. Returns an array of shape (G, n) whose [i, k] entry is
     ``log p(y_{1:k+1})`` under model i.
+
+    The sums run along time in place on the filter's (n, G) buffer of
+    increments, one sequential sum per grid point as ``np.cumsum`` of a
+    row of ``grid_increments`` takes it, and the result is the (G, n)
+    transpose view of that buffer: the working set is one (n, G) array,
+    not a transposed copy and a second cumulative array.
     """
-    return np.cumsum(grid_increments(models, obs, init, method), axis=1)
+    steps = _grid_increments_by_step(models, obs, init, method)
+    return np.cumsum(steps, axis=0, out=steps).T
 
 
 def posterior_from_profiles(grid: ParamGrid, profiles: np.ndarray, n: int) -> PosteriorGrid:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pommkit import PointMass, Stationary, cli, models, project_observations, scalar_ssm, simulate_complete
+from pommkit import PointMass, Stationary, cli, experiment, models, project_observations, scalar_ssm, simulate_complete
 from pommkit.experiment import (
     REFERENCE_CONFIG_TEXT,
     experiment_grid,
@@ -67,6 +67,18 @@ class TestConfig:
                                       ("ps", (True, 5), "ps must be positive integers")):
             with pytest.raises(ValueError, match=message):
                 replace(cfg, **{field: value}).validate()
+
+    def test_non_integer_sizes_rejected_naming_the_field(self, tmp_path):
+        # parse_config reads both with int, so only a config built in code can carry these
+        cfg = reference_config()
+        for field, value in (("n_list", (True, 400)), ("n_list", (100.0, 400)), ("n_list", (100, "400")),
+                             ("grid_points", 2.5), ("grid_points", True), ("grid_points", 181.0)):
+            bad = replace(cfg, **{field: value})
+            with pytest.raises(ValueError, match=rf"^{field} must be .*integer"):
+                bad.validate()
+            with pytest.raises(ValueError, match=rf"^{field} must be .*integer"):
+                run_experiment(bad, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_model_rejected_at_parse_time_naming_the_model_keys(self):
         # each parses finite values that do not make a model: a negative variance, a unit root
@@ -147,6 +159,16 @@ class TestRunner:
             run_experiment(cfg)
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+    def test_truth_and_grid_built_once(self, monkeypatch):
+        # validate builds both to check them, and the run keeps what it built
+        cfg = replace(reference_config(), n_list=(50, 100))
+        specs, grids = [], []
+        ssm_spec, record = models.ssm_spec, experiment.ScalarSsmGrid
+        monkeypatch.setattr(models, "ssm_spec", lambda params: specs.append(params) or ssm_spec(params))
+        monkeypatch.setattr(experiment, "ScalarSsmGrid", lambda *args: grids.append(args) or record(*args))
+        run_experiment(cfg)
+        assert (len(specs), len(grids)) == (1, 1)
 
     @pytest.mark.parametrize("init_true, truth_init", [("stationary", Stationary()), ("pointmass 4.0 4.0", PointMass(4.0, 4.0))])
     def test_posterior_files_equal_a_sweep_over_specs(self, tmp_path, init_true, truth_init):

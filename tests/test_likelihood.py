@@ -32,6 +32,7 @@ from pommkit import (
     forward_loglik,
     glm_spec,
     grid_increments,
+    grid_loglik_profiles,
     iid_gaussian_spec,
     increments,
     kalman_increments,
@@ -753,6 +754,7 @@ MH_GRID = np.linspace(0.5, 0.999, 500)
 PERIOD_3 = (0.6611967562552636, -1.4427065631673313, 0.022785286114335623, 0.033187939831408574)
 PERIOD_4 = (-0.8958660164247867, 2.079559585595966, 3.469982272124825, 2.8292030026468797)
 FIXED_POINT = (0.9999, 1.0, 1.0, 0.2)
+PERIOD_2 = (0.532, 1.0, 1.0, 0.2)  # a point of MH_GRID
 
 
 class TestSteadyStateScalarFilter:
@@ -780,7 +782,7 @@ class TestSteadyStateScalarFilter:
 
     def test_cases_reach_the_intended_cycles(self):
         assert len(self.cycling(2)) >= 10
-        for theta, period in ((PERIOD_3, 3), (PERIOD_4, 4), (FIXED_POINT, 1)):
+        for theta, period in ((PERIOD_2, 2), (PERIOD_3, 3), (PERIOD_4, 4), (FIXED_POINT, 1)):
             a, b, qz, qx = theta
             # from each initial variance of INITS
             assert [riccati_period(a, b, qz, qx, pv) for pv in (qz / (1.0 - a * a), 0.0, 2.0)] == [period] * 3
@@ -811,9 +813,9 @@ class TestSteadyStateScalarFilter:
         periods = []
 
         def recorded(*args, _fn=likelihood._riccati):
-            head, cycle = _fn(*args)
-            periods.append(len(cycle))  # the cycle's gains; none means no shortcut
-            return head, cycle
+            covs, gains = _fn(*args)
+            periods.append(len(gains[1]))  # the cycle's gains; none means no shortcut
+            return covs, gains
 
         monkeypatch.setattr(likelihood, "_riccati", recorded)
         ys = simulated_obs(scalar_ssm(0.95), 401, seed=53)
@@ -830,6 +832,40 @@ class TestSteadyStateScalarFilter:
                 else:
                     grid_increments([scalar_ssm(*theta) for theta in params], ys, init, "kalman")
                 assert periods == [0 if period is None else period]
+
+
+STABLE_POINT = st.tuples(
+    st.floats(-0.999, 0.999), st.floats(0.1, 3.0), st.sampled_from([-1.0, 1.0]), st.floats(0.05, 5.0), st.floats(0.05, 5.0)
+).map(lambda t: (t[0], t[2] * t[1], t[3], t[4]))
+
+
+class TestDistinctStepProperty:
+    """Kept variances of the distinct steps give the bits of a per-step recursion, and the profiles their cumsum."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        points=st.lists(STABLE_POINT, min_size=1, max_size=5),
+        # PERIOD_3 with PERIOD_4 or with PERIOD_2 leaves the grid no repeat of period up to 4
+        fixtures=st.sampled_from(
+            [(), (PERIOD_2,), (PERIOD_3,), (PERIOD_4,), (PERIOD_2, PERIOD_4), (PERIOD_3, PERIOD_4), (PERIOD_2, PERIOD_3)]
+        ),
+        n=st.sampled_from([0, 1, 7, 8, 9, 17, 300]),  # around the points where the filter checks for a repeat
+        seed=st.integers(0, 2**16),
+    )
+    def test_increments_and_profiles_equal_the_full_recursion(self, points, fixtures, n, seed):
+        params = points + list(fixtures)
+        grid = ScalarSsmGrid(*np.array(params).T)
+        ys = 2.0 * np.random.default_rng(seed).normal(size=(n, 1))
+        for init, start in ((Stationary(), None), (PointMass(1.5, 0.0), (1.5, 0.0))):
+            rows = grid_increments(grid, ys, init, "kalman")
+            for row, (a, b, qz, qx) in zip(rows, params):
+                m, pv = start if start is not None else (0.0, qz / (1.0 - a * a))
+                want = full_recursion_increments(a, b, qz, qx, ys[:, 0].tolist(), m, pv).tobytes()
+                assert row.tobytes() == want
+                assert increments(scalar_ssm(a, b, qz, qx), ys, init, "kalman").tobytes() == want
+            profiles = grid_loglik_profiles(grid, ys, init)
+            assert profiles.shape == rows.shape
+            assert np.ascontiguousarray(profiles).tobytes() == np.cumsum(rows, axis=1).tobytes()
 
 
 class TestScalarFilterProperty:
@@ -999,10 +1035,11 @@ def matrix_mean_increments(spec, ys, init):
         Pu = Pp - gain @ Pp[yi, :]
         return Pp[yi, yi], gain, 0.5 * (Pu + Pu.T)
 
-    s_buf = np.empty((len(ys), q, q))
-    head, cycle = likelihood._riccati(step, P, s_buf, np.array_equal)
+    (covs, cycle_covs), (head, cycle) = likelihood._riccati(step, P, len(ys), np.array_equal)
+    s_buf = np.empty((len(ys), q, q))  # every step's S, so that the filter's distinct-S factors are checked
     innov_buf = np.empty((len(ys), q))
     for k, y in enumerate(ys):
+        s_buf[k] = covs[k] if k < len(covs) else cycle_covs[(k - len(covs)) % len(cycle_covs)]
         gain = head[k] if k < len(head) else cycle[(k - len(head)) % len(cycle)]
         m = Phi @ m
         innov_buf[k] = y - m[yi]

@@ -1,6 +1,7 @@
 """Grid posteriors, concentration, AMLE, merging, remoteness, MH, identities."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,22 @@ class TestGridPosterior:
         specs = [scalar_ssm(a) for a in (0.2, 0.5)]
         with pytest.raises(ValueError, match="observation 1 is not finite"):
             grid_loglik_profiles(specs, np.array([0.1, np.inf, 0.2]), Stationary())
+
+
+class TestProfileMemory:
+    def test_profiles_allocate_one_step_by_point_buffer(self):
+        # an n-length variance buffer, a transposed copy and a cumulative copy kept two (n, G) buffers alive at once
+        G, n = 181, 20_000
+        grid = ScalarSsmGrid(np.linspace(-0.9, 0.9, G), 1.0, 1.0, 0.2)
+        obs = project_observations(simulate_complete(scalar_ssm(0.5), Stationary(), n, 3))
+        tracemalloc.start()
+        try:
+            profiles = grid_loglik_profiles(grid, obs, Stationary())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profiles.shape == (G, n)
+        assert peak < 1.5 * n * G * 8
 
 
 class TestConcentration:
