@@ -28,6 +28,19 @@ arrays of grid parameters.
 Every evaluator checks its observations once, on entry (``_observations``),
 and the dispatchers and wrappers pass them on unchecked. An empty sequence
 gives no increments, and its initial law is checked as at any length.
+
+Callers that evaluate many models on the same data (a Metropolis chain, a
+grid swept one point at a time, a merging curve's two passes) wrap the
+data once in a prepared-observations record, ``_Prepared``. The first
+evaluator to read the record checks it as it would check the raw data, at
+the same point among its other checks, and the record keeps a read-only
+copy of the checked array for those dimensions, and its first column as
+Python floats once a filter that loops over them (the scalar filter, the
+joint filter's float mean recursion, the particle filter) has taken it.
+Every later call with the same dimensions gets both back unchanged, so it
+neither checks nor converts the data again; a model with other
+dimensions is checked afresh. Every value keeps the bits of the
+evaluation on the raw observations.
 """
 from __future__ import annotations
 
@@ -69,11 +82,40 @@ class LogLik:
     flags: tuple = field(default_factory=tuple)
 
 
+class _Prepared:
+    """Observations checked once for the likelihood calls of one chain or sweep.
+
+    ``checked`` maps each key ``(obs_dim, n_symbols)`` that an evaluator
+    asked ``_observations`` for to a read-only copy of the array it
+    returned; ``columns`` maps the id of such an array to its first column
+    as a list of Python scalars, ``ys[:, 0].tolist()`` (see
+    ``_first_column``). Both fill on first use, so an error in ``obs`` is
+    raised by the evaluator that first reads it, as for the raw data. The
+    record holds its arrays, so their ids stay unique while it lives.
+    """
+
+    __slots__ = ("obs", "checked", "columns")
+
+    def __init__(self, obs):
+        self.obs = obs
+        self.checked = {}
+        self.columns = {}
+
+
 def _observations(obs, obs_dim: int, n_symbols: Optional[int] = None) -> np.ndarray:
     """The observations as a finite ``(n, obs_dim)`` array; a 1-D sequence is ``n`` scalars.
 
     On a finite chain (``n_symbols`` given) they are integer symbols in ``0..n_symbols-1``, returned as integers.
+    A ``_Prepared`` record is checked on its first call with a key ``(obs_dim, n_symbols)`` and keeps a read-only
+    copy of the result, which every later call with that key returns unchanged.
     """
+    if isinstance(obs, _Prepared):
+        ys = obs.checked.get((obs_dim, n_symbols))
+        if ys is None:
+            ys = np.array(_observations(obs.obs, obs_dim, n_symbols))
+            ys.flags.writeable = False
+            obs.checked[obs_dim, n_symbols] = ys
+        return ys
     ys = np.asarray(obs)
     if ys.ndim == 1:
         ys = ys[:, None]
@@ -87,6 +129,19 @@ def _observations(obs, obs_dim: int, n_symbols: Optional[int] = None) -> np.ndar
     if np.any(ys < 0) or np.any(ys >= n_symbols) or np.any(ys % 1 != 0):
         raise ValueError(f"observation symbols must lie in 0..{n_symbols - 1}")
     return ys.astype(int)
+
+
+def _first_column(obs, ys: np.ndarray) -> list:
+    """``ys[:, 0].tolist()`` for ``ys = _observations(obs, ...)``; a ``_Prepared`` record keeps it after its first use.
+
+    The list is shared by every later call, which only reads it.
+    """
+    if not isinstance(obs, _Prepared):
+        return ys[:, 0].tolist()
+    column = obs.columns.get(id(ys))
+    if column is None:
+        column = obs.columns[id(ys)] = ys[:, 0].tolist()
+    return column
 
 
 def _summed(inc: np.ndarray, method: str) -> LogLik:
@@ -197,7 +252,7 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     phi = _float_phi(params)
     if phi is not None:
         gains = (np.reshape(g, (-1, 2)).tolist() for g in (head, cycle))
-        innovs = _embedded_mean_recursion(phi, *m.tolist(), ys[:, 0].tolist(), *gains)
+        innovs = _embedded_mean_recursion(phi, *m.tolist(), _first_column(obs, ys), *gains)
         innov_buf = np.fromiter(innovs, float, len(ys))[:, None]
     else:
         innov_buf = np.empty((len(ys), q))
@@ -241,8 +296,12 @@ def kalman_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
     return _summed(kalman_increments(spec, obs, init), "kalman")
 
 
-def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
+def _scalar_kalman_increments(a, b, qz, qx, ys, init) -> np.ndarray:
     """Filter for p = q = 1 on plain floats or on (G,) parameter arrays.
+
+    ``ys`` is the checked (n, 1) array of observations, or its first
+    column as a list of Python scalars (``_first_column``), which the
+    callers pass so that a prepared record is converted once.
 
     With float parameters this is the single-spec filter, orders of
     magnitude faster than the matrix filters; with arrays it runs every
@@ -285,7 +344,7 @@ def _scalar_kalman_increments(a, b, qz, qx, ys: np.ndarray, init) -> np.ndarray:
         gain = pp * b / s
         return s, gain, pp - gain * b * pp
 
-    yflat = ys[:, 0].tolist()
+    yflat = ys[:, 0].tolist() if isinstance(ys, np.ndarray) else ys
     if isinstance(a, np.ndarray):  # a grid
         covs, gains = _riccati(step, pv, len(yflat), np.array_equal)
         innov_buf = _grid_mean_recursion(a, b, m, yflat, *gains)
@@ -378,8 +437,8 @@ def ssm_kalman_increments(ssm, obs: np.ndarray, init) -> np.ndarray:
     """
     if ssm.p != 1 or ssm.q != 1:
         return kalman_increments(ssm_spec(ssm), obs, init)
-    a, b, qz, qx = (float(M[0, 0]) for M in (ssm.A, ssm.B, ssm.Qzeta, ssm.Qxi))
-    return _scalar_kalman_increments(a, b, qz, qx, _observations(obs, 1), init)
+    a, b, qz, qx = ssm.A.item(), ssm.B.item(), ssm.Qzeta.item(), ssm.Qxi.item()
+    return _scalar_kalman_increments(a, b, qz, qx, _first_column(obs, _observations(obs, 1)), init)
 
 
 def ssm_kalman_loglik(ssm, obs: np.ndarray, init) -> LogLik:
@@ -519,7 +578,8 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
     hmm = spec.hmm
     ys = _observations(obs, spec.obs_dim, None if spec.finite is None else spec.finite.n_symbols)
     n = len(ys)
-    ys = ys[:, 0].astype(float).tolist() if spec.obs_dim == 1 else ys  # finite-alphabet codes arrive as floats
+    if spec.obs_dim == 1:  # the hooks take floats, and finite-alphabet codes arrive as integers
+        ys = _first_column(obs, ys) if ys.dtype == float else ys[:, 0].astype(float).tolist()
     rng = rngmod.substream(seed, rngmod.BPF, stream)
     x = _bpf_initial_particles(spec, init, particles, rng)
     ks = np.arange(particles, dtype=float)
@@ -730,8 +790,9 @@ def _grid_increments_by_step(grid, obs: np.ndarray, init, method: str) -> np.nda
         stacked = np.array([[s.ssm.A[0, 0], s.ssm.B[0, 0], s.ssm.Qzeta[0, 0], s.ssm.Qxi[0, 0]] for s in grid])
         params = stacked.T.copy()
     else:
-        return np.vstack([increments(s, obs, init, method) for s in grid]).T
-    return _scalar_kalman_increments(*params, _observations(obs, 1), init)
+        prepared = _Prepared(obs)
+        return np.vstack([increments(s, prepared, init, method) for s in grid]).T
+    return _scalar_kalman_increments(*params, _first_column(obs, _observations(obs, 1)), init)
 
 
 def loglik(

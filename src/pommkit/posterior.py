@@ -18,10 +18,18 @@ method name is chosen in one place. Grid sweeps with an exact method
 ``grid_increments`` pass, which filters a Kalman grid of one-dimensional
 state-space models in a single vectorized pass; the particle filter and
 quadrature evaluate the grid points one after another, in grid order.
+
+The loops that evaluate many likelihoods on the same data (a Metropolis
+chain, a grid swept point by point, the two passes of a merging curve,
+a remoteness profile and its reference) pass the evaluators one
+prepared-observations record (``likelihood._Prepared``), so the data are
+checked and converted once per loop, not once per call. Every value keeps
+the bits of a call on the raw observations.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -29,7 +37,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary, simulate_complete
-from .likelihood import _finite_x0_dist, _grid_increments_by_step, forward_loglik, grid_increments, increments, loglik
+from .likelihood import _finite_x0_dist, _grid_increments_by_step, _Prepared, forward_loglik, grid_increments, increments, loglik
 from .models import ScalarSsmGrid, finite_hmm_stationary
 from .rng import _is_int
 
@@ -155,7 +163,8 @@ def _grid_logliks(specs: GridModels, obs: np.ndarray, init, method: str, kw: dic
     """
     if method in ("kalman", "forward") or isinstance(specs, ScalarSsmGrid):
         return grid_increments(specs, obs, init, method).sum(axis=1)
-    return np.array([loglik(s, obs, init, method, stream=i, **kw).value for i, s in enumerate(specs)])
+    prepared = _Prepared(obs)
+    return np.array([loglik(s, prepared, init, method, stream=i, **kw).value for i, s in enumerate(specs)])
 
 
 def grid_posterior(
@@ -211,15 +220,24 @@ def grid_loglik_profiles(
 
 
 def posterior_from_profiles(grid: ParamGrid, profiles: np.ndarray, n: int) -> PosteriorGrid:
-    """Posterior at sample size ``n`` from precomputed prefix profiles, one row per grid point."""
+    """Posterior at sample size ``n`` from precomputed prefix profiles, one row per grid point.
+
+    Column ``n - 1`` holds the log likelihoods; ``-inf`` is zero likelihood,
+    and a NaN or ``+inf`` entry raises ``ValueError`` naming its row.
+    """
     profiles = np.asarray(profiles)
     if profiles.ndim != 2 or len(profiles) != len(grid):
         raise ValueError(f"profiles of shape {profiles.shape} need one row per point of a grid of shape {grid.points.shape}")
     if not (_is_int(n) and 0 <= n <= profiles.shape[1]):
         raise ValueError(f"n must be an integer in 0..{profiles.shape[1]}, got {n!r}")
+    lls = profiles[:, n - 1] if n else 0.0
+    if n and not np.isfinite(lls).all():
+        bad = np.flatnonzero(~(np.isfinite(lls) | (lls == -np.inf)))
+        if len(bad):
+            raise ValueError(f"profile row {bad[0]} holds log likelihood {lls[bad[0]]} at n = {n}; need a number or -inf")
     with np.errstate(divide="ignore"):
         log_prior = np.log(grid.prior_weight)
-    return _normalize_log_mass(log_prior + (profiles[:, n - 1] if n else 0.0), n, grid)
+    return _normalize_log_mass(log_prior + lls, n, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +308,13 @@ def amle_grid(
 
     ``specs`` is one spec per grid point or a ``ScalarSsmGrid``. When
     the exact reference log likelihood is supplied, the achieved
-    normalized defect ``(loglik(argmax) - star_loglik) / n`` is reported.
+    normalized defect ``(loglik(argmax) - star_loglik) / n`` is reported;
+    a non-finite ``star_loglik`` raises ``ValueError``.
     """
     _check_one_spec_per_point(specs, grid)
     _check_grid_options(kw)
+    if star_loglik is not None and not math.isfinite(star_loglik):
+        raise ValueError(f"star_loglik must be a finite log likelihood, got {star_loglik!r}")
     lls = _grid_logliks(specs, obs, init, method, kw)
     if np.all(lls == -np.inf):
         raise ValueError("every grid point has zero likelihood")
@@ -323,8 +344,9 @@ def merging_curve(spec: ModelSpec, obs: np.ndarray, init_eta, den_spec: Optional
         return "forward" if s.finite is not None else "kalman"
 
     den_spec = den_spec if den_spec is not None else spec
-    num = np.cumsum(increments(spec, obs, init_eta, exact_method(spec)))
-    den = np.cumsum(increments(den_spec, obs, Stationary(), exact_method(den_spec)))
+    prepared = _Prepared(obs)
+    num = np.cumsum(increments(spec, prepared, init_eta, exact_method(spec)))
+    den = np.cumsum(increments(den_spec, prepared, Stationary(), exact_method(den_spec)))
     if np.any(den == -np.inf):
         raise ValueError("stationary reference likelihood vanished; merging ratio undefined")
     return (num - den) / np.arange(1, len(num) + 1)
@@ -382,8 +404,9 @@ def remoteness_rate(
     if ns[0] < 1 or ns[-1] > len(obs):
         raise ValueError("requested sample sizes exceed the data")
     sub_specs = specs[mask] if isinstance(specs, ScalarSsmGrid) else [s for s, m in zip(specs, mask) if m]
-    profiles = grid_loglik_profiles(sub_specs, obs, init, method=method)
-    star = np.cumsum(increments(star_spec, obs, Stationary(), method))
+    prepared = _Prepared(obs)
+    profiles = grid_loglik_profiles(sub_specs, prepared, init, method=method)
+    star = np.cumsum(increments(star_spec, prepared, Stationary(), method))
     with np.errstate(divide="ignore"):
         logw = np.log(grid.prior_weight[mask])
     values = np.array([_logsumexp(logw + profiles[:, n - 1]) - star[n - 1] for n in ns])
@@ -396,6 +419,13 @@ def remoteness_rate(
 # ---------------------------------------------------------------------------
 # Random-walk Metropolis (optionally pseudo-marginal)
 # ---------------------------------------------------------------------------
+
+
+def _log_density(value, term: str, th: np.ndarray):
+    """``value`` if it is a number or ``-inf``; NaN or ``+inf`` raise ``ValueError`` naming ``term`` and ``th``."""
+    if value == -np.inf or math.isfinite(value):
+        return value
+    raise ValueError(f"the {term} log density at theta = {th.tolist()} is {value}; need a number or -inf")
 
 
 @dataclass(frozen=True)
@@ -424,6 +454,18 @@ def mh_posterior(
     filter as likelihood this is a pseudo-marginal chain: each proposal
     receives a fresh estimator stream and the current value is carried,
     which leaves the target invariant but is flagged in the result.
+
+    A log density of ``-inf``, from the prior or the likelihood, rejects
+    the point (and a start there raises). NaN or ``+inf`` from either
+    term raises ``ValueError`` naming the term and the parameter vector,
+    at the start and at any proposal.
+
+    The observations are prepared once per chain: every step passes one
+    prepared-observations record to :func:`~pommkit.likelihood.loglik`,
+    which checks the data and takes their first column as Python floats
+    at the first spec built, and again only for a spec of other
+    observation dimensions. Every chain keeps the bits of one that
+    evaluates ``loglik`` on the raw observations at every step.
     """
     if not _is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
@@ -441,14 +483,17 @@ def mh_posterior(
     if np.all(sd == 0.0):
         flags.append("degenerate_proposal")
 
+    prepared = _Prepared(obs)
+
     def logpost(th: np.ndarray, stream: int) -> float:
-        lp = prior_logpdf(th)
+        lp = _log_density(prior_logpdf(th), "prior", th)
         if lp == -np.inf:
             return -np.inf
         spec = build(th)
         if spec is None:
             return -np.inf
-        return lp + loglik(spec, obs, init, method, particles=particles, seed=seed, stream=stream).value
+        ll = loglik(spec, prepared, init, method, particles=particles, seed=seed, stream=stream).value
+        return lp + _log_density(ll, "likelihood", th)
 
     current = logpost(theta, 0)
     if current == -np.inf:

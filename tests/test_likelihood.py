@@ -16,6 +16,7 @@ from pommkit import (
     FiniteHmmParams,
     GaussianOnZ,
     GlmParams,
+    LogLik,
     PointMass,
     ScalarSsmGrid,
     SsmParams,
@@ -51,6 +52,9 @@ from pommkit.audit import b6_entropy_floor_sv
 from pommkit import likelihood
 from pommkit.core import UnsupportedInitError
 from pommkit.likelihood import (
+    _first_column,
+    _observations,
+    _Prepared,
     _scalar_kalman_increments,
     _transition_kernel,
     forward_increments,
@@ -1233,6 +1237,49 @@ class TestObservationBoundary:
         out = call(spec, np.empty(0), Stationary())
         assert getattr(out, "n", 0) == 0
         assert float(np.sum(getattr(out, "value", out))) == 0.0
+
+
+def _bits(out):
+    """Every field of an evaluator's result, as bytes."""
+    fields = (out.value, out.n, out.se if out.se is not None else np.nan) if isinstance(out, LogLik) else (out,)
+    return [np.asarray(f, dtype=float).tobytes() for f in fields] + [getattr(out, "flags", ())]
+
+
+class TestPreparedObservations:
+    """A prepared-observations record reads as its raw data at every entry point."""
+
+    @pytest.mark.parametrize("entry, case", list(_boundary_cases()))
+    def test_raises_as_the_raw_data(self, entry, case):
+        spec, call = ENTRY_POINTS[entry]
+        real, symbols, init, message = MALFORMED[case]
+        record = _Prepared(symbols if spec.finite is not None else real)
+        for _ in range(2):  # a failed check keeps nothing
+            with pytest.raises(ValueError, match=message):
+                call(spec, record, init)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_keeps_every_bit(self, entry):
+        spec, call = ENTRY_POINTS[entry]
+        obs = simulated_obs(spec, 6, 4)
+        want = _bits(call(spec, obs, Stationary()))
+        record = _Prepared(obs)
+        for _ in range(2):  # the second call reads what the first kept
+            assert _bits(call(spec, record, Stationary())) == want
+
+    def test_one_read_only_copy_per_key(self):
+        ys = np.array([[0.0], [1.0], [1.0]])
+        record = _Prepared(ys)
+        reals = _observations(record, 1)
+        assert _observations(record, 1) is reals
+        assert not reals.flags.writeable and not np.shares_memory(reals, ys)
+        assert _first_column(record, reals) is _first_column(record, reals) == [0.0, 1.0, 1.0]
+        symbols = _observations(record, 1, 2)  # another key is checked afresh
+        assert symbols.dtype.kind == "i" and _observations(record, 1, 2) is symbols
+        assert [type(y) for y in _first_column(record, symbols)] == [int] * 3  # one column per checked array
+        with pytest.raises(ValueError, match=r"observations must have shape \(n, 2\), got \(3, 1\)"):
+            _observations(record, 2)
+        ys[0, 0] = np.nan  # the record keeps what it checked
+        assert _observations(record, 1)[0, 0] == 0.0
 
 
 class TestNumpyOnlyRuntime:

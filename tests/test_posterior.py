@@ -5,16 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pommkit import (
     CustomInit,
     DegeneratePosteriorError,
     FiniteHmmParams,
+    GaussianOnZ,
+    LogLik,
     ParamGrid,
     PointMass,
     ScalarSsmGrid,
+    SsmParams,
     Stationary,
     amle_grid,
     concentration_profile,
@@ -33,8 +36,11 @@ from pommkit import (
     remoteness_rate,
     scalar_ssm,
     simulate_complete,
+    ssm_spec,
     uniform_grid_1d,
 )
+from pommkit import posterior
+from pommkit import rng as rngmod
 from pommkit.posterior import write_concentration_csv, write_posterior_csv
 
 
@@ -265,6 +271,17 @@ class TestConcentration:
             posterior_from_profiles(grid, np.zeros(shape), 20)
         assert posterior_from_profiles(grid, np.zeros((181, 40)), 20).n == 20
 
+    def test_nan_or_plus_inf_profile_entry_rejected_naming_its_row(self):
+        grid = uniform_grid_1d(-1.0, 1.0, 2)
+        for profiles, row in (([[np.nan, 1.0], [0.0, 1.0]], 0), ([[0.0, 1.0], [np.inf, 1.0]], 1)):
+            with pytest.raises(ValueError, match=f"profile row {row} holds log likelihood (nan|inf) at n = 1"):
+                posterior_from_profiles(grid, np.array(profiles), 1)
+            # only the column of the requested n is read
+            assert posterior_from_profiles(grid, np.array(profiles), 2).n == 2
+        # -inf is zero likelihood
+        post = posterior_from_profiles(grid, np.array([[-np.inf, 1.0], [0.0, 1.0]]), 1)
+        assert post.masses().tolist() == [0.0, 1.0]
+
     def test_closed_complement_convention(self):
         # cells at distance exactly 1/p count as outside
         grid = ParamGrid(np.array([[0.0], [0.5], [1.0]]))
@@ -317,6 +334,15 @@ class TestAmle:
         for specs in ([scalar_ssm(a) for a in (0.2, 0.3, 0.5)], [scalar_ssm(0.2)]):
             with pytest.raises(ValueError, match="one model per grid point"):
                 amle_grid(specs, grid, obs, Stationary())
+
+    def test_non_finite_star_loglik_rejected(self):
+        grid = uniform_grid_1d(0.2, 0.5, 2)
+        specs = [scalar_ssm(a) for a in (0.2, 0.5)]
+        obs = np.array([0.1, 0.3])
+        for star in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="star_loglik must be a finite log likelihood"):
+                amle_grid(specs, grid, obs, Stationary(), star_loglik=star)
+        assert np.isfinite(amle_grid(specs, grid, obs, Stationary(), star_loglik=-1.0).epsilon_n)
 
     def test_argmax_invariant_under_monotone_rescaling(self):
         # the argmax over the grid does not care about the likelihood scale
@@ -582,6 +608,47 @@ class TestMetropolis:
         b = mh_posterior(self.build, self.flat_prior(), obs, Stationary(), **kw)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_plus_inf_prior_raises_naming_theta(self, bad):
+        obs = np.array([0.1, -0.2])
+        kw = dict(theta0=np.array([0.3]), steps=50, proposal_sd=np.array([0.2]), seed=20)
+        # at the start
+        with pytest.raises(ValueError, match=rf"the prior log density at theta = \[0\.3\] is {bad}"):
+            mh_posterior(self.build, lambda th: bad, obs, Stationary(), **kw)
+        # at a proposal
+        with pytest.raises(ValueError, match=r"the prior log density at theta = \[0\.[4-9]\d*\] is"):
+            mh_posterior(self.build, lambda th: bad if th[0] > 0.4 else 0.0, obs, Stationary(), **kw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_plus_inf_likelihood_raises_naming_theta(self, bad, monkeypatch):
+        obs = np.array([0.1, -0.2])
+        kw = dict(theta0=np.array([0.3]), steps=50, proposal_sd=np.array([0.2]), seed=21)
+
+        def fake_loglik(lo):
+            def value(spec, *args, **kwargs):
+                return LogLik(bad if spec.ssm.A[0, 0] > lo else -1.0, 2, "kalman")
+
+            return value
+
+        monkeypatch.setattr(posterior, "loglik", fake_loglik(0.0))
+        with pytest.raises(ValueError, match=rf"the likelihood log density at theta = \[0\.3\] is {bad}"):
+            mh_posterior(self.build, self.flat_prior(), obs, Stationary(), **kw)
+        monkeypatch.setattr(posterior, "loglik", fake_loglik(0.4))
+        with pytest.raises(ValueError, match=r"the likelihood log density at theta = \[0\.[4-9]\d*\] is"):
+            mh_posterior(self.build, self.flat_prior(), obs, Stationary(), **kw)
+
+    def test_minus_inf_rejects_the_proposal(self, monkeypatch):
+        obs = np.array([0.1, -0.2])
+        kw = dict(theta0=np.array([0.3]), steps=200, proposal_sd=np.array([0.2]), seed=22)
+
+        def zero_above(spec, *args, **kwargs):
+            return LogLik(-np.inf if spec.ssm.A[0, 0] > 0.3 else 0.0, 2, "kalman")
+
+        monkeypatch.setattr(posterior, "loglik", zero_above)
+        res = mh_posterior(self.build, lambda th: -np.inf if th[0] < -0.5 else 0.0, obs, Stationary(), **kw)
+        assert res.samples.max() <= 0.3 and res.samples.min() >= -0.5
+        assert 0.0 < res.acceptance_rate < 1.0
+
     def test_pseudo_marginal_flagged_and_runs(self):
         star = scalar_ssm(0.5, 1.0, 1.0, 0.2)
         obs = project_observations(simulate_complete(star, Stationary(), 30, seed=18))
@@ -592,6 +659,128 @@ class TestMetropolis:
         )
         assert "pseudo_marginal" in res.flags
         assert 0.0 < res.acceptance_rate < 1.0
+
+
+def reference_chain(build, prior_logpdf, obs, init, theta0, steps, proposal_sd, seed, method, particles):
+    """``mh_posterior``'s chain written out, calling public ``loglik`` on the raw observations at every step."""
+    rng = rngmod.substream(seed, rngmod.MH)
+
+    def logpost(th, stream):
+        lp = prior_logpdf(th)
+        if lp == -np.inf:
+            return -np.inf
+        spec = build(th)
+        if spec is None:
+            return -np.inf
+        return lp + loglik(spec, obs, init, method, particles=particles, seed=seed, stream=stream).value
+
+    theta = np.array(theta0, dtype=float)
+    current = logpost(theta, 0)
+    samples = np.empty((steps, theta.size))
+    accepted = 0
+    for step in range(steps):
+        prop = theta + proposal_sd * rng.standard_normal(theta.size)
+        cand = logpost(prop, step + 1)
+        if np.log(rng.random()) < cand - current:
+            theta, current = prop, cand
+            accepted += 1
+        samples[step] = theta
+    return samples, accepted / steps
+
+
+def _outcome(run):
+    """A run's result, or the type and message of what it raised."""
+    try:
+        return run()
+    except Exception as exc:  # the property compares errors too
+        return type(exc), str(exc)
+
+
+_TWO_STATE = finite_hmm_spec(FiniteHmmParams([[0.7, 0.3], [0.2, 0.8]], [[0.9, 0.1], [0.2, 0.8]]))
+# case -> (likelihood method, dimension of the hidden state of its linear specs)
+CHAIN_CASES = {
+    "scalar_kalman": ("kalman", 1),
+    "joint_kalman_p2": ("kalman", 2),
+    "scalar_bpf": ("bpf", 1),
+    "finite_and_linear_bpf": ("bpf", 1),  # one chain reads the data as symbols and as reals
+    "two_observation_dims": ("kalman", 1),  # q = 1 below a = 0, q = 2 from it
+    "malformed": ("kalman", 1),
+}
+
+
+class TestPreparedChainProperty:
+    """Every chain, and every error, equals a loop calling ``loglik`` on the raw observations at every step."""
+
+    @staticmethod
+    def build_for(case, b, qx):
+        def build(th):
+            a = float(th[0])
+            if not abs(a) < 0.95:
+                return None
+            if case == "joint_kalman_p2":
+                return ssm_spec(SsmParams([[a, 0.1], [0.0, 0.3]], [[b, 0.5]], np.eye(2), [[qx]]))
+            if case == "finite_and_linear_bpf" and a < 0.0:
+                return _TWO_STATE
+            if case == "two_observation_dims" and a >= 0.0:
+                return ssm_spec(SsmParams([[a]], [[b], [0.5]], [[1.0]], qx * np.eye(2)))
+            return scalar_ssm(a, b, 1.0, qx)
+
+        return build
+
+    @staticmethod
+    def init_for(kind, p, x0, rng):
+        if kind == "stationary":
+            return Stationary()
+        if kind == "point_mass":
+            return PointMass(np.full(p, x0), 0.0)
+        cov = rng.standard_normal((p + 1, p + 1))
+        return GaussianOnZ(rng.standard_normal(p + 1), cov @ cov.T + np.eye(p + 1))
+
+    @staticmethod
+    def observations(case, n, seed, bad):
+        if case == "finite_and_linear_bpf":
+            return project_observations(simulate_complete(_TWO_STATE, Stationary(), max(n, 1), seed))[:n]
+        ys = project_observations(simulate_complete(scalar_ssm(0.5), Stationary(), max(n, 1), seed))[:n]
+        if case != "malformed" or not n:
+            return ys
+        if bad == "nan":
+            ys[seed % n, 0] = np.nan
+            return ys
+        if bad == "shape":
+            return np.hstack([ys, ys])
+        return ys[:, 0].tolist()[:-1] + [np.inf]
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        init_kind=st.sampled_from(("stationary", "point_mass", "gaussian")),
+        n=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 12),
+        theta0=st.floats(-0.9, 0.9),
+        sd=st.floats(0.0, 0.6),
+        b=st.floats(0.3, 2.0),
+        qx=st.floats(0.05, 1.5),
+        x0=st.floats(-3.0, 3.0),
+        bad=st.sampled_from(("nan", "shape", "inf_last")),
+    )
+    def test_chain_equals_a_raw_loglik_loop(self, case, init_kind, n, seed, steps, theta0, sd, b, qx, x0, bad):
+        method, p = CHAIN_CASES[case]
+        if case == "two_observation_dims":  # start on q = 1, so that a move to q = 2 meets a record checked for q = 1
+            theta0 = -abs(theta0)
+        build = self.build_for(case, b, qx)
+        init = self.init_for(init_kind, p, x0, np.random.default_rng(seed))
+        obs = self.observations(case, n, seed, bad)
+        args = (build, lambda th: 0.0 if abs(th[0]) <= 0.9 else -np.inf, obs, init, np.array([theta0]), steps,
+                np.array([sd]), seed)
+        want = _outcome(lambda: reference_chain(*args, method, 16))
+        got = _outcome(lambda: mh_posterior(*args, method=method, particles=16))
+        event(f"{init_kind}: {'raises' if isinstance(want[0], type) else 'chain'}")
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert got.samples.tobytes() == want[0].tobytes()
+            assert got.acceptance_rate == want[1]
 
 
 class TestImageDensityIdentity:
