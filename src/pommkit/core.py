@@ -240,10 +240,10 @@ def _draw_initial(spec: ModelSpec, init: InitialDist, rng: np.random.Generator) 
     raise TypeError(f"unknown initial distribution {init!r}")
 
 
-def _check_size(name: str, value) -> None:
-    """Reject a node, particle or draw count that is not an integer >= 2."""
-    if not rngmod._is_int(value) or value < 2:
-        raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+def _check_size(name: str, value, least: int = 2) -> None:
+    """Reject a size or count that is not an integer >= ``least`` (2 for node, particle and draw counts)."""
+    if not rngmod._is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _chol_psd(cov: np.ndarray) -> np.ndarray:
@@ -266,8 +266,7 @@ def simulate_complete(spec: ModelSpec, init: InitialDist, n: int, seed: int, str
     ``Phi`` with a zero y column) on Python floats, which keep the bytes
     of the matrix loop that every other linear spec runs.
     """
-    if not rngmod._is_int(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_size("n", n, 1)
     rng = rngmod.substream(seed, rngmod.SIMULATE, stream)
     z = _draw_initial(spec, init, rng)
     if spec.glm is not None:

@@ -64,6 +64,7 @@ _ENUMERATION_CAP = 1 << 22  # hidden paths summed by enumeration_loglik
 _STRING_CAP = 1 << 20  # observation strings enumerated by conditional_entropy_sequence
 _RICCATI_CHECK = 8  # least gap between the Kalman filters' checks for a repeating covariance state
 _MAX_PERIOD = 4  # longest cycle of the covariance state that the Kalman filters' checks catch
+_BPF_LINEAR_RESAMPLE = 1024  # particle count from which the particle filter resamples by a linear-time count
 
 
 @dataclass(frozen=True)
@@ -551,6 +552,43 @@ def _bpf_initial_particles(spec: ModelSpec, init, n_particles: int, rng: np.rand
     raise UnsupportedInitError(f"unsupported initial distribution for the particle filter: {type(init).__name__}")
 
 
+def _resample_indices(cum: np.ndarray, padded: np.ndarray, u: float, est: Optional[np.ndarray]) -> np.ndarray:
+    """Systematic-resampling indices from the ``P`` cumulative weights ``cum``.
+
+    ``padded`` holds the positions ``pos = (k + u) / P`` between a ``-inf``
+    and a ``+inf`` pad. Index ``k`` is the first particle whose cumulative
+    weight exceeds ``pos[k]``, or the last particle when none does (the
+    cumulative sum can round below a late position): ``inf`` is written
+    over ``cum[-1]``, which does what a clamp to ``P - 1`` would. With ``est``
+    ``None`` that is ``np.searchsorted``, in ``O(P log P)``. Otherwise
+    ``est`` is scratch space for ``P - 1`` floats, and the indices come from
+    an exact count in ``O(P)``: for each cumulative weight ``c`` but the
+    last, ``J = #{k : pos[k] < c}`` starts from its estimate
+    ``ceil(c * P - u)`` and moves by one until ``pos[J - 1] < c <= pos[J]``
+    holds for every weight, with the pads as ``pos[-1]`` and ``pos[P]``.
+    The positions increase, so that check pins ``J`` down exactly,
+    whatever the rounding of the estimate. Particle ``i`` is drawn once for
+    each position in ``[cum[i - 1], cum[i])``, so index ``k`` is
+    ``#{i : J_i <= k}``: a ``bincount`` of the counts and its cumulative
+    sum. The last particle's count would be ``P`` and falls outside.
+    """
+    cum[-1] = math.inf
+    if est is None:
+        return np.searchsorted(cum, padded[1:-1], side="right")
+    P = len(cum)
+    c = cum[:-1]
+    np.minimum(np.ceil(np.subtract(np.multiply(c, P, out=est), u, out=est), out=est), P, out=est)
+    J = est.astype(np.intp)
+    below, above = padded[:-1], padded[1:]  # below[J] is pos[J - 1] and above[J] is pos[J]
+    while True:
+        high = below[J] >= c
+        low = above[J] < c  # never true where high is, since below[J] <= above[J]
+        if not (high.any() or low.any()):
+            return np.add.accumulate(np.bincount(J, minlength=P + 1)[:P])
+        J -= high
+        J += low
+
+
 def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int, stream: int = 0) -> LogLik:
     """Bootstrap particle filter estimate of the log likelihood.
 
@@ -564,13 +602,27 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
 
     One step makes one pass of each of: the transition draw, the
     emission log density, its max, the exp, the weight sum, the centred
-    squares and their sum, the cumulative sum, the search and the
-    gather. The weight mean and variance are numpy's ``mean`` and
-    ``var`` operations in their order, so they are numpy's bit for bit.
-    The weights overwrite the emission buffer and the cumulative sum
-    overwrites the squares, so besides the hooks' outputs a step
-    allocates only that buffer, the resampling positions and their
-    indices.
+    squares and their sum, the cumulative sum, the positions, the indices
+    and the gather. The max, the sums and the cumulative sum call
+    ``np.maximum.reduce``, ``np.add.reduce`` and ``np.add.accumulate``,
+    which are numpy's ``max``, ``sum`` and ``cumsum`` bit for bit, and the
+    weight mean and variance are numpy's ``mean`` and ``var`` operations
+    in their order. The weights overwrite the emission buffer. Two buffers
+    are allocated once per call: one holds the centred squares and then
+    the cumulative sum, the other the positions ``(k + u) / particles``
+    between two pads. So besides the hooks' outputs a step allocates only
+    the indices, the resampled particles and the linear count's working
+    arrays.
+
+    ``_resample_indices`` turns the cumulative weights into indices, with
+    ``inf`` written over the last one instead of a clamp: by
+    ``np.searchsorted`` below ``_BPF_LINEAR_RESAMPLE`` particles, and from
+    there on by an exact count in linear time, which is faster from about
+    that many particles. Both give the same indices, so no value depends
+    on the way the particle count picks. The loop runs under one
+    ``np.errstate`` that ignores overflow, underflow and invalid
+    operations: an observation whose square overflows gives ``-inf`` log
+    weights, and so the ``zero_weights`` flag, not a warning.
     """
     _check_size("particles", particles)
     if spec.hmm is None:
@@ -582,28 +634,35 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
         ys = _first_column(obs, ys) if ys.dtype == float else ys[:, 0].astype(float).tolist()
     rng = rngmod.substream(seed, rngmod.BPF, stream)
     x = _bpf_initial_particles(spec, init, particles, rng)
+    qx_sample, g_logpdf, random = hmm.qx_sample, hmm.g_logpdf, rng.random
+    wmax, wsum, cumsum = np.maximum.reduce, np.add.reduce, np.add.accumulate
     ks = np.arange(particles, dtype=float)
-    top = particles - 1
+    d = np.empty(particles)  # the centred squares, then the cumulative weights
+    padded = np.empty(particles + 2)  # the resampling positions between -inf and +inf pads
+    padded[0], padded[-1] = -np.inf, np.inf
+    pos = padded[1:-1]
+    est = np.empty(particles - 1) if particles >= _BPF_LINEAR_RESAMPLE else None
     total = 0.0
     var_log = 0.0
-    for y in ys:
-        x = hmm.qx_sample(x, rng)
-        w = hmm.g_logpdf(x, y)  # a fresh buffer, so the weights can overwrite it
-        m = w.max()
-        if not math.isfinite(m):
-            return LogLik(-np.inf, n, "bpf", flags=("zero_weights",))
-        w -= m
-        np.exp(w, out=w)
-        s = w.sum()
-        wmean = s / particles
-        total += m + np.log(wmean)
-        d = w - wmean
-        d *= d
-        var_log += d.sum() / particles / (particles * wmean**2)
-        w /= s
-        # systematic resampling: one uniform offset, positions (k + u) / particles
-        idx = np.searchsorted(np.cumsum(w, out=d), (ks + rng.random()) / particles, side="right")
-        x = x[np.minimum(idx, top, out=idx)]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for y in ys:
+            x = qx_sample(x, rng)
+            w = g_logpdf(x, y)  # a fresh buffer, so the weights can overwrite it
+            m = wmax(w)
+            if not math.isfinite(m):
+                return LogLik(-np.inf, n, "bpf", flags=("zero_weights",))
+            w -= m
+            np.exp(w, out=w)
+            s = wsum(w)
+            wmean = s / particles
+            total += m + np.log(wmean)
+            np.multiply(np.subtract(w, wmean, out=d), d, out=d)
+            var_log += wsum(d) / particles / (particles * wmean**2)
+            w /= s
+            # systematic resampling: one uniform offset, positions (k + u) / particles
+            u = random()
+            np.divide(np.add(ks, u, out=pos), particles, out=pos)
+            x = x[_resample_indices(cumsum(w, out=d), padded, u, est)]
     return LogLik(float(total), n, "bpf", se=float(np.sqrt(var_log)))
 
 
@@ -645,6 +704,11 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     y: the first has a row per node of its 64 x 64 tensor Gauss-Hermite
     start, 4096 x ``nodes`` (65 MB at 2001 nodes; one row for a point
     mass), and each later one is ``nodes x nodes``.
+
+    The recursion runs under one ``np.errstate`` that ignores overflow,
+    underflow and invalid operations, as the particle filter's does: an
+    observation whose square overflows gives an increment of ``-inf``,
+    not a warning, and the kernels' exp underflows far from the diagonal.
     """
     _check_size("nodes", nodes)
     if spec.state_dim != 1:
@@ -675,7 +739,8 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
 
     if spec.hmm is None and spec.glm is None:
         raise ValueError("quadrature needs either an HMM factorization or linear-family parameters")
-    inc = _quadrature_hmm(spec, ys, mean0, sd0, grid, w) if spec.hmm is not None else _quadrature_glm(spec, ys, init, grid, w)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        inc = _quadrature_hmm(spec, ys, mean0, sd0, grid, w) if spec.hmm is not None else _quadrature_glm(spec, ys, init, grid, w)
     return _summed(inc, "quadrature")
 
 
@@ -830,10 +895,12 @@ def conditional_entropy_sequence(spec: ModelSpec, nmax: int) -> np.ndarray:
     Computed exactly, under the stationary law, by enumerating every
     observation string: the value at n equals H(Y_{1:n-1}) - H(Y_{1:n})
     in Shannon entropies of the string distributions. For a stationary
-    chain the sequence is non-decreasing in n.
+    chain the sequence is non-decreasing in n. ``nmax`` must be an
+    integer >= 0; 0 gives the empty sequence.
     """
     if spec.finite is None:
         raise ValueError("the entropy sequence is computed exactly on finite models only")
+    _check_size("nmax", nmax, 0)
     P, G = spec.finite.P, spec.finite.G
     K, L = spec.finite.n_states, spec.finite.n_symbols
     if L**nmax > _STRING_CAP:

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as rngmod
-from .core import DegeneratePosteriorError, ModelSpec, Stationary, simulate_complete
+from .core import DegeneratePosteriorError, ModelSpec, Stationary, _check_size, simulate_complete
 from .likelihood import _finite_x0_dist, _grid_increments_by_step, _Prepared, forward_loglik, grid_increments, increments, loglik
 from .models import ScalarSsmGrid, finite_hmm_stationary
 from .rng import _is_int
@@ -538,6 +538,11 @@ def _finite_enumeration_ratio_parts(spec_star: ModelSpec, spec_other: ModelSpec,
     return p_star, p_other, per_path
 
 
+def _check_finite_pair(spec_star: ModelSpec, spec_other: ModelSpec) -> None:
+    if spec_star.finite is None or spec_other.finite is None:
+        raise ValueError("the identity is checked exactly on finite models")
+
+
 def image_density_check(spec_star: ModelSpec, spec_other: ModelSpec, init_eta, n: int) -> float:
     """Largest residual of the conditional-expectation identity for ratios.
 
@@ -545,10 +550,10 @@ def image_density_check(spec_star: ModelSpec, spec_other: ModelSpec, init_eta, n
     likelihood ratio (two forward passes) must equal the expectation of
     the complete-data ratio conditional on the observations (exact path
     enumeration under the reference law). Returns the maximum absolute
-    difference across strings.
+    difference across strings. ``n`` must be an integer >= 1.
     """
-    if spec_star.finite is None or spec_other.finite is None:
-        raise ValueError("the identity is checked exactly on finite models")
+    _check_finite_pair(spec_star, spec_other)
+    _check_size("n", n, 1)
     K, L = spec_star.finite.n_states, spec_star.finite.n_symbols
     if (K**n) * (L**n) > _STRING_PATH_CAP:
         raise ValueError("enumeration cap exceeded")
@@ -579,8 +584,11 @@ def image_ratio_markov_check(
     Simulates stationary reference paths and compares the complete-data
     ratio against the observed-data ratio; by the Markov inequality the
     exceedance probability is at most ``1/n^2``. Returns the empirical
-    fraction and the bound.
+    fraction and the bound. ``n`` and ``sims`` must be integers >= 1.
     """
+    _check_finite_pair(spec_star, spec_other)
+    _check_size("n", n, 1)
+    _check_size("sims", sims, 1)
     P_s, G_s = spec_star.finite.P, spec_star.finite.G
     P_o, G_o = spec_other.finite.P, spec_other.finite.G
     pi_x = finite_hmm_stationary(spec_star.finite)

@@ -55,6 +55,7 @@ from pommkit.likelihood import (
     _first_column,
     _observations,
     _Prepared,
+    _resample_indices,
     _scalar_kalman_increments,
     _transition_kernel,
     forward_increments,
@@ -362,6 +363,8 @@ def _bpf_pin_case(name):
 
 # (particles, stream, float.hex of value, float.hex of se, flags) of bpf_loglik at seed 7.
 # Any change to the filter's arithmetic or to the order of its draws moves these bits.
+# The rows at 1023 particles resample by search, those at 1024 and 4096 by the
+# linear-time count (likelihood._BPF_LINEAR_RESAMPLE); both give the same bits.
 BPF_PINS = {
     "sv_stationary": [
         (2, 0, "-0x1.19985a479c376p+6", "0x1.0ac7f687304cfp+0", ()),
@@ -370,6 +373,10 @@ BPF_PINS = {
         (37, 3, "-0x1.09afa6000260ap+6", "0x1.867d9594dd096p-2", ()),
         (512, 0, "-0x1.07a095b590a28p+6", "0x1.7f4169fd61b6fp-4", ()),
         (512, 3, "-0x1.08429cd56fcfbp+6", "0x1.7e56a380ae40bp-4", ()),
+        (1023, 0, "-0x1.07ff6c67da484p+6", "0x1.0fa5b7c56f81dp-4", ()),
+        (1024, 0, "-0x1.0787f5f43a246p+6", "0x1.0fc8cb7ff68e8p-4", ()),
+        (4096, 0, "-0x1.086bb4aa6d73bp+6", "0x1.0d05fecc7813ap-5", ()),
+        (4096, 3, "-0x1.078490f6926c6p+6", "0x1.0bc10645e3a37p-5", ()),
     ],
     "sv_point_mass": [
         (2, 0, "-0x1.1b1eac98fa8bap+6", "0x1.ed8c41429417ep-1", ()),
@@ -378,6 +385,10 @@ BPF_PINS = {
         (37, 3, "-0x1.14639edc1c589p+6", "0x1.63a2185aa92e7p-2", ()),
         (512, 0, "-0x1.128f476c08349p+6", "0x1.63d9ee8b2bfaap-4", ()),
         (512, 3, "-0x1.136a2a4148453p+6", "0x1.732eef7d3824dp-4", ()),
+        (1023, 0, "-0x1.131013d238aedp+6", "0x1.fe3a74a726aa3p-5", ()),
+        (1024, 0, "-0x1.12d4f0f580820p+6", "0x1.fe08f4445968cp-5", ()),
+        (4096, 0, "-0x1.132ef2dd4acf4p+6", "0x1.01d3d45c95e3cp-5", ()),
+        (4096, 3, "-0x1.131be96b1dbf7p+6", "0x1.fdf22d76ae0e4p-6", ()),
     ],
     "ssm_stationary": [
         (2, 0, "-0x1.284f44cfe41edp+7", "0x1.c3145fcf47f59p+1", ()),
@@ -386,6 +397,10 @@ BPF_PINS = {
         (37, 3, "-0x1.e976f444e3ec4p+5", "0x1.bbe2d784ba125p+0", ()),
         (512, 0, "-0x1.d81463159e670p+5", "0x1.c4a25b02d792fp-2", ()),
         (512, 3, "-0x1.d97ee76262e4fp+5", "0x1.c1f40bc902d45p-2", ()),
+        (1023, 0, "-0x1.d5785aa8ded3cp+5", "0x1.409262a6c0d1cp-2", ()),
+        (1024, 0, "-0x1.d25f969669025p+5", "0x1.367cc5362c878p-2", ()),
+        (4096, 0, "-0x1.d654757768df3p+5", "0x1.410555e1d478dp-3", ()),
+        (4096, 3, "-0x1.d65d77ae6453cp+5", "0x1.398a8cbcb1228p-3", ()),
     ],
     "ssm_point_mass": [
         (2, 0, "-0x1.51bd632c231d8p+7", "0x1.e568f9725d159p+1", ()),
@@ -394,6 +409,10 @@ BPF_PINS = {
         (37, 3, "-0x1.0c2674866f0eep+6", "0x1.c14b3678625fbp+0", ()),
         (512, 0, "-0x1.f7170a02b4839p+5", "0x1.40b45243a7b28p-1", ()),
         (512, 3, "-0x1.f9c80942d54a0p+5", "0x1.6e36ad0046037p-1", ()),
+        (1023, 0, "-0x1.f0ef2d5c41a58p+5", "0x1.debf32e47294fp-2", ()),
+        (1024, 0, "-0x1.efc8f319f8536p+5", "0x1.e14c5341e40a8p-2", ()),
+        (4096, 0, "-0x1.f0aa5fdd13f05p+5", "0x1.f19a8404d4c38p-3", ()),
+        (4096, 3, "-0x1.f51a81f0f4b80p+5", "0x1.fb81f4f5da7e9p-3", ()),
     ],
     "ssm_p2": [
         (2, 0, "-0x1.fea3a6927e1b7p+6", "0x1.af32c3154b686p+1", ()),
@@ -402,6 +421,10 @@ BPF_PINS = {
         (37, 3, "-0x1.0f6e2cbeaaf09p+6", "0x1.86de6cd234193p+0", ()),
         (512, 0, "-0x1.02f7c784d3c30p+6", "0x1.ad4d41d1f5064p-2", ()),
         (512, 3, "-0x1.022acf43f3254p+6", "0x1.9cb2b4165ad61p-2", ()),
+        (1023, 0, "-0x1.007a927d6af2dp+6", "0x1.266e49ffae8c4p-2", ()),
+        (1024, 0, "-0x1.00ba4ca099882p+6", "0x1.26d1dcd9ee245p-2", ()),
+        (4096, 0, "-0x1.00ddd4eb488fdp+6", "0x1.24fec6249af9fp-3", ()),
+        (4096, 3, "-0x1.0035de3d197e2p+6", "0x1.2788e682b379fp-3", ()),
     ],
     "ssm_q2": [
         (2, 0, "-0x1.7a4fe9810bf58p+7", "0x1.b9a1830975e53p+1", ()),
@@ -410,6 +433,10 @@ BPF_PINS = {
         (37, 3, "-0x1.8f155daa8affdp+6", "0x1.b438d7c2f8a71p+0", ()),
         (512, 0, "-0x1.8139264ca6576p+6", "0x1.aae7a72d0c274p-2", ()),
         (512, 3, "-0x1.80bc75d80e86dp+6", "0x1.a94099d252998p-2", ()),
+        (1023, 0, "-0x1.81cd003250d1cp+6", "0x1.2ca72306517e9p-2", ()),
+        (1024, 0, "-0x1.814ed5595af16p+6", "0x1.2b249668ba778p-2", ()),
+        (4096, 0, "-0x1.811c190109aaep+6", "0x1.2d1574f7f366ap-3", ()),
+        (4096, 3, "-0x1.802e011d0b165p+6", "0x1.2b4d0e169063ep-3", ()),
     ],
     "finite": [
         (2, 0, "-inf", None, ("zero_weights",)),
@@ -418,6 +445,10 @@ BPF_PINS = {
         (37, 3, "-0x1.ac964b3905f8fp+4", "0x1.406f2025f9965p-1", ()),
         (512, 0, "-0x1.bfb75d3e423c5p+4", "0x1.6254ee1a74294p-3", ()),
         (512, 3, "-0x1.c3995a62120bbp+4", "0x1.66b162a1fd9cap-3", ()),
+        (1023, 0, "-0x1.bd65cccebf361p+4", "0x1.f677200ec0cf6p-4", ()),
+        (1024, 0, "-0x1.bd40a4e7dfbf6p+4", "0x1.f69389bdd3cb4p-4", ()),
+        (4096, 0, "-0x1.bd03963d70e8bp+4", "0x1.f6b3e60d5e949p-5", ()),
+        (4096, 3, "-0x1.be0fc35563845p+4", "0x1.f888a65122586p-5", ()),
     ],
     "finite_zero_weights": [
         (2, 0, "-inf", None, ("zero_weights",)),
@@ -426,6 +457,10 @@ BPF_PINS = {
         (37, 3, "-inf", None, ("zero_weights",)),
         (512, 0, "-inf", None, ("zero_weights",)),
         (512, 3, "-inf", None, ("zero_weights",)),
+        (1023, 0, "-inf", None, ("zero_weights",)),
+        (1024, 0, "-inf", None, ("zero_weights",)),
+        (4096, 0, "-inf", None, ("zero_weights",)),
+        (4096, 3, "-inf", None, ("zero_weights",)),
     ],
 }
 
@@ -438,6 +473,94 @@ class TestParticleFilterBits:
             ll = bpf_loglik(spec, ys, init, particles, seed=7, stream=stream)
             got = (ll.value.hex(), None if ll.se is None else ll.se.hex(), ll.flags)
             assert got == (value, se, flags), (particles, stream)
+
+
+def _resample_weights(pattern, P, seed):
+    """Normalized weights as the particle filter forms them, under one of six patterns."""
+    rng = np.random.default_rng(seed)
+    w = rng.exponential(size=P) ** rng.uniform(0.5, 4.0)
+    if pattern == "zero_runs":
+        for _ in range(int(rng.integers(1, 6))):
+            a = int(rng.integers(P))
+            w[a : a + int(rng.integers(1, P + 1))] = 0.0
+    elif pattern == "one":
+        w[:] = 0.0
+    elif pattern == "subnormal":
+        w *= 1e-310
+    elif pattern == "equal":  # every cumulative weight near a position, where the estimate's rounding matters
+        w[:] = 1.0
+    elif pattern == "levels":  # few distinct weights, as a finite state space gives
+        w = rng.choice([1.0, 0.5, 0.25, 0.0], size=P)
+    w[int(rng.choice([0, P - 1, int(rng.integers(P))]))] = 1.0  # the max weight, exp(0)
+    return w / np.add.reduce(w)
+
+
+class TestLinearResample:
+    """Both ways to resample give the indices of a clamped search, whatever the weights and the offset."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        P=st.integers(2, 5000),
+        pattern=st.sampled_from(["spread", "zero_runs", "one", "subnormal", "equal", "levels"]),
+        u=st.one_of(st.sampled_from([0.0, np.nextafter(1.0, 0.0)]), st.floats(0.0, 1.0, exclude_max=True)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_clamped_search(self, P, pattern, u, seed):
+        w = _resample_weights(pattern, P, seed)
+        padded = np.concatenate([[-np.inf], (np.arange(P, dtype=float) + u) / P, [np.inf]])
+        c = np.cumsum(w)
+        want = np.minimum(np.searchsorted(c, padded[1:-1], side="right"), P - 1)
+        # the sentinel over the last sum does what the clamp did
+        assert np.array_equal(_resample_indices(c.copy(), padded, u, None), want)
+        got = _resample_indices(c.copy(), padded, u, np.empty(P - 1))
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want)
+
+    def test_filter_switches_at_the_crossover(self, monkeypatch):
+        # the same bits on either side of the switch, whichever way a count resamples
+        spec, ys, init = _bpf_pin_case("sv_stationary")
+        for particles in (2, 37, 1500):
+            want = bpf_loglik(spec, ys, init, particles, seed=3)
+            searched = particles < likelihood._BPF_LINEAR_RESAMPLE
+            monkeypatch.setattr(likelihood, "_BPF_LINEAR_RESAMPLE", 2 if searched else 10**9)
+            got = bpf_loglik(spec, ys, init, particles, seed=3)
+            monkeypatch.undo()
+            assert (got.value.hex(), got.se.hex()) == (want.value.hex(), want.se.hex())
+
+
+class TestHugeObservations:
+    """A finite observation whose square overflows gives the float answer, -inf, and no warning."""
+
+    HUGE = (1e155, 1e200, 1.7e308)
+
+    def specs(self):
+        glm = glm_spec(GlmParams([[0.5, 0.0], [0.5, 0.0]], [[1.0, 0.6], [0.6, 1.0]], 1, 1))
+        return {"sv": sv_spec(SvParams(1.0, 0.3, 0.9)), "ssm": scalar_ssm(0.7), "glm": glm}
+
+    @pytest.mark.parametrize("raise_all", [False, True])
+    def test_particle_filter(self, raise_all):
+        specs = self.specs()
+        for y in self.HUGE:
+            for name in ("sv", "ssm"):
+                with np.errstate(all="raise" if raise_all else "warn"):
+                    ll = bpf_loglik(specs[name], np.array([0.3, y, -0.2]), Stationary(), 64, seed=1)
+                assert (ll.value, ll.se, ll.flags) == (-np.inf, None, ("zero_weights",)), (name, y)
+
+    @pytest.mark.parametrize("raise_all", [False, True])
+    def test_quadrature(self, raise_all):
+        specs = self.specs()
+        for y in self.HUGE:
+            for name, spec in specs.items():
+                with np.errstate(all="raise" if raise_all else "warn"):
+                    ll = quadrature_loglik(spec, np.array([0.3, y, -0.2]), Stationary(), nodes=101)
+                assert (ll.value, ll.flags) == (-np.inf, ()), (name, y)
+
+    def test_errstate_is_restored(self):
+        spec = scalar_ssm(0.7)
+        with np.errstate(all="raise"):
+            bpf_loglik(spec, np.array([1e200]), Stationary(), 8, seed=1)
+            quadrature_loglik(spec, np.array([1e200]), Stationary(), nodes=11)
+            assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
 
 
 class TestEntropySequence:
@@ -468,6 +591,19 @@ class TestEntropySequence:
         spec = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]))
         with pytest.raises(ValueError):
             conditional_entropy_sequence(spec, 25)
+
+    @pytest.mark.parametrize("nmax", [2.5, float("nan"), -1, True, "3", None])
+    def test_rejects_bad_length(self, nmax):
+        spec = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]))
+        with pytest.raises(ValueError, match="nmax must be an integer >= 0"):
+            conditional_entropy_sequence(spec, nmax)
+
+    def test_zero_length_is_empty(self):
+        spec = finite_hmm_spec(FiniteHmmParams([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]))
+        for nmax in (0, np.int64(0)):
+            seq = conditional_entropy_sequence(spec, nmax)
+            assert seq.shape == (0,)
+        assert len(conditional_entropy_sequence(spec, np.int64(3))) == 3
 
 
 class TestForwardProperty:

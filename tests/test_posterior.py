@@ -19,6 +19,7 @@ from pommkit import (
     ScalarSsmGrid,
     SsmParams,
     Stationary,
+    SvParams,
     amle_grid,
     concentration_profile,
     enumeration_loglik,
@@ -37,6 +38,7 @@ from pommkit import (
     scalar_ssm,
     simulate_complete,
     ssm_spec,
+    sv_spec,
     uniform_grid_1d,
 )
 from pommkit import posterior
@@ -815,6 +817,35 @@ class TestImageDensityIdentity:
         frac, bound = image_ratio_markov_check(star, other, Stationary(), n=n, sims=sims, seed=24)
         se = np.sqrt(bound * (1 - bound) / sims)
         assert frac <= bound + 3 * se
+
+    @pytest.mark.parametrize("n", [2.5, float("nan"), -1, 0, True, "3"])
+    def test_density_check_rejects_bad_length(self, n):
+        star, other = self.random_pair(np.random.default_rng(25))
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            image_density_check(star, other, Stationary(), n)
+
+    @pytest.mark.parametrize("bad", [{"sims": 0}, {"sims": 2.5}, {"sims": True}, {"sims": -3}, {"n": 2.5}, {"n": 0}, {"n": True}])
+    def test_markov_check_rejects_bad_sizes(self, bad):
+        star, other = self.random_pair(np.random.default_rng(26))
+        args = {"n": 3, "sims": 5, **bad}
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            image_ratio_markov_check(star, other, Stationary(), seed=1, **args)
+
+    def test_sizes_take_numpy_integers(self):
+        star, other = self.random_pair(np.random.default_rng(27))
+        assert image_density_check(star, other, Stationary(), np.int64(2)) == image_density_check(star, other, Stationary(), 2)
+        want = image_ratio_markov_check(star, other, Stationary(), n=3, sims=4, seed=1)
+        assert image_ratio_markov_check(star, other, Stationary(), n=np.int32(3), sims=np.int64(4), seed=1) == want
+
+    def test_checks_reject_non_finite_specs(self):
+        star, _ = self.random_pair(np.random.default_rng(28))
+        sv = sv_spec(SvParams(1.0, 0.3, 0.9))
+        for pair in ((star, sv), (sv, star)):
+            with pytest.raises(ValueError, match="finite models"):
+                image_density_check(*pair, Stationary(), 2)
+            with pytest.raises(ValueError, match="finite models"):
+                image_ratio_markov_check(*pair, Stationary(), n=2, sims=3, seed=1)
 
 
 class TestSerialization:
