@@ -25,6 +25,13 @@ model; a Kalman grid of such models, given as a checked
 ``ScalarSsmGrid`` or as a list of specs, takes the same filter once over
 arrays of grid parameters.
 
+Both Kalman filters, both quadrature branches and the particle filter's
+Gaussian draw start from one reduction of the initial law,
+``_start_moments``, which gives the mean and covariance of the law's
+hidden-state marginal or of its whole (x, y) pair, with each caller's
+own stationary moments, and raises one ``UnsupportedInitError`` for any
+other law. Finite chains start from ``_finite_x0_dist``.
+
 Every evaluator checks its observations once, on entry (``_observations``),
 and the dispatchers and wrappers pass them on unchecked. An empty sequence
 gives no increments, and its initial law is checked as at any length.
@@ -155,17 +162,22 @@ def _summed(inc: np.ndarray, method: str) -> LogLik:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_init_moments(spec: ModelSpec, init) -> tuple[np.ndarray, np.ndarray]:
-    d = spec.state_dim + spec.obs_dim
-    _check_init(spec, init)
+def _start_moments(init, p: int, q: int, k: int, stationary) -> tuple:
+    """Mean and covariance of the first ``k`` coordinates of ``z_0 = (x, y)`` under ``init``, on a (p, q) model.
+
+    ``Stationary()`` gives ``stationary()``, the caller's moments, as they
+    are; a point mass has covariance zero. ``k`` is ``p`` for a start
+    from the hidden-state marginal and ``p + q`` for one from the pair.
+    """
+    _check_init_dim(init, p, q)
     if isinstance(init, Stationary):
-        return np.zeros(d), glm_stationary_cov(spec.glm)
+        return stationary()
     if isinstance(init, PointMass):
-        return np.concatenate([init.x, init.y]).astype(float), np.zeros((d, d))
+        return np.concatenate([init.x, init.y])[:k].astype(float), np.zeros((k, k))
     if isinstance(init, GaussianOnZ):
-        return init.mean.copy(), init.cov.copy()
+        return init.mean[:k], init.cov[:k, :k]
     raise UnsupportedInitError(
-        f"the Kalman evaluator needs a Gaussian-type initial distribution, got {type(init).__name__}"
+        f"this evaluator needs a Stationary, PointMass or GaussianOnZ initial law, got {type(init).__name__}"
     )
 
 
@@ -240,7 +252,7 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
     p, q = params.p, params.q
     ys = _observations(obs, q)
     Phi, R = params.Phi, params.R
-    m, P = _gaussian_init_moments(spec, init)
+    m, P = _start_moments(init, p, q, p + q, lambda: (np.zeros(p + q), glm_stationary_cov(params)))
     yi = slice(p, p + q)
 
     def step(P):
@@ -268,9 +280,10 @@ def kalman_increments(spec: ModelSpec, obs: np.ndarray, init) -> np.ndarray:
         idx = np.arange(len(ys))
         idx[h:] = h - period + (idx[h:] - h) % period
         chol, logdet = chol[idx], logdet[idx]
-    u = np.linalg.solve(chol, innov_buf[:, :, None])[:, :, 0]
-    uu = u[:, 0] * u[:, 0] if q == 1 else np.array([v @ v for v in u])
-    return -0.5 * (q * _LOG2PI + logdet + uu)
+    with np.errstate(over="ignore"):  # an innovation whose square overflows has log density -inf
+        u = np.linalg.solve(chol, innov_buf[:, :, None])[:, :, 0]
+        uu = u[:, 0] * u[:, 0] if q == 1 else np.array([v @ v for v in u])
+        return -0.5 * (q * _LOG2PI + logdet + uu)
 
 
 def _embedded_mean_recursion(phi: tuple, x: float, y: float, ys: list, head: list, cycle: list):
@@ -326,17 +339,8 @@ def _scalar_kalman_increments(a, b, qz, qx, ys, init) -> np.ndarray:
     and the variances of the steps ``_riccati`` computed: all n of them
     only when no period up to 4 repeats.
     """
-    _check_init_dim(init, 1, 1)
-    if isinstance(init, Stationary):
-        m, pv = 0.0, qz / (1.0 - a * a)
-    elif isinstance(init, PointMass):
-        m, pv = float(np.atleast_1d(init.x)[0]), 0.0
-    elif isinstance(init, GaussianOnZ):
-        m, pv = float(init.mean[0]), float(init.cov[0, 0])
-    else:
-        raise UnsupportedInitError(
-            f"the Kalman evaluator needs a Gaussian-type initial distribution, got {type(init).__name__}"
-        )
+    mean, cov = _start_moments(init, 1, 1, 1, lambda: ([0.0], [[qz / (1.0 - a * a)]]))
+    m, pv = float(mean[0]), cov[0][0]
     aa, bb = a * a, b * b
 
     def step(pv):
@@ -350,9 +354,10 @@ def _scalar_kalman_increments(a, b, qz, qx, ys, init) -> np.ndarray:
         covs, gains = _riccati(step, pv, len(yflat), np.array_equal)
         innov_buf = _grid_mean_recursion(a, b, m, yflat, *gains)
     else:
-        covs, gains = _riccati(step, pv, len(yflat), operator.eq)
+        covs, gains = _riccati(step, float(pv), len(yflat), operator.eq)  # a law's numpy scalar as a float
         innov_buf = np.fromiter(_float_mean_recursion(a, b, m, yflat, *gains), float, len(yflat))
-    return _gaussian_log_densities(innov_buf, *covs)
+    with np.errstate(over="ignore"):  # an innovation whose square overflows has log density -inf
+        return _gaussian_log_densities(innov_buf, *covs)
 
 
 def _gaussian_log_densities(innov: np.ndarray, head: list, cycle: list) -> np.ndarray:
@@ -520,16 +525,27 @@ def enumeration_loglik(spec: ModelSpec, obs: np.ndarray, init) -> float:
     n = len(ys)
     if K**n > _ENUMERATION_CAP:
         raise ValueError(f"enumeration over {K}^{n} paths exceeds the cap")
-    x0_dist = _finite_x0_dist(spec, init)
+    x1_dist = _mixed_start(_finite_x0_dist(spec, init), P)
     if n == 0:
         return 0.0  # the one empty path has probability 1
     total = 0.0
     for path in itertools.product(range(K), repeat=n):
-        prob = sum(x0_dist[x0] * P[x0, path[0]] for x0 in range(K)) * G[path[0], ys[0]]
-        for k in range(1, n):
-            prob *= P[path[k - 1], path[k]] * G[path[k], ys[k]]
-        total += prob
+        total += _path_joint(x1_dist, P, G, path, ys)
     return float(np.log(total)) if total > 0.0 else -np.inf
+
+
+def _mixed_start(x0_dist: np.ndarray, P: np.ndarray) -> list:
+    """The law of ``x_1`` when ``x_0 ~ x0_dist``: ``sum(x0_dist[x0] * P[x0, x1] for x0)`` per state ``x1``, in state order."""
+    K = len(x0_dist)
+    return [sum(x0_dist[x0] * P[x0, x1] for x0 in range(K)) for x1 in range(K)]
+
+
+def _path_joint(x1_dist, P: np.ndarray, G: np.ndarray, path, ys):
+    """``x1_dist[x_1] G[x_1, y_1] prod_{k=2..n} P[x_{k-1}, x_k] G[x_k, y_k]``, multiplied in that order; ``n >= 1``."""
+    prob = x1_dist[path[0]] * G[path[0], ys[0]]
+    for k in range(1, len(ys)):
+        prob *= P[path[k - 1], path[k]] * G[path[k], ys[k]]
+    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +560,10 @@ def _bpf_initial_particles(spec: ModelSpec, init, n_particles: int, rng: np.rand
     if isinstance(init, PointMass):
         x0 = init.x.astype(float if spec.finite is None else int)
         return np.full(n_particles, x0[0]) if x0.size == 1 else np.tile(x0, (n_particles, 1))
-    if isinstance(init, GaussianOnZ):
-        p = spec.state_dim
-        mean = init.mean[:p]
-        draws = rng.standard_normal((n_particles, p)) @ _chol_psd(init.cov[:p, :p]).T + mean
-        return draws[:, 0] if p == 1 else draws
-    raise UnsupportedInitError(f"unsupported initial distribution for the particle filter: {type(init).__name__}")
+    p = spec.state_dim
+    mean, cov = _start_moments(init, p, spec.obs_dim, p, None)  # Stationary() was drawn above
+    draws = rng.standard_normal((n_particles, p)) @ _chol_psd(cov).T + mean
+    return draws[:, 0] if p == 1 else draws
 
 
 def _resample_indices(cum: np.ndarray, padded: np.ndarray, u: float, est: Optional[np.ndarray]) -> np.ndarray:
@@ -671,11 +685,12 @@ def bpf_loglik(spec: ModelSpec, obs: np.ndarray, init, particles: int, seed: int
 # ---------------------------------------------------------------------------
 
 
-def _x_marginal_sd(spec: ModelSpec) -> float:
-    if spec.sv is not None:
-        return float(np.sqrt(spec.sv.x_var))
+def _stationary_moments(spec: ModelSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the first ``k`` coordinates of the stationary ``z``: ``Gamma``'s block, or SV's x variance."""
     if spec.glm is not None:
-        return float(np.sqrt(glm_stationary_cov(spec.glm)[0, 0]))
+        return np.zeros(k), glm_stationary_cov(spec.glm)[:k, :k]
+    if spec.sv is not None:
+        return np.zeros(1), np.full((1, 1), spec.sv.x_var)
     raise ValueError("cannot infer a state grid for this model; quadrature supports the built-in families")
 
 
@@ -717,19 +732,13 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     n = len(ys)
     if n > 8:
         raise ValueError("quadrature is an oracle for short sequences (n <= 8)")
-    _check_init(spec, init)
-    sd = _x_marginal_sd(spec)
+    k = 1 if spec.hmm is not None else 1 + spec.obs_dim  # the linear branch integrates the whole pair
+    stationary = _stationary_moments(spec, k)
+    mean, cov = _start_moments(init, 1, spec.obs_dim, k, lambda: stationary)
     # mean and sd of x0, and how far a displaced initial law widens the grid
-    if isinstance(init, Stationary):
-        mean0, sd0, extra = 0.0, sd, 0.0
-    elif isinstance(init, PointMass):
-        mean0, sd0 = float(np.atleast_1d(init.x)[0]), 0.0
-        extra = abs(mean0)
-    elif isinstance(init, GaussianOnZ):
-        mean0, sd0 = float(init.mean[0]), float(np.sqrt(max(init.cov[0, 0], 0.0)))
-        extra = abs(mean0) + sd0
-    else:
-        raise UnsupportedInitError(f"unsupported initial distribution for quadrature: {type(init).__name__}")
+    mean0, sd0 = float(mean[0]), float(np.sqrt(max(cov[0, 0], 0.0)))
+    extra = 0.0 if isinstance(init, Stationary) else abs(mean0) + sd0
+    sd = float(np.sqrt(stationary[1][0, 0]))
     if n == 0:
         return LogLik(0.0, 0, "quadrature")
     lo = min(0.0, mean0) - _QUADRATURE_SPAN * sd - extra
@@ -740,7 +749,7 @@ def quadrature_loglik(spec: ModelSpec, obs: np.ndarray, init, nodes: int = 2001)
     if spec.hmm is None and spec.glm is None:
         raise ValueError("quadrature needs either an HMM factorization or linear-family parameters")
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        inc = _quadrature_hmm(spec, ys, mean0, sd0, grid, w) if spec.hmm is not None else _quadrature_glm(spec, ys, init, grid, w)
+        inc = _quadrature_hmm(spec, ys, mean0, sd0, grid, w) if spec.hmm is not None else _quadrature_glm(spec, ys, mean, cov, grid, w)
     return _summed(inc, "quadrature")
 
 
@@ -782,8 +791,8 @@ def _quadrature_hmm(spec: ModelSpec, ys: np.ndarray, mean0: float, sd0: float, g
     return _scaled_forward(w0, steps(), len(yvals))
 
 
-def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Increments of a scalar linear model, whose transition ``spec.trans_logpdf`` may depend on the past y."""
+def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, mean: np.ndarray, cov: np.ndarray, grid: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Increments of a scalar linear model from z0 ~ N(mean, cov); its transition ``spec.trans_logpdf`` may depend on the past y."""
     if spec.obs_dim != 1:  # quadrature_loglik admits one-dimensional states only
         raise ValueError("quadrature for the linear family is implemented for p = q = 1")
 
@@ -794,7 +803,6 @@ def _quadrature_glm(spec: ModelSpec, ys: np.ndarray, init, grid: np.ndarray, w: 
         return np.column_stack([grid, np.full(len(grid), y)])
 
     # tensor Gauss-Hermite nodes on the two z0 coordinates via the Cholesky map; a point mass is one node
-    mean, cov = _gaussian_init_moments(spec, init)
     t, w0 = _gh_nodes(0.0, 1.0 if cov.any() else 0.0, 64)
     z0 = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2) @ _chol_psd(cov).T + mean
     yvals = ys[:, 0]

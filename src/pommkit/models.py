@@ -612,9 +612,10 @@ class ScalarSsmGrid:
     variances finite and positive, the embedding's ``0.0 + b*a``,
     ``0.0 + b*q_state`` and ``(0.0 + bqz*b) + q_obs`` finite, and one
     ``eigvalsh`` over the stacked 2 x 2 embedded ``R``, which gives each
-    matrix the bits it gets alone. At the first failing point it raises
-    the ``ValueError`` that ``scalar_ssm`` raises for that point, prefixed
-    with the point's index and values. An exact Kalman grid sweep
+    matrix the bits it gets alone. At the first failing point it calls
+    ``scalar_ssm`` on that point and raises its ``ValueError``, prefixed
+    with the point's index and values, so the messages live in one
+    place. An exact Kalman grid sweep
     (``likelihood.grid_increments`` and the grid calls of ``posterior``)
     takes the record in place of one spec per point. ``len`` is the
     number of points, and indexing by a boolean (G,) mask gives the
@@ -634,28 +635,19 @@ class ScalarSsmGrid:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry fails its check below
             ba, bqz = 0.0 + b * a, 0.0 + b * qz
             r_yy = (0.0 + bqz * b) + qx
-        checks = [
-            (~np.isfinite(a), "A must be finite"),
-            (~np.isfinite(b), "B must be finite"),
-            (~(np.abs(a) < 1.0), "spectral radius of A must be < 1"),
-            (~(np.isfinite(qz) & (qz > 0.0)), "Qzeta must be symmetric positive definite"),
-            (~(np.isfinite(qx) & (qx > 0.0)), "Qxi must be symmetric positive definite"),
-            (~np.isfinite(ba), f"{_EMBEDDING_INVALID}: Phi must be finite"),
-            (~(np.isfinite(bqz) & np.isfinite(r_yy)), f"{_EMBEDDING_INVALID}: R must be symmetric"),
-        ]
-        ok = ~np.logical_or.reduce([bad for bad, _ in checks])
+        ok = np.isfinite(a) & np.isfinite(b) & (np.abs(a) < 1.0) & np.isfinite(qz) & (qz > 0.0)
+        ok &= np.isfinite(qx) & (qx > 0.0) & np.isfinite(ba) & np.isfinite(bqz) & np.isfinite(r_yy)
         R = np.empty((int(ok.sum()), 2, 2))
         R[:, 0, 0], R[:, 1, 0], R[:, 0, 1], R[:, 1, 1] = qz[ok], bqz[ok], bqz[ok], r_yy[ok]
-        singular = np.zeros(a.shape, bool)
-        singular[ok] = np.linalg.eigvalsh(R)[:, 0] <= 0.0  # each matrix's least eigenvalue, first in ascending order
-        checks.append((singular, f"{_EMBEDDING_INVALID}: R must be positive definite"))
-        failed = ~ok | singular
+        ok[ok] = np.linalg.eigvalsh(R)[:, 0] > 0.0  # each matrix's least eigenvalue, first in ascending order
         fields = {"a": a, "b": b, "q_state": qz, "q_obs": qx}
-        if failed.any():
-            i = int(np.argmax(failed))
-            message = next(text for bad, text in checks if bad[i])
+        if not ok.all():
+            i = int(np.argmin(ok))
             values = ", ".join(f"{name} = {float(v[i])!r}" for name, v in fields.items())
-            raise ValueError(f"grid point {i} ({values}): {message}")
+            try:
+                scalar_ssm(a[i], b[i], qz[i], qx[i])  # fails as the pass did, with its message
+            except ValueError as err:
+                raise ValueError(f"grid point {i} ({values}): {err}") from None
         for name, v in fields.items():
             v.flags.writeable = False
             object.__setattr__(self, name, v)

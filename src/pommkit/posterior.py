@@ -37,7 +37,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary, _check_size, simulate_complete
-from .likelihood import _finite_x0_dist, _grid_increments_by_step, _Prepared, forward_loglik, grid_increments, increments, loglik
+from .likelihood import _finite_x0_dist, _grid_increments_by_step, _mixed_start, _path_joint, _Prepared, forward_loglik, grid_increments, increments, loglik
 from .models import ScalarSsmGrid, finite_hmm_stationary
 from .rng import _is_int
 
@@ -521,17 +521,13 @@ def _finite_enumeration_ratio_parts(spec_star: ModelSpec, spec_other: ModelSpec,
     P_o, G_o = spec_other.finite.P, spec_other.finite.G
     K = spec_star.finite.n_states
     pi_x = finite_hmm_stationary(spec_star.finite)
-    eta_x = _finite_x0_dist(spec_other, init_eta)
-    n = len(ys)
+    x1_other = _mixed_start(_finite_x0_dist(spec_other, init_eta), P_o)
     p_star = 0.0
     p_other = 0.0
     per_path = []
-    for path in itertools.product(range(K), repeat=n):
-        joint_s = pi_x[path[0]] * G_s[path[0], ys[0]]
-        joint_o = sum(eta_x[x0] * P_o[x0, path[0]] for x0 in range(K)) * G_o[path[0], ys[0]]
-        for k in range(1, n):
-            joint_s *= P_s[path[k - 1], path[k]] * G_s[path[k], ys[k]]
-            joint_o *= P_o[path[k - 1], path[k]] * G_o[path[k], ys[k]]
+    for path in itertools.product(range(K), repeat=len(ys)):
+        joint_s = _path_joint(pi_x, P_s, G_s, path, ys)
+        joint_o = _path_joint(x1_other, P_o, G_o, path, ys)
         p_star += joint_s
         p_other += joint_o
         per_path.append((joint_s, joint_o))
@@ -592,19 +588,13 @@ def image_ratio_markov_check(
     P_s, G_s = spec_star.finite.P, spec_star.finite.G
     P_o, G_o = spec_other.finite.P, spec_other.finite.G
     pi_x = finite_hmm_stationary(spec_star.finite)
-    eta_x = _finite_x0_dist(spec_other, init_eta)
-    K = spec_star.finite.n_states
+    x1_other = _mixed_start(_finite_x0_dist(spec_other, init_eta), P_o)
     count = 0
     for s in range(sims):
         traj = simulate_complete(spec_star, Stationary(), n, seed, stream=1000 + s)
         xs = traj.x[1:, 0].astype(int)
         ys = traj.y[1:, 0].astype(int)
-        joint_s = pi_x[xs[0]] * G_s[xs[0], ys[0]]
-        joint_o = sum(eta_x[x0] * P_o[x0, xs[0]] for x0 in range(K)) * G_o[xs[0], ys[0]]
-        for k in range(1, n):
-            joint_s *= P_s[xs[k - 1], xs[k]] * G_s[xs[k], ys[k]]
-            joint_o *= P_o[xs[k - 1], xs[k]] * G_o[xs[k], ys[k]]
-        complete = joint_o / joint_s
+        complete = _path_joint(x1_other, P_o, G_o, xs, ys) / _path_joint(pi_x, P_s, G_s, xs, ys)
         observed = np.exp(
             forward_loglik(spec_other, ys, init_eta).value - forward_loglik(spec_star, ys, Stationary()).value
         )

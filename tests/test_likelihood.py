@@ -555,11 +555,35 @@ class TestHugeObservations:
                     ll = quadrature_loglik(spec, np.array([0.3, y, -0.2]), Stationary(), nodes=101)
                 assert (ll.value, ll.flags) == (-np.inf, ()), (name, y)
 
+    @pytest.mark.parametrize("raise_all", [False, True])
+    def test_kalman_filters(self, raise_all):
+        scalar, p2 = scalar_ssm(0.7), self.p2()
+        grid = ScalarSsmGrid([-0.5, 0.3, 0.7], 1.0, 1.0, 0.2)
+        for y in self.HUGE:
+            ys = np.array([0.3, y, -0.2])
+            with np.errstate(all="raise" if raise_all else "warn"):
+                values = [
+                    loglik(scalar, ys, Stationary(), "kalman").value,
+                    kalman_loglik(scalar, ys, Stationary()).value,
+                    kalman_loglik(p2, ys, Stationary()).value,
+                    *grid_loglik_profiles(grid, ys, Stationary())[:, -1],
+                ]
+                first = [increments(scalar, ys, Stationary(), "kalman"), kalman_increments(p2, ys, Stationary())]
+            assert values == [-np.inf] * 6, y
+            for inc in first:  # the observation before the huge one keeps a finite log density
+                assert np.isfinite(inc[0]) and inc[1] == -np.inf, y
+
+    @staticmethod
+    def p2():
+        return ssm_spec(SsmParams([[0.6, 0.2], [-0.1, 0.5]], [[1.0, 0.4]], [[1.0, 0.3], [0.3, 0.8]], [[0.2]]))
+
     def test_errstate_is_restored(self):
         spec = scalar_ssm(0.7)
         with np.errstate(all="raise"):
             bpf_loglik(spec, np.array([1e200]), Stationary(), 8, seed=1)
             quadrature_loglik(spec, np.array([1e200]), Stationary(), nodes=11)
+            increments(spec, np.array([1e200]), Stationary(), "kalman")
+            kalman_increments(self.p2(), np.array([1e200]), Stationary())
             assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
 
 
@@ -1166,7 +1190,7 @@ def matrix_mean_increments(spec, ys, init):
     """``kalman_increments`` with its mean recursion on matrices, ``m = Phi @ m`` and ``m = m + gain @ innov``."""
     Phi, R, p, q = spec.glm.Phi, spec.glm.R, spec.glm.p, spec.glm.q
     ys = np.asarray(ys, dtype=float).reshape(-1, q)
-    m, P = likelihood._gaussian_init_moments(spec, init)
+    m, P = likelihood._start_moments(init, p, q, p + q, lambda: (np.zeros(p + q), glm_stationary_cov(spec.glm)))
     yi = slice(p, p + q)
 
     def step(P):
@@ -1278,6 +1302,61 @@ class TestInitialLawDimension:
         good = PointMass([1.0, -0.5], 0.3)
         assert np.isfinite(kalman_increments(spec, ys, good)).all()
         assert np.isfinite(bpf_loglik(spec, ys, good, particles=16, seed=0).value)
+
+
+class TestOneStart:
+    """Every Gaussian-type filter starts from one reduction of the initial law.
+
+    Over random scalar and p = 2 state-space models: a ``GaussianOnZ``
+    equal to the stationary law gives the bits of ``Stationary()``; a
+    point-mass or Gaussian start gives the scalar filter's one-spec
+    increments and its ``ScalarSsmGrid`` row the same bits; and a law that
+    is not Gaussian-type raises one ``UnsupportedInitError`` everywhere.
+    """
+
+    UNSUPPORTED = (CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1))), np.array([0.5, 0.5]))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(point=STABLE_POINT, others=st.lists(STABLE_POINT, min_size=1, max_size=3), seed=st.integers(0, 2**16))
+    def test_scalar_models(self, point, others, seed):
+        a, b, qz, qx = point
+        spec = scalar_ssm(*point)
+        ys = simulated_obs(spec, 60, seed=seed)
+        v = qz / (1.0 - a * a)
+        stationary = GaussianOnZ([0.0, 0.0], [[v, b * v], [b * v, b * b * v + qx]])
+        assert increments(spec, ys, stationary, "kalman").tobytes() == increments(spec, ys, Stationary(), "kalman").tobytes()
+        joint = GaussianOnZ(np.zeros(2), glm_stationary_cov(spec.glm))
+        assert kalman_increments(spec, ys, joint).tobytes() == kalman_increments(spec, ys, Stationary()).tobytes()
+        grid = ScalarSsmGrid(*np.array(others + [point]).T)
+        for init in random_gaussian_inits(spec, seed):
+            assert grid_increments(grid, ys, init, "kalman")[-1].tobytes() == increments(spec, ys, init, "kalman").tobytes()
+        linear = glm_spec(spec.glm)  # no HMM factorization: the linear quadrature
+        calls = (
+            lambda init: increments(spec, ys, init, "kalman"),
+            lambda init: grid_increments(grid, ys, init, "kalman"),
+            lambda init: kalman_increments(spec, ys, init),
+            lambda init: quadrature_loglik(spec, ys[:2], init, nodes=11),
+            lambda init: quadrature_loglik(linear, ys[:2], init, nodes=11),
+            lambda init: bpf_loglik(spec, ys, init, 8, seed),
+        )
+        self.check_unsupported(calls)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_p2_models(self, seed):
+        spec = random_linear_spec("ssm", 2, 1, seed)
+        ys = simulated_obs(spec, 60, seed=seed)
+        joint = GaussianOnZ(np.zeros(3), glm_stationary_cov(spec.glm))
+        assert kalman_increments(spec, ys, joint).tobytes() == kalman_increments(spec, ys, Stationary()).tobytes()
+        self.check_unsupported((lambda init: kalman_increments(spec, ys, init), lambda init: bpf_loglik(spec, ys, init, 8, seed)))
+
+    def check_unsupported(self, calls):
+        for init in self.UNSUPPORTED:
+            message = f"this evaluator needs a Stationary, PointMass or GaussianOnZ initial law, got {type(init).__name__}"
+            for call in calls:
+                with pytest.raises(UnsupportedInitError) as raised:
+                    call(init)
+                assert str(raised.value) == message
 
 
 class TestLinearQuadrature:

@@ -1,0 +1,131 @@
+"""Print one SHA-256 digest per output of a fixed battery of pommkit computations.
+
+Run ``python tools/digests.py`` in two checkouts and compare the outputs
+(``diff``): equal lines mean equal bits. The script imports the package
+from ``src/`` of the checkout it sits in, whatever is installed, so a
+copy of another revision checks that revision. The battery covers the
+Kalman filters under the three initial laws (a scalar model on both
+filters, a p = 2 state-space model on the joint filter), a
+``ScalarSsmGrid`` profile, n = 8 quadrature (SV, the scalar state-space
+model and a linear model without an HMM factorization), the particle
+filter at 512 (binary-search resampling) and 1024 particles
+(linear-time resampling), one Metropolis chain, the finite-HMM
+path-enumeration oracles and every file that
+``run_experiment(reference_config())`` writes. It takes well under a
+second after the imports.
+"""
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from pommkit import (  # noqa: E402
+    FiniteHmmParams,
+    GaussianOnZ,
+    GlmParams,
+    PointMass,
+    ScalarSsmGrid,
+    SsmParams,
+    Stationary,
+    SvParams,
+    bpf_loglik,
+    enumeration_loglik,
+    finite_hmm_spec,
+    glm_spec,
+    grid_loglik_profiles,
+    image_density_check,
+    image_ratio_markov_check,
+    increments,
+    kalman_increments,
+    mh_posterior,
+    project_observations,
+    quadrature_loglik,
+    scalar_ssm,
+    simulate_complete,
+    ssm_spec,
+    sv_spec,
+)
+from pommkit.experiment import reference_config, run_experiment  # noqa: E402
+
+SEED = 20260808
+
+
+def digest(value) -> str:
+    """SHA-256 of bytes, of an array's dtype, shape and bytes, or of another value's ``repr`` (exact for floats)."""
+    if isinstance(value, bytes):
+        data = value
+    elif isinstance(value, np.ndarray):
+        value = np.ascontiguousarray(value)
+        data = f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    else:
+        data = repr(value).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def observations(spec, n: int, init=None) -> np.ndarray:
+    return project_observations(simulate_complete(spec, init or Stationary(), n, SEED))
+
+
+def battery():
+    """Yields ``(name, value)`` for every output of the battery, in a fixed order."""
+    scalar = scalar_ssm(0.7, 1.0, 1.0, 0.2)
+    p2 = ssm_spec(SsmParams([[0.6, 0.2], [-0.1, 0.5]], [[1.0, 0.4]], [[1.0, 0.3], [0.3, 0.8]], [[0.2]]))
+    sv = sv_spec(SvParams(1.0, 0.3, 0.9))
+    linear = glm_spec(GlmParams([[0.5, 0.2], [-0.3, 0.4]], [[1.0, 0.3], [0.3, 0.8]], 1, 1))
+    ys, ys2 = observations(scalar, 400), observations(p2, 400)
+    inits = {
+        "stationary": (Stationary(), Stationary()),
+        "point_mass": (PointMass(1.5, -0.3), PointMass([1.5, -0.5], 0.2)),
+        "gaussian": (GaussianOnZ([0.4, -0.2], [[0.5, 0.1], [0.1, 0.9]]), GaussianOnZ([0.4, -0.3, 0.1], 0.5 * np.eye(3))),
+    }
+    for law, (init, init2) in inits.items():
+        yield f"kalman_scalar_{law}", increments(scalar, ys, init, "kalman")
+        yield f"kalman_joint_{law}", kalman_increments(scalar, ys, init)
+        yield f"kalman_p2_{law}", increments(p2, ys2, init2, "kalman")
+    grid = ScalarSsmGrid(np.linspace(-0.9, 0.9, 181), 1.0, 1.0, 0.2)
+    for law in ("stationary", "gaussian"):
+        yield f"grid_profile_{law}", grid_loglik_profiles(grid, ys, inits[law][0])
+    for name, spec in (("sv", sv), ("ssm", scalar), ("linear", linear)):
+        for law in ("stationary", "point_mass"):
+            yield f"quadrature_{name}_{law}", quadrature_loglik(spec, observations(spec, 8), inits[law][0], nodes=101)
+    ys_sv = observations(sv, 200)
+    for particles in (512, 1024):
+        yield f"bpf_sv_{particles}", bpf_loglik(sv, ys_sv, Stationary(), particles, SEED)
+        yield f"bpf_ssm_gaussian_{particles}", bpf_loglik(scalar, ys[:200], inits["gaussian"][0], particles, SEED)
+    chain = mh_posterior(
+        lambda th: scalar_ssm(float(th[0])) if abs(th[0]) < 1.0 else None,
+        lambda th: 0.0,
+        ys,
+        Stationary(),
+        np.array([0.5]),
+        200,
+        np.array([0.05]),
+        SEED,
+    )
+    yield "mh_chain", chain.samples
+    yield "mh_acceptance", chain.acceptance_rate
+    finite = finite_hmm_spec(FiniteHmmParams([[0.8, 0.2], [0.3, 0.7]], [[0.9, 0.1], [0.2, 0.8]]))
+    other = finite_hmm_spec(FiniteHmmParams([[0.6, 0.4], [0.1, 0.9]], [[0.7, 0.3], [0.4, 0.6]]))
+    eta = np.array([0.3, 0.7])
+    yield "finite_enumeration", enumeration_loglik(finite, observations(finite, 10), eta)
+    yield "finite_image_density", image_density_check(finite, other, eta, 4)
+    yield "finite_image_markov", image_ratio_markov_check(finite, other, eta, 6, 50, SEED)
+    with tempfile.TemporaryDirectory() as out:
+        run_experiment(reference_config(), out)
+        for path in sorted(Path(out).iterdir()):
+            yield f"experiment_{path.name}", path.read_bytes()
+
+
+def main() -> None:
+    for name, value in battery():
+        print(name, digest(value))
+
+
+if __name__ == "__main__":
+    main()
