@@ -174,8 +174,16 @@ def psup_sv_bound(region: SvRegion, y1, y2) -> np.ndarray:
     return out
 
 
+def _check_finite_floats(**values) -> None:
+    """Raise ``ValueError`` naming the first of the keyword arguments that is not a finite number."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 def psup_pointwise_bound(params: SvParams, y1: float, y2: float) -> float:
-    """Envelope evaluated at one parameter point (degenerate region)."""
+    """Envelope evaluated at one parameter point (degenerate region); ``y1`` and ``y2`` must be finite."""
+    _check_finite_floats(y1=y1, y2=y2)
     b1 = float(_bound1(params.sigma, np.float64(y1), np.float64(y2)))
     b2 = float(np.exp(_log_bound2_at_phi(params.sigma, math.log(params.beta), params.phi, np.float64(y1))))
     return min(b1, b2)
@@ -211,7 +219,8 @@ def psup_cm_complement_bound(box: SvThetaBox, m: float, y1, y2) -> np.ndarray:
 
 
 def sv_block_density(params: SvParams, x0: float, y1: float, y2: float) -> float:
-    """Quadrature value of the integrated two-step density block."""
+    """Quadrature value of the integrated two-step density block; ``x0``, ``y1`` and ``y2`` must be finite."""
+    _check_finite_floats(x0=x0, y1=y1, y2=y2)
     phi, sigma = params.phi, params.sigma
     nodes, span = _BLOCK_NODES, _BLOCK_SPAN
     m1 = phi * x0
@@ -382,11 +391,14 @@ def sv_marginal_y_logpdf(params: SvParams, ys: np.ndarray) -> np.ndarray:
     log-sum-exp over the nodes. The draws go through in row blocks, so
     the working set is one block of about 0.5 MB (a few hundred draws by
     ``_MARGINAL_GH_NODES``) besides the output, however many draws there are.
+    Every entry of ``ys`` must be finite.
     """
+    ys = np.asarray(ys, dtype=float)
+    if not np.isfinite(ys).all():
+        raise ValueError(f"ys must be finite, got {int(np.count_nonzero(~np.isfinite(ys)))} non-finite entries")
     t, w = np.polynomial.hermite.hermgauss(_MARGINAL_GH_NODES)
     xs = np.sqrt(2.0 * params.x_var) * t
     lw = np.log(w / np.sqrt(np.pi))
-    ys = np.asarray(ys, dtype=float)
     out = np.empty(len(ys))
     rows = _BLOCK_FLOATS // _MARGINAL_GH_NODES
     for i in range(0, len(ys), rows):

@@ -27,7 +27,7 @@ from .core import project_observations, simulate_complete
 from .divergence import delta_glm_closed, delta_sv_closed
 from .likelihood import loglik
 from .models import GlmParams, SvParams, sv_spec
-from .posterior import grid_loglik_profiles, posterior_from_profiles, write_posterior_csv
+from .posterior import _posterior_csv_text, grid_loglik_profiles, posterior_from_profiles, write_posterior_csv
 
 
 def _fmt(x: float) -> str:
@@ -102,10 +102,7 @@ def _cmd_posterior(args) -> int:
     if args.out:
         write_posterior_csv(post, args.out)
     else:
-        dens = post.log_density()
-        print("theta0,log_post")
-        for pt, ld in zip(post.grid.points, dens):
-            print(f"{_fmt(pt[0])},{_fmt(ld)}")
+        sys.stdout.write(_posterior_csv_text(post))
     return 0
 
 

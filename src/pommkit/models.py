@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .core import HmmFactorization, ModelSpec
 _LOG2PI = np.log(2.0 * np.pi)
 _UNIT_EIG_TOL = 1e-9  # finite_hmm_stationary: distance of an eigenvalue from 1 and from the unit circle
 _EMBEDDING_INVALID = "the joint-chain embedding of this state-space model is invalid"
+_SCALAR_R_MEMO = 128  # _scalar_embedded_R: distinct (b, q_state, q_obs) triples kept
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +103,12 @@ class GlmParams:
         """Check ``R`` and set the fields; ``Phi`` is finite and stable already."""
         if not _is_symmetric(R):
             raise ValueError("R must be symmetric")
-        self._finish_symmetric(Phi, R, p, q)
-
-    def _finish_symmetric(self, Phi, R, p: int, q: int) -> None:
-        """Check that ``R``, known to be finite and symmetric, is positive definite, and set the fields."""
         if np.linalg.eigvalsh(R).min() <= 0.0:
             raise ValueError("R must be positive definite")
+        self._set_fields(Phi, R, p, q)
+
+    def _set_fields(self, Phi, R, p: int, q: int) -> None:
+        """Set the fields of a record whose ``Phi`` and ``R`` are checked already."""
         object.__setattr__(self, "Phi", Phi)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "p", p)
@@ -442,25 +443,23 @@ def ssm_embed(params: SsmParams) -> GlmParams:
 
     When p = q = 1 the blocks are products of plain floats, each added to
     ``+0.0`` as a 1 x 1 matrix product adds its one term, so ``Phi`` and
-    ``R`` have the bits of the matrix assembly. The two off-diagonal
-    entries of ``R`` are then one float, so ``R`` is symmetric exactly
-    when it is finite, and that is what is checked in its place. The test
-    ``eigvalsh(R).min() > 0`` stays: ``R`` can be singular in floating
-    point although both variances are positive (``1e10 + 1e-8 == 1e10``).
+    ``R`` have the bits of the matrix assembly. ``b a`` is checked finite
+    first and ``Phi`` is a fresh array per call; ``R`` does not depend on
+    ``a`` and comes from ``_scalar_embedded_R``, which checks it once per
+    ``(b, q_state, q_obs)`` and returns one read-only array that every
+    record with those floats shares. A failed check is never kept, so it
+    raises again, with the same message, on every call.
     """
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p, q = params.p, params.q
     glm = object.__new__(GlmParams)
     try:
         if p == q == 1:
-            a, b, qz, qx = A.item(), B.item(), Qz.item(), Qx.item()
-            ba, bqz = 0.0 + b * a, 0.0 + b * qz
-            r_yy = (0.0 + bqz * b) + qx
+            a, b = A.item(), B.item()
+            ba = 0.0 + b * a
             if not math.isfinite(ba):
                 raise ValueError("Phi must be finite")
-            if not (math.isfinite(bqz) and math.isfinite(r_yy)):
-                raise ValueError("R must be symmetric")
-            glm._finish_symmetric(np.array([[a, 0.0], [ba, 0.0]]), np.array([[qz, bqz], [bqz, r_yy]]), p, q)
+            glm._set_fields(np.array([[a, 0.0], [ba, 0.0]]), _scalar_embedded_R(b, Qz.item(), Qx.item()), p, q)
         else:
             Phi = np.zeros((p + q, p + q))
             Phi[:p, :p] = A
@@ -478,6 +477,31 @@ def ssm_embed(params: SsmParams) -> GlmParams:
     except ValueError as err:
         raise ValueError(f"{_EMBEDDING_INVALID}: {err}") from err
     return glm
+
+
+@lru_cache(maxsize=_SCALAR_R_MEMO)
+def _scalar_embedded_R(b: float, qz: float, qx: float) -> np.ndarray:
+    """The checked, read-only embedded ``R`` of a p = q = 1 model, built once per ``(b, qz, qx)``.
+
+    ``R = [[qz, b qz], [b qz, b^2 qz + qx]]`` with the bits of the matrix
+    assembly. Its two off-diagonal entries are one float, so ``R`` is
+    symmetric exactly when it is finite, and that is what is checked in
+    place of ``GlmParams``'s symmetry test. The test
+    ``eigvalsh(R).min() > 0`` stays: ``R`` can be singular in floating
+    point although both variances are positive (``1e10 + 1e-8 == 1e10``).
+    ``lru_cache`` keeps no exception, so a failing triple raises on every
+    call. ``b = -0.0`` shares the key of ``+0.0``, which is safe because
+    both give ``b qz = +0.0``.
+    """
+    bqz = 0.0 + b * qz
+    r_yy = (0.0 + bqz * b) + qx
+    if not (math.isfinite(bqz) and math.isfinite(r_yy)):
+        raise ValueError("R must be symmetric")
+    R = np.array([[qz, bqz], [bqz, r_yy]])
+    if np.linalg.eigvalsh(R).min() <= 0.0:
+        raise ValueError("R must be positive definite")
+    R.flags.writeable = False
+    return R
 
 
 def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int):
@@ -596,8 +620,13 @@ def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.
     finite and positive and the embedded ``R`` finite, all on plain
     floats, and ``eigvalsh(R).min() > 0`` on the assembled 2 x 2 ``R``,
     which can be singular in floating point although both variances are
-    positive. Each failure raises the ``ValueError`` of the general
-    matrix build, with its message, and the arrays have its bytes.
+    positive. ``R`` does not depend on ``a``, so its checks run once per
+    ``(b, q_state, q_obs)``, kept in a bounded memo, and the specs with
+    those floats share one read-only ``R``; a chain or a grid over ``a``
+    builds only ``Phi``, the parameter arrays and the callables per
+    spec. Each failure raises the ``ValueError`` of the general matrix
+    build, with its message, on every call, and the arrays have its
+    bytes.
     """
     return ssm_spec(SsmParams(A=[[a]], B=[[b]], Qzeta=[[q_state]], Qxi=[[q_obs]]))
 

@@ -608,15 +608,17 @@ def image_ratio_markov_check(
 # ---------------------------------------------------------------------------
 
 
+def _posterior_csv_text(post: PosteriorGrid) -> str:
+    """The posterior table: a ``theta0,...,log_post`` header, then one row per grid point, each value ``.17g``."""
+    header = ",".join([f"theta{i}" for i in range(post.grid.points.shape[1])] + ["log_post"])
+    rows = (",".join([f"{c:.17g}" for c in pt] + [f"{ld:.17g}"])
+            for pt, ld in zip(post.grid.points.tolist(), post.log_density().tolist()))
+    return "\n".join([header, *rows, ""])
+
+
 def write_posterior_csv(post: PosteriorGrid, path) -> None:
-    d = post.grid.points.shape[1]
-    header = ",".join([f"theta{i}" for i in range(d)] + ["log_post"])
-    dens = post.log_density()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for pt, ld in zip(post.grid.points, dens):
-            coords = ",".join(f"{c:.17g}" for c in pt)
-            fh.write(f"{coords},{ld:.17g}\n")
+        fh.write(_posterior_csv_text(post))
 
 
 def write_concentration_csv(rows: Sequence[ConcentrationRow], path) -> None:

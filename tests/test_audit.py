@@ -33,7 +33,13 @@ from pommkit import (
     tightness_audit_sv,
 )
 from pommkit import rng as rngmod
-from pommkit.audit import b6_sufficient_integral_sv, b6_entropy_floor_sv, sv_marginal_y_logpdf, write_audit_jsonl
+from pommkit.audit import (
+    b6_entropy_floor_sv,
+    b6_sufficient_integral_sv,
+    psup_pointwise_bound,
+    sv_marginal_y_logpdf,
+    write_audit_jsonl,
+)
 from pommkit.models import sv_g_sample, sv_qx_sample, sv_stationary_x_sample
 from tests.test_models import one_expression_normal, one_expression_sv_g, random_stable_glm
 
@@ -109,6 +115,31 @@ class TestEnvelopeDominatesQuadrature:
         a = envelope_validity_audit(BOX, draws=50, seed=6)
         b = envelope_validity_audit(BOX, draws=50, seed=6)
         assert a.statistic == b.statistic
+
+
+class TestSvEntryPointsRejectNonFinite:
+    """The SV audit entry points name a non-finite argument instead of returning NaN or inf."""
+
+    BAD = (np.nan, np.inf, -np.inf)
+
+    def test_block_density(self):
+        for bad in self.BAD:
+            for name, args in (("x0", (bad, 0.5, 0.5)), ("y1", (0.5, bad, 0.5)), ("y2", (0.5, 0.5, bad))):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    sv_block_density(STAR, *args)
+
+    def test_pointwise_bound(self):
+        for bad in self.BAD:
+            for name, args in (("y1", (bad, 0.5)), ("y2", (0.5, bad))):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    psup_pointwise_bound(STAR, *args)
+        assert np.isfinite(psup_pointwise_bound(STAR, 0.7, -0.3))
+
+    def test_marginal_y_logpdf(self):
+        for bad in self.BAD:
+            with pytest.raises(ValueError, match="^ys must be finite, got 1 non-finite entries"):
+                sv_marginal_y_logpdf(STAR, [bad, 1.0])
+        assert np.isfinite(sv_marginal_y_logpdf(STAR, [0.0, 1.0])).all()
 
 
 class TestTightnessAudit:

@@ -1,20 +1,25 @@
 """``tools/digests.py`` runs its whole battery and prints one SHA-256 per output.
 
 The script's digests are compared between two checkouts, so the test
-pins no digest: it runs the battery once, as ``python tools/digests.py``
-does, and checks that every output of the battery has one well-formed
-line under its own name.
+pins no digest. It runs the battery twice in one process, as
+``python tools/digests.py`` does, and checks three things: both
+printouts are the same, so builds from a warm memo of embedded noise
+covariances keep their bits; every output has one line under its own
+name; and every line is well formed.
 """
 
 import importlib.util
 import re
 from pathlib import Path
 
+from pommkit import models
+
 DIGESTS = Path(__file__).resolve().parent.parent / "tools" / "digests.py"
 
 LAWS = ("stationary", "point_mass", "gaussian")
 EXPECTED = (
     [f"kalman_{model}_{law}" for law in LAWS for model in ("scalar", "joint", "p2")]
+    + [f"sweep_{param}_{part}" for param in ("b", "q_obs") for part in ("phi_r", "kalman")]
     + ["grid_profile_stationary", "grid_profile_gaussian"]
     + [f"quadrature_{model}_{law}" for model in ("sv", "ssm", "linear") for law in ("stationary", "point_mass")]
     + [f"bpf_{case}_{particles}" for particles in (512, 1024) for case in ("sv", "ssm_gaussian")]
@@ -28,8 +33,13 @@ def test_prints_one_digest_per_output(capsys):
     spec = importlib.util.spec_from_file_location("digests", DIGESTS)
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
-    digests.main()
-    lines = capsys.readouterr().out.splitlines()
+    assert digests.SWEEP_Q_OBS > models._SCALAR_R_MEMO  # the q_obs sweep evicts from the memo
+    printouts = []
+    for _ in range(2):  # the second run starts from the memo the first one left
+        digests.main()
+        printouts.append(capsys.readouterr().out)
+    assert printouts[0] == printouts[1]
+    lines = printouts[0].splitlines()
     assert [line.split(" ")[0] for line in lines] == EXPECTED
     for line in lines:
         assert re.fullmatch(r"\S+ [0-9a-f]{64}", line), line

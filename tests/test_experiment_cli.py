@@ -233,6 +233,15 @@ class TestCli:
         # uniform prior: mass 1/181 per cell of width 0.01
         np.testing.assert_allclose(dens, np.log((1.0 / 181) / 0.01), atol=1e-12)
 
+    def test_posterior_prints_the_file_it_writes(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "post.csv"
+        assert cli.main(["posterior", "--config", str(cfg), "--n", "40", "--out", str(out)]) == 0
+        assert cli.main(["posterior", "--config", str(cfg), "--n", "40"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode() == out.read_bytes() and printed.startswith("theta0,log_post\n")
+        assert len(printed.splitlines()) == 182
+
     def test_kld_glm_worked_value(self, capsys):
         rc = cli.main([
             "kld", "--family", "glm", "--p", "1", "--q", "1",

@@ -25,6 +25,8 @@ from pommkit import (
     glm_stationary_cov,
     iid_gaussian_spec,
     kalman_loglik,
+    mh_posterior,
+    project_observations,
     scalar_ssm,
     simulate_complete,
     ssm_embed,
@@ -338,6 +340,89 @@ class TestScalarSsmGrid:
         for bad in (mask.astype(int), mask[:-1], np.zeros(7, bool), mask[:, None]):
             with pytest.raises(ValueError, match="mask"):
                 grid[bad]
+
+
+MEMO_KEYS = [
+    (1.0, 1.0, 0.2),
+    (0.0, 1.0, 0.2),
+    (-0.0, 1.0, 0.2),  # the key of +0.0; both give b q_state = +0.0
+    (1.0, 1.0, 0.5),  # shares b and q_state with the first key
+    (1.0, 2.0, 0.2),  # shares b and q_obs with the first key
+    (2.0, 0.5, 0.3),
+    (1.0, 1e10, 1e-8),  # R is singular in floating point
+    (1e200, 1e200, 1.0),  # b^2 q_state overflows
+]
+
+
+def memo_key():
+    """A triple that a run repeats (drawn from ``MEMO_KEYS``) or a new one."""
+    return st.one_of(st.sampled_from(MEMO_KEYS),
+                     st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3), st.floats(0.0, 1e3)))
+
+
+class TestScalarEmbeddingMemo:
+    """Builds that share the memo of embedded R give the bytes and errors of builds from an empty memo."""
+
+    @staticmethod
+    def outcome(a, key):
+        try:
+            spec = scalar_ssm(a, *key)
+        except ValueError as err:
+            return type(err), str(err), type(err.__cause__), str(err.__cause__)
+        arrays = (spec.ssm.A, spec.ssm.B, spec.ssm.Qzeta, spec.ssm.Qxi, spec.glm.Phi, spec.glm.R)
+        return [(M.dtype, M.shape, M.tobytes()) for M in arrays]
+
+    def cold(self, a, key):
+        models._scalar_embedded_R.cache_clear()
+        return self.outcome(a, key)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(builds=st.lists(st.tuples(st.one_of(st.floats(-0.99, 0.99), st.sampled_from([0.0, -0.0, 1.0])), memo_key()),
+                           min_size=1, max_size=12))
+    @example(builds=[(0.5, key) for key in MEMO_KEYS] + [(-0.3, key) for key in MEMO_KEYS])
+    def test_warm_builds_equal_cold_builds(self, builds):
+        models._scalar_embedded_R.cache_clear()
+        warm = [self.outcome(a, key) for a, key in builds]
+        assert warm == [self.cold(a, key) for a, key in builds]
+
+    def test_failing_key_raises_every_time(self):
+        models._scalar_embedded_R.cache_clear()
+        for key, cause in (((1.0, 1e10, 1e-8), "R must be positive definite"), ((1e200, 1e200, 1.0), "R must be symmetric")):
+            for a in (0.5, -0.2, 0.5):
+                with pytest.raises(ValueError, match=f"joint-chain embedding of this state-space model is invalid: {cause}"):
+                    scalar_ssm(a, *key)
+        assert models._scalar_embedded_R.cache_info().currsize == 0
+
+    def test_shared_R_is_read_only_and_Phi_is_fresh(self):
+        first, second = scalar_ssm(0.5, -0.0, 1.0, 0.2), scalar_ssm(0.9, 0.0, 1.0, 0.2)
+        assert first.glm.R is second.glm.R and not first.glm.R.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.glm.R[0, 0] = 2.0
+        assert first.glm.Phi is not second.glm.Phi and first.glm.Phi.flags.writeable
+
+    def test_evicted_key_rebuilds_the_same_bytes(self):
+        models._scalar_embedded_R.cache_clear()
+        first = self.outcome(0.5, (0.1, 1.0, 0.2))
+        for q in np.geomspace(1e-3, 1e3, models._SCALAR_R_MEMO + 1).tolist():
+            scalar_ssm(0.5, 0.1, 1.0, q)
+        assert models._scalar_embedded_R.cache_info().currsize == models._SCALAR_R_MEMO
+        misses = models._scalar_embedded_R.cache_info().misses
+        assert self.outcome(0.5, (0.1, 1.0, 0.2)) == first
+        assert models._scalar_embedded_R.cache_info().misses == misses + 1
+
+    def test_chain_from_cold_and_warm_memo(self, monkeypatch):
+        obs = project_observations(simulate_complete(scalar_ssm(0.95), Stationary(), 400, seed=0))
+
+        def chain():
+            return mh_posterior(lambda th: scalar_ssm(float(th[0]), 1.0, 1.0, 0.2),
+                                lambda th: 0.0 if abs(th[0]) < 0.999 else -np.inf,
+                                obs, Stationary(), np.array([0.95]), 250, np.array([0.03]), 7).samples.tobytes()
+
+        models._scalar_embedded_R.cache_clear()
+        cold = chain()
+        assert chain() == cold  # warm
+        monkeypatch.setattr(models, "_scalar_embedded_R", models._scalar_embedded_R.__wrapped__)
+        assert chain() == cold  # no memo
 
 
 class TestSymmetryCheck:

@@ -860,6 +860,19 @@ class TestSerialization:
         assert lines[0] == "theta0,log_post"
         assert len(lines) == 12
 
+    def test_posterior_csv_text_two_coordinates(self, tmp_path):
+        from pommkit.posterior import ParamGrid, PosteriorGrid
+
+        points = np.array([[-0.0, 0.1], [1e300, 5e-324], [0.25, -3.0]])
+        post = PosteriorGrid(ParamGrid(points, cell_volume=[0.5, 0.0, 2.0]), 3, np.log([0.2, 0.3, 0.5]))
+        path = tmp_path / "post.csv"
+        write_posterior_csv(post, path)
+        dens = post.log_density()
+        want = "theta0,theta1,log_post\n" + "".join(
+            f"{pt[0]:.17g},{pt[1]:.17g},{ld:.17g}\n" for pt, ld in zip(points, dens))
+        assert path.read_bytes() == want.encode()
+        assert "-0,0.10000000000000001," in want and ",inf\n" in want
+
     def test_concentration_csv(self, tmp_path):
         from pommkit.posterior import ConcentrationRow
 

@@ -5,7 +5,9 @@ Run ``python tools/digests.py`` in two checkouts and compare the outputs
 from ``src/`` of the checkout it sits in, whatever is installed, so a
 copy of another revision checks that revision. The battery covers the
 Kalman filters under the three initial laws (a scalar model on both
-filters, a p = 2 state-space model on the joint filter), a
+filters, a p = 2 state-space model on the joint filter), ``scalar_ssm``
+over a sweep of ``b`` (every value twice) and of ``q_obs`` (more values
+than ``models`` keeps embedded noise covariances for), a
 ``ScalarSsmGrid`` profile, n = 8 quadrature (SV, the scalar state-space
 model and a linear model without an HMM factorization), the particle
 filter at 512 (binary-search resampling) and 1024 particles
@@ -54,6 +56,7 @@ from pommkit import (  # noqa: E402
 from pommkit.experiment import reference_config, run_experiment  # noqa: E402
 
 SEED = 20260808
+SWEEP_Q_OBS = 300  # distinct q_obs values, more than models._SCALAR_R_MEMO, so the memo evicts
 
 
 def digest(value) -> str:
@@ -88,6 +91,14 @@ def battery():
         yield f"kalman_scalar_{law}", increments(scalar, ys, init, "kalman")
         yield f"kalman_joint_{law}", kalman_increments(scalar, ys, init)
         yield f"kalman_p2_{law}", increments(p2, ys2, init2, "kalman")
+    # every spec's Phi and R bytes, and its joint-filter increments
+    short = ys[:50]
+    sweeps = {"b": [(0.7, b, 1.0, 0.2) for b in np.linspace(-3.0, 3.0, 61).tolist() * 2],
+              "q_obs": [(0.7, 1.0, 1.0, q) for q in np.geomspace(1e-3, 1e3, SWEEP_Q_OBS).tolist()]}
+    for name, points in sweeps.items():
+        specs = [scalar_ssm(*point) for point in points]
+        yield f"sweep_{name}_phi_r", b"".join(s.glm.Phi.tobytes() + s.glm.R.tobytes() for s in specs)
+        yield f"sweep_{name}_kalman", np.array([kalman_increments(s, short, Stationary()) for s in specs])
     grid = ScalarSsmGrid(np.linspace(-0.9, 0.9, 181), 1.0, 1.0, 0.2)
     for law in ("stationary", "gaussian"):
         yield f"grid_profile_{law}", grid_loglik_profiles(grid, ys, inits[law][0])
