@@ -27,7 +27,7 @@ from .core import project_observations, simulate_complete
 from .divergence import delta_glm_closed, delta_sv_closed
 from .likelihood import loglik
 from .models import GlmParams, SvParams, sv_spec
-from .posterior import _posterior_csv_text, grid_loglik_profiles, posterior_from_profiles, write_posterior_csv
+from .posterior import _posterior_csv_text, grid_posterior, write_posterior_csv
 
 
 def _fmt(x: float) -> str:
@@ -97,8 +97,7 @@ def _cmd_posterior(args) -> int:
     n_sim = max(n_eval, 1)
     spec, obs = _config_obs(cfg, n_sim, seed)
     grid, models = xp.experiment_grid(cfg)
-    profiles = grid_loglik_profiles(models, obs, xp._parse_init(cfg.init_inference))
-    post = posterior_from_profiles(grid, profiles, n_eval)
+    post = grid_posterior(models, grid, obs[:n_eval], xp._parse_init(cfg.init_inference))
     if args.out:
         write_posterior_csv(post, args.out)
     else:

@@ -23,7 +23,9 @@ place that maps a method name to its evaluator. A single spec takes the
 plain-float scalar filter when it is a one-dimensional state-space
 model; a Kalman grid of such models, given as a checked
 ``ScalarSsmGrid`` or as a list of specs, takes the same filter once over
-arrays of grid parameters.
+arrays of grid parameters and returns the transposed view of its (n, G)
+buffer. A grid log likelihood is a grid row cumulated in sequence, which
+can differ in the last bits from the pairwise sum of :func:`loglik`.
 
 Both Kalman filters, both quadrature branches and the particle filter's
 Gaussian draw start from one reduction of the initial law,
@@ -846,15 +848,13 @@ def grid_increments(grid, obs: np.ndarray, init, method: str) -> np.ndarray:
     ``increments`` of the grid's i-th model. A record, which must use
     ``kalman``, and a Kalman list of one-dimensional state-space specs,
     stacked into the record's four arrays, take one call of the scalar
-    filter over arrays of grid parameters; any other list stacks the
-    per-spec rows. Non-finite observations raise ``ValueError``.
+    filter over arrays of grid parameters and get the transposed view of
+    its (n, G) buffer, not a copy; any other list stacks the per-spec
+    rows. A grid log likelihood is a row cumulated in sequence
+    (``posterior.grid_loglik_profiles``), which can differ in the last
+    bits from the pairwise sum of :func:`loglik`. Non-finite observations
+    raise ``ValueError``.
     """
-    # C order, so that a row sums in the same order as one spec's increments
-    return np.ascontiguousarray(_grid_increments_by_step(grid, obs, init, method).T)
-
-
-def _grid_increments_by_step(grid, obs: np.ndarray, init, method: str) -> np.ndarray:
-    """``grid_increments`` transposed, shape (n, G): the scalar filter's own buffer, or a view of the stacked rows."""
     if isinstance(grid, ScalarSsmGrid):
         if method != "kalman":
             raise ValueError(f"a scalar state-space grid uses the exact kalman likelihood, got {method!r}")
@@ -864,8 +864,8 @@ def _grid_increments_by_step(grid, obs: np.ndarray, init, method: str) -> np.nda
         params = stacked.T.copy()
     else:
         prepared = _Prepared(obs)
-        return np.vstack([increments(s, prepared, init, method) for s in grid]).T
-    return _scalar_kalman_increments(*params, _first_column(obs, _observations(obs, 1)), init)
+        return np.vstack([increments(s, prepared, init, method) for s in grid])
+    return _scalar_kalman_increments(*params, _first_column(obs, _observations(obs, 1)), init).T
 
 
 def loglik(

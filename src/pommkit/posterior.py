@@ -16,8 +16,10 @@ Every likelihood in this module comes from :func:`pommkit.likelihood.loglik`,
 method name is chosen in one place. Grid sweeps with an exact method
 (profiles, posteriors, the grid argmax, remoteness) take one
 ``grid_increments`` pass, which filters a Kalman grid of one-dimensional
-state-space models in a single vectorized pass; the particle filter and
-quadrature evaluate the grid points one after another, in grid order.
+state-space models in a single vectorized pass; an exact grid log
+likelihood is the point's last prefix-profile entry, a sequential sum
+that can differ in the last bits from one spec's pairwise ``loglik``.
+The particle filter and quadrature evaluate the points in grid order.
 
 The loops that evaluate many likelihoods on the same data (a Metropolis
 chain, a grid swept point by point, the two passes of a merging curve,
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import DegeneratePosteriorError, ModelSpec, Stationary, _check_size, simulate_complete
-from .likelihood import _finite_x0_dist, _grid_increments_by_step, _mixed_start, _path_joint, _Prepared, forward_loglik, grid_increments, increments, loglik
+from .likelihood import _finite_x0_dist, _mixed_start, _path_joint, _Prepared, forward_loglik, grid_increments, increments, loglik
 from .models import ScalarSsmGrid, finite_hmm_stationary
 from .rng import _is_int
 
@@ -132,6 +134,11 @@ def _logsumexp(v: np.ndarray) -> float:
     return float(m + np.log(np.exp(v - m).sum()))
 
 
+def _log_prior(grid: ParamGrid) -> np.ndarray:
+    with np.errstate(divide="ignore"):  # a zero prior weight has log -inf
+        return np.log(grid.prior_weight)
+
+
 def _normalize_log_mass(log_unnorm: np.ndarray, n: int, grid: ParamGrid) -> PosteriorGrid:
     total = _logsumexp(log_unnorm)
     if total == -np.inf or not np.isfinite(total):
@@ -149,20 +156,20 @@ def _check_one_spec_per_point(specs: GridModels, grid: ParamGrid) -> None:
         raise ValueError("one model per grid point is required")
 
 
-def _check_grid_options(kw: dict) -> None:
+def _grid_logliks(specs: GridModels, grid: ParamGrid, obs: np.ndarray, init, method: str, kw: dict) -> np.ndarray:
+    """Log likelihood of every grid point, after the checks that ``grid_posterior`` and ``amle_grid`` share.
+
+    Exact methods, and always a ``ScalarSsmGrid``, read the last column of
+    ``grid_loglik_profiles`` (zeros at n = 0); otherwise point i draws
+    particle-filter stream i.
+    """
+    _check_one_spec_per_point(specs, grid)
     unknown = sorted(set(kw) - set(_GRID_OPTIONS))
     if unknown:
         raise TypeError(f"unknown likelihood options {unknown}; a grid sweep takes {list(_GRID_OPTIONS)}")
-
-
-def _grid_logliks(specs: GridModels, obs: np.ndarray, init, method: str, kw: dict) -> np.ndarray:
-    """Log likelihood of every grid point; point i draws particle-filter stream i.
-
-    A ``ScalarSsmGrid`` always goes to ``grid_increments``, which rejects
-    any method but ``kalman`` for it.
-    """
     if method in ("kalman", "forward") or isinstance(specs, ScalarSsmGrid):
-        return grid_increments(specs, obs, init, method).sum(axis=1)
+        profiles = grid_loglik_profiles(specs, obs, init, method)
+        return profiles[:, -1] if profiles.shape[1] else np.zeros(len(grid))
     prepared = _Prepared(obs)
     return np.array([loglik(s, prepared, init, method, stream=i, **kw).value for i, s in enumerate(specs)])
 
@@ -181,18 +188,15 @@ def grid_posterior(
     per point or a ``ScalarSsmGrid``, which gives the bits of its spec
     list, and ``kw`` the options ``particles``, ``seed`` and ``nodes`` of
     :func:`~pommkit.likelihood.loglik`; grid point i draws particle-filter
-    stream i. With ``n = 0`` observations the posterior is the normalized
-    prior, and ``init`` is checked as at any n. Non-finite observations
-    raise ``ValueError``. A posterior in
-    which every point has zero mass raises instead of silently returning
-    a uniform distribution.
+    stream i. The exact methods give the bits of
+    :func:`posterior_from_profiles`. With ``n = 0`` observations the
+    posterior is the normalized prior, and ``init`` is checked as at any
+    n. Non-finite observations raise ``ValueError``. A posterior in which
+    every point has zero mass raises instead of silently returning a
+    uniform distribution.
     """
-    _check_one_spec_per_point(specs, grid)
-    _check_grid_options(kw)
-    lls = _grid_logliks(specs, obs, init, method, kw)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(grid.prior_weight)
-    return _normalize_log_mass(log_prior + lls, len(obs), grid)
+    lls = _grid_logliks(specs, grid, obs, init, method, kw)
+    return _normalize_log_mass(_log_prior(grid) + lls, len(obs), grid)
 
 
 def grid_loglik_profiles(
@@ -212,10 +216,10 @@ def grid_loglik_profiles(
     The sums run along time in place on the filter's (n, G) buffer of
     increments, one sequential sum per grid point as ``np.cumsum`` of a
     row of ``grid_increments`` takes it, and the result is the (G, n)
-    transpose view of that buffer: the working set is one (n, G) array,
-    not a transposed copy and a second cumulative array.
+    transpose view of that buffer, whose last column ``grid_posterior``
+    and ``amle_grid`` read: the working set is one (n, G) array.
     """
-    steps = _grid_increments_by_step(models, obs, init, method)
+    steps = grid_increments(models, obs, init, method).T
     return np.cumsum(steps, axis=0, out=steps).T
 
 
@@ -231,13 +235,10 @@ def posterior_from_profiles(grid: ParamGrid, profiles: np.ndarray, n: int) -> Po
     if not (_is_int(n) and 0 <= n <= profiles.shape[1]):
         raise ValueError(f"n must be an integer in 0..{profiles.shape[1]}, got {n!r}")
     lls = profiles[:, n - 1] if n else 0.0
-    if n and not np.isfinite(lls).all():
-        bad = np.flatnonzero(~(np.isfinite(lls) | (lls == -np.inf)))
-        if len(bad):
-            raise ValueError(f"profile row {bad[0]} holds log likelihood {lls[bad[0]]} at n = {n}; need a number or -inf")
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(grid.prior_weight)
-    return _normalize_log_mass(log_prior + lls, n, grid)
+    bad = np.flatnonzero(np.isnan(lls) | (lls == np.inf))
+    if len(bad):
+        raise ValueError(f"profile row {bad[0]} holds log likelihood {lls[bad[0]]} at n = {n}; need a number or -inf")
+    return _normalize_log_mass(_log_prior(grid) + lls, n, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +307,20 @@ def amle_grid(
 ) -> AmleResult:
     """Likelihood argmax over the grid; ties resolve to the lowest index.
 
-    ``specs`` is one spec per grid point or a ``ScalarSsmGrid``. When
-    the exact reference log likelihood is supplied, the achieved
-    normalized defect ``(loglik(argmax) - star_loglik) / n`` is reported;
-    a non-finite ``star_loglik`` raises ``ValueError``.
+    ``specs`` is one spec per grid point or a ``ScalarSsmGrid``; an exact
+    method's log likelihoods are the last column of
+    :func:`grid_loglik_profiles`. When the exact reference log likelihood
+    is supplied, the achieved normalized defect
+    ``(loglik(argmax) - star_loglik) / n`` is reported; a non-finite
+    ``star_loglik`` raises ``ValueError``.
     """
-    _check_one_spec_per_point(specs, grid)
-    _check_grid_options(kw)
     if star_loglik is not None and not math.isfinite(star_loglik):
         raise ValueError(f"star_loglik must be a finite log likelihood, got {star_loglik!r}")
-    lls = _grid_logliks(specs, obs, init, method, kw)
+    lls = _grid_logliks(specs, grid, obs, init, method, kw)
     if np.all(lls == -np.inf):
         raise ValueError("every grid point has zero likelihood")
     idx = int(np.argmax(lls))
-    eps = None
-    if star_loglik is not None:
-        eps = float((lls[idx] - star_loglik) / max(len(obs), 1))
+    eps = None if star_loglik is None else float((lls[idx] - star_loglik) / max(len(obs), 1))
     return AmleResult(point=grid.points[idx].copy(), index=idx, loglik=float(lls[idx]), epsilon_n=eps)
 
 
@@ -385,31 +384,29 @@ def remoteness_rate(
     exponentially remote set; a set containing the reference parameter
     cannot decay. ``specs`` is one spec per grid point or a
     ``ScalarSsmGrid``, whose selected points are its boolean-mask
-    sub-record.
+    sub-record. ``select`` is a boolean (G,) mask or a predicate on grid
+    points and must select prior mass; sample sizes are distinct integers.
     """
     _check_one_spec_per_point(specs, grid)
-    if callable(select):
-        mask = np.array([bool(select(pt)) for pt in grid.points])
-    else:
-        mask = np.asarray(select, dtype=bool)
-    if mask.shape != (len(grid),):
-        raise ValueError("selection mask must have one entry per grid point")
-    if not mask.any():
-        raise ValueError("the selected set contains no grid points")
+    mask = np.array([bool(select(pt)) for pt in grid.points]) if callable(select) else np.asarray(select)
+    if mask.dtype != bool or mask.shape != (len(grid),):
+        raise ValueError(f"the selection must be a callable or a boolean mask with one entry per grid point, "
+                         f"got {mask.dtype} of shape {mask.shape}")
+    if not grid.prior_weight[mask].any():
+        raise ValueError(f"the selected set of {mask.sum()} grid points has zero prior mass")
     if not all(_is_int(n) for n in ns):
         raise ValueError(f"sample sizes must be integers, got {list(ns)!r}")
     ns = np.asarray(sorted(ns), dtype=int)
-    if len(ns) < 2:
-        raise ValueError("the decay rate needs at least two sample sizes")
+    if len(ns) < 2 or np.any(ns[1:] == ns[:-1]):
+        raise ValueError(f"the decay rate needs at least two distinct sample sizes, got {ns.tolist()}")
     if ns[0] < 1 or ns[-1] > len(obs):
         raise ValueError("requested sample sizes exceed the data")
     sub_specs = specs[mask] if isinstance(specs, ScalarSsmGrid) else [s for s, m in zip(specs, mask) if m]
     prepared = _Prepared(obs)
     profiles = grid_loglik_profiles(sub_specs, prepared, init, method=method)
     star = np.cumsum(increments(star_spec, prepared, Stationary(), method))
-    with np.errstate(divide="ignore"):
-        logw = np.log(grid.prior_weight[mask])
-    values = np.array([_logsumexp(logw + profiles[:, n - 1]) - star[n - 1] for n in ns])
+    log_prior = _log_prior(grid)[mask]
+    values = np.array([_logsumexp(log_prior + profiles[:, n - 1]) - star[n - 1] for n in ns])
     half = len(ns) // 2 if len(ns) >= 4 else 0  # fit the last half once it holds two points
     slope = float(np.polyfit(ns[half:], values[half:], 1)[0])
     flags = () if slope < -_DECAY_TOL else ("no_decay",)
@@ -470,6 +467,8 @@ def mh_posterior(
     if not _is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
+    if theta.ndim != 1:
+        raise ValueError(f"theta0 must be a scalar or a 1-D vector, got shape {np.shape(theta0)}")
     if not np.isfinite(theta).all():
         raise ValueError(f"theta0 must be finite, got {theta0!r}")
     d = theta.size

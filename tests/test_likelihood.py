@@ -868,7 +868,8 @@ class TestGridIncrements:
             ys = simulated_obs(specs[1], 300, seed=seed)
             for init in self.INITS:
                 rows = grid_increments(record, ys, init, "kalman")
-                assert rows.shape == (len(specs), 300) and rows.flags.c_contiguous
+                # the transposed view of the filter's (n, G) buffer, not a copy
+                assert rows.shape == (len(specs), 300) and rows.flags.f_contiguous and not rows.flags.owndata
                 np.testing.assert_array_equal(rows, grid_increments(specs, ys, init, "kalman"))
                 for row, spec in zip(rows, specs):
                     assert np.array_equal(row, increments(spec, ys, init, "kalman"))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pommkit import (
@@ -198,13 +198,61 @@ class TestGridPosterior:
         for n in (1, 30, 60):
             direct = grid_posterior(specs, grid, obs[:n], Stationary(), "kalman")
             from_prof = posterior_from_profiles(grid, profiles, n)
-            np.testing.assert_allclose(direct.log_mass, from_prof.log_mass, atol=1e-9)
-
+            assert direct.log_mass.tobytes() == from_prof.log_mass.tobytes()
 
     def test_profiles_reject_non_finite_observations(self):
         specs = [scalar_ssm(a) for a in (0.2, 0.5)]
         with pytest.raises(ValueError, match="observation 1 is not finite"):
             grid_loglik_profiles(specs, np.array([0.1, np.inf, 0.2]), Stationary())
+
+
+class TestGridLoglikIsTheProfileEntry:
+    """An exact grid log likelihood is the last entry of the point's prefix profile, bit for bit.
+
+    A spec list's buffer is F-order, where numpy's ``sum(axis=0)`` is
+    pairwise, as it is on any (n, 1) array; only the cumulated profile
+    gives every grid call one summation order.
+    """
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(["record", "specs", "forward"]),
+        g=st.integers(1, 7),
+        n=st.integers(0, 500),
+        point_mass=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(case="record", g=3, n=0, point_mass=False, seed=0)
+    @example(case="specs", g=1, n=500, point_mass=False, seed=1)
+    @example(case="forward", g=1, n=0, point_mass=True, seed=2)
+    @example(case="forward", g=4, n=500, point_mass=False, seed=3)
+    def test_posterior_and_amle_read_the_profile(self, case, g, n, point_mass, seed):
+        rng = np.random.default_rng(seed)
+        points = np.sort(rng.uniform(-0.9, 0.9, g))
+        grid = ParamGrid(points[:, None], rng.uniform(0.1, 1.0, g))
+        if case == "forward":
+            models = finite_family(0.55 + 0.2 * (points + 1.0))
+            init = PointMass(1, 0) if point_mass else Stationary()
+        else:
+            models = ScalarSsmGrid(points, 1.0, 1.0, 0.2)
+            if case == "specs":
+                models = [scalar_ssm(float(a), 1.0, 1.0, 0.2) for a in points]
+            init = PointMass(1.5, -0.5) if point_mass else Stationary()
+        star = finite_family([0.75])[0] if case == "forward" else scalar_ssm(0.5, 1.0, 1.0, 0.2)
+        obs = project_observations(simulate_complete(star, Stationary(), 500, seed=seed))
+        if case == "forward":
+            obs = obs.reshape(-1)
+        method = "forward" if case == "forward" else "kalman"
+        profiles = grid_loglik_profiles(models, obs, init, method)
+        event(f"{case}, {'n = 0' if n == 0 else 'n > 0'}, {'one point' if g == 1 else 'several points'}")
+        post = grid_posterior(models, grid, obs[:n], init, method)
+        assert post.log_mass.tobytes() == posterior_from_profiles(grid, profiles, n).log_mass.tobytes()
+        res = amle_grid(models, grid, obs[:n], init, method)
+        if n:
+            assert res.index == int(np.argmax(profiles[:, n - 1]))
+            assert res.loglik == profiles[res.index, n - 1]
+        else:
+            assert (res.index, res.loglik) == (0, 0.0)
 
 
 class TestProfileMemory:
@@ -483,8 +531,32 @@ class TestRemoteness:
 
     def test_empty_selection_raises(self):
         star, obs, grid, specs = self.setup_ssm(n=200)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the selected set of 0 grid points has zero prior mass"):
             remoteness_rate(specs, grid, np.zeros(len(grid), bool), obs, Stationary(), star, [100])
+
+    def test_selection_must_be_a_boolean_mask(self):
+        star, obs, grid, specs = self.setup_ssm(n=200)
+        for select in (np.full(len(grid), np.nan), np.full(len(grid), 2), [1] * len(grid), np.ones(3, bool)):
+            with pytest.raises(ValueError, match="a callable or a boolean mask with one entry per grid point"):
+                remoteness_rate(specs, grid, select, obs, Stationary(), star, [100, 200])
+
+    def test_selection_without_prior_mass_raises(self):
+        star, obs, grid, specs = self.setup_ssm(n=200)
+        mask = grid.points[:, 0] <= -0.5
+        weighted = ParamGrid(grid.points, np.where(mask, 0.0, 1.0), grid.cell_volume)
+        with pytest.raises(ValueError, match="the selected set of 9 grid points has zero prior mass"):
+            remoteness_rate(specs, weighted, mask, obs, Stationary(), star, [100, 200])
+
+    def test_repeated_sample_sizes_rejected(self):
+        star, obs, grid, specs = self.setup_ssm(n=300)
+        mask = np.abs(grid.points[:, 0] - 0.5) >= 0.5
+        for ns in ([100, 300, 300, 300], [200, 200]):
+            with pytest.raises(ValueError, match="the decay rate needs at least two distinct sample sizes"):
+                remoteness_rate(specs, grid, mask, obs, Stationary(), star, ns)
+        unsorted = remoteness_rate(specs, grid, mask, obs, Stationary(), star, [300, 100, 200])
+        ordered = remoteness_rate(specs, grid, mask, obs, Stationary(), star, [100, 200, 300])
+        assert unsorted.ns.tolist() == [100, 200, 300]
+        assert (unsorted.slope, unsorted.log_ratio.tobytes()) == (ordered.slope, ordered.log_ratio.tobytes())
 
     def test_non_finite_observations_rejected(self):
         star, obs, grid, specs = self.setup_ssm(n=200)
@@ -586,6 +658,19 @@ class TestMetropolis:
                     self.build, self.flat_prior(), np.array([0.1]), Stationary(),
                     theta0=np.array(theta0), steps=10, proposal_sd=np.array([0.1]), seed=16,
                 )
+
+    def test_start_must_be_a_scalar_or_a_vector(self):
+        for theta0, shape in ((np.array([[0.0]]), r"\(1, 1\)"), (np.zeros((2, 1)), r"\(2, 1\)")):
+            with pytest.raises(ValueError, match=rf"theta0 must be a scalar or a 1-D vector, got shape {shape}"):
+                mh_posterior(
+                    self.build, self.flat_prior(), np.array([0.1]), Stationary(),
+                    theta0=theta0, steps=10, proposal_sd=np.array([0.1]), seed=16,
+                )
+        scalar = mh_posterior(self.build, self.flat_prior(), np.array([0.1]), Stationary(),
+                              theta0=0.2, steps=10, proposal_sd=np.array([0.1]), seed=16)
+        vector = mh_posterior(self.build, self.flat_prior(), np.array([0.1]), Stationary(),
+                              theta0=np.array([0.2]), steps=10, proposal_sd=np.array([0.1]), seed=16)
+        assert scalar.samples.tobytes() == vector.samples.tobytes()
 
     def test_proposal_sd_must_be_finite_non_negative_of_the_start_length(self):
         for sd in ([np.nan], [np.inf], [-0.1], [0.1, 0.1], [[0.1]]):

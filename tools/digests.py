@@ -12,7 +12,9 @@ than ``models`` keeps embedded noise covariances for), a
 model and a linear model without an HMM factorization), the particle
 filter at 512 (binary-search resampling) and 1024 particles
 (linear-time resampling), one Metropolis chain, the finite-HMM
-path-enumeration oracles and every file that
+path-enumeration oracles, ``grid_posterior`` and ``amle_grid`` on a
+181-point ``ScalarSsmGrid``, on the same grid as a spec list and on a
+finite-HMM spec list, and every file that
 ``run_experiment(reference_config())`` writes. It takes well under a
 second after the imports.
 """
@@ -36,11 +38,13 @@ from pommkit import (  # noqa: E402
     SsmParams,
     Stationary,
     SvParams,
+    amle_grid,
     bpf_loglik,
     enumeration_loglik,
     finite_hmm_spec,
     glm_spec,
     grid_loglik_profiles,
+    grid_posterior,
     image_density_check,
     image_ratio_markov_check,
     increments,
@@ -52,6 +56,7 @@ from pommkit import (  # noqa: E402
     simulate_complete,
     ssm_spec,
     sv_spec,
+    uniform_grid_1d,
 )
 from pommkit.experiment import reference_config, run_experiment  # noqa: E402
 
@@ -127,6 +132,17 @@ def battery():
     yield "finite_enumeration", enumeration_loglik(finite, observations(finite, 10), eta)
     yield "finite_image_density", image_density_check(finite, other, eta, 4)
     yield "finite_image_markov", image_ratio_markov_check(finite, other, eta, 6, 50, SEED)
+    a_grid, accuracies = uniform_grid_1d(-0.9, 0.9, 181), uniform_grid_1d(0.55, 0.95, 41)
+    grid_cases = {
+        "record": (grid, a_grid, ys, "kalman"),
+        "specs": ([scalar_ssm(a, 1.0, 1.0, 0.2) for a in grid.a.tolist()], a_grid, ys, "kalman"),
+        "forward": ([finite_hmm_spec(FiniteHmmParams([[0.8, 0.2], [0.3, 0.7]], [[e, 1.0 - e], [1.0 - e, e]]))
+                     for e in accuracies.points[:, 0].tolist()], accuracies, observations(finite, 400).reshape(-1), "forward"),
+    }
+    for name, (models, params, data, method) in grid_cases.items():
+        yield f"grid_posterior_{name}", grid_posterior(models, params, data, Stationary(), method).log_mass
+        amle = amle_grid(models, params, data, Stationary(), method)
+        yield f"amle_grid_{name}", (amle.index, amle.loglik)
     with tempfile.TemporaryDirectory() as out:
         run_experiment(reference_config(), out)
         for path in sorted(Path(out).iterdir()):
