@@ -841,6 +841,28 @@ def increments(spec: ModelSpec, obs: np.ndarray, init, method: str) -> np.ndarra
     raise ValueError(f"unknown likelihood method {method!r}; exact increments come from kalman or forward")
 
 
+def _one_pass_params(grid, method: str) -> Optional[tuple]:
+    """The four (G,) parameter arrays ``(a, b, q_state, q_obs)`` of a grid that the scalar filter takes in one pass.
+
+    A ``ScalarSsmGrid``, which must use ``kalman``, gives its own arrays;
+    a Kalman list of one-dimensional state-space specs gives the rows of
+    its stacked (4, G) array; any other grid gives ``None``.
+    """
+    if isinstance(grid, ScalarSsmGrid):
+        if method != "kalman":
+            raise ValueError(f"a scalar state-space grid uses the exact kalman likelihood, got {method!r}")
+        return grid.a, grid.b, grid.q_state, grid.q_obs
+    if method == "kalman" and all(_is_scalar_ssm(s) for s in grid):
+        stacked = np.array([[s.ssm.A[0, 0], s.ssm.B[0, 0], s.ssm.Qzeta[0, 0], s.ssm.Qxi[0, 0]] for s in grid])
+        return tuple(stacked.T.copy())
+    return None
+
+
+def _one_pass_increments(params: tuple, obs, init) -> np.ndarray:
+    """``grid_increments`` of the grid whose ``_one_pass_params`` are ``params``: the (G, n) view of the (n, G) buffer."""
+    return _scalar_kalman_increments(*params, _first_column(obs, _observations(obs, 1)), init).T
+
+
 def grid_increments(grid, obs: np.ndarray, init, method: str) -> np.ndarray:
     """Increments of every model of a parameter grid, shape (G, n).
 
@@ -855,17 +877,11 @@ def grid_increments(grid, obs: np.ndarray, init, method: str) -> np.ndarray:
     bits from the pairwise sum of :func:`loglik`. Non-finite observations
     raise ``ValueError``.
     """
-    if isinstance(grid, ScalarSsmGrid):
-        if method != "kalman":
-            raise ValueError(f"a scalar state-space grid uses the exact kalman likelihood, got {method!r}")
-        params = grid.a, grid.b, grid.q_state, grid.q_obs
-    elif method == "kalman" and all(_is_scalar_ssm(s) for s in grid):
-        stacked = np.array([[s.ssm.A[0, 0], s.ssm.B[0, 0], s.ssm.Qzeta[0, 0], s.ssm.Qxi[0, 0]] for s in grid])
-        params = stacked.T.copy()
-    else:
+    params = _one_pass_params(grid, method)
+    if params is None:
         prepared = _Prepared(obs)
         return np.vstack([increments(s, prepared, init, method) for s in grid])
-    return _scalar_kalman_increments(*params, _first_column(obs, _observations(obs, 1)), init).T
+    return _one_pass_increments(params, obs, init)
 
 
 def loglik(

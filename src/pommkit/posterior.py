@@ -21,6 +21,18 @@ likelihood is the point's last prefix-profile entry, a sequential sum
 that can differ in the last bits from one spec's pairwise ``loglik``.
 The particle filter and quadrature evaluate the points in grid order.
 
+A study sweeps one grid over one data set several times: the remoteness
+of a far set and of the whole grid, then the grid AMLE. On a one-pass
+grid (a ``ScalarSsmGrid``, or a Kalman list of p = q = 1 specs) these
+calls, and ``grid_posterior``, share one sweep. ``_prefix_logliks`` runs
+it once per exact key: the four parameter arrays, the checked
+observations, the initial law's type and arrays, and the method. It keeps
+only the last sweep's prefix log likelihoods at the sample sizes asked for
+and at n, a (G, k) array, and reads the rows and columns a call needs; a
+remoteness set reads the selected rows of the whole grid's sweep. Every
+value keeps the bits of a cold sweep of the call's own (sub-)grid. Other
+grids sweep as before, once per call.
+
 The loops that evaluate many likelihoods on the same data (a Metropolis
 chain, a grid swept point by point, the two passes of a merging curve,
 a remoteness profile and its reference) pass the evaluators one
@@ -30,6 +42,7 @@ the bits of a call on the raw observations.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,8 +51,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as rngmod
-from .core import DegeneratePosteriorError, ModelSpec, Stationary, _check_size, simulate_complete
-from .likelihood import _finite_x0_dist, _mixed_start, _path_joint, _Prepared, forward_loglik, grid_increments, increments, loglik
+from .core import DegeneratePosteriorError, GaussianOnZ, ModelSpec, PointMass, Stationary, _check_size, simulate_complete
+from .likelihood import _finite_x0_dist, _mixed_start, _observations, _one_pass_increments, _one_pass_params, _path_joint
+from .likelihood import _Prepared, forward_loglik, grid_increments, increments, loglik
 from .models import ScalarSsmGrid, finite_hmm_stationary
 from .rng import _is_int
 
@@ -47,6 +61,10 @@ from .rng import _is_int
 _GRID_OPTIONS = ("particles", "seed", "nodes")
 _DECAY_TOL = 0.01  # remoteness_rate: a slope below -_DECAY_TOL per observation counts as decay
 _STRING_PATH_CAP = 1 << 18  # image_density_check: observation strings times hidden paths
+_LAW_ARRAYS = {Stationary: (), PointMass: ("x", "y"), GaussianOnZ: ("mean", "cov")}  # the laws a sweep key covers
+
+# the last one-pass sweep, assigned whole: (key, {sample size: column}, read-only (G, k) prefix log likelihoods)
+_SWEEP = None
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +174,80 @@ def _check_one_spec_per_point(specs: GridModels, grid: ParamGrid) -> None:
         raise ValueError("one model per grid point is required")
 
 
+def _sweep_key(params: tuple, ys: np.ndarray, init, method: str) -> Optional[tuple]:
+    """The exact content of a one-pass sweep's inputs, or ``None`` for a law the key does not cover.
+
+    The key is ``(method, type(init), digest)``, where the digest is one
+    SHA-256 over the dtype, shape and bytes of the four parameter arrays,
+    of the checked observations and of the law's arrays, so -0.0 and 0.0
+    differ and no float is rounded (as ``==`` and ``repr`` would). A law
+    of another type, or with an object array, whose bytes are pointers,
+    has no key.
+    """
+    names = _LAW_ARRAYS.get(type(init))
+    if names is None:
+        return None
+    arrays = [getattr(init, name) for name in names]
+    if any(v.dtype.hasobject for v in arrays):
+        return None
+    digest = hashlib.sha256()
+    for v in (*params, ys, *arrays):
+        digest.update(f"{v.dtype.str}{v.shape}".encode())
+        digest.update(np.ascontiguousarray(v))
+    return method, type(init), digest.digest()
+
+
+def _prefix_logliks(models: GridModels, obs, init, method: str, ns: Optional[Sequence[int]] = None):
+    """Prefix log likelihoods of a one-pass grid at the sample sizes ``ns``, shape (G, len(ns)), or ``None``.
+
+    A one-pass grid is one that ``likelihood.grid_increments`` filters in
+    one call (``_one_pass_params``): a ``ScalarSsmGrid``, or a Kalman list
+    of p = q = 1 specs. Any other grid gives ``None``. ``ns`` holds sample
+    sizes in 0..n, where 0 gives zeros; ``None`` asks for n alone. Column j
+    is column ``ns[j] - 1`` of :func:`grid_loglik_profiles`, bit for bit.
+
+    The last sweep is kept in ``_SWEEP``: its key (``_sweep_key``), and
+    only its columns at the sizes asked for and at n, as a read-only (G, k)
+    array; the (n, G) buffer is freed on return. A call whose key matches
+    and whose sizes are kept reads them and filters nothing. The memo is
+    assigned only after a sweep succeeds, so malformed input raises on
+    every call.
+    """
+    global _SWEEP
+    params = _one_pass_params(models, method)
+    if params is None:
+        return None
+    ys = _observations(obs, 1)
+    ns = [len(ys)] if ns is None else [int(n) for n in ns]
+    key = _sweep_key(params, ys, init, method)
+    memo = _SWEEP
+    if key is None or memo is None or memo[0] != key or not set(ns) <= memo[1].keys():
+        profiles = _cumulated(_one_pass_increments(params, obs, init))
+        sizes = sorted({*ns, len(ys)})
+        kept = np.column_stack([profiles[:, n - 1] if n else np.zeros(len(profiles)) for n in sizes])
+        kept.flags.writeable = False
+        memo = key, {n: j for j, n in enumerate(sizes)}, kept
+        if key is not None:
+            _SWEEP = memo
+    return memo[2][:, [memo[1][n] for n in ns]]
+
+
 def _grid_logliks(specs: GridModels, grid: ParamGrid, obs: np.ndarray, init, method: str, kw: dict) -> np.ndarray:
     """Log likelihood of every grid point, after the checks that ``grid_posterior`` and ``amle_grid`` share.
 
-    Exact methods, and always a ``ScalarSsmGrid``, read the last column of
-    ``grid_loglik_profiles`` (zeros at n = 0); otherwise point i draws
-    particle-filter stream i.
+    A one-pass grid reads the full-length column of ``_prefix_logliks``,
+    which a study's earlier sweep of the same grid, data and law may hold.
+    Other exact grids read the last column of ``grid_loglik_profiles``
+    (zeros at n = 0); otherwise point i draws particle-filter stream i.
     """
     _check_one_spec_per_point(specs, grid)
     unknown = sorted(set(kw) - set(_GRID_OPTIONS))
     if unknown:
         raise TypeError(f"unknown likelihood options {unknown}; a grid sweep takes {list(_GRID_OPTIONS)}")
-    if method in ("kalman", "forward") or isinstance(specs, ScalarSsmGrid):
+    lls = _prefix_logliks(specs, obs, init, method)
+    if lls is not None:
+        return lls[:, 0]
+    if method in ("kalman", "forward"):
         profiles = grid_loglik_profiles(specs, obs, init, method)
         return profiles[:, -1] if profiles.shape[1] else np.zeros(len(grid))
     prepared = _Prepared(obs)
@@ -189,7 +269,10 @@ def grid_posterior(
     list, and ``kw`` the options ``particles``, ``seed`` and ``nodes`` of
     :func:`~pommkit.likelihood.loglik`; grid point i draws particle-filter
     stream i. The exact methods give the bits of
-    :func:`posterior_from_profiles`. With ``n = 0`` observations the
+    :func:`posterior_from_profiles`; a one-pass grid (a ``ScalarSsmGrid``
+    or a Kalman list of p = q = 1 specs) reads the last sweep of the same
+    grid, data and initial law when one is kept, which holds only a few
+    columns of prefix log likelihoods. With ``n = 0`` observations the
     posterior is the normalized prior, and ``init`` is checked as at any
     n. Non-finite observations raise ``ValueError``. A posterior in which
     every point has zero mass raises instead of silently returning a
@@ -216,10 +299,16 @@ def grid_loglik_profiles(
     The sums run along time in place on the filter's (n, G) buffer of
     increments, one sequential sum per grid point as ``np.cumsum`` of a
     row of ``grid_increments`` takes it, and the result is the (G, n)
-    transpose view of that buffer, whose last column ``grid_posterior``
-    and ``amle_grid`` read: the working set is one (n, G) array.
+    transpose view of that buffer: the working set is one (n, G) array.
+    The grid calls of this module read their columns of the same sums
+    (``_prefix_logliks``); this function keeps nothing between calls.
     """
-    steps = grid_increments(models, obs, init, method).T
+    return _cumulated(grid_increments(models, obs, init, method))
+
+
+def _cumulated(steps: np.ndarray) -> np.ndarray:
+    """Prefix sums of the (G, n) increments ``steps``, in place along time on their (n, G) buffer, as its (G, n) view."""
+    steps = steps.T
     return np.cumsum(steps, axis=0, out=steps).T
 
 
@@ -309,7 +398,11 @@ def amle_grid(
 
     ``specs`` is one spec per grid point or a ``ScalarSsmGrid``; an exact
     method's log likelihoods are the last column of
-    :func:`grid_loglik_profiles`. When the exact reference log likelihood
+    :func:`grid_loglik_profiles`. A one-pass grid (a ``ScalarSsmGrid`` or a
+    Kalman list of p = q = 1 specs) swept before with the same parameters,
+    observations, initial law and method, as by :func:`remoteness_rate`
+    on the whole grid, is not filtered again: its full-length column is
+    kept. When the exact reference log likelihood
     is supplied, the achieved normalized defect
     ``(loglik(argmax) - star_loglik) / n`` is reported; a non-finite
     ``star_loglik`` raises ``ValueError``.
@@ -383,9 +476,18 @@ def remoteness_rate(
     of the n-range. A negative slope is the empirical signature of an
     exponentially remote set; a set containing the reference parameter
     cannot decay. ``specs`` is one spec per grid point or a
-    ``ScalarSsmGrid``, whose selected points are its boolean-mask
-    sub-record. ``select`` is a boolean (G,) mask or a predicate on grid
-    points and must select prior mass; sample sizes are distinct integers.
+    ``ScalarSsmGrid``. ``select`` is a boolean (G,) mask or a predicate on
+    grid points and must select prior mass; sample sizes are distinct
+    integers.
+
+    A one-pass grid (a ``ScalarSsmGrid`` or a Kalman list of p = q = 1
+    specs) is filtered whole, once per key of parameters, observations,
+    initial law and method, and the set reads its rows: the bits of a
+    sweep of the selected points alone. The sweep keeps its prefix log
+    likelihoods at ``ns`` and at n, so the whole-grid call and
+    :func:`amle_grid` on the same data filter nothing. A set filtered
+    alone pays for the whole grid's sweep, whose cost is mostly per step.
+    Other grids filter the selected points only.
     """
     _check_one_spec_per_point(specs, grid)
     mask = np.array([bool(select(pt)) for pt in grid.points]) if callable(select) else np.asarray(select)
@@ -401,12 +503,15 @@ def remoteness_rate(
         raise ValueError(f"the decay rate needs at least two distinct sample sizes, got {ns.tolist()}")
     if ns[0] < 1 or ns[-1] > len(obs):
         raise ValueError("requested sample sizes exceed the data")
-    sub_specs = specs[mask] if isinstance(specs, ScalarSsmGrid) else [s for s, m in zip(specs, mask) if m]
     prepared = _Prepared(obs)
-    profiles = grid_loglik_profiles(sub_specs, prepared, init, method=method)
+    profiles = _prefix_logliks(specs, prepared, init, method, ns)
+    if profiles is None:
+        profiles = grid_loglik_profiles([s for s, m in zip(specs, mask) if m], prepared, init, method)[:, ns - 1]
+    else:
+        profiles = profiles[mask]
     star = np.cumsum(increments(star_spec, prepared, Stationary(), method))
     log_prior = _log_prior(grid)[mask]
-    values = np.array([_logsumexp(log_prior + profiles[:, n - 1]) - star[n - 1] for n in ns])
+    values = np.array([_logsumexp(log_prior + col) - star[n - 1] for col, n in zip(profiles.T, ns)])
     half = len(ns) // 2 if len(ns) >= 4 else 0  # fit the last half once it holds two points
     slope = float(np.polyfit(ns[half:], values[half:], 1)[0])
     flags = () if slope < -_DECAY_TOL else ("no_decay",)

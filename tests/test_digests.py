@@ -4,8 +4,9 @@ The script's digests are compared between two checkouts, so the test
 pins no digest. It runs the battery twice in one process, as
 ``python tools/digests.py`` does, and checks three things: both
 printouts are the same, so builds from a warm memo of embedded noise
-covariances keep their bits; every output has one line under its own
-name; and every line is well formed.
+covariances, and grid calls that read the kept sweep of an equal grid
+left by the first run, keep their bits; every output has one line under
+its own name; and every line is well formed.
 """
 
 import importlib.util
@@ -24,7 +25,9 @@ EXPECTED = (
     + [f"quadrature_{model}_{law}" for model in ("sv", "ssm", "linear") for law in ("stationary", "point_mass")]
     + [f"bpf_{case}_{particles}" for particles in (512, 1024) for case in ("sv", "ssm_gaussian")]
     + ["mh_chain", "mh_acceptance", "finite_enumeration", "finite_image_density", "finite_image_markov"]
-    + [f"{call}_{case}" for case in ("record", "specs", "forward") for call in ("grid_posterior", "amle_grid")]
+    + [line for case in ("record", "specs", "forward") for line in (
+        [f"remoteness_far_{case}"] + ([f"remoteness_whole_{case}"] if case != "forward" else [])
+        + [f"grid_posterior_{case}", f"amle_grid_{case}"])]
     + [f"experiment_{name}" for name in ("audit.jsonl", "concentration.csv", "config.ini", "manifest.txt",
                                          "posterior_n100.csv", "posterior_n1600.csv", "posterior_n400.csv")]
 )

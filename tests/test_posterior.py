@@ -29,6 +29,7 @@ from pommkit import (
     grid_posterior,
     image_density_check,
     image_ratio_markov_check,
+    increments,
     loglik,
     merging_curve,
     mh_posterior,
@@ -41,7 +42,7 @@ from pommkit import (
     sv_spec,
     uniform_grid_1d,
 )
-from pommkit import posterior
+from pommkit import likelihood, posterior
 from pommkit import rng as rngmod
 from pommkit.posterior import write_concentration_csv, write_posterior_csv
 
@@ -444,6 +445,233 @@ class TestScalarSsmGridRecord:
         for method, kw in (("bpf", {"particles": 16}), ("quadrature", {"nodes": 11}), ("forward", {})):
             with pytest.raises(ValueError, match="a scalar state-space grid uses the exact kalman likelihood"):
                 grid_posterior(record, grid, obs[:5], Stationary(), method, **kw)
+
+
+LAWS = {
+    "stationary": Stationary(),
+    "point_mass": PointMass(1.5, -0.5),
+    "gaussian": GaussianOnZ([0.4, -0.2], [[0.5, 0.1], [0.1, 0.9]]),
+}
+
+
+def count_grid_sweeps(monkeypatch) -> list:
+    """Counts the scalar filter's calls over arrays of grid parameters, one entry per sweep."""
+    sweeps, filt = [], likelihood._scalar_kalman_increments
+
+    def counted(a, *args):
+        if isinstance(a, np.ndarray):
+            sweeps.append(len(a))
+        return filt(a, *args)
+
+    monkeypatch.setattr(likelihood, "_scalar_kalman_increments", counted)
+    return sweeps
+
+
+def cold_remoteness(models, grid, mask, obs, init, star, ns):
+    """``remoteness_rate``'s log ratios from a sweep of the selected points alone, with no kept sweep."""
+    sub = models[mask] if isinstance(models, ScalarSsmGrid) else [m for m, keep in zip(models, mask) if keep]
+    profiles = grid_loglik_profiles(sub, obs, init)
+    ref = np.cumsum(increments(star, obs, Stationary(), "kalman"))
+    log_prior = np.log(grid.prior_weight[mask])
+    return np.array([posterior._logsumexp(log_prior + profiles[:, n - 1]) - ref[n - 1] for n in sorted(ns)])
+
+
+class TestOneSweepPerStudy:
+    """A study's remoteness, AMLE and posterior calls on a one-pass grid share one sweep, with the bits of cold sweeps."""
+
+    def setup(self, case="specs", g=9, n=60, seed=4):
+        star = scalar_ssm(0.5, 1.0, 1.0, 0.2)
+        obs = project_observations(simulate_complete(star, Stationary(), n, seed=seed))
+        grid = uniform_grid_1d(-0.9, 0.9, g)
+        record = ScalarSsmGrid(grid.points[:, 0], 1.0, 1.0, 0.2)
+        models = record if case == "record" else [scalar_ssm(float(a), 1.0, 1.0, 0.2) for a in grid.points[:, 0]]
+        return star, obs, grid, models
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(["record", "specs"]),
+        g=st.integers(1, 8),
+        n=st.integers(2, 300),
+        law=st.sampled_from(sorted(LAWS)),
+        order=st.sampled_from(["far_whole_amle", "amle_far", "repeats"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_warm_calls_equal_cold_sub_grid_sweeps(self, case, g, n, law, order, seed, data):
+        mask = np.isin(np.arange(g), list(data.draw(st.sets(st.integers(0, g - 1), min_size=1), label="selected")))
+        ns = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=8, unique=True), label="ns")
+        rng = np.random.default_rng(seed)
+        a, qz, qx = rng.uniform(-0.95, 0.95, g), rng.uniform(0.1, 2.0, g), rng.uniform(0.05, 1.0, g)
+        b = rng.choice([-1.0, 1.0], g) * rng.uniform(0.3, 2.0, g)
+        models = ScalarSsmGrid(a, b, qz, qx)
+        if case == "specs":
+            models = [scalar_ssm(*point) for point in zip(a.tolist(), b.tolist(), qz.tolist(), qx.tolist())]
+        grid = ParamGrid(np.sort(rng.uniform(-1.0, 1.0, g))[:, None], rng.uniform(0.1, 1.0, g))
+        star, init = scalar_ssm(0.5, 1.0, 1.0, 0.2), LAWS[law]
+        obs = project_observations(simulate_complete(star, Stationary(), n, seed=seed))
+        whole = np.ones(g, bool)
+        calls = {
+            "far_whole_amle": ["far", "whole", "amle", "posterior"],
+            "amle_far": ["amle", "far", "posterior"],
+            "repeats": ["far", "far", "whole", "amle", "amle", "posterior", "far", "whole"],
+        }[order]
+        event(f"{case}, {order}, {'one point selected' if mask.sum() == 1 else 'several points selected'}")
+
+        def call(name):
+            if name in ("far", "whole"):
+                res = remoteness_rate(models, grid, mask if name == "far" else whole, obs, init, star, ns)
+                return res.ns.tobytes(), res.log_ratio.tobytes(), res.slope, res.flags
+            if name == "amle":
+                res = amle_grid(models, grid, obs, init)
+                return res.index, res.loglik
+            return grid_posterior(models, grid, obs, init).log_mass.tobytes()
+
+        posterior._SWEEP = None
+        warm = [(name, call(name)) for name in calls]
+        posterior._SWEEP = None
+        profiles = grid_loglik_profiles(models, obs, init)
+        cold = {
+            "far": cold_remoteness(models, grid, mask, obs, init, star, ns).tobytes(),
+            "whole": cold_remoteness(models, grid, whole, obs, init, star, ns).tobytes(),
+            "amle": (int(np.argmax(profiles[:, -1])), float(profiles[:, -1].max())),
+            "posterior": posterior_from_profiles(grid, profiles, n).log_mass.tobytes(),
+        }
+        for name, got in warm:
+            if name in ("far", "whole"):
+                assert got[:2] == (np.array(sorted(ns)).tobytes(), cold[name])
+                posterior._SWEEP = None
+                assert got == call(name)  # a cold call on the same input
+            else:
+                assert got == cold[name]
+        posterior._SWEEP = None
+
+    def test_demo_study_sweeps_once_and_keeps_columns_only(self, monkeypatch):
+        sweeps = count_grid_sweeps(monkeypatch)
+        monkeypatch.setattr(posterior, "_SWEEP", None)
+        star = scalar_ssm(0.5, 1.0, 1.0, 0.2)
+        grid = uniform_grid_1d(-0.9, 0.9, 181)
+        specs = [scalar_ssm(float(a), 1.0, 1.0, 0.2) for a in grid.points[:, 0]]
+        far = np.abs(grid.points[:, 0] - 0.5) >= 0.5
+
+        def study(obs, ns):
+            remoteness_rate(specs, grid, far, obs, Stationary(), star, ns)
+            remoteness_rate(specs, grid, np.ones(len(grid), bool), obs, Stationary(), star, ns)
+            return amle_grid(specs, grid, obs, Stationary())
+
+        study(project_observations(simulate_complete(star, Stationary(), 2000, seed=0)), list(range(100, 2001, 100)))
+        assert sweeps == [181]  # one sweep of the whole grid, where a sweep per call made three
+        n = 20_000
+        obs = project_observations(simulate_complete(star, Stationary(), n, seed=1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            amle = study(obs, list(range(1000, n + 1, 1000)))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sweeps == [181, 181]
+        assert amle.loglik == grid_loglik_profiles(specs, obs, Stationary())[amle.index, -1]
+        assert posterior._SWEEP[2].shape == (181, 20)
+        assert kept < 100_000  # the (G, 20) kept columns, not the (n, G) buffer of 29 MB
+
+    def test_a_changed_input_sweeps_afresh(self, monkeypatch):
+        sweeps = count_grid_sweeps(monkeypatch)
+        monkeypatch.setattr(posterior, "_SWEEP", None)
+        star, obs, grid, specs = self.setup()
+
+        def fresh(models, data, init):
+            """``amle_grid`` on a warm memo must sweep and give the bits of a cold call."""
+            count = len(sweeps)
+            warm = amle_grid(models, grid, data, init)
+            assert len(sweeps) == count + 1
+            saved, posterior._SWEEP = posterior._SWEEP, None
+            cold = amle_grid(models, grid, data, init)
+            posterior._SWEEP = saved
+            assert (warm.index, warm.loglik) == (cold.index, cold.loglik)
+            return warm.loglik
+
+        first = fresh(specs, obs, Stationary())
+        count = len(sweeps)
+        amle_grid(specs, grid, obs.copy(), Stationary())
+        assert len(sweeps) == count  # equal content is a hit
+        obs[5] += 1.0  # mutated in place
+        assert fresh(specs, obs, Stationary()) != first
+        lls = [fresh(specs, obs, PointMass(4.0, 4.0)), fresh(specs, obs, PointMass(4.0 + 1e-12, 4.0))]
+        assert lls[0] != lls[1] and repr(PointMass(4.0, 4.0)) == repr(PointMass(4.0 + 1e-12, 4.0))  # repr rounds
+        zeros = obs.copy()
+        zeros[3] = 0.0
+        fresh(specs, zeros, Stationary())
+        zeros[3] = -0.0
+        fresh(specs, zeros, Stationary())
+        fresh(specs, zeros.astype(np.float32), Stationary())
+        for law in ("gaussian", "point_mass", "stationary"):
+            fresh(specs, zeros, LAWS[law])
+        record = ScalarSsmGrid(grid.points[:, 0], 1.0, 1.0, 0.2)
+        count = len(sweeps)
+        amle_grid(record, grid, zeros, Stationary())
+        assert len(sweeps) == count  # a record and its spec list are the same content
+        fresh(ScalarSsmGrid(grid.points[:, 0], 1.0, 1.0, 0.2 + 1e-15), zeros, Stationary())
+        # another method never reads a Kalman sweep
+        count = len(sweeps)
+        want = amle_grid(specs, grid, zeros, Stationary(), "bpf", particles=16)
+        posterior._SWEEP = None
+        got = amle_grid(specs, grid, zeros, Stationary(), "bpf", particles=16)
+        assert (got.index, got.loglik) == (want.index, want.loglik) and len(sweeps) == count
+        assert posterior._sweep_key((grid.points[:, 0],) * 4, zeros[:, None], Stationary(), "kalman") != (
+            posterior._sweep_key((grid.points[:, 0],) * 4, zeros[:, None], Stationary(), "forward"))
+
+    def test_laws_without_a_key_sweep_every_call(self, monkeypatch):
+        sweeps = count_grid_sweeps(monkeypatch)
+        monkeypatch.setattr(posterior, "_SWEEP", None)
+        star, obs, grid, specs = self.setup()
+
+        class Shifted(PointMass):
+            pass
+
+        for _ in range(2):
+            amle_grid(specs, grid, obs, Shifted(1.0, 1.0))
+        assert len(sweeps) == 2 and posterior._SWEEP is None
+        params = (grid.points[:, 0],) * 4
+        assert posterior._sweep_key(params, obs[:, None], Shifted(1.0, 1.0), "kalman") is None
+        boxed = PointMass(1.0, 1.0)
+        object.__setattr__(boxed, "x", np.array([1.0], dtype=object))  # an object array's bytes are pointers
+        assert posterior._sweep_key(params, obs[:, None], boxed, "kalman") is None
+        assert posterior._sweep_key(params, obs[:, None], PointMass(1.0, 1.0), "kalman") is not None
+
+    def test_malformed_input_raises_on_every_call(self):
+        star, obs, grid, record = self.setup("record")
+        specs = [scalar_ssm(float(a), 1.0, 1.0, 0.2) for a in grid.points[:, 0]]
+        ns = [20, 40, 60]
+        whole = np.ones(len(grid), bool)
+        for models in (record, specs):
+            amle_grid(models, grid, obs, Stationary())  # a kept sweep of this grid and data
+            bad = obs.copy()
+            bad[7] = np.inf
+            for _ in range(2):
+                for call in (lambda: amle_grid(models, grid, bad, Stationary()),
+                             lambda: grid_posterior(models, grid, bad, Stationary()),
+                             lambda: remoteness_rate(models, grid, whole, bad, Stationary(), star, ns)):
+                    with pytest.raises(ValueError, match="observation 7 is not finite"):
+                        call()
+        for _ in range(2):
+            for call in (lambda: amle_grid(record, grid, obs, Stationary(), "forward"),
+                         lambda: grid_posterior(record, grid, obs, Stationary(), "forward"),
+                         lambda: remoteness_rate(record, grid, whole, obs, Stationary(), star, ns, "forward")):
+                with pytest.raises(ValueError, match="a scalar state-space grid uses the exact kalman likelihood"):
+                    call()
+
+    def test_no_data_posterior_checks_the_law_on_every_call(self):
+        star, obs, grid, record = self.setup("record")
+        custom = CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1)))
+        for models in (record, [scalar_ssm(float(a), 1.0, 1.0, 0.2) for a in grid.points[:, 0]]):
+            assert grid_posterior(models, grid, np.empty(0), Stationary()).n == 0  # a kept sweep at n = 0
+            for _ in range(2):
+                with pytest.raises(ValueError, match="CustomInit"):
+                    grid_posterior(models, grid, np.empty(0), custom)
+                with pytest.raises(ValueError, match="point mass has dimensions"):
+                    grid_posterior(models, grid, np.empty(0), PointMass([0.0, 1.0], 0.0))
+                with pytest.raises(ValueError, match="Gaussian init has dimension 3"):
+                    grid_posterior(models, grid, np.empty(0), GaussianOnZ(np.zeros(3), np.eye(3)))
 
 
 class TestPosteriorInvariance:

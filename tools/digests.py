@@ -12,9 +12,11 @@ than ``models`` keeps embedded noise covariances for), a
 model and a linear model without an HMM factorization), the particle
 filter at 512 (binary-search resampling) and 1024 particles
 (linear-time resampling), one Metropolis chain, the finite-HMM
-path-enumeration oracles, ``grid_posterior`` and ``amle_grid`` on a
-181-point ``ScalarSsmGrid``, on the same grid as a spec list and on a
-finite-HMM spec list, and every file that
+path-enumeration oracles, ``remoteness_rate`` (a far set and the whole
+grid), ``grid_posterior`` and ``amle_grid`` on a 181-point
+``ScalarSsmGrid`` and on the same grid as a spec list, whose calls share
+one kept sweep, the same three calls on a finite-HMM spec list (a far set
+only), and every file that
 ``run_experiment(reference_config())`` writes. It takes well under a
 second after the imports.
 """
@@ -52,6 +54,7 @@ from pommkit import (  # noqa: E402
     mh_posterior,
     project_observations,
     quadrature_loglik,
+    remoteness_rate,
     scalar_ssm,
     simulate_complete,
     ssm_spec,
@@ -139,7 +142,15 @@ def battery():
         "forward": ([finite_hmm_spec(FiniteHmmParams([[0.8, 0.2], [0.3, 0.7]], [[e, 1.0 - e], [1.0 - e, e]]))
                      for e in accuracies.points[:, 0].tolist()], accuracies, observations(finite, 400).reshape(-1), "forward"),
     }
+    remote = {"record": (scalar, np.abs(a_grid.points[:, 0] - 0.7) >= 0.5, range(40, 401, 40)),
+              "specs": (scalar, np.abs(a_grid.points[:, 0] - 0.7) >= 0.5, range(40, 401, 40)),
+              "forward": (finite, np.abs(accuracies.points[:, 0] - 0.85) >= 0.1, range(50, 401, 50))}
     for name, (models, params, data, method) in grid_cases.items():
+        star, far, ns = remote[name]
+        subsets = {"far": far} if name == "forward" else {"far": far, "whole": np.ones(len(params), bool)}
+        for subset, mask in subsets.items():
+            res = remoteness_rate(models, params, mask, data, Stationary(), star, list(ns), method)
+            yield f"remoteness_{subset}_{name}", np.append(res.log_ratio, res.slope)
         yield f"grid_posterior_{name}", grid_posterior(models, params, data, Stationary(), method).log_mass
         amle = amle_grid(models, params, data, Stationary(), method)
         yield f"amle_grid_{name}", (amle.index, amle.loglik)
