@@ -163,7 +163,9 @@ def psup_sv_bound(region: SvRegion, y1, y2) -> np.ndarray:
     region (``bound1`` at the sigma floor; ``bound2`` at the sigma cap,
     the beta floor, and a phi endpoint). Infinite when the data make both
     envelopes vacuous (``y1 = 0``, or ``y2 = 0`` with sigma unbounded).
+    Every entry of ``y1`` and ``y2`` must be finite.
     """
+    _check_finite_arrays(y1=y1, y2=y2)
     b1 = _bound1(region.sigma_lo, y1, y2)
     b2 = _bound2(region.sigma_hi, region.log_beta_lo, region.phi_hi, y1)
     out = np.minimum(b1, b2)
@@ -181,6 +183,14 @@ def _check_finite_floats(**values) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def _check_finite_arrays(**values) -> None:
+    """Raise ``ValueError`` naming the first of the keyword arguments with an entry that is not a finite number."""
+    for name, v in values.items():
+        bad = np.count_nonzero(~np.isfinite(np.asarray(v, dtype=float)))
+        if bad:
+            raise ValueError(f"{name} must be finite, got {bad} non-finite entries")
+
+
 def psup_pointwise_bound(params: SvParams, y1: float, y2: float) -> float:
     """Envelope evaluated at one parameter point (degenerate region); ``y1`` and ``y2`` must be finite."""
     _check_finite_floats(y1=y1, y2=y2)
@@ -195,10 +205,11 @@ def psup_cm_complement_bound(box: SvThetaBox, m: float, y1, y2) -> np.ndarray:
     ``C_m = {sigma^2 <= log m, beta <= e^m}``; its complement is covered
     by ``{sigma^2 > log m}`` and ``{sigma^2 <= log m, beta > e^m}``, and
     the bound is the larger of the two piece envelopes. Empty pieces
-    contribute nothing.
+    contribute nothing. Every entry of ``y1`` and ``y2`` must be finite.
     """
     if m <= 1.0:
         raise ValueError("m must exceed 1")
+    _check_finite_arrays(y1=y1, y2=y2)
     s_split = math.sqrt(math.log(m))
     y1 = np.asarray(y1, dtype=float)
     pieces = []
@@ -394,8 +405,7 @@ def sv_marginal_y_logpdf(params: SvParams, ys: np.ndarray) -> np.ndarray:
     Every entry of ``ys`` must be finite.
     """
     ys = np.asarray(ys, dtype=float)
-    if not np.isfinite(ys).all():
-        raise ValueError(f"ys must be finite, got {int(np.count_nonzero(~np.isfinite(ys)))} non-finite entries")
+    _check_finite_arrays(ys=ys)
     t, w = np.polynomial.hermite.hermgauss(_MARGINAL_GH_NODES)
     xs = np.sqrt(2.0 * params.x_var) * t
     lw = np.log(w / np.sqrt(np.pi))

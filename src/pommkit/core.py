@@ -258,21 +258,22 @@ def _chol_psd(cov: np.ndarray) -> np.ndarray:
 def simulate_complete(spec: ModelSpec, init: InitialDist, n: int, seed: int, stream: int = 0) -> Trajectory:
     """Simulate ``z_0, ..., z_n`` with ``z_0 ~ init`` and one-step kernel moves.
 
-    Deterministic given ``(seed, stream)``. A linear spec (one with
-    ``glm`` parameters) draws its whole path with ``models._linear_path``,
-    every other spec calls ``sample_step`` once per step; on a linear spec
-    both give the same bytes from the same stream. ``_linear_path`` runs
-    the state recursion of a scalar state-space embedding (a 2 x 2
-    ``Phi`` with a zero y column) on Python floats, which keep the bytes
-    of the matrix loop that every other linear spec runs.
+    Deterministic given ``(seed, stream)``. A linear spec whose ``Phi``
+    is 2 x 2 with a zero y column (``models._float_phi``: every scalar
+    state-space embedding) draws its whole path with
+    ``models._linear_path``, which runs the recursion on Python floats;
+    every other spec calls ``sample_step`` once per step. Both give the
+    same bytes from the same stream.
     """
     _check_size("n", n, 1)
     rng = rngmod.substream(seed, rngmod.SIMULATE, stream)
     z = _draw_initial(spec, init, rng)
     if spec.glm is not None:
-        from .models import _linear_path  # models imports this module
+        from .models import _float_phi, _linear_path  # models imports this module
 
-        return Trajectory(*_linear_path(spec.glm, z, n, rng))
+        phi = _float_phi(spec.glm)
+        if phi is not None:
+            return Trajectory(*_linear_path(phi, spec.glm.R, z, n, rng))
     xs = [np.atleast_1d(np.asarray(z[0]))]
     ys = [np.atleast_1d(np.asarray(z[1]))]
     for _ in range(n):

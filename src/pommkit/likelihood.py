@@ -315,9 +315,9 @@ def kalman_loglik(spec: ModelSpec, obs: np.ndarray, init) -> LogLik:
 def _scalar_kalman_increments(a, b, qz, qx, ys, init) -> np.ndarray:
     """Filter for p = q = 1 on plain floats or on (G,) parameter arrays.
 
-    ``ys`` is the checked (n, 1) array of observations, or its first
-    column as a list of Python scalars (``_first_column``), which the
-    callers pass so that a prepared record is converted once.
+    ``ys`` is the first column of the checked observations as a list of
+    Python scalars (``_first_column``), so that a prepared record is
+    converted once.
 
     With float parameters this is the single-spec filter, orders of
     magnitude faster than the matrix filters; with arrays it runs every
@@ -351,13 +351,12 @@ def _scalar_kalman_increments(a, b, qz, qx, ys, init) -> np.ndarray:
         gain = pp * b / s
         return s, gain, pp - gain * b * pp
 
-    yflat = ys[:, 0].tolist() if isinstance(ys, np.ndarray) else ys
     if isinstance(a, np.ndarray):  # a grid
-        covs, gains = _riccati(step, pv, len(yflat), np.array_equal)
-        innov_buf = _grid_mean_recursion(a, b, m, yflat, *gains)
+        covs, gains = _riccati(step, pv, len(ys), np.array_equal)
+        innov_buf = _grid_mean_recursion(a, b, m, ys, *gains)
     else:
-        covs, gains = _riccati(step, float(pv), len(yflat), operator.eq)  # a law's numpy scalar as a float
-        innov_buf = np.fromiter(_float_mean_recursion(a, b, m, yflat, *gains), float, len(yflat))
+        covs, gains = _riccati(step, float(pv), len(ys), operator.eq)  # a law's numpy scalar as a float
+        innov_buf = np.fromiter(_float_mean_recursion(a, b, m, ys, *gains), float, len(ys))
     with np.errstate(over="ignore"):  # an innovation whose square overflows has log density -inf
         return _gaussian_log_densities(innov_buf, *covs)
 

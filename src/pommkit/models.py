@@ -227,6 +227,8 @@ class FiniteHmmParams:
         if G.ndim != 2 or G.shape[0] != P.shape[0]:
             raise ValueError("G must have one row per state")
         for name, M in (("P", P), ("G", G)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
             if np.any(M < 0.0):
                 raise ValueError(f"{name} must be non-negative")
             if np.max(np.abs(M.sum(axis=1) - 1.0)) > 1e-12:
@@ -547,7 +549,8 @@ def _float_phi(params: GlmParams):
     bits of ``_matvec(Phi, z)``; the leading ``0.0 +`` gives its signed
     zeros, since the product starts its sum from +0. With a non-zero y
     column the float sum differs from ``_matvec`` in the last bit in
-    about 40% of random cases, so such a record keeps the matrix loops.
+    about 40% of random cases, so such a record keeps the matrix products
+    (the joint filter's matrix recursion, the simulator's ``sample_step``).
     """
     Phi = params.Phi
     if Phi.shape != (2, 2) or Phi[0, 1] != 0.0 or Phi[1, 1] != 0.0:
@@ -555,39 +558,32 @@ def _float_phi(params: GlmParams):
     return tuple(Phi.ravel().tolist())
 
 
-def _linear_path(params: GlmParams, z0, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _linear_path(phi: tuple, R: np.ndarray, z0, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Blocks ``x`` and ``y`` of ``z_0, ..., z_n`` under ``z' = Phi z + N(0, R)`` from the pair ``z0``.
 
-    The step noise is one ``(n, p + q)`` standard-normal block, which the
-    generator fills in the order that ``n`` calls of the linear
-    ``sample_step`` draw it, mapped by one batched ``_matvec(L, .)`` with
-    ``L`` the Cholesky factor of ``R``. The path is then
-    ``z_{k+1} = _matvec(Phi, z_k) + noise_k`` in one preallocated array,
-    so it has the bytes of the per-step loop. A record with ``_float_phi``
-    (every scalar state-space embedding) runs that recursion on Python
-    floats, ``x, y = (0.0 + p00 x + p01 y) + nx, (0.0 + p10 x + p11 y) + ny``,
-    with the same bytes at about a tenth of the cost.
+    ``phi = _float_phi(params)`` holds the entries of a 2 x 2 ``Phi`` with
+    a zero y column (every scalar state-space embedding). The step noise
+    is one ``(n, 2)`` standard-normal block, which the generator fills in
+    the order that ``n`` calls of the linear ``sample_step`` draw it,
+    mapped by one batched ``_matvec(L, .)`` with ``L`` the Cholesky factor
+    of ``R``. The recursion then runs on Python floats,
+    ``x, y = (0.0 + p00 x + p01 y) + nx, (0.0 + p10 x + p11 y) + ny``, so
+    the path has the bytes of the per-step loop at about a tenth of its
+    cost.
     """
-    Phi, p = params.Phi, params.p
-    d = p + params.q
-    noise = _matvec(np.linalg.cholesky(params.R), rng.standard_normal((n, d)))
-    z = np.empty((n + 1, d))
-    z[0, :p], z[0, p:] = z0
-    phi = _float_phi(params)
-    if phi is None:
-        for k in range(n):
-            np.add(_matvec(Phi, z[k]), noise[k], out=z[k + 1])
-    else:
-        p00, p01, p10, p11 = phi
+    noise = _matvec(np.linalg.cholesky(R), rng.standard_normal((n, 2)))
+    z = np.empty((n + 1, 2))
+    z[0, :1], z[0, 1:] = z0
+    p00, p01, p10, p11 = phi
 
-        def steps(x, y):  # z_1, ..., z_n flattened, so that np.fromiter fills the block without a list
-            for nx, ny in zip(*noise.T.tolist()):
-                x, y = (0.0 + p00 * x + p01 * y) + nx, (0.0 + p10 * x + p11 * y) + ny
-                yield x
-                yield y
+    def steps(x, y):  # z_1, ..., z_n flattened, so that np.fromiter fills the block without a list
+        for nx, ny in zip(*noise.T.tolist()):
+            x, y = (0.0 + p00 * x + p01 * y) + nx, (0.0 + p10 * x + p11 * y) + ny
+            yield x
+            yield y
 
-        z[1:] = np.fromiter(steps(*z[0].tolist()), float, 2 * n).reshape(n, 2)
-    return np.ascontiguousarray(z[:, :p]), np.ascontiguousarray(z[:, p:])
+    z[1:] = np.fromiter(steps(*z[0].tolist()), float, 2 * n).reshape(n, 2)
+    return np.ascontiguousarray(z[:, :1]), np.ascontiguousarray(z[:, 1:])
 
 
 def ssm_spec(params: SsmParams) -> ModelSpec:
@@ -647,8 +643,7 @@ class ScalarSsmGrid:
     place. An exact Kalman grid sweep
     (``likelihood.grid_increments`` and the grid calls of ``posterior``)
     takes the record in place of one spec per point. ``len`` is the
-    number of points, and indexing by a boolean (G,) mask gives the
-    record of the selected points.
+    number of points.
     """
 
     a: np.ndarray
@@ -683,14 +678,6 @@ class ScalarSsmGrid:
 
     def __len__(self) -> int:
         return len(self.a)
-
-    def __getitem__(self, mask) -> "ScalarSsmGrid":
-        """The record of the points where the boolean (G,) ``mask`` is true, in grid order."""
-        mask = np.asarray(mask)
-        if mask.dtype != bool or mask.shape != self.a.shape or not mask.any():
-            raise ValueError(f"a grid takes a boolean mask of shape {self.a.shape} that selects a point, "
-                             f"got {mask.dtype} of shape {mask.shape}")
-        return ScalarSsmGrid(self.a[mask], self.b[mask], self.q_state[mask], self.q_obs[mask])
 
 
 # ---------------------------------------------------------------------------

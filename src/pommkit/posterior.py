@@ -13,25 +13,25 @@ that exclude the reference parameter.
 Every likelihood in this module comes from :func:`pommkit.likelihood.loglik`,
 :func:`pommkit.likelihood.increments` or, for grids,
 :func:`pommkit.likelihood.grid_increments`, so the evaluator behind each
-method name is chosen in one place. Grid sweeps with an exact method
-(profiles, posteriors, the grid argmax, remoteness) take one
-``grid_increments`` pass, which filters a Kalman grid of one-dimensional
-state-space models in a single vectorized pass; an exact grid log
-likelihood is the point's last prefix-profile entry, a sequential sum
-that can differ in the last bits from one spec's pairwise ``loglik``.
-The particle filter and quadrature evaluate the points in grid order.
+method name is chosen in one place. Every exact grid call (profiles,
+posteriors, the grid argmax, remoteness) reads one prefix-sum sweep of
+the whole grid's ``grid_increments``, which filters a Kalman grid of
+one-dimensional state-space models in a single vectorized pass; an exact
+grid log likelihood is the point's last prefix-profile entry, a
+sequential sum that can differ in the last bits from one spec's pairwise
+``loglik``. The particle filter and quadrature evaluate the points in
+grid order.
 
 A study sweeps one grid over one data set several times: the remoteness
-of a far set and of the whole grid, then the grid AMLE. On a one-pass
-grid (a ``ScalarSsmGrid``, or a Kalman list of p = q = 1 specs) these
-calls, and ``grid_posterior``, share one sweep. ``_prefix_logliks`` runs
-it once per exact key: the four parameter arrays, the checked
-observations, the initial law's type and arrays, and the method. It keeps
-only the last sweep's prefix log likelihoods at the sample sizes asked for
-and at n, a (G, k) array, and reads the rows and columns a call needs; a
-remoteness set reads the selected rows of the whole grid's sweep. Every
-value keeps the bits of a cold sweep of the call's own (sub-)grid. Other
-grids sweep as before, once per call.
+of a far set and of the whole grid, then the grid AMLE. Each call reads
+its rows and columns of ``_prefix_logliks``, a (G, k) array of prefix log
+likelihoods at the sample sizes asked for and at n. A one-pass grid (a
+``ScalarSsmGrid``, or a Kalman list of p = q = 1 specs) keeps its last
+sweep per exact key (the parameter arrays, the checked observations, the
+initial law's type and arrays, the method), so a study filters it once;
+other exact grids are swept whole on every call. Each row is filtered
+and summed on its own, so every value keeps the bits of a cold sweep of
+the call's own (sub-)grid.
 
 The loops that evaluate many likelihoods on the same data (a Metropolis
 chain, a grid swept point by point, the two passes of a merging curve,
@@ -197,59 +197,53 @@ def _sweep_key(params: tuple, ys: np.ndarray, init, method: str) -> Optional[tup
     return method, type(init), digest.digest()
 
 
-def _prefix_logliks(models: GridModels, obs, init, method: str, ns: Optional[Sequence[int]] = None):
-    """Prefix log likelihoods of a one-pass grid at the sample sizes ``ns``, shape (G, len(ns)), or ``None``.
+def _prefix_logliks(models: GridModels, obs, init, method: str, ns: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Prefix log likelihoods of an exact grid at the sample sizes ``ns``, shape (G, len(ns)).
 
-    A one-pass grid is one that ``likelihood.grid_increments`` filters in
-    one call (``_one_pass_params``): a ``ScalarSsmGrid``, or a Kalman list
-    of p = q = 1 specs. Any other grid gives ``None``. ``ns`` holds sample
-    sizes in 0..n, where 0 gives zeros; ``None`` asks for n alone. Column j
-    is column ``ns[j] - 1`` of :func:`grid_loglik_profiles`, bit for bit.
-
-    The last sweep is kept in ``_SWEEP``: its key (``_sweep_key``), and
-    only its columns at the sizes asked for and at n, as a read-only (G, k)
-    array; the (n, G) buffer is freed on return. A call whose key matches
-    and whose sizes are kept reads them and filters nothing. The memo is
-    assigned only after a sweep succeeds, so malformed input raises on
-    every call.
+    ``ns`` holds sample sizes in 0..n, where 0 gives zeros; ``None`` asks
+    for n alone, read once the sweep has checked the observations. Column
+    j is column ``ns[j] - 1`` of :func:`grid_loglik_profiles`, bit for bit.
+    A sweep keeps only its columns at the sizes asked for and at n, as a
+    read-only (G, k) array; the (n, G) buffer is freed on return. A
+    one-pass grid (``likelihood._one_pass_params``) keeps its last sweep
+    in ``_SWEEP`` under its key (``_sweep_key``), so a call whose key
+    matches and whose sizes are kept filters nothing; any other grid is
+    swept on every call. The memo is assigned only after a sweep
+    succeeds, so malformed input raises on every call.
     """
     global _SWEEP
+    sizes = None if ns is None else [int(n) for n in ns]
     params = _one_pass_params(models, method)
-    if params is None:
-        return None
-    ys = _observations(obs, 1)
-    ns = [len(ys)] if ns is None else [int(n) for n in ns]
-    key = _sweep_key(params, ys, init, method)
+    key = None if params is None else _sweep_key(params, _observations(obs, 1), init, method)
     memo = _SWEEP
-    if key is None or memo is None or memo[0] != key or not set(ns) <= memo[1].keys():
-        profiles = _cumulated(_one_pass_increments(params, obs, init))
-        sizes = sorted({*ns, len(ys)})
-        kept = np.column_stack([profiles[:, n - 1] if n else np.zeros(len(profiles)) for n in sizes])
+    if key is None or memo is None or memo[0] != key or not set(sizes or ()) <= memo[1].keys():
+        if params is None:
+            profiles = grid_loglik_profiles(models, obs, init, method)
+        else:
+            profiles = _cumulated(_one_pass_increments(params, obs, init))
+        kept_sizes = sorted({*(sizes or ()), profiles.shape[1]})
+        kept = np.column_stack([profiles[:, n - 1] if n else np.zeros(len(profiles)) for n in kept_sizes])
         kept.flags.writeable = False
-        memo = key, {n: j for j, n in enumerate(sizes)}, kept
+        memo = key, {n: j for j, n in enumerate(kept_sizes)}, kept
         if key is not None:
             _SWEEP = memo
-    return memo[2][:, [memo[1][n] for n in ns]]
+    return memo[2][:, [-1] if sizes is None else [memo[1][n] for n in sizes]]  # n is the largest size kept
 
 
 def _grid_logliks(specs: GridModels, grid: ParamGrid, obs: np.ndarray, init, method: str, kw: dict) -> np.ndarray:
     """Log likelihood of every grid point, after the checks that ``grid_posterior`` and ``amle_grid`` share.
 
-    A one-pass grid reads the full-length column of ``_prefix_logliks``,
-    which a study's earlier sweep of the same grid, data and law may hold.
-    Other exact grids read the last column of ``grid_loglik_profiles``
-    (zeros at n = 0); otherwise point i draws particle-filter stream i.
+    An exact grid, and a ``ScalarSsmGrid`` with any method (for which
+    ``_one_pass_params`` raises), reads the full-length column of
+    ``_prefix_logliks``; with the particle filter or quadrature, point i
+    of a spec list draws particle-filter stream i.
     """
     _check_one_spec_per_point(specs, grid)
     unknown = sorted(set(kw) - set(_GRID_OPTIONS))
     if unknown:
         raise TypeError(f"unknown likelihood options {unknown}; a grid sweep takes {list(_GRID_OPTIONS)}")
-    lls = _prefix_logliks(specs, obs, init, method)
-    if lls is not None:
-        return lls[:, 0]
-    if method in ("kalman", "forward"):
-        profiles = grid_loglik_profiles(specs, obs, init, method)
-        return profiles[:, -1] if profiles.shape[1] else np.zeros(len(grid))
+    if method not in ("bpf", "quadrature") or isinstance(specs, ScalarSsmGrid):
+        return _prefix_logliks(specs, obs, init, method)[:, 0]
     prepared = _Prepared(obs)
     return np.array([loglik(s, prepared, init, method, stream=i, **kw).value for i, s in enumerate(specs)])
 
@@ -480,14 +474,14 @@ def remoteness_rate(
     grid points and must select prior mass; sample sizes are distinct
     integers.
 
-    A one-pass grid (a ``ScalarSsmGrid`` or a Kalman list of p = q = 1
-    specs) is filtered whole, once per key of parameters, observations,
-    initial law and method, and the set reads its rows: the bits of a
-    sweep of the selected points alone. The sweep keeps its prefix log
-    likelihoods at ``ns`` and at n, so the whole-grid call and
-    :func:`amle_grid` on the same data filter nothing. A set filtered
-    alone pays for the whole grid's sweep, whose cost is mostly per step.
-    Other grids filter the selected points only.
+    Every exact grid is filtered whole (``_prefix_logliks``) and the set
+    reads its rows: the bits of a sweep of the selected points alone,
+    since each row is filtered and summed on its own. A one-pass grid (a
+    ``ScalarSsmGrid`` or a Kalman list of p = q = 1 specs) is filtered
+    once per key of parameters, observations, initial law and method, and
+    keeps its prefix log likelihoods at ``ns`` and at n, so the whole-grid
+    call and :func:`amle_grid` on the same data filter nothing. A set
+    filtered alone pays for the whole grid's sweep.
     """
     _check_one_spec_per_point(specs, grid)
     mask = np.array([bool(select(pt)) for pt in grid.points]) if callable(select) else np.asarray(select)
@@ -504,11 +498,7 @@ def remoteness_rate(
     if ns[0] < 1 or ns[-1] > len(obs):
         raise ValueError("requested sample sizes exceed the data")
     prepared = _Prepared(obs)
-    profiles = _prefix_logliks(specs, prepared, init, method, ns)
-    if profiles is None:
-        profiles = grid_loglik_profiles([s for s, m in zip(specs, mask) if m], prepared, init, method)[:, ns - 1]
-    else:
-        profiles = profiles[mask]
+    profiles = _prefix_logliks(specs, prepared, init, method, ns)[mask]
     star = np.cumsum(increments(star_spec, prepared, Stationary(), method))
     log_prior = _log_prior(grid)[mask]
     values = np.array([_logsumexp(log_prior + col) - star[n - 1] for col, n in zip(profiles.T, ns)])

@@ -16,10 +16,8 @@ import numpy as np
 SIMULATE = 1
 BPF = 2
 KLD_OUTER = 3
-KLD_INNER = 4
 MH = 5
 AUDIT = 6
-EXPERIMENT = 7
 
 
 def _is_int(value) -> bool:

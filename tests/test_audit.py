@@ -135,6 +135,19 @@ class TestSvEntryPointsRejectNonFinite:
                     psup_pointwise_bound(STAR, *args)
         assert np.isfinite(psup_pointwise_bound(STAR, 0.7, -0.3))
 
+    def test_region_bounds(self):
+        region = SvRegion.make(sigma_lo=0.1, sigma_hi=2.5, beta_lo=0.1, phi_hi=0.95)
+        for bad in self.BAD:
+            for name, args in (("y1", (bad, 0.5)), ("y2", (0.5, bad)), ("y1", (np.array([0.5, bad]), 0.5)),
+                               ("y2", (np.array([0.5, 0.7]), np.array([bad, 0.5])))):
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got 1 non-finite entries"):
+                    psup_sv_bound(region, *args)
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got 1 non-finite entries"):
+                    psup_cm_complement_bound(BOX, 10.0, *args)
+        ys = np.array([0.7, -0.2])
+        assert np.isfinite(psup_sv_bound(region, ys, 0.4)).all()
+        assert np.isfinite(psup_cm_complement_bound(BOX, 10.0, ys, 0.4)).all()
+
     def test_marginal_y_logpdf(self):
         for bad in self.BAD:
             with pytest.raises(ValueError, match="^ys must be finite, got 1 non-finite entries"):

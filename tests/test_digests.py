@@ -25,9 +25,8 @@ EXPECTED = (
     + [f"quadrature_{model}_{law}" for model in ("sv", "ssm", "linear") for law in ("stationary", "point_mass")]
     + [f"bpf_{case}_{particles}" for particles in (512, 1024) for case in ("sv", "ssm_gaussian")]
     + ["mh_chain", "mh_acceptance", "finite_enumeration", "finite_image_density", "finite_image_markov"]
-    + [line for case in ("record", "specs", "forward") for line in (
-        [f"remoteness_far_{case}"] + ([f"remoteness_whole_{case}"] if case != "forward" else [])
-        + [f"grid_posterior_{case}", f"amle_grid_{case}"])]
+    + [f"{call}_{case}" for case in ("record", "specs", "forward", "p2")
+       for call in ("remoteness_far", "remoteness_whole", "grid_posterior", "amle_grid")]
     + [f"experiment_{name}" for name in ("audit.jsonl", "concentration.csv", "config.ini", "manifest.txt",
                                          "posterior_n100.csv", "posterior_n1600.csv", "posterior_n400.csv")]
 )

@@ -939,7 +939,7 @@ class TestSteadyStateScalarFilter:
         for init, start in self.INITS:
             m, pv = start if start is not None else (0.0, qz / (1.0 - a * a))
             want = full_recursion_increments(a, b, qz, qx, ys[:, 0].tolist(), m, pv)
-            got = _scalar_kalman_increments(a, b, qz, qx, ys, init)
+            got = _scalar_kalman_increments(a, b, qz, qx, ys[:, 0].tolist(), init)
             np.testing.assert_array_equal(got, want)
             if len(ys):
                 np.testing.assert_array_equal(increments(scalar_ssm(a, b, qz, qx), ys, init, "kalman"), want)

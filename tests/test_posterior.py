@@ -467,17 +467,20 @@ def count_grid_sweeps(monkeypatch) -> list:
     return sweeps
 
 
-def cold_remoteness(models, grid, mask, obs, init, star, ns):
+def cold_remoteness(models, grid, mask, obs, init, star, ns, method="kalman"):
     """``remoteness_rate``'s log ratios from a sweep of the selected points alone, with no kept sweep."""
-    sub = models[mask] if isinstance(models, ScalarSsmGrid) else [m for m, keep in zip(models, mask) if keep]
-    profiles = grid_loglik_profiles(sub, obs, init)
-    ref = np.cumsum(increments(star, obs, Stationary(), "kalman"))
+    if isinstance(models, ScalarSsmGrid):
+        sub = ScalarSsmGrid(*(getattr(models, name)[mask] for name in ("a", "b", "q_state", "q_obs")))
+    else:
+        sub = [m for m, keep in zip(models, mask) if keep]
+    profiles = grid_loglik_profiles(sub, obs, init, method)
+    ref = np.cumsum(increments(star, obs, Stationary(), method))
     log_prior = np.log(grid.prior_weight[mask])
     return np.array([posterior._logsumexp(log_prior + profiles[:, n - 1]) - ref[n - 1] for n in sorted(ns)])
 
 
 class TestOneSweepPerStudy:
-    """A study's remoteness, AMLE and posterior calls on a one-pass grid share one sweep, with the bits of cold sweeps."""
+    """A study's grid calls read one sweep of the whole grid, with the bits of cold sweeps; a one-pass grid keeps it."""
 
     def setup(self, case="specs", g=9, n=60, seed=4):
         star = scalar_ssm(0.5, 1.0, 1.0, 0.2)
@@ -544,6 +547,50 @@ class TestOneSweepPerStudy:
             else:
                 assert got == cold[name]
         posterior._SWEEP = None
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(["forward", "p2", "mixed"]),
+        g=st.integers(1, 6),
+        n=st.integers(2, 60),
+        law=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_per_spec_grids_equal_cold_sub_grid_sweeps(self, case, g, n, law, seed, data):
+        # a forward list and Kalman lists with a p = 2 spec are swept whole on every call, and keep no sweep
+        mask = np.isin(np.arange(g), list(data.draw(st.sets(st.integers(0, g - 1), min_size=1), label="selected")))
+        ns = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=6, unique=True), label="ns")
+        rng = np.random.default_rng(seed)
+        method = "forward" if case == "forward" else "kalman"
+        if case == "forward":
+            models = [finite_hmm_spec(FiniteHmmParams(rng.dirichlet([2.0, 2.0], 2), rng.dirichlet([1.0] * 3, 2)))
+                      for _ in range(g)]
+            init = (Stationary(), PointMass(1, 0), np.array([0.3, 0.7]))[law]
+        else:
+            params = zip(rng.uniform(-0.6, 0.6, g), rng.uniform(-0.3, 0.3, g), rng.uniform(0.1, 1.0, g))
+            models = [ssm_spec(SsmParams([[a, 0.2], [c, 0.5]], [[1.0, 0.4]], [[1.0, 0.3], [0.3, 0.8]], [[qx]]))
+                      for a, c, qx in params]
+            init = (Stationary(), PointMass([1.5, -0.5], 0.2), GaussianOnZ([0.4, -0.3, 0.1], 0.5 * np.eye(3)))[law]
+            if case == "mixed":  # scalar specs among p = 2 ones, under the one law that fits both
+                scalars = [scalar_ssm(a) for a in rng.uniform(-0.9, 0.9, g).tolist()]
+                models = [scalars[i] if i % 2 else m for i, m in enumerate(models)]
+                init = Stationary()
+        star = models[0]
+        obs = project_observations(simulate_complete(star, Stationary(), n, seed=seed)).reshape(-1)
+        grid = ParamGrid(np.sort(rng.uniform(-1.0, 1.0, g))[:, None], rng.uniform(0.1, 1.0, g))
+        event(f"{case}, {'one point selected' if mask.sum() == 1 else 'several points selected'}")
+        posterior._SWEEP = None
+        for select in (mask, np.ones(g, bool)):
+            res = remoteness_rate(models, grid, select, obs, init, star, ns, method)
+            want = cold_remoteness(models, grid, select, obs, init, star, ns, method)
+            assert res.log_ratio.tobytes() == want.tobytes()
+        profiles = grid_loglik_profiles(models, obs, init, method)
+        got = grid_posterior(models, grid, obs, init, method).log_mass
+        assert got.tobytes() == posterior_from_profiles(grid, profiles, n).log_mass.tobytes()
+        amle = amle_grid(models, grid, obs, init, method)
+        assert (amle.index, amle.loglik) == (int(np.argmax(profiles[:, -1])), float(profiles[:, -1].max()))
+        assert posterior._SWEEP is None
 
     def test_demo_study_sweeps_once_and_keeps_columns_only(self, monkeypatch):
         sweeps = count_grid_sweeps(monkeypatch)

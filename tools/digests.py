@@ -14,11 +14,10 @@ filter at 512 (binary-search resampling) and 1024 particles
 (linear-time resampling), one Metropolis chain, the finite-HMM
 path-enumeration oracles, ``remoteness_rate`` (a far set and the whole
 grid), ``grid_posterior`` and ``amle_grid`` on a 181-point
-``ScalarSsmGrid`` and on the same grid as a spec list, whose calls share
-one kept sweep, the same three calls on a finite-HMM spec list (a far set
-only), and every file that
-``run_experiment(reference_config())`` writes. It takes well under a
-second after the imports.
+``ScalarSsmGrid``, on the same grid as a spec list, on a finite-HMM spec
+list and on a 20-point list of p = 2 state-space specs over 80
+observations, and every file that ``run_experiment(reference_config())``
+writes. It takes well under a second after the imports.
 """
 from __future__ import annotations
 
@@ -136,19 +135,22 @@ def battery():
     yield "finite_image_density", image_density_check(finite, other, eta, 4)
     yield "finite_image_markov", image_ratio_markov_check(finite, other, eta, 6, 50, SEED)
     a_grid, accuracies = uniform_grid_1d(-0.9, 0.9, 181), uniform_grid_1d(0.55, 0.95, 41)
+    a00 = uniform_grid_1d(0.2, 0.8, 20)  # the p = 2 specs' A[0, 0]
     grid_cases = {
         "record": (grid, a_grid, ys, "kalman"),
         "specs": ([scalar_ssm(a, 1.0, 1.0, 0.2) for a in grid.a.tolist()], a_grid, ys, "kalman"),
         "forward": ([finite_hmm_spec(FiniteHmmParams([[0.8, 0.2], [0.3, 0.7]], [[e, 1.0 - e], [1.0 - e, e]]))
                      for e in accuracies.points[:, 0].tolist()], accuracies, observations(finite, 400).reshape(-1), "forward"),
+        "p2": ([ssm_spec(SsmParams([[a, 0.2], [-0.1, 0.5]], [[1.0, 0.4]], [[1.0, 0.3], [0.3, 0.8]], [[0.2]]))
+                for a in a00.points[:, 0].tolist()], a00, ys2[:80], "kalman"),
     }
     remote = {"record": (scalar, np.abs(a_grid.points[:, 0] - 0.7) >= 0.5, range(40, 401, 40)),
               "specs": (scalar, np.abs(a_grid.points[:, 0] - 0.7) >= 0.5, range(40, 401, 40)),
-              "forward": (finite, np.abs(accuracies.points[:, 0] - 0.85) >= 0.1, range(50, 401, 50))}
+              "forward": (finite, np.abs(accuracies.points[:, 0] - 0.85) >= 0.1, range(50, 401, 50)),
+              "p2": (p2, np.abs(a00.points[:, 0] - 0.6) >= 0.25, range(10, 81, 10))}
     for name, (models, params, data, method) in grid_cases.items():
         star, far, ns = remote[name]
-        subsets = {"far": far} if name == "forward" else {"far": far, "whole": np.ones(len(params), bool)}
-        for subset, mask in subsets.items():
+        for subset, mask in (("far", far), ("whole", np.ones(len(params), bool))):
             res = remoteness_rate(models, params, mask, data, Stationary(), star, list(ns), method)
             yield f"remoteness_{subset}_{name}", np.append(res.log_ratio, res.slope)
         yield f"grid_posterior_{name}", grid_posterior(models, params, data, Stationary(), method).log_mass
