@@ -163,9 +163,11 @@ def psup_sv_bound(region: SvRegion, y1, y2) -> np.ndarray:
     region (``bound1`` at the sigma floor; ``bound2`` at the sigma cap,
     the beta floor, and a phi endpoint). Infinite when the data make both
     envelopes vacuous (``y1 = 0``, or ``y2 = 0`` with sigma unbounded).
-    Every entry of ``y1`` and ``y2`` must be finite.
+    Every entry of ``y1`` and ``y2`` must be finite; lists and scalars
+    are taken as float arrays.
     """
     _check_finite_arrays(y1=y1, y2=y2)
+    y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
     b1 = _bound1(region.sigma_lo, y1, y2)
     b2 = _bound2(region.sigma_hi, region.log_beta_lo, region.phi_hi, y1)
     out = np.minimum(b1, b2)

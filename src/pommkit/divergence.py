@@ -133,7 +133,10 @@ def delta_glm_closed(star: GlmParams, other: GlmParams) -> KldEstimate:
     + tr(dPhi^T R^{-1} dPhi Gamma*) ]`` with ``dPhi = Phi - Phi*`` and
     ``Gamma*`` the stationary covariance of the reference chain. The
     quadratic term carries ``R^{-1}`` between the two ``dPhi`` factors
-    (the Monte Carlo estimator confirms this arrangement).
+    (the Monte Carlo estimator confirms this arrangement). Each record
+    keeps its ``Gamma`` and its ``log det R`` after the first call, and a
+    scalar state-space embedding gets the latter from the build, so a
+    grid against one reference pays for one solve per point.
     """
     if star.p != other.p or star.q != other.q:
         raise ValueError("parameter dimensions differ")
@@ -141,9 +144,9 @@ def delta_glm_closed(star: GlmParams, other: GlmParams) -> KldEstimate:
     dphi = other.Phi - star.Phi
     d = len(dphi)
     # one solve against both right-hand sides: R^{-1} (R* - R) and R^{-1} dPhi Gamma*
-    solved = np.linalg.solve(other.R, np.hstack([star.R - other.R, dphi @ gamma]))
+    solved = np.linalg.solve(other.R, np.concatenate([star.R - other.R, dphi @ gamma], axis=1))
     trace_term = float(np.trace(solved[:, :d]))
-    logdet_term = float(np.linalg.slogdet(star.R)[1] - np.linalg.slogdet(other.R)[1])
+    logdet_term = star._logdet_R - other._logdet_R
     quad_term = float(np.trace(dphi.T @ solved[:, d:]))
     return KldEstimate(0.5 * (trace_term - logdet_term + quad_term), "closed_form")
 

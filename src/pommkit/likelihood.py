@@ -419,13 +419,24 @@ def _grid_mean_recursion(a: np.ndarray, b: np.ndarray, m, ys: list, head: list, 
     """``_float_mean_recursion`` on (G,) arrays; returns the innovations, shape (n, G).
 
     Every step updates the mean and one row of the buffer in place, through
-    the ufuncs bound to locals and their positional outputs.
+    the ufuncs bound to locals and their positional outputs. When every
+    ``b`` is exactly 1.0 the innovation is ``y - m``, with the bits of
+    ``y - b m`` because ``1.0 * m == m`` in IEEE 754 arithmetic, signed
+    zeros included, so such a step makes four ufunc calls, not five.
     """
     m = np.full(a.shape, m)
     tmp = np.empty_like(m)
     out = np.empty((len(ys),) + a.shape)
     mul, sub, add = np.multiply, np.subtract, np.add
-    for y, innov, gain in zip(ys, out, itertools.chain(head, itertools.cycle(cycle))):
+    gains = itertools.chain(head, itertools.cycle(cycle))
+    if (b == 1.0).all():
+        for y, innov, gain in zip(ys, out, gains):
+            mul(a, m, m)
+            sub(y, m, innov)
+            mul(gain, innov, tmp)
+            add(m, tmp, m)
+        return out
+    for y, innov, gain in zip(ys, out, gains):
         mul(a, m, m)
         mul(b, m, innov)
         sub(y, innov, innov)
@@ -874,11 +885,12 @@ def grid_increments(grid, obs: np.ndarray, init, method: str) -> np.ndarray:
     rows. A grid log likelihood is a row cumulated in sequence
     (``posterior.grid_loglik_profiles``), which can differ in the last
     bits from the pairwise sum of :func:`loglik`. Non-finite observations
-    raise ``ValueError``.
+    raise ``ValueError``. A ``_Prepared`` record is used as it is, so a
+    caller's checked observations are not checked or copied again.
     """
     params = _one_pass_params(grid, method)
     if params is None:
-        prepared = _Prepared(obs)
+        prepared = obs if isinstance(obs, _Prepared) else _Prepared(obs)
         return np.vstack([increments(s, prepared, init, method) for s in grid])
     return _one_pass_increments(params, obs, init)
 

@@ -62,7 +62,7 @@ from .core import HmmFactorization, ModelSpec
 _LOG2PI = np.log(2.0 * np.pi)
 _UNIT_EIG_TOL = 1e-9  # finite_hmm_stationary: distance of an eigenvalue from 1 and from the unit circle
 _EMBEDDING_INVALID = "the joint-chain embedding of this state-space model is invalid"
-_SCALAR_R_MEMO = 128  # _scalar_embedded_R: distinct (b, q_state, q_obs) triples kept
+_SCALAR_R_MEMO = 128  # _scalar_embedding: distinct (b, q_state, q_obs) triples kept
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,15 @@ class GlmParams:
         gamma = stationary_cov(self.Phi, self.R)
         gamma.flags.writeable = False
         return gamma
+
+    @cached_property
+    def _logdet_R(self) -> float:
+        """``slogdet(R)``'s log determinant as a float, kept like ``_stationary_cov``.
+
+        A scalar state-space embedding gets it from ``_scalar_embedding``,
+        which computes it once per ``(b, q_state, q_obs)``.
+        """
+        return float(np.linalg.slogdet(self.R)[1])
 
 
 @dataclass(frozen=True)
@@ -400,11 +409,14 @@ def glm_spec(params: GlmParams) -> ModelSpec:
     return _linear_spec(params)
 
 
-def _linear_spec(params: GlmParams, **fields) -> ModelSpec:
-    """``glm_spec(params)`` with the further ``ModelSpec`` fields ``fields`` (``ssm_spec``'s views)."""
+def _linear_spec(params: GlmParams, r_factors=None, **fields) -> ModelSpec:
+    """``glm_spec(params)`` with the further ``ModelSpec`` fields ``fields`` (``ssm_spec``'s views).
+
+    ``r_factors`` is a shared holder of ``R``'s factors (see ``_linear_gaussian``), or None for a new one.
+    """
     Phi, R, p, q = params.Phi, params.R, params.p, params.q
     d = p + q
-    logpdf, sample = _linear_gaussian(Phi, R, d)
+    logpdf, sample = _linear_gaussian(Phi, R, d, r_factors)
     chol_g = _Once(_glm_stationary_chol, params)
 
     def _stack(z):
@@ -447,21 +459,29 @@ def ssm_embed(params: SsmParams) -> GlmParams:
     ``+0.0`` as a 1 x 1 matrix product adds its one term, so ``Phi`` and
     ``R`` have the bits of the matrix assembly. ``b a`` is checked finite
     first and ``Phi`` is a fresh array per call; ``R`` does not depend on
-    ``a`` and comes from ``_scalar_embedded_R``, which checks it once per
+    ``a`` and comes from ``_scalar_embedding``, which checks it once per
     ``(b, q_state, q_obs)`` and returns one read-only array that every
-    record with those floats shares. A failed check is never kept, so it
-    raises again, with the same message, on every call.
+    record with those floats shares, with its log determinant. A failed
+    check is never kept, so it raises again, with the same message, on
+    every call.
     """
+    return _embed(params)[0]
+
+
+def _embed(params: SsmParams):
+    """``ssm_embed(params)`` and, when p = q = 1, the ``_ScalarEmbedding`` of its ``(b, q_state, q_obs)``, else None."""
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p, q = params.p, params.q
-    glm = object.__new__(GlmParams)
+    glm, shared = object.__new__(GlmParams), None
     try:
         if p == q == 1:
             a, b = A.item(), B.item()
             ba = 0.0 + b * a
             if not math.isfinite(ba):
                 raise ValueError("Phi must be finite")
-            glm._set_fields(np.array([[a, 0.0], [ba, 0.0]]), _scalar_embedded_R(b, Qz.item(), Qx.item()), p, q)
+            shared = _scalar_embedding(b, Qz.item(), Qx.item())
+            glm._set_fields(np.array([[a, 0.0], [ba, 0.0]]), shared.R, p, q)
+            object.__setattr__(glm, "_logdet_R", shared.logdet_R)  # fills the cached property
         else:
             Phi = np.zeros((p + q, p + q))
             Phi[:p, :p] = A
@@ -478,12 +498,31 @@ def ssm_embed(params: SsmParams) -> GlmParams:
             glm._finish_init(Phi, R, p, q)
     except ValueError as err:
         raise ValueError(f"{_EMBEDDING_INVALID}: {err}") from err
-    return glm
+    return glm, shared
+
+
+@dataclass(frozen=True, eq=False)
+class _ScalarEmbedding:
+    """What every p = q = 1 build with one ``(b, q_state, q_obs)`` shares, whatever its ``a``.
+
+    ``R`` is the checked, read-only embedded innovation covariance and
+    ``logdet_R`` its ``slogdet`` log determinant as a float, which
+    ``delta_glm_closed`` reads through ``GlmParams._logdet_R``.
+    ``emission`` is ``_scalar_gaussian(b, q_obs)``, the density and
+    sampler of ``g = N(b x, q_obs)``, and ``r_factors`` the holder of
+    ``R``'s factors, computed on first use, for the joint-chain density
+    and sampler.
+    """
+
+    R: np.ndarray
+    logdet_R: float
+    emission: tuple
+    r_factors: _Once
 
 
 @lru_cache(maxsize=_SCALAR_R_MEMO)
-def _scalar_embedded_R(b: float, qz: float, qx: float) -> np.ndarray:
-    """The checked, read-only embedded ``R`` of a p = q = 1 model, built once per ``(b, qz, qx)``.
+def _scalar_embedding(b: float, qz: float, qx: float) -> _ScalarEmbedding:
+    """The ``_ScalarEmbedding`` of a p = q = 1 model, built and checked once per ``(b, qz, qx)``.
 
     ``R = [[qz, b qz], [b qz, b^2 qz + qx]]`` with the bits of the matrix
     assembly. Its two off-diagonal entries are one float, so ``R`` is
@@ -492,8 +531,9 @@ def _scalar_embedded_R(b: float, qz: float, qx: float) -> np.ndarray:
     ``eigvalsh(R).min() > 0`` stays: ``R`` can be singular in floating
     point although both variances are positive (``1e10 + 1e-8 == 1e10``).
     ``lru_cache`` keeps no exception, so a failing triple raises on every
-    call. ``b = -0.0`` shares the key of ``+0.0``, which is safe because
-    both give ``b qz = +0.0``.
+    call. ``b = -0.0`` shares the key of ``+0.0``, which is safe for ``R``
+    because both give ``b qz = +0.0``; the emission's ``b x`` keeps the
+    sign of ``b``, so ``ssm_spec`` builds its own emission when ``b`` is zero.
     """
     bqz = 0.0 + b * qz
     r_yy = (0.0 + bqz * b) + qx
@@ -503,24 +543,31 @@ def _scalar_embedded_R(b: float, qz: float, qx: float) -> np.ndarray:
     if np.linalg.eigvalsh(R).min() <= 0.0:
         raise ValueError("R must be positive definite")
     R.flags.writeable = False
-    return R
+    return _ScalarEmbedding(R, float(np.linalg.slogdet(R)[1]), _scalar_gaussian(b, qx), _Once(_gaussian_factors, R))
 
 
-def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int):
+def _scalar_gaussian(m: float, var: float):
+    """Broadcasting log density and sampler of ``N(m x, var)`` given states ``x`` (``_linear_gaussian``'s 1 x 1 case)."""
+    return (lambda x, v: normal_logpdf(v - m * x, var),
+            lambda x, rng: m * x + np.sqrt(var) * rng.standard_normal(np.shape(x)))
+
+
+def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int, factors=None):
     """Broadcasting log density and sampler of ``N(M x, cov)`` given states ``x``.
 
     The linear family's only density and sampler. A scalar factor (``M``
-    is 1 x 1) is ``normal_logpdf`` and one line of sampling. Otherwise a
-    state has shape ``(..., p)``, or ``(...)`` when ``p == 1``, the
-    outcome keeps its trailing axis, and ``L``, ``L^{-1}`` and the log
-    determinant of ``cov = L L^T`` are computed on first use. Every
-    product goes through ``_matvec``, so a batch gives the per-state bits.
+    is 1 x 1) is ``_scalar_gaussian``. Otherwise a state has shape
+    ``(..., p)``, or ``(...)`` when ``p == 1``, the outcome keeps its
+    trailing axis, and ``L``, ``L^{-1}`` and the log determinant of
+    ``cov = L L^T`` are computed on first use, by ``factors`` when a
+    holder of ``cov``'s factors is given (``_ScalarEmbedding.r_factors``)
+    or else by a new one. Every product goes through ``_matvec``, so a
+    batch gives the per-state bits.
     """
     if M.shape == (1, 1):
-        m, var = float(M[0, 0]), float(cov[0, 0])
-        return (lambda x, v: normal_logpdf(v - m * x, var),
-                lambda x, rng: m * x + np.sqrt(var) * rng.standard_normal(np.shape(x)))
-    factors = _Once(_gaussian_factors, cov)
+        return _scalar_gaussian(float(M[0, 0]), float(cov[0, 0]))
+    if factors is None:
+        factors = _Once(_gaussian_factors, cov)
     d = M.shape[0]
 
     def mean(x):
@@ -593,9 +640,13 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
     exact Kalman evaluator) and the HMM factorization
     ``qx = N(Ax, Qzeta)``, ``g = N(Bx, Qxi)`` (for particle filtering and
     quadrature), each factor built by ``_linear_gaussian``. The stationary
-    x-marginal is computed on first use.
+    x-marginal is computed on first use. When p = q = 1 the emission
+    factor and the holder of ``R``'s factors come from the
+    ``_ScalarEmbedding`` that ``ssm_embed`` reads, so a build makes only
+    what depends on ``A``; a zero ``b`` builds its own emission, because
+    ``-0.0`` and ``+0.0`` share that record and ``b x`` keeps the sign.
     """
-    glm = ssm_embed(params)
+    glm, shared = _embed(params)
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p = params.p
     chol_gx = _Once(_stationary_chol, A, Qz)  # stationary x-marginal
@@ -604,8 +655,9 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
         draws = rng.standard_normal((n, p)) @ chol_gx().T
         return draws[:, 0] if p == 1 else draws
 
-    hmm = HmmFactorization(*_linear_gaussian(A, Qz, p), *_linear_gaussian(B, Qx, p), stationary_x_sample)
-    return _linear_spec(glm, hmm=hmm, ssm=params)
+    emission = _linear_gaussian(B, Qx, p) if shared is None or B.item() == 0.0 else shared.emission
+    hmm = HmmFactorization(*_linear_gaussian(A, Qz, p), *emission, stationary_x_sample)
+    return _linear_spec(glm, None if shared is None else shared.r_factors, hmm=hmm, ssm=params)
 
 
 def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.2) -> ModelSpec:
@@ -618,11 +670,12 @@ def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.
     which can be singular in floating point although both variances are
     positive. ``R`` does not depend on ``a``, so its checks run once per
     ``(b, q_state, q_obs)``, kept in a bounded memo, and the specs with
-    those floats share one read-only ``R``; a chain or a grid over ``a``
-    builds only ``Phi``, the parameter arrays and the callables per
-    spec. Each failure raises the ``ValueError`` of the general matrix
-    build, with its message, on every call, and the arrays have its
-    bytes.
+    those floats share one read-only ``R``, its log determinant, the
+    emission factor and the holder of ``R``'s factors; a chain or a grid
+    over ``a`` builds only ``Phi``, the parameter arrays and the
+    callables that depend on ``a`` per spec. Each failure raises the
+    ``ValueError`` of the general matrix build, with its message, on
+    every call, and the arrays have its bytes.
     """
     return ssm_spec(SsmParams(A=[[a]], B=[[b]], Qzeta=[[q_state]], Qxi=[[q_obs]]))
 

@@ -148,6 +148,15 @@ class TestSvEntryPointsRejectNonFinite:
         assert np.isfinite(psup_sv_bound(region, ys, 0.4)).all()
         assert np.isfinite(psup_cm_complement_bound(BOX, 10.0, ys, 0.4)).all()
 
+    def test_region_bounds_take_lists(self):
+        region = SvRegion.make(sigma_lo=0.1, sigma_hi=2.5, beta_lo=0.1, phi_hi=0.95)
+        for y1, y2 in (([0.7, -0.2], 0.4), (0.7, [0.4, 0.5]), ([0.7, -0.2], [0.4, -0.0]), ([1, 2], [3, -1])):
+            arrays = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+            for bound in (lambda *ys: psup_sv_bound(region, *ys), lambda *ys: psup_cm_complement_bound(BOX, 10.0, *ys)):
+                want = bound(*arrays)
+                got = bound(y1, y2)
+                assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_marginal_y_logpdf(self):
         for bad in self.BAD:
             with pytest.raises(ValueError, match="^ys must be finite, got 1 non-finite entries"):

@@ -21,12 +21,13 @@ LAWS = ("stationary", "point_mass", "gaussian")
 EXPECTED = (
     [f"kalman_{model}_{law}" for law in LAWS for model in ("scalar", "joint", "p2")]
     + [f"sweep_{param}_{part}" for param in ("b", "q_obs") for part in ("phi_r", "kalman")]
-    + ["grid_profile_stationary", "grid_profile_gaussian"]
+    + ["grid_profile_stationary", "grid_profile_gaussian", "grid_profile_b1.5"]
     + [f"quadrature_{model}_{law}" for model in ("sv", "ssm", "linear") for law in ("stationary", "point_mass")]
     + [f"bpf_{case}_{particles}" for particles in (512, 1024) for case in ("sv", "ssm_gaussian")]
     + ["mh_chain", "mh_acceptance", "finite_enumeration", "finite_image_density", "finite_image_markov"]
     + [f"{call}_{case}" for case in ("record", "specs", "forward", "p2")
        for call in ("remoteness_far", "remoteness_whole", "grid_posterior", "amle_grid")]
+    + ["delta_closed_grid"]
     + [f"experiment_{name}" for name in ("audit.jsonl", "concentration.csv", "config.ini", "manifest.txt",
                                          "posterior_n100.csv", "posterior_n1600.csv", "posterior_n400.csv")]
 )

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pommkit import (
@@ -29,7 +29,7 @@ from pommkit import rng as rngmod
 from pommkit.divergence import delta_bar_finite_exact, write_denseness_csv
 from pommkit.models import finite_hmm_stationary, sv_g_logpdf, sv_g_sample, sv_qx_logpdf, sv_qx_sample
 from pommkit.models import sv_stationary_x_sample
-from tests.test_models import hmm_family_specs, random_stable_glm
+from tests.test_models import hmm_family_specs, random_linear_spec, random_stable_glm
 
 
 def agrees(value, estimate, atol=1e-12):
@@ -59,6 +59,43 @@ class TestWorkedValues:
         assert delta_glm_closed(glm, glm).value == 0.0
         sv = SvParams(1.7, 0.4, -0.3)
         assert delta_sv_closed(sv, sv).value == 0.0
+
+
+def two_slogdet_delta(star, other):
+    """``delta_glm_closed``'s value by its formula with ``hstack`` and one ``slogdet`` per record per call."""
+    gamma = glm_stationary_cov(star)
+    dphi = other.Phi - star.Phi
+    d = len(dphi)
+    solved = np.linalg.solve(other.R, np.hstack([star.R - other.R, dphi @ gamma]))
+    trace_term = float(np.trace(solved[:, :d]))
+    logdet_term = float(np.linalg.slogdet(star.R)[1] - np.linalg.slogdet(other.R)[1])
+    quad_term = float(np.trace(dphi.T @ solved[:, d:]))
+    return 0.5 * (trace_term - logdet_term + quad_term)
+
+
+SCALAR_POINT = st.tuples(st.floats(-0.99, 0.99), st.floats(-3.0, 3.0), st.floats(0.05, 5.0), st.floats(0.05, 5.0))
+
+
+class TestClosedFormBits:
+    """Kept log determinants, read from the record or filled by a scalar build, keep the formula's bits."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(star=SCALAR_POINT, other=SCALAR_POINT, same_triple=st.booleans(), seed=st.integers(0, 2**16))
+    @example(star=(0.5, 1.0, 1.0, 0.2), other=(-0.9, 1.0, 1.0, 0.2), same_triple=True, seed=0)
+    def test_equals_the_two_slogdet_formula(self, star, other, same_triple, seed):
+        if same_triple:
+            other = (other[0], *star[1:])
+        pairs = [(scalar_ssm(*star).glm, scalar_ssm(*other).glm)]
+        pairs += [(random_linear_spec(family, p, q, seed).glm, random_linear_spec(family, p, q, seed + 1).glm)
+                  for family, p, q in (("ssm", 2, 1), ("glm", 1, 1), ("glm", 2, 2))]
+        for s, o in pairs:
+            want = np.float64(two_slogdet_delta(s, o)).tobytes()
+            fresh = [GlmParams(r.Phi, r.R, r.p, r.q) for r in (s, o)]  # records that compute their own
+            for _ in range(2):  # the second call reads what the first kept
+                assert np.float64(delta_glm_closed(s, o).value).tobytes() == want
+                assert np.float64(delta_glm_closed(*fresh).value).tobytes() == want
+            for record in (s, o):  # a kept log determinant is slogdet's, which the sum above can round away
+                assert np.float64(record._logdet_R).tobytes() == np.linalg.slogdet(record.R)[1].tobytes()
 
 
 class TestMonteCarloOracle:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pommkit import (
@@ -1054,6 +1054,34 @@ class TestScalarFilterProperty:
             np.testing.assert_array_equal(grid_increments([scalar_ssm(0.3), spec], ys, init, "kalman")[1], scalar)
 
 
+UNIT_LOADING_POINTS = st.lists(st.tuples(st.floats(-0.999, 0.999), st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+                               min_size=1, max_size=6)
+
+
+class TestUnitLoadingSweep:
+    """A grid whose every b is 1.0 forms its innovations as y - m, with the bits of y - b m."""
+
+    INITS = (Stationary(), PointMass(1.5, -0.0), GaussianOnZ([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]]))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(points=UNIT_LOADING_POINTS,
+           loadings=st.sampled_from([(1.0,), (-1.0,), (1.5,), (1.0, 1.5), (1.0, -1.0)]),  # point i takes loadings[i % k]
+           n=st.sampled_from([0, 1, 9, 200]),
+           seed=st.integers(0, 2**16))
+    @example(points=[(0.5, 1.0, 0.2), (-0.9, 0.3, 2.0)], loadings=(1.0,), n=200, seed=1)
+    @example(points=[(0.5, 1.0, 0.2), (-0.9, 0.3, 2.0)], loadings=(-1.0,), n=200, seed=1)
+    @example(points=[(0.5, 1.0, 0.2), (-0.9, 0.3, 2.0)], loadings=(1.5,), n=200, seed=1)
+    def test_rows_equal_the_one_spec_filter(self, points, loadings, n, seed):
+        params = [(a, loadings[i % len(loadings)], qz, qx) for i, (a, qz, qx) in enumerate(points)]
+        specs = [scalar_ssm(*theta) for theta in params]
+        record = ScalarSsmGrid(*zip(*params))
+        ys = 2.0 * np.random.default_rng(seed).normal(size=(n, 1))
+        for init in self.INITS:
+            want = [increments(spec, ys, init, "kalman").tobytes() for spec in specs]  # the float filter
+            for grid in (record, specs):
+                assert [row.tobytes() for row in grid_increments(grid, ys, init, "kalman")] == want
+
+
 class TestRescaledHiddenState:
     """(a, b, Qzeta, Qxi) and (a, b / c, c^2 Qzeta, Qxi) are one law of the observations, with x scaled by c.
 
@@ -1496,6 +1524,24 @@ class TestPreparedObservations:
             _observations(record, 2)
         ys[0, 0] = np.nan  # the record keeps what it checked
         assert _observations(record, 1)[0, 0] == 0.0
+
+    def test_grid_increments_reads_the_callers_record(self, monkeypatch):
+        scalar = scalar_ssm(0.5, 1.0, 1.0, 0.2)
+        ssm2 = ssm_spec(SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], np.eye(2), [[0.3]]))
+        specs = [scalar, ssm2, scalar_ssm(-0.3)]  # a p = 2 spec: the per-spec path
+        ys = simulated_obs(scalar, 30, seed=9)
+        want = grid_increments(specs, ys, Stationary(), "kalman")
+        record = _Prepared(ys)
+        checked, seen = _observations(record, 1), []
+
+        def spy(spec, obs, init, method, _fn=likelihood.increments):
+            seen.append(_observations(obs, 1))
+            return _fn(spec, obs, init, method)
+
+        monkeypatch.setattr(likelihood, "increments", spy)
+        rows = grid_increments(specs, record, Stationary(), "kalman")
+        assert len(seen) == len(specs) and all(ys_inner is checked for ys_inner in seen)
+        assert rows.tobytes() == want.tobytes()
 
 
 class TestNumpyOnlyRuntime:

@@ -361,6 +361,14 @@ def memo_key():
                      st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3), st.floats(0.0, 1e3)))
 
 
+class NegativeZeroNoise:
+    """A stand-in generator whose standard normal draws are all -0.0."""
+
+    @staticmethod
+    def standard_normal(shape):
+        return np.full(shape, -0.0)
+
+
 class TestScalarEmbeddingMemo:
     """Builds that share the memo of embedded R give the bytes and errors of builds from an empty memo."""
 
@@ -374,7 +382,7 @@ class TestScalarEmbeddingMemo:
         return [(M.dtype, M.shape, M.tobytes()) for M in arrays]
 
     def cold(self, a, key):
-        models._scalar_embedded_R.cache_clear()
+        models._scalar_embedding.cache_clear()
         return self.outcome(a, key)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -382,17 +390,17 @@ class TestScalarEmbeddingMemo:
                            min_size=1, max_size=12))
     @example(builds=[(0.5, key) for key in MEMO_KEYS] + [(-0.3, key) for key in MEMO_KEYS])
     def test_warm_builds_equal_cold_builds(self, builds):
-        models._scalar_embedded_R.cache_clear()
+        models._scalar_embedding.cache_clear()
         warm = [self.outcome(a, key) for a, key in builds]
         assert warm == [self.cold(a, key) for a, key in builds]
 
     def test_failing_key_raises_every_time(self):
-        models._scalar_embedded_R.cache_clear()
+        models._scalar_embedding.cache_clear()
         for key, cause in (((1.0, 1e10, 1e-8), "R must be positive definite"), ((1e200, 1e200, 1.0), "R must be symmetric")):
             for a in (0.5, -0.2, 0.5):
                 with pytest.raises(ValueError, match=f"joint-chain embedding of this state-space model is invalid: {cause}"):
                     scalar_ssm(a, *key)
-        assert models._scalar_embedded_R.cache_info().currsize == 0
+        assert models._scalar_embedding.cache_info().currsize == 0
 
     def test_shared_R_is_read_only_and_Phi_is_fresh(self):
         first, second = scalar_ssm(0.5, -0.0, 1.0, 0.2), scalar_ssm(0.9, 0.0, 1.0, 0.2)
@@ -402,14 +410,61 @@ class TestScalarEmbeddingMemo:
         assert first.glm.Phi is not second.glm.Phi and first.glm.Phi.flags.writeable
 
     def test_evicted_key_rebuilds_the_same_bytes(self):
-        models._scalar_embedded_R.cache_clear()
+        models._scalar_embedding.cache_clear()
         first = self.outcome(0.5, (0.1, 1.0, 0.2))
         for q in np.geomspace(1e-3, 1e3, models._SCALAR_R_MEMO + 1).tolist():
             scalar_ssm(0.5, 0.1, 1.0, q)
-        assert models._scalar_embedded_R.cache_info().currsize == models._SCALAR_R_MEMO
-        misses = models._scalar_embedded_R.cache_info().misses
+        assert models._scalar_embedding.cache_info().currsize == models._SCALAR_R_MEMO
+        misses = models._scalar_embedding.cache_info().misses
         assert self.outcome(0.5, (0.1, 1.0, 0.2)) == first
-        assert models._scalar_embedded_R.cache_info().misses == misses + 1
+        assert models._scalar_embedding.cache_info().misses == misses + 1
+
+    @staticmethod
+    def shared_outcome(build):
+        """``outcome``'s arrays and error, and the bits of the parts that a build takes from the memo.
+
+        The draws take a noise of -0.0, whose sum with ``b x`` keeps the
+        sign of ``b`` when ``b`` is zero.
+        """
+        try:
+            spec = build()
+        except ValueError as err:
+            return type(err), str(err), type(err.__cause__), str(err.__cause__)
+        x, y = np.array([-1.5, 0.0, 2.0]), np.array([0.3, -0.0, 1.0])
+        pairs = (x[:, None], y[:, None]), (y[:, None], x[:, None])
+        values = [spec.ssm.A, spec.ssm.B, spec.ssm.Qzeta, spec.ssm.Qxi, spec.glm.Phi, spec.glm.R, spec.glm._logdet_R]
+        with np.errstate(over="ignore"):  # a tiny q_obs overflows the quotient to the same inf on every build
+            values += [spec.hmm.g_logpdf(x, y), spec.hmm.g_sample(x, NegativeZeroNoise())]
+            try:  # cholesky(R) can fail where the build's eigvalsh(R) check passed; every build must fail alike
+                values += [spec.trans_logpdf(*pairs), *spec.sample_step(pairs[0], NegativeZeroNoise())]
+            except np.linalg.LinAlgError as err:
+                values.append(str(err))
+        return [(np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes()) for v in values]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(builds=st.lists(st.tuples(st.floats(-0.99, 0.99), memo_key(), st.booleans()), min_size=1, max_size=8))
+    @example(builds=[(0.5, (0.0, 1.0, 0.2), False), (0.5, (-0.0, 1.0, 0.2), False), (0.3, (1.0, 1.0, 0.2), True),
+                     (0.3, (1e200, 1e200, 1.0), False), (0.2, (1.0, 1e10, 1e-8), True), (0.3, (1.0, 1.0, 0.2), False)])
+    def test_warm_cold_and_matrix_builds_share_their_bits(self, builds):
+        """A warm build, a cold build and ``ssm_spec(SsmParams(...))`` agree; ``evict`` first fills the memo."""
+        models._scalar_embedding.cache_clear()
+        for a, key, evict in builds:
+            if evict:
+                for q in np.geomspace(1e-3, 1e3, models._SCALAR_R_MEMO).tolist():
+                    scalar_ssm(0.5, 0.123, 1.0, q)
+            b, qz, qx = key
+            warm = self.shared_outcome(lambda: scalar_ssm(a, *key))
+            matrix = self.shared_outcome(lambda: ssm_spec(SsmParams([[a]], [[b]], [[qz]], [[qx]])))
+            models._scalar_embedding.cache_clear()
+            assert warm == matrix == self.shared_outcome(lambda: scalar_ssm(a, *key))
+
+    def test_builds_share_the_parts_of_one_triple(self):
+        first, second = scalar_ssm(0.5, 0.7, 1.0, 0.2), scalar_ssm(-0.3, 0.7, 1.0, 0.2)
+        assert first.hmm.g_logpdf is second.hmm.g_logpdf and first.hmm.g_sample is second.hmm.g_sample
+        assert first.glm.__dict__["_logdet_R"] == float(np.linalg.slogdet(first.glm.R)[1])
+        assert first.hmm.qx_logpdf is not second.hmm.qx_logpdf
+        zeros = scalar_ssm(0.5, 0.0, 1.0, 0.2), scalar_ssm(0.5, -0.0, 1.0, 0.2)
+        assert zeros[0].glm.R is zeros[1].glm.R and zeros[0].hmm.g_sample is not zeros[1].hmm.g_sample
 
     def test_chain_from_cold_and_warm_memo(self, monkeypatch):
         obs = project_observations(simulate_complete(scalar_ssm(0.95), Stationary(), 400, seed=0))
@@ -419,10 +474,10 @@ class TestScalarEmbeddingMemo:
                                 lambda th: 0.0 if abs(th[0]) < 0.999 else -np.inf,
                                 obs, Stationary(), np.array([0.95]), 250, np.array([0.03]), 7).samples.tobytes()
 
-        models._scalar_embedded_R.cache_clear()
+        models._scalar_embedding.cache_clear()
         cold = chain()
         assert chain() == cold  # warm
-        monkeypatch.setattr(models, "_scalar_embedded_R", models._scalar_embedded_R.__wrapped__)
+        monkeypatch.setattr(models, "_scalar_embedding", models._scalar_embedding.__wrapped__)
         assert chain() == cold  # no memo
 
 

@@ -8,16 +8,20 @@ Kalman filters under the three initial laws (a scalar model on both
 filters, a p = 2 state-space model on the joint filter), ``scalar_ssm``
 over a sweep of ``b`` (every value twice) and of ``q_obs`` (more values
 than ``models`` keeps embedded noise covariances for), a
-``ScalarSsmGrid`` profile, n = 8 quadrature (SV, the scalar state-space
-model and a linear model without an HMM factorization), the particle
+``ScalarSsmGrid`` profile at b = 1 under two laws and at b = 1.5, n = 8
+quadrature (SV, the scalar state-space model and a linear model without
+an HMM factorization), the particle
 filter at 512 (binary-search resampling) and 1024 particles
 (linear-time resampling), one Metropolis chain, the finite-HMM
 path-enumeration oracles, ``remoteness_rate`` (a far set and the whole
 grid), ``grid_posterior`` and ``amle_grid`` on a 181-point
 ``ScalarSsmGrid``, on the same grid as a spec list, on a finite-HMM spec
 list and on a 20-point list of p = 2 state-space specs over 80
-observations, and every file that ``run_experiment(reference_config())``
-writes. It takes well under a second after the imports.
+observations, the closed-form Delta from the scalar model to each of the
+181 specs and to the linear model and from the p = 2 model to each of
+the 20 p = 2 specs, and every file that
+``run_experiment(reference_config())`` writes. It takes well under a
+second after the imports.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from pommkit import (  # noqa: E402
     SvParams,
     amle_grid,
     bpf_loglik,
+    delta_glm_closed,
     enumeration_loglik,
     finite_hmm_spec,
     glm_spec,
@@ -109,6 +114,7 @@ def battery():
     grid = ScalarSsmGrid(np.linspace(-0.9, 0.9, 181), 1.0, 1.0, 0.2)
     for law in ("stationary", "gaussian"):
         yield f"grid_profile_{law}", grid_loglik_profiles(grid, ys, inits[law][0])
+    yield "grid_profile_b1.5", grid_loglik_profiles(ScalarSsmGrid(grid.a, 1.5, 1.0, 0.2), ys, Stationary())
     for name, spec in (("sv", sv), ("ssm", scalar), ("linear", linear)):
         for law in ("stationary", "point_mass"):
             yield f"quadrature_{name}_{law}", quadrature_loglik(spec, observations(spec, 8), inits[law][0], nodes=101)
@@ -156,6 +162,9 @@ def battery():
         yield f"grid_posterior_{name}", grid_posterior(models, params, data, Stationary(), method).log_mass
         amle = amle_grid(models, params, data, Stationary(), method)
         yield f"amle_grid_{name}", (amle.index, amle.loglik)
+    closed = [(scalar, s) for s in grid_cases["specs"][0]] + [(scalar, linear)]
+    closed += [(p2, s) for s in grid_cases["p2"][0]]
+    yield "delta_closed_grid", np.array([delta_glm_closed(star.glm, other.glm).value for star, other in closed])
     with tempfile.TemporaryDirectory() as out:
         run_experiment(reference_config(), out)
         for path in sorted(Path(out).iterdir()):
