@@ -131,6 +131,11 @@ class HmmFactorization:
     g_sample: Callable[[object, np.random.Generator], object]
     stationary_x_sample: Callable[[int, np.random.Generator], np.ndarray]
 
+    def __init__(self, qx_logpdf, qx_sample, g_logpdf, g_sample, stationary_x_sample):
+        # one update of the instance dictionary, not one frozen-dataclass setter per field (see ModelSpec)
+        vars(self).update(qx_logpdf=qx_logpdf, qx_sample=qx_sample, g_logpdf=g_logpdf, g_sample=g_sample,
+                          stationary_x_sample=stationary_x_sample)
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -160,6 +165,15 @@ class ModelSpec:
     ssm: Optional[object] = None
     sv: Optional[object] = None
     finite: Optional[object] = None
+
+    def __init__(self, state_dim, obs_dim, trans_logpdf, sample_step, sample_stationary=None, hmm=None, glm=None,
+                 ssm=None, sv=None, finite=None):
+        # The generated frozen-dataclass __init__ sets each field through
+        # object.__setattr__; one update of the instance dictionary sets the
+        # same fields at under half the cost, and a Metropolis step builds a
+        # spec. The record stays frozen: __setattr__ still raises.
+        vars(self).update(state_dim=state_dim, obs_dim=obs_dim, trans_logpdf=trans_logpdf, sample_step=sample_step,
+                          sample_stationary=sample_stationary, hmm=hmm, glm=glm, ssm=ssm, sv=sv, finite=finite)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,8 @@ evaluation on the raw observations.
 from __future__ import annotations
 
 import collections
+import contextlib
+import contextvars
 import itertools
 import math
 import operator
@@ -74,6 +76,8 @@ _STRING_CAP = 1 << 20  # observation strings enumerated by conditional_entropy_s
 _RICCATI_CHECK = 8  # least gap between the Kalman filters' checks for a repeating covariance state
 _MAX_PERIOD = 4  # longest cycle of the covariance state that the Kalman filters' checks catch
 _BPF_LINEAR_RESAMPLE = 1024  # particle count from which the particle filter resamples by a linear-time count
+# True inside ``_overflow_ignored``, where np.errstate(over="ignore") is in force already
+_OVERFLOW_IGNORED = contextvars.ContextVar("pommkit_overflow_ignored", default=False)
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,25 @@ def _first_column(obs, ys: np.ndarray) -> list:
     if column is None:
         column = obs.columns[id(ys)] = ys[:, 0].tolist()
     return column
+
+
+@contextlib.contextmanager
+def _overflow_ignored():
+    """``np.errstate(over="ignore")``, entered once for many calls of the scalar filter (a Metropolis chain).
+
+    The scalar filter squares its innovations, and one whose square
+    overflows has log density -inf without a warning. A call enters
+    ``np.errstate(over="ignore")`` for that, at about 1 us, unless it runs
+    inside this context, which enters it once and says so through a
+    context variable; numpy keeps its error state in one too, so the two
+    agree in every thread.
+    """
+    with np.errstate(over="ignore"):
+        token = _OVERFLOW_IGNORED.set(True)
+        try:
+            yield
+        finally:
+            _OVERFLOW_IGNORED.reset(token)
 
 
 def _summed(inc: np.ndarray, method: str) -> LogLik:
@@ -357,6 +380,8 @@ def _scalar_kalman_increments(a, b, qz, qx, ys, init) -> np.ndarray:
     else:
         covs, gains = _riccati(step, float(pv), len(ys), operator.eq)  # a law's numpy scalar as a float
         innov_buf = np.fromiter(_float_mean_recursion(a, b, m, ys, *gains), float, len(ys))
+    if _OVERFLOW_IGNORED.get():
+        return _gaussian_log_densities(innov_buf, *covs)
     with np.errstate(over="ignore"):  # an innovation whose square overflows has log density -inf
         return _gaussian_log_densities(innov_buf, *covs)
 
@@ -395,24 +420,52 @@ def _float_mean_recursion(a: float, b: float, m: float, ys: list, head: list, cy
 
     The gains are ``head``, one per step, then ``cycle`` repeated. The
     scalar filter's mean recursion in its operations and order, on plain
-    floats; a cycle of period 1 runs without the cycling iterator. A
-    generator, so that ``np.fromiter`` fills the buffer without a list.
+    floats. A cycle of period 1 or 2 runs without the cycling iterator, as
+    pairs of steps with two fixed gains; when the number of cycled steps
+    is odd, the first one joins the head and the pairs start at the
+    cycle's second phase. When ``b`` is exactly 1.0 those pairs form the
+    innovation as ``y - m``, which has the bits of ``y - b m`` because
+    ``1.0 * m == m`` in IEEE 754 arithmetic, signed zeros included (as in
+    ``_grid_mean_recursion``). A generator, so that ``np.fromiter`` fills
+    the buffer without a list.
     """
-    rest = iter(ys)
-    period_1 = len(cycle) == 1
-    gains = head if period_1 else itertools.chain(head, itertools.cycle(cycle))
-    for gain, y in zip(gains, rest):  # the gains first, so that no y is drawn past them
-        m = a * m
-        innov = y - b * m
-        yield innov
-        m = m + gain * innov
-    if period_1:
-        gain = cycle[0]
-        for y in rest:
+    period = len(cycle)
+    if period not in (1, 2):  # no repeat, or a period of 3 or 4
+        for gain, y in zip(itertools.chain(head, itertools.cycle(cycle)), ys):
             m = a * m
             innov = y - b * m
             yield innov
             m = m + gain * innov
+        return
+    g0, g1 = cycle * (2 // period)  # (gain, gain) for period 1
+    if (len(ys) - len(head)) % 2:
+        head, g0, g1 = head + [g0], g1, g0
+    rest = iter(ys)
+    for gain, y in zip(head, rest):  # the gains first, so that no y is drawn past them
+        m = a * m
+        innov = y - b * m
+        yield innov
+        m = m + gain * innov
+    if b == 1.0:
+        for y0, y1 in zip(rest, rest):
+            m = a * m
+            innov = y0 - m
+            yield innov
+            m = m + g0 * innov
+            m = a * m
+            innov = y1 - m
+            yield innov
+            m = m + g1 * innov
+        return
+    for y0, y1 in zip(rest, rest):
+        m = a * m
+        innov = y0 - b * m
+        yield innov
+        m = m + g0 * innov
+        m = a * m
+        innov = y1 - b * m
+        yield innov
+        m = m + g1 * innov
 
 
 def _grid_mean_recursion(a: np.ndarray, b: np.ndarray, m, ys: list, head: list, cycle: list) -> np.ndarray:

@@ -42,8 +42,9 @@ matrices and checks the innovation covariance, the one embedded matrix
 whose checks the records do not imply. The factors that only samplers and
 densities use -- the Cholesky factors of ``R``, ``Qzeta`` and ``Qxi``,
 the stationary covariances and their Cholesky factors -- are computed on
-first use and then kept with the spec, so a likelihood sweep or a
-Metropolis step that builds one spec per parameter never pays for them.
+first use and then kept with the spec or its parameter record, so a
+likelihood sweep or a Metropolis step that builds one spec per parameter
+never pays for them.
 A Kalman grid sweep of the one-dimensional state-space model builds no
 spec at all: ``ScalarSsmGrid`` runs the checks of ``scalar_ssm`` on
 every grid point in one vectorized pass and keeps the four parameter
@@ -63,6 +64,8 @@ _LOG2PI = np.log(2.0 * np.pi)
 _UNIT_EIG_TOL = 1e-9  # finite_hmm_stationary: distance of an eigenvalue from 1 and from the unit circle
 _EMBEDDING_INVALID = "the joint-chain embedding of this state-space model is invalid"
 _SCALAR_R_MEMO = 128  # _scalar_embedding: distinct (b, q_state, q_obs) triples kept
+_ZEROS_2X2 = np.zeros((2, 2))  # copied for each scalar embedding's Phi; never written
+_ZEROS_2X2.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +110,13 @@ class GlmParams:
             raise ValueError("R must be positive definite")
         self._set_fields(Phi, R, p, q)
 
-    def _set_fields(self, Phi, R, p: int, q: int) -> None:
-        """Set the fields of a record whose ``Phi`` and ``R`` are checked already."""
-        object.__setattr__(self, "Phi", Phi)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def _set_fields(self, Phi, R, p: int, q: int, **kept) -> None:
+        """Set the fields of a record whose ``Phi`` and ``R`` are checked already, and any ``kept`` cached property.
+
+        One update of the instance dictionary, which a frozen record allows
+        and which costs less than one ``object.__setattr__`` per field.
+        """
+        vars(self).update(Phi=Phi, R=R, p=p, q=q, **kept)
 
     @cached_property
     def _stationary_cov(self) -> np.ndarray:
@@ -124,6 +128,11 @@ class GlmParams:
         gamma = stationary_cov(self.Phi, self.R)
         gamma.flags.writeable = False
         return gamma
+
+    @cached_property
+    def _stationary_chol(self) -> np.ndarray:
+        """The Cholesky factor of ``_stationary_cov``, kept the same way, for the stationary sampler."""
+        return np.linalg.cholesky(self._stationary_cov)
 
     @cached_property
     def _logdet_R(self) -> float:
@@ -142,9 +151,13 @@ class SsmParams:
     The record checks that ``A`` and ``B`` are finite, that the spectral
     radius of ``A`` is below 1 and that ``Qzeta`` and ``Qxi`` are symmetric
     positive definite, in that order. When p = q = 1 it runs the same
-    checks once on the four entries as plain floats: ``a`` and ``b``
-    finite, ``|a| < 1`` and both variances finite and positive, which is
-    what ``spectral_radius`` and ``_is_spd`` compute for a 1 x 1 matrix.
+    checks once on the four entries as plain floats
+    (``_check_scalar_ssm``), which is what ``spectral_radius`` and
+    ``_is_spd`` compute for a 1 x 1 matrix. Four Python floats, as
+    ``scalar_ssm`` passes them, are checked first and then converted each
+    by ``_matrix_1x1``: the arrays, flags included, that the general
+    conversion makes of ``[[v]]``, at under half its cost. No conversion
+    of a float can fail.
     """
 
     A: np.ndarray
@@ -153,18 +166,14 @@ class SsmParams:
     Qxi: np.ndarray
 
     def __init__(self, A, B, Qzeta, Qxi):
+        if type(A) is type(B) is type(Qzeta) is type(Qxi) is float:
+            _check_scalar_ssm(A, B, Qzeta, Qxi)
+            A, B, Qzeta, Qxi = _matrix_1x1(A), _matrix_1x1(B), _matrix_1x1(Qzeta), _matrix_1x1(Qxi)
+            vars(self).update(A=A, B=B, Qzeta=Qzeta, Qxi=Qxi)  # one update, not one frozen setter per field
+            return
         A, B, Qzeta, Qxi = (np.array(M, dtype=float, ndmin=2, copy=None) for M in (A, B, Qzeta, Qxi))
         if A.shape == B.shape == Qzeta.shape == Qxi.shape == (1, 1):
-            a, b = A.item(), B.item()
-            if not math.isfinite(a):
-                raise ValueError("A must be finite")
-            if not math.isfinite(b):
-                raise ValueError("B must be finite")
-            if not abs(a) < 1.0:
-                raise ValueError("spectral radius of A must be < 1")
-            for name, v in (("Qzeta", Qzeta.item()), ("Qxi", Qxi.item())):
-                if not (math.isfinite(v) and v > 0.0):
-                    raise ValueError(f"{name} must be symmetric positive definite")
+            _check_scalar_ssm(A.item(), B.item(), Qzeta.item(), Qxi.item())
         else:
             p = A.shape[0]
             q = B.shape[0]
@@ -182,10 +191,12 @@ class SsmParams:
             for name, M in (("Qzeta", Qzeta), ("Qxi", Qxi)):
                 if not _is_spd(M):
                     raise ValueError(f"{name} must be symmetric positive definite")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "Qzeta", Qzeta)
-        object.__setattr__(self, "Qxi", Qxi)
+        vars(self).update(A=A, B=B, Qzeta=Qzeta, Qxi=Qxi)
+
+    @cached_property
+    def _x_stationary_chol(self) -> np.ndarray:
+        """The Cholesky factor of the hidden chain's stationary covariance, kept like ``GlmParams._stationary_cov``."""
+        return np.linalg.cholesky(stationary_cov(self.A, self.Qzeta))
 
     @property
     def p(self) -> int:
@@ -194,6 +205,27 @@ class SsmParams:
     @property
     def q(self) -> int:
         return self.B.shape[0]
+
+
+def _matrix_1x1(v: float) -> np.ndarray:
+    """``np.array([[v]])`` for a Python float ``v``, the same bytes and flags, at about half its cost."""
+    M = np.empty((1, 1))
+    M[0, 0] = v
+    return M
+
+
+def _check_scalar_ssm(a: float, b: float, qz: float, qx: float) -> None:
+    """``SsmParams``'s checks of a 1 x 1 model on its four entries as floats, in order and with its messages."""
+    if not math.isfinite(a):
+        raise ValueError("A must be finite")
+    if not math.isfinite(b):
+        raise ValueError("B must be finite")
+    if not abs(a) < 1.0:
+        raise ValueError("spectral radius of A must be < 1")
+    if not (math.isfinite(qz) and qz > 0.0):
+        raise ValueError("Qzeta must be symmetric positive definite")
+    if not (math.isfinite(qx) and qx > 0.0):
+        raise ValueError("Qxi must be symmetric positive definite")
 
 
 @dataclass(frozen=True)
@@ -368,16 +400,6 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M @ v[..., None])[..., 0]
 
 
-def _stationary_chol(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the stationary covariance of ``x' = Ax + N(0, Q)``."""
-    return np.linalg.cholesky(stationary_cov(A, Q))
-
-
-def _glm_stationary_chol(params: GlmParams) -> np.ndarray:
-    """Cholesky factor of the record's own ``glm_stationary_cov``, so the doubling runs once per record."""
-    return np.linalg.cholesky(glm_stationary_cov(params))
-
-
 def normal_logpdf(dev, var):
     """Log density ``log N(dev; 0, var)``; broadcasts over ``dev`` and ``var``.
 
@@ -399,6 +421,11 @@ def _pair_value(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
+def _stack(z):
+    """A pair ``(x, y)`` as one vector ``z`` on the last axis, in float."""
+    return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in z], axis=-1)
+
+
 def glm_spec(params: GlmParams) -> ModelSpec:
     """Model with transition law ``z' ~ N(Phi z, R)`` and stationary law ``N(0, Gamma)``.
 
@@ -409,18 +436,14 @@ def glm_spec(params: GlmParams) -> ModelSpec:
     return _linear_spec(params)
 
 
-def _linear_spec(params: GlmParams, r_factors=None, **fields) -> ModelSpec:
-    """``glm_spec(params)`` with the further ``ModelSpec`` fields ``fields`` (``ssm_spec``'s views).
+def _linear_spec(params: GlmParams, r_factors=None, hmm=None, ssm=None) -> ModelSpec:
+    """``glm_spec(params)`` with ``ssm_spec``'s views ``hmm`` and ``ssm``.
 
     ``r_factors`` is a shared holder of ``R``'s factors (see ``_linear_gaussian``), or None for a new one.
     """
     Phi, R, p, q = params.Phi, params.R, params.p, params.q
     d = p + q
     logpdf, sample = _linear_gaussian(Phi, R, d, r_factors)
-    chol_g = _Once(_glm_stationary_chol, params)
-
-    def _stack(z):
-        return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in z], axis=-1)
 
     def trans_logpdf(z, z_next):
         return _pair_value(logpdf(_stack(z), _stack(z_next)))
@@ -430,18 +453,11 @@ def _linear_spec(params: GlmParams, r_factors=None, **fields) -> ModelSpec:
         return (znew[..., :p], znew[..., p:])
 
     def sample_stationary(n, rng):
-        z0 = rng.standard_normal((n, d)) @ chol_g().T
+        z0 = rng.standard_normal((n, d)) @ params._stationary_chol.T
         return (z0[:, :p], z0[:, p:])
 
-    return ModelSpec(
-        state_dim=p,
-        obs_dim=q,
-        trans_logpdf=trans_logpdf,
-        sample_step=sample_step,
-        sample_stationary=sample_stationary,
-        glm=params,
-        **fields,
-    )
+    # positional, in field order (state_dim, obs_dim, ..., hmm, glm, ssm): a keyword call costs half as much again
+    return ModelSpec(p, q, trans_logpdf, sample_step, sample_stationary, hmm, params, ssm)
 
 
 def ssm_embed(params: SsmParams) -> GlmParams:
@@ -471,18 +487,19 @@ def ssm_embed(params: SsmParams) -> GlmParams:
 def _embed(params: SsmParams):
     """``ssm_embed(params)`` and, when p = q = 1, the ``_ScalarEmbedding`` of its ``(b, q_state, q_obs)``, else None."""
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
-    p, q = params.p, params.q
     glm, shared = object.__new__(GlmParams), None
     try:
-        if p == q == 1:
+        if A.shape == B.shape == (1, 1):  # p = q = 1
             a, b = A.item(), B.item()
             ba = 0.0 + b * a
             if not math.isfinite(ba):
                 raise ValueError("Phi must be finite")
             shared = _scalar_embedding(b, Qz.item(), Qx.item())
-            glm._set_fields(np.array([[a, 0.0], [ba, 0.0]]), shared.R, p, q)
-            object.__setattr__(glm, "_logdet_R", shared.logdet_R)  # fills the cached property
+            Phi = _ZEROS_2X2.copy()  # the bytes of np.array([[a, 0.0], [ba, 0.0]]) at half its cost
+            Phi[0, 0], Phi[1, 0] = a, ba
+            glm._set_fields(Phi, shared.R, 1, 1, _logdet_R=shared.logdet_R)
         else:
+            p, q = params.p, params.q
             Phi = np.zeros((p + q, p + q))
             Phi[:p, :p] = A
             Phi[p:, :p] = B @ A
@@ -530,6 +547,11 @@ def _scalar_embedding(b: float, qz: float, qx: float) -> _ScalarEmbedding:
     place of ``GlmParams``'s symmetry test. The test
     ``eigvalsh(R).min() > 0`` stays: ``R`` can be singular in floating
     point although both variances are positive (``1e10 + 1e-8 == 1e10``).
+    ``R`` must also have the Cholesky factor that the joint-chain density
+    and sampler take (``_has_cholesky``), which a nearly singular ``R``
+    can lack although its least eigenvalue comes out positive
+    (b = 0.1015625, q_state = 1.8219347094935756, q_obs = 7.31e-267:
+    3.5e-18); either failure raises "R must be positive definite".
     ``lru_cache`` keeps no exception, so a failing triple raises on every
     call. ``b = -0.0`` shares the key of ``+0.0``, which is safe for ``R``
     because both give ``b qz = +0.0``; the emission's ``b x`` keeps the
@@ -540,10 +562,19 @@ def _scalar_embedding(b: float, qz: float, qx: float) -> _ScalarEmbedding:
     if not (math.isfinite(bqz) and math.isfinite(r_yy)):
         raise ValueError("R must be symmetric")
     R = np.array([[qz, bqz], [bqz, r_yy]])
-    if np.linalg.eigvalsh(R).min() <= 0.0:
+    if np.linalg.eigvalsh(R).min() <= 0.0 or not _has_cholesky(R):
         raise ValueError("R must be positive definite")
     R.flags.writeable = False
     return _ScalarEmbedding(R, float(np.linalg.slogdet(R)[1]), _scalar_gaussian(b, qx), _Once(_gaussian_factors, R))
+
+
+def _has_cholesky(M: np.ndarray) -> bool:
+    """Whether ``np.linalg.cholesky`` factors ``M``, or every matrix of a stack ``M``."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _scalar_gaussian(m: float, var: float):
@@ -649,14 +680,18 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
     glm, shared = _embed(params)
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p = params.p
-    chol_gx = _Once(_stationary_chol, A, Qz)  # stationary x-marginal
 
     def stationary_x_sample(n, rng):
-        draws = rng.standard_normal((n, p)) @ chol_gx().T
+        draws = rng.standard_normal((n, p)) @ params._x_stationary_chol.T
         return draws[:, 0] if p == 1 else draws
 
-    emission = _linear_gaussian(B, Qx, p) if shared is None or B.item() == 0.0 else shared.emission
-    hmm = HmmFactorization(*_linear_gaussian(A, Qz, p), *emission, stationary_x_sample)
+    if shared is None:
+        qx_factor, emission = _linear_gaussian(A, Qz, p), _linear_gaussian(B, Qx, p)
+    else:  # _linear_gaussian's 1 x 1 case on the floats
+        b = B.item()
+        qx_factor = _scalar_gaussian(A.item(), Qz.item())
+        emission = shared.emission if b != 0.0 else _scalar_gaussian(b, Qx.item())
+    hmm = HmmFactorization(*qx_factor, *emission, stationary_x_sample)
     return _linear_spec(glm, None if shared is None else shared.r_factors, hmm=hmm, ssm=params)
 
 
@@ -666,17 +701,27 @@ def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.
     The build takes the 1 x 1 branches of ``SsmParams`` and ``ssm_embed``:
     it checks ``a``, ``b`` and ``b a`` finite, ``|a| < 1``, both variances
     finite and positive and the embedded ``R`` finite, all on plain
-    floats, and ``eigvalsh(R).min() > 0`` on the assembled 2 x 2 ``R``,
-    which can be singular in floating point although both variances are
-    positive. ``R`` does not depend on ``a``, so its checks run once per
-    ``(b, q_state, q_obs)``, kept in a bounded memo, and the specs with
-    those floats share one read-only ``R``, its log determinant, the
-    emission factor and the holder of ``R``'s factors; a chain or a grid
-    over ``a`` builds only ``Phi``, the parameter arrays and the
-    callables that depend on ``a`` per spec. Each failure raises the
-    ``ValueError`` of the general matrix build, with its message, on
-    every call, and the arrays have its bytes.
+    floats, and ``eigvalsh(R).min() > 0`` and a Cholesky factor on the
+    assembled 2 x 2 ``R``, which can be singular in floating point
+    although both variances are positive. ``R`` does not depend on ``a``,
+    so its checks run once per ``(b, q_state, q_obs)``, kept in a bounded
+    memo, and the specs with those floats share one read-only ``R``, its
+    log determinant, the emission factor and the holder of ``R``'s
+    factors; a chain or a grid over ``a`` builds only ``Phi``, the
+    parameter arrays and the callables that depend on ``a`` per spec.
+    Each failure raises the ``ValueError`` of the general matrix build,
+    with its message, on every call, and the arrays have its bytes. Four
+    Python floats go to ``SsmParams`` as they are, which converts them as
+    it would ``[[v]]``; any other argument is wrapped as ``[[v]]``. A
+    build whose triple is kept costs about 9 us near a = 0.95 (best of 40
+    runs of 250 builds, process CPU time, a loaded 2-core box, CPython
+    3.11, numpy 2.4): the records and arrays of ``SsmParams``,
+    ``GlmParams``, ``HmmFactorization`` and ``ModelSpec`` and the
+    callables over ``a``, each record's fields set by one update of its
+    instance dictionary.
     """
+    if type(a) is type(b) is type(q_state) is type(q_obs) is float:
+        return ssm_spec(SsmParams(a, b, q_state, q_obs))
     return ssm_spec(SsmParams(A=[[a]], B=[[b]], Qzeta=[[q_state]], Qxi=[[q_obs]]))
 
 
@@ -688,15 +733,16 @@ class ScalarSsmGrid:
     of ``scalar_ssm`` on every point in one vectorized pass, in its order
     and its float arithmetic: ``a`` and ``b`` finite, ``|a| < 1``, both
     variances finite and positive, the embedding's ``0.0 + b*a``,
-    ``0.0 + b*q_state`` and ``(0.0 + bqz*b) + q_obs`` finite, and one
+    ``0.0 + b*q_state`` and ``(0.0 + bqz*b) + q_obs`` finite, one
     ``eigvalsh`` over the stacked 2 x 2 embedded ``R``, which gives each
-    matrix the bits it gets alone. At the first failing point it calls
-    ``scalar_ssm`` on that point and raises its ``ValueError``, prefixed
-    with the point's index and values, so the messages live in one
-    place. An exact Kalman grid sweep
-    (``likelihood.grid_increments`` and the grid calls of ``posterior``)
-    takes the record in place of one spec per point. ``len`` is the
-    number of points.
+    matrix the bits it gets alone, and one ``cholesky`` over the stack
+    of those that pass, which factors them one by one only when it
+    fails. At the first failing point it calls ``scalar_ssm`` on that
+    point and raises its ``ValueError``, prefixed with the point's index
+    and values, so the messages live in one place. An exact Kalman grid
+    sweep (``likelihood.grid_increments`` and the grid calls of
+    ``posterior``) takes the record in place of one spec per point.
+    ``len`` is the number of points.
     """
 
     a: np.ndarray
@@ -716,7 +762,10 @@ class ScalarSsmGrid:
         ok &= np.isfinite(qx) & (qx > 0.0) & np.isfinite(ba) & np.isfinite(bqz) & np.isfinite(r_yy)
         R = np.empty((int(ok.sum()), 2, 2))
         R[:, 0, 0], R[:, 1, 0], R[:, 0, 1], R[:, 1, 1] = qz[ok], bqz[ok], bqz[ok], r_yy[ok]
-        ok[ok] = np.linalg.eigvalsh(R)[:, 0] > 0.0  # each matrix's least eigenvalue, first in ascending order
+        passed = np.linalg.eigvalsh(R)[:, 0] > 0.0  # each matrix's least eigenvalue, first in ascending order
+        if not _has_cholesky(R[passed]):  # rare: find the matrices that the factorization rejects
+            passed[passed] = [_has_cholesky(M) for M in R[passed]]
+        ok[ok] = passed
         fields = {"a": a, "b": b, "q_state": qz, "q_obs": qx}
         if not ok.all():
             i = int(np.argmin(ok))

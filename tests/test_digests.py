@@ -24,7 +24,8 @@ EXPECTED = (
     + ["grid_profile_stationary", "grid_profile_gaussian", "grid_profile_b1.5"]
     + [f"quadrature_{model}_{law}" for model in ("sv", "ssm", "linear") for law in ("stationary", "point_mass")]
     + [f"bpf_{case}_{particles}" for particles in (512, 1024) for case in ("sv", "ssm_gaussian")]
-    + ["mh_chain", "mh_acceptance", "finite_enumeration", "finite_image_density", "finite_image_markov"]
+    + ["mh_chain", "mh_acceptance", "mh_chain_near_unit_root", "mh_chain_b1.5"]
+    + ["finite_enumeration", "finite_image_density", "finite_image_markov"]
     + [f"{call}_{case}" for case in ("record", "specs", "forward", "p2")
        for call in ("remoteness_far", "remoteness_whole", "grid_posterior", "amle_grid")]
     + ["delta_closed_grid"]

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from pommkit import (
     kalman_increments,
     kalman_loglik,
     loglik,
+    mh_posterior,
     project_observations,
     quadrature_loglik,
     scalar_ssm,
@@ -577,6 +579,27 @@ class TestHugeObservations:
     def p2():
         return ssm_spec(SsmParams([[0.6, 0.2], [-0.1, 0.5]], [[1.0, 0.4]], [[1.0, 0.3], [0.3, 0.8]], [[0.2]]))
 
+    def test_metropolis_chain(self):
+        # a chain enters np.errstate once; inside it the scalar filter still gives -inf and no warning
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for y in self.HUGE:
+                with pytest.raises(ValueError, match="the chain cannot start from a zero-density point"):
+                    mh_posterior(lambda th: scalar_ssm(float(th[0])), lambda th: 0.0, np.array([0.3, y, -0.2]),
+                                 Stationary(), np.array([0.5]), 5, np.array([0.1]), 1)
+            # a proposal with tiny variances overflows y^2 / s at y = 1e150 and is rejected; the start is not
+            seen = []
+
+            def build(th):
+                seen.append(th[0] > 0.6)
+                return scalar_ssm(0.5, 1.0, 1e-10, 1e-10) if th[0] > 0.6 else scalar_ssm(0.5)
+
+            chain = mh_posterior(build, lambda th: 0.0, np.array([0.3, 1e150, -0.2]), Stationary(), np.array([0.5]),
+                                 40, np.array([0.2]), 2)
+        assert any(seen) and not (chain.samples > 0.6).any()
+        assert np.geterr() == before
+
     def test_errstate_is_restored(self):
         spec = scalar_ssm(0.7)
         with np.errstate(all="raise"):
@@ -920,6 +943,8 @@ PERIOD_3 = (0.6611967562552636, -1.4427065631673313, 0.022785286114335623, 0.033
 PERIOD_4 = (-0.8958660164247867, 2.079559585595966, 3.469982272124825, 2.8292030026468797)
 FIXED_POINT = (0.9999, 1.0, 1.0, 0.2)
 PERIOD_2 = (0.532, 1.0, 1.0, 0.2)  # a point of MH_GRID
+PERIOD_2_B = (0.545886287625418, 1.5, 1.0, 0.2)  # a cycle of period 2 with b other than 1
+NO_REPEAT = (0.999, 0.1, 0.05, 5.0)  # the variance state does not repeat within 60 steps
 
 
 class TestSteadyStateScalarFilter:
@@ -947,14 +972,16 @@ class TestSteadyStateScalarFilter:
 
     def test_cases_reach_the_intended_cycles(self):
         assert len(self.cycling(2)) >= 10
-        for theta, period in ((PERIOD_2, 2), (PERIOD_3, 3), (PERIOD_4, 4), (FIXED_POINT, 1)):
+        for theta, period in ((PERIOD_2, 2), (PERIOD_2_B, 2), (PERIOD_3, 3), (PERIOD_4, 4), (FIXED_POINT, 1)):
             a, b, qz, qx = theta
             # from each initial variance of INITS
             assert [riccati_period(a, b, qz, qx, pv) for pv in (qz / (1.0 - a * a), 0.0, 2.0)] == [period] * 3
+        a, b, qz, qx = NO_REPEAT
+        assert [riccati_period(a, b, qz, qx, pv, steps=60) for pv in (qz / (1.0 - a * a), 0.0, 2.0)] == [None] * 3
 
     def test_matches_full_recursion(self):
         ys = simulated_obs(scalar_ssm(0.95), 400, seed=51)
-        cases = [FIXED_POINT, (0.5, 1.0, 1.0, 0.2), (-0.7, 2.0, 0.3, 1.5), PERIOD_3, PERIOD_4]
+        cases = [FIXED_POINT, (0.5, 1.0, 1.0, 0.2), (-0.7, 2.0, 0.3, 1.5), PERIOD_3, PERIOD_4, PERIOD_2_B]
         cases += [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)[:6]]
         for case in cases:
             for n in (0, 1, 7, 8, 9, 16, 17, 400):  # around the points where the filter checks for a repeat
@@ -962,7 +989,7 @@ class TestSteadyStateScalarFilter:
 
     def test_grid_with_cycling_points_equals_single_specs(self):
         ys = simulated_obs(scalar_ssm(0.95), 401, seed=52)
-        params = [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)]
+        params = [(a, 1.0, 1.0, 0.2) for a in self.cycling(2)] + [PERIOD_2_B]
         params += [PERIOD_3, PERIOD_4, FIXED_POINT, (0.3, -0.8, 2.0, 0.1)]
         specs = [scalar_ssm(*theta) for theta in params]
         for init, _ in self.INITS:
@@ -1341,12 +1368,25 @@ class TestOneStart:
     point-mass or Gaussian start gives the scalar filter's one-spec
     increments and its ``ScalarSsmGrid`` row the same bits; and a law that
     is not Gaussian-type raises one ``UnsupportedInitError`` everywhere.
+    The scalar points include b = 1.0 exactly and variance states that
+    end in a cycle of period 1 or 2 or do not repeat, so every branch of
+    the one-spec mean recursion meets the grid's.
     """
+
+    POINT = st.one_of(
+        STABLE_POINT,
+        STABLE_POINT.map(lambda t: (t[0], 1.0, t[2], t[3])),  # b exactly 1.0
+        st.sampled_from([FIXED_POINT, PERIOD_2, PERIOD_2_B, NO_REPEAT]),
+    )
 
     UNSUPPORTED = (CustomInit(sampler=lambda rng: (np.zeros(1), np.zeros(1))), np.array([0.5, 0.5]))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(point=STABLE_POINT, others=st.lists(STABLE_POINT, min_size=1, max_size=3), seed=st.integers(0, 2**16))
+    @given(point=POINT, others=st.lists(STABLE_POINT, min_size=1, max_size=3), seed=st.integers(0, 2**16))
+    @example(point=FIXED_POINT, others=[PERIOD_2], seed=1)
+    @example(point=PERIOD_2, others=[FIXED_POINT], seed=2)
+    @example(point=PERIOD_2_B, others=[PERIOD_2], seed=3)
+    @example(point=NO_REPEAT, others=[FIXED_POINT], seed=4)
     def test_scalar_models(self, point, others, seed):
         a, b, qz, qx = point
         spec = scalar_ssm(*point)

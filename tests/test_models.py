@@ -155,6 +155,20 @@ class TestBuildRejections:
                         build()
         SsmParams(A=[[0.5]], B=[[1.0]], Qzeta=[[5e-324]], Qxi=[[5e-324]])
 
+    def test_R_without_a_cholesky_factor(self):
+        # eigvalsh gives this R a least eigenvalue of 3.5e-18 > 0, but np.linalg.cholesky rejects it
+        point = (0.0, 0.1015625, 1.8219347094935756, 7.310602404338662e-267)
+        R = np.array([[point[2], point[1] * point[2]], [point[1] * point[2], point[1] * point[1] * point[2] + point[3]]])
+        assert np.linalg.eigvalsh(R).min() > 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(R)
+        message = "joint-chain embedding of this state-space model is invalid: R must be positive definite"
+        for build in (lambda: scalar_ssm(*point), lambda: ssm_spec(SsmParams(*([[v]] for v in point)))):
+            with pytest.raises(ValueError, match=message):
+                build()
+        with pytest.raises(ValueError, match=f"grid point 1 .*{message}"):
+            ScalarSsmGrid([0.5, 0.0], [1.0, point[1]], [1.0, point[2]], [0.2, point[3]])
+
     def test_embedded_Phi_finiteness_stays(self):
         # B A overflows although A is stable and B finite
         params = SsmParams([[0.5, 0.0], [0.9, 0.0]], [[1.5e308, 1.5e308]], np.eye(2), [[1.0]])
@@ -188,7 +202,8 @@ def matrix_build(A, B, Qzeta, Qxi):
     """``ssm_spec``'s record and embedding by the general matrix code, for any shapes.
 
     Shape checks, the eigenvalue solvers in place of the 1 x 1 shortcuts,
-    and the joint matrices assembled by matrix products. Returns
+    and the joint matrices assembled by matrix products; ``R`` must also
+    have a Cholesky factor, as a scalar embedding's check asks. Returns
     ``(A, B, Qzeta, Qxi, Phi, R)`` or raises the ``ValueError`` that a build
     raises, with its message.
     """
@@ -224,7 +239,12 @@ def matrix_build(A, B, Qzeta, Qxi):
         elif np.linalg.eigvalsh(R).min() <= 0.0:
             cause = "R must be positive definite"
         else:
-            return A, B, Qzeta, Qxi, Phi, R
+            try:
+                np.linalg.cholesky(R)
+            except np.linalg.LinAlgError:
+                cause = "R must be positive definite"
+            else:
+                return A, B, Qzeta, Qxi, Phi, R
     raise ValueError(f"the joint-chain embedding of this state-space model is invalid: {cause}")
 
 
@@ -419,44 +439,66 @@ class TestScalarEmbeddingMemo:
         assert self.outcome(0.5, (0.1, 1.0, 0.2)) == first
         assert models._scalar_embedding.cache_info().misses == misses + 1
 
-    @staticmethod
-    def shared_outcome(build):
-        """``outcome``'s arrays and error, and the bits of the parts that a build takes from the memo.
+    FLAGS = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED", "WRITEBACKIFCOPY")
 
-        The draws take a noise of -0.0, whose sum with ``b x`` keeps the
-        sign of ``b`` when ``b`` is zero.
+    @staticmethod
+    def values(fn, *args):
+        """Dtype, shape and bytes of each array ``fn(*args)`` returns, or the message of a ``LinAlgError``."""
+        try:
+            out = fn(*args)
+        except np.linalg.LinAlgError as err:  # a stationary covariance can be too near singular to factor
+            return str(err)
+        return [(np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes()) for v in (out if isinstance(out, tuple) else (out,))]
+
+    def shared_outcome(self, build, x, y, seed):
+        """``outcome``'s error, or every array field of the spec with its flags and every callable's values.
+
+        The callables take the states ``x`` and ``y`` and fresh generators
+        of ``seed``; the emission and the joint step also take a noise of
+        -0.0, whose sum with ``b x`` keeps the sign of ``b`` when ``b`` is
+        zero.
         """
         try:
             spec = build()
         except ValueError as err:
             return type(err), str(err), type(err.__cause__), str(err.__cause__)
-        x, y = np.array([-1.5, 0.0, 2.0]), np.array([0.3, -0.0, 1.0])
-        pairs = (x[:, None], y[:, None]), (y[:, None], x[:, None])
-        values = [spec.ssm.A, spec.ssm.B, spec.ssm.Qzeta, spec.ssm.Qxi, spec.glm.Phi, spec.glm.R, spec.glm._logdet_R]
-        with np.errstate(over="ignore"):  # a tiny q_obs overflows the quotient to the same inf on every build
-            values += [spec.hmm.g_logpdf(x, y), spec.hmm.g_sample(x, NegativeZeroNoise())]
-            try:  # cholesky(R) can fail where the build's eigvalsh(R) check passed; every build must fail alike
-                values += [spec.trans_logpdf(*pairs), *spec.sample_step(pairs[0], NegativeZeroNoise())]
-            except np.linalg.LinAlgError as err:
-                values.append(str(err))
-        return [(np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes()) for v in values]
+        arrays = (spec.ssm.A, spec.ssm.B, spec.ssm.Qzeta, spec.ssm.Qxi, spec.glm.Phi, spec.glm.R)
+        out = [(M.dtype, M.shape, [M.flags[f] for f in self.FLAGS], M.tobytes()) for M in arrays]
+        out += [spec.glm._logdet_R, spec.state_dim, spec.obs_dim, spec.sv, spec.finite]
+        pair, swapped = (x[:, None], y[:, None]), (y[:, None], x[:, None])
+        rng = np.random.default_rng
+        hmm = spec.hmm
+        with np.errstate(all="ignore"):  # a tiny variance overflows a quotient to the same inf on every build
+            for fn, args in ((hmm.qx_logpdf, (x, y)), (hmm.qx_sample, (x, rng(seed))), (hmm.g_logpdf, (x, y)),
+                             (hmm.g_sample, (x, rng(seed))), (hmm.g_sample, (x, NegativeZeroNoise())),
+                             (hmm.stationary_x_sample, (3, rng(seed))), (spec.trans_logpdf, (pair, swapped)),
+                             (spec.sample_step, (pair, rng(seed))), (spec.sample_step, (pair, NegativeZeroNoise())),
+                             (spec.sample_stationary, (3, rng(seed)))):
+                out.append(self.values(fn, *args))
+        return out
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(builds=st.lists(st.tuples(st.floats(-0.99, 0.99), memo_key(), st.booleans()), min_size=1, max_size=8))
+    @given(builds=st.lists(st.tuples(st.floats(-0.99, 0.99), memo_key(), st.booleans()), min_size=1, max_size=8),
+           states=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), max_size=3),
+           seed=st.integers(0, 2**32 - 1))
     @example(builds=[(0.5, (0.0, 1.0, 0.2), False), (0.5, (-0.0, 1.0, 0.2), False), (0.3, (1.0, 1.0, 0.2), True),
-                     (0.3, (1e200, 1e200, 1.0), False), (0.2, (1.0, 1e10, 1e-8), True), (0.3, (1.0, 1.0, 0.2), False)])
-    def test_warm_cold_and_matrix_builds_share_their_bits(self, builds):
+                     (0.3, (1e200, 1e200, 1.0), False), (0.2, (1.0, 1e10, 1e-8), True), (0.3, (1.0, 1.0, 0.2), False),
+                     (0.0, (0.1015625, 1.8219347094935756, 7.310602404338662e-267), False)],
+             states=[], seed=0)
+    def test_warm_cold_and_matrix_builds_share_their_bits(self, builds, states, seed):
         """A warm build, a cold build and ``ssm_spec(SsmParams(...))`` agree; ``evict`` first fills the memo."""
+        x = np.array([-1.5, 0.0, 2.0] + [s[0] for s in states])
+        y = np.array([0.3, -0.0, 1.0] + [s[1] for s in states])
         models._scalar_embedding.cache_clear()
         for a, key, evict in builds:
             if evict:
                 for q in np.geomspace(1e-3, 1e3, models._SCALAR_R_MEMO).tolist():
                     scalar_ssm(0.5, 0.123, 1.0, q)
             b, qz, qx = key
-            warm = self.shared_outcome(lambda: scalar_ssm(a, *key))
-            matrix = self.shared_outcome(lambda: ssm_spec(SsmParams([[a]], [[b]], [[qz]], [[qx]])))
+            warm = self.shared_outcome(lambda: scalar_ssm(a, *key), x, y, seed)
+            matrix = self.shared_outcome(lambda: ssm_spec(SsmParams([[a]], [[b]], [[qz]], [[qx]])), x, y, seed)
             models._scalar_embedding.cache_clear()
-            assert warm == matrix == self.shared_outcome(lambda: scalar_ssm(a, *key))
+            assert warm == matrix == self.shared_outcome(lambda: scalar_ssm(a, *key), x, y, seed)
 
     def test_builds_share_the_parts_of_one_triple(self):
         first, second = scalar_ssm(0.5, 0.7, 1.0, 0.2), scalar_ssm(-0.3, 0.7, 1.0, 0.2)
@@ -528,14 +570,18 @@ class TestLazyFactors:
 
         monkeypatch.setattr(models, "stationary_cov", counted("stationary_cov", models.stationary_cov))
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        models._scalar_embedding.cache_clear()
         specs = [scalar_ssm(0.95), scalar_ssm(0.9999, 0.7, 1.3, 0.4), self.ssm2(),
                  glm_spec(GlmParams([[0.4, 0.2], [0.1, 0.3]], [[1.0, 0.4], [0.4, 1.0]], 1, 1))]
-        assert calls == {"stationary_cov": 0, "cholesky": 0}
+        # the only factorization is the check of each new scalar triple's R, which keeps nothing
+        assert calls == {"stationary_cov": 0, "cholesky": 2}
+        scalar_ssm(0.5), scalar_ssm(-0.3, 0.7, 1.3, 0.4)  # the triples are kept: no check again
+        assert calls == {"stationary_cov": 0, "cholesky": 2}
         # the counters see the factors once a sampler needs them, and only once
         for spec in specs:
             spec.sample_stationary(3, rngmod.substream(0, 0))
             spec.sample_stationary(3, rngmod.substream(0, 0))
-        assert calls == {"stationary_cov": 4, "cholesky": 4}
+        assert calls == {"stationary_cov": 4, "cholesky": 6}
 
     def test_glm_stationary_cov_computed_once_per_record(self, monkeypatch):
         calls = [0]

@@ -12,7 +12,9 @@ than ``models`` keeps embedded noise covariances for), a
 quadrature (SV, the scalar state-space model and a linear model without
 an HMM factorization), the particle
 filter at 512 (binary-search resampling) and 1024 particles
-(linear-time resampling), one Metropolis chain, the finite-HMM
+(linear-time resampling), three Metropolis chains (one from a = 0.5 and
+two in the ``mh_near_unit_root`` benchmark's setting, at b = 1 and at
+b = 1.5), the finite-HMM
 path-enumeration oracles, ``remoteness_rate`` (a far set and the whole
 grid), ``grid_posterior`` and ``amle_grid`` on a 181-point
 ``ScalarSsmGrid``, on the same grid as a spec list, on a finite-HMM spec
@@ -134,6 +136,18 @@ def battery():
     )
     yield "mh_chain", chain.samples
     yield "mh_acceptance", chain.acceptance_rate
+    for name, b in (("near_unit_root", 1.0), ("b1.5", 1.5)):  # a* = 0.95, 400 observations, proposal sd 0.03
+        near = mh_posterior(
+            lambda th, b=b: scalar_ssm(float(th[0]), b, 1.0, 0.2),
+            lambda th: 0.0 if abs(th[0]) <= 0.999 else -np.inf,
+            observations(scalar_ssm(0.95, b, 1.0, 0.2), 400),
+            Stationary(),
+            np.array([0.95]),
+            250,
+            np.array([0.03]),
+            SEED,
+        )
+        yield f"mh_chain_{name}", np.append(near.samples[:, 0], near.acceptance_rate)
     finite = finite_hmm_spec(FiniteHmmParams([[0.8, 0.2], [0.3, 0.7]], [[0.9, 0.1], [0.2, 0.8]]))
     other = finite_hmm_spec(FiniteHmmParams([[0.6, 0.4], [0.1, 0.9]], [[0.7, 0.3], [0.4, 0.6]]))
     eta = np.array([0.3, 0.7])
