@@ -103,10 +103,16 @@ class GlmParams:
         self._finish_init(Phi, R, p, q)
 
     def _finish_init(self, Phi, R, p: int, q: int) -> None:
-        """Check ``R`` and set the fields; ``Phi`` is finite and stable already."""
+        """Check ``R`` and set the fields; ``Phi`` is finite and stable already.
+
+        ``R`` must pass ``eigvalsh(R).min() > 0`` and have the Cholesky
+        factor that the joint-chain density and sampler take
+        (``_has_cholesky``), the rule of ``_scalar_embedding``; either
+        failure raises "R must be positive definite".
+        """
         if not _is_symmetric(R):
             raise ValueError("R must be symmetric")
-        if np.linalg.eigvalsh(R).min() <= 0.0:
+        if np.linalg.eigvalsh(R).min() <= 0.0 or not _has_cholesky(R):
             raise ValueError("R must be positive definite")
         self._set_fields(Phi, R, p, q)
 

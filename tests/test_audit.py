@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pommkit import (
     FiniteHmmParams,
@@ -32,8 +34,10 @@ from pommkit import (
     sv_spec,
     tightness_audit_sv,
 )
+from pommkit import audit
 from pommkit import rng as rngmod
 from pommkit.audit import (
+    AuditReport,
     b6_entropy_floor_sv,
     b6_sufficient_integral_sv,
     psup_pointwise_bound,
@@ -115,6 +119,130 @@ class TestEnvelopeDominatesQuadrature:
         a = envelope_validity_audit(BOX, draws=50, seed=6)
         b = envelope_validity_audit(BOX, draws=50, seed=6)
         assert a.statistic == b.statistic
+
+
+def brute_force_excesses(box, draws, seed):
+    """Every draw's excess ``D - B``, from one exact block per draw in draw order: the audit's oracle."""
+    rng = rngmod.substream(seed, rngmod.AUDIT, 1)
+    beta_hi = box.beta_lo * 100.0
+    sigma_hi = box.sigma_hi if np.isfinite(box.sigma_hi) else box.sigma_lo * 25.0
+    excesses = []
+    for _ in range(draws):
+        beta = float(np.exp(rng.uniform(np.log(box.beta_lo), np.log(beta_hi))))
+        sigma = float(np.exp(rng.uniform(np.log(box.sigma_lo), np.log(sigma_hi))))
+        phi = float(rng.uniform(-box.phi_hi, box.phi_hi))
+        params = SvParams(beta=beta, sigma=sigma, phi=phi)
+        x0 = float(3.0 * rng.standard_normal())
+        y1, y2 = sv_g_sample(params, sv_stationary_x_sample(params, 2, rng), rng).tolist()
+        excesses.append(sv_block_density(params, x0, y1, y2) - audit.psup_pointwise_bound(params, y1, y2))
+    return excesses
+
+
+def brute_force_report(excesses, seed, slack):
+    worst, violations = -np.inf, 0
+    for excess in excesses:
+        worst = max(worst, excess)
+        if excess > slack:
+            violations += 1
+    draws = len(excesses)
+    return AuditReport(
+        assumption="B5.envelope",
+        status="pass" if violations == 0 else "fail",
+        statistic=float(worst),
+        seed=seed,
+        sims=draws,
+        detail=f"max(D - bound) over {draws} draws; {violations} beyond slack {slack:g}",
+    )
+
+
+def same_report(got, want):
+    assert got == want and repr(got.statistic) == repr(want.statistic)
+
+
+BLOCK_SIGMAS = (0.05, 0.1, 0.5, 1.0, 2.5, 4.0, 12.5)  # the sigma edges of the boxes below
+NEAR_UNIT = st.floats(0.98, 0.9999).flatmap(lambda v: st.sampled_from([v, -v]))
+TINY_OR_HUGE_Y = st.one_of(st.floats(-1e-8, 1e-8), st.floats(10.0, 1e4).flatmap(lambda v: st.sampled_from([v, -v])))
+BLOCK_ROW = st.tuples(
+    st.floats(1e-3, 1e3),
+    st.one_of(st.sampled_from(BLOCK_SIGMAS), st.floats(0.01, 10.0)),
+    st.one_of(NEAR_UNIT, st.floats(-0.9999, 0.9999)),
+    st.floats(-15.0, 15.0),
+    st.one_of(TINY_OR_HUGE_Y, st.floats(-10.0, 10.0)),
+    st.one_of(TINY_OR_HUGE_Y, st.floats(-10.0, 10.0)),
+)
+
+
+class TestPrunedEnvelopeAudit:
+    """The audit's cheap bound dominates the exact block, and pruning with it leaves every report field as it was."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(BLOCK_ROW, min_size=1, max_size=5))
+    @example([(0.1, 0.1, 0.99, 3.0, 1e-9, -20.0), (10.0, 2.5, -0.99, -9.0, 15.0, 0.0)])
+    @example([(1.0, 0.05, 0.985, 0.0, 0.0, 1e-8), (0.01, 12.5, -0.9999, 15.0, -1e4, 1e-12), (1.0, 0.3, 0.9, 0.5, 0.7, -0.3)])
+    def test_bound_dominates_block(self, rows):
+        uppers = audit._block_uppers(np.array(rows))
+        g1s, g2s = audit._block_grids(*np.array(rows)[:, [2, 1, 3]].T)
+        for (beta, sigma, phi, x0, y1, y2), upper, g1, g2 in zip(rows, uppers, g1s, g2s):
+            assert sv_block_density(SvParams(beta, sigma, phi), x0, y1, y2) <= upper
+            # the bound's grids are the block's, bit for bit
+            want1, want2 = audit._block_grids(phi, sigma, x0)
+            assert g1.tobytes() == want1.tobytes() and g2.tobytes() == want2.tobytes()
+
+    BOXES = (
+        BOX,
+        SvThetaBox(beta_lo=0.1, sigma_lo=0.1, phi_hi=0.95),  # sigma_hi = inf: sigma up to 2.5
+        SvThetaBox(beta_lo=1.0, sigma_lo=0.05, phi_hi=0.99, sigma_hi=0.5),
+        SvThetaBox(beta_lo=0.01, sigma_lo=0.5, phi_hi=0.995),  # sigma up to 12.5
+        SvThetaBox(beta_lo=5.0, sigma_lo=1.0, phi_hi=0.0, sigma_hi=4.0),
+    )
+
+    def test_report_equals_brute_force(self, monkeypatch):
+        blocks = [0]
+        exact = audit.sv_block_density
+
+        def counted(*args):
+            blocks[0] += 1
+            return exact(*args)
+
+        monkeypatch.setattr(audit, "sv_block_density", counted)
+        statuses = set()
+        cases = [(box, 3, 100) for box in self.BOXES] + [(BOX, 44, 300)]  # 300 draws take two blocks of bounds
+        for box, seed, draws in cases:
+            excesses = brute_force_excesses(box, draws, seed)
+            for slack in (audit._ENVELOPE_SLACK, -1e-6, -1e-2):  # the negative slacks count violations
+                monkeypatch.setattr(audit, "_ENVELOPE_SLACK", slack)
+                blocks[0] = 0
+                report = envelope_validity_audit(box, draws, seed)
+                same_report(report, brute_force_report(excesses, seed, slack))
+                statuses.add(report.status)
+                if slack > 0:
+                    assert blocks[0] < draws / 2
+        assert statuses == {"pass", "fail"}
+
+    def test_non_finite_keys(self, monkeypatch):
+        # envelopes of inf, NaN and 0 (keys -inf, NaN and U), and bounds of NaN and inf, each on some draws
+        real_bound, real_uppers = audit.psup_pointwise_bound, audit._block_uppers
+        calls = [0]
+
+        def bound(*args):
+            calls[0] += 1
+            return (np.inf, np.nan, 0.0, real_bound(*args), real_bound(*args))[calls[0] % 5 if calls[0] % 7 else 4]
+
+        def uppers(draws):
+            out = real_uppers(draws)
+            out[::3], out[1::11] = np.nan, np.inf
+            return out
+
+        monkeypatch.setattr(audit, "psup_pointwise_bound", bound)
+        monkeypatch.setattr(audit, "_block_uppers", uppers)
+        for box in self.BOXES[:3]:
+            for seed in (5, 6):
+                calls[0] = 0
+                excesses = brute_force_excesses(box, 80, seed)
+                calls[0] = 0
+                report = envelope_validity_audit(box, 80, seed)
+                same_report(report, brute_force_report(excesses, seed, audit._ENVELOPE_SLACK))
+                assert report.status == "fail"  # the zero envelopes
 
 
 class TestSvEntryPointsRejectNonFinite:

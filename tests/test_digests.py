@@ -29,6 +29,8 @@ EXPECTED = (
     + [f"{call}_{case}" for case in ("record", "specs", "forward", "p2")
        for call in ("remoteness_far", "remoteness_whole", "grid_posterior", "amle_grid")]
     + ["delta_closed_grid"]
+    + [f"envelope_{box}_{seed}" for box in ("box", "open_box") for seed in (0, 1)]
+    + ["b6_entropy_floor_sv"]
     + [f"experiment_{name}" for name in ("audit.jsonl", "concentration.csv", "config.ini", "manifest.txt",
                                          "posterior_n100.csv", "posterior_n1600.csv", "posterior_n400.csv")]
 )

@@ -168,6 +168,9 @@ class TestBuildRejections:
                 build()
         with pytest.raises(ValueError, match=f"grid point 1 .*{message}"):
             ScalarSsmGrid([0.5, 0.0], [1.0, point[1]], [1.0, point[2]], [0.2, point[3]])
+        # the record of glm_spec, and of every p > 1 embedding, keeps the same rule
+        with pytest.raises(ValueError, match="^R must be positive definite$"):
+            glm_spec(GlmParams([[0, 0], [0, 0]], R, 1, 1))
 
     def test_embedded_Phi_finiteness_stays(self):
         # B A overflows although A is stable and B finite
@@ -573,15 +576,16 @@ class TestLazyFactors:
         models._scalar_embedding.cache_clear()
         specs = [scalar_ssm(0.95), scalar_ssm(0.9999, 0.7, 1.3, 0.4), self.ssm2(),
                  glm_spec(GlmParams([[0.4, 0.2], [0.1, 0.3]], [[1.0, 0.4], [0.4, 1.0]], 1, 1))]
-        # the only factorization is the check of each new scalar triple's R, which keeps nothing
-        assert calls == {"stationary_cov": 0, "cholesky": 2}
+        # the only factorizations are the checks of R, which keep nothing: one per new scalar
+        # triple and one per GlmParams record that is not a scalar embedding (ssm2's and glm_spec's)
+        assert calls == {"stationary_cov": 0, "cholesky": 4}
         scalar_ssm(0.5), scalar_ssm(-0.3, 0.7, 1.3, 0.4)  # the triples are kept: no check again
-        assert calls == {"stationary_cov": 0, "cholesky": 2}
+        assert calls == {"stationary_cov": 0, "cholesky": 4}
         # the counters see the factors once a sampler needs them, and only once
         for spec in specs:
             spec.sample_stationary(3, rngmod.substream(0, 0))
             spec.sample_stationary(3, rngmod.substream(0, 0))
-        assert calls == {"stationary_cov": 4, "cholesky": 6}
+        assert calls == {"stationary_cov": 4, "cholesky": 8}
 
     def test_glm_stationary_cov_computed_once_per_record(self, monkeypatch):
         calls = [0]
