@@ -212,7 +212,7 @@ def psup_cm_complement_bound(box: SvThetaBox, m: float, y1, y2) -> np.ndarray:
     the bound is the larger of the two piece envelopes. Empty pieces
     contribute nothing. Every entry of ``y1`` and ``y2`` must be finite.
     """
-    if m <= 1.0:
+    if not m > 1.0:  # NaN fails this too
         raise ValueError("m must exceed 1")
     _check_finite_arrays(y1=y1, y2=y2)
     s_split = math.sqrt(math.log(m))

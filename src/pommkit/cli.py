@@ -3,7 +3,13 @@
 Six subcommands, each a thin shell around one module operation:
 ``simulate``, ``loglik``, ``posterior``, ``kld``, ``audit`` and
 ``experiment``. Numeric output is printed with 17 significant digits so
-that runs can be compared byte for byte.
+that runs can be compared byte for byte. The commands that read a config
+take the true model, the initial laws and the grid from its one check
+(``ExperimentConfig._checked_models``). Every rejected input raises
+``ValueError`` (a file that cannot be read or written raises
+``OSError``), and ``main`` reports either as one line on stderr,
+``pommkit <command>: error: <message>``, with exit status 2, as argparse
+reports a usage error.
 """
 from __future__ import annotations
 
@@ -34,14 +40,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _load_config(path: str) -> xp.ExperimentConfig:
-    return xp.parse_config(Path(path).read_text(encoding="utf-8"))
+def _load_config(args) -> xp.ExperimentConfig:
+    """The config of ``--config`` with ``--seed`` applied, or the reference config if no ``--config`` was given."""
+    text = xp.REFERENCE_CONFIG_TEXT if args.config is None else Path(args.config).read_text(encoding="utf-8")
+    cfg = xp.parse_config(text)
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
-def _config_obs(cfg: xp.ExperimentConfig, n: int, seed: int):
-    spec = xp.model_spec(cfg)
-    traj = simulate_complete(spec, xp._parse_init(cfg.init_true), n, seed)
-    return spec, project_observations(traj)
+def _config_obs(cfg: xp.ExperimentConfig, checked, n: int) -> np.ndarray:
+    """``n`` observations simulated from the config's true model and law, ``checked`` its ``_checked_models()``."""
+    return project_observations(simulate_complete(checked.truth, checked.init_true, n, cfg.seed))
 
 
 def _read_obs(path: str) -> np.ndarray:
@@ -51,20 +59,17 @@ def _read_obs(path: str) -> np.ndarray:
         if not line or line.startswith("#") or line.lower().startswith("k,"):
             continue
         rows.append([float(tok) for tok in line.split(",")])
+    if not rows:
+        raise ValueError(f"{path} holds no observations")
     arr = np.asarray(rows)
     return arr[:, 0] if arr.shape[1] == 1 else arr
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    n = args.n if args.n is not None else cfg.n_list[-1]
-    spec = xp.model_spec(cfg)
-    traj = simulate_complete(spec, xp._parse_init(cfg.init_true), n, seed)
-    lines = ["k,x,y"]
-    for k in range(len(traj)):
-        lines.append(f"{k},{_fmt(traj.x[k, 0])},{_fmt(traj.y[k, 0])}")
-    text = "\n".join(lines) + "\n"
+    cfg = _load_config(args)
+    checked = cfg._checked_models()
+    traj = simulate_complete(checked.truth, checked.init_true, cfg.n_list[-1] if args.n is None else args.n, cfg.seed)
+    text = "k,x,y\n" + "".join(f"{k},{_fmt(traj.x[k, 0])},{_fmt(traj.y[k, 0])}\n" for k in range(len(traj)))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -73,16 +78,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_loglik(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    if args.obs:
-        obs = _read_obs(args.obs)
-        spec = xp.model_spec(cfg)
-    else:
-        n = args.n if args.n is not None else cfg.n_list[-1]
-        spec, obs = _config_obs(cfg, n, seed)
-    init = xp._parse_init(cfg.init_inference)
-    ll = loglik(spec, obs, init, args.method, particles=args.particles, seed=seed, nodes=args.nodes)
+    cfg = _load_config(args)
+    checked = cfg._checked_models()
+    obs = _read_obs(args.obs) if args.obs else _config_obs(cfg, checked, cfg.n_list[-1] if args.n is None else args.n)
+    ll = loglik(checked.truth, obs, checked.init_inference, args.method, particles=args.particles, seed=cfg.seed,
+                nodes=args.nodes)
     out = f"loglik {_fmt(ll.value)} n {ll.n} method {ll.method}"
     if ll.se is not None:
         out += f" se {_fmt(ll.se)}"
@@ -91,13 +91,13 @@ def _cmd_loglik(args) -> int:
 
 
 def _cmd_posterior(args) -> int:
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    n_eval = args.n if args.n is not None else cfg.n_list[-1]
-    n_sim = max(n_eval, 1)
-    spec, obs = _config_obs(cfg, n_sim, seed)
-    grid, models = xp.experiment_grid(cfg)
-    post = grid_posterior(models, grid, obs[:n_eval], xp._parse_init(cfg.init_inference))
+    cfg = _load_config(args)
+    n = cfg.n_list[-1] if args.n is None else args.n
+    if n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n}")
+    checked = cfg._checked_models()
+    obs = _config_obs(cfg, checked, max(n, 1))[:n]
+    post = grid_posterior(checked.models, checked.grid, obs, checked.init_inference)
     if args.out:
         write_posterior_csv(post, args.out)
     else:
@@ -108,22 +108,22 @@ def _cmd_posterior(args) -> int:
 def _parse_matrix(tokens, d):
     vals = [float(t) for t in tokens]
     if len(vals) != d * d:
-        raise SystemExit(f"expected {d * d} matrix entries, got {len(vals)}")
+        raise ValueError(f"expected {d * d} matrix entries, got {len(vals)}")
     return np.array(vals).reshape(d, d)
 
 
 def _cmd_kld(args) -> int:
+    needed = ("phi_star", "r_star", "phi", "r") if args.family == "glm" else ("theta_star", "theta")
+    missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"--family {args.family} needs {' '.join(missing)}")
     if args.family == "glm":
         d = args.p + args.q
         star = GlmParams(_parse_matrix(args.phi_star, d), _parse_matrix(args.r_star, d), args.p, args.q)
         other = GlmParams(_parse_matrix(args.phi, d), _parse_matrix(args.r, d), args.p, args.q)
         est = delta_glm_closed(star, other)
-    elif args.family == "sv":
-        star = SvParams(*args.theta_star)
-        other = SvParams(*args.theta)
-        est = delta_sv_closed(star, other)
     else:
-        raise SystemExit(f"unsupported family {args.family}")
+        est = delta_sv_closed(SvParams(*args.theta_star), SvParams(*args.theta))
     print(f"kld {_fmt(est.value)} method {est.method}")
     return 0
 
@@ -141,13 +141,10 @@ def _cmd_audit(args) -> int:
             reports.append(envelope_validity_audit(box, draws=min(args.sims, 10_000), seed=args.seed))
         if args.assumption in ("B3", "C2"):
             reports.extend(positivity_audit(sv_spec(star), seed=args.seed))
-    elif args.family == "ssm":
-        cfg = _load_config(args.config) if args.config else xp.reference_config()
-        reports.extend(positivity_audit(xp.model_spec(cfg), seed=args.seed))
-    else:
-        raise SystemExit(f"unsupported family {args.family}")
+    elif args.assumption in ("B3", "C2", "all"):  # ssm: the positivity records of the config's model
+        reports.extend(positivity_audit(_load_config(args)._checked_models().truth, seed=args.seed))
     if not reports:
-        raise SystemExit(f"assumption {args.assumption} is not audited for family {args.family}")
+        raise ValueError(f"assumption {args.assumption} is not audited for family {args.family}")
     if args.out:
         write_audit_jsonl(reports, args.out)
     else:
@@ -157,11 +154,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    out = args.out or cfg.directory
-    result = xp.run_experiment(cfg, out_dir=out)
+    cfg = _load_config(args)
+    result = xp.run_experiment(cfg, out_dir=args.out or cfg.directory)
     for row in result.concentration:
         print(f"n {row.n} p {row.p} mass_outside {_fmt(row.mass_outside)}")
     print(f"wrote {len(result.manifest['outputs']) + 1} files to {result.out_dir}")
@@ -232,7 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # rejected input: one line and exit status 2, as argparse reports its own errors
+    except (ValueError, OSError) as err:  # rejected input: one line and exit status 2, as argparse reports errors
         parser.exit(2, f"{parser.prog} {args.command}: error: {err}\n")
 
 

@@ -4,53 +4,65 @@ A single INI-style config describes the data-generating model, the data
 sizes, the inference grid and the outputs; running it simulates one
 trajectory, computes the posterior at every requested sample size from a
 single likelihood pass, and writes plot-ready tables plus an audit log
-and a manifest. The grid's models are one checked parameter record
-(``experiment_grid``), which the Kalman grid sweep filters without
-building a spec per point; ``validate`` builds that record too, so a grid
-that leaves the model's domain fails at parse time, naming
-``grid_param``, and ``run_experiment`` runs on the models its check
-built. Outputs are a pure function of (config, seed): floats are printed
-with 17 significant digits and no timestamps are recorded, so a rerun is
-byte-identical.
+and a manifest. One table of keys (``_CONFIG_KEYS``) drives both
+``parse_config`` and ``serialize_config``, and one check
+(``ExperimentConfig._checked_models``) derives everything a run reads:
+the true model, both initial laws, the grid and the grid's models, one
+checked parameter record (``experiment_grid``) that the Kalman grid
+sweep filters without building a spec per point. ``validate`` runs that
+check, so a law or a grid that a run would reject fails at parse time,
+and ``run_experiment`` and every command of the CLI run on what the
+check built. Outputs are a pure function of (config, seed): floats are
+printed with 17 significant digits and no timestamps are recorded, so a
+rerun is byte-identical.
 
 Config grammar (parsed with :mod:`configparser`, flat typed keys inside
-four sections)::
+four sections, each of which must be present). Keys marked *required*
+have no default; every other key may be left out and takes the value
+shown::
 
     [model]
-    family = ssm                   # the runner supports the state-space family only
-    a = 0.5                        # ssm: AR coefficient (the true value)
-    b = 1.0                        # ssm: observation loading
-    q_state = 1.0                  # ssm: state noise variance
-    q_obs = 0.2                    # ssm: observation noise variance
+    family = ssm                   # required; the runner supports the state-space family only
+    a = 0.5                        # required (ssm): AR coefficient (the true value)
+    b = 1.0                        # required (ssm): observation loading
+    q_state = 1.0                  # required (ssm): state noise variance
+    q_obs = 0.2                    # required (ssm): observation noise variance
 
     [data]
-    n_list = 100 400 1600          # strictly increasing sample sizes
+    n_list = 100 400 1600          # required; strictly increasing sample sizes
     init_true = stationary         # or: pointmass <x0> <y0>
     init_inference = stationary
-    seed = 20260808
+    seed = 20260808                # required
 
     [inference]
     method = kalman
-    grid_param = a                 # which model coordinate the grid sweeps
-    grid_lo = -0.9
-    grid_hi = 0.9
-    grid_points = 181
+    grid_param = a                 # required; which model coordinate the grid sweeps
+    grid_lo = -0.9                 # required
+    grid_hi = 0.9                  # required
+    grid_points = 181              # required
     prior = uniform                # or: improper (unit, unnormalized weights)
     ps = 2 5 10                    # concentration radii are 1/p
 
     [outputs]
     directory = out
     formats = csv jsonl
+
+Every rejected config raises ``ValueError`` with a one-line message that
+names what is wrong: ``config is missing [data] seed`` for a missing
+key, ``[inference] grid_points must be an integer, got '2.5'`` for a
+value that does not convert, and a message naming the key (or the
+``[model]`` keys, or ``grid_param``) for a value that converts but that
+a run would reject. The command line prints that message as
+``pommkit <command>: error: <message>`` and exits with status 2.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -72,6 +84,62 @@ from .rng import _is_int
 
 
 _MODEL_KEYS = {"ssm": ("a", "b", "q_state", "q_obs")}  # the argument names of scalar_ssm
+
+# Every config key as (section, key, kind, default), in the order serialize_config writes them; a
+# default of None marks a required key. The [model] keys of a family follow family (_key_table).
+_CONFIG_KEYS = (
+    ("model", "family", "str", None),
+    ("data", "n_list", "ints", None),
+    ("data", "init_true", "str", "stationary"),
+    ("data", "init_inference", "str", "stationary"),
+    ("data", "seed", "int", None),
+    ("inference", "method", "str", "kalman"),
+    ("inference", "grid_param", "str", None),
+    ("inference", "grid_lo", "float", None),
+    ("inference", "grid_hi", "float", None),
+    ("inference", "grid_points", "int", None),
+    ("inference", "prior", "str", "uniform"),
+    ("inference", "ps", "ints", "2 5 10"),
+    ("outputs", "directory", "str", "out"),
+    ("outputs", "formats", "words", "csv jsonl"),
+)
+# kind: (reader of the raw text, what the value must be when the reader fails, writer)
+_KINDS = {
+    "str": (str.strip, None, str),
+    "words": (lambda raw: tuple(raw.split()), None, " ".join),
+    "float": (float, "a number", "{:.17g}".format),
+    "int": (int, "an integer", str),
+    "ints": (lambda raw: tuple(int(tok) for tok in raw.split()), "integers", lambda v: " ".join(map(str, v))),
+}
+
+
+def _key_table(family: str) -> tuple:
+    """``_CONFIG_KEYS`` with the family's ``[model]`` keys, required floats, after ``family``."""
+    return _CONFIG_KEYS[:1] + tuple(("model", key, "float", None) for key in _MODEL_KEYS[family]) + _CONFIG_KEYS[1:]
+
+
+def _read_key(sections: dict, section: str, key: str, kind: str, default):
+    """One key's value, converted by its kind; a missing section or key, or a failed conversion, is a ValueError."""
+    if section not in sections:
+        raise ValueError(f"config is missing the [{section}] section")
+    raw = sections[section].get(key, default)
+    if raw is None:
+        raise ValueError(f"config is missing [{section}] {key}")
+    read, noun, _ = _KINDS[kind]
+    try:
+        return read(raw)
+    except ValueError as err:
+        raise ValueError(f"[{section}] {key} must be {noun}, got {raw!r}") from err
+
+
+class _Checked(NamedTuple):
+    """What a config's check builds, once: the true model, both initial laws, the grid and the grid's models."""
+
+    truth: ModelSpec
+    init_true: object
+    init_inference: object
+    grid: ParamGrid
+    models: ScalarSsmGrid
 
 
 @dataclass(frozen=True)
@@ -95,8 +163,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         self._checked_models()
 
-    def _checked_models(self) -> tuple[ModelSpec, ParamGrid, ScalarSsmGrid]:
-        """Checks the config, and returns its true model, its grid and the grid's models, each built once."""
+    def _checked_models(self) -> _Checked:
+        """Checks the config, and returns its true model, both initial laws, its grid and the grid's models.
+
+        A tag that names no initial law is rejected naming its key; a point
+        mass that is not finite raises ``PointMass``'s own error.
+        """
         if self.family not in _MODEL_KEYS:
             raise ValueError(f"experiment runner supports the ssm family, got {self.family!r}")
         for key, value in (*self.model.items(), ("grid_lo", self.grid_lo), ("grid_hi", self.grid_hi)):
@@ -121,6 +193,10 @@ class ExperimentConfig:
             raise ValueError(f"ps must be positive integers, got {list(self.ps)}")
         if not set(self.formats) <= {"csv", "jsonl"}:
             raise ValueError(f"formats must be csv and/or jsonl, got {list(self.formats)}")
+        laws = [_parse_init(getattr(self, key)) for key in ("init_true", "init_inference")]
+        for key, law in zip(("init_true", "init_inference"), laws):
+            if law is None:
+                raise ValueError(f"{key} must be stationary or pointmass <x0> <y0>, got {getattr(self, key)!r}")
         try:
             truth = model_spec(self)
         except ValueError as err:
@@ -133,64 +209,33 @@ class ExperimentConfig:
             raise ValueError(f"grid_param {self.grid_param} on {span} leaves the {self.family} model: {err}") from err
         if not self.grid_lo <= self.model[self.grid_param] <= self.grid_hi:
             raise ValueError("the grid must cover the true parameter for concentration runs")
-        return truth, grid, models
+        return _Checked(truth, *laws, grid, models)
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """The checked config that ``text`` describes; malformed text raises ``ValueError`` (see the module docstring)."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
-    for section in ("model", "data", "inference", "outputs"):
-        if section not in cp:
-            raise ValueError(f"config is missing the [{section}] section")
-    family = cp["model"]["family"].strip()
+    try:
+        cp.read_string(text)
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except configparser.Error as err:
+        raise ValueError(f"config is not valid INI: {' '.join(str(err).split())}") from err
+    family = _read_key(sections, *_CONFIG_KEYS[0])
     if family not in _MODEL_KEYS:
         raise ValueError(f"unknown model family {family!r}")
-    model = {k: float(cp["model"][k]) for k in _MODEL_KEYS[family]}
-    cfg = ExperimentConfig(
-        family=family,
-        model=model,
-        n_list=tuple(int(tok) for tok in cp["data"]["n_list"].split()),
-        init_true=cp["data"].get("init_true", "stationary").strip(),
-        init_inference=cp["data"].get("init_inference", "stationary").strip(),
-        seed=int(cp["data"]["seed"]),
-        method=cp["inference"].get("method", "kalman").strip(),
-        grid_param=cp["inference"]["grid_param"].strip(),
-        grid_lo=float(cp["inference"]["grid_lo"]),
-        grid_hi=float(cp["inference"]["grid_hi"]),
-        grid_points=int(cp["inference"]["grid_points"]),
-        prior=cp["inference"].get("prior", "uniform").strip(),
-        ps=tuple(int(tok) for tok in cp["inference"].get("ps", "2 5 10").split()),
-        directory=cp["outputs"].get("directory", "out").strip(),
-        formats=tuple(cp["outputs"].get("formats", "csv jsonl").split()),
-    )
+    values = {row[1]: _read_key(sections, *row) for row in _key_table(family)}
+    cfg = ExperimentConfig(model={key: values.pop(key) for key in _MODEL_KEYS[family]}, **values)
     cfg.validate()
     return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; ``parse(serialize(parse(text)))`` is identity."""
-    out = io.StringIO()
-    out.write("[model]\n")
-    out.write(f"family = {cfg.family}\n")
-    for k in _MODEL_KEYS[cfg.family]:
-        out.write(f"{k} = {cfg.model[k]:.17g}\n")
-    out.write("\n[data]\n")
-    out.write(f"n_list = {' '.join(str(n) for n in cfg.n_list)}\n")
-    out.write(f"init_true = {cfg.init_true}\n")
-    out.write(f"init_inference = {cfg.init_inference}\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write("\n[inference]\n")
-    out.write(f"method = {cfg.method}\n")
-    out.write(f"grid_param = {cfg.grid_param}\n")
-    out.write(f"grid_lo = {cfg.grid_lo:.17g}\n")
-    out.write(f"grid_hi = {cfg.grid_hi:.17g}\n")
-    out.write(f"grid_points = {cfg.grid_points}\n")
-    out.write(f"prior = {cfg.prior}\n")
-    out.write(f"ps = {' '.join(str(p) for p in cfg.ps)}\n")
-    out.write("\n[outputs]\n")
-    out.write(f"directory = {cfg.directory}\n")
-    out.write(f"formats = {' '.join(cfg.formats)}\n")
-    return out.getvalue()
+    values = {**vars(cfg), **cfg.model}
+    blocks = {}
+    for section, key, kind, _ in _key_table(cfg.family):
+        blocks[section] = blocks.get(section, f"[{section}]\n") + f"{key} = {_KINDS[kind][2](values[key])}\n"
+    return "\n".join(blocks.values())
 
 
 def reference_config() -> ExperimentConfig:
@@ -233,14 +278,17 @@ formats = csv jsonl
 
 
 def _parse_init(tag: str):
+    """The initial law that ``tag`` names, or None if it is neither ``stationary`` nor ``pointmass <x0> <y0>``."""
     toks = tag.split()
-    if toks[0] == "stationary":
+    if toks[:1] == ["stationary"]:
         return Stationary()
-    if toks[0] == "pointmass":
-        if len(toks) != 3:
-            raise ValueError("pointmass init takes two coordinates: x0 y0")
-        return PointMass(float(toks[1]), float(toks[2]))
-    raise ValueError(f"unknown initial distribution {tag!r}")
+    if toks[:1] != ["pointmass"] or len(toks) != 3:
+        return None
+    try:
+        x0, y0 = float(toks[1]), float(toks[2])
+    except ValueError:
+        return None
+    return PointMass(x0, y0)
 
 
 def model_spec(cfg: ExperimentConfig) -> ModelSpec:
@@ -285,11 +333,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     single filter pass per grid point. The final posterior must be
     non-degenerate or the run fails with a diagnostic.
     """
-    truth_spec, grid, models = cfg._checked_models()
-    n_max = cfg.n_list[-1]
-    traj = simulate_complete(truth_spec, _parse_init(cfg.init_true), n_max, cfg.seed)
+    truth_spec, init_true, init_inf, grid, models = cfg._checked_models()
+    traj = simulate_complete(truth_spec, init_true, cfg.n_list[-1], cfg.seed)
     obs = project_observations(traj)
-    init_inf = _parse_init(cfg.init_inference)
     profiles = grid_loglik_profiles(models, obs, init_inf, method=cfg.method)
     posteriors = [posterior_from_profiles(grid, profiles, n) for n in cfg.n_list]
     theta_star = np.array([cfg.model[cfg.grid_param]])

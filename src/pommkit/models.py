@@ -59,6 +59,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .core import HmmFactorization, ModelSpec
+from .rng import _is_int
 
 _LOG2PI = np.log(2.0 * np.pi)
 _UNIT_EIG_TOL = 1e-9  # finite_hmm_stationary: distance of an eigenvalue from 1 and from the unit circle
@@ -79,7 +80,7 @@ class GlmParams:
 
     ``Phi`` is (p+q) x (p+q) with spectral radius < 1 and ``R`` is
     symmetric positive definite; ``p`` and ``q`` are the state and
-    observation dimensions.
+    observation dimensions, positive integers (not bools).
     """
 
     Phi: np.ndarray
@@ -90,6 +91,8 @@ class GlmParams:
     def __init__(self, Phi, R, p: int, q: int):
         Phi = np.asarray(Phi, dtype=float)
         R = np.asarray(R, dtype=float)
+        if not (_is_int(p) and _is_int(q)):
+            raise ValueError(f"state and observation dimensions must be integers, got p={p!r} and q={q!r}")
         d = p + q
         if p < 1 or q < 1:
             raise ValueError("state and observation dimensions must be positive")

@@ -301,6 +301,14 @@ class TestTightnessAudit:
         assert np.isfinite(logmom.statistic)
         assert logmom.ci_hi - logmom.ci_lo < 0.1
 
+    def test_m_must_exceed_one(self):
+        # NaN fails "m > 1" too; it used to give an envelope of zeros, reported as "m=nan: 0"
+        for m in (1.0, 0.5, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="^m must exceed 1$"):
+                psup_cm_complement_bound(BOX, m, 1.0, 1.0)
+            with pytest.raises(ValueError, match="^m must exceed 1$"):
+                tightness_audit_sv(STAR, BOX, [10.0, m], sims=100, seed=1)
+
     def test_determinism(self):
         a = tightness_audit_sv(STAR, BOX, [100.0], sims=2_000, seed=8)[0]
         b = tightness_audit_sv(STAR, BOX, [100.0], sims=2_000, seed=8)[0]

@@ -33,6 +33,10 @@ EXPECTED = (
     + ["b6_entropy_floor_sv"]
     + [f"experiment_{name}" for name in ("audit.jsonl", "concentration.csv", "config.ini", "manifest.txt",
                                          "posterior_n100.csv", "posterior_n1600.csv", "posterior_n400.csv")]
+    + ["cli_simulate", "cli_loglik_kalman", "cli_loglik_bpf", "cli_loglik_quadrature", "cli_posterior"]
+    + [f"cli_experiment_{name}" for name in ("stdout", "audit.jsonl", "concentration.csv", "config.ini", "manifest.txt",
+                                             "posterior_n20.csv", "posterior_n40.csv")]
+    + ["cli_audit_ssm", "config_off_default"]
 )
 
 

@@ -328,3 +328,139 @@ class TestCli:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["loglik", "--config", "x", "--bogus"])
+
+
+def without_line(text, line):
+    assert line + "\n" in text
+    return text.replace(line + "\n", "")
+
+
+class TestConfigBoundary:
+    """One reader converts every key: a missing key or a value that does not convert is a ValueError naming it."""
+
+    @pytest.mark.parametrize("section, line", [("data", "seed = 20260808"), ("inference", "grid_param = a"),
+                                               ("model", "q_obs = 0.2")])
+    def test_missing_key_is_named(self, section, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=rf"^config is missing \[{section}\] {key}$"):
+            parse_config(without_line(REFERENCE_CONFIG_TEXT, line))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("grid_points = 181", "grid_points = 2.5", r"^\[inference\] grid_points must be an integer, got '2.5'$"),
+        ("seed = 20260808", "seed = abc", r"^\[data\] seed must be an integer, got 'abc'$"),
+        ("a = 0.5", "a = half", r"^\[model\] a must be a number, got 'half'$"),
+        ("n_list = 100 400 1600", "n_list = 100 4x0", r"^\[data\] n_list must be integers, got '100 4x0'$"),
+    ])
+    def test_value_that_does_not_convert_is_named(self, old, new, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(REFERENCE_CONFIG_TEXT.replace(old, new))
+
+    def test_defaults_fill_left_out_keys(self):
+        text = REFERENCE_CONFIG_TEXT
+        for line in ("init_true = stationary", "init_inference = stationary", "method = kalman", "prior = uniform",
+                     "ps = 2 5 10", "directory = out", "formats = csv jsonl"):
+            text = without_line(text, line)
+        assert parse_config(text) == reference_config()
+
+    def test_text_that_is_not_ini_is_one_line(self):
+        for text in ("a = 1\n", REFERENCE_CONFIG_TEXT + "[model]\n", REFERENCE_CONFIG_TEXT.replace("ps = 2 5 10", "ps = %")):
+            with pytest.raises(ValueError, match="^config is not valid INI: [^\n]*$"):
+                parse_config(text)
+
+    @pytest.mark.parametrize("key, tag", [("init_true", "bogus"), ("init_true", "pointmass 4.0"),
+                                          ("init_inference", "pointmass a b"), ("init_inference", "")])
+    def test_initial_laws_are_checked_before_the_run(self, tmp_path, key, tag):
+        message = rf"^{key} must be stationary or pointmass <x0> <y0>, got {re.escape(repr(tag))}$"
+        bad = replace(reference_config(), **{key: tag})
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+        with pytest.raises(ValueError, match=message):
+            parse_config(serialize_config(bad))
+        with pytest.raises(ValueError, match=message):
+            run_experiment(bad, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_checked_models_give_both_laws(self):
+        cfg = replace(reference_config(), init_true="pointmass 4.0 -1.5", init_inference="stationary")
+        checked = cfg._checked_models()
+        assert isinstance(checked.init_inference, Stationary)
+        assert (checked.init_true.x.tolist(), checked.init_true.y.tolist()) == ([4.0], [-1.5])
+        assert len(checked.models.a) == len(checked.grid) == cfg.grid_points
+
+
+class TestCliBoundary:
+    """Every rejected input is one stderr line, ``pommkit <command>: error: ...``, with exit status 2."""
+
+    @staticmethod
+    def rejected(argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        prefix = f"pommkit {argv[0]}: error: "
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        return captured.err[len(prefix):-1]
+
+    def config(self, tmp_path, text=REFERENCE_CONFIG_TEXT):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text.replace("n_list = 100 400 1600", "n_list = 20 40"))
+        return str(path)
+
+    def test_missing_key(self, tmp_path, capsys):
+        for line in ("seed = 20260808", "grid_param = a", "q_obs = 0.2"):
+            config = self.config(tmp_path, without_line(REFERENCE_CONFIG_TEXT, line))
+            key = line.split(" = ")[0]
+            assert self.rejected(["experiment", "--config", config, "--out", str(tmp_path / "out")], capsys).endswith(
+                f"] {key}")
+        assert not (tmp_path / "out").exists()
+
+    def test_value_that_does_not_convert(self, tmp_path, capsys):
+        config = self.config(tmp_path, REFERENCE_CONFIG_TEXT.replace("grid_points = 181", "grid_points = 2.5"))
+        assert self.rejected(["simulate", "--config", config], capsys) == (
+            "[inference] grid_points must be an integer, got '2.5'")
+
+    def test_initial_law(self, tmp_path, capsys):
+        config = self.config(tmp_path, REFERENCE_CONFIG_TEXT.replace("init_true = stationary", "init_true = bogus"))
+        assert self.rejected(["loglik", "--config", config], capsys) == (
+            "init_true must be stationary or pointmass <x0> <y0>, got 'bogus'")
+
+    def test_kld_without_its_family_arguments(self, capsys):
+        assert self.rejected(["kld", "--family", "glm", "--r-star", "1", "0", "0", "1", "--phi", "0", "0", "0", "0",
+                              "--r", "2", "0", "0", "2"], capsys) == "--family glm needs --phi-star"
+        assert self.rejected(["kld", "--family", "sv", "--theta-star", "1", "0.5", "0.9"], capsys) == (
+            "--family sv needs --theta")
+
+    def test_matrix_with_the_wrong_number_of_entries(self, capsys):
+        message = self.rejected(["kld", "--family", "glm", "--phi-star", "0", "0", "0", "--r-star", "1", "0", "0", "1",
+                                 "--phi", "0", "0", "0", "0", "--r", "2", "0", "0", "2"], capsys)
+        assert message == "expected 4 matrix entries, got 3"
+
+    def test_empty_observation_file(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("# no data\nk,y\n\n")
+        message = self.rejected(["loglik", "--config", self.config(tmp_path), "--obs", str(obs)], capsys)
+        assert message == f"{obs} holds no observations"
+
+    def test_files_that_cannot_be_read_or_written(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ini")
+        assert missing in self.rejected(["experiment", "--config", missing], capsys)
+        out = str(tmp_path / "no_such_dir" / "traj.csv")
+        assert out in self.rejected(["simulate", "--config", self.config(tmp_path), "--n", "5", "--out", out], capsys)
+
+    def test_negative_posterior_size(self, tmp_path, capsys):
+        # obs[:-5] used to drop the last observations, and a negative n gave the prior
+        assert self.rejected(["posterior", "--config", self.config(tmp_path), "--n", "-5"], capsys) == (
+            "n must be an integer >= 0, got -5")
+
+    @pytest.mark.parametrize("assumption", ["B5", "B6", "envelope"])
+    def test_ssm_audit_runs_only_its_assumptions(self, assumption, capsys):
+        # the state-space family audits positivity (B3, C2) only; B5, B6 and envelope used to print its records
+        assert self.rejected(["audit", "--assumption", assumption, "--family", "ssm"], capsys) == (
+            f"assumption {assumption} is not audited for family ssm")
+
+    def test_ssm_audit_all_is_the_positivity_audit(self, capsys):
+        assert cli.main(["audit", "--assumption", "B3", "--family", "ssm"]) == 0
+        positivity = capsys.readouterr().out
+        assert cli.main(["audit", "--assumption", "all", "--family", "ssm"]) == 0
+        assert positivity and capsys.readouterr().out == positivity

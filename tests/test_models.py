@@ -172,6 +172,16 @@ class TestBuildRejections:
         with pytest.raises(ValueError, match="^R must be positive definite$"):
             glm_spec(GlmParams([[0, 0], [0, 0]], R, 1, 1))
 
+    def test_glm_dimensions_are_integers(self):
+        # a float or bool p or q used to build a record whose Kalman filter and simulator raised TypeError
+        for Phi, R, p, q in ((0.5 * np.eye(3), np.eye(3), 2.0, 1.0), (0.5 * np.eye(2), np.eye(2), True, True),
+                             (0.5 * np.eye(3), np.eye(3), 1, np.float64(2.0))):
+            with pytest.raises(ValueError, match="^state and observation dimensions must be integers, got p="):
+                GlmParams(Phi, R, p, q)
+        spec = glm_spec(GlmParams(0.5 * np.eye(3), np.eye(3), np.int64(2), np.int64(1)))
+        traj = simulate_complete(spec, Stationary(), 5, 1)
+        assert np.isfinite(kalman_loglik(spec, project_observations(traj), Stationary()).value)
+
     def test_embedded_Phi_finiteness_stays(self):
         # B A overflows although A is stable and B finite
         params = SsmParams([[0.5, 0.0], [0.9, 0.0]], [[1.5e308, 1.5e308]], np.eye(2), [[1.0]])

@@ -24,12 +24,19 @@ observations, the closed-form Delta from the scalar model to each of the
 the 20 p = 2 specs, the SV envelope audit's report on two boxes (one
 with sigma unbounded) at two seeds, the SV entropy-floor report, and
 every file that
-``run_experiment(reference_config())`` writes. It takes about 1.5 s of
-CPU time after the imports on a 2-core x86-64 machine.
+``run_experiment(reference_config())`` writes, the command line's output
+on valid input (``simulate``, ``loglik`` by each method, ``posterior``,
+``experiment`` with every file it writes, and the state-space
+``audit``, on the reference config with ``n_list = 20 40``), and
+``serialize_config`` of a config with every key off its default. It
+takes about 1.7 s of CPU time after the imports on a 2-core x86-64
+machine.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -72,11 +79,45 @@ from pommkit import (  # noqa: E402
     uniform_grid_1d,
 )
 from pommkit.audit import b6_entropy_floor_sv  # noqa: E402
-from pommkit.experiment import reference_config, run_experiment  # noqa: E402
+from pommkit import cli  # noqa: E402
+from pommkit.experiment import (  # noqa: E402
+    REFERENCE_CONFIG_TEXT,
+    parse_config,
+    reference_config,
+    run_experiment,
+    serialize_config,
+)
 
 SEED = 20260808
 SWEEP_Q_OBS = 300  # distinct q_obs values, more than models._SCALAR_R_MEMO, so the memo evicts
 ENVELOPE_DRAWS = 300  # more than one block of the envelope audit's bounds
+# every key off its default but method (kalman is the only method), which is left out to take its default
+OFF_DEFAULT_CONFIG = """\
+[model]
+family = ssm
+a = 0.3
+b = 1.5
+q_state = 0.8
+q_obs = 0.4
+
+[data]
+n_list = 20 40
+init_true = pointmass 1.5 -0.5
+init_inference = pointmass 0 0.25
+seed = 7
+
+[inference]
+grid_param = q_obs
+grid_lo = 0.1
+grid_hi = 2.0
+grid_points = 21
+prior = improper
+ps = 3 7
+
+[outputs]
+directory = results
+formats = csv
+"""
 
 
 def digest(value) -> str:
@@ -93,6 +134,31 @@ def digest(value) -> str:
 
 def observations(spec, n: int, init=None) -> np.ndarray:
     return project_observations(simulate_complete(spec, init or Stationary(), n, SEED))
+
+
+def cli_stdout(*argv: str) -> bytes:
+    """What ``pommkit <argv>`` prints to stdout; it must exit with status 0."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(list(argv)) == 0
+    return out.getvalue().encode()
+
+
+def cli_outputs():
+    """Yields ``(name, stdout or file bytes)`` for the commands of the command line on the reference config, n_list = 20 40."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.ini"
+        config.write_text(REFERENCE_CONFIG_TEXT.replace("n_list = 100 400 1600", "n_list = 20 40"), encoding="utf-8")
+        common = ("--config", str(config))
+        yield "cli_simulate", cli_stdout("simulate", *common, "--n", "10")
+        for method in ("kalman", "bpf"):
+            yield f"cli_loglik_{method}", cli_stdout("loglik", *common, "--method", method)
+        yield "cli_loglik_quadrature", cli_stdout("loglik", *common, "--method", "quadrature", "--n", "8")
+        yield "cli_posterior", cli_stdout("posterior", *common, "--n", "40")
+        out = Path(tmp) / "out"
+        yield "cli_experiment_stdout", cli_stdout("experiment", *common, "--out", str(out)).replace(tmp.encode(), b"TMP")
+        for path in sorted(out.iterdir()):
+            yield f"cli_experiment_{path.name}", path.read_bytes()
+        yield "cli_audit_ssm", cli_stdout("audit", "--assumption", "all", "--family", "ssm")
 
 
 def battery():
@@ -193,6 +259,8 @@ def battery():
         run_experiment(reference_config(), out)
         for path in sorted(Path(out).iterdir()):
             yield f"experiment_{path.name}", path.read_bytes()
+    yield from cli_outputs()
+    yield "config_off_default", serialize_config(parse_config(OFF_DEFAULT_CONFIG)).encode()
 
 
 def main() -> None:
