@@ -395,9 +395,11 @@ def tightness_audit_sv(
     ``m`` grows), and (ii) the sample mean of ``log+ psup`` over the whole
     box with a confidence interval (it should be finite and stable). Both
     are estimates by nature, never pass/fail. ``sims`` must be an integer
-    >= 2.
+    >= 2 and ``m_list`` must hold at least one ``m``.
     """
     _check_size("sims", sims)
+    if len(m_list) == 0:
+        raise ValueError("m_list must hold at least one m")
     rng = rngmod.substream(seed, rngmod.AUDIT, 2)
     y1, y2 = _simulate_sv_blocks(params_star, sims, rng)
     max_per_m = []

@@ -139,7 +139,7 @@ def _cmd_audit(args) -> int:
             reports.extend(b6_audit_sv(star, box, proper_prior=not args.improper, draws=args.sims, seed=args.seed))
         if args.assumption in ("envelope", "all"):
             reports.append(envelope_validity_audit(box, draws=min(args.sims, 10_000), seed=args.seed))
-        if args.assumption in ("B3", "C2"):
+        if args.assumption in ("B3", "C2", "all"):
             reports.extend(positivity_audit(sv_spec(star), seed=args.seed))
     elif args.assumption in ("B3", "C2", "all"):  # ssm: the positivity records of the config's model
         reports.extend(positivity_audit(_load_config(args)._checked_models().truth, seed=args.seed))

@@ -17,9 +17,10 @@ printed with 17 significant digits and no timestamps are recorded, so a
 rerun is byte-identical.
 
 Config grammar (parsed with :mod:`configparser`, flat typed keys inside
-four sections, each of which must be present). Keys marked *required*
-have no default; every other key may be left out and takes the value
-shown::
+four sections, each of which must be present, and no other section or
+key). Keys marked *required* have no default; every other key may be
+left out and takes the value shown. A ``%`` in a value is written
+``%%``, as ``configparser``'s interpolation reads it::
 
     [model]
     family = ssm                   # required; the runner supports the state-space family only
@@ -49,10 +50,12 @@ shown::
 
 Every rejected config raises ``ValueError`` with a one-line message that
 names what is wrong: ``config is missing [data] seed`` for a missing
-key, ``[inference] grid_points must be an integer, got '2.5'`` for a
-value that does not convert, and a message naming the key (or the
-``[model]`` keys, or ``grid_param``) for a value that converts but that
-a run would reject. The command line prints that message as
+key, ``config has unknown key [inference] priors`` for a key that the
+grammar does not name (so a misspelled optional key does not fall back
+to its default), ``[inference] grid_points must be an integer, got
+'2.5'`` for a value that does not convert, and a message naming the key
+(or the ``[model]`` keys, or ``grid_param``) for a value that converts
+but that a run would reject. The command line prints that message as
 ``pommkit <command>: error: <message>`` and exits with status 2.
 """
 from __future__ import annotations
@@ -223,18 +226,31 @@ def parse_config(text: str) -> ExperimentConfig:
     family = _read_key(sections, *_CONFIG_KEYS[0])
     if family not in _MODEL_KEYS:
         raise ValueError(f"unknown model family {family!r}")
-    values = {row[1]: _read_key(sections, *row) for row in _key_table(family)}
+    table = _key_table(family)
+    for section, keys in sections.items():  # in file order, so the first unknown name is reported
+        known = {row[1] for row in table if row[0] == section}
+        if not known:
+            raise ValueError(f"config has unknown section [{section}]")
+        unknown = [key for key in keys if key not in known]
+        if unknown:
+            raise ValueError(f"config has unknown key [{section}] {unknown[0]}")
+    values = {row[1]: _read_key(sections, *row) for row in table}
     cfg = ExperimentConfig(model={key: values.pop(key) for key in _MODEL_KEYS[family]}, **values)
     cfg.validate()
     return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; ``parse(serialize(parse(text)))`` is identity."""
+    """Canonical text form; ``parse(serialize(parse(text)))`` is identity.
+
+    A ``%`` in a value is written ``%%``, which ``configparser``'s
+    interpolation reads back as ``%``.
+    """
     values = {**vars(cfg), **cfg.model}
     blocks = {}
     for section, key, kind, _ in _key_table(cfg.family):
-        blocks[section] = blocks.get(section, f"[{section}]\n") + f"{key} = {_KINDS[kind][2](values[key])}\n"
+        text = _KINDS[kind][2](values[key]).replace("%", "%%")
+        blocks[section] = blocks.get(section, f"[{section}]\n") + f"{key} = {text}\n"
     return "\n".join(blocks.values())
 
 

@@ -36,15 +36,18 @@ spec's broadcasting callables and hooks.
 
 Building a spec of the linear families does only what the exact
 evaluators need: the parameter records run every check (stability,
-symmetry, positive definiteness) once each, in scalar arithmetic where
-a matrix is 1 x 1, and ``ssm_embed`` assembles the joint transition and innovation
+symmetry, positive definiteness) once each, in scalar arithmetic when
+p = q = 1, and ``ssm_embed`` assembles the joint transition and innovation
 matrices and checks the innovation covariance, the one embedded matrix
-whose checks the records do not imply. The factors that only samplers and
-densities use -- the Cholesky factors of ``R``, ``Qzeta`` and ``Qxi``,
-the stationary covariances and their Cholesky factors -- are computed on
-first use and then kept with the spec or its parameter record, so a
-likelihood sweep or a Metropolis step that builds one spec per parameter
-never pays for them.
+whose checks the records do not imply. When p = q = 1 that check runs
+once per ``(b, q_state, q_obs)``: the memo ``_scalar_embedding`` keeps
+``R``, its log determinant and the emission factor. The factors that
+only samplers and densities use -- the Cholesky factors of ``R``,
+``Qzeta`` and ``Qxi``, the stationary covariances and their Cholesky
+factors -- live on the parameter records, as cached properties of
+``GlmParams`` and ``SsmParams`` computed on first use, so a likelihood
+sweep or a Metropolis step that builds one spec per parameter never pays
+for them.
 A Kalman grid sweep of the one-dimensional state-space model builds no
 spec at all: ``ScalarSsmGrid`` runs the checks of ``scalar_ssm`` on
 every grid point in one vectorized pass and keeps the four parameter
@@ -152,6 +155,11 @@ class GlmParams:
         """
         return float(np.linalg.slogdet(self.R)[1])
 
+    @cached_property
+    def _r_factors(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``_gaussian_factors(R)``, kept the same way, for the joint-chain density and sampler."""
+        return _gaussian_factors(self.R)
+
 
 @dataclass(frozen=True)
 class SsmParams:
@@ -206,6 +214,16 @@ class SsmParams:
     def _x_stationary_chol(self) -> np.ndarray:
         """The Cholesky factor of the hidden chain's stationary covariance, kept like ``GlmParams._stationary_cov``."""
         return np.linalg.cholesky(stationary_cov(self.A, self.Qzeta))
+
+    @cached_property
+    def _qz_factors(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``_gaussian_factors(Qzeta)``, kept the same way, for the hidden-state density and sampler."""
+        return _gaussian_factors(self.Qzeta)
+
+    @cached_property
+    def _qx_factors(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """``_gaussian_factors(Qxi)``, kept the same way, for the emission density and sampler."""
+        return _gaussian_factors(self.Qxi)
 
     @property
     def p(self) -> int:
@@ -296,59 +314,18 @@ class FiniteHmmParams:
 
 
 def spectral_radius(M: np.ndarray) -> float:
-    """Largest modulus of an eigenvalue of ``M``.
-
-    A 1 x 1 matrix is its own eigenvalue, so its radius is ``abs`` of the
-    entry, exactly. ``eigvals`` returns the same bits for entries of
-    modulus between about 1e-20 and 1e20 and can miss by an ulp beyond,
-    where it scales the matrix; the test ``< 1`` comes out the same.
-    """
-    M = np.atleast_2d(M)
-    if M.shape == (1, 1):
-        return abs(float(M[0, 0]))
+    """Largest modulus of an eigenvalue of the square matrix ``M``."""
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
-    """Whether ``M`` is finite and ``np.allclose(M, M.T, atol=1e-10)``.
-
-    The elementwise test of ``np.allclose`` (``rtol=1e-5``) written out,
-    which costs a fraction of the library call on the small matrices of
-    a spec build. Non-finite matrices are rejected outright.
-    """
-    return bool(np.isfinite(M).all() and (np.abs(M - M.T) <= 1e-10 + 1e-5 * np.abs(M.T)).all())
+    """Whether ``M`` is finite and ``np.allclose(M, M.T, atol=1e-10)``; non-finite matrices are rejected outright."""
+    return np.isfinite(M).all() and np.allclose(M, M.T, atol=1e-10)
 
 
 def _is_spd(M: np.ndarray) -> bool:
-    """Whether ``M`` is symmetric (``_is_symmetric``) with ``eigvalsh(M).min() > 0``.
-
-    A 1 x 1 matrix is its own eigenvalue, which ``eigvalsh`` returns
-    exactly, so it is tested as a finite positive number.
-    """
-    if M.shape == (1, 1):
-        v = float(M[0, 0])
-        return math.isfinite(v) and v > 0.0
+    """Whether ``M`` is symmetric (``_is_symmetric``) with ``eigvalsh(M).min() > 0``."""
     return _is_symmetric(M) and not np.linalg.eigvalsh(M).min() <= 0.0
-
-
-class _Once:
-    """``compute(*args)``, evaluated on the first call only and then kept.
-
-    The factors that only samplers and densities need are held this way.
-    A slotted object is the lightest holder per spec: a closure over a
-    one-item list costs about four times its memory, a ``functools.cache``
-    wrapper more still, and a grid sweep keeps every spec of the grid.
-    """
-
-    __slots__ = ("compute", "args", "value")
-
-    def __init__(self, compute, *args):
-        self.compute, self.args, self.value = compute, args, None
-
-    def __call__(self):
-        if self.value is None:
-            self.value = self.compute(*self.args)
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -438,21 +415,19 @@ def _stack(z):
 def glm_spec(params: GlmParams) -> ModelSpec:
     """Model with transition law ``z' ~ N(Phi z, R)`` and stationary law ``N(0, Gamma)``.
 
-    The transition is ``_linear_gaussian(Phi, R, p + q)`` on the stacked
-    pair, broadcast over pairs as ``ModelSpec`` describes. The factors of
-    ``R`` and ``Gamma`` are computed on first use.
+    The transition is ``_linear_gaussian(Phi, R, p + q, ...)`` on the
+    stacked pair, broadcast over pairs as ``ModelSpec`` describes. The
+    factors of ``R`` and ``Gamma`` are computed on first use and kept on
+    the record.
     """
     return _linear_spec(params)
 
 
-def _linear_spec(params: GlmParams, r_factors=None, hmm=None, ssm=None) -> ModelSpec:
-    """``glm_spec(params)`` with ``ssm_spec``'s views ``hmm`` and ``ssm``.
-
-    ``r_factors`` is a shared holder of ``R``'s factors (see ``_linear_gaussian``), or None for a new one.
-    """
-    Phi, R, p, q = params.Phi, params.R, params.p, params.q
+def _linear_spec(params: GlmParams, hmm=None, ssm=None) -> ModelSpec:
+    """``glm_spec(params)`` with ``ssm_spec``'s views ``hmm`` and ``ssm``."""
+    Phi, p, q = params.Phi, params.p, params.q
     d = p + q
-    logpdf, sample = _linear_gaussian(Phi, R, d, r_factors)
+    logpdf, sample = _linear_gaussian(Phi, params.R, d, lambda: params._r_factors)
 
     def trans_logpdf(z, z_next):
         return _pair_value(logpdf(_stack(z), _stack(z_next)))
@@ -494,19 +469,19 @@ def ssm_embed(params: SsmParams) -> GlmParams:
 
 
 def _embed(params: SsmParams):
-    """``ssm_embed(params)`` and, when p = q = 1, the ``_ScalarEmbedding`` of its ``(b, q_state, q_obs)``, else None."""
+    """``ssm_embed(params)`` and, when p = q = 1, the emission that ``_scalar_embedding`` keeps, else None."""
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
-    glm, shared = object.__new__(GlmParams), None
+    glm, emission = object.__new__(GlmParams), None
     try:
         if A.shape == B.shape == (1, 1):  # p = q = 1
             a, b = A.item(), B.item()
             ba = 0.0 + b * a
             if not math.isfinite(ba):
                 raise ValueError("Phi must be finite")
-            shared = _scalar_embedding(b, Qz.item(), Qx.item())
+            R, logdet_R, emission = _scalar_embedding(b, Qz.item(), Qx.item())
             Phi = _ZEROS_2X2.copy()  # the bytes of np.array([[a, 0.0], [ba, 0.0]]) at half its cost
             Phi[0, 0], Phi[1, 0] = a, ba
-            glm._set_fields(Phi, shared.R, 1, 1, _logdet_R=shared.logdet_R)
+            glm._set_fields(Phi, R, 1, 1, _logdet_R=logdet_R)
         else:
             p, q = params.p, params.q
             Phi = np.zeros((p + q, p + q))
@@ -524,32 +499,19 @@ def _embed(params: SsmParams):
             glm._finish_init(Phi, R, p, q)
     except ValueError as err:
         raise ValueError(f"{_EMBEDDING_INVALID}: {err}") from err
-    return glm, shared
-
-
-@dataclass(frozen=True, eq=False)
-class _ScalarEmbedding:
-    """What every p = q = 1 build with one ``(b, q_state, q_obs)`` shares, whatever its ``a``.
-
-    ``R`` is the checked, read-only embedded innovation covariance and
-    ``logdet_R`` its ``slogdet`` log determinant as a float, which
-    ``delta_glm_closed`` reads through ``GlmParams._logdet_R``.
-    ``emission`` is ``_scalar_gaussian(b, q_obs)``, the density and
-    sampler of ``g = N(b x, q_obs)``, and ``r_factors`` the holder of
-    ``R``'s factors, computed on first use, for the joint-chain density
-    and sampler.
-    """
-
-    R: np.ndarray
-    logdet_R: float
-    emission: tuple
-    r_factors: _Once
+    return glm, emission
 
 
 @lru_cache(maxsize=_SCALAR_R_MEMO)
-def _scalar_embedding(b: float, qz: float, qx: float) -> _ScalarEmbedding:
-    """The ``_ScalarEmbedding`` of a p = q = 1 model, built and checked once per ``(b, qz, qx)``.
+def _scalar_embedding(b: float, qz: float, qx: float) -> tuple[np.ndarray, float, tuple]:
+    """What every p = q = 1 build with one ``(b, qz, qx)`` shares, whatever its ``a``, built and checked once.
 
+    The tuple ``(R, logdet_R, emission)``: the checked, read-only embedded
+    innovation covariance, its ``slogdet`` log determinant as a float,
+    which ``delta_glm_closed`` reads through ``GlmParams._logdet_R``, and
+    ``_scalar_gaussian(b, qx)``, the density and sampler of
+    ``g = N(b x, qx)``. The factors of ``R`` are not kept here: each
+    record computes its own on first use (``GlmParams._r_factors``).
     ``R = [[qz, b qz], [b qz, b^2 qz + qx]]`` with the bits of the matrix
     assembly. Its two off-diagonal entries are one float, so ``R`` is
     symmetric exactly when it is finite, and that is what is checked in
@@ -574,7 +536,7 @@ def _scalar_embedding(b: float, qz: float, qx: float) -> _ScalarEmbedding:
     if np.linalg.eigvalsh(R).min() <= 0.0 or not _has_cholesky(R):
         raise ValueError("R must be positive definite")
     R.flags.writeable = False
-    return _ScalarEmbedding(R, float(np.linalg.slogdet(R)[1]), _scalar_gaussian(b, qx), _Once(_gaussian_factors, R))
+    return R, float(np.linalg.slogdet(R)[1]), _scalar_gaussian(b, qx)
 
 
 def _has_cholesky(M: np.ndarray) -> bool:
@@ -592,22 +554,21 @@ def _scalar_gaussian(m: float, var: float):
             lambda x, rng: m * x + np.sqrt(var) * rng.standard_normal(np.shape(x)))
 
 
-def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int, factors=None):
+def _linear_gaussian(M: np.ndarray, cov: np.ndarray, p: int, factors):
     """Broadcasting log density and sampler of ``N(M x, cov)`` given states ``x``.
 
     The linear family's only density and sampler. A scalar factor (``M``
     is 1 x 1) is ``_scalar_gaussian``. Otherwise a state has shape
     ``(..., p)``, or ``(...)`` when ``p == 1``, the outcome keeps its
-    trailing axis, and ``L``, ``L^{-1}`` and the log determinant of
-    ``cov = L L^T`` are computed on first use, by ``factors`` when a
-    holder of ``cov``'s factors is given (``_ScalarEmbedding.r_factors``)
-    or else by a new one. Every product goes through ``_matvec``, so a
-    batch gives the per-state bits.
+    trailing axis, and ``factors()`` returns ``_gaussian_factors(cov)``:
+    ``L``, ``L^{-1}`` and the log determinant of ``cov = L L^T``. It is
+    the getter of the record that owns ``cov``, such as
+    ``lambda: params._r_factors``, so the factors are computed on the
+    first density or step call and then kept with the record. Every
+    product goes through ``_matvec``, so a batch gives the per-state bits.
     """
     if M.shape == (1, 1):
         return _scalar_gaussian(float(M[0, 0]), float(cov[0, 0]))
-    if factors is None:
-        factors = _Once(_gaussian_factors, cov)
     d = M.shape[0]
 
     def mean(x):
@@ -679,14 +640,16 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
     The returned spec carries the embedded linear parameters (for the
     exact Kalman evaluator) and the HMM factorization
     ``qx = N(Ax, Qzeta)``, ``g = N(Bx, Qxi)`` (for particle filtering and
-    quadrature), each factor built by ``_linear_gaussian``. The stationary
-    x-marginal is computed on first use. When p = q = 1 the emission
-    factor and the holder of ``R``'s factors come from the
-    ``_ScalarEmbedding`` that ``ssm_embed`` reads, so a build makes only
-    what depends on ``A``; a zero ``b`` builds its own emission, because
-    ``-0.0`` and ``+0.0`` share that record and ``b x`` keeps the sign.
+    quadrature), each factor built by ``_linear_gaussian``. The factors
+    of ``Qzeta``, ``Qxi`` and ``R`` and the stationary x-marginal are
+    computed on first use and kept on the records. When p = q = 1 the
+    emission factor comes from the ``_scalar_embedding`` memo that
+    ``ssm_embed`` reads, with ``R`` and its log determinant, so a build
+    makes only what depends on ``A``; a zero ``b`` builds its own
+    emission, because ``-0.0`` and ``+0.0`` share that entry and ``b x``
+    keeps the sign.
     """
-    glm, shared = _embed(params)
+    glm, emission = _embed(params)
     A, B, Qz, Qx = params.A, params.B, params.Qzeta, params.Qxi
     p = params.p
 
@@ -694,14 +657,15 @@ def ssm_spec(params: SsmParams) -> ModelSpec:
         draws = rng.standard_normal((n, p)) @ params._x_stationary_chol.T
         return draws[:, 0] if p == 1 else draws
 
-    if shared is None:
-        qx_factor, emission = _linear_gaussian(A, Qz, p), _linear_gaussian(B, Qx, p)
+    if emission is None:
+        qx_factor = _linear_gaussian(A, Qz, p, lambda: params._qz_factors)
+        emission = _linear_gaussian(B, Qx, p, lambda: params._qx_factors)
     else:  # _linear_gaussian's 1 x 1 case on the floats
         b = B.item()
         qx_factor = _scalar_gaussian(A.item(), Qz.item())
-        emission = shared.emission if b != 0.0 else _scalar_gaussian(b, Qx.item())
+        emission = emission if b != 0.0 else _scalar_gaussian(b, Qx.item())
     hmm = HmmFactorization(*qx_factor, *emission, stationary_x_sample)
-    return _linear_spec(glm, None if shared is None else shared.r_factors, hmm=hmm, ssm=params)
+    return _linear_spec(glm, hmm, params)
 
 
 def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.2) -> ModelSpec:
@@ -715,9 +679,11 @@ def scalar_ssm(a: float, b: float = 1.0, q_state: float = 1.0, q_obs: float = 0.
     although both variances are positive. ``R`` does not depend on ``a``,
     so its checks run once per ``(b, q_state, q_obs)``, kept in a bounded
     memo, and the specs with those floats share one read-only ``R``, its
-    log determinant, the emission factor and the holder of ``R``'s
-    factors; a chain or a grid over ``a`` builds only ``Phi``, the
-    parameter arrays and the callables that depend on ``a`` per spec.
+    log determinant and the emission factor; a chain or a grid over ``a``
+    builds only ``Phi``, the parameter arrays and the callables that
+    depend on ``a`` per spec. The factors of ``R`` belong to each spec's
+    ``GlmParams`` record, which computes them on its first density or
+    step call.
     Each failure raises the ``ValueError`` of the general matrix build,
     with its message, on every call, and the arrays have its bytes. Four
     Python floats go to ``SsmParams`` as they are, which converts them as

@@ -309,6 +309,15 @@ class TestTightnessAudit:
             with pytest.raises(ValueError, match="^m must exceed 1$"):
                 tightness_audit_sv(STAR, BOX, [10.0, m], sims=100, seed=1)
 
+    def test_m_list_must_not_be_empty(self, monkeypatch):
+        # an empty m_list used to draw every block and then fail with an IndexError
+        draws = []
+        monkeypatch.setattr(audit, "_simulate_sv_blocks", lambda *args: draws.append(args))
+        for m_list in ([], (), np.array([])):
+            with pytest.raises(ValueError, match="^m_list must hold at least one m$"):
+                tightness_audit_sv(STAR, BOX, m_list, sims=100, seed=1)
+        assert draws == []
+
     def test_determinism(self):
         a = tightness_audit_sv(STAR, BOX, [100.0], sims=2_000, seed=8)[0]
         b = tightness_audit_sv(STAR, BOX, [100.0], sims=2_000, seed=8)[0]

@@ -464,3 +464,45 @@ class TestCliBoundary:
         positivity = capsys.readouterr().out
         assert cli.main(["audit", "--assumption", "all", "--family", "ssm"]) == 0
         assert positivity and capsys.readouterr().out == positivity
+
+
+class TestConfigNames:
+    """A ``%`` survives a round trip, and a section or key that the grammar does not name is rejected."""
+
+    def test_percent_round_trips(self):
+        cfg = parse_config(REFERENCE_CONFIG_TEXT.replace("directory = out", "directory = out%%1"))
+        assert cfg.directory == "out%1"
+        text = serialize_config(cfg)
+        assert "directory = out%%1\n" in text
+        assert parse_config(text) == cfg and serialize_config(parse_config(text)) == text
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("prior = uniform", "priors = improper", r"^config has unknown key \[inference\] priors$"),
+        ("seed = 20260808", "seed = 20260808\nsed = 1", r"^config has unknown key \[data\] sed$"),
+        ("[outputs]", "[output]", r"^config has unknown section \[output\]$"),
+        ("formats = csv jsonl", "formats = csv jsonl\n\n[extra]", r"^config has unknown section \[extra\]$"),
+    ])
+    def test_unknown_name_is_rejected(self, old, new, message):
+        # a misspelled optional key used to be dropped, and the run took its default (prior = uniform)
+        with pytest.raises(ValueError, match=message):
+            parse_config(REFERENCE_CONFIG_TEXT.replace(old, new))
+
+    def test_unknown_key_is_rejected_input(self, tmp_path, capsys):
+        config = tmp_path / "cfg.ini"
+        config.write_text(REFERENCE_CONFIG_TEXT.replace("prior = uniform", "priors = improper"))
+        out = tmp_path / "out"
+        assert TestCliBoundary.rejected(["experiment", "--config", str(config), "--out", str(out)], capsys) == (
+            "config has unknown key [inference] priors")
+        assert not out.exists()
+
+
+def test_sv_audit_all_runs_every_assumption(capsys):
+    # all used to skip the B3/C2 positivity records for sv, which it runs for ssm
+    def records(assumption):
+        assert cli.main(["audit", "--assumption", assumption, "--family", "sv", "--sims", "200", "--seed", "1"]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    every = records("all")
+    assert {json.loads(line)["assumption"] for line in every} == {
+        "B5.conv", "B5.logmoment", "B6.1", "B6.2", "B5.envelope", "B3", "C2"}
+    assert every == records("B5") + records("B6") + records("envelope") + records("B3")

@@ -660,6 +660,85 @@ class TestLazyFactors:
                 assert got.tobytes() == want.tobytes()
 
 
+class TestRecordFactors:
+    """``GlmParams._r_factors``, ``SsmParams._qz_factors`` and ``_qx_factors`` are computed on first use, once per record."""
+
+    FACTORS = (("glm", "_r_factors", "R"), ("ssm", "_qz_factors", "Qzeta"), ("ssm", "_qx_factors", "Qxi"))
+
+    @staticmethod
+    def specs():
+        """A p = q = 2 and a p = 2, q = 1 state-space spec, a linear spec and two scalar specs of one triple."""
+        ssm22 = SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5], [-0.4, 0.2]], [[1.0, 0.1], [0.1, 0.8]],
+                          [[0.3, 0.05], [0.05, 0.6]])
+        ssm21 = SsmParams([[0.5, 0.2], [0.0, 0.3]], [[1.0, 0.5]], [[1.0, 0.1], [0.1, 0.8]], [[0.3]])
+        glm = GlmParams([[0.4, 0.2], [0.1, 0.3]], [[1.0, 0.4], [0.4, 1.0]], 1, 1)
+        return [ssm_spec(ssm22), ssm_spec(ssm21), glm_spec(glm), scalar_ssm(0.5, 0.7, 1.3, 0.4),
+                scalar_ssm(-0.3, 0.7, 1.3, 0.4)]
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Patch ``models._gaussian_factors`` to list every matrix it factors."""
+        seen = []
+        factor = models._gaussian_factors
+
+        def wrapper(cov):
+            seen.append(cov)
+            return factor(cov)
+
+        monkeypatch.setattr(models, "_gaussian_factors", wrapper)
+        return seen
+
+    @staticmethod
+    def kept(spec):
+        """The names of the factors that the spec's records hold."""
+        records = [(getattr(spec, record), name) for record, name, _ in TestRecordFactors.FACTORS]
+        return {name for record, name in records if record is not None and name in vars(record)}
+
+    def test_build_computes_none(self, monkeypatch):
+        seen = self.counted(monkeypatch)
+        models._scalar_embedding.cache_clear()
+        specs = self.specs()
+        assert seen == [] and [self.kept(spec) for spec in specs] == [set()] * len(specs)
+
+    def test_first_use_computes_once_per_record(self, monkeypatch):
+        seen = self.counted(monkeypatch)
+        rng = rngmod.substream(0, 0)
+        for spec in self.specs():
+            p, q = spec.state_dim, spec.obs_dim
+            z = (np.linspace(-1.0, 1.0, p), np.linspace(0.5, -0.5, q))
+            uses = [("_r_factors", spec.glm.R, lambda: spec.trans_logpdf(z, z)),
+                    ("_r_factors", spec.glm.R, lambda: spec.sample_step(z, rng))]
+            if p > 1:  # a scalar spec's hidden-state and emission factors are floats, with no matrix to factor
+                x = z[0]
+                uses += [("_qz_factors", spec.ssm.Qzeta, lambda: spec.hmm.qx_logpdf(x, x)),
+                         ("_qz_factors", spec.ssm.Qzeta, lambda: spec.hmm.qx_sample(x, rng)),
+                         ("_qx_factors", spec.ssm.Qxi, lambda: spec.hmm.g_logpdf(x, z[1])),
+                         ("_qx_factors", spec.ssm.Qxi, lambda: spec.hmm.g_sample(x, rng))]
+            kept = set()
+            for name, cov, use in uses * 2:  # each use twice: only the first use of a factor computes it
+                del seen[:]
+                use()
+                assert [m is cov for m in seen] == ([] if name in kept else [True])
+                kept.add(name)
+                assert self.kept(spec) == kept
+
+    def test_records_do_not_share_factors(self):
+        first, second = self.specs()[3:]
+        first.sample_step((np.zeros(1), np.zeros(1)), rngmod.substream(0, 0))
+        second.sample_step((np.zeros(1), np.zeros(1)), rngmod.substream(0, 0))
+        assert first.glm.R is second.glm.R and first.glm._r_factors is not second.glm._r_factors
+
+    def test_bits_of_gaussian_factors(self):
+        for spec in self.specs():
+            for record, name, field in self.FACTORS:
+                owner = getattr(spec, record)
+                if owner is None:
+                    continue
+                got, want = getattr(owner, name), models._gaussian_factors(getattr(owner, field))
+                assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+                assert type(got[2]) is type(want[2])
+
+
 class TestStationaryCovariance:
     def test_phi_zero_gives_r(self):
         params = GlmParams(np.zeros((2, 2)), np.diag([1.0, 2.0]), 1, 1)
