@@ -217,7 +217,7 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """The checked config that ``text`` describes; malformed text raises ``ValueError`` (see the module docstring)."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(default_section="")  # no header names "", so [DEFAULT] is an ordinary section
     try:
         cp.read_string(text)
         sections = {name: dict(cp[name]) for name in cp.sections()}

@@ -481,6 +481,7 @@ class TestConfigNames:
         ("seed = 20260808", "seed = 20260808\nsed = 1", r"^config has unknown key \[data\] sed$"),
         ("[outputs]", "[output]", r"^config has unknown section \[output\]$"),
         ("formats = csv jsonl", "formats = csv jsonl\n\n[extra]", r"^config has unknown section \[extra\]$"),
+        ("[model]", "[DEFAULT]\ndirectory = x\n\n[model]", r"^config has unknown section \[DEFAULT\]$"),
     ])
     def test_unknown_name_is_rejected(self, old, new, message):
         # a misspelled optional key used to be dropped, and the run took its default (prior = uniform)
