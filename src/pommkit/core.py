@@ -12,6 +12,7 @@ handled in the log domain; ``-inf`` encodes zero density.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,6 +26,14 @@ Z = tuple  # a state-observation pair (x, y)
 # a quarter of a 2 MB L2 cache): audit.sv_marginal_y_logpdf and the
 # quadrature's transition kernel
 _BLOCK_FLOATS = 1 << 16
+
+
+@functools.cache
+def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.polynomial.hermite.hermgauss(n)``, computed once per node count and kept as read-only arrays."""
+    t, w = np.polynomial.hermite.hermgauss(n)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import _BLOCK_FLOATS, GaussianOnZ, ModelSpec, PointMass, Stationary, UnsupportedInitError, _check_init, _check_init_dim
-from .core import _check_size, _chol_psd, _trapezoid_weights
+from .core import _check_size, _chol_psd, _hermgauss, _trapezoid_weights
 from .models import ScalarSsmGrid, _float_phi, finite_hmm_stationary, glm_stationary_cov, ssm_spec
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -822,7 +822,7 @@ def _gh_nodes(mean: float, sd: float, n: int = 80) -> tuple[np.ndarray, np.ndarr
     """Gauss-Hermite nodes/weights for integrating against N(mean, sd^2); ``sd == 0`` is one node of weight 1."""
     if sd == 0.0:
         return np.array([mean]), np.ones(1)
-    t, w = np.polynomial.hermite.hermgauss(n)
+    t, w = _hermgauss(n)
     return mean + np.sqrt(2.0) * sd * t, w / np.sqrt(np.pi)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,14 +180,40 @@ class TestPrunedEnvelopeAudit:
     @given(st.lists(BLOCK_ROW, min_size=1, max_size=5))
     @example([(0.1, 0.1, 0.99, 3.0, 1e-9, -20.0), (10.0, 2.5, -0.99, -9.0, 15.0, 0.0)])
     @example([(1.0, 0.05, 0.985, 0.0, 0.0, 1e-8), (0.01, 12.5, -0.9999, 15.0, -1e4, 1e-12), (1.0, 0.3, 0.9, 0.5, 0.7, -0.3)])
+    @example([(1.0, sigma, 0.9, 2.0, 0.4, 0.0) for sigma in BLOCK_SIGMAS[:5]])  # e linear: the tangent bound is exact
+    @example([(0.01, sigma, -0.9999, -15.0, 3.0, 0.0) for sigma in BLOCK_SIGMAS[4:]])
+    @example([(1e3, 12.5, 0.9999, -15.0, 1e-8, 0.0), (1e-3, 0.01, -0.98, 15.0, 1e4, 0.0), (0.5, 0.05, 0.0, 0.0, 0.0, 0.0)])
+    @example([(1.0, 100.0, 0.99, 0.0, 0.5, 0.3), (0.1, 150.0, -0.99, 15.0, 2.0, -1e-3)])  # e^{-phi g1} overflows
     def test_bound_dominates_block(self, rows):
         uppers = audit._block_uppers(np.array(rows))
         g1s, g2s = audit._block_grids(*np.array(rows)[:, [2, 1, 3]].T)
         for (beta, sigma, phi, x0, y1, y2), upper, g1, g2 in zip(rows, uppers, g1s, g2s):
-            assert sv_block_density(SvParams(beta, sigma, phi), x0, y1, y2) <= upper
+            with np.errstate(over="ignore"):  # the rows whose e^{-x} overflows: those entries are 0
+                assert sv_block_density(SvParams(beta, sigma, phi), x0, y1, y2) <= upper
             # the bound's grids are the block's, bit for bit
             want1, want2 = audit._block_grids(phi, sigma, x0)
             assert g1.tobytes() == want1.tobytes() and g2.tobytes() == want2.tobytes()
+
+    def test_bound_is_tight_where_the_emission_is_linear(self):
+        # y2 = 0 makes e linear, so the tangent bound is the inner sum up to its margins and the Gaussian's tails
+        for sigma in BLOCK_SIGMAS[:6]:
+            for beta, phi, x0, y1 in ((1.0, 0.9, 2.0, 0.4), (0.01, -0.9999, -15.0, 3.0), (50.0, 0.0, 1.0, -20.0)):
+                upper = audit._block_uppers(np.array([(beta, sigma, phi, x0, y1, 0.0)]))[0]
+                block = sv_block_density(SvParams(beta, sigma, phi), x0, y1, 0.0)
+                assert block <= upper <= block * (1.0 + 2e-9)
+
+    def test_bound_falls_back_where_the_tangent_overflows(self):
+        rows = np.array([(1.0, 100.0, 0.99, 0.0, 0.5, 0.3), (0.1, 150.0, -0.99, 15.0, 2.0, -1e-3)])
+        beta, sigma, phi, x0, y1, y2 = (c[:, None] for c in rows.T)
+        g1, g2 = audit._block_grids(phi[:, 0], sigma[:, 0], x0[:, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            tangent = audit._tangent_uppers(SimpleNamespace(beta=beta, sigma=sigma, phi=phi), phi * g1, g2, y2)
+        assert (phi * g1 < -710.0).any(axis=1).all() and not np.isfinite(tangent).all(axis=1).any()
+        uppers = audit._block_uppers(rows)
+        for row, upper in zip(rows.tolist(), uppers):
+            with np.errstate(over="ignore"):
+                block = sv_block_density(SvParams(*row[:3]), *row[3:])
+            assert np.isfinite(upper) and 0.0 < block <= upper
 
     BOXES = (
         BOX,
@@ -194,6 +221,9 @@ class TestPrunedEnvelopeAudit:
         SvThetaBox(beta_lo=1.0, sigma_lo=0.05, phi_hi=0.99, sigma_hi=0.5),
         SvThetaBox(beta_lo=0.01, sigma_lo=0.5, phi_hi=0.995),  # sigma up to 12.5
         SvThetaBox(beta_lo=5.0, sigma_lo=1.0, phi_hi=0.0, sigma_hi=4.0),
+        SvThetaBox(beta_lo=0.1, sigma_lo=0.01, phi_hi=0.999, sigma_hi=0.2),
+        SvThetaBox(beta_lo=2.0, sigma_lo=0.3, phi_hi=0.999),  # sigma up to 7.5
+        SvThetaBox(beta_lo=0.001, sigma_lo=0.2, phi_hi=0.5, sigma_hi=40.0),
     )
 
     def test_report_equals_brute_force(self, monkeypatch):
@@ -218,6 +248,19 @@ class TestPrunedEnvelopeAudit:
                 if slack > 0:
                     assert blocks[0] < draws / 2
         assert statuses == {"pass", "fail"}
+
+    def test_default_box_runs_a_handful_of_blocks(self, monkeypatch):
+        # the `pommkit audit` default box at `oracle_checks`' size: the looser bound before the tangent ran 244
+        blocks = [0]
+        exact = audit.sv_block_density
+
+        def counted(*args):
+            blocks[0] += 1
+            return exact(*args)
+
+        monkeypatch.setattr(audit, "sv_block_density", counted)
+        assert envelope_validity_audit(BOX, 1000, 3).status == "pass"
+        assert 1 <= blocks[0] <= 10
 
     def test_non_finite_keys(self, monkeypatch):
         # envelopes of inf, NaN and 0 (keys -inf, NaN and U), and bounds of NaN and inf, each on some draws
@@ -290,6 +333,19 @@ class TestSvEntryPointsRejectNonFinite:
             with pytest.raises(ValueError, match="^ys must be finite, got 1 non-finite entries"):
                 sv_marginal_y_logpdf(STAR, [bad, 1.0])
         assert np.isfinite(sv_marginal_y_logpdf(STAR, [0.0, 1.0])).all()
+
+    def test_marginal_y_logpdf_takes_one_dimension(self):
+        for ys in (0.5, np.float64(0.5), [[0.5, 1.0]], np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="^ys must be one-dimensional, got [02] dimensions"):
+                sv_marginal_y_logpdf(STAR, ys)
+
+    def test_marginal_y_logpdf_of_an_overflowing_square_is_minus_inf(self):
+        huge = [1.4e154, -1e200, np.finfo(float).max]  # y * y overflows, so every component is -inf
+        ys = np.array([0.5, *huge, -2.0, 1e150])
+        got = sv_marginal_y_logpdf(STAR, ys)  # RuntimeWarnings are errors here
+        assert (got[1:4] == -np.inf).all()
+        finite = sv_marginal_y_logpdf(STAR, ys[[0, 4, 5]])
+        assert np.isfinite(finite).all() and got[[0, 4, 5]].tobytes() == finite.tobytes()
 
 
 class TestTightnessAudit:

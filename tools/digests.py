@@ -22,7 +22,9 @@ list and on a 20-point list of p = 2 state-space specs over 80
 observations, the closed-form Delta from the scalar model to each of the
 181 specs and to the linear model and from the p = 2 model to each of
 the 20 p = 2 specs, the SV envelope audit's report on two boxes (one
-with sigma unbounded) at two seeds, the SV entropy-floor report, and
+with sigma unbounded) at two seeds and on the ``pommkit audit`` default
+box at 1000 draws (the ``oracle_checks`` benchmark's size) at two seeds,
+the SV entropy-floor report, and
 every file that
 ``run_experiment(reference_config())`` writes, the command line's output
 on valid input (``simulate``, ``loglik`` by each method, ``posterior``,
@@ -251,9 +253,12 @@ def battery():
     closed = [(scalar, s) for s in grid_cases["specs"][0]] + [(scalar, linear)]
     closed += [(p2, s) for s in grid_cases["p2"][0]]
     yield "delta_closed_grid", np.array([delta_glm_closed(star.glm, other.glm).value for star, other in closed])
-    for box_name, box in (("box", SvThetaBox(0.1, 0.1, 0.95, 2.5)), ("open_box", SvThetaBox(0.1, 0.1, 0.99))):
+    default_box = SvThetaBox(0.1, 0.1, 0.95, 2.5)  # `pommkit audit`'s default
+    for box_name, box in (("box", default_box), ("open_box", SvThetaBox(0.1, 0.1, 0.99))):
         for seed in (SEED, SEED + 1):
             yield f"envelope_{box_name}_{seed - SEED}", envelope_validity_audit(box, ENVELOPE_DRAWS, seed)
+    for seed in (SEED, SEED + 1):
+        yield f"envelope_default_1000_{seed - SEED}", envelope_validity_audit(default_box, 1000, seed)
     yield "b6_entropy_floor_sv", b6_entropy_floor_sv(sv.sv, 20_000, SEED)
     with tempfile.TemporaryDirectory() as out:
         run_experiment(reference_config(), out)
