@@ -401,10 +401,10 @@ def envelope_validity_audit(box: SvThetaBox, draws: int, seed: int) -> AuditRepo
     so far. Every draw left has ``D - B <= U - B``, so it can neither
     raise the maximum nor count as a violation. An exact block that
     warns does so in that order, after every draw is taken. The first
-    draw always runs. With the tangent bound, 1 or 2 draws of 1000 run
-    on the ``pommkit audit`` default box (seeds 0-9 and 44; the looser
-    bound without the tangent ran 201-260), and up to 33 on boxes with
-    sigma up to 60, where the tangent is loose or overflows.
+    draw always runs. 1 or 2 draws of 1000 run on the ``pommkit audit``
+    default box (seeds 0-9 and 44; the Riemann bound of ``_block_uppers``
+    alone would run 201-260), and up to 33 on boxes with sigma up to 60,
+    where the tangent bound is loose or overflows.
     """
     _check_size("draws", draws)
     rng = rngmod.substream(seed, rngmod.AUDIT, 1)

@@ -184,6 +184,8 @@ class TestPrunedEnvelopeAudit:
     @example([(0.01, sigma, -0.9999, -15.0, 3.0, 0.0) for sigma in BLOCK_SIGMAS[4:]])
     @example([(1e3, 12.5, 0.9999, -15.0, 1e-8, 0.0), (1e-3, 0.01, -0.98, 15.0, 1e4, 0.0), (0.5, 0.05, 0.0, 0.0, 0.0, 0.0)])
     @example([(1.0, 100.0, 0.99, 0.0, 0.5, 0.3), (0.1, 150.0, -0.99, 15.0, 2.0, -1e-3)])  # e^{-phi g1} overflows
+    # sigma far below |g2|: the nodes' rounding moves the block by more than the relative margin, and the exponent's covers it
+    @example([(1.0, 1e-8, 0.9, 15.0, 0.4, 0.0), (1.0, 1e-8, -0.999, -15.0, 0.4, 1e-9), (1.0, 1e-6, 0.5, 1e3, 0.4, 0.0)])
     def test_bound_dominates_block(self, rows):
         uppers = audit._block_uppers(np.array(rows))
         g1s, g2s = audit._block_grids(*np.array(rows)[:, [2, 1, 3]].T)

@@ -20,7 +20,7 @@ from pommkit import (
     simulate_complete,
     sv_spec,
 )
-from pommkit.core import UnsupportedInitError
+from pommkit.core import UnsupportedInitError, _hermgauss
 from pommkit.models import GlmParams, glm_spec, scalar_ssm
 
 
@@ -260,3 +260,14 @@ class TestFiniteInitialState:
         for x0 in (0, 1, 1.0):
             traj, ll, pf = (call() for call in self.calls(PointMass(x0, 0)))
             assert traj.x[0, 0] == x0 and np.isfinite(ll.value) and np.isfinite(pf.value)
+
+
+def test_hermgauss_is_computed_once_per_node_count_and_read_only():
+    for n in (64, 80, 201):  # the quadrature's two node counts and the SV marginal's
+        t, w = _hermgauss(n)
+        assert _hermgauss(n)[0] is t and _hermgauss(n)[1] is w
+        want_t, want_w = np.polynomial.hermite.hermgauss(n)
+        assert t.tobytes() == want_t.tobytes() and w.tobytes() == want_w.tobytes()
+        for a in (t, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
