@@ -43,6 +43,7 @@ _BETA_CUTOFFS, _B6_NODES = (1e2, 1e4, 1e6, 1e8), 201  # b6_sufficient_integral_s
 _ENVELOPE_SLACK, _ENVELOPE_X0_SD = 1e-9, 3.0  # envelope_validity_audit
 _BLOCK_UPPER_MARGIN, _BLOCK_UPPER_FLOOR = 1e-9, 1e-300  # _block_uppers: relative and absolute margins for rounding
 _TANGENT_ROUNDING = 2.0**-46  # _tangent_uppers: exponent margin per unit of term size
+_WINDOW_ROUNDING, _EXP_UNDERFLOW = 2.0**-46, -746.0  # _live_windows: gap margin per unit of term size; np.exp is 0.0 below
 _POSITIVITY_SAMPLES, _POSITIVITY_EXTREMES = 200, (-50.0, -1.0, 0.0, 1.0, 50.0)  # positivity_audit
 _KINGMAN_REL_TOL = 1e-12  # kingman_check
 
@@ -133,18 +134,18 @@ class SvThetaBox:
             raise ValueError("sigma_hi must exceed sigma_lo")
 
 
-def _bound1(sigma_lo, y1, y2):
-    denom = np.abs(y1 * y2) * np.sqrt(2.0 * np.pi * sigma_lo**2) * np.sqrt(2.0 * np.pi * np.e)
+def _bound1(sigma_sq, y1, y2):
+    denom = np.abs(y1 * y2) * np.sqrt(2.0 * np.pi * sigma_sq) * np.sqrt(2.0 * np.pi * np.e)
     with np.errstate(divide="ignore"):
         return np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), np.inf)
 
 
-def _log_bound2_at_phi(sigma_hi, log_beta_lo, phi, y1):
+def _log_bound2_at_phi(sigma_sq, log_beta_lo, phi, y1):
     y1sq = np.asarray(y1, dtype=float) ** 2
     with np.errstate(divide="ignore"):
         log_y1sq = np.log(y1sq)
     return (
-        sigma_hi**2 / 8.0
+        sigma_sq / 8.0
         - _LOG2PI
         - (1.0 - phi) * log_beta_lo
         + 0.5 * (1.0 + phi) * (np.log1p(phi) - 1.0 - log_y1sq)
@@ -155,8 +156,8 @@ def _bound2(sigma_hi, log_beta_lo, phi_hi, y1):
     if not np.isfinite(sigma_hi):
         return np.full_like(np.asarray(y1, dtype=float), np.inf)
     # log-convex in phi, so the sup over [-phi_hi, phi_hi] is at an endpoint
-    la = _log_bound2_at_phi(sigma_hi, log_beta_lo, -phi_hi, y1)
-    lb = _log_bound2_at_phi(sigma_hi, log_beta_lo, phi_hi, y1)
+    la = _log_bound2_at_phi(sigma_hi**2, log_beta_lo, -phi_hi, y1)
+    lb = _log_bound2_at_phi(sigma_hi**2, log_beta_lo, phi_hi, y1)
     return np.exp(np.maximum(la, lb))
 
 
@@ -172,7 +173,7 @@ def psup_sv_bound(region: SvRegion, y1, y2) -> np.ndarray:
     """
     _check_finite_arrays(y1=y1, y2=y2)
     y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
-    b1 = _bound1(region.sigma_lo, y1, y2)
+    b1 = _bound1(region.sigma_lo**2, y1, y2)
     b2 = _bound2(region.sigma_hi, region.log_beta_lo, region.phi_hi, y1)
     out = np.minimum(b1, b2)
     if np.any(~np.isfinite(out)):
@@ -197,12 +198,22 @@ def _check_finite_arrays(**values) -> None:
             raise ValueError(f"{name} must be finite, got {bad} non-finite entries")
 
 
+def _pointwise_bounds(sigma_sq, log_beta, phi, y1, y2):
+    """``min(bound1, bound2)`` at one parameter point per entry; broadcasts over arrays of draws.
+
+    ``sigma_sq`` and ``log_beta`` are taken as computed, so that a
+    caller can form them as Python floats: C ``pow`` and ``log``, whose
+    last bits numpy's array ``**`` and ``log`` do not always match.
+    """
+    b1 = _bound1(sigma_sq, y1, y2)
+    b2 = np.exp(_log_bound2_at_phi(sigma_sq, log_beta, phi, y1))
+    return np.where(b2 < b1, b2, b1)  # min(b1, b2) of floats: b1 unless b2 is smaller, also where one is NaN
+
+
 def psup_pointwise_bound(params: SvParams, y1: float, y2: float) -> float:
     """Envelope evaluated at one parameter point (degenerate region); ``y1`` and ``y2`` must be finite."""
     _check_finite_floats(y1=y1, y2=y2)
-    b1 = float(_bound1(params.sigma, np.float64(y1), np.float64(y2)))
-    b2 = float(np.exp(_log_bound2_at_phi(params.sigma, math.log(params.beta), params.phi, np.float64(y1))))
-    return min(b1, b2)
+    return float(_pointwise_bounds(params.sigma**2, math.log(params.beta), params.phi, np.float64(y1), np.float64(y2)))
 
 
 def psup_cm_complement_bound(box: SvThetaBox, m: float, y1, y2) -> np.ndarray:
@@ -380,6 +391,44 @@ def _block_uppers(draws: np.ndarray) -> np.ndarray:
     return out
 
 
+def _envelope_draws(box: SvThetaBox, draws: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The envelope audit's draws, as rows ``(beta, sigma, phi, x0, y1, y2)``, and each draw's envelope.
+
+    The loop makes two stream calls per draw, ``rng.uniform`` of the
+    three parameters' log-scale or linear ranges and ``rng.standard_normal(5)``
+    for ``x0``, the two stationary states and the two emission noises,
+    which take the stream that a call per quantity would. The rest is one
+    vectorized pass: ``beta e^{x/2} u`` with ``x = sqrt(v) z`` and the
+    envelopes of ``_pointwise_bounds``, which are ``psup_pointwise_bound``
+    of each draw bit for bit. ``sigma^2``, ``v = sigma^2 / (1 - phi^2)``
+    and ``log beta`` are Python floats, as ``SvParams.x_var`` and
+    ``psup_pointwise_bound`` form them. Overflow in the pass is silent;
+    a draw whose observation overflows raises ``ValueError`` naming the
+    box and that draw's sigma.
+    """
+    sigma_hi = box.sigma_hi if np.isfinite(box.sigma_hi) else box.sigma_lo * 25.0
+    lows = np.array([np.log(box.beta_lo), np.log(box.sigma_lo), -box.phi_hi])
+    highs = np.array([np.log(box.beta_lo * 100.0), np.log(sigma_hi), box.phi_hi])
+    u, z = np.empty((3, draws)), np.empty((5, draws))
+    for i in range(draws):
+        u[:, i] = rng.uniform(lows, highs)
+        z[:, i] = rng.standard_normal(5)
+    (beta, sigma), phi = np.exp(u[:2]), u[2]
+    sigma_sq = [s**2 for s in sigma.tolist()]
+    x_var = np.array([s2 / (1.0 - p**2) for s2, p in zip(sigma_sq, phi.tolist())])
+    with np.errstate(over="ignore"):
+        y1, y2 = beta * np.exp(np.sqrt(x_var) * z[1:3] / 2.0) * z[3:]
+        overflow = ~(np.isfinite(y1) & np.isfinite(y2))
+        if overflow.any():
+            i = int(np.argmax(overflow))
+            raise ValueError(
+                f"{box} overflows its own draws: the observation beta e^(x/2) u of draw {i} "
+                f"(sigma = {float(sigma[i])!r}) is not finite"
+            )
+        bounds = _pointwise_bounds(np.array(sigma_sq), np.array([math.log(b) for b in beta.tolist()]), phi, y1, y2)
+    return np.stack([beta, sigma, phi, _ENVELOPE_X0_SD * z[0], y1, y2], axis=1), bounds
+
+
 def envelope_validity_audit(box: SvThetaBox, draws: int, seed: int) -> AuditReport:
     """Check that the analytic envelopes really dominate the quadrature value.
 
@@ -391,8 +440,10 @@ def envelope_validity_audit(box: SvThetaBox, draws: int, seed: int) -> AuditRepo
 
     The audit is an exact branch and bound: its report is, field for
     field, the one a loop of ``sv_block_density`` over every draw gives.
-    The first pass takes every draw from the stream, in that loop's
-    order of calls, and keeps its six scalars and its envelope ``B``;
+    The first pass, ``_envelope_draws``, takes every draw from the
+    stream that loop would take, with two stream calls per draw, and
+    forms the six scalars and the envelope ``B`` of every draw in one
+    vectorized pass, each with the bits of the loop's per-draw values;
     ``_block_uppers`` then gives each draw a certified ``U >= D`` from
     241-node vectors. The second pass runs the 241 x 241 block on the
     draws in descending order of ``U - B``, non-finite keys first, and
@@ -404,30 +455,20 @@ def envelope_validity_audit(box: SvThetaBox, draws: int, seed: int) -> AuditRepo
     draw always runs. 1 or 2 draws of 1000 run on the ``pommkit audit``
     default box (seeds 0-9 and 44; the Riemann bound of ``_block_uppers``
     alone would run 201-260), and up to 33 on boxes with sigma up to 60,
-    where the tangent bound is loose or overflows.
+    where the tangent bound is loose or overflows. A box whose draws
+    overflow an observation (sigma in the hundreds with phi near 1)
+    raises ``ValueError`` before any block runs.
     """
     _check_size("draws", draws)
-    rng = rngmod.substream(seed, rngmod.AUDIT, 1)
-    beta_hi = box.beta_lo * 100.0
-    sigma_hi = box.sigma_hi if np.isfinite(box.sigma_hi) else box.sigma_lo * 25.0
-    taken, bounds = [], []
-    for _ in range(draws):
-        beta = float(np.exp(rng.uniform(np.log(box.beta_lo), np.log(beta_hi))))
-        sigma = float(np.exp(rng.uniform(np.log(box.sigma_lo), np.log(sigma_hi))))
-        phi = float(rng.uniform(-box.phi_hi, box.phi_hi))
-        params = SvParams(beta=beta, sigma=sigma, phi=phi)
-        x0 = float(_ENVELOPE_X0_SD * rng.standard_normal())
-        y1, y2 = sv_g_sample(params, sv_stationary_x_sample(params, 2, rng), rng).tolist()
-        bounds.append(psup_pointwise_bound(params, y1, y2))  # raises sv_block_density's error for a non-finite y
-        taken.append((beta, sigma, phi, x0, y1, y2))
+    taken, bounds = _envelope_draws(box, draws, rngmod.substream(seed, rngmod.AUDIT, 1))
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN key, which the exact block then settles
-        keys = _block_uppers(np.array(taken)) - bounds
+        keys = _block_uppers(taken) - bounds
     worst = -np.inf
     violations = 0
     for i in np.argsort(np.where(np.isfinite(keys), -keys, -np.inf), kind="stable").tolist():
         if math.isfinite(keys[i]) and keys[i] < worst and keys[i] <= _ENVELOPE_SLACK:
             break  # the keys from here on are finite and no larger
-        beta, sigma, phi, x0, y1, y2 = taken[i]
+        beta, sigma, phi, x0, y1, y2 = taken[i].tolist()
         excess = sv_block_density(SvParams(beta=beta, sigma=sigma, phi=phi), x0, y1, y2) - bounds[i]
         worst = max(worst, excess)
         if excess > _ENVELOPE_SLACK:
@@ -554,17 +595,81 @@ def b6_sufficient_integral_sv(box: SvThetaBox, proper: bool) -> AuditReport:
     )
 
 
+def _live_windows(params: SvParams, xs: np.ndarray, lw: np.ndarray, squares: np.ndarray, rows: int) -> np.ndarray:
+    """Per block of ``rows`` ascending ``squares``, the node columns ``[lo, hi)`` outside which ``exp(comp - m)`` is 0.0.
+
+    A component of ``sv_marginal_y_logpdf`` at ``s = y^2`` is ``comp_j =
+    A_j - s C_j`` with ``A_j = lw_j - (log 2 pi beta^2 + x_j) / 2`` and
+    ``C_j = e^{-x_j} / (2 beta^2)``. Against the block's reference column
+    ``k``, the argmax at the midpoint of its ``s``, the gap ``comp_j -
+    comp_k = (A_j - A_k) - s (C_j - C_k)`` is linear in ``s``, and so is
+    the gap plus its rounding allowance; the bound's largest value over
+    the block sits at one of the block's two end rows. Since ``m >=
+    comp_k``, a column whose bound is below ``_EXP_UNDERFLOW`` gives
+    ``exp(comp_j - m) = 0.0`` exactly on every row of the block and
+    cannot hold a row's max. The window spans the other columns.
+
+    The allowance is ``_WINDOW_ROUNDING = 2^-46``, 128 units of rounding
+    ``u = 2^-53``, times the size of the terms: ``s (C_j + C_k) + |A_j|
+    + |A_k| + |x_j| + |x_k| + |lw_j| + |lw_k| + 2 |log beta^2| + 8``. A
+    first-order count of the roundings, with ``exp`` and ``log`` within
+    a few ulps, puts the computed ``comp_j`` within ``u (16 s C_j + 8
+    (|x_j| + |log beta^2| + |lw_j| + 2))`` of ``A_j - s C_j``, and the
+    computed bound within ``u (10 s (C_j + C_k) + 5 (|A_j| + |A_k|))`` of
+    its exact value: under ``26u`` per unit of size in all.
+
+    A column whose ``e^{-x_j}`` overflows is ``-inf`` on every row with
+    ``s > 0``, and is dropped when the block's least ``s`` is positive. A
+    NaN bound (``0 * inf``) keeps its column. A block falls back to the
+    full width when its ``s_hi`` is not finite or ``s_hi C_k`` is not
+    below ``2^1000``, so that ``comp_k`` is finite on every row.
+    """
+    starts = np.arange(0, len(squares), rows)
+    lo_s, hi_s = squares[starts, None], squares[np.minimum(starts + rows, len(squares)) - 1, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        b2 = params.beta**2
+        a = lw - 0.5 * (_LOG2PI + np.log(b2) + xs)
+        e = np.exp(-xs)
+        c = 0.5 * e / b2
+        mid = 0.5 * lo_s + 0.5 * hi_s
+        ref = a - np.where(mid > 0.0, mid * c, 0.0)
+        k = np.argmax(np.where(np.isnan(ref), -np.inf, ref), axis=1)[:, None]
+        ak, ck = a[k], c[k]
+        size = np.abs(a) + np.abs(ak) + np.abs(xs) + np.abs(xs[k]) + np.abs(lw) + np.abs(lw[k]) + (2.0 * abs(np.log(b2)) + 8.0)
+        level = (a - ak) + _WINDOW_ROUNDING * size  # the bound at s = 0
+        slope = (c - ck) - _WINDOW_ROUNDING * (c + ck)  # and its fall per unit of s
+        bound = np.maximum(level - lo_s * slope, level - hi_s * slope)  # NaN propagates
+        live = ~(bound < _EXP_UNDERFLOW) & ~((e == np.inf) & (lo_s > 0.0))
+        live[~(hi_s * ck < 2.0**1000)[:, 0]] = True  # also a non-finite s_hi
+    return np.stack([np.argmax(live, axis=1), len(xs) - np.argmax(live[:, ::-1], axis=1)], axis=1)
+
+
 def sv_marginal_y_logpdf(params: SvParams, ys: np.ndarray) -> np.ndarray:
     """log density of one stationary observation, by Gauss-Hermite mixing.
 
     ``Y = beta e^{X/2} U`` with ``X ~ N(0, v)``: the density is the
     normal scale mixture ``E_X[ N(y; 0, beta^2 e^X) ]``, taken as a
-    log-sum-exp over the nodes. The draws go through in row blocks, so
-    the working set is one block of about 0.5 MB (a few hundred draws by
-    ``_MARGINAL_GH_NODES``) besides the output, however many draws there are.
-    ``ys`` must be one-dimensional with finite entries. A ``y`` whose
-    square overflows (``|y|`` above about 1.34e154) has every component
-    at ``-inf``, and its log density is ``-inf``, without a warning.
+    log-sum-exp over the nodes. ``ys`` must be one-dimensional with
+    finite entries. A ``y`` whose square overflows (``|y|`` above about
+    1.34e154) has every component at ``-inf``, and its log density is
+    ``-inf``, without a warning, as long as no node's ``e^{-x}``
+    underflows to 0; where one does, and where a nonzero ``y``'s square
+    underflows to 0 against an ``e^{-x}`` that overflows, the component
+    is ``0 * inf`` and the value NaN, with the caller's "invalid"
+    warning.
+
+    The draws go through in ascending order of ``y^2`` and in blocks of
+    ``_BLOCK_FLOATS // _MARGINAL_GH_NODES`` rows, and each value is
+    scattered back to its draw; a row's value depends on its own ``y``
+    alone. ``_live_windows`` gives each block a certified window of node
+    columns, with a rounding allowance, outside which every ``exp(comp -
+    m)`` is 0.0 exactly and no row has its max. The components, their
+    max, the shift and ``exp`` run on the window only; ``exp`` writes
+    into the window of a zero-filled full-width block (it gives each
+    entry the same bits in any layout), so ``sum`` adds the same entries
+    in the same pairwise order as over every column, and every value
+    keeps its bits. The working set is one block of about 0.5 MB plus
+    O(draws) index and window arrays, however many draws there are.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1:
@@ -575,14 +680,23 @@ def sv_marginal_y_logpdf(params: SvParams, ys: np.ndarray) -> np.ndarray:
     lw = np.log(w / np.sqrt(np.pi))
     out = np.empty(len(ys))
     rows = _BLOCK_FLOATS // _MARGINAL_GH_NODES
+    with np.errstate(over="ignore"):
+        squares = ys * ys
+    order = np.argsort(squares)
+    ys = ys[order]
+    windows = _live_windows(params, xs, lw, squares[order], rows).tolist()
+    full = np.zeros((rows, _MARGINAL_GH_NODES))
     with np.errstate(over="ignore", divide="ignore"):
-        for i in range(0, len(ys), rows):
-            comp = sv_g_logpdf(params, xs[None, :], ys[i : i + rows, None])
-            comp += lw
+        for i, (lo, hi) in zip(range(0, len(ys), rows), windows):
+            comp = sv_g_logpdf(params, xs[None, lo:hi], ys[i : i + rows, None])
+            comp += lw[lo:hi]
             m = comp.max(axis=1)
             m[m == -np.inf] = 0.0  # a row of -inf components: exp gives zeros, whose log is -inf
             comp -= m[:, None]
-            out[i : i + rows] = m + np.log(np.exp(comp, out=comp).sum(axis=1))
+            block = full[: len(comp)]
+            np.exp(comp, out=block[:, lo:hi])
+            out[order[i : i + rows]] = m + np.log(block.sum(axis=1))
+            block[:, lo:hi] = 0.0
     return out
 
 

@@ -816,10 +816,18 @@ def sv_g_logpdf(params: SvParams, x, y):
     The value is ``-0.5 * (log(2 pi) + log(beta^2) + x + y * y * exp(-x) / beta^2)``,
     computed in that order; the terms in ``x`` alone take ``x``'s shape,
     and the rest goes into one fresh buffer of the broadcast shape,
-    updated in place.
+    updated in place. Where ``y = 0`` the term ``y * y * exp(-x)`` is its
+    limit 0, also where ``exp(-x)`` overflows, so the value there is
+    ``-0.5 * (log(2 pi) + log(beta^2) + x)`` rather than NaN; the test
+    for a zero runs over ``y``'s own shape only.
     """
     b2 = params.beta**2
-    q = y * y * np.exp(-x)
+    zero = y == 0
+    if zero is False or not np.any(zero):
+        q = y * y * np.exp(-x)
+    else:  # 0 * inf is NaN, but y^2 e^{-x} tends to 0 as y does
+        with np.errstate(invalid="ignore"):
+            q = np.where(zero, 0.0, y * y * np.exp(-x))[()]
     q /= b2
     q += _LOG2PI + np.log(b2) + x
     q *= -0.5

@@ -1,7 +1,9 @@
 """Assumption auditors: envelopes, integrability, subadditivity, positivity."""
 
 import json
+import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +37,7 @@ from pommkit import (
     sv_spec,
     tightness_audit_sv,
 )
-from pommkit import audit
+from pommkit import audit, models
 from pommkit import rng as rngmod
 from pommkit.audit import (
     AuditReport,
@@ -116,18 +118,25 @@ class TestEnvelopeDominatesQuadrature:
         assert report.status == "pass"
         assert report.statistic <= 1e-9
 
+    def test_block_density_where_the_emission_exponent_overflows(self):
+        # x0 = -1000 puts both grids where e^{-x} overflows: y2 = 0 gave an inner sum of NaN
+        params = SvParams(1.0, 1e-4, 0.9)
+        with np.errstate(over="ignore"):
+            assert audit.sv_block_density(params, -1000.0, 0.4, 0.0) == 0.0  # the outer factor underflows
+            upper = audit._block_uppers(np.array([(1.0, 1e-4, 0.9, -1000.0, 0.4, 0.0)]))[0]
+        assert np.isfinite(upper) and upper >= 0.0
+
     def test_determinism(self):
         a = envelope_validity_audit(BOX, draws=50, seed=6)
         b = envelope_validity_audit(BOX, draws=50, seed=6)
         assert a.statistic == b.statistic
 
 
-def brute_force_excesses(box, draws, seed):
-    """Every draw's excess ``D - B``, from one exact block per draw in draw order: the audit's oracle."""
+def per_draw_loop(box, draws, seed):
+    """Yields each draw ``(beta, sigma, phi, x0, y1, y2)`` of the envelope audit, one stream call per quantity."""
     rng = rngmod.substream(seed, rngmod.AUDIT, 1)
     beta_hi = box.beta_lo * 100.0
     sigma_hi = box.sigma_hi if np.isfinite(box.sigma_hi) else box.sigma_lo * 25.0
-    excesses = []
     for _ in range(draws):
         beta = float(np.exp(rng.uniform(np.log(box.beta_lo), np.log(beta_hi))))
         sigma = float(np.exp(rng.uniform(np.log(box.sigma_lo), np.log(sigma_hi))))
@@ -135,6 +144,14 @@ def brute_force_excesses(box, draws, seed):
         params = SvParams(beta=beta, sigma=sigma, phi=phi)
         x0 = float(3.0 * rng.standard_normal())
         y1, y2 = sv_g_sample(params, sv_stationary_x_sample(params, 2, rng), rng).tolist()
+        yield beta, sigma, phi, x0, y1, y2
+
+
+def brute_force_excesses(box, draws, seed):
+    """Every draw's excess ``D - B``, from one exact block and one envelope per draw in draw order: the audit's oracle."""
+    excesses = []
+    for beta, sigma, phi, x0, y1, y2 in per_draw_loop(box, draws, seed):
+        params = SvParams(beta=beta, sigma=sigma, phi=phi)
         excesses.append(sv_block_density(params, x0, y1, y2) - audit.psup_pointwise_bound(params, y1, y2))
     return excesses
 
@@ -266,12 +283,18 @@ class TestPrunedEnvelopeAudit:
 
     def test_non_finite_keys(self, monkeypatch):
         # envelopes of inf, NaN and 0 (keys -inf, NaN and U), and bounds of NaN and inf, each on some draws
-        real_bound, real_uppers = audit.psup_pointwise_bound, audit._block_uppers
+        real_bound, real_bounds, real_uppers = audit.psup_pointwise_bound, audit._pointwise_bounds, audit._block_uppers
         calls = [0]
 
-        def bound(*args):
+        def injected(draw, real):  # the envelope of the draw-th draw, counting from 1
+            return (np.inf, np.nan, 0.0, real, real)[draw % 5 if draw % 7 else 4]
+
+        def bound(*args):  # the oracle's envelopes, one call per draw
             calls[0] += 1
-            return (np.inf, np.nan, 0.0, real_bound(*args), real_bound(*args))[calls[0] % 5 if calls[0] % 7 else 4]
+            return injected(calls[0], real_bound(*args))
+
+        def bounds(*args):  # the audit's envelopes, all draws in one call
+            return np.array([injected(draw, real) for draw, real in enumerate(real_bounds(*args).tolist(), 1)])
 
         def uppers(draws):
             out = real_uppers(draws)
@@ -279,15 +302,40 @@ class TestPrunedEnvelopeAudit:
             return out
 
         monkeypatch.setattr(audit, "psup_pointwise_bound", bound)
-        monkeypatch.setattr(audit, "_block_uppers", uppers)
+        wanted = {}
         for box in self.BOXES[:3]:
             for seed in (5, 6):
                 calls[0] = 0
-                excesses = brute_force_excesses(box, 80, seed)
-                calls[0] = 0
-                report = envelope_validity_audit(box, 80, seed)
-                same_report(report, brute_force_report(excesses, seed, audit._ENVELOPE_SLACK))
-                assert report.status == "fail"  # the zero envelopes
+                wanted[box, seed] = brute_force_report(brute_force_excesses(box, 80, seed), seed, audit._ENVELOPE_SLACK)
+        # psup_pointwise_bound calls _pointwise_bounds, so the audit's seam is patched after the oracle has run
+        monkeypatch.setattr(audit, "_pointwise_bounds", bounds)
+        monkeypatch.setattr(audit, "_block_uppers", uppers)
+        for (box, seed), want in wanted.items():
+            report = envelope_validity_audit(box, 80, seed)
+            same_report(report, want)
+            assert report.status == "fail"  # the zero envelopes
+
+    def test_batched_first_pass_equals_the_per_draw_loop(self):
+        # two stream calls per draw and one vectorized pass give the loop's tuples and envelopes, bit for bit
+        for box in self.BOXES:
+            rows = list(per_draw_loop(box, 1000, 3))
+            bounds = [psup_pointwise_bound(SvParams(*row[:3]), *row[4:]) for row in rows]
+            taken, got = audit._envelope_draws(box, 1000, rngmod.substream(3, rngmod.AUDIT, 1))
+            assert taken.shape == (1000, 6) and taken.tobytes() == np.array(rows).tobytes()
+            assert got.shape == (1000,) and got.tobytes() == np.array(bounds).tobytes()
+
+    def test_overflowing_draws_raise_one_error(self):
+        # sigma up to 750 with phi near 1: the stationary state makes beta e^{x/2} u overflow
+        box = SvThetaBox(beta_lo=0.1, sigma_lo=30.0, phi_hi=0.99)
+        with np.errstate(over="ignore"):
+            rows = list(per_draw_loop(box, 1000, 3))
+        first = next(i for i, row in enumerate(rows) if not np.isfinite(row[4:]).all())
+        message = f"{box!r} overflows its own draws: the observation beta e^(x/2) u of draw {first} (sigma = {rows[first][1]!r})"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning before the error
+            for draws in (100, 1000):
+                with pytest.raises(ValueError, match="^" + re.escape(message) + " is not finite$"):
+                    envelope_validity_audit(box, draws, 3)
 
 
 class TestSvEntryPointsRejectNonFinite:
@@ -409,6 +457,29 @@ def one_expression_sv_qx(params, x, x_next):
     return one_expression_normal(x_next - params.phi * x, params.sigma**2)
 
 
+def one_shot_marginal(params, ys):
+    """``sv_marginal_y_logpdf`` as one log-sum-exp over every draw and every node: the reference for its windows."""
+    t, w = np.polynomial.hermite.hermgauss(201)
+    xs = np.sqrt(2.0 * params.x_var) * t
+    lw = np.log(w / np.sqrt(np.pi))
+    with np.errstate(over="ignore", divide="ignore"):
+        comp = models.sv_g_logpdf(params, xs[None, :], ys[:, None]) + lw[None, :]
+        m = comp.max(axis=1)
+        m[m == -np.inf] = 0.0
+        return m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
+
+
+# y = 0 both signs, squares that underflow to 0 or to a subnormal, squares near and past overflow
+EDGE_YS = (0.0, -0.0, 5e-324, -1e-170, 1e-160, -1e-155, 1e-154, 1e154, -1.3e154, 1.4e154, -1e200, 1.7e308)
+EDGE_Y = st.one_of(st.sampled_from(EDGE_YS), st.floats(-1e-154, 1e-154), st.floats(-1e3, 1e3))
+SV_POINT = st.builds(
+    SvParams,
+    st.floats(-3.0, 3.0).map(lambda v: 10.0**v),
+    st.floats(-3.0, 1.0).map(lambda v: 10.0**v),
+    st.floats(-0.99, 0.99),
+)
+
+
 class TestBlockedKernels:
     """The row-blocked, in-place kernels give the bits of the one-shot formulas they replaced."""
 
@@ -424,6 +495,84 @@ class TestBlockedKernels:
                 want = m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
                 got = sv_marginal_y_logpdf(params, ys[:n])
                 assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        params=SV_POINT,
+        n=st.integers(1, 1400),
+        seed=st.integers(0, 2**32 - 1),
+        edges=st.lists(st.tuples(st.integers(0, 1399), EDGE_Y), max_size=24),
+        repeat=st.integers(0, 400),
+    )
+    @example(params=STAR, n=1037, seed=31, edges=[(i, y) for i, y in enumerate(EDGE_YS)], repeat=0)
+    @example(params=SvParams(0.01, 10.0, 0.99), n=700, seed=1, edges=[(3 * i, y) for i, y in enumerate(EDGE_YS)], repeat=330)
+    @example(params=SvParams(1e3, 0.05, -0.2), n=327, seed=2, edges=[(326, 0.0), (0, 1e200)], repeat=0)
+    def test_windowed_marginal_equals_one_shot(self, params, n, seed, edges, repeat):
+        # stationary draws, with a run of repeats and then edge values written over some of them
+        rng = np.random.default_rng(seed)
+        ys = params.beta * np.exp(np.sqrt(params.x_var) * rng.standard_normal(n) / 2.0) * rng.standard_normal(n)
+        ys[:repeat] = ys[repeat % n]
+        for i, y in edges:
+            ys[i % n] = y
+        # a y^2 that underflows against an e^{-x} that overflows, or the reverse, is 0 * inf: NaN on both sides
+        with np.errstate(invalid="ignore"):
+            got = sv_marginal_y_logpdf(params, ys)
+            want = one_shot_marginal(params, ys)
+        assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
+    def test_windows_hold_every_nonzero_entry(self):
+        # the window of each block holds every entry whose exp(comp - m) is not 0.0, and little else
+        rng = np.random.default_rng(8)
+        cases = [(STAR, 1.0), (SvParams(0.7, 0.45, -0.6), 3.0), (SvParams(2.5, 3.0, 0.95), 1.0), (SvParams(0.5, 4.0, 0.99), 1.0)]
+        for params, scale in cases + [(params, None) for params, _ in cases]:
+            if scale is None:  # |y| log-uniform over twelve decades: every block spans a wide range of y^2
+                ys = params.beta * 10.0 ** rng.uniform(-6.0, 6.0, 3000)
+            else:
+                ys = scale * params.beta * np.exp(np.sqrt(params.x_var) * rng.standard_normal(5000) / 2.0) * rng.standard_normal(5000)
+            t, w = np.polynomial.hermite.hermgauss(201)
+            xs, lw = np.sqrt(2.0 * params.x_var) * t, np.log(w / np.sqrt(np.pi))
+            squares = np.sort(ys * ys)
+            windows = audit._live_windows(params, xs, lw, squares, 326)
+            with np.errstate(over="ignore"):
+                comp = models.sv_g_logpdf(params, xs[None, :], np.sqrt(squares)[:, None]) + lw
+            live = np.exp(comp - comp.max(axis=1, keepdims=True)) > 0.0
+            inside = np.zeros_like(live)
+            for b, (lo, hi) in enumerate(windows.tolist()):
+                inside[326 * b : 326 * (b + 1), lo:hi] = True
+            assert len(windows) == -(-len(ys) // 326) and not (live & ~inside).any()
+            assert (~inside).sum() > (0.5 if scale is None else 0.9) * (~live).sum()  # the windows skip most zeros
+        # blocks of three: a square that overflows, or s_hi C_k past 2^1000, takes every column
+        t, w = np.polynomial.hermite.hermgauss(201)
+        params = SvParams(1e-3, 0.05, 0.9)  # nodes within 3.1 of 0: s_hi C_j stays finite on every column
+        xs, lw = np.sqrt(2.0 * params.x_var) * t, np.log(w / np.sqrt(np.pi))
+        squares = np.array([1.0, 2.0, 4.0, 1.0, 2.0, np.inf, 1e299, 5e299, 1e300])
+        windows = audit._live_windows(params, xs, lw, squares, 3).tolist()
+        assert windows[0] != [0, 201] and windows[1:] == [[0, 201], [0, 201]]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(params=SV_POINT, n=st.integers(1, 1400), seed=st.integers(0, 2**32 - 1), widen=st.integers(0, 2**32 - 1))
+    @example(params=STAR, n=1400, seed=3, widen=5)
+    def test_any_wider_windows_keep_the_bits(self, params, n, seed, widen):
+        # the kernel gives the same bits for any windows that hold the certified ones, so no stale column survives
+        rng = np.random.default_rng(seed)
+        ys = params.beta * np.exp(np.sqrt(params.x_var) * rng.standard_normal(n) / 2.0) * rng.standard_normal(n)
+        ys[: n // 5] = 0.0
+        real = audit._live_windows
+
+        def wider(*args):
+            windows = real(*args)
+            pick = np.random.default_rng(widen)
+            lo = pick.integers(0, windows[:, 0] + 1)
+            return np.stack([lo, pick.integers(windows[:, 1], 202)], axis=1)
+
+        with np.errstate(invalid="ignore"):
+            want = sv_marginal_y_logpdf(params, ys)
+            try:
+                audit._live_windows = wider
+                got = sv_marginal_y_logpdf(params, ys)
+            finally:
+                audit._live_windows = real
+        assert got.tobytes() == want.tobytes()
 
     def test_block_density_matches_one_shot(self):
         nodes, span = 241, 9.0

@@ -31,7 +31,7 @@ EXPECTED = (
     + ["delta_closed_grid"]
     + [f"envelope_{box}_{seed}" for box in ("box", "open_box") for seed in (0, 1)]
     + [f"envelope_default_1000_{seed}" for seed in (0, 1)]
-    + ["b6_entropy_floor_sv"]
+    + ["b6_entropy_floor_sv", "b6_entropy_floor_sv_100000", "b6_entropy_floor_sv_wide", "sv_marginal_edge_rows"]
     + [f"experiment_{name}" for name in ("audit.jsonl", "concentration.csv", "config.ini", "manifest.txt",
                                          "posterior_n100.csv", "posterior_n1600.csv", "posterior_n400.csv")]
     + ["cli_simulate", "cli_loglik_kalman", "cli_loglik_bpf", "cli_loglik_quadrature", "cli_posterior"]

@@ -1145,6 +1145,25 @@ class TestInPlaceDensities:
         self.assert_same_bits(models.sv_qx_logpdf(params, a, b), one_expression_normal(b - params.phi * a, params.sigma**2))
         assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
 
+    def test_zero_observation_takes_the_limit_where_exp_overflows(self):
+        # y^2 e^{-x} was 0 * inf = NaN at y = 0 and x below about -709; its limit is 0
+        params = SvParams(0.7, 0.4, 0.93)
+        x = np.array([-1000.0, -709.9, -3.0, 0.0, 800.0])
+        y = np.array([0.0, -0.0, 0, 0.5, -2.0, 1e-300])
+        limit = -0.5 * (LOG2PI + np.log(params.beta**2) + x)
+        with np.errstate(over="ignore"):
+            got = models.sv_g_logpdf(params, x[:, None], y[None, :])
+            with np.errstate(invalid="ignore"):
+                want = one_expression_sv_g(params, x[:, None], y[None, :])
+            scalar = models.sv_g_logpdf(params, -1000.0, 0.0)
+        finite = np.isfinite(want)
+        assert not finite[:2, :3].any() and finite[2:, :3].all()  # the cases that were NaN
+        assert got.shape == want.shape and got[finite].tobytes() == want[finite].tobytes()
+        for col in range(3):
+            assert got[:, col].tobytes() == limit.tobytes()
+        assert type(scalar) is np.float64 and scalar == limit[0]
+        self.assert_same_bits(models.sv_g_logpdf(params, x[2:], 0), one_expression_sv_g(params, x[2:], 0))
+
 
 def random_hmm_spec(family, seed):
     """An HMM spec of ``family`` with parameters drawn from ``seed``."""

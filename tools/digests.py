@@ -24,14 +24,17 @@ observations, the closed-form Delta from the scalar model to each of the
 the 20 p = 2 specs, the SV envelope audit's report on two boxes (one
 with sigma unbounded) at two seeds and on the ``pommkit audit`` default
 box at 1000 draws (the ``oracle_checks`` benchmark's size) at two seeds,
-the SV entropy-floor report, and
+the SV entropy-floor report at 20,000 and 100,000 draws (the
+``oracle_checks`` size) at the SV model's point and at 20,000 draws at
+a point with beta = 2.5 and sigma = 3, ``sv_marginal_y_logpdf`` on a
+vector of edge rows (zeros, underflowing and overflowing squares), and
 every file that
 ``run_experiment(reference_config())`` writes, the command line's output
 on valid input (``simulate``, ``loglik`` by each method, ``posterior``,
 ``experiment`` with every file it writes, and the state-space
 ``audit``, on the reference config with ``n_list = 20 40``), and
 ``serialize_config`` of a config with every key off its default. It
-takes about 1.7 s of CPU time after the imports on a 2-core x86-64
+takes about 1.5 s of CPU time, imports included, on a 2-core x86-64
 machine.
 """
 from __future__ import annotations
@@ -80,7 +83,7 @@ from pommkit import (  # noqa: E402
     sv_spec,
     uniform_grid_1d,
 )
-from pommkit.audit import b6_entropy_floor_sv  # noqa: E402
+from pommkit.audit import b6_entropy_floor_sv, sv_marginal_y_logpdf  # noqa: E402
 from pommkit import cli  # noqa: E402
 from pommkit.experiment import (  # noqa: E402
     REFERENCE_CONFIG_TEXT,
@@ -93,6 +96,12 @@ from pommkit.experiment import (  # noqa: E402
 SEED = 20260808
 SWEEP_Q_OBS = 300  # distinct q_obs values, more than models._SCALAR_R_MEMO, so the memo evicts
 ENVELOPE_DRAWS = 300  # more than one block of the envelope audit's bounds
+# zeros of both signs, squares that underflow to 0 or to a subnormal, squares near and past overflow,
+# both signs and repeats: 400 rows, two blocks of the marginal and not a multiple of one
+MARGINAL_EDGE_ROWS = np.resize(
+    [0.0, -0.0, 5e-324, -1e-170, 1e-160, -1e-155, 1e-154, 0.3, -0.3, 2.5, -7.0, 1e154, -1.3e154, 1.4e154, -1e200, 1.7e308],
+    400,
+)
 # every key off its default but method (kalman is the only method), which is left out to take its default
 OFF_DEFAULT_CONFIG = """\
 [model]
@@ -260,6 +269,9 @@ def battery():
     for seed in (SEED, SEED + 1):
         yield f"envelope_default_1000_{seed - SEED}", envelope_validity_audit(default_box, 1000, seed)
     yield "b6_entropy_floor_sv", b6_entropy_floor_sv(sv.sv, 20_000, SEED)
+    yield "b6_entropy_floor_sv_100000", b6_entropy_floor_sv(sv.sv, 100_000, SEED)
+    yield "b6_entropy_floor_sv_wide", b6_entropy_floor_sv(SvParams(2.5, 3.0, 0.95), 20_000, SEED)
+    yield "sv_marginal_edge_rows", sv_marginal_y_logpdf(sv.sv, MARGINAL_EDGE_ROWS)
     with tempfile.TemporaryDirectory() as out:
         run_experiment(reference_config(), out)
         for path in sorted(Path(out).iterdir()):
