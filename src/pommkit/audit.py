@@ -156,8 +156,7 @@ def _bound2(sigma_hi, log_beta_lo, phi_hi, y1):
     if not np.isfinite(sigma_hi):
         return np.full_like(np.asarray(y1, dtype=float), np.inf)
     # log-convex in phi, so the sup over [-phi_hi, phi_hi] is at an endpoint
-    la = _log_bound2_at_phi(sigma_hi**2, log_beta_lo, -phi_hi, y1)
-    lb = _log_bound2_at_phi(sigma_hi**2, log_beta_lo, phi_hi, y1)
+    la, lb = (_log_bound2_at_phi(sigma_hi**2, log_beta_lo, phi, y1) for phi in (-phi_hi, phi_hi))
     return np.exp(np.maximum(la, lb))
 
 
@@ -398,9 +397,10 @@ def _envelope_draws(box: SvThetaBox, draws: int, rng: np.random.Generator) -> tu
     three parameters' log-scale or linear ranges and ``rng.standard_normal(5)``
     for ``x0``, the two stationary states and the two emission noises,
     which take the stream that a call per quantity would. The rest is one
-    vectorized pass: ``beta e^{x/2} u`` with ``x = sqrt(v) z`` and the
-    envelopes of ``_pointwise_bounds``, which are ``psup_pointwise_bound``
-    of each draw bit for bit. ``sigma^2``, ``v = sigma^2 / (1 - phi^2)``
+    vectorized pass: the observations ``beta e^{x/2} u`` with ``x =
+    sqrt(v) z``, in the order of operations of ``sv_stationary_x_sample``
+    and ``sv_g_sample``, and the envelopes of ``_pointwise_bounds``,
+    which are ``psup_pointwise_bound`` of each draw bit for bit. ``sigma^2``, ``v = sigma^2 / (1 - phi^2)``
     and ``log beta`` are Python floats, as ``SvParams.x_var`` and
     ``psup_pointwise_bound`` form them. Overflow in the pass is silent;
     a draw whose observation overflows raises ``ValueError`` naming the
@@ -655,8 +655,7 @@ def sv_marginal_y_logpdf(params: SvParams, ys: np.ndarray) -> np.ndarray:
     ``-inf``, without a warning, as long as no node's ``e^{-x}``
     underflows to 0; where one does, and where a nonzero ``y``'s square
     underflows to 0 against an ``e^{-x}`` that overflows, the component
-    is ``0 * inf`` and the value NaN, with the caller's "invalid"
-    warning.
+    is ``0 * inf`` and the value NaN.
 
     The draws go through in ascending order of ``y^2`` and in blocks of
     ``_BLOCK_FLOATS // _MARGINAL_GH_NODES`` rows, and each value is
