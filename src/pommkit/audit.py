@@ -611,7 +611,7 @@ def _live_windows(params: SvParams, xs: np.ndarray, lw: np.ndarray, squares: np.
 
     The allowance is ``_WINDOW_ROUNDING = 2^-46``, 128 units of rounding
     ``u = 2^-53``, times the size of the terms: ``s (C_j + C_k) + |A_j|
-    + |A_k| + |x_j| + |x_k| + |lw_j| + |lw_k| + 2 |log beta^2| + 8``. A
+    + |A_k| + |x_j| + |x_k| + |lw_j| + |lw_k| + 4 |log beta^2| + 16``. A
     first-order count of the roundings, with ``exp`` and ``log`` within
     a few ulps, puts the computed ``comp_j`` within ``u (16 s C_j + 8
     (|x_j| + |log beta^2| + |lw_j| + 2))`` of ``A_j - s C_j``, and the
@@ -635,7 +635,8 @@ def _live_windows(params: SvParams, xs: np.ndarray, lw: np.ndarray, squares: np.
         ref = a - np.where(mid > 0.0, mid * c, 0.0)
         k = np.argmax(np.where(np.isnan(ref), -np.inf, ref), axis=1)[:, None]
         ak, ck = a[k], c[k]
-        size = np.abs(a) + np.abs(ak) + np.abs(xs) + np.abs(xs[k]) + np.abs(lw) + np.abs(lw[k]) + (2.0 * abs(np.log(b2)) + 8.0)
+        size = np.abs(a) + np.abs(xs) + np.abs(lw) + (2.0 * abs(np.log(b2)) + 8.0)  # per column
+        size = size + size[k]  # and per reference column
         level = (a - ak) + _WINDOW_ROUNDING * size  # the bound at s = 0
         slope = (c - ck) - _WINDOW_ROUNDING * (c + ck)  # and its fall per unit of s
         bound = np.maximum(level - lo_s * slope, level - hi_s * slope)  # NaN propagates
