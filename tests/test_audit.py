@@ -469,6 +469,11 @@ def one_shot_marginal(params, ys):
         return m + np.log(np.exp(comp - m[:, None]).sum(axis=1))
 
 
+def stationary_ys(params, n, rng):
+    """``n`` stationary SV observations ``beta e^{x/2} u``."""
+    return params.beta * np.exp(np.sqrt(params.x_var) * rng.standard_normal(n) / 2.0) * rng.standard_normal(n)
+
+
 # y = 0 both signs, squares that underflow to 0 or to a subnormal, squares near and past overflow
 EDGE_YS = (0.0, -0.0, 5e-324, -1e-170, 1e-160, -1e-155, 1e-154, 1e154, -1.3e154, 1.4e154, -1e200, 1.7e308)
 EDGE_Y = st.one_of(st.sampled_from(EDGE_YS), st.floats(-1e-154, 1e-154), st.floats(-1e3, 1e3))
@@ -509,8 +514,7 @@ class TestBlockedKernels:
     @example(params=SvParams(1e3, 0.05, -0.2), n=327, seed=2, edges=[(326, 0.0), (0, 1e200)], repeat=0)
     def test_windowed_marginal_equals_one_shot(self, params, n, seed, edges, repeat):
         # stationary draws, with a run of repeats and then edge values written over some of them
-        rng = np.random.default_rng(seed)
-        ys = params.beta * np.exp(np.sqrt(params.x_var) * rng.standard_normal(n) / 2.0) * rng.standard_normal(n)
+        ys = stationary_ys(params, n, np.random.default_rng(seed))
         ys[:repeat] = ys[repeat % n]
         for i, y in edges:
             ys[i % n] = y
@@ -528,7 +532,7 @@ class TestBlockedKernels:
             if scale is None:  # |y| log-uniform over twelve decades: every block spans a wide range of y^2
                 ys = params.beta * 10.0 ** rng.uniform(-6.0, 6.0, 3000)
             else:
-                ys = scale * params.beta * np.exp(np.sqrt(params.x_var) * rng.standard_normal(5000) / 2.0) * rng.standard_normal(5000)
+                ys = scale * stationary_ys(params, 5000, rng)
             t, w = np.polynomial.hermite.hermgauss(201)
             xs, lw = np.sqrt(2.0 * params.x_var) * t, np.log(w / np.sqrt(np.pi))
             squares = np.sort(ys * ys)
@@ -554,8 +558,7 @@ class TestBlockedKernels:
     @example(params=STAR, n=1400, seed=3, widen=5)
     def test_any_wider_windows_keep_the_bits(self, params, n, seed, widen):
         # the kernel gives the same bits for any windows that hold the certified ones, so no stale column survives
-        rng = np.random.default_rng(seed)
-        ys = params.beta * np.exp(np.sqrt(params.x_var) * rng.standard_normal(n) / 2.0) * rng.standard_normal(n)
+        ys = stationary_ys(params, n, np.random.default_rng(seed))
         ys[: n // 5] = 0.0
         real = audit._live_windows
 
